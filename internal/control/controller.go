@@ -616,7 +616,7 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 			return nil, err
 		}
 		rec.PlacementMs = float64(time.Since(start)) / float64(time.Millisecond)
-		rec.Engine = hcfg.ResolveEngineLabel(view.N(), view.M())
+		rec.Engine = hcfg.ResolveEngineLabel()
 		if c.placeCold != nil {
 			c.placeCold.Inc()
 		}

@@ -56,6 +56,9 @@ func TestServeSpansStitchAcrossHops(t *testing.T) {
 	if _, err := cl.Fetch(context.Background(), edge, site, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The edge ends its serve span after it has written the response:
+	// wait for its handler to return before reading the trace.
+	cl.Close()
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +143,9 @@ func TestSpansOffEmitsOnlyEvents(t *testing.T) {
 	if _, err := cl.Fetch(context.Background(), 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
+	// The edge emits the event after it has written the response: wait
+	// for its handler to return before reading the trace.
+	cl.Close()
 	if err := cfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -56,14 +56,8 @@ func (p *Predictor) CheK(B int) float64 {
 			if p.pops[j] == 0 {
 				continue
 			}
-			z := p.zipfs[j]
-			for k := 1; k <= z.L; k++ {
-				q := p.pops[j] * z.PMF(k)
-				if q >= 1 {
-					total++
-					continue
-				}
-				total += 1 - math.Pow(1-q, T)
+			for _, q := range p.zipfs[j].PMFs() {
+				total += hitProb(p.pops[j]*q, T)
 			}
 		}
 		return total

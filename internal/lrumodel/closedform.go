@@ -134,14 +134,8 @@ func closedformHitRatio(pSite float64, z *stats.Zipf, K float64) float64 {
 	// replaced by its exponential limit.
 	h := 0.0
 	head := closedformHeadRanks
-	for k := 1; k <= head; k++ {
-		q := z.PMF(k)
-		pObj := pSite * q
-		var miss float64
-		if pObj < 1 {
-			miss = math.Pow(1-pObj, K)
-		}
-		h += (1 - miss) * q
+	for _, q := range z.PMFs()[:head] {
+		h += hitProb(pSite*q, K) * q
 	}
 
 	// Tail integral over local ranks k ∈ [H+1, L], midpoint-extended

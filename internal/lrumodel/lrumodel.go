@@ -119,7 +119,7 @@ type law interface {
 }
 
 // eq1Law is the paper's own model: Equation (2) for K and Equation (1)
-// for the hit ratio. It is the byte-identical default.
+// for the hit ratio. It is the default.
 type eq1Law struct{}
 
 func (eq1Law) charTime(p *Predictor, B int) float64 { return kApprox(B, p.TopMass(B)) }
@@ -136,12 +136,17 @@ func (eq1Law) siteHit(p *Predictor, j int, pSite, K float64) float64 {
 // generalized across the N per-server predictors. Sharing changes no
 // bits, only who computes each entry first.
 //
+// The table also interns the Zipf distributions themselves by shape:
+// the N predictors over one M-site catalog read M PMF tables between
+// them instead of building N·M.
+//
 // A SharedTable is safe for concurrent use. Each predictor still keeps
 // its private unsynchronized memo in front of it, so the shared lock is
 // only taken on private misses.
 type SharedTable struct {
-	mu sync.RWMutex
-	m  map[sharedKey]float64
+	mu    sync.RWMutex
+	m     map[sharedKey]float64
+	zipfs map[zipfShape]*stats.Zipf
 	// hits/misses count lookups served from / added to the table,
 	// atomically (lookup holds only the read lock). They feed the warm
 	// reconcile audit: a warm round that reuses the previous round's
@@ -157,9 +162,29 @@ type sharedKey struct {
 	pq, kq     int64
 }
 
+// zipfShape identifies a Zipf distribution: its first global rank, its
+// size and its exponent.
+type zipfShape struct {
+	start, objects int
+	theta          float64
+}
+
 // NewSharedTable returns an empty shared hit-ratio table.
 func NewSharedTable() *SharedTable {
-	return &SharedTable{m: make(map[sharedKey]float64)}
+	return &SharedTable{m: make(map[sharedKey]float64), zipfs: make(map[zipfShape]*stats.Zipf)}
+}
+
+// zipf returns the table's distribution of the given shape, building it
+// on first use. Distributions are immutable once built.
+func (t *SharedTable) zipf(shape zipfShape) *stats.Zipf {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	z := t.zipfs[shape]
+	if z == nil {
+		z = stats.NewZipfRange(shape.start, shape.objects, shape.theta)
+		t.zipfs[shape] = z
+	}
+	return z
 }
 
 // Len returns the number of memoized grid points.
@@ -275,6 +300,12 @@ func newPredictor(kind ModelKind, specs []SiteSpec, weights []float64, avgObjByt
 		}
 	}
 	p.zipfs = make([]*stats.Zipf, len(specs))
+	intern := shared
+	if intern == nil {
+		// No table to share with other predictors: this one's sites of
+		// one shape still share a distribution among themselves.
+		intern = NewSharedTable()
+	}
 	for j, s := range specs {
 		if s.Objects < 1 {
 			return nil, fmt.Errorf("lrumodel: site %d has %d objects", j, s.Objects)
@@ -285,7 +316,7 @@ func newPredictor(kind ModelKind, specs []SiteSpec, weights []float64, avgObjByt
 		if s.RankOffset < 0 {
 			return nil, fmt.Errorf("lrumodel: site %d has rank offset %d", j, s.RankOffset)
 		}
-		p.zipfs[j] = stats.NewZipfRange(s.RankOffset+1, s.Objects, s.Theta)
+		p.zipfs[j] = intern.zipf(zipfShape{s.RankOffset + 1, s.Objects, s.Theta})
 	}
 	p.buildPrefix(p.B(maxCacheBytes))
 	return p, nil
@@ -471,31 +502,6 @@ func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64
 		p.shared.store(sk, h)
 	}
 	return h * (1 - p.specs[j].Lambda)
-}
-
-// hitRatioExact is the raw Equation (1) for one site: the probability
-// that the requested object was requested at least once within the last K
-// time slots, averaged over the site's Zipf-distributed object choice.
-func hitRatioExact(pSite float64, z *stats.Zipf, K float64) float64 {
-	if K <= 0 || pSite <= 0 {
-		return 0
-	}
-	h := 0.0
-	for k := 1; k <= z.L; k++ {
-		q := z.PMF(k)
-		pObj := pSite * q
-		var miss float64
-		switch {
-		case math.IsInf(K, 1):
-			miss = 0 // never evicted: always present after first request
-		case pObj >= 1:
-			miss = 0
-		default:
-			miss = math.Pow(1-pObj, K)
-		}
-		h += (1 - miss) * q
-	}
-	return h
 }
 
 // HitRatios returns the λ-adjusted hit ratio of every site at the given

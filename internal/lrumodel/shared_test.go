@@ -71,3 +71,75 @@ func TestSharedTableConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// paperCatalog is the §5.1 catalog's shape as the model sees it — M = 20
+// sites of 2000 objects — with a θ per site so that no two sites share a
+// Zipf table by accident.
+func paperCatalog() ([]SiteSpec, []float64) {
+	specs := make([]SiteSpec, 20)
+	weights := make([]float64, len(specs))
+	for j := range specs {
+		specs[j] = SiteSpec{Objects: 2000, Theta: 0.8 + 0.02*float64(j)}
+		weights[j] = float64(1 + j%5)
+	}
+	return specs, weights
+}
+
+// TestSharedTableInternsZipfs: N predictors over one M-site catalog and
+// one table hold the same M distributions — stats.NewZipfRange ran M
+// times, not N·M — and sites of one shape hold the same one. Without a
+// table every predictor builds its own.
+func TestSharedTableInternsZipfs(t *testing.T) {
+	specs, weights := paperCatalog()
+	specs = append(specs, specs[3]) // a second site of site 3's shape
+	weights = append(weights, 1)
+	const n = 50
+	shared := NewSharedTable()
+	preds := make([]*Predictor, n)
+	for i := range preds {
+		preds[i] = NewPredictorShared(specs, weights, 1, 4000, shared)
+	}
+	if got, want := len(shared.zipfs), len(specs)-1; got != want {
+		t.Fatalf("table holds %d distributions for %d distinct shapes", got, want)
+	}
+	for i, p := range preds {
+		for j := range specs {
+			if p.zipfs[j] != preds[0].zipfs[j] {
+				t.Fatalf("predictor %d built its own distribution for site %d", i, j)
+			}
+		}
+	}
+	if preds[0].zipfs[3] != preds[0].zipfs[len(specs)-1] {
+		t.Fatal("two sites of one shape hold different distributions")
+	}
+	if z := preds[0].zipfs[5]; z.L != 2000 || z.Start != 1 || z.Theta != specs[5].Theta {
+		t.Fatalf("site 5 holds a distribution of shape (%d, %d, %v)", z.Start, z.L, z.Theta)
+	}
+	a, b := NewPredictor(specs, weights, 1, 4000), NewPredictor(specs, weights, 1, 4000)
+	if a.zipfs[0] == b.zipfs[0] {
+		t.Fatal("predictors without a table share a distribution")
+	}
+}
+
+// BenchmarkZipfIntern times the N = 50 predictor constructions of a cold
+// paper-scale solve, with the shared table every engine threads through
+// (M Zipf tables built) and without (N·M built).
+func BenchmarkZipfIntern(b *testing.B) {
+	specs, weights := paperCatalog()
+	for _, c := range []struct {
+		name   string
+		shared func() *SharedTable
+	}{
+		{"shared", NewSharedTable},
+		{"private", func() *SharedTable { return nil }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				shared := c.shared()
+				for server := 0; server < 50; server++ {
+					NewPredictorShared(specs, weights, 1, 4000, shared)
+				}
+			}
+		})
+	}
+}

@@ -146,24 +146,22 @@ func TestApproxPlacementInvariants(t *testing.T) {
 }
 
 // TestEngineResolution pins the auto-selection rules: explicit Engine
-// wins, Epsilon > 0 selects approx, small systems fall back to the
-// scanning engine, large ones to the heap engine.
+// wins, Epsilon > 0 selects approx, and the scanning engine runs only
+// when asked for.
 func TestEngineResolution(t *testing.T) {
 	cases := []struct {
 		cfg  HybridConfig
-		n, m int
 		want Engine
 	}{
-		{HybridConfig{}, 14, 9, EngineScan},                                   // 126 cells, below crossover
-		{HybridConfig{}, 60, 20, EngineLazy},                                  // 1200 cells, above crossover
-		{HybridConfig{Scan: true}, 60, 20, EngineScan},                        // legacy flag
-		{HybridConfig{Epsilon: 1e-2}, 14, 9, EngineApprox},                    // ε > 0
-		{HybridConfig{Engine: EngineLazy}, 14, 9, EngineLazy},                 // explicit wins over crossover
-		{HybridConfig{Engine: EngineScan, Epsilon: 1e-2}, 60, 20, EngineScan}, // explicit wins over ε
+		{HybridConfig{}, EngineLazy},
+		{HybridConfig{Scan: true}, EngineScan},                        // legacy flag
+		{HybridConfig{Epsilon: 1e-2}, EngineApprox},                   // ε > 0
+		{HybridConfig{Engine: EngineLazy, Scan: true}, EngineLazy},    // explicit wins over the flag
+		{HybridConfig{Engine: EngineScan, Epsilon: 1e-2}, EngineScan}, // explicit wins over ε
 	}
 	for i, c := range cases {
-		if got := c.cfg.resolveEngine(c.n, c.m); got != c.want {
-			t.Errorf("case %d: resolveEngine(%d,%d) = %v, want %v", i, c.n, c.m, got, c.want)
+		if got := c.cfg.resolveEngine(); got != c.want {
+			t.Errorf("case %d: resolveEngine() = %v, want %v", i, got, c.want)
 		}
 	}
 	gcases := []struct {
@@ -216,11 +214,11 @@ func TestApproxExplainEngineLabels(t *testing.T) {
 		t.Fatalf("ε=1e-2 run of %d steps deferred no rows", len(res.Steps))
 	}
 
-	// Small system, auto engine: the scanning engine must self-report.
+	// The scanning engine must self-report too.
 	sysS, specsS := randomSystem(xrand.New(3), 14, 9, 0.1)
 	var scanLabels []string
 	_, err = Hybrid(sysS, HybridConfig{
-		Specs: specsS, AvgObjectBytes: 1,
+		Specs: specsS, AvgObjectBytes: 1, Engine: EngineScan,
 		Explain: func(s ExplainStep) { scanLabels = append(scanLabels, s.Engine) },
 	})
 	if err != nil {

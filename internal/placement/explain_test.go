@@ -53,8 +53,6 @@ func TestExplainMatchesSteps(t *testing.T) {
 	})
 	check("greedy-scan", greedyScanEx, greedyScanRes, greedyBase, false)
 
-	// Engine forced: this instance is below the auto crossover, which
-	// would otherwise select the scanning engine for the lazy case.
 	hybridCfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Engine: EngineLazy}
 	hybridBase, err := Hybrid(sys, hybridCfg)
 	if err != nil {

@@ -295,24 +295,29 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		st.engine = EngineApprox
 	}
 
-	// Repair: dirty rows rebuild their model state exactly; every row
-	// re-derives its benefit cells against the live demand (clean rows
-	// from their kept shrink caches, fill=false — pure arithmetic).
+	// Repair, in two passes. First the dirty rows rebuild their model
+	// state exactly. Only once every row's hit ratios are final does any
+	// row re-derive its benefit cells against the live demand (clean rows
+	// from their kept shrink caches, fill=false — pure arithmetic): a
+	// cell's remote term reads h[s][j] of every other row s.
 	m := st.m
 	fanOutRows(n, st.workers, func(i int) {
-		if dirty[i] {
-			st.preds[i] = mustModel(kind, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], st.shared)
-			vm := 1.0
-			visible := make([]bool, m) // per-row: rows fan out concurrently
-			for j := 0; j < m; j++ {
-				visible[j] = !p.Has(i, j)
-				if !visible[j] {
-					vm -= st.preds[i].SitePopularity(j)
-				}
-			}
-			st.h[i] = st.preds[i].HitRatiosCond(visible, p.Free(i))
-			st.visMass[i] = vm
+		if !dirty[i] {
+			return
 		}
+		st.preds[i] = mustModel(kind, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], st.shared)
+		vm := 1.0
+		visible := make([]bool, m) // per-row: rows fan out concurrently
+		for j := 0; j < m; j++ {
+			visible[j] = !p.Has(i, j)
+			if !visible[j] {
+				vm -= st.preds[i].SitePopularity(j)
+			}
+		}
+		st.h[i] = st.preds[i].HitRatiosCond(visible, p.Free(i))
+		st.visMass[i] = vm
+	})
+	fanOutRows(n, st.workers, func(i int) {
 		for j := 0; j < m; j++ {
 			st.ben[i][j] = st.evalBenCached(i, j, st.hShrink[i], dirty[i])
 		}

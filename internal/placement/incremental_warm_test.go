@@ -211,6 +211,54 @@ func TestIncrementalGrowingDemandAddsReplicas(t *testing.T) {
 	}
 }
 
+// TestIncrementalWarmRace: a warm repair with several dirty rows and
+// several workers must not depend on the order the rows are visited in.
+// Every row's benefit cells read the hit ratios of every other row, so
+// the dirty rows' hit ratios have to be final before any cell is
+// re-derived; with the two interleaved, repeated parallel repairs of one
+// input differ from each other and from the serial repair (and the race
+// detector reports the interleaving).
+func TestIncrementalWarmRace(t *testing.T) {
+	sys, specs := randomSystem(xrand.New(19), 20, 10, 0.1)
+	hot := withDemand(sys, func(d [][]float64) {
+		for _, i := range []int{2, 7, 11, 16} { // 4 of 20 rows: dirty, yet warm
+			for j := range d[i] {
+				d[i][j] *= 1 + 10*float64((i+j)%4)
+			}
+		}
+	})
+	repair := func(parallelism int) []Step {
+		cfg := IncrementalConfig{HybridConfig: HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: parallelism}}
+		_, warm, _, err := Incremental(nil, sys, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, stats, err := Incremental(warm, hot, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Warm || stats.DirtyRows < 3 {
+			t.Fatalf("want a warm repair with at least 3 dirty rows, got %+v", stats)
+		}
+		if stats.StepsAdded == 0 {
+			t.Fatal("the repair added no replica: the drift does not exercise the benefit cells")
+		}
+		return res.Steps
+	}
+	want := repair(1)
+	for rep := 0; rep < 20; rep++ {
+		got := repair(4)
+		if len(got) != len(want) {
+			t.Fatalf("repetition %d: %d steps, serial repair has %d", rep, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("repetition %d, step %d: %+v, serial repair has %+v", rep, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func placementsEqual(a, b *core.Placement) bool {
 	sa, sb := a.System(), b.System()
 	if sa.N() != sb.N() || sa.M() != sb.M() {

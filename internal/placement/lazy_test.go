@@ -82,9 +82,6 @@ func TestLazyMatchesScanHybrid(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						r := xrand.New(seed)
 						sys, specs := randomSystem(r, 14, 9, capFrac)
-						// Engine forced: this grid sits below the auto
-						// crossover, which would otherwise compare the
-						// scanning engine against itself.
 						cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par, Engine: EngineLazy}
 						if withUpdates {
 							cfg.UpdateRates = make([]float64, sys.M())

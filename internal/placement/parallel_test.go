@@ -76,8 +76,6 @@ func TestGreedyGlobalOptsParallelMatchesSerialUpdates(t *testing.T) {
 // row-granular — and therefore decision-identical to the serial path.
 func TestHybridParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{2, 8} {
-		// Engine forced: below the auto crossover the heap engine (whose
-		// row fan-out this test exercises) would not be selected.
 		sys, specs := randomSystem(xrand.New(seed), 10, 7, 0.2)
 		cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: 1, Engine: EngineLazy}
 		serial, err := Hybrid(sys, cfg)

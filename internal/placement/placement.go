@@ -62,10 +62,9 @@ func fanOutRows(n, workers int, f func(i int)) {
 }
 
 // Engine selects the selection machinery behind a placement run. The
-// zero value (EngineAuto) picks the cheapest engine for the instance:
-// the scanning reference below the measured crossover size, the exact
-// lazy heap above it, and the approximate heap whenever an ε budget is
-// configured. Explicit values force one engine; EngineLazy ignores
+// zero value (EngineAuto) picks the exact lazy heap, or the approximate
+// heap whenever an ε budget is configured; it never picks the scanning
+// reference. Explicit values force one engine; EngineLazy ignores
 // Epsilon, EngineApprox honors it (ε=0 reproduces the exact lazy run
 // byte for byte).
 type Engine int
@@ -91,16 +90,6 @@ func (e Engine) String() string {
 		return "auto"
 	}
 }
-
-// hybridScanCrossoverCells is the instance size (n·m benefit cells)
-// below which the scanning hybrid engine is at least as fast as the
-// lazy heap and EngineAuto selects it. Measured on the scale suite:
-// at 1000 cells (paper scale, n=50 m=20) the two engines are within
-// noise of each other (0.95×–1.07× across runs), while at 4000 cells
-// (×2, n=100 m=40) the lazy engine is already 1.6× faster; the heap
-// only loses below the paper instance, where the eager maintenance is
-// cheap and heap churn dominates.
-const hybridScanCrossoverCells = 1024
 
 // Step records one replica creation decision.
 type Step struct {
@@ -307,8 +296,7 @@ type HybridConfig struct {
 	// Model selects the analytical hit-ratio model the benefit terms
 	// are evaluated under: "eq1" (the paper's Equations (1)/(2), the
 	// default), "che", "closedform" or "random" (for FIFO/RANDOM
-	// fleets) — see lrumodel.ModelKinds. Empty means eq1, which is
-	// byte-identical to the pre-interface engine.
+	// fleets) — see lrumodel.ModelKinds. Empty means eq1.
 	Model string
 	// Observer, if non-nil, is invoked after every replica creation;
 	// used by the step-by-step example and by tests.
@@ -339,9 +327,8 @@ type HybridConfig struct {
 	// when Engine is EngineAuto.
 	Scan bool
 	// Engine forces a specific selection engine. EngineAuto (the zero
-	// value) picks the scanning engine below hybridScanCrossoverCells,
-	// the approximate heap when Epsilon > 0, and the exact lazy heap
-	// otherwise, so the default entry point is never a pessimization.
+	// value) picks the approximate heap when Epsilon > 0 and the exact
+	// lazy heap otherwise.
 	Engine Engine
 	// Epsilon is the approximate engine's relative drift budget: row
 	// re-evaluations after a replica creation may be deferred, with
@@ -358,9 +345,17 @@ type HybridConfig struct {
 	Explain ExplainWriter
 }
 
-// resolveEngine maps the Auto/Scan/Epsilon knobs to a concrete engine
-// for an n-server, m-site instance.
-func (cfg HybridConfig) resolveEngine(n, m int) Engine {
+// resolveEngine maps the Auto/Scan/Epsilon knobs to a concrete engine.
+//
+// There is no instance size below which EngineAuto falls back to the
+// scan. Scan ÷ lazy wall time of a cold solve, medians of 15 alternating
+// runs on 2 vCPUs, at 500 / 1000 / 2000 / 4000 benefit cells (n×m =
+// 25×20, 50×20, 100×20, 100×40): 1.01 / 0.95–1.04 / 1.01 / 1.05 on the
+// paper's catalog (2000 objects a site, 6–24 steps: the initial fill
+// both engines share is all of the run) and 1.11 / 1.17 / 1.20 / 1.38
+// on the random catalogs of the engine tests (50–200 objects a site,
+// 42–203 steps). The lazy heap is no slower anywhere.
+func (cfg HybridConfig) resolveEngine() Engine {
 	if cfg.Engine != EngineAuto {
 		return cfg.Engine
 	}
@@ -370,17 +365,14 @@ func (cfg HybridConfig) resolveEngine(n, m int) Engine {
 	if cfg.Epsilon > 0 {
 		return EngineApprox
 	}
-	if n*m <= hybridScanCrossoverCells {
-		return EngineScan
-	}
 	return EngineLazy
 }
 
 // ResolveEngineLabel reports which engine a Hybrid call with this
-// config would run on an n-server, m-site instance ("scan", "lazy" or
-// "approx") — the label callers record next to a run's results.
-func (cfg HybridConfig) ResolveEngineLabel(n, m int) string {
-	return cfg.resolveEngine(n, m).String()
+// config would run ("scan", "lazy" or "approx") — the label callers
+// record next to a run's results.
+func (cfg HybridConfig) ResolveEngineLabel() string {
+	return cfg.resolveEngine().String()
 }
 
 // Hybrid is the paper's Figure 2 algorithm. It starts from a network
@@ -488,7 +480,7 @@ func newHybridState(sys *core.System, cfg HybridConfig) (*hybridState, error) {
 		n:       n,
 		m:       m,
 	}
-	st.engine = cfg.resolveEngine(n, m)
+	st.engine = cfg.resolveEngine()
 	st.engineLabel = st.engine.String()
 
 	// Lines 1–5: build one model per server and the initial hit

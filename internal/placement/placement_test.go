@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/lrumodel"
+	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
@@ -411,12 +412,30 @@ func BenchmarkGreedyGlobalPaperScale(b *testing.B) {
 	}
 }
 
-func BenchmarkHybridPaperScale(b *testing.B) {
-	sys, specs := randomSystem(xrand.New(1), 50, 20, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Hybrid(sys, HybridConfig{Specs: specs, AvgObjectBytes: 1}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkHybridCold times a cold Hybrid solve with the default
+// configuration. "paper" is the §5.1 instance (N=50, M=20, 2000 objects a
+// site), the benchmark's offline_place workload; "small" is the random
+// instance with 50–200 objects a site the engine comparisons use.
+func BenchmarkHybridCold(b *testing.B) {
+	sc, err := scenario.Build(scenario.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	small, smallSpecs := randomSystem(xrand.New(1), 50, 20, 0.1)
+	for _, c := range []struct {
+		name string
+		sys  *core.System
+		cfg  HybridConfig
+	}{
+		{"paper", sc.Sys, HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}},
+		{"small", small, HybridConfig{Specs: smallSpecs, AvgObjectBytes: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Hybrid(c.sys, c.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -82,6 +82,11 @@ func (z *Zipf) PMF(k int) float64 {
 	return z.pmf[k-1]
 }
 
+// PMFs returns the whole table, PMFs()[k-1] = PMF(k), in descending
+// order of probability. The slice is the distribution's own storage,
+// shared by every holder of z: callers must not modify it.
+func (z *Zipf) PMFs() []float64 { return z.pmf }
+
 // CDF returns P(rank <= k). CDF(0) = 0 and CDF(k>=L) = 1.
 func (z *Zipf) CDF(k int) float64 {
 	switch {
