@@ -29,7 +29,7 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/...
+	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/...
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature
@@ -38,22 +38,21 @@ bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
 
-# chaos runs the failure drill under the race detector: the fault
-# injector kills two live edges mid-load, the health tracker ejects
-# them, the controller re-places around them, and every client request
-# must still be served (see TestChaosEdgeChurn).
+# chaos runs both failure drills under the race detector. In-process
+# (TestChaosEdgeChurn): the fault injector kills two live edges mid-load,
+# the health tracker ejects them, the controller re-places around them,
+# and every client request must still be served. Multi-process components
+# (TestClusterChaosDrill): fault an edge mid-load; zero lost requests; the
+# control plane's audit ring records the exclusion and readmission.
 chaos:
 	$(GO) test -race -count=1 -run TestChaosEdgeChurn -v ./internal/httpcdn/
+	$(GO) test -race -count=1 -run TestClusterChaosDrill -v ./internal/clusterd/
 
-# cluster-smoke exercises the multi-process deployment end to end:
-# first the in-process chaos drill under the race detector (fault an
-# edge mid-load; zero lost requests; the control plane's audit ring
-# records the exclusion and readmission), then the real thing — four
+# cluster-smoke exercises the multi-process deployment end to end: four
 # separate processes booted by scripts/cluster-smoke.sh, the load
 # generator's drill against them, and BENCH_cluster.json written from
 # measured throughput/latency.
 cluster-smoke:
-	$(GO) test -race -count=1 -run TestClusterChaosDrill -v ./internal/clusterd/
 	sh scripts/cluster-smoke.sh
 
 # lint runs staticcheck and govulncheck when they are installed and

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -169,14 +168,7 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 			"Active health probe sweeps completed.", nil),
 	}
 	for i := 0; i < sc.Sys.N(); i++ {
-		t := &httpcdn.Tracker{}
-		l := obs.Labels{"kind": "edge", "id": strconv.Itoa(i)}
-		t.Instrument(
-			reg.Counter("cdn_health_ejections_total",
-				"Components ejected by the probe-driven health tracker.", l),
-			reg.Counter("cdn_health_readmissions_total",
-				"Ejected components readmitted after a successful probe.", l))
-		cp.trackers = append(cp.trackers, t)
+		cp.trackers = append(cp.trackers, httpcdn.NewTracker(reg, "edge", i))
 	}
 	cp.target = &pushTarget{cp: cp, p: res.Placement, version: 1}
 

@@ -4,17 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/httpcdn"
@@ -43,22 +39,23 @@ type EdgeConfig struct {
 	// httpcdn.RetryPolicy defaults.
 	Retry httpcdn.RetryPolicy
 	// FailThreshold / EjectFor drive the passive upstream health
-	// trackers (defaults 3 / 2s, as in httpcdn).
+	// trackers (defaults 3 / 2s).
 	FailThreshold int
 	EjectFor      time.Duration
 	// Metrics receives the edge's serve counters; nil builds a private
 	// registry.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, records a serve span per request with
-	// upstream-attempt children, stitched across processes by the
-	// Traceparent header — the same span schema cdntrace analyzes.
+	// Tracer, when non-nil, records the engine's span tree per request
+	// (serve, health, failover, upstream, retry), stitched across
+	// processes by the Traceparent header — the schema cdntrace analyzes.
 	Tracer *obs.Tracer
 	// Logf, when non-nil, receives lifecycle lines.
 	Logf func(format string, args ...any)
 }
 
-// Edge is one standalone CDN edge: replica set and byte-bounded LRU in
-// front of peer/origin fetches, fed placement by the control plane.
+// Edge is one standalone CDN edge: an httpcdn.Engine behind a real
+// listener, fed placement and roster by the control plane and reporting
+// its demand back.
 type Edge struct {
 	params Params
 	cfg    EdgeConfig
@@ -66,28 +63,19 @@ type Edge struct {
 	inj    *fault.Injector
 	srv    *serverutil.Server
 	reg    *obs.Registry
-	client *http.Client
+	client *http.Client // control traffic; the engine has its own
+	engine *httpcdn.Engine
 
-	// pl is the live placement, swapped atomically by placement pushes;
-	// plVersion gates out-of-order pushes.
-	pl        atomic.Pointer[core.Placement]
+	// plMu serializes placement pushes; plVersion gates out-of-order
+	// ones.
+	plMu      sync.Mutex
 	plVersion atomic.Int64
 
 	// roster is the control plane's member view, refreshed by register
-	// and report replies.
-	rosterMu  sync.RWMutex
-	peers     map[int]string // edge id → base URL (includes self)
+	// and report replies and handed to the engine as a fresh snapshot.
+	rosterMu  sync.Mutex
+	peers     []string // edge id → base URL (includes self), "" = unknown
 	originURL string
-
-	// peerHealth[i] tracks edge i as an upstream; originHealth tracks
-	// the origin process. Driven passively by fetch outcomes, exactly
-	// like httpcdn's in-process trackers.
-	peerHealth   []*httpcdn.Tracker
-	originHealth *httpcdn.Tracker
-
-	mu        sync.Mutex
-	cache     cache.Cache
-	cachedVer map[cache.Key]int
 
 	// counts accumulates per-site demand between report flushes.
 	counts []atomic.Int64
@@ -99,9 +87,6 @@ type Edge struct {
 	reportEvery  time.Duration
 	controlURL   string
 
-	served              map[string]*obs.Counter
-	hits, misses, fails *obs.Counter
-	notFound            *obs.Counter
 	reports, reportErrs *obs.Counter
 	pulls, swaps        *obs.Counter
 }
@@ -117,79 +102,66 @@ func StartEdge(params Params, cfg EdgeConfig) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxObjectBytes <= 0 {
-		cfg.MaxObjectBytes = 64 << 10
-	}
-	cfg.Retry = cfg.Retry.WithDefaults()
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = 2 * time.Second
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	e := &Edge{
-		params:       params,
-		cfg:          cfg,
-		sc:           sc,
-		inj:          fault.NewInjector(),
-		reg:          reg,
-		client:       &http.Client{Timeout: 30 * time.Second},
-		peers:        make(map[int]string),
-		cachedVer:    make(map[cache.Key]int),
-		counts:       make([]atomic.Int64, sc.Sys.M()),
-		originHealth: &httpcdn.Tracker{},
-		reportEvery:  DefaultReportEvery,
-	}
-	for i := 0; i < sc.Sys.N(); i++ {
-		t := &httpcdn.Tracker{}
-		l := obs.Labels{"kind": "edge", "id": strconv.Itoa(i)}
-		t.Instrument(
-			reg.Counter("cdn_health_ejections_total",
-				"Components ejected by the passive health tracker.", l),
-			reg.Counter("cdn_health_readmissions_total",
-				"Ejected components readmitted after a successful probe.", l))
-		e.peerHealth = append(e.peerHealth, t)
-	}
-	e.originHealth.Instrument(
-		reg.Counter("cdn_health_ejections_total",
-			"Components ejected by the passive health tracker.",
-			obs.Labels{"kind": "origin", "id": "0"}),
-		reg.Counter("cdn_health_readmissions_total",
-			"Ejected components readmitted after a successful probe.",
-			obs.Labels{"kind": "origin", "id": "0"}))
-
 	edgeLabel := obs.Labels{"edge": strconv.Itoa(cfg.ID)}
-	e.served = make(map[string]*obs.Counter, len(obs.Sources))
-	for _, src := range obs.Sources {
-		e.served[src] = reg.Counter("cdn_edge_requests_total",
-			"Requests served by an edge, by source.",
-			obs.Labels{"edge": strconv.Itoa(cfg.ID), "source": src})
+	e := &Edge{
+		params:      params,
+		cfg:         cfg,
+		sc:          sc,
+		inj:         fault.NewInjector(),
+		reg:         reg,
+		client:      &http.Client{Timeout: 30 * time.Second},
+		peers:       make([]string, sc.Sys.N()),
+		counts:      make([]atomic.Int64, sc.Sys.M()),
+		reportEvery: DefaultReportEvery,
+		reports:     reg.Counter("cdn_edge_reports_total", "Demand report batches flushed.", edgeLabel),
+		reportErrs:  reg.Counter("cdn_edge_report_errors_total", "Demand report batches that failed.", edgeLabel),
+		pulls:       reg.Counter("cdn_edge_placement_pulls_total", "Placements pulled after a stale report reply.", edgeLabel),
+		swaps:       reg.Counter("cdn_edge_placement_swaps_total", "Placement documents applied.", edgeLabel),
 	}
-	e.hits = reg.Counter("cdn_edge_cache_hits_total", "Cache hits at an edge.", edgeLabel)
-	e.misses = reg.Counter("cdn_edge_cache_misses_total", "Cache misses at an edge.", edgeLabel)
-	e.fails = reg.Counter("cdn_edge_errors_total", "Requests an edge failed to serve.", edgeLabel)
-	e.notFound = reg.Counter("cdn_edge_notfound_total", "Requests for sites or objects outside the catalog (404s).", edgeLabel)
-	e.reports = reg.Counter("cdn_edge_reports_total", "Demand report batches flushed.", edgeLabel)
-	e.reportErrs = reg.Counter("cdn_edge_report_errors_total", "Demand report batches that failed.", edgeLabel)
-	e.pulls = reg.Counter("cdn_edge_placement_pulls_total", "Placements pulled after a stale report reply.", edgeLabel)
-	e.swaps = reg.Counter("cdn_edge_placement_swaps_total", "Placement documents applied.", edgeLabel)
-
-	// Boot with an empty placement: the cache gets this edge's full
-	// capacity until the control plane's document arrives.
-	none := placement.None(sc.Sys).Placement
-	e.pl.Store(none)
-	e.cache = cache.NewLRU(none.Free(cfg.ID))
+	// Upstream health is private to this process and driven passively by
+	// its own fetch outcomes. There is one origin process, so every site
+	// shares its tracker.
+	peerHealth := make([]*httpcdn.Tracker, sc.Sys.N())
+	for i := range peerHealth {
+		peerHealth[i] = httpcdn.NewTracker(reg, "edge", i)
+	}
+	originHealth := make([]*httpcdn.Tracker, sc.Sys.M())
+	origin := httpcdn.NewTracker(reg, "origin", 0)
+	for j := range originHealth {
+		originHealth[j] = origin
+	}
+	e.engine = httpcdn.NewEngine(httpcdn.EngineConfig{
+		Config: httpcdn.Config{
+			PerHopDelay:    cfg.PerHopDelay,
+			MaxObjectBytes: cfg.MaxObjectBytes,
+			Retry:          cfg.Retry,
+			FailThreshold:  cfg.FailThreshold,
+			EjectFor:       cfg.EjectFor,
+			Metrics:        reg,
+			// Local demand tap: flushed to the control plane's sharded
+			// estimator by the report loop.
+			RequestTap: func(_, site int) { e.counts[site].Add(1) },
+		},
+		ID:       cfg.ID,
+		Scenario: sc,
+		// Boot with an empty placement: the cache gets this edge's full
+		// capacity until the control plane's document arrives.
+		Placement:    placement.None(sc.Sys).Placement,
+		Spans:        cfg.Tracer,
+		PeerHealth:   peerHealth,
+		OriginHealth: originHealth,
+	})
 
 	// /admin/placement and /admin/fault stay outside the injector wrap
 	// (a blackholed edge must still accept a placement and the call
 	// that clears the fault); the serving path and the health probe
 	// target go through it.
 	served := http.NewServeMux()
-	served.HandleFunc("/obj/", e.serve)
+	served.Handle("/obj/", e.engine)
 	served.HandleFunc("/admin/ping", servePing)
 
 	mux := serverutil.DebugMux(reg)
@@ -234,10 +206,29 @@ func (e *Edge) Shutdown(ctx context.Context) error {
 	return e.srv.Shutdown(ctx)
 }
 
-// Register joins the control plane: it announces this edge's URL,
-// applies the returned placement and roster, and starts the background
-// demand-report loop at the cadence the control plane asked for.
+// Register joins the control plane once an origin has: it announces this
+// edge's URL, applies the returned placement and roster, and starts the
+// background demand-report loop at the cadence the control plane asked
+// for.
 func (e *Edge) Register(ctx context.Context, controlURL string) error {
+	// Wait for the origin to be on the roster first: an edge cannot fill
+	// its cache without one, and registering only then makes "every
+	// member registered" mean "every edge can serve a miss", whatever
+	// order the processes came up in.
+	for {
+		var m MembersPage
+		if err := getJSON(ctx, e.client, controlURL+"/cluster/members", &m); err != nil {
+			return err
+		}
+		if m.OriginURL != "" {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("clusterd: no origin has registered: %w", ctx.Err())
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
 	var resp RegisterResponse
 	err := postJSON(ctx, e.client, controlURL+"/cluster/register",
 		RegisterRequest{Kind: "edge", ID: e.cfg.ID, URL: e.URL()}, &resp)
@@ -271,18 +262,27 @@ func (e *Edge) Register(ctx context.Context, controlURL string) error {
 	return nil
 }
 
-// setRoster replaces the member view.
+// setRoster merges a roster reply into the member view and hands the
+// engine a fresh snapshot of it.
 func (e *Edge) setRoster(edges []Member, originURL string) {
 	e.rosterMu.Lock()
 	defer e.rosterMu.Unlock()
 	for _, m := range edges {
-		if m.ID >= 0 && m.ID < e.sc.Sys.N() {
+		if m.ID >= 0 && m.ID < len(e.peers) {
 			e.peers[m.ID] = m.URL
 		}
 	}
 	if originURL != "" {
 		e.originURL = originURL
 	}
+	r := httpcdn.Roster{
+		Peers:   append([]string(nil), e.peers...),
+		Origins: make([]string, e.sc.Sys.M()),
+	}
+	for j := range r.Origins {
+		r.Origins[j] = e.originURL
+	}
+	e.engine.SetRoster(r)
 }
 
 // reportLoop flushes demand deltas to the control plane and pulls the
@@ -348,14 +348,13 @@ func (e *Edge) applyPlacement(push PlacementPush) error {
 	if err != nil {
 		return err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.plMu.Lock()
+	defer e.plMu.Unlock()
 	if push.Version <= e.plVersion.Load() {
 		return nil
 	}
-	e.pl.Store(p)
+	e.engine.SetPlacement(p)
 	e.plVersion.Store(push.Version)
-	e.cache.Resize(p.Free(e.cfg.ID))
 	e.swaps.Inc()
 	return nil
 }
@@ -377,7 +376,7 @@ func (e *Edge) servePlacement(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "placement version %d applied\n", e.plVersion.Load())
 	case http.MethodGet:
 		var doc bytes.Buffer
-		if err := e.pl.Load().SaveJSON(&doc); err != nil {
+		if err := e.engine.Placement().SaveJSON(&doc); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -386,251 +385,4 @@ func (e *Edge) servePlacement(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
 	}
-}
-
-// knownVersion is the newest origin version this edge has learned for
-// an object (from fetched ETags); replica serves use it so a replica
-// does not silently roll an object back after a peer fetch saw v+1.
-func (e *Edge) knownVersion(key cache.Key) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cachedVer[key]
-}
-
-// serve handles GET /obj/{site}/{object}: replica → cache →
-// peer/origin, the httpcdn serving discipline over real sockets.
-func (e *Edge) serve(w http.ResponseWriter, r *http.Request) {
-	site, object, err := parseObjectPath(e.sc, r.URL.Path)
-	if err != nil {
-		// A path outside the catalog is a client-side 404 (stale link,
-		// perished site), not an edge failure — keep it out of the
-		// error counter so alerts on cdn_edge_errors_total stay honest.
-		http.NotFound(w, r)
-		e.notFound.Inc()
-		return
-	}
-	internal := r.Header.Get(httpcdn.InternalHeader) != ""
-	if !internal {
-		// Local demand tap: flushed to the control plane's sharded
-		// estimator by the report loop.
-		e.counts[site].Add(1)
-	}
-	trace, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	sp := httpcdn.NewSpan(e.cfg.Tracer, obs.SpanServe, trace, parent, e.cfg.ID, site, object)
-	source, ok := e.handle(w, r, site, object, internal, sp)
-	if !ok {
-		sp.Attr("outcome", "error")
-		sp.End()
-		e.fails.Inc()
-		return
-	}
-	sp.Attr("source", source)
-	sp.Attr("outcome", "ok")
-	sp.End()
-	e.served[source].Inc()
-}
-
-// handle serves one parsed request and reports the source, or writes an
-// error response and reports ok=false.
-func (e *Edge) handle(w http.ResponseWriter, r *http.Request, site, object int, internal bool, sp *httpcdn.Span) (source string, ok bool) {
-	key := cache.Key{Site: site, Object: object}
-	pl := e.pl.Load()
-	if pl.Has(e.cfg.ID, site) {
-		writeObject(w, e.sc, site, object, e.knownVersion(key), e.cfg.MaxObjectBytes, httpcdn.SourceReplica)
-		return httpcdn.SourceReplica, true
-	}
-
-	e.mu.Lock()
-	hit := e.cache.Get(key)
-	ver := e.cachedVer[key]
-	e.mu.Unlock()
-	if hit {
-		e.hits.Inc()
-		writeObject(w, e.sc, site, object, ver, e.cfg.MaxObjectBytes, httpcdn.SourceCache)
-		return httpcdn.SourceCache, true
-	}
-	e.misses.Inc()
-
-	var body []byte
-	var etag string
-	var ferr error
-	var used upstreamRef
-	for _, u := range e.upstreams(pl, site, internal) {
-		if e.cfg.PerHopDelay > 0 {
-			time.Sleep(time.Duration(u.hops * float64(e.cfg.PerHopDelay)))
-		}
-		body, etag, ferr = e.fetchWithRetry(r.Context(), u, httpcdn.ObjectPath(site, object), sp)
-		if ferr == nil {
-			used = u
-			break
-		}
-	}
-	if ferr != nil {
-		status := http.StatusBadGateway
-		if errors.Is(ferr, httpcdn.ErrEdgeTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		w.Header().Set(httpcdn.ErrorHeader, httpcdn.ErrorClass(ferr))
-		http.Error(w, ferr.Error(), status)
-		return source, false
-	}
-	source = httpcdn.SourceOrigin
-	if used.kind == "edge" {
-		source = httpcdn.SourcePeer
-	}
-
-	e.mu.Lock()
-	e.cache.Put(key, int64(len(body)))
-	if e.cache.Contains(key) {
-		e.cachedVer[key] = httpcdn.VersionFromETag(etag)
-	}
-	if len(e.cachedVer) > 2*e.cache.Len()+64 {
-		for k := range e.cachedVer {
-			if !e.cache.Contains(k) {
-				delete(e.cachedVer, k)
-			}
-		}
-	}
-	e.mu.Unlock()
-
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Etag", etag)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	return source, true
-}
-
-// upstreamRef is one candidate source for a miss fetch.
-type upstreamRef struct {
-	kind string // "edge" or "origin"
-	id   int
-	url  string
-	hops float64
-}
-
-// upstreams orders the candidate sources: internal fetches go straight
-// to the origin (recursion prevention), client-facing fetches prefer
-// the cheapest healthy replica-holding peer from the roster, keeping
-// the origin as last resort even while ejected — the same ordering as
-// httpcdn.Cluster.upstreams.
-func (e *Edge) upstreams(pl *core.Placement, site int, internal bool) []upstreamRef {
-	e.rosterMu.RLock()
-	originURL := e.originURL
-	peers := make(map[int]string, len(e.peers))
-	for id, url := range e.peers {
-		peers[id] = url
-	}
-	e.rosterMu.RUnlock()
-
-	orig := upstreamRef{kind: "origin", id: site, url: originURL,
-		hops: e.sc.Sys.CostOrigin[e.cfg.ID][site]}
-	if internal || originURL == "" && len(peers) == 0 {
-		return []upstreamRef{orig}
-	}
-	now := time.Now()
-	best, bestCost := -1, math.Inf(1)
-	for k, url := range peers {
-		if k == e.cfg.ID || url == "" || !pl.Has(k, site) {
-			continue
-		}
-		if !e.peerHealth[k].Candidate(now) {
-			continue
-		}
-		if cost := e.sc.Sys.CostServer[e.cfg.ID][k]; cost < bestCost {
-			best, bestCost = k, cost
-		}
-	}
-	if best < 0 {
-		return []upstreamRef{orig}
-	}
-	peer := upstreamRef{kind: "edge", id: best, url: peers[best], hops: bestCost}
-	if orig.hops < peer.hops && e.originHealth.Candidate(now) {
-		return []upstreamRef{orig, peer}
-	}
-	return []upstreamRef{peer, orig}
-}
-
-// trackerFor maps an upstream to its health tracker.
-func (e *Edge) trackerFor(u upstreamRef) *httpcdn.Tracker {
-	if u.kind == "edge" {
-		return e.peerHealth[u.id]
-	}
-	return e.originHealth
-}
-
-// fetchWithRetry GETs path from u under the retry policy, feeding the
-// outcome into u's passive health tracker.
-func (e *Edge) fetchWithRetry(ctx context.Context, u upstreamRef, path string, sp *httpcdn.Span) (body []byte, etag string, err error) {
-	t := e.trackerFor(u)
-	if !t.AcquireProbe(time.Now()) {
-		down := error(httpcdn.ErrOriginDown)
-		if u.kind == "edge" {
-			down = httpcdn.ErrPeerDown
-		}
-		return nil, "", fmt.Errorf("%w: %s %d is ejected", down, u.kind, u.id)
-	}
-	p := e.cfg.Retry
-	for attempt := 1; ; attempt++ {
-		usp := sp.Child(obs.SpanUpstream)
-		usp.AttrInt("attempt", attempt)
-		usp.AttrTarget(u.kind, u.id)
-		body, etag, err = e.fetchOnce(ctx, u.url+path, usp)
-		usp.AttrOutcome(err)
-		usp.End()
-		if err == nil || attempt >= p.Attempts || ctx.Err() != nil {
-			break
-		}
-		select {
-		case <-time.After(p.Backoff(attempt)):
-		case <-ctx.Done():
-		}
-	}
-	if err != nil && !errors.Is(err, httpcdn.ErrEdgeTimeout) && !errors.Is(err, httpcdn.ErrUpstreamStatus) {
-		down := error(httpcdn.ErrOriginDown)
-		if u.kind == "edge" {
-			down = httpcdn.ErrPeerDown
-		}
-		err = fmt.Errorf("%w: %v", down, err)
-	}
-	if err == nil {
-		t.Success()
-	} else {
-		t.Failure(e.cfg.FailThreshold, e.cfg.EjectFor, time.Now())
-	}
-	return body, etag, err
-}
-
-// fetchOnce performs one upstream attempt under the per-attempt
-// timeout, marked internal and trace-stitched.
-func (e *Edge) fetchOnce(ctx context.Context, url string, sp *httpcdn.Span) ([]byte, string, error) {
-	actx, cancel := context.WithTimeout(ctx, e.cfg.Retry.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set(httpcdn.InternalHeader, "1")
-	if hdr := sp.Header(); hdr != "" {
-		req.Header.Set(obs.TraceparentHeader, hdr)
-	}
-	resp, err := e.client.Do(req)
-	if err != nil {
-		if actx.Err() != nil {
-			return nil, "", fmt.Errorf("%w: %v", httpcdn.ErrEdgeTimeout, err)
-		}
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if actx.Err() != nil {
-			return nil, "", fmt.Errorf("%w: %v", httpcdn.ErrEdgeTimeout, err)
-		}
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("%w: %d", httpcdn.ErrUpstreamStatus, resp.StatusCode)
-	}
-	return body, resp.Header.Get("Etag"), nil
 }

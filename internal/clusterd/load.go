@@ -3,6 +3,7 @@ package clusterd
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -73,6 +74,10 @@ type LoadResult struct {
 	Requests  int64   `json:"requests"`
 	Errors    int64   `json:"errors"`
 	ErrorRate float64 `json:"error_rate"`
+	// ErrorClasses breaks Errors down by httpcdn.ErrorClass of the last
+	// failure of each lost request (origin-down, peer-down, timeout,
+	// corrupt-payload, ...).
+	ErrorClasses map[string]int64 `json:"error_classes,omitempty"`
 	// Steered counts requests that failed on their nearest edge and
 	// succeeded on a failover edge.
 	Steered int64 `json:"steered"`
@@ -123,7 +128,7 @@ type loadWorker struct {
 	hist     *obs.Histogram
 	max      float64
 	by       map[string]int64
-	errs     int64
+	errClass map[string]int64 // lost requests by httpcdn.ErrorClass
 	steered  int64
 	notFound int64
 }
@@ -201,7 +206,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
-		lw := &loadWorker{hist: obs.NewHistogram(bounds), by: make(map[string]int64)}
+		lw := &loadWorker{hist: obs.NewHistogram(bounds), by: make(map[string]int64), errClass: make(map[string]int64)}
 		workers[w] = lw
 		n := cfg.Requests / cfg.Workers
 		if w < cfg.Requests%cfg.Workers {
@@ -216,7 +221,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			defer wg.Done()
 			for r := 0; r < n; r++ {
 				if ctx.Err() != nil {
-					lw.errs += int64(n - r)
+					lw.errClass["cancelled"] += int64(n - r)
 					return
 				}
 				ordinal := int(seq.Add(1))
@@ -237,10 +242,10 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 				if cfg.StaleLinkFrac > 0 && staleRNG.Float64() < cfg.StaleLinkFrac {
 					// A stale link: same client, but the site has left
 					// the catalog. The edge must answer 404.
-					lw.doStale(ctx, client, sc.Sys.N(), sc.Sys.M(), edgeURL, req)
+					lw.doStale(ctx, client, sc.Sys.M(), edgeURL, req)
 					continue
 				}
-				lw.do(ctx, client, sc.Sys.N(), edgeURL, fallback, req)
+				lw.do(ctx, client, edgeURL, fallback, req)
 			}
 		}(lw, stream, n)
 	}
@@ -248,20 +253,24 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	elapsed := time.Since(start)
 
 	res := &LoadResult{
-		Params:    members.Params,
-		Workers:   cfg.Workers,
-		Edges:     len(members.Edges),
-		Fault:     fault,
-		BySource:  make(map[string]int64),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
+		Params:       members.Params,
+		Workers:      cfg.Workers,
+		Edges:        len(members.Edges),
+		Fault:        fault,
+		BySource:     make(map[string]int64),
+		ErrorClasses: make(map[string]int64),
+		GoVersion:    runtime.Version(),
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
 	}
 	merged := make([]int64, len(bounds)+1)
 	var count int64
 	for _, lw := range workers {
-		res.Errors += lw.errs
+		for class, n := range lw.errClass {
+			res.Errors += n
+			res.ErrorClasses[class] += n
+		}
 		res.Steered += lw.steered
 		res.NotFound += lw.notFound
 		for src, n := range lw.by {
@@ -288,104 +297,57 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 // do issues one request, steering across edges cheapest-first until one
 // answers. The full attempt chain is timed as one client-visible
 // latency observation.
-func (lw *loadWorker) do(ctx context.Context, client *http.Client, n int, edgeURL []string, fallback [][]int, req workload.Request) {
-	primary := req.Server
-	if primary < 0 || primary >= n {
-		primary = 0
-	}
+func (lw *loadWorker) do(ctx context.Context, client *http.Client, edgeURL []string, fallback [][]int, req workload.Request) {
+	primary := req.Server // the stream draws from the deployment's own scenario
 	t0 := time.Now()
-	src, err := fetchObject(ctx, client, edgeURL[primary], req.Site, req.Object)
+	res, err := httpcdn.Get(ctx, client, edgeURL[primary], req.Site, req.Object)
 	if err != nil {
-		ok := false
 		for _, k := range fallback[primary] {
 			if edgeURL[k] == "" {
 				continue
 			}
-			if src, err = fetchObject(ctx, client, edgeURL[k], req.Site, req.Object); err == nil {
-				ok = true
+			if res, err = httpcdn.Get(ctx, client, edgeURL[k], req.Site, req.Object); err == nil {
 				break
 			}
 		}
-		if !ok {
-			lw.errs++
+		if err != nil {
+			lw.fail(err)
 			return
 		}
 		lw.steered++
 	}
+	lw.observe(t0)
+	lw.by[res.Source]++
+}
+
+// fail counts one lost request under its error class.
+func (lw *loadWorker) fail(err error) { lw.errClass[httpcdn.ErrorClass(err)]++ }
+
+// observe records one client-visible latency.
+func (lw *loadWorker) observe(t0 time.Time) {
 	ms := float64(time.Since(t0).Nanoseconds()) / 1e6
 	lw.hist.Observe(ms)
 	if ms > lw.max {
 		lw.max = ms
 	}
-	lw.by[src]++
 }
 
 // doStale issues one request for a site outside the catalog and
 // requires a 404 — anything else (a 200 for a nonexistent site, a
 // transport failure) is an error. The round trip is timed like any
 // other request: stale links cost clients real latency.
-func (lw *loadWorker) doStale(ctx context.Context, client *http.Client, n, m int, edgeURL []string, req workload.Request) {
-	primary := req.Server
-	if primary < 0 || primary >= n {
-		primary = 0
-	}
-	if edgeURL[primary] == "" {
-		lw.errs++
-		return
-	}
+func (lw *loadWorker) doStale(ctx context.Context, client *http.Client, m int, edgeURL []string, req workload.Request) {
 	t0 := time.Now()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		edgeURL[primary]+httpcdn.ObjectPath(m+req.Site, req.Object), nil)
-	if err != nil {
-		lw.errs++
+	_, err := httpcdn.Get(ctx, client, edgeURL[req.Server], m+req.Site, req.Object)
+	if !errors.Is(err, httpcdn.ErrNotFound) {
+		if err == nil {
+			err = fmt.Errorf("%w: 200 for a site outside the catalog", httpcdn.ErrBadStatus)
+		}
+		lw.fail(err)
 		return
 	}
-	resp, err := client.Do(hreq)
-	if err != nil {
-		lw.errs++
-		return
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		lw.errs++
-		return
-	}
-	ms := float64(time.Since(t0).Nanoseconds()) / 1e6
-	lw.hist.Observe(ms)
-	if ms > lw.max {
-		lw.max = ms
-	}
+	lw.observe(t0)
 	lw.notFound++
-}
-
-// fetchObject GETs one object from one edge and verifies the payload
-// against the deterministic pattern for the version the ETag declares.
-func fetchObject(ctx context.Context, client *http.Client, edgeURL string, site, object int) (source string, err error) {
-	if edgeURL == "" {
-		return "", fmt.Errorf("clusterd: no url for edge")
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, edgeURL+httpcdn.ObjectPath(site, object), nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("GET %s: %s", req.URL, resp.Status)
-	}
-	version := httpcdn.VersionFromETag(resp.Header.Get("Etag"))
-	if !httpcdn.VerifyBody(body, site, object, version) {
-		return "", fmt.Errorf("GET %s: corrupt payload (%d bytes)", req.URL, len(body))
-	}
-	return resp.Header.Get("X-Cdn-Source"), nil
 }
 
 // setFault POSTs a fault-injector mode change; best-effort (the drill's

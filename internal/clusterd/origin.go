@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/fault"
 	"repro/internal/httpcdn"
 	"repro/internal/obs"
@@ -31,25 +28,17 @@ type OriginConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Origin is one process serving the primary copy of every site. Unlike
-// the in-process httpcdn cluster — one httptest server per site — the
-// standalone deployment runs a single origin process multiplexing all
-// sites by URL path, which is what the path scheme /obj/{site}/{object}
-// already encodes.
+// Origin is one process serving the primary copy of every site: an
+// httpcdn.Origin behind a real listener. Unlike the in-process httpcdn
+// cluster — one httptest server per site — the standalone deployment
+// runs a single origin process multiplexing all sites by URL path, which
+// is what the path scheme /obj/{site}/{object} already encodes.
 type Origin struct {
-	params Params
-	cfg    OriginConfig
-	sc     *scenario.Scenario
-	inj    *fault.Injector
-	srv    *serverutil.Server
-	reg    *obs.Registry
-
-	verMu    sync.Mutex
-	versions map[cache.Key]int
-
-	served      *obs.Counter
-	notModified *obs.Counter
-	notFound    *obs.Counter
+	sc       *scenario.Scenario
+	inj      *fault.Injector
+	srv      *serverutil.Server
+	reg      *obs.Registry
+	versions httpcdn.Versions
 }
 
 // StartOrigin builds the scenario from params and serves it. Always
@@ -59,33 +48,17 @@ func StartOrigin(params Params, cfg OriginConfig) (*Origin, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxObjectBytes <= 0 {
-		cfg.MaxObjectBytes = 64 << 10
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	o := &Origin{
-		params:   params,
-		cfg:      cfg,
-		sc:       sc,
-		inj:      fault.NewInjector(),
-		reg:      reg,
-		versions: make(map[cache.Key]int),
-		served: reg.Counter("cdn_origin_requests_total",
-			"Requests served by the origin.", nil),
-		notModified: reg.Counter("cdn_origin_not_modified_total",
-			"Conditional GETs answered 304.", nil),
-		notFound: reg.Counter("cdn_origin_notfound_total",
-			"Requests for sites or objects outside the catalog (404s).", nil),
-	}
+	o := &Origin{sc: sc, inj: fault.NewInjector(), reg: reg}
 
 	// /admin/fault and /admin/modify stay outside the injector wrap:
 	// a blackholed origin must still accept the call that clears the
 	// fault. Everything a peer or prober touches goes through it.
 	served := http.NewServeMux()
-	served.HandleFunc("/obj/", o.serveObject)
+	served.Handle("/obj/", httpcdn.NewOrigin(sc, -1, cfg.MaxObjectBytes, &o.versions, reg, nil))
 	served.HandleFunc("/admin/ping", servePing)
 
 	mux := serverutil.DebugMux(reg)
@@ -126,37 +99,7 @@ func (o *Origin) Register(ctx context.Context, client *http.Client, controlURL s
 
 // ModifyObject bumps an object's version, changing its payload and
 // invalidating the ETag every cached copy carries.
-func (o *Origin) ModifyObject(site, object int) {
-	o.verMu.Lock()
-	defer o.verMu.Unlock()
-	o.versions[cache.Key{Site: site, Object: object}]++
-}
-
-func (o *Origin) version(site, object int) int {
-	o.verMu.Lock()
-	defer o.verMu.Unlock()
-	return o.versions[cache.Key{Site: site, Object: object}]
-}
-
-// serveObject answers GET /obj/{site}/{object}, honoring conditional
-// GETs the way httpcdn's per-site origins do.
-func (o *Origin) serveObject(w http.ResponseWriter, r *http.Request) {
-	site, object, err := parseObjectPath(o.sc, r.URL.Path)
-	if err != nil {
-		http.NotFound(w, r)
-		o.notFound.Inc()
-		return
-	}
-	o.served.Inc()
-	version := o.version(site, object)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm == httpcdn.ETagFor(site, object, version) {
-		o.notModified.Inc()
-		w.Header().Set("Etag", httpcdn.ETagFor(site, object, version))
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	writeObject(w, o.sc, site, object, version, o.cfg.MaxObjectBytes, httpcdn.SourceOrigin)
-}
+func (o *Origin) ModifyObject(site, object int) { o.versions.Bump(site, object) }
 
 // serveModify answers POST /admin/modify?site=&object=.
 func (o *Origin) serveModify(w http.ResponseWriter, r *http.Request) {
@@ -170,49 +113,7 @@ func (o *Origin) serveModify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad site/object", http.StatusBadRequest)
 		return
 	}
-	o.ModifyObject(site, object)
-	fmt.Fprintf(w, "site %d object %d now version %d\n", site, object, o.version(site, object))
-}
-
-// parseObjectPath extracts (site, object) from /obj/{site}/{object} and
-// validates both against the scenario's catalog.
-func parseObjectPath(sc *scenario.Scenario, path string) (site, object int, err error) {
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	if len(parts) != 3 || parts[0] != "obj" {
-		return 0, 0, fmt.Errorf("clusterd: bad path %q", path)
-	}
-	site, err = strconv.Atoi(parts[1])
-	if err != nil || site < 0 || site >= sc.Sys.M() {
-		return 0, 0, fmt.Errorf("clusterd: bad site in %q", path)
-	}
-	object, err = strconv.Atoi(parts[2])
-	if err != nil || object < 1 || object > len(sc.Work.Sites[site].Objects) {
-		return 0, 0, fmt.Errorf("clusterd: bad object in %q", path)
-	}
-	return site, object, nil
-}
-
-// objectSize is the served payload size for (site, object), capped.
-func objectSize(sc *scenario.Scenario, site, object int, maxBytes int64) int64 {
-	sz := sc.Work.Size(site, object)
-	if sz > maxBytes {
-		sz = maxBytes
-	}
-	if sz < 1 {
-		sz = 1
-	}
-	return sz
-}
-
-// writeObject streams the deterministic payload with the standard CDN
-// response headers.
-func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, version int, maxBytes int64, source string) {
-	size := objectSize(sc, site, object, maxBytes)
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Etag", httpcdn.ETagFor(site, object, version))
-	w.WriteHeader(http.StatusOK)
-	httpcdn.WritePattern(w, site, object, version, size)
+	fmt.Fprintf(w, "site %d object %d now version %d\n", site, object, o.versions.Bump(site, object))
 }
 
 // servePing answers the control plane's active health probe. It runs

@@ -6,12 +6,12 @@
 //     (edge, site) key, runs the reconcile loop against the aggregated
 //     estimate, actively probes member health, and pushes placement
 //     swaps to the edges;
-//   - standalone edges (cmd/cdnedge) that serve the replica → cache →
-//     peer/origin path with the same retry/health/trace machinery as
-//     the in-process httpcdn cluster, count per-site demand locally,
-//     and flush deltas to the control plane;
-//   - a standalone origin (cmd/cdnorigin) serving every site's primary
-//     copy with conditional-GET support and a fault-injector hook;
+//   - standalone edges (cmd/cdnedge) that put an httpcdn.Engine — the
+//     one replica → cache → peer/origin serving path — behind a real
+//     listener, count per-site demand locally, and flush deltas to the
+//     control plane;
+//   - a standalone origin (cmd/cdnorigin): an httpcdn.Origin for every
+//     site's primary copy, with a fault-injector hook;
 //   - a load generator (RunLoad / cmd/cdnload) with persistent
 //     connections, concurrent workers, Zipf popularity from
 //     internal/workload, per-worker latency histograms and client-side
@@ -169,34 +169,23 @@ func postJSON(ctx context.Context, client *http.Client, url string, v, out any) 
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: %s: %s", url, resp.Status, bytes.TrimSpace(data))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return doJSON(ctx, client, http.MethodPost, url, bytes.NewReader(body), out)
 }
 
 // getJSON GETs url and decodes the JSON reply into out.
 func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	return doJSON(ctx, client, http.MethodGet, url, nil, out)
+}
+
+// doJSON is one control-protocol exchange: body (JSON, or nil) goes to
+// url, and a 200 reply is decoded into out unless out is nil.
+func doJSON(ctx context.Context, client *http.Client, method, url string, body io.Reader, out any) error {
+	req, err := http.NewRequestWithContext(ctx, method, url, body)
 	if err != nil {
 		return err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
@@ -208,7 +197,10 @@ func getJSON(ctx context.Context, client *http.Client, url string, out any) erro
 		return err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, bytes.TrimSpace(data))
+		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, bytes.TrimSpace(data))
+	}
+	if out == nil {
+		return nil
 	}
 	return json.Unmarshal(data, out)
 }

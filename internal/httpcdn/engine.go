@@ -1,0 +1,558 @@
+package httpcdn
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/obs"
+	"repro/internal/scenario"
+)
+
+// Roster is an immutable snapshot of where an engine's upstreams listen.
+// An empty entry is a component whose address is not known (yet): it is
+// never contacted and never blamed.
+type Roster struct {
+	Peers   []string // base URL by edge id (the engine's own entry is ignored)
+	Origins []string // base URL by site, one entry per site
+}
+
+// EngineConfig is one edge's configuration: the serving knobs of Config
+// plus the wiring that differs between the in-process Cluster and a
+// standalone clusterd edge. Of Config, an engine reads Tracer as the
+// sink of its per-request events only and leaves TraceSpans to Start:
+// its span tree goes to Spans.
+type EngineConfig struct {
+	Config
+	// ID is the edge's id in the scenario; Placement the replica set it
+	// starts with.
+	ID        int
+	Scenario  *scenario.Scenario
+	Placement *core.Placement
+	// Spans, when non-nil, receives the span tree of every request.
+	Spans *obs.Tracer
+
+	// PeerHealth[i] is the tracker of edge i as an upstream,
+	// OriginHealth[j] that of site j's origin. The in-process cluster
+	// shares one set between all its engines (and its clients); a
+	// standalone edge owns a private set, with every site pointing at
+	// the one origin process's tracker.
+	PeerHealth, OriginHealth []*Tracker
+
+	// LiveVersion, when non-nil, is the version a replica serves: the
+	// in-process cluster reads the origins' own table (§5.2: "site
+	// replicas are always consistent"). Nil serves the newest version
+	// this edge has learned from fetched ETags, so a replica never rolls
+	// an object back behind what the edge itself has seen.
+	LiveVersion func(site, object int) int
+}
+
+// Engine is one edge's serving path — local replica, else the LRU cache,
+// else the cheapest healthy replica-holding peer or the origin, with
+// retry, failover, revalidation, spans and counters. It is the
+// http.Handler of the edge's object URLs; the listener around it, and
+// whoever swaps its placement and roster, are the wiring's.
+type Engine struct {
+	cfg    EngineConfig
+	client *http.Client
+
+	// pl is swapped atomically while requests are in flight; each request
+	// loads it once and routes wholly against that snapshot. roster
+	// likewise.
+	pl     atomic.Pointer[core.Placement]
+	roster atomic.Pointer[Roster]
+
+	mu    sync.Mutex
+	cache cache.Cache
+	// cachedVer remembers the version of each cached body.
+	cachedVer map[cache.Key]int
+
+	served                        map[string]*obs.Counter   // per source
+	latency                       map[string]*obs.Histogram // per source
+	hits, misses, fails, notFound *obs.Counter
+	revalidations, notModified    obs.Counter
+}
+
+// NewEngine builds the engine of edge cfg.ID; its roster starts with
+// every address unknown.
+func NewEngine(cfg EngineConfig) *Engine {
+	if cfg.MaxObjectBytes <= 0 {
+		cfg.MaxObjectBytes = 64 << 10
+	}
+	cfg.Retry = cfg.Retry.WithDefaults()
+	if cfg.FailThreshold <= 0 {
+		cfg.FailThreshold = 3
+	}
+	if cfg.EjectFor <= 0 {
+		cfg.EjectFor = 2 * time.Second
+	}
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	id := strconv.Itoa(cfg.ID)
+	edgeLabel := obs.Labels{"edge": id}
+	e := &Engine{
+		cfg:       cfg,
+		client:    &http.Client{Timeout: 30 * time.Second},
+		cachedVer: make(map[cache.Key]int),
+		served:    make(map[string]*obs.Counter, len(obs.Sources)),
+		latency:   make(map[string]*obs.Histogram, len(obs.Sources)),
+		hits:      reg.Counter("cdn_edge_cache_hits_total", "Cache hits at an edge.", edgeLabel),
+		misses:    reg.Counter("cdn_edge_cache_misses_total", "Cache misses at an edge.", edgeLabel),
+		fails:     reg.Counter("cdn_edge_errors_total", "Requests an edge failed to serve.", edgeLabel),
+		notFound: reg.Counter("cdn_edge_notfound_total",
+			"Requests for sites or objects outside the catalog (404s).", edgeLabel),
+	}
+	for _, src := range obs.Sources {
+		e.served[src] = reg.Counter("cdn_edge_requests_total",
+			"Requests served by an edge, by source.", obs.Labels{"edge": id, "source": src})
+		e.latency[src] = reg.Histogram("cdn_request_latency_ms",
+			"Edge serve latency by source, milliseconds.",
+			obs.Labels{"source": src}, obs.DefaultLatencyBuckets())
+	}
+	// The hooks fire under e.mu (every cache mutation does) and only
+	// touch atomics.
+	e.cache = cache.Instrument(cache.NewLRU(cfg.Placement.Free(cfg.ID)), cache.Hooks{
+		Evicted: reg.Counter("cdn_edge_cache_evictions_total",
+			"Objects evicted from an edge cache.", edgeLabel).Add,
+		Resident: reg.Gauge("cdn_edge_cache_resident_bytes",
+			"Bytes currently resident in an edge cache.", edgeLabel).Set,
+	})
+	e.pl.Store(cfg.Placement)
+	e.roster.Store(&Roster{Origins: make([]string, cfg.Scenario.Sys.M())})
+	return e
+}
+
+// SetRoster replaces the upstream addresses; r must not be modified
+// afterwards.
+func (e *Engine) SetRoster(r Roster) { e.roster.Store(&r) }
+
+// Placement returns the placement currently routing requests.
+func (e *Engine) Placement() *core.Placement { return e.pl.Load() }
+
+// SetPlacement swaps the live placement and resizes the cache to the new
+// free space (shrinking evicts LRU-first). In-flight requests finish
+// against the snapshot they loaded; one that redirects to a peer whose
+// replica was just dropped falls through to the origin via the
+// internal-fetch path, so a swap never loses or misroutes a request. The
+// cache may briefly exceed the new free space between the pointer store
+// and the resize, which only overcommits the model's storage accounting.
+func (e *Engine) SetPlacement(p *core.Placement) {
+	e.pl.Store(p)
+	e.mu.Lock()
+	e.cache.Resize(p.Free(e.cfg.ID))
+	e.mu.Unlock()
+}
+
+// EdgeStats counts one edge's serves by source.
+type EdgeStats struct {
+	Replica, CacheHit, PeerFetch, OriginFetch int64
+	// Revalidations counts conditional GETs sent on cache hits
+	// (RevalidateOnHit); NotModified counts the 304 replies among them.
+	Revalidations, NotModified int64
+	// NotFound counts requests for paths outside the catalog (stale
+	// links to perished sites); they are 404s, not edge failures.
+	NotFound int64
+}
+
+// CacheLookups returns the edge's cache lookups: hits plus the fetches
+// that followed misses (replica serves never consult the cache).
+func (s EdgeStats) CacheLookups() int64 { return s.CacheHit + s.PeerFetch + s.OriginFetch }
+
+// HitRatio returns the edge's cache hit ratio over its cache lookups;
+// an edge that saw no lookups reports 0, not NaN.
+func (s EdgeStats) HitRatio() float64 {
+	total := s.CacheLookups()
+	if total == 0 {
+		return 0
+	}
+	return float64(s.CacheHit) / float64(total)
+}
+
+// LocalFraction returns the share of serves satisfied without leaving
+// the edge (replica + cache hits); an idle edge reports 0, not NaN.
+func (s EdgeStats) LocalFraction() float64 {
+	total := s.Replica + s.CacheLookups()
+	if total == 0 {
+		return 0
+	}
+	return float64(s.Replica+s.CacheHit) / float64(total)
+}
+
+// Stats reads the edge's counters. A serve is counted before its body is
+// written, so a client that has read a response sees it counted.
+func (e *Engine) Stats() EdgeStats {
+	return EdgeStats{
+		Replica:       e.served[SourceReplica].Value(),
+		CacheHit:      e.served[SourceCache].Value(),
+		PeerFetch:     e.served[SourcePeer].Value(),
+		OriginFetch:   e.served[SourceOrigin].Value(),
+		Revalidations: e.revalidations.Value(),
+		NotModified:   e.notModified.Value(),
+		NotFound:      e.notFound.Value(),
+	}
+}
+
+// ServeHTTP handles GET /obj/{site}/{object} and records the outcome:
+// source counters, the per-source latency histogram, the serve span and
+// one trace event per served request.
+func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
+	site, object, err := ParseObjectPath(e.cfg.Scenario, r.URL.Path)
+	if err != nil {
+		// Out-of-catalog path: a client-side 404 (stale link, perished
+		// site), not an edge failure — kept out of the error counter so
+		// alerts on cdn_edge_errors_total stay honest.
+		http.NotFound(w, r)
+		e.notFound.Inc()
+		return
+	}
+	// Internal edge-to-edge fetches are not client demand, and a peer
+	// that misses them falls through to the origin instead of recursing
+	// through the mesh.
+	internal := r.Header.Get(InternalHeader) != ""
+	if tap := e.cfg.RequestTap; tap != nil && !internal {
+		tap(e.cfg.ID, site)
+	}
+	// Root span for this edge's work. An internal fetch carries the
+	// calling edge's Traceparent, making this serve span a child of its
+	// upstream-attempt span — one trace per client request across the
+	// whole mesh.
+	trace, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+	sp := NewSpan(e.cfg.Spans, obs.SpanServe, trace, parent, e.cfg.ID, site, object)
+	source, hops, ok := e.handle(w, r, site, object, internal, sp)
+	if !ok {
+		sp.Attr("outcome", "error")
+		sp.End()
+		e.fails.Inc()
+		return
+	}
+	sp.Attr("source", source)
+	sp.AttrFloat("hops", hops)
+	sp.Attr("outcome", "ok")
+	sp.End()
+	latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
+	e.latency[source].Observe(latencyMs)
+	if t := e.cfg.Tracer; t != nil {
+		t.Emit(obs.Event{
+			Req:       t.NextID(),
+			Edge:      e.cfg.ID,
+			Site:      site,
+			Object:    object,
+			Source:    source,
+			Hops:      hops,
+			LatencyMs: latencyMs,
+		})
+	}
+}
+
+// handle serves one parsed request: replica, then cache, then fetch. It
+// reports where the response came from and the redirection hops paid;
+// ok = false means an error response was written instead.
+func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int, internal bool, sp *Span) (source string, hops float64, ok bool) {
+	pl := e.pl.Load()
+	key := cache.Key{Site: site, Object: object}
+	version := 0
+	if pl.Has(e.cfg.ID, site) {
+		source = SourceReplica
+		if e.cfg.LiveVersion != nil {
+			version = e.cfg.LiveVersion(site, object)
+		} else {
+			e.mu.Lock()
+			version = e.cachedVer[key]
+			e.mu.Unlock()
+		}
+	} else if version, ok = e.lookup(r, key, sp); ok {
+		source = SourceCache
+	}
+	if source != "" {
+		e.served[source].Inc()
+		writeObject(w, e.cfg.Scenario, site, object, version, e.cfg.MaxObjectBytes, source)
+		return source, 0, true
+	}
+
+	// Ejected peers are skipped at selection time, and when the chosen
+	// source fails anyway (after its retries) the fetch fails over to the
+	// next candidate instead of surfacing the error.
+	hsp := sp.Child(obs.SpanHealth)
+	candidates, skipped := e.upstreams(pl, site, internal)
+	hsp.AttrInt("candidates", len(candidates))
+	hsp.AttrInt("skipped_ejected", skipped)
+	hsp.End()
+	var body []byte
+	var etag string
+	var ferr error
+	var used upstream
+	for hop, u := range candidates {
+		fsp := sp.Child(obs.SpanFailover)
+		fsp.AttrInt("hop", hop)
+		fsp.AttrTarget(u.kind, u.id)
+		fsp.AttrFloat("cost_hops", u.hops)
+		if e.cfg.PerHopDelay > 0 {
+			time.Sleep(time.Duration(u.hops * float64(e.cfg.PerHopDelay)))
+		}
+		body, etag, ferr = e.fetchWithRetry(r.Context(), u, ObjectPath(site, object), fsp)
+		fsp.AttrOutcome(ferr)
+		fsp.End()
+		if ferr == nil {
+			used = u
+			break
+		}
+	}
+	if ferr != nil {
+		status := http.StatusBadGateway
+		if errors.Is(ferr, ErrEdgeTimeout) {
+			status = http.StatusGatewayTimeout
+		}
+		w.Header().Set(ErrorHeader, ErrorClass(ferr))
+		http.Error(w, ferr.Error(), status)
+		return "", 0, false
+	}
+	source = SourceOrigin
+	if used.kind == "edge" {
+		source = SourcePeer
+	}
+
+	e.mu.Lock()
+	e.cache.Put(key, int64(len(body)))
+	if e.cache.Contains(key) {
+		e.cachedVer[key] = VersionFromETag(etag)
+	}
+	if len(e.cachedVer) > 2*e.cache.Len()+64 {
+		for k := range e.cachedVer {
+			if !e.cache.Contains(k) {
+				delete(e.cachedVer, k)
+			}
+		}
+	}
+	e.mu.Unlock()
+
+	e.served[source].Inc()
+	w.Header().Set("X-Cdn-Source", source)
+	w.Header().Set("Etag", etag)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body) // a client that hung up mid-body is not the edge's failure
+	return source, used.hops, true
+}
+
+// lookup consults the cache and, under RevalidateOnHit, the origin. It
+// returns the version to serve from cache, or ok = false for a miss. A
+// hit that cannot be revalidated is a miss — a full fetch follows — so
+// every request is counted as exactly one of hit and miss.
+func (e *Engine) lookup(r *http.Request, key cache.Key, sp *Span) (version int, ok bool) {
+	e.mu.Lock()
+	ok = e.cache.Get(key)
+	version = e.cachedVer[key]
+	e.mu.Unlock()
+	if ok && e.cfg.RevalidateOnHit {
+		version, ok = e.revalidate(r, key, version, sp)
+	}
+	if !ok {
+		e.misses.Inc()
+		return 0, false
+	}
+	e.hits.Inc()
+	return version, true
+}
+
+// upstream is one candidate source for a miss fetch.
+type upstream struct {
+	kind string // "edge" or "origin"
+	id   int
+	url  string
+	hops float64
+}
+
+// trackerFor maps an upstream to its health tracker.
+func (e *Engine) trackerFor(u upstream) *Tracker {
+	if u.kind == "edge" {
+		return e.cfg.PeerHealth[u.id]
+	}
+	return e.cfg.OriginHealth[u.id]
+}
+
+// upstreams orders the candidate sources for a miss fetch. Internal
+// fetches go straight to the origin (recursion prevention). Client-facing
+// fetches consider the cheapest replica-holding peer that the roster
+// knows and the health tracker offers, and the origin, nearest-first —
+// the same SN choice as Placement.Nearest, minus dead components. The
+// origin is kept as last resort even while ejected: gating the only
+// remaining source turns a slow failure into a guaranteed one, and the
+// attempt doubles as its health probe. skipped counts the
+// replica-holding peers the health tracker excluded (the health span's
+// evidence).
+func (e *Engine) upstreams(pl *core.Placement, site int, internal bool) (ups []upstream, skipped int) {
+	ros, from := e.roster.Load(), e.cfg.ID
+	orig := upstream{kind: "origin", id: site, url: ros.Origins[site],
+		hops: e.cfg.Scenario.Sys.CostOrigin[from][site]}
+	if internal {
+		return []upstream{orig}, 0
+	}
+	now := time.Now()
+	best, bestCost := -1, math.Inf(1)
+	for k, url := range ros.Peers {
+		if k == from || url == "" || !pl.Has(k, site) {
+			continue
+		}
+		if !e.cfg.PeerHealth[k].Candidate(now) {
+			skipped++
+			continue
+		}
+		if cost := e.cfg.Scenario.Sys.CostServer[from][k]; cost < bestCost {
+			best, bestCost = k, cost
+		}
+	}
+	if best < 0 {
+		return []upstream{orig}, skipped
+	}
+	peer := upstream{kind: "edge", id: best, url: ros.Peers[best], hops: bestCost}
+	if orig.hops < peer.hops && e.cfg.OriginHealth[site].Candidate(now) {
+		return []upstream{orig, peer}, skipped
+	}
+	return []upstream{peer, orig}, skipped
+}
+
+// fetchWithRetry GETs path from u under the retry policy: per-attempt
+// timeouts, bounded attempts, exponential backoff with jitter between
+// them. The overall outcome — success, or failure after the last
+// attempt — is fed to u's health tracker; an ejected upstream is only
+// contacted under its half-open probe token.
+func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp *Span) (body []byte, etag string, err error) {
+	down := error(ErrOriginDown)
+	if u.kind == "edge" {
+		down = ErrPeerDown
+	}
+	if u.url == "" {
+		// An upstream the roster does not know yet is unknown, not
+		// failed: no attempt, no backoff, nothing for its tracker.
+		sp.Attr("gated", "unknown")
+		return nil, "", fmt.Errorf("%w: no address for %s %d yet", down, u.kind, u.id)
+	}
+	t := e.trackerFor(u)
+	if !t.AcquireProbe(time.Now()) {
+		sp.Attr("gated", "ejected")
+		return nil, "", fmt.Errorf("%w: %s %d is ejected", down, u.kind, u.id)
+	}
+	p := e.cfg.Retry
+	for attempt := 1; ; attempt++ {
+		usp := sp.Child(obs.SpanUpstream)
+		usp.AttrInt("attempt", attempt)
+		usp.AttrTarget(u.kind, u.id)
+		body, etag, _, err = e.fetchOnce(ctx, u.url+path, "", usp)
+		usp.AttrOutcome(err)
+		usp.End()
+		if err == nil || attempt >= p.Attempts || ctx.Err() != nil {
+			break
+		}
+		rsp := sp.Child(obs.SpanRetry)
+		rsp.AttrInt("after_attempt", attempt)
+		select {
+		case <-time.After(p.Backoff(attempt)):
+		case <-ctx.Done():
+		}
+		rsp.End()
+	}
+	if err != nil && !errors.Is(err, ErrEdgeTimeout) && !errors.Is(err, ErrUpstreamStatus) {
+		err = fmt.Errorf("%w: %v", down, err)
+	}
+	e.observe(t, u.kind, u.id, err)
+	return body, etag, err
+}
+
+// observe feeds one fetch outcome into a component's tracker and fires
+// the health-change hook on state transitions.
+func (e *Engine) observe(t *Tracker, kind string, id int, err error) {
+	if err == nil {
+		wasEjected := t.IsEjected()
+		t.Success()
+		if wasEjected && e.cfg.OnHealthChange != nil {
+			e.cfg.OnHealthChange(kind, id, false)
+		}
+		return
+	}
+	if t.Failure(e.cfg.FailThreshold, e.cfg.EjectFor, time.Now()) && e.cfg.OnHealthChange != nil {
+		e.cfg.OnHealthChange(kind, id, true)
+	}
+}
+
+// fetchOnce performs one upstream attempt under the per-attempt timeout:
+// a GET of url, conditional when ifNoneMatch is set, answered 200 with a
+// body or (notModified) 304. sp (the attempt's upstream span) is
+// propagated via the Traceparent header so the remote server's spans
+// nest under this attempt.
+func (e *Engine) fetchOnce(ctx context.Context, url, ifNoneMatch string, sp *Span) (body []byte, etag string, notModified bool, err error) {
+	actx, cancel := context.WithTimeout(ctx, e.cfg.Retry.Timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, "", false, err
+	}
+	req.Header.Set(InternalHeader, "1")
+	if ifNoneMatch != "" {
+		req.Header.Set("If-None-Match", ifNoneMatch)
+	}
+	if hdr := sp.Header(); hdr != "" {
+		req.Header.Set(obs.TraceparentHeader, hdr)
+	}
+	resp, err := e.client.Do(req)
+	if err == nil {
+		defer resp.Body.Close()
+		body, err = io.ReadAll(resp.Body)
+	}
+	switch {
+	case err != nil && actx.Err() != nil:
+		return nil, "", false, fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
+	case err != nil:
+		return nil, "", false, err
+	case resp.StatusCode == http.StatusNotModified && ifNoneMatch != "":
+		return nil, "", true, nil
+	case resp.StatusCode != http.StatusOK:
+		return nil, "", false, fmt.Errorf("%w: %d", ErrUpstreamStatus, resp.StatusCode)
+	}
+	return body, resp.Header.Get("Etag"), false, nil
+}
+
+// revalidate asks the origin, with one conditional GET under the same
+// per-attempt timeout as a fetch, whether a cached object is current. It
+// returns the version the cached body may be served as: the cached one
+// on 304, the origin's on 200 (the payload is a function of the version,
+// so learning it replaces the cached copy). ok = false means the origin
+// could not be asked.
+func (e *Engine) revalidate(r *http.Request, key cache.Key, cachedVersion int, sp *Span) (version int, ok bool) {
+	e.revalidations.Inc()
+	usp := sp.Child(obs.SpanUpstream)
+	usp.Attr("revalidate", "1")
+	usp.AttrTarget("origin", key.Site)
+	defer usp.End()
+	err := error(ErrOriginDown)
+	var etag string
+	var fresh bool
+	if url := e.roster.Load().Origins[key.Site]; url != "" {
+		_, etag, fresh, err = e.fetchOnce(r.Context(), url+ObjectPath(key.Site, key.Object),
+			ETagFor(key.Site, key.Object, cachedVersion), usp)
+	}
+	usp.AttrOutcome(err)
+	if err != nil {
+		return 0, false
+	}
+	if fresh {
+		e.notModified.Inc()
+		return cachedVersion, true
+	}
+	version = VersionFromETag(etag)
+	e.mu.Lock()
+	e.cachedVer[key] = version
+	e.mu.Unlock()
+	return version, true
+}

@@ -25,17 +25,20 @@ var (
 	// ErrBadStatus reports a non-200 answer from the edge to a client
 	// fetch that does not carry a more specific X-Cdn-Error class.
 	ErrBadStatus = errors.New("httpcdn: edge answered with an error status")
+	// ErrNotFound reports a 404: the path is outside the catalog.
+	ErrNotFound = errors.New("httpcdn: no such object")
 	// ErrCorruptPayload reports a response body that does not match the
 	// object's deterministic byte pattern.
 	ErrCorruptPayload = errors.New("httpcdn: corrupted payload")
 )
 
-// ErrorHeader carries the failure class from edge.handle to the client,
-// so Cluster.Fetch can rewrap the matching sentinel on its side of the
+// ErrorHeader carries the failure class from Engine.handle to the
+// client, so Get can rewrap the matching sentinel on its side of the
 // wire.
 const ErrorHeader = "X-Cdn-Error"
 
-// ErrorClass maps a serving-path error to its wire class.
+// ErrorClass names an error's failure class. The first four are the wire
+// classes an edge reports in ErrorHeader; the rest only a client sees.
 func ErrorClass(err error) string {
 	switch {
 	case errors.Is(err, ErrEdgeTimeout):
@@ -46,13 +49,21 @@ func ErrorClass(err error) string {
 		return "peer-down"
 	case errors.Is(err, ErrUpstreamStatus):
 		return "upstream-status"
+	case errors.Is(err, ErrEdgeDown):
+		return "edge-down"
+	case errors.Is(err, ErrCorruptPayload):
+		return "corrupt-payload"
+	case errors.Is(err, ErrNotFound):
+		return "not-found"
+	case errors.Is(err, ErrBadStatus):
+		return "bad-status"
 	default:
 		return "internal"
 	}
 }
 
-// ClassError is ErrorClass's inverse: the sentinel for a wire class, or
-// nil for unknown classes.
+// ClassError is ErrorClass's inverse on the wire classes: the sentinel
+// for one, or nil for anything else.
 func ClassError(class string) error {
 	switch class {
 	case "timeout":

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -79,17 +80,29 @@ type Tracker struct {
 
 	ejections, readmissions int64
 
-	// Registry handles, nil when metrics are off.
+	// Registry handles, nil on a zero-value tracker.
 	ejectCtr, readmitCtr *obs.Counter
 }
 
-// Instrument attaches ejection/readmission counters to the tracker
-// (internal/clusterd wires its standalone components here; the
-// in-process Cluster sets the fields directly at Start).
-func (t *Tracker) Instrument(ejections, readmissions *obs.Counter) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ejectCtr, t.readmitCtr = ejections, readmissions
+// NewTracker returns a healthy tracker that exports its ejections,
+// readmissions and current state through reg under (kind, id) labels.
+func NewTracker(reg *obs.Registry, kind string, id int) *Tracker {
+	l := obs.Labels{"kind": kind, "id": strconv.Itoa(id)}
+	t := &Tracker{
+		ejectCtr: reg.Counter("cdn_health_ejections_total",
+			"Components ejected by the health tracker.", l),
+		readmitCtr: reg.Counter("cdn_health_readmissions_total",
+			"Ejected components readmitted after a successful probe.", l),
+	}
+	reg.GaugeFunc("cdn_health_ejected",
+		"1 while the component is ejected from redirection.", l,
+		func() float64 {
+			if t.IsEjected() {
+				return 1
+			}
+			return 0
+		})
+	return t
 }
 
 // Candidate reports whether the component may be offered traffic now:
@@ -249,22 +262,4 @@ func (c *Cluster) HealthHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		enc.Encode(c.Health())
 	})
-}
-
-// observe feeds one fetch outcome into a component's tracker and fires
-// the health-change hook on state transitions.
-func (c *Cluster) observe(t *Tracker, kind string, id int, err error) {
-	if err == nil {
-		wasEjected := t.IsEjected()
-		t.Success()
-		if wasEjected && c.cfg.OnHealthChange != nil {
-			c.cfg.OnHealthChange(kind, id, false)
-		}
-		return
-	}
-	if t.Failure(c.cfg.FailThreshold, c.cfg.EjectFor, time.Now()) {
-		if c.cfg.OnHealthChange != nil {
-			c.cfg.OnHealthChange(kind, id, true)
-		}
-	}
 }

@@ -16,25 +16,22 @@
 // the mesh. Object bodies are deterministic byte patterns checked
 // end-to-end by the tests.
 //
+// That discipline is implemented once, by Engine (one edge's serving
+// path) and Origin (a primary server's handler). Cluster wires N engines
+// and M origins to httptest listeners in one process; internal/clusterd
+// puts the same two handlers behind real listeners and a control plane.
+//
 // The artificial per-hop delay of the paper's latency model (§5.1) can
 // be injected to make measured latencies meaningful in the demo binary.
 package httpcdn
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
@@ -112,113 +109,33 @@ func DefaultConfig() Config {
 	return Config{MaxObjectBytes: 64 << 10}
 }
 
-// Cluster is a running set of origin and edge HTTP servers.
+// Cluster is a running set of origin and edge HTTP servers: one Engine
+// per edge and one Origin per site, each behind an httptest listener
+// wrapped in a fault injector.
 type Cluster struct {
-	sc  *scenario.Scenario
-	cfg Config
+	sc     *scenario.Scenario
+	client *http.Client
 
-	// pl is the live placement, swapped atomically by SwapPlacement so
-	// the control plane can re-place replicas while requests are in
-	// flight. Each request loads the pointer once and routes the whole
-	// request against that snapshot.
-	pl atomic.Pointer[core.Placement]
-
+	engines []*Engine          // one per CDN server
+	edges   []*httptest.Server // engines[i]'s listener
 	origins []*httptest.Server // one per site
-	edges   []*edge            // one per CDN server
-	client  *http.Client
 
 	// edgeHealth / originHealth are the passive per-component health
-	// trackers; edgeInj / originInj the always-present fault injectors
-	// wrapped around each server's handler (pass-through until Set).
+	// trackers, shared by every engine and by Fetch; edgeInj / originInj
+	// the always-present fault injectors (pass-through until Set).
 	edgeHealth   []*Tracker
 	originHealth []*Tracker
 	edgeInj      []*fault.Injector
 	originInj    []*fault.Injector
 
-	// sourceLatency holds the per-source serve-latency histograms when
-	// cfg.Metrics is set.
-	sourceLatency map[string]*obs.Histogram
-
-	// versions tracks origin-side object versions for the consistency
-	// machinery; bumped by ModifyObject.
-	verMu    sync.Mutex
-	versions map[cache.Key]int
-}
-
-// version returns the current origin-side version of an object.
-func (c *Cluster) version(site, object int) int {
-	c.verMu.Lock()
-	defer c.verMu.Unlock()
-	return c.versions[cache.Key{Site: site, Object: object}]
+	// versions is the origins' object-version table, which replicas read
+	// live.
+	versions Versions
 }
 
 // ModifyObject bumps an object's version at its origin, invalidating
 // every cached copy (under RevalidateOnHit) and changing its payload.
-func (c *Cluster) ModifyObject(site, object int) {
-	c.verMu.Lock()
-	defer c.verMu.Unlock()
-	c.versions[cache.Key{Site: site, Object: object}]++
-}
-
-// ETagFor is the strong validator origins attach and edges echo back.
-func ETagFor(site, object, version int) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("/obj/%d/%d@%d", site, object, version))
-}
-
-// edge is one CDN node: an HTTP server with a replica set and a cache.
-type edge struct {
-	id      int
-	cluster *Cluster
-	srv     *httptest.Server
-
-	mu    sync.Mutex
-	cache cache.Cache
-	// cachedVer remembers the version of each cached body for the
-	// consistency machinery.
-	cachedVer map[cache.Key]int
-	stats     EdgeStats
-
-	// Registry handles, nil when cfg.Metrics is unset. All are atomic:
-	// recording never takes e.mu.
-	served              map[string]*obs.Counter // per source
-	hits, misses, fails *obs.Counter
-	notFound            *obs.Counter
-}
-
-// EdgeStats counts one edge's serves by source.
-type EdgeStats struct {
-	Replica, CacheHit, PeerFetch, OriginFetch int64
-	// Revalidations counts conditional GETs sent on cache hits
-	// (RevalidateOnHit); NotModified counts the 304 replies among them.
-	Revalidations, NotModified int64
-	// NotFound counts requests for paths outside the catalog (stale
-	// links to perished sites); they are 404s, not edge failures.
-	NotFound int64
-}
-
-// CacheLookups returns the edge's cache lookups: hits plus the fetches
-// that followed misses (replica serves never consult the cache).
-func (s EdgeStats) CacheLookups() int64 { return s.CacheHit + s.PeerFetch + s.OriginFetch }
-
-// HitRatio returns the edge's cache hit ratio over its cache lookups;
-// an edge that saw no lookups reports 0, not NaN.
-func (s EdgeStats) HitRatio() float64 {
-	total := s.CacheLookups()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHit) / float64(total)
-}
-
-// LocalFraction returns the share of serves satisfied without leaving
-// the edge (replica + cache hits); an idle edge reports 0, not NaN.
-func (s EdgeStats) LocalFraction() float64 {
-	total := s.Replica + s.CacheLookups()
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Replica+s.CacheHit) / float64(total)
-}
+func (c *Cluster) ModifyObject(site, object int) { c.versions.Bump(site, object) }
 
 // Start launches the cluster: origins first, then edges. Always Close a
 // started cluster.
@@ -226,98 +143,41 @@ func Start(sc *scenario.Scenario, p *core.Placement, cfg Config) (*Cluster, erro
 	if p.System() != sc.Sys {
 		return nil, fmt.Errorf("httpcdn: placement belongs to a different system")
 	}
-	if cfg.MaxObjectBytes <= 0 {
-		cfg.MaxObjectBytes = 64 << 10
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
-	cfg.Retry = cfg.Retry.WithDefaults()
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
+	reg, spans := cfg.Metrics, cfg.Tracer
+	if !cfg.TraceSpans {
+		spans = nil
 	}
-	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = 2 * time.Second
-	}
-	c := &Cluster{
-		sc:       sc,
-		cfg:      cfg,
-		client:   &http.Client{Timeout: 30 * time.Second},
-		versions: make(map[cache.Key]int),
-	}
-	c.pl.Store(p)
+	c := &Cluster{sc: sc, client: &http.Client{Timeout: 30 * time.Second}}
+	var roster Roster
 	for j := 0; j < sc.Sys.M(); j++ {
-		site := j
-		t := &Tracker{}
 		inj := fault.NewInjector()
-		if reg := cfg.Metrics; reg != nil {
-			l := obs.Labels{"kind": "origin", "id": strconv.Itoa(j)}
-			t.ejectCtr = reg.Counter("cdn_health_ejections_total",
-				"Components ejected by the passive health tracker.", l)
-			t.readmitCtr = reg.Counter("cdn_health_readmissions_total",
-				"Ejected components readmitted after a successful probe.", l)
-			reg.GaugeFunc("cdn_health_ejected",
-				"1 while the component is ejected from redirection.", l,
-				func() float64 {
-					if t.IsEjected() {
-						return 1
-					}
-					return 0
-				})
-		}
-		c.originHealth = append(c.originHealth, t)
+		srv := httptest.NewServer(inj.Wrap(NewOrigin(sc, j, cfg.MaxObjectBytes, &c.versions, reg, spans)))
+		c.originHealth = append(c.originHealth, NewTracker(reg, "origin", j))
 		c.originInj = append(c.originInj, inj)
-		c.origins = append(c.origins, httptest.NewServer(inj.Wrap(http.HandlerFunc(
-			func(w http.ResponseWriter, r *http.Request) {
-				c.serveOrigin(site, w, r)
-			}))))
-	}
-	if reg := cfg.Metrics; reg != nil {
-		c.sourceLatency = make(map[string]*obs.Histogram, len(obs.Sources))
-		for _, src := range obs.Sources {
-			c.sourceLatency[src] = reg.Histogram("cdn_request_latency_ms",
-				"Edge serve latency by source, milliseconds.",
-				obs.Labels{"source": src}, obs.DefaultLatencyBuckets())
-		}
+		c.origins = append(c.origins, srv)
+		roster.Origins = append(roster.Origins, srv.URL)
 	}
 	for i := 0; i < sc.Sys.N(); i++ {
-		e := &edge{id: i, cluster: c, cachedVer: make(map[cache.Key]int)}
-		e.cache = c.newEdgeCache(i, p.Free(i))
-		if reg := cfg.Metrics; reg != nil {
-			edgeLabel := obs.Labels{"edge": strconv.Itoa(i)}
-			e.served = make(map[string]*obs.Counter, len(obs.Sources))
-			for _, src := range obs.Sources {
-				e.served[src] = reg.Counter("cdn_edge_requests_total",
-					"Requests served by an edge, by source.",
-					obs.Labels{"edge": strconv.Itoa(i), "source": src})
-			}
-			e.hits = reg.Counter("cdn_edge_cache_hits_total",
-				"Cache hits at an edge.", edgeLabel)
-			e.misses = reg.Counter("cdn_edge_cache_misses_total",
-				"Cache misses at an edge.", edgeLabel)
-			e.fails = reg.Counter("cdn_edge_errors_total",
-				"Requests an edge failed to serve.", edgeLabel)
-			e.notFound = reg.Counter("cdn_edge_notfound_total",
-				"Requests for sites or objects outside the catalog (404s).", edgeLabel)
-		}
-		t := &Tracker{}
-		if reg := cfg.Metrics; reg != nil {
-			l := obs.Labels{"kind": "edge", "id": strconv.Itoa(i)}
-			t.ejectCtr = reg.Counter("cdn_health_ejections_total",
-				"Components ejected by the passive health tracker.", l)
-			t.readmitCtr = reg.Counter("cdn_health_readmissions_total",
-				"Ejected components readmitted after a successful probe.", l)
-			reg.GaugeFunc("cdn_health_ejected",
-				"1 while the component is ejected from redirection.", l,
-				func() float64 {
-					if t.IsEjected() {
-						return 1
-					}
-					return 0
-				})
-		}
-		c.edgeHealth = append(c.edgeHealth, t)
+		c.edgeHealth = append(c.edgeHealth, NewTracker(reg, "edge", i))
+	}
+	for i := 0; i < sc.Sys.N(); i++ {
+		e := NewEngine(EngineConfig{
+			Config: cfg, ID: i, Scenario: sc, Placement: p, Spans: spans,
+			PeerHealth: c.edgeHealth, OriginHealth: c.originHealth,
+			LiveVersion: c.versions.Get,
+		})
 		inj := fault.NewInjector()
+		srv := httptest.NewServer(inj.Wrap(e))
+		c.engines = append(c.engines, e)
 		c.edgeInj = append(c.edgeInj, inj)
-		e.srv = httptest.NewServer(inj.Wrap(http.HandlerFunc(e.serve)))
-		c.edges = append(c.edges, e)
+		c.edges = append(c.edges, srv)
+		roster.Peers = append(roster.Peers, srv.URL)
+	}
+	for _, e := range c.engines {
+		e.SetRoster(roster)
 	}
 	return c, nil
 }
@@ -329,30 +189,10 @@ func (c *Cluster) EdgeInjector(i int) *fault.Injector { return c.edgeInj[i] }
 // OriginInjector returns site j's origin fault injector.
 func (c *Cluster) OriginInjector(j int) *fault.Injector { return c.originInj[j] }
 
-// newEdgeCache builds edge i's LRU, instrumented with eviction and
-// resident-byte hooks when metrics are enabled. The hooks fire under
-// the edge mutex (every cache mutation does) and only touch atomics.
-func (c *Cluster) newEdgeCache(i int, capacity int64) cache.Cache {
-	lru := cache.NewLRU(capacity)
-	reg := c.cfg.Metrics
-	if reg == nil {
-		return lru
-	}
-	edgeLabel := obs.Labels{"edge": strconv.Itoa(i)}
-	evictions := reg.Counter("cdn_edge_cache_evictions_total",
-		"Objects evicted from an edge cache.", edgeLabel)
-	resident := reg.Gauge("cdn_edge_cache_resident_bytes",
-		"Bytes currently resident in an edge cache.", edgeLabel)
-	return cache.Instrument(lru, cache.Hooks{
-		Evicted:  evictions.Add,
-		Resident: resident.Set,
-	})
-}
-
 // Close shuts down every server.
 func (c *Cluster) Close() {
 	for _, e := range c.edges {
-		e.srv.Close()
+		e.Close()
 	}
 	for _, o := range c.origins {
 		o.Close()
@@ -360,20 +200,17 @@ func (c *Cluster) Close() {
 }
 
 // EdgeURL returns the base URL of edge i.
-func (c *Cluster) EdgeURL(i int) string { return c.edges[i].srv.URL }
+func (c *Cluster) EdgeURL(i int) string { return c.edges[i].URL }
 
-// Placement returns the placement currently routing requests.
-func (c *Cluster) Placement() *core.Placement { return c.pl.Load() }
+// OriginURL returns the base URL of site j's origin.
+func (c *Cluster) OriginURL(j int) string { return c.origins[j].URL }
 
-// SwapPlacement atomically replaces the live placement. In-flight
-// requests finish against the snapshot they loaded; a request that
-// redirects to a peer whose replica was just dropped falls through to
-// the origin via the internal-fetch path, so a swap never loses or
-// misroutes a request. After the swap every edge cache is resized to
-// the new free space (shrinking evicts LRU-first); a cache may briefly
-// exceed the new placement's free space between the pointer store and
-// its resize, which only overcommits the model's storage accounting,
-// never breaks serving.
+// Placement returns the placement currently routing requests (the last
+// one swapped in, once SwapPlacement has returned).
+func (c *Cluster) Placement() *core.Placement { return c.engines[0].Placement() }
+
+// SwapPlacement replaces the live placement, engine by engine (see
+// Engine.SetPlacement for what in-flight requests see).
 //
 // The new placement must describe the same deployment: either built on
 // the cluster's own System or on one derived from it via WithDemand
@@ -392,587 +229,27 @@ func (c *Cluster) SwapPlacement(p *core.Placement) error {
 			}
 		}
 	}
-	c.pl.Store(p)
-	for i, e := range c.edges {
-		e.mu.Lock()
-		e.cache.Resize(p.Free(i))
-		e.mu.Unlock()
+	for _, e := range c.engines {
+		e.SetPlacement(p)
 	}
 	return nil
 }
 
 // EdgeStats returns a snapshot of edge i's counters.
-func (c *Cluster) EdgeStats(i int) EdgeStats {
-	e := c.edges[i]
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.stats
-}
-
-// ObjectPath builds the canonical object URL path.
-func ObjectPath(site, object int) string {
-	return fmt.Sprintf("/obj/%d/%d", site, object)
-}
-
-// parsePath extracts (site, object) from an object path.
-func (c *Cluster) parsePath(path string) (site, object int, err error) {
-	parts := strings.Split(strings.TrimPrefix(path, "/"), "/")
-	if len(parts) != 3 || parts[0] != "obj" {
-		return 0, 0, fmt.Errorf("httpcdn: bad path %q", path)
-	}
-	site, err = strconv.Atoi(parts[1])
-	if err != nil || site < 0 || site >= c.sc.Sys.M() {
-		return 0, 0, fmt.Errorf("httpcdn: bad site in %q", path)
-	}
-	object, err = strconv.Atoi(parts[2])
-	if err != nil || object < 1 || object > len(c.sc.Work.Sites[site].Objects) {
-		return 0, 0, fmt.Errorf("httpcdn: bad object in %q", path)
-	}
-	return site, object, nil
-}
-
-// objectSize is the demo payload size for an object.
-func (c *Cluster) objectSize(site, object int) int64 {
-	sz := c.sc.Work.Size(site, object)
-	if sz > c.cfg.MaxObjectBytes {
-		sz = c.cfg.MaxObjectBytes
-	}
-	if sz < 1 {
-		sz = 1
-	}
-	return sz
-}
-
-// writeBody streams the deterministic payload of the given version for
-// (site, object).
-func (c *Cluster) writeBody(w http.ResponseWriter, site, object, version int, source string) {
-	size := c.objectSize(site, object)
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Etag", ETagFor(site, object, version))
-	w.WriteHeader(http.StatusOK)
-	WritePattern(w, site, object, version, size)
-}
-
-// WritePattern emits the deterministic byte pattern of an object version.
-func WritePattern(w io.Writer, site, object, version int, size int64) {
-	var chunk [4096]byte
-	seed := byte(site*31 + object*7 + version*13)
-	for i := range chunk {
-		chunk[i] = seed + byte(i)
-	}
-	for size > 0 {
-		n := int64(len(chunk))
-		if n > size {
-			n = size
-		}
-		if _, err := w.Write(chunk[:n]); err != nil {
-			return
-		}
-		size -= n
-	}
-}
-
-// VerifyBody checks that body matches the deterministic pattern of the
-// given object version.
-func VerifyBody(body []byte, site, object, version int) bool {
-	seed := byte(site*31 + object*7 + version*13)
-	for i, b := range body {
-		if b != seed+byte(i%4096) {
-			return false
-		}
-	}
-	return true
-}
-
-// VersionFromETag parses the version out of an Etag header produced by
-// etagFor; it returns 0 for unrecognized tags.
-func VersionFromETag(etag string) int {
-	at := strings.LastIndexByte(etag, '@')
-	if at < 0 {
-		return 0
-	}
-	end := at + 1
-	for end < len(etag) && etag[end] >= '0' && etag[end] <= '9' {
-		end++
-	}
-	v, err := strconv.Atoi(etag[at+1 : end])
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// serveOrigin handles requests at a site's primary server, including
-// conditional GETs: a matching If-None-Match validator earns a 304.
-func (c *Cluster) serveOrigin(site int, w http.ResponseWriter, r *http.Request) {
-	s, object, err := c.parsePath(r.URL.Path)
-	if err != nil || s != site {
-		http.NotFound(w, r)
-		return
-	}
-	// An incoming Traceparent stitches the origin's work into the
-	// caller's trace (the parent is the edge's upstream-attempt span).
-	var sp *Span
-	if trace, parent, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		sp = c.startSpan(obs.SpanOrigin, trace, parent, site, site, object)
-	}
-	defer sp.End()
-	version := c.version(site, object)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm == ETagFor(site, object, version) {
-		sp.Attr("status", "304")
-		w.Header().Set("Etag", ETagFor(site, object, version))
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	sp.Attr("status", "200")
-	c.writeBody(w, site, object, version, SourceOrigin)
-}
-
-// serve handles a request at an edge and records its outcome: source
-// counters, per-source latency histogram and one trace event per
-// successfully served request.
-func (e *edge) serve(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	c := e.cluster
-	site, object, err := c.parsePath(r.URL.Path)
-	if err != nil {
-		// Out-of-catalog path: a client-side 404 (stale link, perished
-		// site), not an edge failure.
-		http.NotFound(w, r)
-		e.mu.Lock()
-		e.stats.NotFound++
-		e.mu.Unlock()
-		if e.notFound != nil {
-			e.notFound.Inc()
-		}
-		return
-	}
-	if tap := c.cfg.RequestTap; tap != nil && r.Header.Get(InternalHeader) == "" {
-		tap(e.id, site)
-	}
-	// Root span for this edge's work. An internal edge-to-edge fetch
-	// carries the calling edge's Traceparent, making this serve span a
-	// child of its upstream-attempt span — one trace per client request
-	// across the whole mesh.
-	trace, parent, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	sp := c.startSpan(obs.SpanServe, trace, parent, e.id, site, object)
-	source, hops, ok := e.handle(w, r, site, object, sp)
-	if !ok {
-		sp.Attr("outcome", "error")
-		sp.End()
-		if e.fails != nil {
-			e.fails.Inc()
-		}
-		return
-	}
-	sp.Attr("source", source)
-	sp.AttrFloat("hops", hops)
-	sp.Attr("outcome", "ok")
-	sp.End()
-	latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
-	if e.served != nil {
-		e.served[source].Inc()
-		c.sourceLatency[source].Observe(latencyMs)
-	}
-	if t := c.cfg.Tracer; t != nil {
-		t.Emit(obs.Event{
-			Req:       t.NextID(),
-			Edge:      e.id,
-			Site:      site,
-			Object:    object,
-			Source:    source,
-			Hops:      hops,
-			LatencyMs: latencyMs,
-		})
-	}
-}
-
-// handle serves one parsed request: replica, then cache, then fetch.
-// It reports where the response came from and the redirection hops
-// paid; ok = false means an error response was written instead.
-func (e *edge) handle(w http.ResponseWriter, r *http.Request, site, object int, sp *Span) (source string, hops float64, ok bool) {
-	c := e.cluster
-	// One placement snapshot per request: the control plane may swap
-	// the live placement at any moment, and routing a single request
-	// against two different placements could redirect to a peer chosen
-	// by one and accounted by the other.
-	pl := c.pl.Load()
-	if pl.Has(e.id, site) {
-		e.mu.Lock()
-		e.stats.Replica++
-		e.mu.Unlock()
-		// Replicas are kept consistent by the CDN (§5.2: "site
-		// replicas are always consistent"): serve the live version.
-		c.writeBody(w, site, object, c.version(site, object), SourceReplica)
-		return SourceReplica, 0, true
-	}
-
-	key := cache.Key{Site: site, Object: object}
-	e.mu.Lock()
-	hit := e.cache.Get(key)
-	ver := e.cachedVer[key]
-	if hit {
-		e.stats.CacheHit++
-	}
-	e.mu.Unlock()
-	if hit {
-		if e.hits != nil {
-			e.hits.Inc()
-		}
-		if c.cfg.RevalidateOnHit {
-			fresh, newVer, ok := e.revalidate(r, site, object, ver, sp)
-			if ok {
-				if fresh {
-					c.writeBody(w, site, object, ver, SourceCache)
-					return SourceCache, 0, true
-				}
-				// The origin shipped a newer version; replace the
-				// cached copy and serve it.
-				e.mu.Lock()
-				e.cachedVer[key] = newVer
-				e.mu.Unlock()
-				c.writeBody(w, site, object, newVer, SourceCache)
-				return SourceCache, 0, true
-			}
-			// Revalidation failed; fall through to a full fetch.
-		} else {
-			// Weak consistency: serve the cached version as-is,
-			// stale or not.
-			c.writeBody(w, site, object, ver, SourceCache)
-			return SourceCache, 0, true
-		}
-	} else if e.misses != nil {
-		e.misses.Inc()
-	}
-
-	// Internal peer fetches that miss fall through to the origin; a
-	// client-facing miss redirects to SN, preferring healthy sources:
-	// ejected peers are skipped at selection time, and when the chosen
-	// source fails anyway (after its retries) the fetch fails over to
-	// the next candidate instead of surfacing the error.
-	internal := r.Header.Get(InternalHeader) != ""
-	hsp := sp.Child(obs.SpanHealth)
-	candidates, skipped := c.upstreams(pl, e.id, site, internal)
-	hsp.AttrInt("candidates", len(candidates))
-	hsp.AttrInt("skipped_ejected", skipped)
-	hsp.End()
-	var body []byte
-	var etag string
-	var ferr error
-	var used upstream
-	for hop, u := range candidates {
-		fsp := sp.Child(obs.SpanFailover)
-		fsp.AttrInt("hop", hop)
-		fsp.AttrTarget(u.kind, u.id)
-		fsp.AttrFloat("cost_hops", u.hops)
-		if c.cfg.PerHopDelay > 0 {
-			time.Sleep(time.Duration(u.hops * float64(c.cfg.PerHopDelay)))
-		}
-		body, etag, ferr = c.fetchWithRetry(r.Context(), u, ObjectPath(site, object), fsp)
-		fsp.AttrOutcome(ferr)
-		fsp.End()
-		if ferr == nil {
-			used = u
-			break
-		}
-	}
-	if ferr != nil {
-		status := http.StatusBadGateway
-		if errors.Is(ferr, ErrEdgeTimeout) {
-			status = http.StatusGatewayTimeout
-		}
-		w.Header().Set(ErrorHeader, ErrorClass(ferr))
-		http.Error(w, ferr.Error(), status)
-		return source, hops, false
-	}
-	source, hops = SourceOrigin, used.hops
-	if used.kind == "edge" {
-		source = SourcePeer
-	}
-
-	e.mu.Lock()
-	e.cache.Put(key, int64(len(body)))
-	if e.cache.Contains(key) {
-		e.cachedVer[key] = VersionFromETag(etag)
-	}
-	if len(e.cachedVer) > 2*e.cache.Len()+64 {
-		for k := range e.cachedVer {
-			if !e.cache.Contains(k) {
-				delete(e.cachedVer, k)
-			}
-		}
-	}
-	if source == SourcePeer {
-		e.stats.PeerFetch++
-	} else {
-		e.stats.OriginFetch++
-	}
-	e.mu.Unlock()
-
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Etag", etag)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(body); err != nil {
-		return source, hops, true
-	}
-	return source, hops, true
-}
-
-// upstream is one candidate source for a miss fetch.
-type upstream struct {
-	kind string // "edge" or "origin"
-	id   int
-	url  string
-	hops float64
-}
-
-// trackerFor maps an upstream to its health tracker.
-func (c *Cluster) trackerFor(u upstream) *Tracker {
-	if u.kind == "edge" {
-		return c.edgeHealth[u.id]
-	}
-	return c.originHealth[u.id]
-}
-
-// upstreams orders the candidate sources for a miss fetch. Internal
-// fetches go straight to the origin (recursion prevention, unchanged).
-// Client-facing fetches consider the cheapest replica-holding peer that
-// the health tracker offers and the origin, nearest-first — the same SN
-// choice as Placement.Nearest, minus dead components. The origin is
-// kept as last resort even while ejected: gating the only remaining
-// source turns a slow failure into a guaranteed one, and the attempt
-// doubles as its health probe. skipped counts the replica-holding peers
-// the health tracker excluded (the health span's evidence).
-func (c *Cluster) upstreams(pl *core.Placement, from, site int, internal bool) (ups []upstream, skipped int) {
-	orig := upstream{kind: "origin", id: site, url: c.origins[site].URL,
-		hops: c.sc.Sys.CostOrigin[from][site]}
-	if internal {
-		return []upstream{orig}, 0
-	}
-	now := time.Now()
-	best, bestCost := -1, math.Inf(1)
-	for k := 0; k < c.sc.Sys.N(); k++ {
-		if k == from || !pl.Has(k, site) {
-			continue
-		}
-		if !c.edgeHealth[k].Candidate(now) {
-			skipped++
-			continue
-		}
-		if cost := c.sc.Sys.CostServer[from][k]; cost < bestCost {
-			best, bestCost = k, cost
-		}
-	}
-	if best < 0 {
-		return []upstream{orig}, skipped
-	}
-	peer := upstream{kind: "edge", id: best, url: c.edges[best].srv.URL, hops: bestCost}
-	if orig.hops < peer.hops && c.originHealth[site].Candidate(now) {
-		return []upstream{orig, peer}, skipped
-	}
-	return []upstream{peer, orig}, skipped
-}
-
-// fetchWithRetry GETs path from u under the retry policy: per-attempt
-// timeouts, bounded attempts, exponential backoff with jitter between
-// them. The overall outcome — success, or failure after the last
-// attempt — is fed to u's health tracker; an ejected upstream is only
-// contacted under its half-open probe token.
-func (c *Cluster) fetchWithRetry(ctx context.Context, u upstream, path string, sp *Span) (body []byte, etag string, err error) {
-	t := c.trackerFor(u)
-	if !t.AcquireProbe(time.Now()) {
-		sp.Attr("gated", "ejected")
-		down := error(ErrOriginDown)
-		if u.kind == "edge" {
-			down = ErrPeerDown
-		}
-		return nil, "", fmt.Errorf("%w: %s %d is ejected", down, u.kind, u.id)
-	}
-	p := c.cfg.Retry
-	for attempt := 1; ; attempt++ {
-		usp := sp.Child(obs.SpanUpstream)
-		usp.AttrInt("attempt", attempt)
-		usp.AttrTarget(u.kind, u.id)
-		body, etag, err = c.fetchOnce(ctx, u.url+path, usp)
-		usp.AttrOutcome(err)
-		usp.End()
-		if err == nil || attempt >= p.Attempts || ctx.Err() != nil {
-			break
-		}
-		rsp := sp.Child(obs.SpanRetry)
-		rsp.AttrInt("after_attempt", attempt)
-		select {
-		case <-time.After(p.Backoff(attempt)):
-		case <-ctx.Done():
-		}
-		rsp.End()
-	}
-	if err != nil && !errors.Is(err, ErrEdgeTimeout) && !errors.Is(err, ErrUpstreamStatus) {
-		down := error(ErrOriginDown)
-		if u.kind == "edge" {
-			down = ErrPeerDown
-		}
-		err = fmt.Errorf("%w: %v", down, err)
-	}
-	c.observe(t, u.kind, u.id, err)
-	return body, etag, err
-}
-
-// fetchOnce performs one upstream attempt under the per-attempt timeout.
-// sp (the attempt's upstream span) is propagated via the Traceparent
-// header so the remote server's spans nest under this attempt.
-func (c *Cluster) fetchOnce(ctx context.Context, url string, sp *Span) ([]byte, string, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Retry.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	req.Header.Set(InternalHeader, "1")
-	if hdr := sp.Header(); hdr != "" {
-		req.Header.Set(obs.TraceparentHeader, hdr)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		if actx.Err() != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
-		}
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if actx.Err() != nil {
-			return nil, "", fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
-		}
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, "", fmt.Errorf("%w: %d", ErrUpstreamStatus, resp.StatusCode)
-	}
-	return body, resp.Header.Get("Etag"), nil
-}
-
-// revalidate sends a conditional GET to the origin for a cached object.
-// It returns (fresh, newVersion, ok): fresh means the cached version is
-// still current (304); otherwise newVersion is the origin's current
-// version. ok=false means the origin could not be reached.
-func (e *edge) revalidate(r *http.Request, site, object, cachedVersion int, sp *Span) (fresh bool, newVersion int, ok bool) {
-	c := e.cluster
-	e.mu.Lock()
-	e.stats.Revalidations++
-	e.mu.Unlock()
-	usp := sp.Child(obs.SpanUpstream)
-	usp.Attr("revalidate", "1")
-	usp.AttrTarget("origin", site)
-	defer usp.End()
-	// A revalidation round-trip runs under the same per-attempt timeout
-	// as a fetch, so a hung origin cannot stall cache hits forever.
-	rctx, cancel := context.WithTimeout(r.Context(), c.cfg.Retry.Timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-		c.origins[site].URL+ObjectPath(site, object), nil)
-	if err != nil {
-		return false, 0, false
-	}
-	req.Header.Set("If-None-Match", ETagFor(site, object, cachedVersion))
-	if hdr := usp.Header(); hdr != "" {
-		req.Header.Set(obs.TraceparentHeader, hdr)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		usp.Attr("outcome", "error:unreachable")
-		return false, 0, false
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNotModified:
-		e.mu.Lock()
-		e.stats.NotModified++
-		e.mu.Unlock()
-		usp.Attr("outcome", "304")
-		return true, cachedVersion, true
-	case http.StatusOK:
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			usp.Attr("outcome", "error:body")
-			return false, 0, false
-		}
-		usp.Attr("outcome", "200")
-		return false, VersionFromETag(resp.Header.Get("Etag")), true
-	default:
-		usp.Attr("outcome", "error:status")
-		return false, 0, false
-	}
-}
-
-// FetchResult describes one client fetch through the cluster.
-type FetchResult struct {
-	Source string
-	Bytes  int64
-	// Version is the object version the response body carried (parsed
-	// from its ETag) — stale serves show an outdated version.
-	Version int
-	Latency time.Duration
-}
+func (c *Cluster) EdgeStats(i int) EdgeStats { return c.engines[i].Stats() }
 
 // Fetch issues a client request for (site, object) at the given
-// first-hop edge and verifies the payload. Failures come wrapped in the
-// package's sentinel errors (errors.Is): ErrEdgeTimeout when ctx ran
-// out, ErrEdgeDown when the edge was unreachable, ErrOriginDown /
-// ErrPeerDown / ErrUpstreamStatus when the edge reported an upstream
-// failure class, ErrBadStatus for other non-200 answers and
-// ErrCorruptPayload for wrong bytes. Outcomes that implicate the edge
-// itself (unreachable, unclassified errors, corruption) feed its
-// health tracker, so client traffic alone is enough to surface a dead
-// edge in Health / EjectedEdges.
+// first-hop edge and verifies the payload; errors are Get's. Outcomes
+// that implicate the edge itself (unreachable, unclassified errors,
+// corruption) feed its health tracker, so client traffic alone is
+// enough to surface a dead edge in Health / EjectedEdges.
 func (c *Cluster) Fetch(ctx context.Context, firstHop, site, object int) (FetchResult, error) {
-	start := time.Now()
-	health := c.edgeHealth[firstHop]
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.EdgeURL(firstHop)+ObjectPath(site, object), nil)
-	if err != nil {
-		return FetchResult{}, err
+	res, err := Get(ctx, c.client, c.EdgeURL(firstHop), site, object)
+	if err != nil && ctx.Err() == nil && ClassError(ErrorClass(err)) != nil {
+		// The edge is alive and reported an upstream failure; that is
+		// not evidence against the edge itself.
+		return res, err
 	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			err = fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
-		} else {
-			err = fmt.Errorf("%w: %v", ErrEdgeDown, err)
-		}
-		c.observe(health, "edge", firstHop, err)
-		return FetchResult{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		err = fmt.Errorf("%w: %v", ErrEdgeDown, err)
-		c.observe(health, "edge", firstHop, err)
-		return FetchResult{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		if sentinel := ClassError(resp.Header.Get(ErrorHeader)); sentinel != nil {
-			// The edge is alive and reported an upstream failure; that
-			// is not evidence against the edge itself.
-			return FetchResult{}, fmt.Errorf("%w: status %d", sentinel, resp.StatusCode)
-		}
-		err = fmt.Errorf("%w: %d", ErrBadStatus, resp.StatusCode)
-		c.observe(health, "edge", firstHop, err)
-		return FetchResult{}, err
-	}
-	version := VersionFromETag(resp.Header.Get("Etag"))
-	if !VerifyBody(body, site, object, version) {
-		err = fmt.Errorf("%w: %s", ErrCorruptPayload, ObjectPath(site, object))
-		c.observe(health, "edge", firstHop, err)
-		return FetchResult{}, err
-	}
-	c.observe(health, "edge", firstHop, nil)
-	return FetchResult{
-		Source:  resp.Header.Get("X-Cdn-Source"),
-		Bytes:   int64(len(body)),
-		Version: version,
-		Latency: time.Since(start),
-	}, nil
+	c.engines[firstHop].observe(c.edgeHealth[firstHop], "edge", firstHop, err)
+	return res, err
 }

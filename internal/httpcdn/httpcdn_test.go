@@ -5,8 +5,11 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/topology"
@@ -14,7 +17,7 @@ import (
 	"repro/internal/xrand"
 )
 
-func smallScenario(t *testing.T) *scenario.Scenario {
+func smallScenario(t testing.TB) *scenario.Scenario {
 	t.Helper()
 	w := workload.DefaultConfig()
 	w.Servers = 4
@@ -50,68 +53,6 @@ func startHybridCluster(t *testing.T) (*scenario.Scenario, *core.Placement, *Clu
 	}
 	t.Cleanup(cl.Close)
 	return sc, res.Placement, cl
-}
-
-func TestReplicaServedLocally(t *testing.T) {
-	sc, p, cl := startHybridCluster(t)
-	// Find a replicated (edge, site) pair; fall back to creating one.
-	edge, site := -1, -1
-	for i := 0; i < sc.Sys.N() && edge < 0; i++ {
-		for j := 0; j < sc.Sys.M(); j++ {
-			if p.Has(i, j) {
-				edge, site = i, j
-				break
-			}
-		}
-	}
-	if edge < 0 {
-		t.Skip("no replicas placed in this configuration")
-	}
-	res, err := cl.Fetch(context.Background(), edge, site, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != SourceReplica {
-		t.Fatalf("source %q, want replica", res.Source)
-	}
-	if got := cl.EdgeStats(edge).Replica; got != 1 {
-		t.Fatalf("replica counter %d", got)
-	}
-}
-
-func TestMissThenCacheHit(t *testing.T) {
-	sc, p, cl := startHybridCluster(t)
-	// Find a non-replicated pair.
-	edge, site := -1, -1
-	for i := 0; i < sc.Sys.N() && edge < 0; i++ {
-		for j := 0; j < sc.Sys.M(); j++ {
-			if !p.Has(i, j) {
-				edge, site = i, j
-				break
-			}
-		}
-	}
-	if edge < 0 {
-		t.Fatal("everything replicated?")
-	}
-	first, err := cl.Fetch(context.Background(), edge, site, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Source != SourcePeer && first.Source != SourceOrigin {
-		t.Fatalf("first fetch source %q", first.Source)
-	}
-	second, err := cl.Fetch(context.Background(), edge, site, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Source != SourceCache {
-		t.Fatalf("second fetch source %q, want cache", second.Source)
-	}
-	if first.Bytes != second.Bytes {
-		t.Fatalf("byte counts differ: %d vs %d", first.Bytes, second.Bytes)
-	}
-	_ = sc
 }
 
 func TestPayloadDeterministic(t *testing.T) {
@@ -223,28 +164,52 @@ func TestConsistencyOverHTTP(t *testing.T) {
 	}
 }
 
-func TestBadPaths(t *testing.T) {
-	_, _, cl := startHybridCluster(t)
-	paths := []string{"/", "/obj", "/obj/0", "/obj/99/1", "/obj/0/0", "/obj/0/9999", "/obj/x/y"}
-	for _, path := range paths {
-		resp, err := cl.client.Get(cl.EdgeURL(0) + path)
+// TestFailedRevalidationCountedOnce pins the accounting of a cache hit
+// whose conditional GET fails: the full fetch that follows makes it a
+// miss, not a hit and a fetch, so CacheLookups stays the number of
+// requests that got past the replica check while the origin flaps.
+func TestFailedRevalidationCountedOnce(t *testing.T) {
+	sc := smallScenario(t)
+	// One replica on a peer, so a full fetch succeeds with the origin down.
+	const edge, peer = 0, 1
+	p, site := core.NewPlacement(sc.Sys), 0
+	for !p.CanReplicate(peer, site) {
+		site++
+	}
+	if err := p.Replicate(peer, site); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Metrics, cfg.RevalidateOnHit = reg, true
+	cfg.Retry = RetryPolicy{Attempts: 1, Timeout: 200 * time.Millisecond}
+	cl, err := Start(sc, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for k, want := range []string{"", SourceCache, SourcePeer} { // miss; hit, 304; hit, origin down
+		if k == 2 {
+			cl.OriginInjector(site).Set(fault.ModeError, 0)
+		}
+		res, err := cl.Fetch(context.Background(), edge, site, 2)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("fetch %d: %v", k, err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode == 200 {
-			t.Errorf("path %q served OK", path)
+		if want != "" && res.Source != want {
+			t.Fatalf("fetch %d served from %q, want %q", k, res.Source, want)
 		}
 	}
-	// Out-of-catalog paths are 404s, not edge failures: they must land
-	// in the dedicated NotFound stat and leave the serve attribution
-	// untouched.
-	st := cl.EdgeStats(0)
-	if st.NotFound != int64(len(paths)) {
-		t.Errorf("EdgeStats.NotFound = %d, want %d", st.NotFound, len(paths))
+	st := cl.EdgeStats(edge)
+	if st.CacheLookups() != 3 || st.CacheHit != 1 || st.Revalidations != 2 || st.NotModified != 1 {
+		t.Fatalf("3 requests past the replica check, 1 served from cache: %+v (lookups %d)", st, st.CacheLookups())
 	}
-	if got := st.Replica + st.CacheHit + st.PeerFetch + st.OriginFetch; got != 0 {
-		t.Errorf("bad paths leaked into serve attribution: %+v", st)
+	label := obs.Labels{"edge": "0"}
+	hits := reg.Counter("cdn_edge_cache_hits_total", "", label).Value()
+	misses := reg.Counter("cdn_edge_cache_misses_total", "", label).Value()
+	if hits != 1 || misses != 2 {
+		t.Fatalf("cdn_edge_cache_hits_total = %d, misses = %d; want 1 and 2", hits, misses)
 	}
 }
 

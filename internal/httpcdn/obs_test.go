@@ -147,37 +147,3 @@ func TestUninstrumentedClusterUnaffected(t *testing.T) {
 		}
 	}
 }
-
-// TestNotFoundMetricAttribution pins the registry side of the 404 fix:
-// out-of-catalog requests increment cdn_edge_notfound_total, never
-// cdn_edge_errors_total.
-func TestNotFoundMetricAttribution(t *testing.T) {
-	sc := smallScenario(t)
-	reg := obs.NewRegistry()
-	cfg := DefaultConfig()
-	cfg.Metrics = reg
-	cl, err := Start(sc, placement.None(sc.Sys).Placement, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	paths := []string{"/obj/9999/1", "/obj/x/y", "/obj/0/0"}
-	for _, path := range paths {
-		resp, err := cl.client.Get(cl.EdgeURL(1) + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 404 {
-			t.Fatalf("GET %s = %d, want 404", path, resp.StatusCode)
-		}
-	}
-	label := obs.Labels{"edge": "1"}
-	if got := reg.Counter("cdn_edge_notfound_total", "", label).Value(); got != int64(len(paths)) {
-		t.Errorf("cdn_edge_notfound_total = %d, want %d", got, len(paths))
-	}
-	if got := reg.Counter("cdn_edge_errors_total", "", label).Value(); got != 0 {
-		t.Errorf("cdn_edge_errors_total = %d after 404s, want 0", got)
-	}
-}

@@ -1,21 +1,17 @@
 package httpcdn
 
 import (
-	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/topology"
 	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
-// swapScenario is a small cluster with two genuinely different
-// placements to flip between.
-func swapScenario(t *testing.T) (*scenario.Scenario, *placement.Result, *placement.Result) {
+// swapScenario is a small cluster with a hybrid placement that holds
+// replicas.
+func swapScenario(t *testing.T) (*scenario.Scenario, *placement.Result) {
 	t.Helper()
 	w := workload.DefaultConfig()
 	w.Servers = 4
@@ -43,107 +39,15 @@ func swapScenario(t *testing.T) (*scenario.Scenario, *placement.Result, *placeme
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The alternate placement is pure caching (no replicas): maximally
-	// different routing from the hybrid result.
-	none := placement.None(sc.Sys)
 	if hybrid.Placement.Replicas() == 0 {
-		t.Fatal("hybrid placed no replicas; swap test needs two distinct placements")
+		t.Fatal("hybrid placed no replicas")
 	}
-	return sc, hybrid, none
-}
-
-// TestConcurrentPlacementSwap hammers the cluster with client fetches
-// while another goroutine keeps swapping the live placement between two
-// replica sets. Run under -race (make race / CI does): every fetch must
-// succeed with a verified body — no lost or misrouted requests — and
-// the request tap must see exactly one event per client request.
-func TestConcurrentPlacementSwap(t *testing.T) {
-	sc, hybrid, alt := swapScenario(t)
-
-	var taps atomic.Int64
-	cfg := DefaultConfig()
-	cfg.RequestTap = func(edge, site int) {
-		if edge < 0 || edge >= sc.Sys.N() || site < 0 || site >= sc.Sys.M() {
-			t.Errorf("tap out of range: edge %d site %d", edge, site)
-		}
-		taps.Add(1)
-	}
-	cl, err := Start(sc, hybrid.Placement, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	const (
-		clients    = 4
-		perClient  = 120
-		totalSwaps = 300
-	)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Swapper: flip hybrid <-> alt as fast as it can.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for s := 0; s < totalSwaps; s++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p := hybrid.Placement
-			if s%2 == 1 {
-				p = alt.Placement
-			}
-			if err := cl.SwapPlacement(p); err != nil {
-				t.Errorf("swap %d: %v", s, err)
-				return
-			}
-		}
-	}()
-
-	errs := make(chan error, clients)
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			stream := sc.Stream(xrand.New(uint64(1000 + g)))
-			for k := 0; k < perClient; k++ {
-				req := stream.Next()
-				fr, err := cl.Fetch(context.Background(), req.Server, req.Site, req.Object)
-				if err != nil {
-					errs <- err
-					return
-				}
-				if fr.Bytes <= 0 {
-					errs <- err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(stop)
-	close(errs)
-	for err := range errs {
-		t.Fatalf("fetch during swap: %v", err)
-	}
-	if got, want := taps.Load(), int64(clients*perClient); got != want {
-		t.Fatalf("request tap saw %d events, want %d", got, want)
-	}
-
-	// The cluster must end on whichever placement was stored last and
-	// with caches sized to it.
-	final := cl.Placement()
-	if final != hybrid.Placement && final != alt.Placement {
-		t.Fatal("final placement is neither of the swapped ones")
-	}
+	return sc, hybrid
 }
 
 // TestSwapPlacementRejectsForeignSystem pins the deployment check.
 func TestSwapPlacementRejectsForeignSystem(t *testing.T) {
-	sc, hybrid, _ := swapScenario(t)
+	sc, hybrid := swapScenario(t)
 	cl, err := Start(sc, hybrid.Placement, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

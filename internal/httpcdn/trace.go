@@ -11,24 +11,11 @@ import (
 // Every method is nil-safe and the constructors return nil when span
 // tracing is disabled, so the serving path carries unconditional span
 // calls at the cost of a pointer check — no allocation, no formatting —
-// when tracing is off. It is exported so the standalone cluster
-// binaries (internal/clusterd) emit the same span schema as the
-// in-process Cluster.
+// when tracing is off.
 type Span struct {
 	t     *obs.Tracer
 	start time.Time
 	s     obs.Span
-}
-
-// startSpan opens a span. An empty trace starts a new trace; a non-empty
-// (trace, parent) pair — typically parsed from an incoming Traceparent
-// header — attaches the span to the caller's trace so multi-hop requests
-// stitch into one tree.
-func (c *Cluster) startSpan(kind, trace, parent string, component, site, object int) *Span {
-	if !c.cfg.TraceSpans || c.cfg.Tracer == nil {
-		return nil
-	}
-	return NewSpan(c.cfg.Tracer, kind, trace, parent, component, site, object)
 }
 
 // NewSpan opens a span on tracer t. A nil tracer returns a nil span (and
