@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race bench-module chaos cluster-smoke bench bench-json bench-scale bench-scale-smoke bench-scale-check bench-approx bench-models bench-models-check bench-dynamic fmt vet lint
+.PHONY: all build test check race fuzz-smoke bench-module chaos cluster-smoke bench bench-json bench-scale bench-scale-smoke bench-scale-check bench-approx bench-models bench-models-check bench-dynamic fmt vet lint
 
 all: build test
 
@@ -29,7 +29,16 @@ fmt:
 	fi
 
 race:
-	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/...
+	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
+
+# fuzz-smoke runs the two differential fuzz targets of the simulator's
+# request loop for 10 s each: the arena LRU/FIFO against the slice
+# reference, and the guided inverse-CDF search against
+# sort.SearchFloat64s. Minimizing a new corpus entry is capped, or it
+# eats the whole budget.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzGuideSearch -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

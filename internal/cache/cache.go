@@ -67,79 +67,6 @@ type Cache interface {
 	Stats() Stats
 }
 
-// entry is a node of the intrusive doubly-linked list shared by the
-// recency/insertion-ordered policies.
-type entry struct {
-	key        Key
-	size       int64
-	prev, next *entry
-	freq       int64 // used by LFU only
-}
-
-// list is an intrusive doubly-linked list with sentinel; front = next
-// eviction victim, back = most recently touched/inserted.
-type list struct {
-	root entry
-	n    int
-}
-
-func (l *list) init() {
-	l.root.prev = &l.root
-	l.root.next = &l.root
-	l.n = 0
-}
-
-func (l *list) pushBack(e *entry) {
-	at := l.root.prev
-	e.prev = at
-	e.next = &l.root
-	at.next = e
-	l.root.prev = e
-	l.n++
-}
-
-func (l *list) remove(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-	l.n--
-}
-
-func (l *list) moveToBack(e *entry) {
-	l.remove(e)
-	l.pushBack(e)
-}
-
-func (l *list) front() *entry {
-	if l.n == 0 {
-		return nil
-	}
-	return l.root.next
-}
-
-// freelist recycles evicted entry nodes. Caches are single-goroutine by
-// contract (see Cache), so a plain intrusive stack chained through next
-// suffices; it removes the steady-state allocation per cache miss once
-// the cache has cycled through its capacity.
-type freelist struct {
-	head *entry
-}
-
-func (f *freelist) get(k Key, size int64) *entry {
-	e := f.head
-	if e == nil {
-		return &entry{key: k, size: size}
-	}
-	f.head = e.next
-	*e = entry{key: k, size: size}
-	return e
-}
-
-func (f *freelist) put(e *entry) {
-	*e = entry{next: f.head}
-	f.head = e
-}
-
 func validateSize(size int64) {
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: Put with non-positive size %d", size))

@@ -6,112 +6,6 @@ import (
 	"repro/internal/xrand"
 )
 
-// FIFO is a byte-capacity first-in-first-out cache: eviction order is
-// insertion order and hits do not refresh position. Included as an
-// ablation baseline against LRU.
-type FIFO struct {
-	capacity int64
-	used     int64
-	items    map[Key]*entry
-	order    list
-	free     freelist
-	stats    Stats
-}
-
-var _ Cache = (*FIFO)(nil)
-
-// NewFIFO returns a FIFO cache bounded to capacity bytes.
-func NewFIFO(capacity int64) *FIFO {
-	c := &FIFO{capacity: capacity, items: make(map[Key]*entry)}
-	c.order.init()
-	return c
-}
-
-// Get implements Cache. FIFO hits do not change eviction order.
-func (c *FIFO) Get(k Key) bool {
-	if _, ok := c.items[k]; ok {
-		c.stats.Hits++
-		return true
-	}
-	c.stats.Misses++
-	return false
-}
-
-// Put implements Cache.
-func (c *FIFO) Put(k Key, size int64) {
-	validateSize(size)
-	if e, ok := c.items[k]; ok {
-		c.used += size - e.size
-		e.size = size
-		c.evictUntilFits()
-		return
-	}
-	if size > c.capacity {
-		c.stats.Rejections++
-		return
-	}
-	e := c.free.get(k, size)
-	c.items[k] = e
-	c.order.pushBack(e)
-	c.used += size
-	c.stats.Insertions++
-	c.evictUntilFits()
-}
-
-func (c *FIFO) evictUntilFits() {
-	for c.used > c.capacity {
-		victim := c.order.front()
-		if victim == nil {
-			return
-		}
-		c.order.remove(victim)
-		delete(c.items, victim.key)
-		c.used -= victim.size
-		c.stats.Evictions++
-		c.free.put(victim)
-	}
-}
-
-// Contains implements Cache.
-func (c *FIFO) Contains(k Key) bool { _, ok := c.items[k]; return ok }
-
-// Remove implements Cache.
-func (c *FIFO) Remove(k Key) {
-	if e, ok := c.items[k]; ok {
-		c.order.remove(e)
-		delete(c.items, k)
-		c.used -= e.size
-		c.free.put(e)
-	}
-}
-
-// Len implements Cache.
-func (c *FIFO) Len() int { return len(c.items) }
-
-// Used implements Cache.
-func (c *FIFO) Used() int64 { return c.used }
-
-// Capacity implements Cache.
-func (c *FIFO) Capacity() int64 { return c.capacity }
-
-// Resize implements Cache.
-func (c *FIFO) Resize(capacity int64) {
-	c.capacity = capacity
-	c.evictUntilFits()
-}
-
-// Clear implements Cache.
-func (c *FIFO) Clear() {
-	c.items = make(map[Key]*entry)
-	c.order.init()
-	c.free = freelist{}
-	c.used = 0
-	c.stats = Stats{}
-}
-
-// Stats implements Cache.
-func (c *FIFO) Stats() Stats { return c.stats }
-
 // LFU is a byte-capacity least-frequently-used cache with LRU
 // tie-breaking via an insertion counter. Included as an ablation baseline:
 // LFU approximates the static optimum for IRM workloads and upper-bounds
@@ -121,7 +15,7 @@ type LFU struct {
 	used     int64
 	items    map[Key]*lfuEntry
 	pq       lfuHeap
-	free     []*lfuEntry // recycled nodes, same rationale as freelist
+	free     []*lfuEntry // recycled nodes: no steady-state allocation per miss
 	tick     int64
 	stats    Stats
 }
@@ -324,7 +218,12 @@ func (c *DelayedLRU) Put(k Key, size int64) {
 	}
 	delete(c.ghosts, k)
 	c.lru.Put(k, size)
-	c.stats.Insertions++
+	// The inner LRU refuses an object larger than the cache.
+	if c.lru.Contains(k) {
+		c.stats.Insertions++
+	} else {
+		c.stats.Rejections++
+	}
 }
 
 func (c *DelayedLRU) trimGhosts() {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -235,5 +237,115 @@ func TestParallelismValidation(t *testing.T) {
 	fcfg.Parallelism = 0
 	if _, err := RunWithFailures(context.Background(), sc, p, fcfg, FailureSet{}, xrand.New(1)); err != nil {
 		t.Errorf("RunWithFailures with Parallelism=0: %v", err)
+	}
+}
+
+// TestRunParallelAllocatesAtSetUpOnly bounds the allocations of a
+// 200 000-request parallel run: shards, the hand-off, the records slice
+// and the batches in flight at once, but nothing per batch handed over —
+// a run forty times shorter allocates as much.
+func TestRunParallelAllocatesAtSetUpOnly(t *testing.T) {
+	sc := smallScenario(1, 0)
+	p := hybridPlacementFor(sc)
+	allocs := func(requests int) float64 {
+		cfg := fastConfig(true)
+		cfg.Requests, cfg.Warmup, cfg.Parallelism, cfg.KeepResponseTimes = requests, 50000, 2, false
+		return testing.AllocsPerRun(3, func() {
+			if _, err := RunParallel(context.Background(), sc, p, cfg, xrand.New(9)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	long, short := allocs(200000), allocs(5000)
+	t.Logf("allocations: %.0f for 200000 requests, %.0f for 5000", long, short)
+	// 200 000 requests are some 390 batches. The slack covers what
+	// scheduling decides: how many batches are in flight at once.
+	if long > short+16 {
+		t.Errorf("a 200000-request run allocates %.0f times, a 5000-request run %.0f: the hand-off allocates per batch", long, short)
+	}
+}
+
+// TestHandoffKeepsShardOrder drives the hand-off the way the runner does
+// — one producer that helps above its backlog limit, workers that take
+// until the end — and checks what the bit-identity of RunParallel rests
+// on: every batch is simulated once, a shard's batches in the order they
+// were put and by one goroutine at a time, and the producer never runs
+// more than one batch past its limit. One hot shard forces the producer
+// to wait for a shard somebody else holds.
+func TestHandoffKeepsShardOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name                            string
+		shards, workers, limit, batches int
+		hot                             bool
+	}{
+		{"two goroutines", 4, 1, 4, 4000, false},
+		{"eight goroutines", 16, 7, 16, 4000, false},
+		{"one shard", 1, 3, 2, 2000, false},
+		{"hot shard", 4, 2, 1, 2000, true},
+		{"no backlog", 3, 2, 0, 2000, false},
+		{"nothing to do", 4, 3, 4, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHandoff(tc.shards)
+			seen := make([][]int, tc.shards)
+			holders := make([]int32, tc.shards)
+			work := func(limit int) {
+				for {
+					x, b := h.take(limit)
+					if b == nil {
+						return
+					}
+					if atomic.AddInt32(&holders[x], 1) != 1 {
+						t.Errorf("shard %d is held twice", x)
+					}
+					seen[x] = append(seen[x], b.items[0].t)
+					atomic.AddInt32(&holders[x], -1)
+					h.done(x, b)
+				}
+			}
+			var wg sync.WaitGroup
+			wg.Add(tc.workers)
+			for w := 0; w < tc.workers; w++ {
+				go func() {
+					defer wg.Done()
+					work(-1)
+				}()
+			}
+			r := xrand.New(7)
+			b := h.put(0, nil)
+			for i := 0; i < tc.batches; i++ {
+				x := r.Intn(tc.shards)
+				if tc.hot && i%16 != 0 {
+					x = 0
+				}
+				if len(b.items) != 0 {
+					t.Fatalf("put returned a batch holding %d items", len(b.items))
+				}
+				b.items = append(b.items, shardItem{t: i})
+				b = h.put(x, b)
+				work(tc.limit)
+				h.mu.Lock()
+				backlog := h.backlog
+				h.mu.Unlock()
+				if backlog > tc.limit {
+					t.Fatalf("after batch %d the backlog is %d, limit %d", i, backlog, tc.limit)
+				}
+			}
+			h.close()
+			work(-1)
+			wg.Wait()
+			total := 0
+			for x, ts := range seen {
+				total += len(ts)
+				for k := 1; k < len(ts); k++ {
+					if ts[k] <= ts[k-1] {
+						t.Fatalf("shard %d saw batch %d after batch %d", x, ts[k], ts[k-1])
+					}
+				}
+			}
+			if total != tc.batches {
+				t.Errorf("%d of %d batches simulated", total, tc.batches)
+			}
+		})
 	}
 }

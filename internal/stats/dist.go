@@ -23,7 +23,8 @@ import (
 // paper. Start > 1 gives the conditional distribution of a popularity
 // band — the tail clusters of the per-cluster replication extension
 // (Chen et al. [6]). The type precomputes the normalization constant and
-// the CDF so that point-mass queries are O(1) and sampling is O(log L).
+// the CDF so that point-mass queries are O(1), and a Guide over the CDF
+// so that sampling is O(1) expected.
 type Zipf struct {
 	L     int
 	Start int
@@ -31,6 +32,7 @@ type Zipf struct {
 	alpha float64
 	pmf   []float64 // pmf[k-1] = P(local rank k), precomputed
 	cdf   []float64 // cdf[k-1] = P(local rank <= k)
+	guide Guide     // over cdf; read-only once built, like the tables
 }
 
 // NewZipf builds a Zipf-like distribution over ranks 1..L. It panics if
@@ -67,6 +69,9 @@ func NewZipfRange(start, L int, theta float64) *Zipf {
 	}
 	// Guard against floating-point drift: the last CDF entry must be 1.
 	z.cdf[L-1] = 1
+	// Built here, not on first use: a Zipf is shared read-only across
+	// goroutines (lrumodel.SharedTable, the parallel runners).
+	z.guide.Build(z.cdf, 1)
 	return z
 }
 
@@ -104,11 +109,72 @@ func (z *Zipf) CDF(k int) float64 {
 // objects of a single site.
 func (z *Zipf) TopMass(n int) float64 { return z.CDF(n) }
 
-// Sample draws a rank in 1..L by inverse-CDF binary search.
+// Sample draws a rank in 1..L by guided inverse-CDF search: one uniform
+// draw, mapped to the first index with cdf[i] >= u.
 func (z *Zipf) Sample(r *xrand.Source) int {
-	u := r.Float64()
-	// sort.SearchFloat64s finds the first index with cdf[i] >= u.
-	return sort.SearchFloat64s(z.cdf, u) + 1
+	return z.guide.Search(r.Float64()) + 1
+}
+
+// Guide is a guide table over a non-decreasing CDF whose last value is
+// its total mass: it narrows the inverse-CDF search for a uniform draw
+// to the few entries one of K equal slices of [0,1) can map to. Search
+// returns exactly what sort.SearchFloat64s returns — same predicate,
+// same answer at ties between equal neighbours — only without walking
+// the whole table: K is the smallest power of two ≥ len(cdf), so u·K and
+// b/K are exact in float64, and scaling by the total is monotone, so a
+// draw in slice b lands between the answers for the slice's two edges.
+type Guide struct {
+	cdf []float64
+	// first[b] is the first i with cdf[i] >= b/K·total, for b in 0..K.
+	first []uint32
+	k     float64
+	total float64
+}
+
+// Build (re)computes the guide over cdf, whose draws are u·total for u
+// uniform on [0,1). The guide keeps cdf, and must be rebuilt when its
+// values change; a rebuild for the same length reuses the table.
+func (g *Guide) Build(cdf []float64, total float64) {
+	k := 1
+	for k < len(cdf) {
+		k <<= 1
+	}
+	if cap(g.first) < k+1 {
+		g.first = make([]uint32, k+1)
+	}
+	g.cdf, g.first, g.k, g.total = cdf, g.first[:k+1], float64(k), total
+	i := 0
+	for b := range g.first {
+		edge := float64(b) / g.k * total
+		for i < len(cdf) && cdf[i] < edge {
+			i++
+		}
+		g.first[b] = uint32(i)
+	}
+}
+
+// Search returns sort.SearchFloat64s(cdf, u·total): the first index
+// with cdf[i] >= u·total, len(cdf) if none. A u outside [0,1) takes the
+// plain search.
+func (g *Guide) Search(u float64) int {
+	x := u * g.total
+	if !(u >= 0 && u < 1) {
+		return sort.SearchFloat64s(g.cdf, x)
+	}
+	b := int(u * g.k)
+	lo, hi := int(g.first[b]), int(g.first[b+1])
+	// The answer lies in [lo, hi]: halve a long stretch, walk a short one.
+	for hi-lo > 8 {
+		if mid := (lo + hi) / 2; g.cdf[mid] >= x {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	for lo < hi && g.cdf[lo] < x {
+		lo++
+	}
+	return lo
 }
 
 // TruncNormal samples from a normal distribution with the given mean and

@@ -40,8 +40,8 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -158,8 +158,8 @@ type DynamicStream struct {
 	// spread[i][j] = Demand[i][j] / Weight[j]: the per-server share of
 	// site j's volume, invariant under popularity re-sampling.
 	spread    [][]float64
-	cdf       []float64 // flattened server×site CDF, scaled by total
-	total     float64
+	cdf       []float64   // flattened server×site CDF, scaled by its total
+	guide     stats.Guide // over cdf, rebuilt with it
 	cols      int
 	dirty     bool
 	nextEvent int64
@@ -280,8 +280,7 @@ func (s *DynamicStream) Next() Request {
 	}
 
 	r := s.base.r
-	u := r.Float64() * s.total
-	idx := sort.SearchFloat64s(s.cdf, u)
+	idx := s.guide.Search(r.Float64())
 	if idx >= len(s.cdf) {
 		idx = len(s.cdf) - 1
 	}
@@ -434,6 +433,6 @@ func (s *DynamicStream) rebuild(t int64) {
 			idx++
 		}
 	}
-	s.total = cum
+	s.guide.Build(s.cdf, cum)
 	s.dirty = false
 }

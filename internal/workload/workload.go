@@ -23,7 +23,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/lrumodel"
 	"repro/internal/stats"
@@ -348,6 +347,8 @@ type Stream struct {
 	r    *xrand.Source
 	cdf  []float64 // flattened server×site CDF
 	cols int
+	// guide narrows the inverse-CDF search over cdf to a few entries.
+	guide stats.Guide
 	// recent[i] is server i's ring buffer of recent (site, object)
 	// pairs for temporal-locality repeats; nil when LocalityProb = 0.
 	recent  [][]recentRef
@@ -383,13 +384,14 @@ func NewStream(w *Workload, r *xrand.Source) *Stream {
 	// Normalize drift: demand sums to 1 by construction, but guard the
 	// binary search anyway.
 	s.cdf[len(s.cdf)-1] = 1
+	s.guide.Build(s.cdf, 1)
 	return s
 }
 
 // Next draws the next request.
 func (s *Stream) Next() Request {
 	u := s.r.Float64()
-	idx := sort.SearchFloat64s(s.cdf, u)
+	idx := s.guide.Search(u)
 	if idx >= len(s.cdf) {
 		idx = len(s.cdf) - 1
 	}
