@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test check race fuzz-smoke bench-module chaos cluster-smoke bench bench-json bench-scale bench-scale-smoke bench-scale-check bench-approx bench-models bench-models-check bench-dynamic fmt vet lint
+.PHONY: all build test check race fuzz-smoke bench-module chaos cluster-smoke bench fmt vet lint
 
 all: build test
 
@@ -59,8 +59,8 @@ chaos:
 
 # cluster-smoke exercises the multi-process deployment end to end: four
 # separate processes booted by scripts/cluster-smoke.sh, the load
-# generator's drill against them, and BENCH_cluster.json written from
-# measured throughput/latency.
+# generator's drill against them, and BENCH_cluster.json (untracked)
+# written from measured throughput/latency.
 cluster-smoke:
 	sh scripts/cluster-smoke.sh
 
@@ -82,61 +82,3 @@ lint:
 # bench runs the observability-overhead benchmarks (<100ns/op budget).
 bench:
 	$(GO) test -bench=. -run=NONE ./internal/obs/ ./internal/cache/
-
-# bench-json regenerates BENCH_sim.json: sequential vs parallel
-# simulator and placement timings with the hardware context recorded.
-bench-json:
-	$(GO) run ./cmd/benchjson -out BENCH_sim.json
-
-# bench-scale regenerates BENCH_scale.json: scenario build, lazy vs
-# scanning placement, the ε-approximate engine, the cold/warm reconcile
-# pair and simulator throughput at paper size ×{1,4,10}. The scanning
-# engine is skipped above ×4 (it is the point of the sweep that it
-# stops being practical). Budget ~15 minutes on one core.
-bench-scale:
-	$(GO) run ./cmd/benchjson -suite scale -out BENCH_scale.json
-
-# bench-scale-smoke is the CI-sized sweep: small factors, fewer
-# requests, same JSON schema, written to a separate file so the
-# committed baseline survives as the -compare reference. It exists to
-# catch scaling regressions on every push without paying for the ×10
-# run.
-bench-scale-smoke:
-	$(GO) run ./cmd/benchjson -suite scale -factors 1,2 -scanmax 2 -requests 50000 -out BENCH_scale_smoke.json
-
-# bench-scale-check runs the smoke sweep and gates it against the
-# committed BENCH_scale.json: any placement benchmark more than 15%
-# slower fails, unless the hardware context differs (a different
-# machine downgrades the gate to a warning — timings across machines
-# are not a regression signal).
-bench-scale-check: bench-scale-smoke
-	$(GO) run ./cmd/benchjson -compare BENCH_scale.json -fail-above 15 BENCH_scale_smoke.json
-
-# bench-approx regenerates BENCH_approx.json: the ε-approximate
-# engine's quality-versus-time sweep (ε ∈ {0, 1e-3, 1e-2} against the
-# exact lazy baseline) plus the cold/warm incremental-reconcile pair.
-bench-approx:
-	$(GO) run ./cmd/benchjson -suite approx -factors 1,4 -out BENCH_approx.json
-
-# bench-models regenerates BENCH_models.json: a cold hybrid placement
-# solve timed under each analytical hit-ratio model (eq1, che,
-# closedform, random) on a large per-site catalog, with speedup and
-# final-cost delta against the eq1 baseline. Budget ~1 minute (the Che
-# fixed point dominates).
-bench-models:
-	$(GO) run ./cmd/benchjson -suite models -out BENCH_models.json
-
-# bench-dynamic regenerates BENCH_dynamic.json: simulator throughput
-# against a frozen hybrid placement while the catalog churns at
-# per-site perish rates {0, 5e-05, 2.5e-04}, with each run's
-# stale-placement fraction.
-bench-dynamic:
-	$(GO) run ./cmd/benchjson -suite dynamic -out BENCH_dynamic.json
-
-# bench-models-check runs the models suite into a fresh file and gates
-# it against the committed BENCH_models.json: any model row more than
-# 15% slower fails, unless the hardware context differs (cross-machine
-# timings downgrade the gate to a warning).
-bench-models-check:
-	$(GO) run ./cmd/benchjson -suite models -out BENCH_models_smoke.json
-	$(GO) run ./cmd/benchjson -compare BENCH_models.json -fail-above 15 BENCH_models_smoke.json

@@ -101,7 +101,7 @@ func BenchmarkHybridPlacement(b *testing.B) {
 	sc := MustBuildScenario(DefaultScenario())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HybridPlacement(sc); err != nil {
+		if _, err := Place(sc, PlacementConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +112,9 @@ func BenchmarkGreedyGlobalPlacement(b *testing.B) {
 	sc := MustBuildScenario(DefaultScenario())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ReplicationPlacement(sc)
+		if _, err := Place(sc, PlacementConfig{Strategy: StrategyReplication}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -120,7 +122,7 @@ func BenchmarkGreedyGlobalPlacement(b *testing.B) {
 // paper scale under the hybrid placement.
 func BenchmarkSimulation(b *testing.B) {
 	sc := MustBuildScenario(DefaultScenario())
-	res, err := HybridPlacement(sc)
+	res, err := Place(sc, PlacementConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -308,17 +310,17 @@ func BenchmarkHeterogeneityComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkScalePlacement measures the lazy-greedy hybrid placement on
-// instances grown beyond paper scale with ScaleScenario (servers, sites
-// and transit domains ×factor, per-server capacity constant in
-// site-equivalents). The full sweep with the scanning-engine baseline
-// and the ×10 instance lives in `make bench-scale` → BENCH_scale.json.
+// BenchmarkScalePlacement measures the hybrid placement through the
+// facade on instances grown beyond paper scale with ScaleScenario
+// (servers, sites and transit domains ×factor, per-server capacity
+// constant in site-equivalents). The ε and per-model cases are
+// internal/placement's BenchmarkHybridCold.
 func BenchmarkScalePlacement(b *testing.B) {
 	for _, factor := range []int{1, 2, 4} {
 		sc := MustBuildScenario(ScaleScenario(DefaultScenario(), factor))
 		b.Run(fmt.Sprintf("x%d-n%d", factor, sc.Sys.N()), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := HybridPlacement(sc); err != nil {
+				if _, err := Place(sc, PlacementConfig{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -331,7 +333,7 @@ func BenchmarkScalePlacement(b *testing.B) {
 func BenchmarkScaleSimulation(b *testing.B) {
 	for _, factor := range []int{1, 2, 4} {
 		sc := MustBuildScenario(ScaleScenario(DefaultScenario(), factor))
-		res, err := HybridPlacement(sc)
+		res, err := Place(sc, PlacementConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,31 +29,34 @@ func ExampleNewLRUPredictor() {
 // Building a scenario and running the paper's three mechanisms on one
 // trace. Mean latencies vary with the scenario; the ordering is the
 // paper's headline result.
-func ExampleHybridPlacement() {
+func ExamplePlace() {
 	cfg := repro.QuickOptions().Base
 	cfg.CapacityFrac = 0.10
 	sc := repro.MustBuildScenario(cfg)
 
-	hybrid, err := repro.HybridPlacement(sc)
-	if err != nil {
-		fmt.Println(err)
-		return
+	place := func(s repro.Strategy) *repro.Placement {
+		res, err := repro.Place(sc, repro.PlacementConfig{Strategy: s})
+		if err != nil {
+			panic(err)
+		}
+		return res.Placement
 	}
-	replication := repro.ReplicationPlacement(sc)
-	caching := repro.CachingPlacement(sc)
+	hybrid := place(repro.StrategyHybrid)
+	replication := place(repro.StrategyReplication)
+	caching := place(repro.StrategyCaching)
 
 	simCfg := repro.DefaultSim()
 	simCfg.Requests, simCfg.Warmup = 60000, 60000
 
-	mHybrid := repro.MustSimulate(context.Background(), sc, hybrid.Placement, simCfg, 1)
+	mHybrid := repro.MustSimulate(context.Background(), sc, hybrid, simCfg, 1)
 	simCfg.UseCache = false
-	mRepl := repro.MustSimulate(context.Background(), sc, replication.Placement, simCfg, 1)
+	mRepl := repro.MustSimulate(context.Background(), sc, replication, simCfg, 1)
 	simCfg.UseCache = true
-	mCache := repro.MustSimulate(context.Background(), sc, caching.Placement, simCfg, 1)
+	mCache := repro.MustSimulate(context.Background(), sc, caching, simCfg, 1)
 
 	fmt.Println("hybrid beats replication:", mHybrid.MeanRTMs < mRepl.MeanRTMs)
 	fmt.Println("hybrid beats caching:", mHybrid.MeanRTMs < mCache.MeanRTMs)
-	fmt.Println("hybrid placed replicas:", hybrid.Placement.Replicas() > 0)
+	fmt.Println("hybrid placed replicas:", hybrid.Replicas() > 0)
 	// Output:
 	// hybrid beats replication: true
 	// hybrid beats caching: true
@@ -64,7 +67,10 @@ func ExampleHybridPlacement() {
 func ExampleSimulateTrace() {
 	cfg := repro.QuickOptions().Base
 	sc := repro.MustBuildScenario(cfg)
-	p := repro.CachingPlacement(sc)
+	p, err := repro.Place(sc, repro.PlacementConfig{Strategy: repro.StrategyCaching})
+	if err != nil {
+		panic(err)
+	}
 
 	simCfg := repro.DefaultSim()
 	simCfg.Requests, simCfg.Warmup = 30000, 10000

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("%-14s %12s %12s %10s\n", "mechanism", "mean RT (ms)", "cost (hops)", "replicas")
 
 	for _, frac := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
-		res, err := repro.AdHocPlacement(sc, frac)
+		res, err := repro.Place(sc, repro.PlacementConfig{Strategy: repro.StrategyAdHoc, CacheFrac: frac})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func main() {
 			100*frac, m.MeanRTMs, m.MeanHops, res.Placement.Replicas())
 	}
 
-	hyb, err := repro.HybridPlacement(sc)
+	hyb, err := repro.Place(sc, repro.PlacementConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}

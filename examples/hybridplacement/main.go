@@ -31,12 +31,12 @@ func main() {
 		"step", "server", "site", "class", "benefit", "predicted D")
 
 	step := 0
-	res, err := repro.HybridPlacementWithObserver(sc, func(s repro.PlacementStep) {
+	res, err := repro.Place(sc, repro.PlacementConfig{Observer: func(s repro.PlacementStep) {
 		step++
 		site := sc.Work.Sites[s.Site]
 		fmt.Printf("%4d %7d %5d %6s %12.5f %14.5f\n",
 			step, s.Server, s.Site, site.Class, s.Benefit, s.PredictedCost)
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,12 +26,16 @@ func main() {
 		sc.Sys.N(), sc.Sys.M(), sc.Topo.G.N(),
 		100*cfg.CapacityFrac, sc.Work.TotalBytes>>20)
 
-	hybrid, err := repro.HybridPlacement(sc)
-	if err != nil {
-		log.Fatal(err)
+	place := func(s repro.Strategy) *repro.Placement {
+		res, err := repro.Place(sc, repro.PlacementConfig{Strategy: s})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Placement
 	}
-	replication := repro.ReplicationPlacement(sc)
-	caching := repro.CachingPlacement(sc)
+	hybrid := place(repro.StrategyHybrid)
+	replication := place(repro.StrategyReplication)
+	caching := place(repro.StrategyCaching)
 
 	simCfg := repro.DefaultSim()
 	simCfg.Requests = 200000
@@ -45,9 +49,9 @@ func main() {
 		fmt.Printf("%-12s mean RT %7.2f ms | mean cost %5.3f hops | local %5.1f%% | replicas %d\n",
 			name, m.MeanRTMs, m.MeanHops, 100*m.LocalFraction(), p.Replicas())
 	}
-	run("replication", replication.Placement, false)
-	run("caching", caching.Placement, true)
-	run("hybrid", hybrid.Placement, true)
+	run("replication", replication, false)
+	run("caching", caching, true)
+	run("hybrid", hybrid, true)
 
 	fmt.Println("\nThe hybrid scheme should show the lowest mean response time:")
 	fmt.Println("it keeps enough replicas to bound the worst case while the cache")

@@ -69,13 +69,16 @@ func main() {
 			name, m.MeanRTMs, m.MeanHops, 100*m.LocalFraction())
 	}
 
-	hybrid, err := repro.HybridPlacement(sc)
-	if err != nil {
-		log.Fatal(err)
+	place := func(s repro.Strategy) *repro.Placement {
+		res, err := repro.Place(sc, repro.PlacementConfig{Strategy: s})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res.Placement
 	}
-	replay("replication", repro.ReplicationPlacement(sc).Placement, false)
-	replay("caching", repro.CachingPlacement(sc).Placement, true)
-	replay("hybrid", hybrid.Placement, true)
+	replay("replication", place(repro.StrategyReplication), false)
+	replay("caching", place(repro.StrategyCaching), true)
+	replay("hybrid", place(repro.StrategyHybrid), true)
 
 	fmt.Println("\nEvery mechanism saw the byte-identical request sequence; the")
 	fmt.Println("differences above are placement policy, nothing else.")

@@ -610,49 +610,41 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 	rec.Epsilon = c.cfg.Epsilon
 	start := time.Now()
 
+	var (
+		prop  *placement.Result
+		stats placement.IncrementalStats // zero (cold) when warm start is disabled
+		err   error
+	)
 	if c.cfg.DisableWarmStart {
-		prop, err := placement.Hybrid(view, hcfg)
-		if err != nil {
+		if prop, err = placement.Hybrid(view, hcfg); err != nil {
 			return nil, err
 		}
-		rec.PlacementMs = float64(time.Since(start)) / float64(time.Millisecond)
-		rec.Engine = hcfg.ResolveEngineLabel()
-		if c.placeCold != nil {
-			c.placeCold.Inc()
+	} else {
+		prev := c.warm
+		if prev != nil && c.cfg.WarmMaxRounds > 0 && c.warmRounds >= c.cfg.WarmMaxRounds {
+			prev = nil // force a periodic cold re-solve; the shared model table still carries over
+			c.warm = nil
 		}
-		return prop, nil
+		prop, c.warm, stats, err = placement.Incremental(prev, view, placement.IncrementalConfig{
+			HybridConfig:   hcfg,
+			DriftThreshold: c.cfg.WarmDriftThreshold,
+			MaxDirtyFrac:   c.cfg.WarmMaxDirtyFrac,
+		})
+		if err != nil {
+			c.warm = nil // prev was consumed; do not reuse half-repaired state
+			return nil, err
+		}
+		rec.Warm = &stats
 	}
-
-	prev := c.warm
-	if prev != nil && c.cfg.WarmMaxRounds > 0 && c.warmRounds >= c.cfg.WarmMaxRounds {
-		prev = nil // force a periodic cold re-solve; the shared model table still carries over
-		c.warm = nil
-	}
-	prop, warm, stats, err := placement.Incremental(prev, view, placement.IncrementalConfig{
-		HybridConfig:   hcfg,
-		DriftThreshold: c.cfg.WarmDriftThreshold,
-		MaxDirtyFrac:   c.cfg.WarmMaxDirtyFrac,
-	})
-	if err != nil {
-		c.warm = nil // prev was consumed; do not reuse half-repaired state
-		return nil, err
-	}
-	c.warm = warm
 	rec.PlacementMs = float64(time.Since(start)) / float64(time.Millisecond)
-	rec.Warm = &stats
+	rec.Engine = placement.EngineLabel(c.cfg.Epsilon, stats.Warm)
 	if stats.Warm {
 		c.warmRounds++
-		rec.Engine = "warm"
 		if c.placeWarm != nil {
 			c.placeWarm.Inc()
 		}
 	} else {
 		c.warmRounds = 0
-		if c.cfg.Epsilon > 0 {
-			rec.Engine = placement.EngineApprox.String()
-		} else {
-			rec.Engine = placement.EngineLazy.String()
-		}
 		if c.placeCold != nil {
 			c.placeCold.Inc()
 		}

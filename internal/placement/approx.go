@@ -1,13 +1,13 @@
-// Approximate ε-lazy selection for the hybrid engine.
+// The hybrid heap run, exact at eps == 0 and ε-approximate above it.
 //
-// The exact lazy engine (lazy.go) pays two distinct model-evaluation
-// bills. The larger one is the cold start: the initial benefit matrix
-// fill costs n·m² model evaluations (every row's m×m shrink table) and
-// dominates a large run's CPU outright — most of it spent on rows and
-// cells that never come close to winning a step. The second is eager
-// maintenance: after every replica creation the engine fully
-// re-evaluates the row of every server whose nearest-replica table
-// improved and refills the chosen server's m×m shrink table.
+// The exact run pays two distinct model-evaluation bills. The larger
+// one is the cold start: the initial benefit matrix fill costs n·m²
+// model evaluations (every row's m×m shrink table) and dominates a
+// large run's CPU outright — most of it spent on rows and cells that
+// never come close to winning a step. The second is eager maintenance:
+// after every replica creation the run fully re-evaluates the row of
+// every server whose nearest-replica table improved and refills the
+// chosen server's m×m shrink table.
 // hybridHeapRun with eps > 0 defers both.
 //
 // Lazy cold start (prepareOptimistic): the matrix is seeded with
@@ -102,9 +102,9 @@
 // deferral's savings — a blanket catch-up would re-pay every deferred
 // m×m refill at the finish line.
 //
-// eps == 0 allocates none of the drift machinery and takes exactly the
-// exact engine's branches, reproducing its float-op stream — and hence
-// Result.Steps — byte for byte (test-enforced).
+// eps == 0 allocates none of the drift machinery and takes none of its
+// branches: the run is the scanning oracle's float-op stream — and hence
+// its Result.Steps — byte for byte (test-enforced, oracle_test.go).
 package placement
 
 import (
@@ -312,8 +312,8 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 	}
 
-	// Per-iteration scratch (see hybridScan). reeval marks the rows
-	// fully re-evaluated this iteration: the improved set in exact
+	// Per-iteration scratch, hoisted out of the loop. reeval marks the
+	// rows fully re-evaluated this iteration: the improved set in exact
 	// mode, empty in approximate mode (deferred into rowDrift).
 	hOld := make([]float64, m)
 	visible := make([]bool, m)
@@ -558,7 +558,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 		bestB := e.key
 
-		// Lines 18–25, identical to the reference engine. h[bestI] is
+		// Lines 18–25, identical to the oracle's. h[bestI] is
 		// recomputed exactly in every mode — the deferral never touches
 		// the hit-ratio state, only the benefit matrix.
 		copy(hOld, h[bestI])

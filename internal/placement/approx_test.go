@@ -8,11 +8,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// The ε-approximate engines carry two contracts: at ε = 0 they are the
-// exact lazy engines — same branches, same float-op stream, hence
-// byte-identical Result.Steps — and at ε > 0 the final predicted cost
-// sits within ε (relative) of the exact engine's. Both are enforced
-// here across seeds × scales × parallelism.
+// The heaps carry two contracts: at ε = 0 they are the exact greedy —
+// the scanning oracle's float-op stream, hence byte-identical
+// Result.Steps — and at ε > 0 the final predicted cost sits within ε
+// (relative) of the exact run's. Both are enforced here across seeds ×
+// scales × parallelism.
 
 // approxGrid is the seeds × scales grid the ε contracts are checked on.
 var approxGrid = []struct {
@@ -27,40 +27,30 @@ var approxGrid = []struct {
 	{5, 40, 16, 0.1},
 }
 
-// TestApproxZeroEpsilonByteIdenticalHybrid pins EngineApprox at ε=0 to
-// the exact lazy engine, byte for byte.
+// TestApproxZeroEpsilonByteIdenticalHybrid pins the ε = 0 heap run —
+// through Hybrid and through Incremental's cold path — to the scanning
+// oracle, byte for byte, on the grid the ε > 0 contracts use.
 func TestApproxZeroEpsilonByteIdenticalHybrid(t *testing.T) {
 	for _, g := range approxGrid {
 		for _, par := range []int{1, 8} {
 			name := fmt.Sprintf("seed=%d/n=%d/m=%d/par=%d", g.seed, g.n, g.m, par)
 			t.Run(name, func(t *testing.T) {
 				sys, specs := randomSystem(xrand.New(g.seed), g.n, g.m, g.capFrac)
-				cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par, Engine: EngineLazy}
-				exact, err := Hybrid(sys, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg.Engine = EngineApprox // Epsilon left at 0
-				approx, err := Hybrid(sys, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireBitIdentical(t, exact, approx)
+				requireHeapMatchesOracle(t, sys, HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par})
 			})
 		}
 	}
 }
 
-// TestApproxZeroEpsilonByteIdenticalGreedy is the greedy-engine twin.
+// TestApproxZeroEpsilonByteIdenticalGreedy is the greedy-global twin.
 func TestApproxZeroEpsilonByteIdenticalGreedy(t *testing.T) {
 	for _, g := range approxGrid {
 		for _, par := range []int{1, 8} {
 			name := fmt.Sprintf("seed=%d/n=%d/m=%d/par=%d", g.seed, g.n, g.m, par)
 			t.Run(name, func(t *testing.T) {
 				sys, _ := randomSystem(xrand.New(g.seed), g.n, g.m, g.capFrac)
-				exact := GreedyGlobalOpts(sys, GreedyConfig{Parallelism: par, Engine: EngineLazy})
-				approx := GreedyGlobalOpts(sys, GreedyConfig{Parallelism: par, Engine: EngineApprox})
-				requireBitIdentical(t, exact, approx)
+				cfg := GreedyConfig{Parallelism: par}
+				requireBitIdentical(t, greedyScan(sys, cfg), GreedyGlobalOpts(sys, cfg))
 			})
 		}
 	}
@@ -78,13 +68,12 @@ func TestApproxFinalCostWithinEpsilon(t *testing.T) {
 			name := fmt.Sprintf("seed=%d/n=%d/m=%d/eps=%v", g.seed, g.n, g.m, eps)
 			t.Run(name, func(t *testing.T) {
 				sys, specs := randomSystem(xrand.New(g.seed), g.n, g.m, g.capFrac)
-				cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Engine: EngineLazy}
+				cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1}
 				exact, err := Hybrid(sys, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				cfg.Engine = EngineAuto
-				cfg.Epsilon = eps // Epsilon > 0 resolves to EngineApprox
+				cfg.Epsilon = eps
 				approx, err := Hybrid(sys, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -110,7 +99,7 @@ func TestApproxGreedyFinalCostWithinEpsilon(t *testing.T) {
 			name := fmt.Sprintf("seed=%d/n=%d/m=%d/eps=%v", g.seed, g.n, g.m, eps)
 			t.Run(name, func(t *testing.T) {
 				sys, _ := randomSystem(xrand.New(g.seed), g.n, g.m, g.capFrac)
-				exact := GreedyGlobalOpts(sys, GreedyConfig{Engine: EngineLazy})
+				exact := GreedyGlobalOpts(sys, GreedyConfig{})
 				approx := GreedyGlobalOpts(sys, GreedyConfig{Epsilon: eps})
 				if exact.PredictedCost <= 0 {
 					t.Fatalf("degenerate exact cost %v", exact.PredictedCost)
@@ -145,44 +134,10 @@ func TestApproxPlacementInvariants(t *testing.T) {
 	}
 }
 
-// TestEngineResolution pins the auto-selection rules: explicit Engine
-// wins, Epsilon > 0 selects approx, and the scanning engine runs only
-// when asked for.
-func TestEngineResolution(t *testing.T) {
-	cases := []struct {
-		cfg  HybridConfig
-		want Engine
-	}{
-		{HybridConfig{}, EngineLazy},
-		{HybridConfig{Scan: true}, EngineScan},                        // legacy flag
-		{HybridConfig{Epsilon: 1e-2}, EngineApprox},                   // ε > 0
-		{HybridConfig{Engine: EngineLazy, Scan: true}, EngineLazy},    // explicit wins over the flag
-		{HybridConfig{Engine: EngineScan, Epsilon: 1e-2}, EngineScan}, // explicit wins over ε
-	}
-	for i, c := range cases {
-		if got := c.cfg.resolveEngine(); got != c.want {
-			t.Errorf("case %d: resolveEngine() = %v, want %v", i, got, c.want)
-		}
-	}
-	gcases := []struct {
-		cfg  GreedyConfig
-		want Engine
-	}{
-		{GreedyConfig{}, EngineLazy},
-		{GreedyConfig{Scan: true}, EngineScan},
-		{GreedyConfig{Epsilon: 1e-3}, EngineApprox},
-		{GreedyConfig{Engine: EngineScan, Epsilon: 1e-3}, EngineScan},
-	}
-	for i, c := range gcases {
-		if got := c.cfg.resolveEngine(); got != c.want {
-			t.Errorf("greedy case %d: resolveEngine() = %v, want %v", i, got, c.want)
-		}
-	}
-}
-
-// TestApproxExplainEngineLabels checks the Explain stream reports the
-// engine that actually ran and, for ε > 0, that the drift machinery
-// visibly engaged on a system large enough to defer work.
+// TestApproxExplainEngineLabels checks the Explain stream labels a run
+// by its ε ("approx" above 0, "lazy" at 0) and, for ε > 0, that the
+// drift machinery visibly engaged on a system large enough to defer
+// work.
 func TestApproxExplainEngineLabels(t *testing.T) {
 	sys, specs := randomSystem(xrand.New(3), 30, 12, 0.1)
 
@@ -214,19 +169,19 @@ func TestApproxExplainEngineLabels(t *testing.T) {
 		t.Fatalf("ε=1e-2 run of %d steps deferred no rows", len(res.Steps))
 	}
 
-	// The scanning engine must self-report too.
-	sysS, specsS := randomSystem(xrand.New(3), 14, 9, 0.1)
-	var scanLabels []string
-	_, err = Hybrid(sysS, HybridConfig{
-		Specs: specsS, AvgObjectBytes: 1, Engine: EngineScan,
-		Explain: func(s ExplainStep) { scanLabels = append(scanLabels, s.Engine) },
-	})
-	if err != nil {
+	// ε = 0 is the exact run and says so.
+	var exactLabels []string
+	cfg.Epsilon = 0
+	cfg.Explain = func(s ExplainStep) { exactLabels = append(exactLabels, s.Engine) }
+	if res, err = Hybrid(sys, cfg); err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range scanLabels {
-		if l != "scan" {
-			t.Fatalf("engine label %q, want scan", l)
+	if len(exactLabels) != len(res.Steps) {
+		t.Fatalf("%d explain records for %d steps", len(exactLabels), len(res.Steps))
+	}
+	for _, l := range exactLabels {
+		if l != "lazy" {
+			t.Fatalf("engine label %q, want lazy", l)
 		}
 	}
 }

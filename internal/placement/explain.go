@@ -11,13 +11,12 @@ type ExplainStep struct {
 	Server int `json:"server"`
 	Site   int `json:"site"`
 	// Benefit is the winning candidate's marginal benefit (the heap key
-	// or scan maximum that selected it).
+	// that selected it).
 	Benefit float64 `json:"benefit"`
 	// PredictedCost is the objective D after applying the step, under
 	// the engine's own cost model.
 	PredictedCost float64 `json:"predicted_cost"`
-	// HeapPops counts heap pops since the previous step (lazy engines;
-	// 0 for the Scan reference engines).
+	// HeapPops counts heap pops since the previous step.
 	HeapPops int `json:"heap_pops,omitempty"`
 	// StaleReevals counts popped entries whose key was out of date and
 	// had to be re-evaluated against the live state.
@@ -27,8 +26,8 @@ type ExplainStep struct {
 	Superseded int `json:"superseded,omitempty"`
 	// Infeasible counts popped candidates that no longer fit.
 	Infeasible int `json:"infeasible,omitempty"`
-	// Engine labels the selection engine that produced the step:
-	// "scan", "lazy", "approx" or "warm" (incremental repair).
+	// Engine labels the heap run that produced the step: "lazy",
+	// "approx" or "warm" (see EngineLabel).
 	Engine string `json:"engine,omitempty"`
 	// Model labels the analytical hit-ratio model the benefit terms
 	// were evaluated under ("eq1", "che", "closedform", "random";
@@ -56,6 +55,21 @@ type ExplainStep struct {
 	// DriftBudgetUsed is the cumulative fraction of the ε budget
 	// consumed up to and including this step (0..1).
 	DriftBudgetUsed float64 `json:"drift_budget_used,omitempty"`
+}
+
+// EngineLabel is the wire label of a heap run, in ExplainStep.Engine and
+// in the control plane's audit records: "warm" for an incremental
+// repair of the previous round's state, otherwise "lazy" for the exact
+// run (epsilon <= 0) and "approx" for an ε-budgeted one.
+func EngineLabel(epsilon float64, warm bool) string {
+	switch {
+	case warm:
+		return "warm"
+	case epsilon > 0:
+		return "approx"
+	default:
+		return "lazy"
+	}
 }
 
 // ExplainWriter receives one record per replica creation. A nil writer

@@ -6,9 +6,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// TestExplainMatchesSteps checks, for all four engines, that the explain
-// stream mirrors Result.Steps exactly and that attaching a writer does
-// not change the decisions.
+// TestExplainMatchesSteps checks, for both heaps and both oracles, that
+// the explain stream mirrors Result.Steps exactly and that attaching a
+// writer does not change the decisions.
 func TestExplainMatchesSteps(t *testing.T) {
 	sys, specs := randomSystem(xrand.New(21), 10, 8, 0.3)
 
@@ -47,13 +47,12 @@ func TestExplainMatchesSteps(t *testing.T) {
 	check("greedy-lazy", greedyEx, greedyRes, greedyBase, true)
 
 	var greedyScanEx []ExplainStep
-	greedyScanRes := GreedyGlobalOpts(sys, GreedyConfig{
-		Scan:    true,
+	greedyScanRes := greedyScan(sys, GreedyConfig{
 		Explain: func(e ExplainStep) { greedyScanEx = append(greedyScanEx, e) },
 	})
 	check("greedy-scan", greedyScanEx, greedyScanRes, greedyBase, false)
 
-	hybridCfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Engine: EngineLazy}
+	hybridCfg := HybridConfig{Specs: specs, AvgObjectBytes: 1}
 	hybridBase, err := Hybrid(sys, hybridCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,10 +68,8 @@ func TestExplainMatchesSteps(t *testing.T) {
 
 	var hybridScanEx []ExplainStep
 	cfg = hybridCfg
-	cfg.Engine = EngineAuto
-	cfg.Scan = true
 	cfg.Explain = func(e ExplainStep) { hybridScanEx = append(hybridScanEx, e) }
-	hybridScanRes, err := Hybrid(sys, cfg)
+	hybridScanRes, err := hybridOracle(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,15 +284,11 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		workers:     normWorkers(cfg.Parallelism, n),
 		n:           n,
 		m:           sys.M(),
-		engine:      EngineLazy,
-		engineLabel: "warm",
+		engineLabel: EngineLabel(cfg.Epsilon, true),
 		ben:         prev.ben,
 		hShrink:     prev.hShrink,
 		baseSteps:   prev.steps,
 		captureWarm: true,
-	}
-	if cfg.Epsilon > 0 {
-		st.engine = EngineApprox
 	}
 
 	// Repair, in two passes. First the dirty rows rebuild their model
@@ -331,31 +327,13 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 }
 
 // hybridColdCaptured is a cold hybrid solve that also captures the
-// WarmState for the next round. It always runs the heap engine (the
-// warm state is the heap engine's matrices), honoring Epsilon; shared
-// may carry a previous round's hit-ratio table.
+// WarmState for the next round. The warm state is the exact fill's
+// matrices, so it starts from prepareCold at any Epsilon; shared may
+// carry a previous round's hit-ratio table.
 func hybridColdCaptured(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, *WarmState, error) {
-	// Force a heap engine: the scanning engine maintains no reusable
-	// state. cfg.Scan would rebuild per-predictor memos, so clear it.
-	cfg.Scan = false
-	if cfg.Engine == EngineAuto || cfg.Engine == EngineScan {
-		if cfg.Epsilon > 0 {
-			cfg.Engine = EngineApprox
-		} else {
-			cfg.Engine = EngineLazy
-		}
-	}
-	st, err := newHybridState(sys, cfg)
+	st, err := newHybridState(sys, cfg, shared)
 	if err != nil {
 		return nil, nil, err
-	}
-	if shared != nil {
-		// Rebuild the predictors against the carried-over table (the
-		// state constructor made a fresh one).
-		st.shared = shared
-		for i := 0; i < st.n; i++ {
-			st.preds[i] = mustModel(st.model, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], shared)
-		}
 	}
 	st.captureWarm = true
 	st.prepareCold()

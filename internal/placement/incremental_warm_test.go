@@ -133,7 +133,7 @@ func TestIncrementalLargeDriftFallsBack(t *testing.T) {
 	if stats.Warm || stats.Reason != "drift-too-large" {
 		t.Fatalf("large drift stayed warm: %+v", stats)
 	}
-	fresh, err := Hybrid(shifted, HybridConfig{Specs: specs, AvgObjectBytes: 1, Engine: EngineLazy})
+	fresh, err := Hybrid(shifted, HybridConfig{Specs: specs, AvgObjectBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

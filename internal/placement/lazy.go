@@ -1,11 +1,11 @@
-// Lazy-greedy selection engines. Both placement algorithms pick, each
+// Lazy-greedy selection. Both placement algorithms pick, each
 // iteration, the feasible (server, site) candidate with the largest
-// cached benefit; the reference engines do that with a full O(n·m)
-// argmax scan. The engines in this file replace the scan with a
-// max-heap ordered by (benefit desc, server asc, site asc) — exactly
-// the order the scan's row-major strict-greater comparison induces — so
-// the selected step sequence is bit-identical (enforced by
-// TestLazyMatchesScan*).
+// cached benefit; the literal form of that — the test oracle of
+// oracle_test.go — is a full O(n·m) argmax scan. The heaps in this file
+// replace the scan with a max-heap ordered by (benefit desc, server
+// asc, site asc) — exactly the order the scan's row-major
+// strict-greater comparison induces — so the selected step sequence is
+// bit-identical (enforced by TestLazyMatchesScan*).
 //
 // GreedyGlobal benefits are monotone non-increasing as replicas are
 // placed (every term of greedyBenefit shrinks pointwise when a column's
@@ -15,12 +15,12 @@
 // per-iteration column re-evaluation disappears entirely. Re-evaluating
 // at the pop reads exactly the state an eager column re-evaluation
 // would have read (the column is unchanged since its last event), so
-// the floats are bitwise identical to the scanning engine's matrix.
+// the floats are bitwise identical to the oracle's matrix.
 //
 // Hybrid benefits can also rise (shrinking server i*'s cache lowers its
 // hit ratios, raising the remote term other candidates earn from it),
 // so the heap runs in a lazy-deletion form over the same eagerly
-// maintained matrix as the scanning engine: any update that raises a
+// maintained matrix as the oracle: any update that raises a
 // cell above its live heap key pushes a fresh entry, decayed entries
 // are re-pushed at their current value when popped, and the top entry
 // whose key matches the live matrix is the exact argmax. The model
@@ -124,9 +124,9 @@ func (h *benHeap) pop() benEntry {
 // worst-case loss max(0, k₂ + d − key) fits the remaining ε budget:
 // every other entry's key upper-bounds its cell, so the true best among
 // them is ≤ k₂, while the popped entry's true value is ≥ key − d.
-// eps == 0 never charges the (empty) budget and reproduces the exact
-// engine's float-op stream unchanged.
-func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64, engine Engine) *Result {
+// eps == 0 never charges the (empty) budget: the run is the exact
+// greedy, the oracle's float-op stream.
+func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 	updateRates := cfg.UpdateRates
 	p := core.NewPlacement(sys)
 	res := &Result{Placement: p}
@@ -139,7 +139,7 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64, engine Engine) 
 		}
 		return c
 	}
-	// Initial fill, identical to the reference engine's.
+	// Initial fill, identical to the oracle's.
 	ben := make([][]float64, n)
 	fanOutRows(n, workers, func(i int) {
 		ben[i] = make([]float64, m)
@@ -168,7 +168,7 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64, engine Engine) 
 		colDrift = make([]float64, m)
 		oldCol = make([]float64, n)
 	}
-	engineLabel := engine.String()
+	engineLabel := EngineLabel(eps, false)
 	// Engine work counters since the last emitted step; plain ints on
 	// the existing paths, so a nil Explain costs nothing.
 	var pops, stale, infeasible int
@@ -196,8 +196,8 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64, engine Engine) 
 				}
 			}
 			if !accepted {
-				// Re-evaluate — bitwise the value the reference engine's
-				// eager column re-evaluation holds right now — and re-push
+				// Re-evaluate — bitwise the value the oracle's eager
+				// column re-evaluation holds right now — and re-push
 				// unless the candidate dropped out (values never increase,
 				// so a non-positive value stays non-positive).
 				stale++
@@ -255,8 +255,8 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64, engine Engine) 
 	return res
 }
 
-// evalBenCached is the lazy hybrid engine's cell evaluation. It is the
-// same computation as the reference engine's evalBen — identical
+// evalBenCached is the hybrid heap's cell evaluation. It is the same
+// computation as the oracle's evalBen (hybridBenefit) — identical
 // floating-point chain, hence bitwise-identical values — except that
 // the shrink-term model values preds[i].SiteHitRatioCond(k, ·, ·) are
 // stored in (fill=true) or served from (fill=false) cache, the row's
@@ -316,13 +316,4 @@ func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float
 		}
 	}
 	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
-}
-
-// hybridLazy is the exact heap engine behind Hybrid: the unified heap
-// run of approx.go with a zero drift budget, which disables every
-// deferral and reproduces the scanning engine's step sequence byte for
-// byte (test-enforced). See hybridHeapRun for the loop itself.
-func hybridLazy(st *hybridState) *Result {
-	st.prepareCold()
-	return hybridHeapRun(st, 0)
 }

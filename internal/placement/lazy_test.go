@@ -5,14 +5,15 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/xrand"
 )
 
-// The lazy-greedy heap engines must reproduce the scanning reference
-// engines bit for bit: same Step sequence (servers, sites, float64
-// benefits and predicted costs), same final placement, same final
-// objective. reflect.DeepEqual on Steps compares the floats exactly —
-// any reordering of arithmetic would fail here.
+// The lazy-greedy heaps must reproduce the scanning oracles
+// (oracle_test.go) bit for bit: same Step sequence (servers, sites,
+// float64 benefits and predicted costs), same final placement, same
+// final objective. reflect.DeepEqual on Steps compares the floats
+// exactly — any reordering of arithmetic would fail here.
 
 func requireBitIdentical(t *testing.T, scan, lazy *Result) {
 	t.Helper()
@@ -35,8 +36,33 @@ func requireBitIdentical(t *testing.T, scan, lazy *Result) {
 	}
 }
 
-// TestLazyMatchesScanGreedy pins the CELF engine to the scanning
-// reference across seeds, capacity fractions, update rates and worker
+// requireHeapMatchesOracle runs the hybrid oracle and both cold entry
+// points of the heap on one instance and requires all three results to
+// be bit-identical; it returns the oracle's.
+func requireHeapMatchesOracle(t *testing.T, sys *core.System, cfg HybridConfig) *Result {
+	t.Helper()
+	scan, err := hybridOracle(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := Hybrid(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, scan, lazy)
+	captured, _, stats, err := Incremental(nil, sys, IncrementalConfig{HybridConfig: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Warm {
+		t.Fatal("Incremental with no previous state reported a warm round")
+	}
+	requireBitIdentical(t, scan, captured)
+	return scan
+}
+
+// TestLazyMatchesScanGreedy pins the CELF heap to the scanning
+// oracle across seeds, capacity fractions, update rates and worker
 // counts.
 func TestLazyMatchesScanGreedy(t *testing.T) {
 	totalSteps := 0
@@ -55,8 +81,9 @@ func TestLazyMatchesScanGreedy(t *testing.T) {
 								rates[j] = 0.3 * r.Float64()
 							}
 						}
-						scan := GreedyGlobalOpts(sys, GreedyConfig{UpdateRates: rates, Parallelism: par, Scan: true})
-						lazy := GreedyGlobalOpts(sys, GreedyConfig{UpdateRates: rates, Parallelism: par})
+						cfg := GreedyConfig{UpdateRates: rates, Parallelism: par}
+						scan := greedyScan(sys, cfg)
+						lazy := GreedyGlobalOpts(sys, cfg)
 						totalSteps += len(scan.Steps)
 						requireBitIdentical(t, scan, lazy)
 					})
@@ -69,9 +96,10 @@ func TestLazyMatchesScanGreedy(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesScanHybrid pins the lazy-deletion heap engine (and its
-// per-row model-value cache) to the scanning reference across the same
-// grid.
+// TestLazyMatchesScanHybrid pins the lazy-deletion heap (and its
+// per-row model-value cache) to the scanning oracle across the same
+// grid, through both of its cold entry points: Hybrid and Incremental
+// with no previous state (the run that also captures a WarmState).
 func TestLazyMatchesScanHybrid(t *testing.T) {
 	totalSteps := 0
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -82,25 +110,15 @@ func TestLazyMatchesScanHybrid(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						r := xrand.New(seed)
 						sys, specs := randomSystem(r, 14, 9, capFrac)
-						cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par, Engine: EngineLazy}
+						cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par}
 						if withUpdates {
 							cfg.UpdateRates = make([]float64, sys.M())
 							for j := range cfg.UpdateRates {
 								cfg.UpdateRates[j] = 0.3 * r.Float64()
 							}
 						}
-						scanCfg := cfg
-						scanCfg.Scan = true
-						scan, err := Hybrid(sys, scanCfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						lazy, err := Hybrid(sys, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
+						scan := requireHeapMatchesOracle(t, sys, cfg)
 						totalSteps += len(scan.Steps)
-						requireBitIdentical(t, scan, lazy)
 					})
 				}
 			}
@@ -111,8 +129,8 @@ func TestLazyMatchesScanHybrid(t *testing.T) {
 	}
 }
 
-// TestLazyMatchesScanPaperScale pins the two engines against each other
-// at the paper's evaluation scale (50 servers, 20 sites), the size the
+// TestLazyMatchesScanPaperScale pins the heaps to the oracles at the
+// paper's evaluation scale (50 servers, 20 sites), the size the
 // acceptance bar names explicitly.
 func TestLazyMatchesScanPaperScale(t *testing.T) {
 	if testing.Short() {
@@ -121,23 +139,8 @@ func TestLazyMatchesScanPaperScale(t *testing.T) {
 	r := xrand.New(1)
 	sys, specs := randomSystem(r, 50, 20, 0.1)
 
-	scanG := GreedyGlobalOpts(sys, GreedyConfig{Scan: true})
-	lazyG := GreedyGlobalOpts(sys, GreedyConfig{})
-	requireBitIdentical(t, scanG, lazyG)
-
-	cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Engine: EngineLazy}
-	scanCfg := cfg
-	scanCfg.Engine = EngineAuto
-	scanCfg.Scan = true
-	scanH, err := Hybrid(sys, scanCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazyH, err := Hybrid(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireBitIdentical(t, scanH, lazyH)
+	requireBitIdentical(t, greedyScan(sys, GreedyConfig{}), GreedyGlobalOpts(sys, GreedyConfig{}))
+	requireHeapMatchesOracle(t, sys, HybridConfig{Specs: specs, AvgObjectBytes: 1})
 }
 
 // TestLazyHeapOrdering pins the tie-break: equal keys must pop in

@@ -210,7 +210,8 @@ func TestIncrementalModelChangeForcesCold(t *testing.T) {
 }
 
 // TestHybridModelCostMonotonicity is a sanity guard on the cross-model
-// deltas BENCH_models.json reports: the relative final-cost difference
+// cost deltas BenchmarkHybridCold/model=* reports (EXPERIMENTS.md,
+// "Hit-ratio model ablation"): the relative final-cost difference
 // between closedform and eq1 stays tiny, while che and random may
 // differ but remain the same order of magnitude.
 func TestHybridModelCostMonotonicity(t *testing.T) {

@@ -77,7 +77,7 @@ func TestGreedyGlobalOptsParallelMatchesSerialUpdates(t *testing.T) {
 func TestHybridParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []uint64{2, 8} {
 		sys, specs := randomSystem(xrand.New(seed), 10, 7, 0.2)
-		cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: 1, Engine: EngineLazy}
+		cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: 1}
 		serial, err := Hybrid(sys, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -106,13 +106,13 @@ func TestHybridParallelMatchesSerialUpdates(t *testing.T) {
 		updates[j] = r.Float64() * 0.05
 	}
 	serial, err := Hybrid(sys, HybridConfig{
-		Specs: specs, AvgObjectBytes: 1, UpdateRates: updates, Parallelism: 1, Engine: EngineLazy,
+		Specs: specs, AvgObjectBytes: 1, UpdateRates: updates, Parallelism: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := Hybrid(sys, HybridConfig{
-		Specs: specs, AvgObjectBytes: 1, UpdateRates: updates, Parallelism: 4, Engine: EngineLazy,
+		Specs: specs, AvgObjectBytes: 1, UpdateRates: updates, Parallelism: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

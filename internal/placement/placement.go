@@ -61,36 +61,6 @@ func fanOutRows(n, workers int, f func(i int)) {
 	wg.Wait()
 }
 
-// Engine selects the selection machinery behind a placement run. The
-// zero value (EngineAuto) picks the exact lazy heap, or the approximate
-// heap whenever an ε budget is configured; it never picks the scanning
-// reference. Explicit values force one engine; EngineLazy ignores
-// Epsilon, EngineApprox honors it (ε=0 reproduces the exact lazy run
-// byte for byte).
-type Engine int
-
-const (
-	EngineAuto Engine = iota
-	EngineScan
-	EngineLazy
-	EngineApprox
-)
-
-// String returns the engine label used in ExplainStep.Engine and the
-// control plane's audit records.
-func (e Engine) String() string {
-	switch e {
-	case EngineScan:
-		return "scan"
-	case EngineLazy:
-		return "lazy"
-	case EngineApprox:
-		return "approx"
-	default:
-		return "auto"
-	}
-}
-
 // Step records one replica creation decision.
 type Step struct {
 	Server, Site int
@@ -139,55 +109,21 @@ type GreedyConfig struct {
 	// stays sequential, so parallel and serial runs produce identical
 	// step sequences.
 	Parallelism int
-	// Scan selects the reference engine: a full O(n·m) argmax scan over
-	// the benefit matrix per iteration, with every cell of the placed
-	// site's column eagerly re-evaluated. The default (false) is the
-	// lazy-greedy (CELF-style) heap engine, which defers column
-	// re-evaluation until a stale entry surfaces at the heap top. Both
-	// engines produce bit-identical step sequences (test-enforced); the
-	// knob exists for verification and benchmarking. Equivalent to
-	// Engine: EngineScan; honored only when Engine is EngineAuto.
-	Scan bool
-	// Engine forces a specific selection engine; EngineAuto (the zero
-	// value) picks the lazy heap, or the approximate heap when
-	// Epsilon > 0 (the greedy heap wins at every measured size, so there
-	// is no scan crossover here).
-	Engine Engine
-	// Epsilon is the approximate engine's relative drift budget: stale
-	// heap entries may be accepted without re-evaluation as long as the
-	// total worst-case selection loss stays within Epsilon of the
-	// initial objective. 0 reproduces the exact lazy engine byte for
-	// byte; negative values are treated as 0.
+	// Epsilon is the heap's relative drift budget: stale heap entries
+	// may be accepted without re-evaluation as long as the total
+	// worst-case selection loss stays within Epsilon of the initial
+	// objective. 0 is the exact greedy; negative values are treated
+	// as 0.
 	Epsilon float64
 	// Explain, if non-nil, receives one ExplainStep per replica created
 	// (nil-cost when disabled; see ExplainWriter).
 	Explain ExplainWriter
 }
 
-// resolveEngine maps the Auto/Scan/Epsilon knobs to a concrete engine.
-func (cfg GreedyConfig) resolveEngine() Engine {
-	if cfg.Engine != EngineAuto {
-		return cfg.Engine
-	}
-	if cfg.Scan {
-		return EngineScan
-	}
-	if cfg.Epsilon > 0 {
-		return EngineApprox
-	}
-	return EngineLazy
-}
-
-// GreedyGlobalOpts is the greedy-global algorithm with explicit options.
+// GreedyGlobalOpts is the greedy-global algorithm with explicit options:
+// the CELF-style heap of lazy.go, exact at Epsilon = 0.
 func GreedyGlobalOpts(sys *core.System, cfg GreedyConfig) *Result {
-	switch cfg.resolveEngine() {
-	case EngineScan:
-		return greedyScan(sys, cfg)
-	case EngineApprox:
-		return greedyLazy(sys, cfg, maxf(cfg.Epsilon, 0), EngineApprox)
-	default:
-		return greedyLazy(sys, cfg, 0, EngineLazy)
-	}
+	return greedyLazy(sys, cfg, maxf(cfg.Epsilon, 0))
 }
 
 func maxf(a, b float64) float64 {
@@ -195,70 +131,6 @@ func maxf(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// greedyScan is the reference engine: the literal "compare all
-// server-site pairs each iteration" loop, kept as the provenance anchor
-// the lazy engine is verified against.
-func greedyScan(sys *core.System, cfg GreedyConfig) *Result {
-	updateRates := cfg.UpdateRates
-	p := core.NewPlacement(sys)
-	res := &Result{Placement: p}
-	n, m := sys.N(), sys.M()
-	workers := normWorkers(cfg.Parallelism, n)
-	objective := func() float64 {
-		c := p.Cost(core.ZeroHitRatio)
-		if updateRates != nil {
-			c += p.UpdateCost(updateRates)
-		}
-		return c
-	}
-	// Cached benefit matrix with exact invalidation: placing (i*, j*)
-	// only changes SN entries of site j*, so only column j* needs
-	// recomputation (greedyBenefit depends on the placement solely
-	// through NearestCost(·, j) and Has(·, j)). Rows are independent
-	// given the read-only placement, so the initial fill fans out.
-	ben := make([][]float64, n)
-	fanOutRows(n, workers, func(i int) {
-		ben[i] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			ben[i][j] = greedyBenefit(sys, p, i, j) - updatePenalty(sys, updateRates, i, j)
-		}
-	})
-	for {
-		bestB := 0.0
-		bestI, bestJ := -1, -1
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				if ben[i][j] > bestB && p.CanReplicate(i, j) {
-					bestB, bestI, bestJ = ben[i][j], i, j
-				}
-			}
-		}
-		if bestI < 0 {
-			break
-		}
-		mustReplicate(p, bestI, bestJ)
-		fanOutRows(n, workers, func(i int) {
-			ben[i][bestJ] = greedyBenefit(sys, p, i, bestJ) - updatePenalty(sys, updateRates, i, bestJ)
-		})
-		cost := objective()
-		res.Steps = append(res.Steps, Step{
-			Server:        bestI,
-			Site:          bestJ,
-			Benefit:       bestB,
-			PredictedCost: cost,
-		})
-		if cfg.Explain != nil {
-			cfg.Explain(ExplainStep{
-				Iter: len(res.Steps) - 1, Server: bestI, Site: bestJ,
-				Benefit: bestB, PredictedCost: cost,
-				Engine: EngineScan.String(),
-			})
-		}
-	}
-	res.PredictedCost = objective()
-	return res
 }
 
 // greedyBenefit is the no-cache benefit of replica (i, j): the local
@@ -315,64 +187,19 @@ type HybridConfig struct {
 	// is a pure function of the placement: parallel and serial runs
 	// produce identical step sequences.
 	Parallelism int
-	// Scan selects the reference engine: a full O(n·m) argmax scan over
-	// the benefit matrix per iteration, re-deriving every model value it
-	// needs from the lrumodel predictors. The default (false) is the
-	// lazy-greedy heap engine, which replaces the scan with a max-heap
-	// whose stale entries are refreshed when they surface at the top and
-	// serves repeated shrink-term model lookups from a per-row cache
-	// keyed by the row's cache state. Both engines produce bit-identical
-	// step sequences (test-enforced); the knob exists for verification
-	// and benchmarking. Equivalent to Engine: EngineScan; honored only
-	// when Engine is EngineAuto.
-	Scan bool
-	// Engine forces a specific selection engine. EngineAuto (the zero
-	// value) picks the approximate heap when Epsilon > 0 and the exact
-	// lazy heap otherwise.
-	Engine Engine
-	// Epsilon is the approximate engine's relative drift budget: row
-	// re-evaluations after a replica creation may be deferred, with
-	// per-row drift bounds tracked as replicas are created, as long as
-	// the total worst-case selection loss stays within Epsilon of the
-	// starting objective — so the final predicted cost lands within
-	// Epsilon of the exact lazy engine's (test-enforced for
-	// ε ∈ {1e-3, 1e-2}). 0 reproduces the exact lazy engine byte for
-	// byte; negative values are treated as 0. See approx.go for the
-	// drift-bound invariant.
+	// Epsilon is the heap's relative drift budget, its only accuracy
+	// input: row re-evaluations after a replica creation may be
+	// deferred, with per-row drift bounds tracked as replicas are
+	// created, as long as the total worst-case selection loss stays
+	// within Epsilon of the starting objective — so the final predicted
+	// cost lands within Epsilon of the exact run's (test-enforced for
+	// ε ∈ {1e-3, 1e-2}). 0 is the exact Figure 2 greedy, byte for byte
+	// the scanning oracle's steps; negative values are treated as 0.
+	// See approx.go for the drift-bound invariant.
 	Epsilon float64
 	// Explain, if non-nil, receives one ExplainStep per replica created
 	// (nil-cost when disabled; see ExplainWriter).
 	Explain ExplainWriter
-}
-
-// resolveEngine maps the Auto/Scan/Epsilon knobs to a concrete engine.
-//
-// There is no instance size below which EngineAuto falls back to the
-// scan. Scan ÷ lazy wall time of a cold solve, medians of 15 alternating
-// runs on 2 vCPUs, at 500 / 1000 / 2000 / 4000 benefit cells (n×m =
-// 25×20, 50×20, 100×20, 100×40): 1.01 / 0.95–1.04 / 1.01 / 1.05 on the
-// paper's catalog (2000 objects a site, 6–24 steps: the initial fill
-// both engines share is all of the run) and 1.11 / 1.17 / 1.20 / 1.38
-// on the random catalogs of the engine tests (50–200 objects a site,
-// 42–203 steps). The lazy heap is no slower anywhere.
-func (cfg HybridConfig) resolveEngine() Engine {
-	if cfg.Engine != EngineAuto {
-		return cfg.Engine
-	}
-	if cfg.Scan {
-		return EngineScan
-	}
-	if cfg.Epsilon > 0 {
-		return EngineApprox
-	}
-	return EngineLazy
-}
-
-// ResolveEngineLabel reports which engine a Hybrid call with this
-// config would run ("scan", "lazy" or "approx") — the label callers
-// record next to a run's results.
-func (cfg HybridConfig) ResolveEngineLabel() string {
-	return cfg.resolveEngine().String()
 }
 
 // Hybrid is the paper's Figure 2 algorithm. It starts from a network
@@ -387,32 +214,25 @@ func (cfg HybridConfig) ResolveEngineLabel() string {
 // i's cache by o_j bytes. It terminates when no candidate has positive
 // benefit or no site fits anywhere.
 func Hybrid(sys *core.System, cfg HybridConfig) (*Result, error) {
-	st, err := newHybridState(sys, cfg)
+	st, err := newHybridState(sys, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	switch st.engine {
-	case EngineScan:
-		return hybridScan(st), nil
-	case EngineApprox:
-		if eps := maxf(cfg.Epsilon, 0); eps > 0 {
-			// A positive budget also unlocks the lazy cold start: the
-			// heap is seeded with cheap optimistic bounds and a row's
-			// m×m shrink fill is paid only if one of its cells ever
-			// reaches the top (approx.go).
-			st.prepareOptimistic()
-			return hybridHeapRun(st, eps), nil
-		}
+	eps := maxf(cfg.Epsilon, 0)
+	if eps > 0 {
+		// A positive budget also unlocks the lazy cold start: the heap is
+		// seeded with cheap optimistic bounds and a row's m×m shrink fill
+		// is paid only if one of its cells ever reaches the top (approx.go).
+		st.prepareOptimistic()
+	} else {
 		st.prepareCold()
-		return hybridHeapRun(st, 0), nil
-	default:
-		return hybridLazy(st), nil
 	}
+	return hybridHeapRun(st, eps), nil
 }
 
-// hybridState is the shared setup of the two hybrid engines: the
-// placement under construction, one model per server and the current
-// per-server hit ratios and visible cache mass (lines 1–5 of Figure 2).
+// hybridState is the setup of a heap run: the placement under
+// construction, one model per server and the current per-server hit
+// ratios and visible cache mass (lines 1–5 of Figure 2).
 type hybridState struct {
 	sys     *core.System
 	cfg     HybridConfig
@@ -424,13 +244,11 @@ type hybridState struct {
 	visMass []float64
 	workers int
 	n, m    int
-	// engine is the resolved selection engine; its String() labels the
-	// run's ExplainSteps (overridden to "warm" for incremental repairs).
-	engine      Engine
+	// engineLabel is the run's ExplainStep.Engine (see EngineLabel).
 	engineLabel string
 	// ben / hShrink are the benefit matrix and per-row shrink-term
-	// caches the heap engines run over; prepareCold fills them from an
-	// empty placement, Incremental from a reused warm base.
+	// caches the heap runs over; prepareCold fills them from an empty
+	// placement, Incremental from a reused warm base.
 	ben     [][]float64
 	hShrink [][]float64
 	// baseSteps are replicas already present before the heap run (warm
@@ -456,7 +274,11 @@ type hybridState struct {
 	optPenTot [][]float64
 }
 
-func newHybridState(sys *core.System, cfg HybridConfig) (*hybridState, error) {
+// newHybridState validates cfg and builds the state of a cold run.
+// shared is the hit-ratio table the predictors memoize into — a previous
+// round's, so its grid points are served instead of re-evaluated — or
+// nil for a fresh one.
+func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*hybridState, error) {
 	n, m := sys.N(), sys.M()
 	if len(cfg.Specs) != m {
 		return nil, fmt.Errorf("placement: %d specs for %d sites", len(cfg.Specs), m)
@@ -471,17 +293,20 @@ func newHybridState(sys *core.System, cfg HybridConfig) (*hybridState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &hybridState{
-		sys:     sys,
-		cfg:     cfg,
-		p:       core.NewPlacement(sys),
-		model:   kind,
-		workers: normWorkers(cfg.Parallelism, n),
-		n:       n,
-		m:       m,
+	if shared == nil {
+		shared = lrumodel.NewSharedTable()
 	}
-	st.engine = cfg.resolveEngine()
-	st.engineLabel = st.engine.String()
+	st := &hybridState{
+		sys:         sys,
+		cfg:         cfg,
+		p:           core.NewPlacement(sys),
+		model:       kind,
+		shared:      shared,
+		workers:     normWorkers(cfg.Parallelism, n),
+		n:           n,
+		m:           m,
+		engineLabel: EngineLabel(cfg.Epsilon, false),
+	}
 
 	// Lines 1–5: build one model per server and the initial hit
 	// ratios with the whole capacity as cache. visMass tracks the
@@ -492,17 +317,13 @@ func newHybridState(sys *core.System, cfg HybridConfig) (*hybridState, error) {
 	st.preds = make([]lrumodel.Model, n)
 	st.h = make([][]float64, n)
 	st.visMass = make([]float64, n)
-	// The lazy engine shares one hit-ratio table across all N
-	// predictors: the memoized Equation (1) values depend only on the
-	// quantized (p, K) grid point, the site's Zipf shape and the model
-	// kind, so servers reuse each other's entries bit for bit instead
-	// of each paying the O(L) evaluation. The Scan reference engine
-	// keeps the seed's per-predictor memos — it is the baseline the
-	// speedups are measured against, and the bit-identicality tests
-	// double as an end-to-end proof that sharing changes no values.
-	if !cfg.Scan {
-		st.shared = lrumodel.NewSharedTable()
-	}
+	// All N predictors share one hit-ratio table: the memoized
+	// Equation (1) values depend only on the quantized (p, K) grid
+	// point, the site's Zipf shape and the model kind, so servers reuse
+	// each other's entries bit for bit instead of each paying the O(L)
+	// evaluation. The test oracle (oracle_test.go) keeps per-predictor
+	// memos, so the byte-identity suites double as an end-to-end proof
+	// that sharing changes no values.
 	for i := 0; i < n; i++ {
 		st.preds[i], err = lrumodel.New(lrumodel.ModelConfig{
 			Kind:           kind,
@@ -522,7 +343,7 @@ func newHybridState(sys *core.System, cfg HybridConfig) (*hybridState, error) {
 }
 
 // prepareCold fills the benefit matrix and the per-row shrink caches
-// from the empty placement — the heap engines' shared initial state.
+// from the empty placement — the exact heap run's initial state.
 func (st *hybridState) prepareCold() {
 	n, m := st.n, st.m
 	st.ben = make([][]float64, n)
@@ -544,144 +365,6 @@ func (st *hybridState) hitFn(i, j int) float64 {
 	return st.h[i][j]
 }
 
-// hybridScan is the reference engine: the eagerly maintained benefit
-// matrix with a full argmax scan per iteration, kept as the provenance
-// anchor the lazy engine is verified against.
-func hybridScan(st *hybridState) *Result {
-	sys, p, preds, h, visMass := st.sys, st.p, st.preds, st.h, st.visMass
-	n, m, cfg := st.n, st.m, st.cfg
-	res := &Result{Placement: p}
-	hitFn := st.hitFn
-
-	// Cached benefit matrix with exact invalidation. Placing (i*, j*)
-	// changes: (a) server i*'s cache size, visible mass and hit ratios
-	// — every candidate in row i*; (b) site j*'s SN table — every
-	// candidate in column j*; (c) the remote-benefit term
-	// (1 − h_j^(i*)) that other candidates earn from server i*, which
-	// shifts by the known Δh of (a) — a pure arithmetic adjustment.
-	// Together these reproduce the paper's full per-iteration
-	// re-evaluation exactly, at a fraction of the model lookups.
-	//
-	// Matrix evaluation fans out at row granularity (see
-	// HybridConfig.Parallelism): row i only reads preds[i], h, visMass
-	// and the read-only placement, so rows never contend.
-	workers := st.workers
-	ben := make([][]float64, n)
-	evalBen := func(i, j int) float64 {
-		if !p.CanReplicate(i, j) {
-			return 0
-		}
-		return hybridBenefit(sys, p, preds, h, visMass, i, j) - updatePenalty(sys, cfg.UpdateRates, i, j)
-	}
-	fanOutRows(n, workers, func(i int) {
-		ben[i] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			ben[i][j] = evalBen(i, j)
-		}
-	})
-
-	// Per-iteration scratch, hoisted out of the loop: the paper-scale
-	// run takes hundreds of iterations and these were the loop's only
-	// allocations.
-	hOld := make([]float64, m)
-	visible := make([]bool, m)
-	staleRow := make([]bool, n)
-
-	// Lines 6–25: main loop.
-	for {
-		bestB := 0.0
-		bestI, bestJ := -1, -1
-		for i := 0; i < n; i++ {
-			for j := 0; j < m; j++ {
-				if ben[i][j] > bestB && p.CanReplicate(i, j) { // line 8
-					bestB, bestI, bestJ = ben[i][j], i, j
-				}
-			}
-		}
-		if bestI < 0 { // no candidate with positive benefit
-			break
-		}
-		// Lines 18–25: create the replica and update bookkeeping.
-		copy(hOld, h[bestI])
-		improved, err := p.ReplicateTracked(bestI, bestJ)
-		if err != nil {
-			panic(fmt.Sprintf("placement: internal error: %v", err))
-		}
-		visMass[bestI] -= preds[bestI].SitePopularity(bestJ)
-		for k := 0; k < m; k++ {
-			visible[k] = !p.Has(bestI, k)
-		}
-		copy(h[bestI], preds[bestI].HitRatiosCond(visible, p.Free(bestI)))
-
-		// Stale entries after this placement:
-		//   - rows of servers whose SN entry for bestJ improved (their
-		//     shrink terms weight site bestJ by the new, lower
-		//     NearestCost) and the row of bestI (cache shrank);
-		//   - column bestJ for everyone (remote terms reference the
-		//     improved SN entries);
-		//   - the remote-term contribution (1−h_j^(bestI))·r of server
-		//     bestI to every other candidate, which shifted by the
-		//     known Δh — pure arithmetic, applied to rows not already
-		//     re-evaluated.
-		for i := range staleRow {
-			staleRow[i] = false
-		}
-		for _, k := range improved {
-			staleRow[k] = true
-		}
-		for j := 0; j < m; j++ {
-			if j == bestJ || p.Has(bestI, j) {
-				continue
-			}
-			dh := hOld[j] - h[bestI][j]
-			if dh == 0 {
-				continue
-			}
-			snCost := p.NearestCost(bestI, j)
-			w := dh * sys.Demand[bestI][j]
-			for i := 0; i < n; i++ {
-				if i == bestI || staleRow[i] {
-					continue
-				}
-				if dc := snCost - sys.CostServer[bestI][i]; dc > 0 {
-					ben[i][j] += dc * w
-				}
-			}
-		}
-		// Model re-evaluations — the expensive part of an iteration —
-		// fan out across rows: stale rows in full, everyone else only
-		// the bestJ column cell.
-		fanOutRows(n, workers, func(i int) {
-			if staleRow[i] {
-				for j := 0; j < m; j++ {
-					ben[i][j] = evalBen(i, j)
-				}
-			} else {
-				ben[i][bestJ] = evalBen(i, bestJ)
-			}
-		})
-		step := Step{
-			Server:        bestI,
-			Site:          bestJ,
-			Benefit:       bestB,
-			PredictedCost: hybridObjective(p, hitFn, cfg.UpdateRates),
-		}
-		res.Steps = append(res.Steps, step)
-		if cfg.Observer != nil {
-			cfg.Observer(step)
-		}
-		if cfg.Explain != nil {
-			cfg.Explain(ExplainStep{
-				Iter: len(res.Steps) - 1, Server: bestI, Site: bestJ,
-				Benefit: bestB, PredictedCost: step.PredictedCost,
-				Engine: EngineScan.String(), Model: string(st.model),
-			})
-		}
-	}
-	res.PredictedCost = hybridObjective(p, hitFn, cfg.UpdateRates)
-	return res
-}
-
 // hybridObjective is the hybrid's full predicted objective: the cached
 // read cost plus, when configured, the update-propagation cost.
 func hybridObjective(p *core.Placement, hitFn core.HitRatioFunc, updateRates []float64) float64 {
@@ -690,40 +373,6 @@ func hybridObjective(p *core.Placement, hitFn core.HitRatioFunc, updateRates []f
 		c += p.UpdateCost(updateRates)
 	}
 	return c
-}
-
-// hybridBenefit evaluates lines 9–17 of Figure 2 for candidate (i, j).
-func hybridBenefit(sys *core.System, p *core.Placement, preds []lrumodel.Model, h [][]float64, visMass []float64, i, j int) float64 {
-	// Line 9: local benefit — the cache was already absorbing h of the
-	// redirected requests.
-	b := (1 - h[i][j]) * sys.Demand[i][j] * p.NearestCost(i, j)
-
-	// Lines 10–13: cost change for the other cached sites. The cache
-	// shrinks by o_j bytes, but site j's traffic also stops traversing
-	// it, boosting everyone else's effective popularity.
-	newCache := p.Free(i) - sys.SiteBytes[j]
-	newMass := visMass[i] - preds[i].SitePopularity(j)
-	for k := 0; k < sys.M(); k++ {
-		if k == j || p.Has(i, k) {
-			continue
-		}
-		hNew := preds[i].SiteHitRatioCond(k, newMass, newCache)
-		if dh := h[i][k] - hNew; dh != 0 {
-			b -= dh * sys.Demand[i][k] * p.NearestCost(i, k)
-		}
-	}
-
-	// Lines 14–17: relative benefit for servers that would redirect to
-	// the new, closer replica.
-	for s := 0; s < sys.N(); s++ {
-		if s == i || p.Has(s, j) {
-			continue
-		}
-		if dc := p.NearestCost(s, j) - sys.CostServer[s][i]; dc > 0 {
-			b += dc * (1 - h[s][j]) * sys.Demand[s][j]
-		}
-	}
-	return b
 }
 
 // None returns the pure-caching configuration: no replicas, all storage

@@ -1,12 +1,15 @@
 package placement
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lrumodel"
 	"repro/internal/scenario"
+	"repro/internal/topology"
+	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -412,30 +415,100 @@ func BenchmarkGreedyGlobalPaperScale(b *testing.B) {
 	}
 }
 
-// BenchmarkHybridCold times a cold Hybrid solve with the default
-// configuration. "paper" is the §5.1 instance (N=50, M=20, 2000 objects a
-// site), the benchmark's offline_place workload; "small" is the random
-// instance with 50–200 objects a site the engine comparisons use.
+// BenchmarkHybridCold times a cold Hybrid solve — the tables of
+// EXPERIMENTS.md "Scale" and "Hit-ratio model ablation" are this
+// function's output (regenerate line there).
+//
+//   - x1, x2, x4: the §5.1 instance grown by scenario.Scale (x1 is the
+//     paper's N=50, M=20, 2000 objects a site — the benchmark's
+//     offline_place workload), at ε ∈ {0, 1e-3, 1e-2}; cost-delta is the
+//     final predicted cost relative to the same instance's ε = 0 run.
+//   - model=*: each analytical hit-ratio model on 8 servers, 8 sites,
+//     L = 2000; cost-delta is relative to eq1's final predicted cost.
+//   - small: the random instance with 50–200 objects a site the oracle
+//     comparisons use (many steps, cheap model).
 func BenchmarkHybridCold(b *testing.B) {
-	sc, err := scenario.Build(scenario.Default())
-	if err != nil {
-		b.Fatal(err)
+	solve := func(b *testing.B, sys *core.System, cfg HybridConfig) float64 {
+		b.Helper()
+		res, err := Hybrid(sys, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.PredictedCost
 	}
-	small, smallSpecs := randomSystem(xrand.New(1), 50, 20, 0.1)
-	for _, c := range []struct {
-		name string
-		sys  *core.System
-		cfg  HybridConfig
-	}{
-		{"paper", sc.Sys, HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}},
-		{"small", small, HybridConfig{Specs: smallSpecs, AvgObjectBytes: 1}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Hybrid(c.sys, c.cfg); err != nil {
-					b.Fatal(err)
-				}
+	// timed runs the case and stops the timer, so a baseline a filtered
+	// run skipped can still be solved before the delta is reported.
+	timed := func(b *testing.B, sys *core.System, cfg HybridConfig) (cost float64) {
+		for i := 0; i < b.N; i++ {
+			cost = solve(b, sys, cfg)
+		}
+		b.StopTimer()
+		return cost
+	}
+
+	for _, factor := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("x%d", factor), func(b *testing.B) {
+			sc, err := scenario.Build(scenario.Scale(scenario.Default(), factor))
+			if err != nil {
+				b.Fatal(err)
+			}
+			exact := HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}
+			var exactCost float64
+			for _, eps := range []float64{0, 1e-3, 1e-2} {
+				cfg := exact
+				cfg.Epsilon = eps
+				b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
+					cost := timed(b, sc.Sys, cfg)
+					if eps == 0 {
+						exactCost = cost
+					} else if exactCost == 0 {
+						exactCost = solve(b, sc.Sys, exact)
+					}
+					b.ReportMetric((cost-exactCost)/exactCost, "cost-delta")
+				})
 			}
 		})
 	}
+
+	w := workload.DefaultConfig()
+	w.Servers = 8
+	w.LowSites, w.MediumSites, w.HighSites = 2, 4, 2
+	w.ObjectsPerSite = 2000
+	msc, err := scenario.Build(scenario.Config{
+		Topology: topology.Config{
+			TransitDomains:        1,
+			TransitNodesPerDomain: 2,
+			StubsPerTransitNode:   2,
+			StubNodesPerStub:      5,
+			ExtraEdgeProb:         0.3,
+		},
+		Workload:     w,
+		CapacityFrac: 0.15,
+		Seed:         1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eq1 := HybridConfig{Specs: msc.Work.Specs(), AvgObjectBytes: msc.Work.AvgObjectBytes, Model: string(lrumodel.ModelEq1)}
+	var eq1Cost float64
+	for _, kind := range lrumodel.ModelKinds() {
+		cfg := eq1
+		cfg.Model = string(kind)
+		b.Run("model="+string(kind), func(b *testing.B) {
+			cost := timed(b, msc.Sys, cfg)
+			if kind == lrumodel.ModelEq1 {
+				eq1Cost = cost
+			} else if eq1Cost == 0 {
+				eq1Cost = solve(b, msc.Sys, eq1)
+			}
+			b.ReportMetric((cost-eq1Cost)/eq1Cost, "cost-delta")
+		})
+	}
+
+	small, smallSpecs := randomSystem(xrand.New(1), 50, 20, 0.1)
+	b.Run("small", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			solve(b, small, HybridConfig{Specs: smallSpecs, AvgObjectBytes: 1})
+		}
+	})
 }

@@ -147,10 +147,7 @@ type PlacementConfig struct {
 	Parallelism int
 }
 
-// Place runs the selected placement strategy on the scenario. It is the
-// single entry point replacing the per-strategy constructors
-// (HybridPlacement, ReplicationPlacement, CachingPlacement,
-// AdHocPlacement), which survive as deprecated wrappers.
+// Place runs the selected placement strategy on the scenario.
 func Place(sc *Scenario, cfg PlacementConfig) (*PlacementResult, error) {
 	switch cfg.Strategy {
 	case StrategyHybrid, "":
@@ -172,52 +169,6 @@ func Place(sc *Scenario, cfg PlacementConfig) (*PlacementResult, error) {
 	default:
 		return nil, fmt.Errorf("repro: unknown placement strategy %q", cfg.Strategy)
 	}
-}
-
-// HybridPlacement runs the paper's Figure 2 algorithm on the scenario.
-//
-// Deprecated: use Place(sc, PlacementConfig{Strategy: StrategyHybrid}).
-func HybridPlacement(sc *Scenario) (*PlacementResult, error) {
-	return Place(sc, PlacementConfig{Strategy: StrategyHybrid})
-}
-
-// HybridPlacementWithObserver is HybridPlacement with a callback invoked
-// after every replica creation.
-//
-// Deprecated: use Place with PlacementConfig.Observer.
-func HybridPlacementWithObserver(sc *Scenario, obs func(PlacementStep)) (*PlacementResult, error) {
-	return Place(sc, PlacementConfig{Strategy: StrategyHybrid, Observer: obs})
-}
-
-// ReplicationPlacement runs the greedy-global baseline (no caching).
-//
-// Deprecated: use Place(sc, PlacementConfig{Strategy: StrategyReplication}).
-func ReplicationPlacement(sc *Scenario) *PlacementResult {
-	res, err := Place(sc, PlacementConfig{Strategy: StrategyReplication})
-	if err != nil {
-		panic(err) // unreachable: the replication strategy cannot fail
-	}
-	return res
-}
-
-// CachingPlacement returns the pure-caching configuration (no replicas).
-//
-// Deprecated: use Place(sc, PlacementConfig{Strategy: StrategyCaching}).
-func CachingPlacement(sc *Scenario) *PlacementResult {
-	res, err := Place(sc, PlacementConfig{Strategy: StrategyCaching})
-	if err != nil {
-		panic(err) // unreachable: the caching strategy cannot fail
-	}
-	return res
-}
-
-// AdHocPlacement reserves cacheFrac of storage for caching and fills the
-// rest with greedy-global replicas.
-//
-// Deprecated: use Place(sc, PlacementConfig{Strategy: StrategyAdHoc,
-// CacheFrac: cacheFrac}).
-func AdHocPlacement(sc *Scenario, cacheFrac float64) (*PlacementResult, error) {
-	return Place(sc, PlacementConfig{Strategy: StrategyAdHoc, CacheFrac: cacheFrac})
 }
 
 // Simulate runs the trace-driven simulator; seed fixes the request trace

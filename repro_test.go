@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/placement"
 )
 
 // TestFacadeEndToEnd drives the public API the way the README's
@@ -16,16 +18,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hyb, err := HybridPlacement(sc)
-	if err != nil {
-		t.Fatal(err)
+	place := func(cfg PlacementConfig) *PlacementResult {
+		t.Helper()
+		res, err := Place(sc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	repl := ReplicationPlacement(sc)
-	pure := CachingPlacement(sc)
-	adhoc, err := AdHocPlacement(sc, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hyb := place(PlacementConfig{Strategy: StrategyHybrid})
+	repl := place(PlacementConfig{Strategy: StrategyReplication})
+	pure := place(PlacementConfig{Strategy: StrategyCaching})
+	adhoc := place(PlacementConfig{Strategy: StrategyAdHoc, CacheFrac: 0.5})
 
 	simCfg := DefaultSim()
 	simCfg.Requests = 50000
@@ -75,9 +79,9 @@ func TestDefaultsAreValid(t *testing.T) {
 	}
 }
 
-// TestPlaceMatchesDeprecatedWrappers: the unified Place entry point must
-// produce exactly the placements the per-strategy constructors did.
-func TestPlaceMatchesDeprecatedWrappers(t *testing.T) {
+// TestPlaceStrategies: every Strategy reaches its algorithm, the zero
+// value is the hybrid, and an unknown name is an error.
+func TestPlaceStrategies(t *testing.T) {
 	sc, err := BuildScenario(QuickOptions().Base)
 	if err != nil {
 		t.Fatal(err)
@@ -92,51 +96,34 @@ func TestPlaceMatchesDeprecatedWrappers(t *testing.T) {
 		}
 		return true
 	}
+	place := func(cfg PlacementConfig) *Placement {
+		t.Helper()
+		res, err := Place(sc, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Placement
+	}
 
-	hybOld, err := HybridPlacement(sc)
-	if err != nil {
-		t.Fatal(err)
+	hyb := place(PlacementConfig{Strategy: StrategyHybrid})
+	if hyb.Replicas() == 0 {
+		t.Error("hybrid placed no replicas")
 	}
-	hybNew, err := Place(sc, PlacementConfig{Strategy: StrategyHybrid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same(hybOld.Placement, hybNew.Placement) {
-		t.Error("Place(hybrid) differs from HybridPlacement")
-	}
-	// The zero-value config is hybrid too.
-	hybZero, err := Place(sc, PlacementConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same(hybNew.Placement, hybZero.Placement) {
+	if !same(hyb, place(PlacementConfig{})) {
 		t.Error("zero-value PlacementConfig is not hybrid")
 	}
-
-	replNew, err := Place(sc, PlacementConfig{Strategy: StrategyReplication})
+	if !same(place(PlacementConfig{Strategy: StrategyReplication}), placement.GreedyGlobal(sc.Sys).Placement) {
+		t.Error("Place(replication) is not the greedy-global baseline")
+	}
+	if n := place(PlacementConfig{Strategy: StrategyCaching}).Replicas(); n != 0 {
+		t.Errorf("Place(caching) created %d replicas", n)
+	}
+	adhoc, err := placement.AdHoc(sc.Sys, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !same(ReplicationPlacement(sc).Placement, replNew.Placement) {
-		t.Error("Place(replication) differs from ReplicationPlacement")
-	}
-	cachNew, err := Place(sc, PlacementConfig{Strategy: StrategyCaching})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cachNew.Placement.Replicas() != 0 || !same(CachingPlacement(sc).Placement, cachNew.Placement) {
-		t.Error("Place(caching) differs from CachingPlacement")
-	}
-	adOld, err := AdHocPlacement(sc, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	adNew, err := Place(sc, PlacementConfig{Strategy: StrategyAdHoc, CacheFrac: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same(adOld.Placement, adNew.Placement) {
-		t.Error("Place(adhoc) differs from AdHocPlacement")
+	if !same(place(PlacementConfig{Strategy: StrategyAdHoc, CacheFrac: 0.5}), adhoc.Placement) {
+		t.Error("Place(adhoc) is not the 50% fixed split")
 	}
 
 	if _, err := Place(sc, PlacementConfig{Strategy: "bogus"}); err == nil {
