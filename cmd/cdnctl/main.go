@@ -1,6 +1,6 @@
 // Command cdnctl is the control-plane client: it talks to the
-// /debug/control and /debug/health endpoints, which both cdnd (on its
-// -metrics address) and the standalone cdncontrol (on its -addr) serve.
+// /debug/control and /debug/health endpoints of the control plane —
+// cdncontrol's -addr, or the -metrics address of a cdnd launch.
 //
 // Usage:
 //
@@ -10,11 +10,9 @@
 //	cdnctl -addr 127.0.0.1:9300 shards      # per-shard estimator state
 //
 // status prints a human summary (add -json for the raw Status);
-// reconcile prints the round's report; health prints the health
-// tracker's view of every edge and origin (passive trackers on cdnd,
-// the active prober on cdncontrol); shards prints the sharded
-// estimator's per-shard key/observation counts (cdncontrol only —
-// cdnd's single estimator has no shards).
+// reconcile prints the round's report; health prints the active
+// prober's view of every edge; shards prints the sharded estimator's
+// per-shard key/observation counts.
 package main
 
 import (

@@ -1,45 +1,34 @@
-// Command cdnd runs the hybrid CDN as a real HTTP system on loopback:
-// one origin server per hosted site, one edge server per CDN node, the
-// hybrid algorithm deciding each edge's replica/cache split, and a
-// client load generator drawing from the SURGE-like workload. It prints
-// a per-source latency summary of where requests were served from.
+// Command cdnd launches the whole hybrid CDN on loopback in one process:
+// the control plane, the origin and every edge — the internal/clusterd
+// components that cdncontrol, cdnorigin and cdnedge run one per process —
+// then drives the cluster's load generator (cdnload's) against them and
+// prints where requests were served from.
 //
-// With -metrics the full observability surface is served while the
-// load runs: /metrics (Prometheus text format, per-edge hit/miss/
-// eviction counters and per-source latency histograms), /debug/vars
-// (expvar-style JSON) and /debug/pprof/ (runtime profiles).
+// -metrics is the control plane's listen address: /metrics, /debug/vars,
+// /debug/pprof/, /debug/control{,/audit,/reconcile,/shards} and
+// /debug/health are the ones cdncontrol serves, and cmd/cdnctl is their
+// client. Each edge and the origin serve their own /metrics on the
+// addresses printed at start-up. The control plane reconciles placement
+// every -control-interval against the demand the edges report (0: only
+// when asked to, or when an edge joins, fails or recovers).
 //
-// With -control-interval the online control plane runs alongside the
-// load: every edge request feeds the demand estimator, and every
-// interval the controller re-runs the hybrid placement against the
-// estimate and live-swaps the routing tables when the plan clears
-// hysteresis. Its state is served at /debug/control on the -metrics
-// address (cdnctl is the client).
+// With -fault-mode the load generator faults -fault-edge for the request
+// window [-fault-from, -fault-to): clients steer around it, the control
+// plane's prober ejects it and reconciles placement without it, and the
+// run must still lose no request. With -trace every edge and the origin
+// record their spans (serve/health/failover/upstream/retry/origin,
+// stitched into one trace per client request by the Traceparent header)
+// to one JSONL file for cmd/cdntrace.
 //
-// With -fault-mode a fault injector degrades a set of edges for a window
-// of the load (-fault-edges, -fault-from, -fault-to): requests to those
-// edges fail, stall, or hang, the passive health tracker ejects them,
-// redirection routes around them, and — with the control loop on — the
-// controller reconciles placement without the dead edges. Health state
-// is served at /debug/health on the -metrics address.
-//
-// With -trace every request is recorded to a JSONL file as an event
-// plus a span tree (serve/health/failover/upstream/retry/origin, with
-// multi-hop fetches stitched into one trace by the Traceparent
-// header); cmd/cdntrace analyzes the file. Records dropped on write
-// errors are counted in cdn_trace_dropped_total and the shutdown
-// summary.
-//
-// SIGINT/SIGTERM stop the load generator, drain the metrics endpoint
-// and shut the cluster down cleanly.
+// cdnd exits 0 iff no request failed. SIGINT/SIGTERM stop the load and
+// shut the cluster down cleanly.
 //
 // Usage:
 //
 //	cdnd                              # default: 6 edges, 8 sites, 2000 requests
 //	cdnd -requests 5000 -hopdelay 2ms -capacity 0.15
-//	cdnd -metrics 127.0.0.1:0 -linger 30s
 //	cdnd -metrics 127.0.0.1:8080 -control-interval 5s -linger 10m
-//	cdnd -fault-mode error -fault-edges 0,1 -fault-from 500 -fault-to 1500
+//	cdnd -fault-mode error -fault-edge 1 -fault-from 500 -fault-to 1500
 //	cdnd -trace run.jsonl && cdntrace run.jsonl
 package main
 
@@ -47,127 +36,78 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
-	"repro/internal/control"
+	"repro/internal/clusterd"
 	"repro/internal/fault"
-	"repro/internal/httpcdn"
 	"repro/internal/lrumodel"
 	"repro/internal/obs"
-	"repro/internal/placement"
-	"repro/internal/scenario"
-	"repro/internal/serverutil"
-	"repro/internal/topology"
-	"repro/internal/workload"
-	"repro/internal/xrand"
 )
 
 type options struct {
-	requests     int
-	seed         uint64
-	hopDelay     time.Duration
-	capacity     float64
-	edges        int
-	model        string
-	metricsAddr  string
-	tracePath    string
-	linger       time.Duration
-	ctrlInterval time.Duration
-	ctrlHyst     float64
-	ctrlCooldown int
-	ctrlEpsilon  float64
-	ctrlCold     bool
-	ctrlDrift    float64
-	faultMode    string
-	faultEdges   string
-	faultLatency time.Duration
-	faultFrom    int
-	faultTo      int
-	churn        float64
+	params    clusterd.Params
+	control   clusterd.ControlConfig
+	load      clusterd.LoadConfig
+	hopDelay  time.Duration
+	tracePath string
+	linger    time.Duration
 }
 
 func main() {
 	var opt options
-	flag.IntVar(&opt.requests, "requests", 2000, "client requests to issue")
-	flag.Uint64Var(&opt.seed, "seed", 1, "scenario seed")
+	flag.IntVar(&opt.load.Requests, "requests", 2000, "client requests to issue")
+	flag.Uint64Var(&opt.params.Seed, "seed", 1, "scenario seed (the request streams derive from it too)")
 	flag.DurationVar(&opt.hopDelay, "hopdelay", time.Millisecond, "artificial delay per topology hop")
-	flag.Float64Var(&opt.capacity, "capacity", 0.15, "per-edge storage as a fraction of total content bytes")
-	flag.IntVar(&opt.edges, "edges", 6, "number of CDN edge servers")
-	flag.StringVar(&opt.model, "model", "", "analytical hit-ratio model placement and the control loop optimize with: eq1 (default), che, closedform or random")
-	flag.StringVar(&opt.metricsAddr, "metrics", "", "serve /metrics, /debug/vars, /debug/pprof/ and /debug/control on this address (e.g. 127.0.0.1:0)")
-	flag.StringVar(&opt.tracePath, "trace", "", "write a JSONL event+span trace to this file (analyze with cdntrace)")
-	flag.DurationVar(&opt.linger, "linger", 0, "keep the metrics endpoint up this long after the run (requires -metrics)")
-	flag.DurationVar(&opt.ctrlInterval, "control-interval", 0, "run the online control loop, reconciling at this interval (0 disables)")
-	flag.Float64Var(&opt.ctrlHyst, "control-hysteresis", 0, "minimum net benefit, as a fraction of current predicted cost, before a plan applies (0 = default, negative = off)")
-	flag.IntVar(&opt.ctrlCooldown, "control-cooldown", 0, "reconcile rounds a just-changed site stays frozen (0 = default, negative = off)")
-	flag.Float64Var(&opt.ctrlEpsilon, "control-epsilon", 0, "approximate placement drift budget: final predicted cost stays within this fraction of the exact engine's (0 = exact)")
-	flag.BoolVar(&opt.ctrlCold, "control-cold", false, "disable warm-start incremental re-placement (re-solve cold every reconcile)")
-	flag.Float64Var(&opt.ctrlDrift, "control-warm-drift", 0, "per-server demand drift above which warm-start rebuilds the row exactly (0 = default)")
-	flag.StringVar(&opt.faultMode, "fault-mode", "off", "fault to inject into -fault-edges: off, error, latency or blackhole")
-	flag.StringVar(&opt.faultEdges, "fault-edges", "0", "comma-separated edge ids the injector degrades")
-	flag.DurationVar(&opt.faultLatency, "fault-latency", 200*time.Millisecond, "added delay per request in latency mode")
-	flag.IntVar(&opt.faultFrom, "fault-from", 0, "client request index at which the fault starts")
-	flag.IntVar(&opt.faultTo, "fault-to", 0, "client request index at which the fault clears (0 = never)")
-	flag.Float64Var(&opt.churn, "churn", 0, "per-live-site perish probability per request: clients draw from a churning catalog, and requests for perished sites become client-side 404s (0 = static catalog)")
+	flag.Float64Var(&opt.params.CapacityFrac, "capacity", 0.15, "per-edge storage as a fraction of total content bytes")
+	flag.IntVar(&opt.params.Edges, "edges", 6, "number of CDN edge servers")
+	flag.StringVar(&opt.control.Model, "model", "", "analytical hit-ratio model placement and the control loop optimize with: eq1 (default), che, closedform or random")
+	flag.StringVar(&opt.control.Addr, "metrics", "", "control plane listen address: /metrics, /debug/vars, /debug/pprof/, /debug/control and /debug/health (default: a free loopback port)")
+	flag.StringVar(&opt.tracePath, "trace", "", "write a JSONL span trace to this file (analyze with cdntrace)")
+	flag.DurationVar(&opt.linger, "linger", 0, "keep the cluster up this long after the run")
+	flag.DurationVar(&opt.control.Interval, "control-interval", 0, "reconcile placement at this interval (0 = only on request and on membership or health changes)")
+	flag.Float64Var(&opt.control.Hysteresis, "control-hysteresis", 0, "minimum net benefit, as a fraction of current predicted cost, before a plan applies (0 = default, negative = off)")
+	flag.IntVar(&opt.control.CooldownRounds, "control-cooldown", 0, "reconcile rounds a just-changed site stays frozen (0 = default, negative = off)")
+	flag.Float64Var(&opt.control.Epsilon, "control-epsilon", 0, "approximate placement drift budget: final predicted cost stays within this fraction of the exact engine's (0 = exact)")
+	flag.StringVar(&opt.load.FaultMode, "fault-mode", "off", "fault to inject into -fault-edge: off, error, latency or blackhole")
+	flag.IntVar(&opt.load.FaultEdge, "fault-edge", 0, "edge id the injector degrades")
+	flag.IntVar(&opt.load.FaultAt, "fault-from", 0, "client request index at which the fault starts")
+	flag.IntVar(&opt.load.ClearAt, "fault-to", 0, "client request index at which the fault clears (0 = never)")
+	flag.Float64Var(&opt.load.StaleLinkFrac, "stale-links", 0, "fraction of requests aimed at out-of-catalog sites (must 404)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, opt); err != nil {
+	if err := run(ctx, opt, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "cdnd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, opt options) error {
-	modelKind, err := lrumodel.ParseModelKind(opt.model)
-	if err != nil {
+func run(ctx context.Context, opt options, out io.Writer) (err error) {
+	if _, err := lrumodel.ParseModelKind(opt.control.Model); err != nil {
 		return fmt.Errorf("-model: %w", err)
 	}
-	if opt.churn < 0 {
-		return fmt.Errorf("-churn %v: perish rate must be >= 0", opt.churn)
+	switch mode, ok := fault.ParseMode(opt.load.FaultMode); {
+	case !ok:
+		return fmt.Errorf("bad -fault-mode %q (want off, error, latency or blackhole)", opt.load.FaultMode)
+	case mode == fault.ModeOff:
+		opt.load.FaultEdge = -1
 	}
-	w := workload.DefaultConfig()
-	w.Servers = opt.edges
-	w.LowSites, w.MediumSites, w.HighSites = 2, 4, 2
-	w.ObjectsPerSite = 60
-	cfg := scenario.Config{
-		Topology: topology.Config{
-			TransitDomains:        1,
-			TransitNodesPerDomain: 2,
-			StubsPerTransitNode:   3,
-			StubNodesPerStub:      4,
-			ExtraEdgeProb:         0.3,
-		},
-		Workload:     w,
-		CapacityFrac: opt.capacity,
-		Seed:         opt.seed,
-	}
-	sc, err := scenario.Build(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
-		Specs:          sc.Work.Specs(),
-		AvgObjectBytes: sc.Work.AvgObjectBytes,
-		Model:          string(modelKind),
-	})
-	if err != nil {
-		return err
+	// Every line goes through one logger: the control plane's goroutines
+	// and the load workers print too.
+	logf := log.New(out, "", 0).Printf
+	opt.control.Logf = logf
+	if opt.control.Interval <= 0 {
+		opt.control.Interval = time.Hour
 	}
 
-	reg := obs.NewRegistry()
-
-	// The tracer writes the mixed event+span JSONL stream cdntrace
-	// consumes; a dying disk shows up as cdn_trace_dropped_total in
-	// /metrics and in the shutdown summary rather than as a silently
-	// truncated file.
+	// One tracer for every component, so a span's parent is in the same
+	// file whichever process-to-be emitted it.
 	var tracer *obs.Tracer
 	if opt.tracePath != "" {
 		tf, err := os.Create(opt.tracePath)
@@ -176,328 +116,91 @@ func run(ctx context.Context, opt options) error {
 		}
 		defer tf.Close()
 		tracer = obs.NewTracer(tf)
-		tracer.CountDrops(reg.Counter("cdn_trace_dropped_total",
-			"Trace records discarded after a write error.", nil))
 	}
 
-	// The estimator exists before the cluster so the request tap can feed
-	// it; the controller itself needs the running cluster as its target.
-	var est *control.Estimator
-	if opt.ctrlInterval > 0 {
-		est, err = control.NewEstimator(control.EstimatorConfig{
-			Servers: sc.Sys.N(),
-			Sites:   sc.Sys.M(),
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	fmt.Printf("starting %d origin + %d edge HTTP servers on loopback\n",
-		sc.Sys.M(), sc.Sys.N())
-	fmt.Printf("hybrid placement (%s model): %d replicas, predicted cost %.3f hops/request\n\n",
-		modelKind, res.Placement.Replicas(), res.PredictedCost)
-
-	// The controller is created after the cluster (it needs the running
-	// cluster as target and health view), so the health callback reaches
-	// it through an atomic pointer.
-	var ctrlRef atomic.Pointer[control.Controller]
-	hcfg := httpcdn.DefaultConfig()
-	hcfg.PerHopDelay = opt.hopDelay
-	hcfg.Metrics = reg
-	if tracer != nil {
-		hcfg.Tracer = tracer
-		hcfg.TraceSpans = true
-	}
-	if est != nil {
-		hcfg.RequestTap = est.Observe
-	}
-	hcfg.OnHealthChange = func(kind string, id int, ejected bool) {
-		if ejected {
-			fmt.Printf("health: %s %d ejected\n", kind, id)
-		} else {
-			fmt.Printf("health: %s %d readmitted\n", kind, id)
-		}
-		if c := ctrlRef.Load(); c != nil && kind == "edge" {
-			if !ejected {
-				// A recovered edge may deserve its replicas back
-				// immediately; clear placement cooldowns first.
-				c.Unfreeze()
-			}
-			c.Kick()
-		}
-	}
-	cl, err := httpcdn.Start(sc, res.Placement, hcfg)
+	cl, err := clusterd.StartLocal(opt.params, opt.control,
+		clusterd.OriginConfig{Tracer: tracer},
+		clusterd.EdgeConfig{PerHopDelay: opt.hopDelay, Tracer: tracer})
 	if err != nil {
 		return err
 	}
-	defer cl.Close()
-
-	faultMode, ok := fault.ParseMode(opt.faultMode)
-	if !ok {
-		return fmt.Errorf("bad -fault-mode %q (want off, error, latency or blackhole)", opt.faultMode)
+	if tracer != nil {
+		tracer.CountDrops(cl.Control.Registry().Counter("cdn_trace_dropped_total",
+			"Trace records discarded after a write error.", nil))
 	}
-	var faultEdges []int
-	if faultMode != fault.ModeOff {
-		for _, f := range strings.Split(opt.faultEdges, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || id < 0 || id >= sc.Sys.N() {
-				return fmt.Errorf("bad -fault-edges entry %q", f)
+	defer func() {
+		// Spans are complete once every server has drained; a dying disk
+		// shows up here and in the counter above rather than as a silently
+		// truncated file.
+		sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		cl.Shutdown(sctx)
+		if tracer != nil {
+			ferr := tracer.Flush()
+			logf("trace: wrote %s (%d records dropped)", opt.tracePath, tracer.Dropped())
+			if ferr != nil && err == nil {
+				err = fmt.Errorf("trace %s: %w", opt.tracePath, ferr)
 			}
-			faultEdges = append(faultEdges, id)
 		}
-	}
-	setFault := func(m fault.Mode) {
-		for _, id := range faultEdges {
-			cl.EdgeInjector(id).Set(m, opt.faultLatency)
-		}
-	}
+	}()
 
-	var ctrl *control.Controller
-	if opt.ctrlInterval > 0 {
-		ctrl, err = control.New(control.Config{
-			Base:               sc.Sys,
-			Specs:              sc.Work.Specs(),
-			AvgObjectBytes:     sc.Work.AvgObjectBytes,
-			Model:              string(modelKind),
-			Target:             cl,
-			Estimator:          est,
-			Health:             cl,
-			Interval:           opt.ctrlInterval,
-			Hysteresis:         opt.ctrlHyst,
-			CooldownRounds:     opt.ctrlCooldown,
-			Epsilon:            opt.ctrlEpsilon,
-			DisableWarmStart:   opt.ctrlCold,
-			WarmDriftThreshold: opt.ctrlDrift,
-			Metrics:            reg,
-			Logf: func(format string, args ...any) {
-				fmt.Printf(format+"\n", args...)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		ctrlRef.Store(ctrl)
-		go ctrl.Run(ctx)
-		fmt.Printf("control loop: reconciling every %v\n", opt.ctrlInterval)
-	}
-
-	if opt.metricsAddr != "" {
-		mux := serverutil.DebugMux(reg)
-		mux.Handle("/debug/health", cl.HealthHandler())
-		if ctrl != nil {
-			h := control.Handler(ctrl)
-			mux.Handle("/debug/control", h)
-			mux.Handle("/debug/control/audit", h)
-			mux.Handle("/debug/control/reconcile", h)
-		}
-		srv, err := serverutil.Start(serverutil.Config{
-			Addr: opt.metricsAddr, Handler: mux, DrainTimeout: 5 * time.Second,
-		})
-		if err != nil {
-			return fmt.Errorf("metrics listener: %w", err)
-		}
-		fmt.Printf("observability at %s/metrics (also /debug/vars, /debug/pprof/, /debug/health", srv.URL())
-		if ctrl != nil {
-			fmt.Print(", /debug/control")
-		}
-		fmt.Println(")")
-		defer func() {
-			// Drain in-flight scrapes instead of snapping connections.
-			sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(sctx)
-		}()
-	}
-
-	for i := 0; i < sc.Sys.N(); i++ {
+	p, _ := cl.Control.Placement()
+	logf("control plane at %s (/metrics, /debug/control, /debug/health), origin at %s", cl.Control.URL(), cl.Origin.URL())
+	for i, e := range cl.Edges {
 		var sites []int
-		for j := 0; j < sc.Sys.M(); j++ {
-			if res.Placement.Has(i, j) {
+		for j := 0; j < p.System().M(); j++ {
+			if p.Has(i, j) {
 				sites = append(sites, j)
 			}
 		}
-		fmt.Printf("edge %d at %s — replicas %v, cache %d MB\n",
-			i, cl.EdgeURL(i), sites, res.Placement.Free(i)>>20)
+		logf("edge %d at %s — replicas %v, cache %d MB", i, e.URL(), sites, p.Free(i)>>20)
 	}
 
-	// Client-side per-source latency histograms: the same buckets the
-	// edges record server-side, measured from the client's clock.
-	latency := make(map[string]*obs.Histogram, len(obs.Sources))
-	for _, src := range obs.Sources {
-		latency[src] = reg.Histogram("cdnd_client_latency_ms",
-			"Client-observed request latency by serving source, milliseconds.",
-			obs.Labels{"source": src}, obs.DefaultLatencyBuckets())
+	logf("\nissuing %d client requests...", opt.load.Requests)
+	opt.load.ControlURL, opt.load.Seed, opt.load.Logf = cl.Control.URL(), opt.params.Seed, logf
+	res, err := clusterd.RunLoad(ctx, opt.load)
+	if err != nil {
+		return err
 	}
-	failed := reg.Counter("cdnd_client_errors_total", "Client requests that failed.", nil)
-	steered := reg.Counter("cdnd_client_steered_total",
-		"Client requests redirected away from an unhealthy first-hop edge.", nil)
+	report(logf, res)
+	st := cl.Control.Controller().Status()
+	logf("\ncontrol: %d rounds (%d applied, %d skipped, %d noop, %d no-signal), %d replicas live",
+		st.Rounds, st.Applied, st.Skipped, st.Noops, st.NoSignal, st.Replicas)
 
-	// pickHop plays the redirector's part: a client assigned to an edge
-	// the health tracker has ejected is steered to the cheapest healthy
-	// edge instead (the DNS-level move a real CDN would make). An edge
-	// whose half-open probe window is open ("probing") stays eligible —
-	// the one client request it receives is the probe that readmits it.
-	pickHop := func(want int, avoid int) int {
-		down := make(map[int]bool)
-		for _, e := range cl.Health().Edges {
-			if e.State == "ejected" {
-				down[e.ID] = true
-			}
-		}
-		if want != avoid && !down[want] {
-			return want
-		}
-		best, bestCost := -1, 0.0
-		for k := 0; k < sc.Sys.N(); k++ {
-			if k == avoid || down[k] {
-				continue
-			}
-			if cost := sc.Sys.CostServer[want][k]; best < 0 || cost < bestCost {
-				best, bestCost = k, cost
-			}
-		}
-		if best < 0 {
-			return want
-		}
-		return best
-	}
-
-	fmt.Printf("\nissuing %d client requests...\n", opt.requests)
-	// With -churn the clients draw from a churning catalog: sites
-	// publish and perish as the load runs. The HTTP cluster's catalog is
-	// static, so a request for a perished site is resolved client-side —
-	// the link is dead, the client sees a 404 and moves on.
-	var nextReq func() workload.Request
-	var dynStream *workload.DynamicStream
-	if opt.churn > 0 {
-		dynStream, err = workload.NewDynamicStream(sc.Work, workload.DynamicConfig{
-			PublishRate: opt.churn * float64(sc.Sys.M()),
-			PerishRate:  opt.churn,
-		}, xrand.New(opt.seed+1000))
-		if err != nil {
-			return fmt.Errorf("-churn: %w", err)
-		}
-		nextReq = dynStream.Next
-		fmt.Printf("catalog churn: perish rate %v per live site per request\n", opt.churn)
-	} else {
-		stream := sc.Stream(xrand.New(opt.seed + 1000))
-		nextReq = stream.Next
-	}
-	staleLinks := reg.Counter("cdnd_client_stale_links_total",
-		"Client requests for perished sites, answered 404 without a fetch.", nil)
-	start := time.Now()
-	issued := 0
-	for k := 0; k < opt.requests; k++ {
-		if ctx.Err() != nil {
-			fmt.Printf("\ninterrupted after %d requests, shutting down\n", issued)
-			break
-		}
-		if faultMode != fault.ModeOff && k == opt.faultFrom {
-			fmt.Printf("fault: %s on edges %v\n", faultMode, faultEdges)
-			setFault(faultMode)
-		}
-		if faultMode != fault.ModeOff && opt.faultTo > opt.faultFrom && k == opt.faultTo {
-			fmt.Printf("fault: cleared on edges %v\n", faultEdges)
-			setFault(fault.ModeOff)
-		}
-		req := nextReq()
-		if req.Perished {
-			staleLinks.Inc()
-			issued++
-			continue
-		}
-		hop := pickHop(req.Server, -1)
-		if hop != req.Server {
-			steered.Inc()
-		}
-		fr, err := cl.Fetch(ctx, hop, req.Site, req.Object)
-		// Failover: each failed fetch fed the health tracker, so walk the
-		// remaining edges (nearest healthy first) before giving up — a
-		// request is lost only when every edge fails it.
-		for tried := map[int]bool{hop: true}; err != nil && ctx.Err() == nil && len(tried) < sc.Sys.N(); {
-			alt := pickHop(req.Server, hop)
-			if tried[alt] {
-				// pickHop converged on an edge that already failed; scan
-				// for any untried one.
-				alt = -1
-				for k := 0; k < sc.Sys.N(); k++ {
-					if !tried[k] {
-						alt = k
-						break
-					}
-				}
-				if alt < 0 {
-					break
-				}
-			}
-			tried[alt] = true
-			steered.Inc()
-			fr, err = cl.Fetch(ctx, alt, req.Site, req.Object)
-		}
-		issued++
-		if err != nil {
-			if failed.Value() < 5 {
-				fmt.Fprintf(os.Stderr, "cdnd: request %d failed: %v\n", k, err)
-			}
-			failed.Inc()
-			continue
-		}
-		latency[fr.Source].Observe(float64(fr.Latency) / float64(time.Millisecond))
-	}
-	elapsed := time.Since(start)
-
-	fmt.Printf("\n%d requests in %v (%.0f req/s), %d failed, %d steered around unhealthy edges\n",
-		issued, elapsed.Round(time.Millisecond),
-		float64(issued)/elapsed.Seconds(), failed.Value(), steered.Value())
-	if dynStream != nil {
-		fmt.Printf("catalog churn: %d sites published, %d perished, %d stale-link 404s\n",
-			dynStream.Publishes(), dynStream.Perishes(), staleLinks.Value())
-	}
-	fmt.Println("source      count  share     p50ms    p95ms    p99ms")
-	var total int64
-	for _, src := range obs.Sources {
-		total += latency[src].Count()
-	}
-	for _, src := range obs.Sources {
-		h := latency[src]
-		share := 0.0
-		if total > 0 {
-			share = 100 * float64(h.Count()) / float64(total)
-		}
-		fmt.Printf("%-8s %8d %5.1f%%  %8.2f %8.2f %8.2f\n",
-			src, h.Count(), share,
-			h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99))
-	}
-
-	local := latency[httpcdn.SourceReplica].Count() + latency[httpcdn.SourceCache].Count()
-	if total > 0 {
-		fmt.Printf("\nfirst-hop locality: %.1f%% of requests never left their edge —\n",
-			100*float64(local)/float64(total))
-		fmt.Println("the hybrid split at work over real HTTP.")
-	}
-	if ctrl != nil {
-		st := ctrl.Status()
-		fmt.Printf("\ncontrol: %d rounds (%d applied, %d skipped, %d noop, %d no-signal), %d replicas live\n",
-			st.Rounds, st.Applied, st.Skipped, st.Noops, st.NoSignal, st.Replicas)
-	}
-	if tracer != nil {
-		err := tracer.Flush()
-		fmt.Printf("\ntrace: wrote %s (%d records dropped)\n", opt.tracePath, tracer.Dropped())
-		if err != nil {
-			return fmt.Errorf("trace %s: %w", opt.tracePath, err)
-		}
-	}
-
-	if opt.linger > 0 && opt.metricsAddr != "" && ctx.Err() == nil {
-		fmt.Printf("\nlingering %v for metrics scrapes (ctrl-c to stop)...\n", opt.linger)
+	if opt.linger > 0 && ctx.Err() == nil {
+		logf("\nlingering %v (ctrl-c to stop)...", opt.linger)
 		select {
 		case <-time.After(opt.linger):
 		case <-ctx.Done():
 		}
 	}
-	if n := failed.Value(); n > 0 {
-		return fmt.Errorf("%d of %d requests failed", n, issued)
+	if res.Errors > 0 {
+		return fmt.Errorf("%d of %d requests failed", res.Errors, res.Requests)
 	}
 	return nil
+}
+
+// report prints the load generator's measurements.
+func report(logf func(string, ...any), res *clusterd.LoadResult) {
+	logf("\n%d requests in %.0f ms (%.0f req/s), %d failed, %d steered around unhealthy edges, %d stale-link 404s",
+		res.Requests, res.DurationMs, res.ReqPerSec, res.Errors, res.Steered, res.NotFound)
+	logf("latency ms: p50 %.2f  p95 %.2f  p99 %.2f  max %.2f",
+		res.Latency.P50, res.Latency.P95, res.Latency.P99, res.Latency.Max)
+	if res.Errors > 0 {
+		logf("lost requests by error class: %v", res.ErrorClasses)
+	}
+	var total int64
+	for _, n := range res.BySource {
+		total += n
+	}
+	if total == 0 {
+		return
+	}
+	logf("source      count  share")
+	for _, src := range obs.Sources {
+		logf("%-8s %8d %5.1f%%", src, res.BySource[src], 100*float64(res.BySource[src])/float64(total))
+	}
+	local := res.BySource[obs.SourceReplica] + res.BySource[obs.SourceCache]
+	logf("\nfirst-hop locality: %.1f%% of requests never left their edge —", 100*float64(local)/float64(total))
+	logf("the hybrid split at work over real HTTP.")
 }

@@ -10,13 +10,16 @@ import (
 
 // The analytical model used stand-alone, as §3.2 intends: predict the
 // LRU hit ratio of a 2000-object Zipf(1.0) site at several cache sizes.
-func ExampleNewLRUPredictor() {
-	pred := repro.NewLRUPredictor(
-		[]repro.SiteSpec{{Objects: 2000, Theta: 1.0}},
-		[]float64{1}, // request weights (single site)
-		1,            // average object size: unit => bytes == slots
-		2000,         // largest cache that will be queried
-	)
+func ExampleNewHitModel() {
+	pred, err := repro.NewHitModel(repro.HitModelConfig{
+		Specs:          []repro.SiteSpec{{Objects: 2000, Theta: 1.0}},
+		Weights:        []float64{1}, // request weights (single site)
+		AvgObjectBytes: 1,            // unit => bytes == slots
+		MaxCacheBytes:  2000,         // largest cache that will be queried
+	})
+	if err != nil {
+		panic(err)
+	}
 	for _, slots := range []int64{100, 400, 1600} {
 		fmt.Printf("B=%-5d h=%.2f\n", slots, pred.SiteHitRatio(0, slots))
 	}

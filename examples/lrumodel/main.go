@@ -29,7 +29,15 @@ func main() {
 
 	// Unit-sized objects: cache bytes == LRU slots (B = c/ō with ō=1).
 	const maxCache = 4000
-	pred := repro.NewLRUPredictor(specs, weights, 1, maxCache)
+	model := func(specs []repro.SiteSpec) repro.HitModel {
+		m, err := repro.NewHitModel(repro.HitModelConfig{
+			Specs: specs, Weights: weights, AvgObjectBytes: 1, MaxCacheBytes: maxCache})
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+	pred := model(specs)
 
 	fmt.Println("Analytical LRU model (Equations 1 and 2 of the paper)")
 	fmt.Println("four sites, L=2000 objects each, θ=1.0, request rates 8:4:2:1")
@@ -60,7 +68,7 @@ func main() {
 	for j := range stale {
 		stale[j].Lambda = 0.2
 	}
-	predStale := repro.NewLRUPredictor(stale, weights, 1, maxCache)
+	predStale := model(stale)
 	fmt.Println()
 	fmt.Printf("with λ=0.2 uncacheable requests: overall hit ratio at B=800 drops %.3f -> %.3f\n",
 		pred.OverallHitRatio(800), predStale.OverallHitRatio(800))

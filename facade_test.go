@@ -38,9 +38,13 @@ func TestFormattersTolerateEmptyInput(t *testing.T) {
 // TestLRUPredictorFacade exercises the stand-alone model entry point the
 // README shows.
 func TestLRUPredictorFacade(t *testing.T) {
-	pred := NewLRUPredictor(
-		[]SiteSpec{{Objects: 2000, Theta: 1.0}},
-		[]float64{1}, 1, 2000)
+	m, err := NewHitModel(HitModelConfig{
+		Specs:   []SiteSpec{{Objects: 2000, Theta: 1.0}},
+		Weights: []float64{1}, AvgObjectBytes: 1, MaxCacheBytes: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := m.(*LRUPredictor)
 	h := pred.SiteHitRatio(0, 500)
 	if h <= 0 || h >= 1 {
 		t.Fatalf("hit ratio %v", h)

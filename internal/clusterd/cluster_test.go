@@ -12,15 +12,8 @@ import (
 	"repro/internal/obs"
 )
 
-// testCluster boots a full in-process deployment on real loopback
-// sockets: control plane, origin, and one edge process per scenario
-// edge. Shutdown order is edges → origin → control.
-type testCluster struct {
-	params  Params
-	control *ControlPlane
-	origin  *Origin
-	edges   []*Edge
-}
+// testCluster is a Local deployment that a test's cleanup shuts down.
+type testCluster struct{ *Local }
 
 func startCluster(t *testing.T, params Params, ccfg ControlConfig) *testCluster {
 	t.Helper()
@@ -28,56 +21,24 @@ func startCluster(t *testing.T, params Params, ccfg ControlConfig) *testCluster 
 }
 
 // startClusterEdges is startCluster with every edge's serving knobs
-// taken from ecfg (ID and Addr are filled in per edge).
+// taken from ecfg.
 func startClusterEdges(t *testing.T, params Params, ccfg ControlConfig, ecfg EdgeConfig) *testCluster {
 	t.Helper()
-	ccfg.Addr = "127.0.0.1:0"
-	cp, err := StartControl(params, ccfg)
+	l, err := StartLocal(params, ccfg, OriginConfig{}, ecfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tc := &testCluster{params: params, control: cp}
+	tc := &testCluster{l}
 	t.Cleanup(tc.shutdown)
-
-	o, err := StartOrigin(params, OriginConfig{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.origin = o
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := o.Register(ctx, nil, cp.URL()); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < params.Edges; i++ {
-		ecfg.ID, ecfg.Addr = i, "127.0.0.1:0"
-		e, err := StartEdge(params, ecfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.edges = append(tc.edges, e)
-		if err := e.Register(ctx, cp.URL()); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return tc
 }
 
-// shutdown drains edges, origin and control plane, in that order; a
-// second call finds every server already stopped.
+// shutdown drains the deployment; a second call finds every server
+// already stopped.
 func (tc *testCluster) shutdown() {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	// A connection the shared transport dialled and never used would hold
-	// its server's Shutdown for the five seconds net/http grants one.
-	http.DefaultClient.CloseIdleConnections()
-	for _, e := range tc.edges {
-		e.Shutdown(ctx)
-	}
-	if tc.origin != nil {
-		tc.origin.Shutdown(ctx)
-	}
-	tc.control.Shutdown(ctx)
+	tc.Shutdown(ctx)
 }
 
 // waitFor polls cond until it returns nil or the deadline passes.
@@ -109,7 +70,7 @@ func TestClusterReportsAndReconciles(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := RunLoad(ctx, LoadConfig{
-		ControlURL: tc.control.URL(),
+		ControlURL: tc.Control.URL(),
 		Requests:   400,
 		Workers:    4,
 		Seed:       7,
@@ -130,30 +91,30 @@ func TestClusterReportsAndReconciles(t *testing.T) {
 
 	// Demand flushed by the edges must land in the sharded estimator.
 	waitFor(t, 5*time.Second, "demand reports", func() error {
-		if tc.control.Estimator().Observed() == 0 {
+		if tc.Control.Estimator().Observed() == 0 {
 			return fmt.Errorf("estimator still empty")
 		}
 		return nil
 	})
-	page := tc.control.Estimator().Status()
+	page := tc.Control.Estimator().Status()
 	var keys int
 	for _, sh := range page.Shards {
 		keys += sh.Keys
 	}
-	if keys != params.Edges*tc.control.sc.Sys.M() {
-		t.Fatalf("shard key counts sum to %d, want %d", keys, params.Edges*tc.control.sc.Sys.M())
+	if keys != params.Edges*tc.Control.sc.Sys.M() {
+		t.Fatalf("shard key counts sum to %d, want %d", keys, params.Edges*tc.Control.sc.Sys.M())
 	}
 
 	// A manual reconcile over the live estimate must produce a
 	// placement and push it to the edges.
-	tc.control.Estimator().Roll()
-	tc.control.Controller().Unfreeze()
-	if _, err := http.Post(tc.control.URL()+"/debug/control/reconcile", "", nil); err != nil {
+	tc.Control.Estimator().Roll()
+	tc.Control.Controller().Unfreeze()
+	if _, err := http.Post(tc.Control.URL()+"/debug/control/reconcile", "", nil); err != nil {
 		t.Fatal(err)
 	}
-	_, version := tc.control.Placement()
+	_, version := tc.Control.Placement()
 	waitFor(t, 5*time.Second, "placement push", func() error {
-		for _, e := range tc.edges {
+		for _, e := range tc.Edges {
 			if got := e.PlacementVersion(); got < version {
 				return fmt.Errorf("edge %d at placement v%d, control at v%d", e.cfg.ID, got, version)
 			}
@@ -162,96 +123,188 @@ func TestClusterReportsAndReconciles(t *testing.T) {
 	})
 }
 
-// TestClusterChaosDrill is the acceptance drill: fault an edge mid-run,
-// require zero lost requests (clients steer to the surviving edge), and
-// require the control plane's probe loop to eject the edge — recorded
-// as an exclusion in the reconcile audit — then readmit it after the
-// fault clears.
+// TestClusterChaosDrill is the acceptance drill: fault an edge from the
+// first request on or mid-run, require zero lost requests (clients steer
+// to the surviving edge), and for the mid-run fault require the control
+// plane's probe loop to eject the edge — recorded as an exclusion in the
+// reconcile audit — then readmit it after the fault clears. The last
+// case takes two of three edges down at once.
 func TestClusterChaosDrill(t *testing.T) {
-	params := Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}
-	tc := startCluster(t, params, ControlConfig{
-		Interval:    200 * time.Millisecond,
-		ReportEvery: 50 * time.Millisecond,
-		// The fault window is measured in *requests* (FaultAt..ClearAt
-		// below) and a fast loopback run can blow through it in under
-		// 100ms of wall clock; probes must be dense enough that at
-		// least FailThreshold of them land inside it, or the drill
-		// flakes with "never ejected" on fast machines.
+	// The fault window is measured in *requests* and a fast loopback run
+	// can blow through it in under 100ms of wall clock; probes must be
+	// dense enough that at least FailThreshold of them land inside it, or
+	// the drill flakes with "never ejected" on fast machines.
+	ccfg := ControlConfig{
+		Interval:       200 * time.Millisecond,
+		ReportEvery:    50 * time.Millisecond,
 		ProbeEvery:     10 * time.Millisecond,
 		ProbeTimeout:   250 * time.Millisecond,
 		FailThreshold:  2,
 		EjectFor:       300 * time.Millisecond,
 		Hysteresis:     -1,
 		CooldownRounds: -1,
-	})
+	}
 	const faulted = 1
+	drill := func(t *testing.T, tc *testCluster, requests, faultAt, clearAt int) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		res, err := RunLoad(ctx, LoadConfig{
+			ControlURL: tc.Control.URL(),
+			Requests:   requests,
+			Workers:    4,
+			Seed:       11,
+			FaultEdge:  faulted,
+			FaultMode:  "error",
+			FaultAt:    faultAt,
+			ClearAt:    clearAt,
+			Logf:       t.Logf,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Errors != 0 {
+			t.Fatalf("chaos drill lost %d/%d requests", res.Errors, res.Requests)
+		}
+		if res.Steered == 0 {
+			t.Fatal("no requests steered away from the faulted edge — fault never bit")
+		}
+		if res.Fault == nil || res.Fault.Edge != faulted {
+			t.Fatalf("fault summary %+v", res.Fault)
+		}
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	res, err := RunLoad(ctx, LoadConfig{
-		ControlURL: tc.control.URL(),
-		Requests:   1500,
-		Workers:    4,
-		Seed:       11,
-		FaultEdge:  faulted,
-		FaultMode:  "error",
-		FaultAt:    300,
-		ClearAt:    900,
-		Logf:       t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("chaos drill lost %d/%d requests", res.Errors, res.Requests)
-	}
-	if res.Steered == 0 {
-		t.Fatal("no requests steered away from the faulted edge — fault never bit")
-	}
-	if res.Fault == nil || res.Fault.Edge != faulted {
-		t.Fatalf("fault summary %+v", res.Fault)
-	}
-
-	// The fault is cleared by now, but the probe loop must have seen it:
-	// the tracker records an ejection and, after the fault cleared, a
-	// readmission.
-	waitFor(t, 10*time.Second, "ejection+readmission", func() error {
-		st := tc.edgeHealth(t, faulted)
-		if st.Ejections == 0 {
-			return fmt.Errorf("edge %d never ejected", faulted)
-		}
-		if st.Readmissions == 0 {
-			return fmt.Errorf("edge %d never readmitted", faulted)
-		}
-		if st.State != "healthy" {
-			return fmt.Errorf("edge %d still %s", faulted, st.State)
-		}
-		return nil
+	t.Run("one edge faulted from the first request", func(t *testing.T) {
+		drill(t, startCluster(t, Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}, ccfg), 300, 0, 0)
 	})
 
-	// The audit ring must hold a reconcile that excluded the faulted
-	// edge, and a later one that did not.
-	waitFor(t, 10*time.Second, "audit exclusion and readmission", func() error {
-		records := tc.control.Controller().Audit()
-		sawExcluded, sawReadmitted := false, false
-		for _, rec := range records {
-			excluded := false
-			for _, id := range rec.ExcludedEdges {
-				if id == faulted {
-					excluded = true
+	t.Run("one edge faulted mid-run", func(t *testing.T) {
+		tc := startCluster(t, Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}, ccfg)
+		drill(t, tc, 1500, 300, 900)
+
+		// The fault is cleared by now, but the probe loop must have seen
+		// it: the tracker records an ejection and, after the fault
+		// cleared, a readmission.
+		tc.waitReadmitted(t, faulted)
+
+		// The audit ring must hold a reconcile that excluded the faulted
+		// edge, and a later one that did not.
+		waitFor(t, 10*time.Second, "audit exclusion and readmission", func() error {
+			records := tc.Control.Controller().Audit()
+			sawExcluded, sawReadmitted := false, false
+			for _, rec := range records {
+				excluded := false
+				for _, id := range rec.ExcludedEdges {
+					if id == faulted {
+						excluded = true
+					}
+				}
+				if excluded {
+					sawExcluded = true
+				} else if sawExcluded {
+					sawReadmitted = true
 				}
 			}
-			if excluded {
-				sawExcluded = true
-			} else if sawExcluded {
-				sawReadmitted = true
+			if !sawExcluded {
+				return fmt.Errorf("no audit record excludes edge %d (%d records)", faulted, len(records))
+			}
+			if !sawReadmitted {
+				return fmt.Errorf("no post-exclusion audit record readmits edge %d", faulted)
+			}
+			return nil
+		})
+	})
+
+	t.Run("two of three edges down at once", func(t *testing.T) {
+		ccfg := ccfg
+		ccfg.Interval = time.Hour // reconcile by hand, between the phases
+		tc := startCluster(t, Params{Edges: 3, Seed: 1, CapacityFrac: 0.15}, ccfg)
+		victims := []int{1, 2}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		load := func(phase string) *LoadResult {
+			t.Helper()
+			res, err := RunLoad(ctx, LoadConfig{ControlURL: tc.Control.URL(),
+				Requests: 300, Workers: 4, Seed: 13, FaultEdge: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != 0 {
+				t.Fatalf("%s: lost %d/%d requests: %v", phase, res.Errors, res.Requests, res.ErrorClasses)
+			}
+			return res
+		}
+
+		// Healthy traffic first, so the reconciles below have demand to
+		// place against.
+		load("healthy")
+		waitFor(t, 5*time.Second, "demand reports", func() error {
+			if tc.Control.Estimator().Observed() == 0 {
+				return fmt.Errorf("estimator still empty")
+			}
+			return nil
+		})
+
+		for _, v := range victims {
+			tc.Edges[v].Injector().Set(fault.ModeError, 0)
+		}
+		waitFor(t, 10*time.Second, "both victims ejected", func() error {
+			if got := tc.Control.EjectedEdges(); fmt.Sprint(got) != fmt.Sprint(victims) {
+				return fmt.Errorf("ejected %v, want %v", got, victims)
+			}
+			return nil
+		})
+		// One survivor serves every logical request.
+		if res := load("outage"); res.Steered == 0 {
+			t.Fatal("no request steered away from the two dead edges")
+		}
+		// A reconcile during the outage excludes both victims and leaves
+		// no replica on them.
+		rep, err := tc.Control.Controller().Reconcile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(rep.Excluded) != fmt.Sprint(victims) {
+			t.Fatalf("reconcile during the outage excluded %v, want %v", rep.Excluded, victims)
+		}
+		live, _ := tc.Control.Placement()
+		for _, v := range victims {
+			for j := 0; j < live.System().M(); j++ {
+				if live.Has(v, j) {
+					t.Fatalf("site %d still placed on dead edge %d after the reconcile", j, v)
+				}
 			}
 		}
-		if !sawExcluded {
-			return fmt.Errorf("no audit record excludes edge %d (%d records)", faulted, len(records))
+
+		for _, v := range victims {
+			tc.Edges[v].Injector().Set(fault.ModeOff, 0)
 		}
-		if !sawReadmitted {
-			return fmt.Errorf("no post-exclusion audit record readmits edge %d", faulted)
+		for _, v := range victims {
+			tc.waitReadmitted(t, v)
+		}
+		if rep, err = tc.Control.Controller().Reconcile(); err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Excluded) != 0 {
+			t.Fatalf("post-recovery reconcile still excludes %v", rep.Excluded)
+		}
+	})
+}
+
+// waitReadmitted waits until the control plane's /debug/health shows
+// edge id ejected at least once, readmitted, and healthy again.
+func (tc *testCluster) waitReadmitted(t *testing.T, id int) {
+	t.Helper()
+	waitFor(t, 10*time.Second, "ejection+readmission", func() error {
+		st := tc.edgeHealth(t, id)
+		if st.Ejections == 0 {
+			return fmt.Errorf("edge %d never ejected", id)
+		}
+		if st.Readmissions == 0 {
+			return fmt.Errorf("edge %d never readmitted", id)
+		}
+		if st.State != "healthy" {
+			return fmt.Errorf("edge %d still %s", id, st.State)
 		}
 		return nil
 	})
@@ -275,7 +328,7 @@ func (tc *testCluster) edgeHealth(t *testing.T, id int) (st struct {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := getJSON(ctx, http.DefaultClient, tc.control.URL()+"/debug/health", &rep); err != nil {
+	if err := getJSON(ctx, http.DefaultClient, tc.Control.URL()+"/debug/health", &rep); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range rep.Edges {
@@ -290,23 +343,37 @@ func (tc *testCluster) edgeHealth(t *testing.T, id int) (st struct {
 
 // TestClusterBlackholeRestorable pins the admin-mux split: a blackholed
 // edge still answers POST /admin/fault, so chaos is always reversible.
+// On the way it checks that /admin/fault's latency mode really delays.
 func TestClusterBlackholeRestorable(t *testing.T) {
 	params := Params{Edges: 1, Seed: 3, CapacityFrac: 0.2}
 	tc := startCluster(t, params, ControlConfig{Interval: time.Hour})
-	e := tc.edges[0]
+	e := tc.Edges[0]
+
+	// A latency fault set the way RunLoad sets it delays the edge by
+	// faultLatency: the drill is not a no-op.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	setFault(ctx, http.DefaultClient, e.URL(), "latency")
+	start := time.Now()
+	resp, err := http.Get(e.URL() + "/admin/ping")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if took := time.Since(start); took < faultLatency {
+		t.Fatalf("ping of a latency-faulted edge took %v, want at least %v", took, faultLatency)
+	}
 
 	e.Injector().Set(fault.ModeBlackhole, 0)
 	client := &http.Client{Timeout: 500 * time.Millisecond}
 	if _, err := client.Get(e.URL() + "/admin/ping"); err == nil {
 		t.Fatal("blackholed edge answered a ping")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	setFault(ctx, &http.Client{Timeout: 2 * time.Second}, e.URL(), "off")
 	if e.Injector().Mode() != fault.ModeOff {
 		t.Fatal("/admin/fault did not clear the blackhole")
 	}
-	resp, err := http.Get(e.URL() + "/admin/ping")
+	resp, err = http.Get(e.URL() + "/admin/ping")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +388,7 @@ func TestClusterBlackholeRestorable(t *testing.T) {
 func TestPlacementVersionGate(t *testing.T) {
 	params := Params{Edges: 1, Seed: 2, CapacityFrac: 0.2}
 	tc := startCluster(t, params, ControlConfig{Interval: time.Hour})
-	e := tc.edges[0]
+	e := tc.Edges[0]
 	v := e.PlacementVersion()
 	if v < 1 {
 		t.Fatalf("registered edge at placement v%d", v)
@@ -332,7 +399,7 @@ func TestPlacementVersionGate(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	var cur PlacementPush
-	if err := getJSON(ctx, http.DefaultClient, tc.control.URL()+"/cluster/placement", &cur); err != nil {
+	if err := getJSON(ctx, http.DefaultClient, tc.Control.URL()+"/cluster/placement", &cur); err != nil {
 		t.Fatal(err)
 	}
 	stale := PlacementPush{Version: v - 1, Doc: cur.Doc}
@@ -364,7 +431,7 @@ func TestLoadStaleLinks(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := RunLoad(ctx, LoadConfig{
-		ControlURL:    tc.control.URL(),
+		ControlURL:    tc.Control.URL(),
 		Requests:      400,
 		Workers:       4,
 		Seed:          7,
@@ -383,7 +450,7 @@ func TestLoadStaleLinks(t *testing.T) {
 		t.Fatalf("NotFound = %d of %d, want roughly a quarter", res.NotFound, res.Requests)
 	}
 	var notFound, fails int64
-	for _, e := range tc.edges {
+	for _, e := range tc.Edges {
 		label := obs.Labels{"edge": strconv.Itoa(e.ID())}
 		notFound += e.Registry().Counter("cdn_edge_notfound_total", "", label).Value()
 		fails += e.Registry().Counter("cdn_edge_errors_total", "", label).Value()
@@ -395,7 +462,7 @@ func TestLoadStaleLinks(t *testing.T) {
 		t.Errorf("stale links drove cdn_edge_errors_total to %d, want 0", fails)
 	}
 	// Rejecting a bad fraction is part of the contract.
-	if _, err := RunLoad(ctx, LoadConfig{ControlURL: tc.control.URL(), Requests: 1, StaleLinkFrac: 1}); err == nil {
+	if _, err := RunLoad(ctx, LoadConfig{ControlURL: tc.Control.URL(), Requests: 1, StaleLinkFrac: 1}); err == nil {
 		t.Error("RunLoad accepted StaleLinkFrac = 1")
 	}
 }

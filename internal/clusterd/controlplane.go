@@ -128,8 +128,8 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 	}
 
 	// The initial placement is the offline hybrid solution on the
-	// scenario's synthetic demand — the same starting point cdnd uses;
-	// the estimator's live view takes over from the first reconcile.
+	// scenario's synthetic demand; the estimator's live view takes over
+	// from the first reconcile.
 	res, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
 		Specs:          sc.Work.Specs(),
 		AvgObjectBytes: sc.Work.AvgObjectBytes,
@@ -261,8 +261,7 @@ func (cp *ControlPlane) EjectedEdges() []int {
 // FailThreshold failed probes eject it (excluding it from the next
 // reconcile's placement), and the first successful probe after the
 // fault clears readmits it. Transitions unfreeze and kick the
-// controller — the failure-reactive path cdnd wires through
-// OnHealthChange.
+// controller: the failure-reactive path.
 func (cp *ControlPlane) probeLoop(ctx context.Context) {
 	t := time.NewTicker(cp.cfg.ProbeEvery)
 	defer t.Stop()
@@ -479,8 +478,8 @@ func (cp *ControlPlane) serveShards(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveHealth answers GET /debug/health with the probe-driven member
-// view in the same shape as cdnd's endpoint: edges that never
-// registered report state "unregistered".
+// view as an httpcdn.HealthReport; edges that never registered report
+// state "unregistered".
 func (cp *ControlPlane) serveHealth(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)

@@ -23,11 +23,11 @@ import (
 func TestEdgeDrainsUnderLoad(t *testing.T) {
 	params := Params{Edges: 1, Seed: 5, CapacityFrac: 0.2}
 	tc := startCluster(t, params, ControlConfig{Interval: time.Hour})
-	e := tc.edges[0]
+	e := tc.Edges[0]
 
 	const slow = 150 * time.Millisecond
-	tc.origin.Injector().Set(fault.ModeLatency, slow)
-	defer tc.origin.Injector().Set(fault.ModeOff, 0)
+	tc.Origin.Injector().Set(fault.ModeLatency, slow)
+	defer tc.Origin.Injector().Set(fault.ModeOff, 0)
 
 	const inflight = 8
 	client := &http.Client{Timeout: 10 * time.Second}

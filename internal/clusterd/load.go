@@ -35,9 +35,10 @@ type LoadConfig struct {
 	// Seed+1000+w), independent of the scenario seed.
 	Seed uint64
 	// FaultEdge, when >= 0, injects FaultMode into that edge's fault
-	// injector once the global request counter passes FaultAt, and
-	// clears it after ClearAt — the chaos drill: kill an edge mid-run
-	// and require zero lost requests.
+	// injector before the request whose 0-based global index is FaultAt,
+	// and clears it before request ClearAt (ClearAt <= FaultAt: never) —
+	// the chaos drill: kill an edge mid-run and require zero lost
+	// requests.
 	FaultEdge int
 	FaultMode string
 	FaultAt   int
@@ -161,6 +162,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			IdleConnTimeout:     30 * time.Second,
 		},
 	}
+	// A pooled connection that was dialled and never used would otherwise
+	// stall the shutdown of the edge it points at.
+	defer client.CloseIdleConnections()
 	members, err := WaitMembers(ctx, client, cfg.ControlURL)
 	if err != nil {
 		return nil, err
@@ -202,7 +206,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	// at loopback latencies.
 	bounds := obs.ExponentialBuckets(0.05, 1.35, 40)
 	workers := make([]*loadWorker, cfg.Workers)
-	var seq atomic.Int64 // global request ordinal, drives the fault schedule
+	var seq atomic.Int64 // requests drawn so far; drives the fault schedule
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
@@ -224,17 +228,17 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 					lw.errClass["cancelled"] += int64(n - r)
 					return
 				}
-				ordinal := int(seq.Add(1))
+				index := int(seq.Add(1)) - 1
 				if fault != nil {
-					if ordinal == fault.At {
+					if index == fault.At {
 						setFault(ctx, client, edgeURL[fault.Edge], fault.Mode)
 						if cfg.Logf != nil {
-							cfg.Logf("load: request %d: injected %s into edge %d", ordinal, fault.Mode, fault.Edge)
+							cfg.Logf("load: request %d: injected %s into edge %d", index, fault.Mode, fault.Edge)
 						}
-					} else if ordinal == fault.ClearAt {
+					} else if index == fault.ClearAt && fault.ClearAt > fault.At {
 						setFault(ctx, client, edgeURL[fault.Edge], "off")
 						if cfg.Logf != nil {
-							cfg.Logf("load: request %d: cleared fault on edge %d", ordinal, fault.Edge)
+							cfg.Logf("load: request %d: cleared fault on edge %d", index, fault.Edge)
 						}
 					}
 				}
@@ -350,12 +354,17 @@ func (lw *loadWorker) doStale(ctx context.Context, client *http.Client, m int, e
 	lw.notFound++
 }
 
+// faultLatency is the delay a "latency" fault adds to every request of
+// the faulted edge.
+const faultLatency = 200 * time.Millisecond
+
 // setFault POSTs a fault-injector mode change; best-effort (the drill's
 // assertions live in the measurements, not here).
 func setFault(ctx context.Context, client *http.Client, edgeURL, mode string) {
 	fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	req, err := http.NewRequestWithContext(fctx, http.MethodPost, edgeURL+"/admin/fault?mode="+mode, nil)
+	req, err := http.NewRequestWithContext(fctx, http.MethodPost,
+		edgeURL+"/admin/fault?mode="+mode+"&latency="+faultLatency.String(), nil)
 	if err != nil {
 		return
 	}

@@ -24,15 +24,17 @@ type OriginConfig struct {
 	// Metrics receives the origin's serve counters; nil builds a
 	// private registry (still served at /metrics).
 	Metrics *obs.Registry
+	// Tracer, when non-nil, records an origin span for every fetch that
+	// carries a Traceparent, nested under the calling edge's attempt.
+	Tracer *obs.Tracer
 	// Logf, when non-nil, receives lifecycle lines.
 	Logf func(format string, args ...any)
 }
 
 // Origin is one process serving the primary copy of every site: an
-// httpcdn.Origin behind a real listener. Unlike the in-process httpcdn
-// cluster — one httptest server per site — the standalone deployment
-// runs a single origin process multiplexing all sites by URL path, which
-// is what the path scheme /obj/{site}/{object} already encodes.
+// httpcdn.Origin behind a real listener, multiplexing all sites by URL
+// path, which is what the path scheme /obj/{site}/{object} already
+// encodes.
 type Origin struct {
 	sc       *scenario.Scenario
 	inj      *fault.Injector
@@ -58,7 +60,7 @@ func StartOrigin(params Params, cfg OriginConfig) (*Origin, error) {
 	// a blackholed origin must still accept the call that clears the
 	// fault. Everything a peer or prober touches goes through it.
 	served := http.NewServeMux()
-	served.Handle("/obj/", httpcdn.NewOrigin(sc, -1, cfg.MaxObjectBytes, &o.versions, reg, nil))
+	served.Handle("/obj/", httpcdn.NewOrigin(sc, -1, cfg.MaxObjectBytes, &o.versions, reg, cfg.Tracer))
 	served.HandleFunc("/admin/ping", servePing)
 
 	mux := serverutil.DebugMux(reg)

@@ -1,5 +1,6 @@
-// Package clusterd decomposes the single-process cdnd deployment into
-// separately deployable components that speak HTTP to each other:
+// Package clusterd is the deployment: separately deployable components
+// that speak HTTP to each other, run one per process by the cmd/cdn*
+// binaries or all in one process by StartLocal (cmd/cdnd, the tests):
 //
 //   - a control plane (cmd/cdncontrol) that owns the deployment
 //     scenario, shards the demand estimator by consistent-hashed
@@ -51,14 +52,14 @@ type Params struct {
 	CapacityFrac float64 `json:"capacity_frac"`
 }
 
-// DefaultParams mirrors the cdnd demo scenario at cluster-smoke scale.
+// DefaultParams is the deployment scenario at cluster-smoke scale.
 func DefaultParams() Params {
 	return Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}
 }
 
-// Build constructs the deployment scenario from p — the same topology
-// and workload shape cmd/cdnd uses, so a cluster run is comparable to a
-// single-process run at equal Edges/Seed.
+// Build constructs the deployment scenario from p: a 26-node
+// transit-stub topology and 8 sites of 60 objects, whatever the edge
+// count.
 func (p Params) Build() (*scenario.Scenario, error) {
 	if p.Edges < 1 {
 		return nil, fmt.Errorf("clusterd: %d edges", p.Edges)

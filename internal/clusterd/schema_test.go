@@ -68,7 +68,7 @@ func fetchKeys(t *testing.T, method, url string, body []byte) map[string]json.Ra
 func TestShardsPageSchema(t *testing.T) {
 	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
 
-	page := fetchKeys(t, http.MethodGet, tc.control.URL()+"/debug/control/shards", nil)
+	page := fetchKeys(t, http.MethodGet, tc.Control.URL()+"/debug/control/shards", nil)
 	checkKeys(t, "/debug/control/shards", page,
 		[]string{"shards", "vnodes", "key_space"}, nil)
 
@@ -85,15 +85,37 @@ func TestShardsPageSchema(t *testing.T) {
 	}
 }
 
+// TestHealthPageSchema pins /debug/health: cdnctl health and dashboards
+// read these field names. Edges only — the control plane probes no
+// origin.
+func TestHealthPageSchema(t *testing.T) {
+	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
+
+	page := fetchKeys(t, http.MethodGet, tc.Control.URL()+"/debug/health", nil)
+	checkKeys(t, "/debug/health", page, []string{"edges", "origins"}, nil)
+	var edges []map[string]json.RawMessage
+	if err := json.Unmarshal(page["edges"], &edges); err != nil {
+		t.Fatal(err)
+	}
+	if len(edges) != DefaultParams().Edges {
+		t.Fatalf("%d edges, want %d", len(edges), DefaultParams().Edges)
+	}
+	for _, e := range edges {
+		checkKeys(t, "edges[i]", e,
+			[]string{"kind", "id", "state", "consecutive_failures", "ejections", "readmissions"},
+			[]string{"retry_in_ms"})
+	}
+}
+
 func TestRegisterResponseSchema(t *testing.T) {
 	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
 
 	// Re-register edge 0 (idempotent) to capture the response document.
-	body, err := json.Marshal(RegisterRequest{Kind: "edge", ID: 0, URL: tc.edges[0].URL()})
+	body, err := json.Marshal(RegisterRequest{Kind: "edge", ID: 0, URL: tc.Edges[0].URL()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := fetchKeys(t, http.MethodPost, tc.control.URL()+"/cluster/register", body)
+	reg := fetchKeys(t, http.MethodPost, tc.Control.URL()+"/cluster/register", body)
 	checkKeys(t, "/cluster/register response", reg,
 		[]string{"params", "edges", "placement_version", "placement", "report_every_ms"},
 		[]string{"origin_url"})
@@ -117,7 +139,7 @@ func TestRegisterResponseSchema(t *testing.T) {
 func TestMembersPageSchema(t *testing.T) {
 	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
 
-	page := fetchKeys(t, http.MethodGet, tc.control.URL()+"/cluster/members", nil)
+	page := fetchKeys(t, http.MethodGet, tc.Control.URL()+"/cluster/members", nil)
 	checkKeys(t, "/cluster/members", page,
 		[]string{"params", "edges", "expected"},
 		[]string{"origin_url"})

@@ -116,7 +116,7 @@ func bootMultiProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o 
 	// An edge learns of the edges that registered after it from its
 	// report replies.
 	waitFor(t, 5*time.Second, "full rosters", func() error {
-		for _, e := range tc.edges {
+		for _, e := range tc.Edges {
 			e.rosterMu.Lock()
 			for id, url := range e.peers {
 				if url == "" {
@@ -131,18 +131,18 @@ func bootMultiProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o 
 	return w
 }
 
-func (w *multiProcess) url(i int) string              { return w.tc.edges[i].URL() }
-func (w *multiProcess) originURL(int) string          { return w.tc.origin.URL() }
-func (w *multiProcess) modify(site, object int)       { w.tc.origin.ModifyObject(site, object) }
-func (w *multiProcess) stats(i int) httpcdn.EdgeStats { return w.tc.edges[i].engine.Stats() }
-func (w *multiProcess) registry(i int) *obs.Registry  { return w.tc.edges[i].Registry() }
-func (w *multiProcess) originRegistry() *obs.Registry { return w.tc.origin.Registry() }
+func (w *multiProcess) url(i int) string              { return w.tc.Edges[i].URL() }
+func (w *multiProcess) originURL(int) string          { return w.tc.Origin.URL() }
+func (w *multiProcess) modify(site, object int)       { w.tc.Origin.ModifyObject(site, object) }
+func (w *multiProcess) stats(i int) httpcdn.EdgeStats { return w.tc.Edges[i].engine.Stats() }
+func (w *multiProcess) registry(i int) *obs.Registry  { return w.tc.Edges[i].Registry() }
+func (w *multiProcess) originRegistry() *obs.Registry { return w.tc.Origin.Registry() }
 func (w *multiProcess) close()                        { w.tc.shutdown() }
 func (w *multiProcess) fault(kind string, id int, m fault.Mode) {
 	if kind == "edge" {
-		w.tc.edges[id].Injector().Set(m, 0)
+		w.tc.Edges[id].Injector().Set(m, 0)
 	} else {
-		w.tc.origin.Injector().Set(m, 0) // one origin process serves every site
+		w.tc.Origin.Injector().Set(m, 0) // one origin process serves every site
 	}
 }
 
@@ -152,7 +152,7 @@ func (w *multiProcess) swap(p *core.Placement) error {
 		return err
 	}
 	w.version++
-	for _, e := range w.tc.edges {
+	for _, e := range w.tc.Edges {
 		if err := e.applyPlacement(PlacementPush{Version: w.version, Doc: doc.Bytes()}); err != nil {
 			return err
 		}
@@ -164,8 +164,8 @@ func (w *multiProcess) swap(p *core.Placement) error {
 // estimator and what they still hold; a batch in flight between the two
 // is in neither, so callers poll.
 func (w *multiProcess) tapped() int64 {
-	n := w.tc.control.Estimator().Observed()
-	for _, e := range w.tc.edges {
+	n := w.tc.Control.Estimator().Observed()
+	for _, e := range w.tc.Edges {
 		for j := range e.counts {
 			n += e.counts[j].Load()
 		}

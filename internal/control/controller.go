@@ -80,9 +80,9 @@ type DemandSource interface {
 }
 
 // HealthView is the failure signal a deployment exposes to the
-// controller: which edge servers are currently ejected by the passive
-// health tracker. httpcdn.Cluster satisfies it structurally, so neither
-// package imports the other.
+// controller: which edge servers are currently out of service and must
+// get no replicas. clusterd.ControlPlane implements it from its active
+// prober and its roster.
 type HealthView interface {
 	EjectedEdges() []int
 }

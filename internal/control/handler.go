@@ -13,8 +13,8 @@ import (
 //	POST /debug/control/reconcile — force a reconcile round, reply with
 //	                                its Report as JSON
 //
-// cmd/cdnd mounts it on the -metrics mux next to /metrics and
-// /debug/vars; cmd/cdnctl is its client.
+// clusterd.ControlPlane mounts it next to /metrics and /debug/vars;
+// cmd/cdnctl is its client.
 func Handler(c *Controller) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/control", func(w http.ResponseWriter, r *http.Request) {

@@ -156,8 +156,7 @@ func (s *Schedule) MaxID(comp Component) int {
 
 // Crashes builds the degenerate schedule equivalent to the static
 // FailureSet model: every listed component crashes at time at and never
-// recovers. RunWithSchedule over Crashes(warmup, ...) reproduces
-// RunWithFailures exactly.
+// recovers. RunWithFailures is RunWithSchedule over Crashes(warmup, ...).
 func Crashes(at int, servers, origins []int) *Schedule {
 	var events []Event
 	for _, i := range servers {

@@ -43,7 +43,7 @@ type EngineConfig struct {
 
 	// PeerHealth[i] is the tracker of edge i as an upstream,
 	// OriginHealth[j] that of site j's origin. The in-process cluster
-	// shares one set between all its engines (and its clients); a
+	// shares one set between all its engines; a
 	// standalone edge owns a private set, with every site pointing at
 	// the one origin process's tracker.
 	PeerHealth, OriginHealth []*Tracker
@@ -466,24 +466,12 @@ func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp
 	if err != nil && !errors.Is(err, ErrEdgeTimeout) && !errors.Is(err, ErrUpstreamStatus) {
 		err = fmt.Errorf("%w: %v", down, err)
 	}
-	e.observe(t, u.kind, u.id, err)
-	return body, etag, err
-}
-
-// observe feeds one fetch outcome into a component's tracker and fires
-// the health-change hook on state transitions.
-func (e *Engine) observe(t *Tracker, kind string, id int, err error) {
 	if err == nil {
-		wasEjected := t.IsEjected()
 		t.Success()
-		if wasEjected && e.cfg.OnHealthChange != nil {
-			e.cfg.OnHealthChange(kind, id, false)
-		}
-		return
+	} else {
+		t.Failure(e.cfg.FailThreshold, e.cfg.EjectFor, time.Now())
 	}
-	if t.Failure(e.cfg.FailThreshold, e.cfg.EjectFor, time.Now()) && e.cfg.OnHealthChange != nil {
-		e.cfg.OnHealthChange(kind, id, true)
-	}
+	return body, etag, err
 }
 
 // fetchOnce performs one upstream attempt under the per-attempt timeout:

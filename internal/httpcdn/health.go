@@ -1,9 +1,7 @@
 package httpcdn
 
 import (
-	"encoding/json"
 	"math/rand"
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -220,46 +218,4 @@ type HealthStatus struct {
 type HealthReport struct {
 	Edges   []HealthStatus `json:"edges"`
 	Origins []HealthStatus `json:"origins"`
-}
-
-// Health snapshots every component's health state.
-func (c *Cluster) Health() HealthReport {
-	now := time.Now()
-	var rep HealthReport
-	for i, t := range c.edgeHealth {
-		rep.Edges = append(rep.Edges, t.Snapshot("edge", i, now))
-	}
-	for j, t := range c.originHealth {
-		rep.Origins = append(rep.Origins, t.Snapshot("origin", j, now))
-	}
-	return rep
-}
-
-// EjectedEdges lists the edges currently ejected by the health tracker,
-// ascending. It satisfies the control plane's HealthView, so a
-// controller wired to the cluster excludes dead edges from re-placement
-// without httpcdn importing the control package (or vice versa).
-func (c *Cluster) EjectedEdges() []int {
-	var out []int
-	for i, t := range c.edgeHealth {
-		if t.IsEjected() {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HealthHandler serves the health report as JSON — mount it at
-// /debug/health next to the metrics and control endpoints.
-func (c *Cluster) HealthHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(c.Health())
-	})
 }

@@ -2,9 +2,7 @@ package httpcdn
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -89,7 +87,7 @@ func TestTrackerStateMachine(t *testing.T) {
 func TestFetchTypedErrors(t *testing.T) {
 	// A cluster whose edge 0 errors: the client sees ErrBadStatus (the
 	// 503 comes from the injector, before the edge handler classifies
-	// anything) and the edge's tracker absorbs the blame.
+	// anything).
 	_, _, cl := startHybridCluster(t)
 	cl.EdgeInjector(0).Set(fault.ModeError, 0)
 	_, err := cl.Fetch(context.Background(), 0, 0, 1)
@@ -149,52 +147,9 @@ func TestOriginDownClassPropagates(t *testing.T) {
 	if !errors.Is(err, ErrUpstreamStatus) {
 		t.Fatalf("dead origin returned %v, want ErrUpstreamStatus", err)
 	}
-	// The first-hop edge must NOT be blamed for its upstream's failure.
-	if got := cl.edgeHealth[edge].fails; got != 0 {
-		t.Fatalf("edge blamed for origin failure: %d fails", got)
-	}
-	// The origin tracker took the blame.
+	// The origin's tracker took the blame.
 	if cl.originHealth[site].fails == 0 {
 		t.Fatal("origin failure not recorded")
-	}
-}
-
-func TestHealthHandlerAndEjectedEdges(t *testing.T) {
-	_, _, cl := startHybridCluster(t)
-	if got := cl.EjectedEdges(); len(got) != 0 {
-		t.Fatalf("healthy cluster reports ejected edges %v", got)
-	}
-	h := cl.edgeHealth[1]
-	h.mu.Lock()
-	h.ejected = true
-	h.until = time.Now().Add(time.Hour)
-	h.ejections = 2
-	h.mu.Unlock()
-
-	if got := cl.EjectedEdges(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("EjectedEdges = %v, want [1]", got)
-	}
-
-	rr := httptest.NewRecorder()
-	cl.HealthHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/health", nil))
-	if rr.Code != 200 {
-		t.Fatalf("health handler status %d", rr.Code)
-	}
-	var rep HealthReport
-	if err := json.Unmarshal(rr.Body.Bytes(), &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Edges) != len(cl.edges) || len(rep.Origins) != len(cl.origins) {
-		t.Fatalf("report sizes: %d edges, %d origins", len(rep.Edges), len(rep.Origins))
-	}
-	if rep.Edges[1].State == "healthy" || rep.Edges[1].Ejections != 2 {
-		t.Fatalf("edge 1 report %+v", rep.Edges[1])
-	}
-
-	rr = httptest.NewRecorder()
-	cl.HealthHandler().ServeHTTP(rr, httptest.NewRequest("POST", "/debug/health", nil))
-	if rr.Code != 405 {
-		t.Fatalf("POST to health handler: %d", rr.Code)
 	}
 }
 

@@ -1,8 +1,7 @@
-// Package httpcdn materializes the CDN model as real HTTP servers: one
-// origin server per hosted site and one edge server per CDN node, all
-// listening on loopback sockets. It exists to show that the library's
-// placement decisions drive an actual content delivery network, not only
-// the trace-driven simulator:
+// Package httpcdn materializes the CDN model as real HTTP handlers: an
+// edge server per CDN node and an origin for the primary copies. It
+// exists to show that the library's placement decisions drive an actual
+// content delivery network, not only the trace-driven simulator:
 //
 //   - an edge that holds a replica of a site serves its objects
 //     directly;
@@ -17,12 +16,15 @@
 // end-to-end by the tests.
 //
 // That discipline is implemented once, by Engine (one edge's serving
-// path) and Origin (a primary server's handler). Cluster wires N engines
-// and M origins to httptest listeners in one process; internal/clusterd
-// puts the same two handlers behind real listeners and a control plane.
+// path) and Origin (a primary server's handler). The deployment is
+// internal/clusterd's: it puts the two handlers behind real listeners
+// and a control plane. Cluster is the test harness — N engines and M
+// origins on httptest listeners with a static roster and no control
+// plane — that this package's tests, the serving suite's second wiring
+// and examples/httpconsistency boot.
 //
 // The artificial per-hop delay of the paper's latency model (§5.1) can
-// be injected to make measured latencies meaningful in the demo binary.
+// be injected to make measured latencies meaningful.
 package httpcdn
 
 import (
@@ -50,14 +52,15 @@ const (
 // InternalHeader marks edge-to-edge fetches to prevent recursion.
 const InternalHeader = "X-Cdn-Internal"
 
-// Config controls a cluster.
+// Config holds the serving knobs of an Engine (and of every engine of a
+// Cluster).
 type Config struct {
 	// PerHopDelay is the artificial network delay per topology hop,
 	// applied by the fetching edge before contacting a remote source
-	// (0 for tests; ~1ms/hop makes the demo's latencies meaningful).
+	// (0 for tests; ~1ms/hop makes cdnd's latencies meaningful).
 	PerHopDelay time.Duration
 	// MaxObjectBytes caps synthetic payload sizes so heavy-tailed
-	// catalogs do not ship tens of megabytes through the demo.
+	// catalogs do not ship tens of megabytes over loopback.
 	MaxObjectBytes int64
 	// RevalidateOnHit enforces strong consistency the way §3.3's
 	// server-based invalidation does, but with HTTP's native
@@ -96,12 +99,6 @@ type Config struct {
 	// EjectFor is how long an ejected component sits out before the
 	// half-open probe window opens (default 2s).
 	EjectFor time.Duration
-	// OnHealthChange, when non-nil, fires once per health transition:
-	// ejected=true when a component ("edge" or "origin") is ejected,
-	// false when a probe readmits it. The control plane hangs its
-	// out-of-band reconcile trigger here. Must be safe for concurrent
-	// use; it runs on the serving path.
-	OnHealthChange func(kind string, id int, ejected bool)
 }
 
 // DefaultConfig returns a zero-delay, 64 KiB-capped configuration.
@@ -109,9 +106,9 @@ func DefaultConfig() Config {
 	return Config{MaxObjectBytes: 64 << 10}
 }
 
-// Cluster is a running set of origin and edge HTTP servers: one Engine
-// per edge and one Origin per site, each behind an httptest listener
-// wrapped in a fault injector.
+// Cluster is the in-process test harness: one Engine per edge and one
+// Origin per site, each behind an httptest listener wrapped in a fault
+// injector.
 type Cluster struct {
 	sc     *scenario.Scenario
 	client *http.Client
@@ -121,8 +118,8 @@ type Cluster struct {
 	origins []*httptest.Server // one per site
 
 	// edgeHealth / originHealth are the passive per-component health
-	// trackers, shared by every engine and by Fetch; edgeInj / originInj
-	// the always-present fault injectors (pass-through until Set).
+	// trackers, shared by every engine; edgeInj / originInj the
+	// always-present fault injectors (pass-through until Set).
 	edgeHealth   []*Tracker
 	originHealth []*Tracker
 	edgeInj      []*fault.Injector
@@ -239,17 +236,7 @@ func (c *Cluster) SwapPlacement(p *core.Placement) error {
 func (c *Cluster) EdgeStats(i int) EdgeStats { return c.engines[i].Stats() }
 
 // Fetch issues a client request for (site, object) at the given
-// first-hop edge and verifies the payload; errors are Get's. Outcomes
-// that implicate the edge itself (unreachable, unclassified errors,
-// corruption) feed its health tracker, so client traffic alone is
-// enough to surface a dead edge in Health / EjectedEdges.
+// first-hop edge and verifies the payload; errors are Get's.
 func (c *Cluster) Fetch(ctx context.Context, firstHop, site, object int) (FetchResult, error) {
-	res, err := Get(ctx, c.client, c.EdgeURL(firstHop), site, object)
-	if err != nil && ctx.Err() == nil && ClassError(ErrorClass(err)) != nil {
-		// The edge is alive and reported an upstream failure; that is
-		// not evidence against the edge itself.
-		return res, err
-	}
-	c.engines[firstHop].observe(c.edgeHealth[firstHop], "edge", firstHop, err)
-	return res, err
+	return Get(ctx, c.client, c.EdgeURL(firstHop), site, object)
 }

@@ -9,7 +9,7 @@ import (
 
 func TestCheKEdgeCases(t *testing.T) {
 	specs, w := singleSite(100, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 100)
+	p := newEq1(t, specs, w, 1, 100, nil)
 	if got := p.CheK(0); got != 0 {
 		t.Fatalf("CheK(0) = %v", got)
 	}
@@ -20,7 +20,7 @@ func TestCheKEdgeCases(t *testing.T) {
 
 func TestCheKMonotoneInB(t *testing.T) {
 	specs, w := singleSite(500, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 500)
+	p := newEq1(t, specs, w, 1, 500, nil)
 	prev := 0.0
 	for _, b := range []int{10, 50, 100, 200, 400} {
 		k := p.CheK(b)
@@ -35,7 +35,7 @@ func TestCheOccupancyFixedPoint(t *testing.T) {
 	// At the solved characteristic time, the expected occupancy equals
 	// B (that is the defining equation).
 	specs, w := singleSite(400, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	const B = 120
 	T := p.CheK(B)
 	z := p.zipfs[0]
@@ -50,7 +50,7 @@ func TestCheOccupancyFixedPoint(t *testing.T) {
 
 func TestCheHitRatioBounds(t *testing.T) {
 	specs, w := singleSite(300, 1.0, 0.1)
-	p := NewPredictor(specs, w, 1, 300)
+	p := newEq1(t, specs, w, 1, 300, nil)
 	prev := -1.0
 	for _, c := range []int64{0, 30, 90, 200, 299} {
 		h := p.CheSiteHitRatio(0, c)
@@ -78,7 +78,7 @@ func TestCheMatchesSimulation(t *testing.T) {
 		{1000, 0.8, 150},
 	} {
 		specs, w := singleSite(tc.L, tc.theta, 0)
-		p := NewPredictor(specs, w, 1, int64(tc.slots))
+		p := newEq1(t, specs, w, 1, int64(tc.slots), nil)
 		predicted := p.CheSiteHitRatio(0, int64(tc.slots))
 		actual := simulateLRUHitRatio(specs, w, tc.slots, 600000, xrand.New(11))[0]
 		if math.Abs(predicted-actual) > 0.02 {
@@ -93,7 +93,7 @@ func TestCheMatchesSimulation(t *testing.T) {
 // its hit ratios sit at or below Che's.
 func TestPaperModelConservativeVsChe(t *testing.T) {
 	specs, w := singleSite(800, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 800)
+	p := newEq1(t, specs, w, 1, 800, nil)
 	for _, c := range []int64{50, 100, 200, 400} {
 		paper := p.SiteHitRatio(0, c)
 		che := p.CheSiteHitRatio(0, c)
@@ -108,7 +108,7 @@ func TestCheOverallIsWeightedAverage(t *testing.T) {
 		{Objects: 100, Theta: 1.0},
 		{Objects: 100, Theta: 1.0},
 	}
-	p := NewPredictor(specs, []float64{3, 1}, 1, 200)
+	p := newEq1(t, specs, []float64{3, 1}, 1, 200, nil)
 	const c = 60
 	want := 0.75*p.CheSiteHitRatio(0, c) + 0.25*p.CheSiteHitRatio(1, c)
 	if got := p.CheOverallHitRatio(c); math.Abs(got-want) > 1e-9 {

@@ -111,7 +111,7 @@ func TestClosedFormMatchesEq1(t *testing.T) {
 // is the closed-form K.
 func TestClosedFormSmallCatalogUsesExactLoop(t *testing.T) {
 	specs, w := singleSite(closedformExactL, 1.0, 0)
-	p := NewPredictor(specs, w, 1, int64(closedformExactL))
+	p := newEq1(t, specs, w, 1, int64(closedformExactL), nil)
 	z := p.zipfs[0]
 	for _, K := range []float64{5, 20, 60} {
 		if got, want := closedformHitRatio(1, z, K), hitRatioExact(1, z, K); got != want {
@@ -122,7 +122,7 @@ func TestClosedFormSmallCatalogUsesExactLoop(t *testing.T) {
 
 func TestClosedFormHitRatioEdgeCases(t *testing.T) {
 	specs, w := singleSite(500, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 500)
+	p := newEq1(t, specs, w, 1, 500, nil)
 	z := p.zipfs[0]
 	if got := closedformHitRatio(0.5, z, 0); got != 0 {
 		t.Fatalf("K=0: %v, want 0", got)

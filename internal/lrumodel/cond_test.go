@@ -20,7 +20,7 @@ func fourSites() ([]SiteSpec, []float64) {
 
 func TestHitRatiosCondFullVisibilityMatchesHitRatios(t *testing.T) {
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	all := []bool{true, true, true, true}
 	a := p.HitRatios(150)
 	b := p.HitRatiosCond(all, 150)
@@ -33,7 +33,7 @@ func TestHitRatiosCondFullVisibilityMatchesHitRatios(t *testing.T) {
 
 func TestHitRatiosCondInvisibleSitesZero(t *testing.T) {
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	vis := []bool{true, false, true, false}
 	h := p.HitRatiosCond(vis, 150)
 	if h[1] != 0 || h[3] != 0 {
@@ -49,7 +49,7 @@ func TestRenormalizationRaisesHitRatio(t *testing.T) {
 	// site effectively more popular at the same cache size, so its hit
 	// ratio must not drop.
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	full := p.HitRatiosCond([]bool{true, true, true, true}, 150)
 	part := p.HitRatiosCond([]bool{true, false, true, true}, 150)
 	for _, j := range []int{0, 2, 3} {
@@ -62,7 +62,7 @@ func TestRenormalizationRaisesHitRatio(t *testing.T) {
 
 func TestSiteHitRatioCondBounds(t *testing.T) {
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	if got := p.SiteHitRatioCond(0, 0, 150); got != 0 {
 		t.Fatalf("zero visible mass gave %v", got)
 	}
@@ -78,7 +78,7 @@ func TestSiteHitRatioCondBounds(t *testing.T) {
 
 func TestHitRatiosCondAllInvisible(t *testing.T) {
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	h := p.HitRatiosCond([]bool{false, false, false, false}, 150)
 	for j, v := range h {
 		if v != 0 {
@@ -89,7 +89,7 @@ func TestHitRatiosCondAllInvisible(t *testing.T) {
 
 func TestHitRatiosCondPanicsOnLengthMismatch(t *testing.T) {
 	specs, w := fourSites()
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("length mismatch accepted")
@@ -110,7 +110,7 @@ func TestCondMatchesSimulationWithBypassingTraffic(t *testing.T) {
 	}
 	weights := []float64{5, 3, 2}
 	const slots = 150
-	p := NewPredictor(specs, weights, 1, slots)
+	p := newEq1(t, specs, weights, 1, slots, nil)
 
 	// Simulate: site 0 is "replicated" — its requests never touch the
 	// cache; sites 1 and 2 share the cache.
@@ -147,7 +147,7 @@ func TestHitRatioPropertyBounds(t *testing.T) {
 		for _, s := range specs {
 			total += s.Objects
 		}
-		p := NewPredictor(specs, weights, 1, int64(total))
+		p := newEq1(t, specs, weights, 1, int64(total), nil)
 		prev := make([]float64, m)
 		for _, c := range []int64{0, int64(total / 10), int64(total / 3), int64(total)} {
 			h := p.HitRatiosCond(vis, c)

@@ -233,38 +233,12 @@ func (t *SharedTable) store(k sharedKey, h float64) {
 	t.mu.Unlock()
 }
 
-// NewPredictor builds an eq1 predictor for one server.
-//
-// weights[j] is the server's request rate for site j (any positive scale;
-// normalized internally — the paper's p_j = r_j/Σ r_k). avgObjBytes is ō.
-// maxCacheBytes bounds the cache sizes that will ever be queried (the
-// server's total storage capacity); the frozen popularity prefix is
-// computed up to the corresponding B.
-//
-// Deprecated: use New with a ModelConfig, which selects among all
-// ModelKinds and reports invalid input as an error. This wrapper keeps
-// the original panic-on-bad-input contract.
-func NewPredictor(specs []SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64) *Predictor {
-	return NewPredictorShared(specs, weights, avgObjBytes, maxCacheBytes, nil)
-}
-
-// NewPredictorShared is NewPredictor with a cross-predictor hit-ratio
-// table. All predictors attached to the same table must be built over
-// the same site catalog semantics (the table is keyed by Zipf shape, so
-// mismatched catalogs merely waste entries, they cannot corrupt
-// results). A nil table reproduces NewPredictor.
-//
-// Deprecated: use New with a ModelConfig carrying the Shared table.
-func NewPredictorShared(specs []SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *SharedTable) *Predictor {
-	p, err := newPredictor(ModelEq1, specs, weights, avgObjBytes, maxCacheBytes, shared)
-	if err != nil {
-		panic(err.Error())
-	}
-	return p
-}
-
-// newPredictor is the common constructor behind New and the deprecated
-// wrappers. kind must already be validated.
+// newPredictor is the constructor behind New; kind must already be
+// validated. weights are normalized internally (the paper's
+// p_j = r_j/Σ r_k); the frozen popularity prefix is computed up to the B
+// of maxCacheBytes. Predictors attached to one shared table should be
+// built over the same catalog: the table is keyed by Zipf shape, so a
+// mismatched catalog merely wastes entries, it cannot corrupt results.
 func newPredictor(kind ModelKind, specs []SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *SharedTable) (*Predictor, error) {
 	if len(specs) != len(weights) {
 		return nil, fmt.Errorf("lrumodel: %d specs but %d weights", len(specs), len(weights))

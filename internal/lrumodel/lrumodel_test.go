@@ -13,6 +13,18 @@ func singleSite(L int, theta, lambda float64) ([]SiteSpec, []float64) {
 	return []SiteSpec{{Objects: L, Theta: theta, Lambda: lambda}}, []float64{1}
 }
 
+// newEq1 is New for the eq1 kind, as the *Predictor the tests look
+// inside; a nil shared table gives the predictor a private one.
+func newEq1(tb testing.TB, specs []SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *SharedTable) *Predictor {
+	tb.Helper()
+	m, err := New(ModelConfig{Specs: specs, Weights: weights, AvgObjectBytes: avgObjBytes,
+		MaxCacheBytes: maxCacheBytes, Shared: shared})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m.(*Predictor)
+}
+
 func TestKApproxEdgeCases(t *testing.T) {
 	if got := kApprox(0, 0.5); got != 0 {
 		t.Errorf("K(B=0) = %v, want 0", got)
@@ -54,32 +66,31 @@ func TestKApproxAtLeastB(t *testing.T) {
 
 func TestPredictorPanics(t *testing.T) {
 	specs, w := singleSite(10, 1, 0)
-	cases := []func(){
-		func() { NewPredictor(specs, []float64{1, 2}, 100, 1000) },
-		func() { NewPredictor(specs, w, 0, 1000) },
-		func() { NewPredictor(specs, []float64{-1}, 100, 1000) },
-		func() { NewPredictor([]SiteSpec{{Objects: 0, Theta: 1}}, w, 100, 1000) },
-		func() { NewPredictor([]SiteSpec{{Objects: 5, Theta: 1, Lambda: 2}}, w, 100, 1000) },
-		func() {
-			p := NewPredictor(specs, w, 100, 1000)
-			p.SiteHitRatio(3, 100)
-		},
+	// Invalid construction input is an error.
+	for i, cfg := range []ModelConfig{
+		{Specs: specs, Weights: []float64{1, 2}, AvgObjectBytes: 100, MaxCacheBytes: 1000},
+		{Specs: specs, Weights: w, AvgObjectBytes: 0, MaxCacheBytes: 1000},
+		{Specs: specs, Weights: []float64{-1}, AvgObjectBytes: 100, MaxCacheBytes: 1000},
+		{Specs: []SiteSpec{{Objects: 0, Theta: 1}}, Weights: w, AvgObjectBytes: 100, MaxCacheBytes: 1000},
+		{Specs: []SiteSpec{{Objects: 5, Theta: 1, Lambda: 2}}, Weights: w, AvgObjectBytes: 100, MaxCacheBytes: 1000},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("case %d: New accepted invalid input", i)
+		}
 	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: expected panic", i)
-				}
-			}()
-			f()
-		}()
-	}
+	// A site index outside the catalog is a programming error: a panic.
+	p := newEq1(t, specs, w, 100, 1000, nil)
+	defer func() {
+		if recover() == nil {
+			t.Error("SiteHitRatio of an out-of-range site did not panic")
+		}
+	}()
+	p.SiteHitRatio(3, 100)
 }
 
 func TestBConversion(t *testing.T) {
 	specs, w := singleSite(100, 1, 0)
-	p := NewPredictor(specs, w, 50, 10000)
+	p := newEq1(t, specs, w, 50, 10000, nil)
 	if got := p.B(500); got != 10 {
 		t.Errorf("B(500) = %d, want 10", got)
 	}
@@ -96,7 +107,7 @@ func TestTopMassProperties(t *testing.T) {
 		{Objects: 50, Theta: 1},
 		{Objects: 50, Theta: 1},
 	}
-	p := NewPredictor(specs, []float64{3, 1}, 1, 100)
+	p := newEq1(t, specs, []float64{3, 1}, 1, 100, nil)
 	if got := p.TopMass(0); got != 0 {
 		t.Errorf("TopMass(0) = %v", got)
 	}
@@ -125,7 +136,7 @@ func TestTopMassMergesSitesByPopularity(t *testing.T) {
 		{Objects: 10, Theta: 1},
 		{Objects: 10, Theta: 1},
 	}
-	p := NewPredictor(specs, []float64{9, 1}, 1, 20)
+	p := newEq1(t, specs, []float64{9, 1}, 1, 20, nil)
 	z := stats.NewZipf(10, 1)
 	// First two merged entries: site0 rank1 (0.9*pmf1), then the larger
 	// of site0 rank2 (0.9*pmf2) and site1 rank1 (0.1*pmf1).
@@ -137,7 +148,7 @@ func TestTopMassMergesSitesByPopularity(t *testing.T) {
 
 func TestHitRatioBounds(t *testing.T) {
 	specs, w := singleSite(200, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 200)
+	p := newEq1(t, specs, w, 1, 200, nil)
 	for _, c := range []int64{0, 1, 10, 50, 100, 150, 199} {
 		h := p.SiteHitRatio(0, c)
 		if h < 0 || h > 1 {
@@ -151,7 +162,7 @@ func TestHitRatioBounds(t *testing.T) {
 
 func TestHitRatioMonotoneInCacheSize(t *testing.T) {
 	specs, w := singleSite(500, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 500)
+	p := newEq1(t, specs, w, 1, 500, nil)
 	prev := -1.0
 	for c := int64(0); c <= 450; c += 50 {
 		h := p.SiteHitRatio(0, c)
@@ -164,7 +175,7 @@ func TestHitRatioMonotoneInCacheSize(t *testing.T) {
 
 func TestHitRatioFullCacheApproachesOne(t *testing.T) {
 	specs, w := singleSite(100, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 100)
+	p := newEq1(t, specs, w, 1, 100, nil)
 	// B >= total objects: the cache never evicts, K = +Inf, h = 1.
 	if h := p.SiteHitRatio(0, 100); math.Abs(h-1) > 1e-9 {
 		t.Fatalf("hit ratio %v with everything cached, want 1", h)
@@ -174,8 +185,8 @@ func TestHitRatioFullCacheApproachesOne(t *testing.T) {
 func TestLambdaScalesHitRatio(t *testing.T) {
 	specsA, w := singleSite(100, 1.0, 0)
 	specsB, _ := singleSite(100, 1.0, 0.3)
-	a := NewPredictor(specsA, w, 1, 100)
-	b := NewPredictor(specsB, w, 1, 100)
+	a := newEq1(t, specsA, w, 1, 100, nil)
+	b := newEq1(t, specsB, w, 1, 100, nil)
 	ha := a.SiteHitRatio(0, 50)
 	hb := b.SiteHitRatio(0, 50)
 	if math.Abs(hb-0.7*ha) > 1e-9 {
@@ -188,7 +199,7 @@ func TestPopularSiteHasHigherHitRatio(t *testing.T) {
 		{Objects: 100, Theta: 1},
 		{Objects: 100, Theta: 1},
 	}
-	p := NewPredictor(specs, []float64{8, 2}, 1, 200)
+	p := newEq1(t, specs, []float64{8, 2}, 1, 200, nil)
 	h0 := p.SiteHitRatio(0, 80)
 	h1 := p.SiteHitRatio(1, 80)
 	if h0 <= h1 {
@@ -202,7 +213,7 @@ func TestOverallHitRatioIsWeightedAverage(t *testing.T) {
 		{Objects: 50, Theta: 0.7},
 	}
 	weights := []float64{3, 1}
-	p := NewPredictor(specs, weights, 1, 100)
+	p := newEq1(t, specs, weights, 1, 100, nil)
 	const c = 40
 	want := 0.75*p.SiteHitRatio(0, c) + 0.25*p.SiteHitRatio(1, c)
 	if got := p.OverallHitRatio(c); math.Abs(got-want) > 1e-9 {
@@ -212,7 +223,7 @@ func TestOverallHitRatioIsWeightedAverage(t *testing.T) {
 
 func TestSitePopularityNormalized(t *testing.T) {
 	specs := []SiteSpec{{Objects: 5, Theta: 1}, {Objects: 5, Theta: 1}}
-	p := NewPredictor(specs, []float64{30, 10}, 1, 10)
+	p := newEq1(t, specs, []float64{30, 10}, 1, 10, nil)
 	if got := p.SitePopularity(0); math.Abs(got-0.75) > 1e-12 {
 		t.Fatalf("pop(0) = %v, want 0.75", got)
 	}
@@ -227,7 +238,7 @@ func TestHitRatiosConsistentWithSiteHitRatio(t *testing.T) {
 		{Objects: 80, Theta: 0.8},
 		{Objects: 30, Theta: 1.2},
 	}
-	p := NewPredictor(specs, []float64{5, 3, 2}, 1, 120)
+	p := newEq1(t, specs, []float64{5, 3, 2}, 1, 120, nil)
 	all := p.HitRatios(60)
 	for j := range specs {
 		if got := p.SiteHitRatio(j, 60); math.Abs(got-all[j]) > 1e-12 {
@@ -304,7 +315,7 @@ func TestModelMatchesSimulationSingleSite(t *testing.T) {
 		{300, 1.0, 200},
 	} {
 		specs, w := singleSite(tc.L, tc.theta, 0)
-		p := NewPredictor(specs, w, 1, int64(tc.slots))
+		p := newEq1(t, specs, w, 1, int64(tc.slots), nil)
 		predicted := p.SiteHitRatio(0, int64(tc.slots))
 		actual := simulateLRUHitRatio(specs, w, tc.slots, 600000, xrand.New(42))[0]
 		if math.Abs(predicted-actual) > 0.05 {
@@ -326,7 +337,7 @@ func TestModelMatchesSimulationMultiSite(t *testing.T) {
 	}
 	weights := []float64{8, 4, 2, 1}
 	const slots = 200
-	p := NewPredictor(specs, weights, 1, slots)
+	p := newEq1(t, specs, weights, 1, slots, nil)
 	actual := simulateLRUHitRatio(specs, weights, slots, 1200000, xrand.New(7))
 	for j := range specs {
 		predicted := p.SiteHitRatio(j, slots)
@@ -350,14 +361,14 @@ func TestModelMatchesSimulationMultiSite(t *testing.T) {
 
 func TestMemoizationConsistency(t *testing.T) {
 	specs, w := singleSite(300, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 300)
+	p := newEq1(t, specs, w, 1, 300, nil)
 	a := p.SiteHitRatio(0, 100)
 	b := p.SiteHitRatio(0, 100)
 	if a != b {
 		t.Fatalf("memoized result differs: %v vs %v", a, b)
 	}
 	// A fresh predictor must agree with the memoized one.
-	q := NewPredictor(specs, w, 1, 300)
+	q := newEq1(t, specs, w, 1, 300, nil)
 	if c := q.SiteHitRatio(0, 100); c != a {
 		t.Fatalf("fresh predictor differs: %v vs %v", c, a)
 	}
@@ -365,7 +376,7 @@ func TestMemoizationConsistency(t *testing.T) {
 
 func TestKForBMemoized(t *testing.T) {
 	specs, w := singleSite(1000, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 800)
+	p := newEq1(t, specs, w, 1, 800, nil)
 	k1 := p.KForB(400)
 	k2 := p.KForB(400)
 	if k1 != k2 {
@@ -381,7 +392,7 @@ func TestZeroWeightSite(t *testing.T) {
 		{Objects: 100, Theta: 1},
 		{Objects: 100, Theta: 1},
 	}
-	p := NewPredictor(specs, []float64{1, 0}, 1, 100)
+	p := newEq1(t, specs, []float64{1, 0}, 1, 100, nil)
 	if h := p.SiteHitRatio(1, 50); h != 0 {
 		t.Fatalf("zero-weight site hit ratio %v, want 0", h)
 	}
@@ -394,14 +405,14 @@ func BenchmarkSiteHitRatioMemoized(b *testing.B) {
 		specs[j] = SiteSpec{Objects: 500, Theta: 1.0}
 		weights[j] = float64(1 + j%5)
 	}
-	p := NewPredictor(specs, weights, 1, 2000)
+	p := newEq1(b, specs, weights, 1, 2000, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.SiteHitRatio(i%20, int64(500+(i%4)*250))
 	}
 }
 
-func BenchmarkNewPredictor(b *testing.B) {
+func BenchmarkNew(b *testing.B) {
 	specs := make([]SiteSpec, 20)
 	weights := make([]float64, 20)
 	for j := range specs {
@@ -409,6 +420,6 @@ func BenchmarkNewPredictor(b *testing.B) {
 		weights[j] = float64(1 + j%5)
 	}
 	for i := 0; i < b.N; i++ {
-		NewPredictor(specs, weights, 1, 2000)
+		newEq1(b, specs, weights, 1, 2000, nil)
 	}
 }

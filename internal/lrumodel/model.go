@@ -110,9 +110,7 @@ type ModelConfig struct {
 }
 
 // New builds a Model. It is the single constructor for all model
-// kinds; NewPredictor and NewPredictorShared remain as deprecated
-// wrappers around the eq1 kind. Unlike those wrappers, New reports
-// invalid configuration as an error instead of panicking, so operator
+// kinds, and reports invalid configuration as an error, so operator
 // input (CLI flags, control-plane config) can be validated directly.
 func New(cfg ModelConfig) (Model, error) {
 	kind, err := ParseModelKind(string(cfg.Kind))

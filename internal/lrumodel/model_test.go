@@ -39,8 +39,7 @@ func TestNewValidatesConfig(t *testing.T) {
 		t.Fatal("New accepted an unknown kind")
 	}
 
-	// Unlike the deprecated panicking constructors, New reports invalid
-	// site specs as an error.
+	// Invalid site specs are an error, not a panic.
 	bad = good
 	bad.Specs = nil
 	if _, err := New(bad); err == nil {
@@ -63,35 +62,6 @@ func TestModelKindRoundTrip(t *testing.T) {
 		}
 		if m.Kind() != kind {
 			t.Fatalf("Kind() = %v, want %v", m.Kind(), kind)
-		}
-	}
-}
-
-// TestDeprecatedConstructorsMatchNew pins the compatibility contract:
-// the deprecated panicking constructors are thin wrappers over the eq1
-// kind, bit-identical to New on every surface the placement uses.
-func TestDeprecatedConstructorsMatchNew(t *testing.T) {
-	specs := []SiteSpec{
-		{Objects: 300, Theta: 1.0},
-		{Objects: 500, Theta: 0.8, Lambda: 0.2},
-	}
-	w := []float64{3, 1}
-	old := NewPredictor(specs, w, 1, 800)
-	m, err := New(ModelConfig{Specs: specs, Weights: w, AvgObjectBytes: 1, MaxCacheBytes: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Kind() != ModelEq1 {
-		t.Fatalf("zero Kind resolved to %v, want eq1", m.Kind())
-	}
-	for _, c := range []int64{0, 40, 100, 400, 799} {
-		for j := range specs {
-			if a, b := old.SiteHitRatio(j, c), m.SiteHitRatio(j, c); a != b {
-				t.Fatalf("site %d cache %d: deprecated %v != New %v", j, c, a, b)
-			}
-		}
-		if a, b := old.OverallHitRatio(c), m.OverallHitRatio(c); a != b {
-			t.Fatalf("cache %d: overall %v != %v", c, a, b)
 		}
 	}
 }

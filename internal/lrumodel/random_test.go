@@ -11,7 +11,7 @@ import (
 
 func TestRandomTEdgeCases(t *testing.T) {
 	specs, w := singleSite(200, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 200)
+	p := newEq1(t, specs, w, 1, 200, nil)
 	if got := p.randomT(0); got != 0 {
 		t.Fatalf("randomT(0) = %v", got)
 	}
@@ -25,7 +25,7 @@ func TestRandomTEdgeCases(t *testing.T) {
 
 func TestRandomTMonotoneInB(t *testing.T) {
 	specs, w := singleSite(500, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 500)
+	p := newEq1(t, specs, w, 1, 500, nil)
 	prev := 0.0
 	for _, b := range []int{10, 50, 100, 200, 400} {
 		T := p.randomT(b)
@@ -40,7 +40,7 @@ func TestRandomOccupancyFixedPoint(t *testing.T) {
 	// At the solved characteristic time the expected occupancy
 	// Σ q·T/(1+q·T) equals B — that is the defining equation.
 	specs, w := singleSite(400, 1.0, 0)
-	p := NewPredictor(specs, w, 1, 400)
+	p := newEq1(t, specs, w, 1, 400, nil)
 	const B = 120
 	T := p.randomT(B)
 	z := p.zipfs[0]
@@ -62,7 +62,7 @@ func TestRandomZeroWeightSiteExcluded(t *testing.T) {
 		{Objects: 100, Theta: 1.0},
 		{Objects: 100, Theta: 1.0},
 	}
-	p := NewPredictor(specs, []float64{1, 0}, 1, 200)
+	p := newEq1(t, specs, []float64{1, 0}, 1, 200, nil)
 	if got := p.randomT(100); !math.IsInf(got, 1) {
 		t.Fatalf("randomT(100) with one dead site = %v, want +Inf", got)
 	}

@@ -25,8 +25,8 @@ func TestSharedTableBitIdentical(t *testing.T) {
 		for j := range w {
 			w[j] = r.Float64() + 0.01
 		}
-		plain := NewPredictor(specs, w, 1, 150)
-		with := NewPredictorShared(specs, w, 1, 150, shared)
+		plain := newEq1(t, specs, w, 1, 150, nil)
+		with := newEq1(t, specs, w, 1, 150, shared)
 		for _, cache := range []int64{0, 10, 40, 150} {
 			for j := range specs {
 				for _, mass := range []float64{1, 0.8, 0.5} {
@@ -56,15 +56,20 @@ func TestSharedTableConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			p := NewPredictorShared(specs, []float64{1}, 1, 200, shared)
+			p, err := New(ModelConfig{Specs: specs, Weights: []float64{1},
+				AvgObjectBytes: 1, MaxCacheBytes: 200, Shared: shared})
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for c := int64(1); c <= 200; c++ {
 				p.SiteHitRatioCond(0, 1-float64(g)*0.05, c)
 			}
 		}(g)
 	}
 	wg.Wait()
-	ref := NewPredictor(specs, []float64{1}, 1, 200)
-	p := NewPredictorShared(specs, []float64{1}, 1, 200, shared)
+	ref := newEq1(t, specs, []float64{1}, 1, 200, nil)
+	p := newEq1(t, specs, []float64{1}, 1, 200, shared)
 	for c := int64(1); c <= 200; c++ {
 		if a, b := ref.SiteHitRatio(0, c), p.SiteHitRatio(0, c); a != b {
 			t.Fatalf("cache %d: plain %v shared %v", c, a, b)
@@ -97,7 +102,7 @@ func TestSharedTableInternsZipfs(t *testing.T) {
 	shared := NewSharedTable()
 	preds := make([]*Predictor, n)
 	for i := range preds {
-		preds[i] = NewPredictorShared(specs, weights, 1, 4000, shared)
+		preds[i] = newEq1(t, specs, weights, 1, 4000, shared)
 	}
 	if got, want := len(shared.zipfs), len(specs)-1; got != want {
 		t.Fatalf("table holds %d distributions for %d distinct shapes", got, want)
@@ -115,7 +120,7 @@ func TestSharedTableInternsZipfs(t *testing.T) {
 	if z := preds[0].zipfs[5]; z.L != 2000 || z.Start != 1 || z.Theta != specs[5].Theta {
 		t.Fatalf("site 5 holds a distribution of shape (%d, %d, %v)", z.Start, z.L, z.Theta)
 	}
-	a, b := NewPredictor(specs, weights, 1, 4000), NewPredictor(specs, weights, 1, 4000)
+	a, b := newEq1(t, specs, weights, 1, 4000, nil), newEq1(t, specs, weights, 1, 4000, nil)
 	if a.zipfs[0] == b.zipfs[0] {
 		t.Fatal("predictors without a table share a distribution")
 	}
@@ -137,7 +142,7 @@ func BenchmarkZipfIntern(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				shared := c.shared()
 				for server := 0; server < 50; server++ {
-					NewPredictorShared(specs, weights, 1, 4000, shared)
+					newEq1(b, specs, weights, 1, 4000, shared)
 				}
 			}
 		})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/stats"
 )
 
 // Table is the paper's §4 pre-computation made explicit: "the obvious
@@ -58,9 +60,7 @@ func BuildTable(objects int, theta, pStep, pMax, kStep, kMax float64) *Table {
 	t.pCols = int(pMax/pStep) + 1
 	t.kRows = int(kMax/kStep) + 1
 	t.values = make([]float64, t.pCols*t.kRows)
-	spec := SiteSpec{Objects: objects, Theta: theta}
-	pred := NewPredictor([]SiteSpec{spec}, []float64{1}, 1, 1)
-	z := pred.zipfs[0]
+	z := stats.NewZipfRange(1, objects, theta)
 	for ki := 0; ki < t.kRows; ki++ {
 		K := float64(ki) * kStep
 		for pi := 0; pi < t.pCols; pi++ {

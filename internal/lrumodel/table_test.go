@@ -35,7 +35,7 @@ func TestBuildTablePanics(t *testing.T) {
 func TestTableMatchesExactOnGridPoints(t *testing.T) {
 	tab := buildSmallTable()
 	spec := SiteSpec{Objects: 200, Theta: 1.0}
-	pred := NewPredictor([]SiteSpec{spec}, []float64{1}, 1, 1)
+	pred := newEq1(t, []SiteSpec{spec}, []float64{1}, 1, 1, nil)
 	z := pred.zipfs[0]
 	for _, p := range []float64{0.01, 0.25, 0.5, 1.0} {
 		for _, K := range []float64{10, 100, 500, 2000} {
@@ -51,7 +51,7 @@ func TestTableMatchesExactOnGridPoints(t *testing.T) {
 func TestTableInterpolatesOffGrid(t *testing.T) {
 	tab := buildSmallTable()
 	spec := SiteSpec{Objects: 200, Theta: 1.0}
-	pred := NewPredictor([]SiteSpec{spec}, []float64{1}, 1, 1)
+	pred := newEq1(t, []SiteSpec{spec}, []float64{1}, 1, 1, nil)
 	z := pred.zipfs[0]
 	// Off-grid queries must be close to the exact value (the surface
 	// is smooth; bilinear error on this grid is small).

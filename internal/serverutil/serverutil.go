@@ -5,9 +5,8 @@
 // /debug/pprof/) from an obs.Registry, and drain in-flight requests on
 // shutdown instead of snapping connections.
 //
-// cmd/cdnd grew this logic first; cmd/cdnedge, cmd/cdnorigin and
-// cmd/cdncontrol share it from here instead of copy-pasting it four
-// times. The drain discipline is what the graceful-shutdown tests pin:
+// Every clusterd component serves through it. The drain discipline is
+// what the graceful-shutdown tests pin:
 // after Shutdown begins, requests already accepted complete with their
 // real status (zero 5xx from the shutdown itself) while new connections
 // are refused.

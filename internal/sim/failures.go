@@ -3,10 +3,9 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
@@ -57,156 +56,36 @@ func (m *FailureMetrics) Unavailability() float64 {
 // answers: "the system was in steady state, then k components died —
 // what do clients see?"
 //
-// Failures here are static — dead at the measurement boundary, forever.
-// RunWithSchedule generalizes this to crash/recover/slow events at
-// arbitrary virtual times; Crashes(cfg.Warmup, servers, origins) is the
-// degenerate schedule reproducing this function exactly.
+// Failures here are static — dead at the measurement boundary, forever:
+// the degenerate schedule fault.Crashes(cfg.Warmup, servers, origins) of
+// RunWithSchedule, which this function runs.
 func RunWithFailures(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, fail FailureSet, r *xrand.Source) (*FailureMetrics, error) {
+	// Before anything is built on cfg.Warmup or the ids: a schedule
+	// rejects a negative time or id by panicking.
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Parallelism > 1 {
-		// Unlike Run, this path is not shardable by server: the
-		// warm-then-fail schedule and the client re-dispatch to
-		// surviving servers make it a time-ordered global event
-		// stream. Reject rather than silently interleave wrongly.
-		return nil, fmt.Errorf("sim: RunWithFailures is inherently sequential (Parallelism = %d)", cfg.Parallelism)
-	}
-	if p.System() != sc.Sys {
-		return nil, fmt.Errorf("sim: placement belongs to a different system")
-	}
 	n, mSites := sc.Sys.N(), sc.Sys.M()
-	downServer := make([]bool, n)
+	down := make(map[int]bool, len(fail.Servers))
 	for _, s := range fail.Servers {
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("sim: failed server %d out of range", s)
 		}
-		downServer[s] = true
+		down[s] = true
 	}
-	alive := 0
-	for i := 0; i < n; i++ {
-		if !downServer[i] {
-			alive++
-		}
-	}
-	if alive == 0 {
+	if len(down) == n {
 		return nil, fmt.Errorf("sim: all servers failed")
 	}
-	downOrigin := make([]bool, mSites)
 	for _, o := range fail.Origins {
 		if o < 0 || o >= mSites {
 			return nil, fmt.Errorf("sim: failed origin %d out of range", o)
 		}
-		downOrigin[o] = true
 	}
-
-	// handler[i]: the surviving server that takes over server i's
-	// clients (itself when alive), plus the detour cost.
-	handler := make([]int, n)
-	detour := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if !downServer[i] {
-			handler[i] = i
-			continue
-		}
-		best, bestCost := -1, math.Inf(1)
-		for k := 0; k < n; k++ {
-			if !downServer[k] && sc.Sys.CostServer[i][k] < bestCost {
-				best, bestCost = k, sc.Sys.CostServer[i][k]
-			}
-		}
-		handler[i] = best
-		detour[i] = bestCost
+	m, err := RunWithSchedule(ctx, sc, p, cfg, fault.Crashes(cfg.Warmup, fail.Servers, fail.Origins), r)
+	if err != nil {
+		return nil, err
 	}
-
-	// nearest[i][j]: cheapest surviving source of site j from server i
-	// (+Inf when none survives).
-	nearest := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		nearest[i] = make([]float64, mSites)
-		for j := 0; j < mSites; j++ {
-			cost := math.Inf(1)
-			if !downOrigin[j] {
-				cost = sc.Sys.CostOrigin[i][j]
-			}
-			for k := 0; k < n; k++ {
-				if !downServer[k] && p.Has(k, j) && sc.Sys.CostServer[i][k] < cost {
-					cost = sc.Sys.CostServer[i][k]
-				}
-			}
-			nearest[i][j] = cost
-		}
-	}
-
-	var caches []cache.Cache
-	if cfg.UseCache {
-		caches = make([]cache.Cache, n)
-		for i := 0; i < n; i++ {
-			caches[i] = cache.New(cfg.Policy, p.Free(i))
-		}
-	}
-
-	m := &FailureMetrics{}
-	stream := sc.Stream(r)
-	var totalRT float64
-	total := cfg.Warmup + cfg.Requests
-	for t := 0; t < total; t++ {
-		if t%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		req := stream.Next()
-		measured := t >= cfg.Warmup
-		origin, j := req.Server, req.Site
-
-		if !measured {
-			// Warm-up phase: the system is healthy; use the normal
-			// dispatch so caches reach their steady state.
-			if !p.Has(origin, j) && caches != nil && req.Cacheable {
-				key := cache.Key{Site: j, Object: req.Object}
-				if !caches[origin].Get(key) {
-					caches[origin].Put(key, sc.Work.Size(j, req.Object))
-				}
-			}
-			continue
-		}
-
-		i := handler[origin]
-		firstHop := cfg.FirstHopMs + cfg.PerHopMs*detour[origin]
-		m.Requests++
-		if i != origin {
-			m.Rerouted++
-		}
-
-		var rt float64
-		served := true
-		switch {
-		case p.Has(i, j):
-			rt = firstHop
-			m.LocalReplica++
-		case caches != nil && req.Cacheable && caches[i].Get(cache.Key{Site: j, Object: req.Object}):
-			rt = firstHop
-			m.CacheHits++
-			if downOrigin[j] {
-				m.StaleRisk++
-			}
-		case math.IsInf(nearest[i][j], 1):
-			served = false
-			m.Unavailable++
-		default:
-			rt = firstHop + cfg.PerHopMs*nearest[i][j]
-			if caches != nil && req.Cacheable {
-				caches[i].Put(cache.Key{Site: j, Object: req.Object}, sc.Work.Size(j, req.Object))
-				m.CacheMisses++
-			}
-		}
-		if served {
-			totalRT += rt
-		}
-	}
-	if availCount := int64(m.Requests) - m.Unavailable; availCount > 0 {
-		m.MeanRTMs = totalRT / float64(availCount)
-	}
-	return m, nil
+	return &m.FailureMetrics, nil
 }
 
 // RandomFailures draws k distinct failed origins and s distinct failed

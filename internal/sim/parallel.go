@@ -240,15 +240,6 @@ func RunParallel(ctx context.Context, sc *scenario.Scenario, p *core.Placement, 
 	return RunSourceParallel(ctx, sc, p, cfg, streamSource{sc.Stream(r)})
 }
 
-// MustRunParallel is RunParallel for known-good configurations.
-func MustRunParallel(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, r *xrand.Source) *Metrics {
-	m, err := RunParallel(ctx, sc, p, cfg, r)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // RunSourceParallel is RunSource executed on cfg.Parallelism goroutines.
 // The source is drained sequentially by the calling goroutine, the
 // producer (request sampling owns a single RNG stream), so any Source

@@ -73,10 +73,9 @@ type srcEntry struct {
 // RunWithSchedule replays the workload while the fault schedule fires:
 // components crash, recover and slow down at their event times, and the
 // nearest-live-replica routing is re-resolved after every event. It
-// generalizes RunWithFailures from "dead at the measurement boundary,
-// forever" to mid-run churn; given the degenerate schedule
-// fault.Crashes(cfg.Warmup, servers, origins) it reproduces
-// RunWithFailures bit-for-bit (same seed, same metrics).
+// generalizes "dead at the measurement boundary, forever" to mid-run
+// churn; RunWithFailures is this function over the degenerate schedule
+// fault.Crashes(cfg.Warmup, servers, origins).
 //
 // Semantics per event kind:
 //
@@ -101,8 +100,10 @@ func RunWithSchedule(ctx context.Context, sc *scenario.Scenario, p *core.Placeme
 		return nil, err
 	}
 	if cfg.Parallelism > 1 {
-		// Same argument as RunWithFailures: churn makes the run a
-		// time-ordered global event stream, not shardable by server.
+		// Unlike Run, this path is not shardable by server: the events
+		// and the client re-dispatch to surviving servers make it a
+		// time-ordered global event stream. Reject rather than silently
+		// interleave wrongly.
 		return nil, fmt.Errorf("sim: RunWithSchedule is inherently sequential (Parallelism = %d)", cfg.Parallelism)
 	}
 	if p.System() != sc.Sys {
@@ -260,8 +261,7 @@ func RunWithSchedule(ctx context.Context, sc *scenario.Scenario, p *core.Placeme
 		i := handler[origin]
 		if !measured {
 			// Warm-up: shape cache state with the same dispatch, no
-			// accounting. With a healthy system this reduces to the
-			// cache-warming of RunWithFailures.
+			// accounting.
 			if i < 0 {
 				continue
 			}

@@ -73,7 +73,7 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 		cfg := fastConfig(useCache)
 		cfg.KeepResponseTimes = false
 		fail := RandomFailures(sc, 2, 3, xrand.New(54))
-		want, err := RunWithFailures(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(55))
+		want, err := staticFailuresOracle(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(55))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +83,16 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.FailureMetrics, *want) {
-			t.Errorf("useCache=%v: degenerate schedule diverged from RunWithFailures:\nschedule: %+v\nstatic:   %+v",
+			t.Errorf("useCache=%v: degenerate schedule diverged from the static oracle:\nschedule: %+v\nstatic:   %+v",
 				useCache, got.FailureMetrics, *want)
+		}
+		static, err := RunWithFailures(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(55))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*static, *want) {
+			t.Errorf("useCache=%v: RunWithFailures diverged from the static oracle:\ngot:  %+v\nwant: %+v",
+				useCache, *static, *want)
 		}
 	}
 }
@@ -94,7 +102,7 @@ func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
 	p := core.NewPlacement(sc.Sys)
 	cfg := fastConfig(true)
 	cfg.KeepResponseTimes = false
-	want, err := RunWithFailures(context.Background(), sc, p, cfg, FailureSet{}, xrand.New(58))
+	want, err := staticFailuresOracle(context.Background(), sc, p, cfg, FailureSet{}, xrand.New(58))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +111,7 @@ func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.FailureMetrics, *want) {
-		t.Fatalf("nil schedule diverged from healthy RunWithFailures:\n%+v\n%+v", got.FailureMetrics, *want)
+		t.Fatalf("nil schedule diverged from the healthy static oracle:\n%+v\n%+v", got.FailureMetrics, *want)
 	}
 	if len(got.Phases) != 1 || got.EventsApplied != 0 {
 		t.Fatalf("healthy run: %d phases, %d events", len(got.Phases), got.EventsApplied)

@@ -534,12 +534,3 @@ func (m *Metrics) countRemote(p *core.Placement, i, j int) string {
 	m.RemoteServer++
 	return obs.SourcePeer
 }
-
-// MustRun is Run for known-good configurations.
-func MustRun(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, r *xrand.Source) *Metrics {
-	m, err := Run(ctx, sc, p, cfg, r)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}

@@ -44,6 +44,15 @@ func fastConfig(useCache bool) Config {
 	return cfg
 }
 
+// MustRun is Run for known-good configurations.
+func MustRun(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, r *xrand.Source) *Metrics {
+	m, err := Run(ctx, sc, p, cfg, r)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {

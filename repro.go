@@ -182,7 +182,11 @@ func Simulate(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfig, se
 
 // MustSimulate is Simulate for known-good configurations.
 func MustSimulate(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfig, seed uint64) *Metrics {
-	return sim.MustRunParallel(ctx, sc, p, cfg, xrand.New(seed))
+	m, err := Simulate(ctx, sc, p, cfg, seed)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // Figure3 regenerates the λ=0 mechanism-comparison CDFs (5% and 10%
@@ -284,26 +288,6 @@ func HitModelNames() []string {
 		names[i] = string(k)
 	}
 	return names
-}
-
-// NewLRUPredictor builds the §3.2 model for one server: weights[j] is the
-// server's request rate for site j, avgObjectBytes is ō, and
-// maxCacheBytes bounds the cache sizes that will be queried.
-//
-// Deprecated: use NewHitModel, which selects among all model kinds and
-// reports invalid input as an error. This wrapper keeps the original
-// panic-on-bad-input contract.
-func NewLRUPredictor(specs []SiteSpec, weights []float64, avgObjectBytes float64, maxCacheBytes int64) *LRUPredictor {
-	m, err := NewHitModel(HitModelConfig{
-		Specs:          specs,
-		Weights:        weights,
-		AvgObjectBytes: avgObjectBytes,
-		MaxCacheBytes:  maxCacheBytes,
-	})
-	if err != nil {
-		panic(err.Error())
-	}
-	return m.(*lrumodel.Predictor)
 }
 
 // Ablation rows (beyond the paper; see DESIGN.md §5).
