@@ -76,6 +76,8 @@ lint:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# bench runs the observability-overhead benchmarks (<100ns/op budget).
+# bench runs the observability-overhead benchmarks (<100ns/op budget)
+# and the edge engine's hit and miss paths (BenchmarkServeHit/Miss, with
+# allocations).
 bench:
-	$(GO) test -bench=. -run=NONE ./internal/obs/ ./internal/cache/
+	$(GO) test -bench=. -run=NONE ./internal/obs/ ./internal/cache/ ./internal/httpcdn/

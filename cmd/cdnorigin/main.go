@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	cdnorigin -addr 127.0.0.1:9301 -control http://127.0.0.1:9300
+//	cdnorigin -addr 127.0.0.1:9301 -control http://127.0.0.1:9300 [-trace origin.jsonl]
 package main
 
 import (
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/clusterd"
+	"repro/internal/obs"
 	"repro/internal/serverutil"
 )
 
@@ -33,6 +34,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9301", "listen address")
 	control := flag.String("control", "http://127.0.0.1:9300", "control plane base URL")
 	wait := flag.Duration("wait", 30*time.Second, "how long to wait for the control plane to come up")
+	tracePath := flag.String("trace", "", "write the JSONL span stream to this file (cdntrace reads it)")
 	flag.Int64Var(&cfg.MaxObjectBytes, "max-object-bytes", 0, "cap synthetic payload sizes (0 = 64 KiB)")
 	quiet := flag.Bool("quiet", false, "suppress log output")
 	flag.Parse()
@@ -45,13 +47,13 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *control, *wait, cfg); err != nil {
+	if err := run(ctx, *control, *wait, *tracePath, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "cdnorigin:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, control string, wait time.Duration, cfg clusterd.OriginConfig) error {
+func run(ctx context.Context, control string, wait time.Duration, tracePath string, cfg clusterd.OriginConfig) error {
 	if err := serverutil.WaitReady(ctx, nil, control+"/cluster/config", wait); err != nil {
 		return fmt.Errorf("control plane at %s: %w", control, err)
 	}
@@ -59,6 +61,18 @@ func run(ctx context.Context, control string, wait time.Duration, cfg clusterd.O
 	if err != nil {
 		return err
 	}
+
+	var tracer *obs.Tracer
+	if tracePath != "" {
+		tf, err := os.Create(tracePath)
+		if err != nil {
+			return err
+		}
+		defer tf.Close()
+		tracer = obs.NewTracer(tf)
+		cfg.Tracer = tracer
+	}
+
 	o, err := clusterd.StartOrigin(params, cfg)
 	if err != nil {
 		return err
@@ -75,5 +89,11 @@ func run(ctx context.Context, control string, wait time.Duration, cfg clusterd.O
 	<-ctx.Done()
 	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	return o.Shutdown(sctx)
+	err = o.Shutdown(sctx)
+	if tracer != nil {
+		if ferr := tracer.Flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}
+	return err
 }

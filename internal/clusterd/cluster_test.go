@@ -3,8 +3,11 @@ package clusterd
 import (
 	"context"
 	"fmt"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,7 +183,11 @@ func TestClusterChaosDrill(t *testing.T) {
 
 	t.Run("one edge faulted mid-run", func(t *testing.T) {
 		tc := startCluster(t, Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}, ccfg)
-		drill(t, tc, 1500, 300, 900)
+		// Healthy traffic first: a reconcile round records an exclusion
+		// only once it has demand to place against, and the whole fault
+		// window can pass before the first demand report.
+		tc.warm(t)
+		drill(t, tc, 3000, 500, 2500)
 
 		// The fault is cleared by now, but the probe loop must have seen
 		// it: the tracker records an ejection and, after the fault
@@ -235,15 +242,7 @@ func TestClusterChaosDrill(t *testing.T) {
 			return res
 		}
 
-		// Healthy traffic first, so the reconciles below have demand to
-		// place against.
-		load("healthy")
-		waitFor(t, 5*time.Second, "demand reports", func() error {
-			if tc.Control.Estimator().Observed() == 0 {
-				return fmt.Errorf("estimator still empty")
-			}
-			return nil
-		})
+		tc.warm(t)
 
 		for _, v := range victims {
 			tc.Edges[v].Injector().Set(fault.ModeError, 0)
@@ -288,6 +287,69 @@ func TestClusterChaosDrill(t *testing.T) {
 		if len(rep.Excluded) != 0 {
 			t.Fatalf("post-recovery reconcile still excludes %v", rep.Excluded)
 		}
+	})
+}
+
+// TestProbesReuseOneConnection: the control plane's probes of an edge
+// ride one connection, which is then there for a placement push. (A
+// probe that closed its reply unread closed the connection with it, so
+// every probe and every push dialled.)
+func TestProbesReuseOneConnection(t *testing.T) {
+	cp, err := StartControl(DefaultParams(), ControlConfig{
+		Addr: "127.0.0.1:0", Interval: time.Hour, ProbeEvery: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Shutdown(context.Background())
+
+	var opened atomic.Int64
+	edge := httptest.NewUnstartedServer(http.HandlerFunc(servePing))
+	edge.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	edge.Start()
+	defer edge.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := postJSON(ctx, http.DefaultClient, cp.URL()+"/cluster/register",
+		RegisterRequest{Kind: "edge", ID: 0, URL: edge.URL}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rounds := cp.Registry().Counter("cdn_cluster_probe_rounds_total", "", nil)
+	from := rounds.Value()
+	waitFor(t, 10*time.Second, "ten probe rounds", func() error {
+		if n := rounds.Value() - from; n < 10 {
+			return fmt.Errorf("%d rounds", n)
+		}
+		return nil
+	})
+	if n := opened.Load(); n != 1 {
+		t.Fatalf("ten probe rounds opened %d connections to the edge, want 1", n)
+	}
+}
+
+// warm drives healthy traffic until the control plane has demand
+// reports, so that the reconciles that follow have demand to place
+// against.
+func (tc *testCluster) warm(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := RunLoad(ctx, LoadConfig{ControlURL: tc.Control.URL(),
+		Requests: 300, Workers: 4, Seed: 13, FaultEdge: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Errors != 0 {
+		t.Fatalf("healthy traffic lost %d/%d requests: %v", res.Errors, res.Requests, res.ErrorClasses)
+	}
+	waitFor(t, 5*time.Second, "demand reports", func() error {
+		if tc.Control.Estimator().Observed() == 0 {
+			return fmt.Errorf("estimator still empty")
+		}
+		return nil
 	})
 }
 

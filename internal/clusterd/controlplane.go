@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -291,6 +292,9 @@ func (cp *ControlPlane) probeOne(ctx context.Context, id int, url string) {
 	ok := false
 	if req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/admin/ping", nil); err == nil {
 		if resp, err := cp.client.Do(req); err == nil {
+			// Read to the end, or closing the body closes the connection
+			// and the next probe, and the next placement push, dial anew.
+			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 			resp.Body.Close()
 			ok = resp.StatusCode == http.StatusOK
 		}

@@ -193,7 +193,8 @@ func (e *Edge) Registry() *obs.Registry { return e.reg }
 // PlacementVersion returns the version of the applied placement.
 func (e *Edge) PlacementVersion() int64 { return e.plVersion.Load() }
 
-// Shutdown stops the report loop, then drains in-flight requests.
+// Shutdown stops the report loop, drops the idle upstream connections,
+// then drains in-flight requests.
 func (e *Edge) Shutdown(ctx context.Context) error {
 	e.loopMu.Lock()
 	cancel, done := e.reportCancel, e.reportDone
@@ -203,6 +204,7 @@ func (e *Edge) Shutdown(ctx context.Context) error {
 		cancel()
 		<-done
 	}
+	e.engine.CloseIdleConnections()
 	return e.srv.Shutdown(ctx)
 }
 

@@ -70,10 +70,14 @@ func StartLocal(params Params, ccfg ControlConfig, ocfg OriginConfig, ecfg EdgeC
 // Shutdown drains the edges, the origin and the control plane, in that
 // order, and returns what failed to stop.
 func (l *Local) Shutdown(ctx context.Context) error {
-	// A connection the components' shared transport dialled and never
-	// used would hold its server's Shutdown for the five seconds net/http
-	// grants one.
+	// A connection a component's transport dialled and never used would
+	// hold its server's Shutdown for the five seconds net/http grants
+	// one: the control traffic's shared transport here, every engine's
+	// own before the first edge stops.
 	http.DefaultClient.CloseIdleConnections()
+	for _, e := range l.Edges {
+		e.engine.CloseIdleConnections()
+	}
 	var errs []error
 	for _, e := range l.Edges {
 		errs = append(errs, e.Shutdown(ctx))

@@ -76,11 +76,17 @@ type Engine struct {
 	// cachedVer remembers the version of each cached body.
 	cachedVer map[cache.Key]int
 
-	served                        map[string]*obs.Counter   // per source
-	latency                       map[string]*obs.Histogram // per source
+	served                        [numSources]*obs.Counter
+	latency                       [numSources]*obs.Histogram
 	hits, misses, fails, notFound *obs.Counter
 	revalidations, notModified    obs.Counter
 }
+
+// upstreamIdleConns is how many idle connections an engine keeps to each
+// upstream: enough that an edge's concurrent misses to one peer or origin
+// reuse connections between bursts instead of redialling (net/http's
+// default keeps two).
+const upstreamIdleConns = 64
 
 // NewEngine builds the engine of edge cfg.ID; its roster starts with
 // every address unknown.
@@ -102,23 +108,29 @@ func NewEngine(cfg EngineConfig) *Engine {
 	id := strconv.Itoa(cfg.ID)
 	edgeLabel := obs.Labels{"edge": id}
 	e := &Engine{
-		cfg:       cfg,
-		client:    &http.Client{Timeout: 30 * time.Second},
+		cfg: cfg,
+		// The engine's own transport, with no timer of its own: every
+		// attempt runs under fetchOnce's context deadline (Retry.Timeout is
+		// never zero), and an idle connection lives until its server or
+		// CloseIdleConnections closes it. Bodies are synthetic, so no
+		// gzip negotiation either, and a 200 keeps its Content-Length.
+		client: &http.Client{Transport: &http.Transport{
+			MaxIdleConnsPerHost: upstreamIdleConns,
+			DisableCompression:  true,
+		}},
 		cachedVer: make(map[cache.Key]int),
-		served:    make(map[string]*obs.Counter, len(obs.Sources)),
-		latency:   make(map[string]*obs.Histogram, len(obs.Sources)),
 		hits:      reg.Counter("cdn_edge_cache_hits_total", "Cache hits at an edge.", edgeLabel),
 		misses:    reg.Counter("cdn_edge_cache_misses_total", "Cache misses at an edge.", edgeLabel),
 		fails:     reg.Counter("cdn_edge_errors_total", "Requests an edge failed to serve.", edgeLabel),
 		notFound: reg.Counter("cdn_edge_notfound_total",
 			"Requests for sites or objects outside the catalog (404s).", edgeLabel),
 	}
-	for _, src := range obs.Sources {
+	for src := sourceID(0); src < numSources; src++ {
 		e.served[src] = reg.Counter("cdn_edge_requests_total",
-			"Requests served by an edge, by source.", obs.Labels{"edge": id, "source": src})
+			"Requests served by an edge, by source.", obs.Labels{"edge": id, "source": src.String()})
 		e.latency[src] = reg.Histogram("cdn_request_latency_ms",
 			"Edge serve latency by source, milliseconds.",
-			obs.Labels{"source": src}, obs.DefaultLatencyBuckets())
+			obs.Labels{"source": src.String()}, obs.DefaultLatencyBuckets())
 	}
 	// The hooks fire under e.mu (every cache mutation does) and only
 	// touch atomics.
@@ -136,6 +148,11 @@ func NewEngine(cfg EngineConfig) *Engine {
 // SetRoster replaces the upstream addresses; r must not be modified
 // afterwards.
 func (e *Engine) SetRoster(r Roster) { e.roster.Store(&r) }
+
+// CloseIdleConnections closes the engine's idle upstream connections. One
+// that was dialled and never used would otherwise hold the shutdown of
+// the server it points at for the five seconds net/http grants it.
+func (e *Engine) CloseIdleConnections() { e.client.CloseIdleConnections() }
 
 // Placement returns the placement currently routing requests.
 func (e *Engine) Placement() *core.Placement { return e.pl.Load() }
@@ -193,10 +210,10 @@ func (s EdgeStats) LocalFraction() float64 {
 // written, so a client that has read a response sees it counted.
 func (e *Engine) Stats() EdgeStats {
 	return EdgeStats{
-		Replica:       e.served[SourceReplica].Value(),
-		CacheHit:      e.served[SourceCache].Value(),
-		PeerFetch:     e.served[SourcePeer].Value(),
-		OriginFetch:   e.served[SourceOrigin].Value(),
+		Replica:       e.served[srcReplica].Value(),
+		CacheHit:      e.served[srcCache].Value(),
+		PeerFetch:     e.served[srcPeer].Value(),
+		OriginFetch:   e.served[srcOrigin].Value(),
 		Revalidations: e.revalidations.Value(),
 		NotModified:   e.notModified.Value(),
 		NotFound:      e.notFound.Value(),
@@ -237,7 +254,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		e.fails.Inc()
 		return
 	}
-	sp.Attr("source", source)
+	sp.Attr("source", source.String())
 	sp.AttrFloat("hops", hops)
 	sp.Attr("outcome", "ok")
 	sp.End()
@@ -249,7 +266,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			Edge:      e.cfg.ID,
 			Site:      site,
 			Object:    object,
-			Source:    source,
+			Source:    source.String(),
 			Hops:      hops,
 			LatencyMs: latencyMs,
 		})
@@ -259,12 +276,12 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // handle serves one parsed request: replica, then cache, then fetch. It
 // reports where the response came from and the redirection hops paid;
 // ok = false means an error response was written instead.
-func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int, internal bool, sp *Span) (source string, hops float64, ok bool) {
+func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int, internal bool, sp *Span) (source sourceID, hops float64, ok bool) {
 	pl := e.pl.Load()
 	key := cache.Key{Site: site, Object: object}
 	version := 0
-	if pl.Has(e.cfg.ID, site) {
-		source = SourceReplica
+	if ok = pl.Has(e.cfg.ID, site); ok {
+		source = srcReplica
 		if e.cfg.LiveVersion != nil {
 			version = e.cfg.LiveVersion(site, object)
 		} else {
@@ -273,9 +290,9 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 			e.mu.Unlock()
 		}
 	} else if version, ok = e.lookup(r, key, sp); ok {
-		source = SourceCache
+		source = srcCache
 	}
-	if source != "" {
+	if ok {
 		e.served[source].Inc()
 		writeObject(w, e.cfg.Scenario, site, object, version, e.cfg.MaxObjectBytes, source)
 		return source, 0, true
@@ -316,11 +333,11 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 		}
 		w.Header().Set(ErrorHeader, ErrorClass(ferr))
 		http.Error(w, ferr.Error(), status)
-		return "", 0, false
+		return 0, 0, false
 	}
-	source = SourceOrigin
+	source = srcOrigin
 	if used.kind == "edge" {
-		source = SourcePeer
+		source = srcPeer
 	}
 
 	e.mu.Lock()
@@ -338,9 +355,7 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 	e.mu.Unlock()
 
 	e.served[source].Inc()
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Etag", etag)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	setObjectHeaders(w.Header(), source, etag, int64(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body) // a client that hung up mid-body is not the edge's failure
 	return source, used.hops, true
@@ -494,19 +509,29 @@ func (e *Engine) fetchOnce(ctx context.Context, url, ifNoneMatch string, sp *Spa
 		req.Header.Set(obs.TraceparentHeader, hdr)
 	}
 	resp, err := e.client.Do(req)
-	if err == nil {
-		defer resp.Body.Close()
-		body, err = io.ReadAll(resp.Body)
-	}
-	switch {
-	case err != nil && actx.Err() != nil:
-		return nil, "", false, fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
-	case err != nil:
+	if err != nil {
+		if actx.Err() != nil {
+			err = fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
+		}
 		return nil, "", false, err
+	}
+	defer resp.Body.Close()
+	switch {
 	case resp.StatusCode == http.StatusNotModified && ifNoneMatch != "":
 		return nil, "", true, nil
 	case resp.StatusCode != http.StatusOK:
+		// What an error answer says is not used, but reading it lets the
+		// connection be reused.
+		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return nil, "", false, fmt.Errorf("%w: %d", ErrUpstreamStatus, resp.StatusCode)
+	}
+	body, err = readBody(resp, e.cfg.MaxObjectBytes)
+	if err != nil {
+		class := ErrUpstreamStatus
+		if actx.Err() != nil {
+			class = ErrEdgeTimeout
+		}
+		return nil, "", false, fmt.Errorf("%w: %v", class, err)
 	}
 	return body, resp.Header.Get("Etag"), false, nil
 }

@@ -19,8 +19,9 @@ var (
 	// ErrOriginDown reports that a site's origin could not be reached or
 	// answered with an error for every retry attempt.
 	ErrOriginDown = errors.New("httpcdn: origin unreachable")
-	// ErrUpstreamStatus reports a non-200 answer from an upstream that
-	// was reachable (e.g. an injected 503).
+	// ErrUpstreamStatus reports an unusable answer from an upstream that
+	// was reachable: a non-200 status (e.g. an injected 503), or a body
+	// over the edge's MaxObjectBytes or short of its Content-Length.
 	ErrUpstreamStatus = errors.New("httpcdn: unexpected upstream status")
 	// ErrBadStatus reports a non-200 answer from the edge to a client
 	// fetch that does not carry a more specific X-Cdn-Error class.

@@ -29,7 +29,8 @@ func FuzzParseObjectPath(f *testing.F) {
 }
 
 // FuzzVersionFromETag: never panics, never negative, and inverts
-// ETagFor on every version an origin can reach.
+// ETagFor on every version an origin can reach; ETagFor and ObjectPath
+// equal their Sprintf oracles on every int.
 func FuzzVersionFromETag(f *testing.F) {
 	f.Add(`"/obj/3/9@42"`, 3, 9, 42)
 	f.Add(`"no-version-here"`, 0, 1, 0)
@@ -38,6 +39,12 @@ func FuzzVersionFromETag(f *testing.F) {
 	f.Fuzz(func(t *testing.T, etag string, site, object, version int) {
 		if v := VersionFromETag(etag); v < 0 {
 			t.Fatalf("VersionFromETag(%q) = %d", etag, v)
+		}
+		if got, want := ETagFor(site, object, version), oracleETagFor(site, object, version); got != want {
+			t.Fatalf("ETagFor(%d, %d, %d) = %q, want %q", site, object, version, got, want)
+		}
+		if got, want := ObjectPath(site, object), oracleObjectPath(site, object); got != want {
+			t.Fatalf("ObjectPath(%d, %d) = %q, want %q", site, object, got, want)
 		}
 		if version >= 0 {
 			if v := VersionFromETag(ETagFor(site, object, version)); v != version {

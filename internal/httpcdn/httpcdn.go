@@ -188,6 +188,9 @@ func (c *Cluster) OriginInjector(j int) *fault.Injector { return c.originInj[j] 
 
 // Close shuts down every server.
 func (c *Cluster) Close() {
+	for _, e := range c.engines {
+		e.CloseIdleConnections()
+	}
 	for _, e := range c.edges {
 		e.Close()
 	}

@@ -1,6 +1,7 @@
 package httpcdn
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -17,7 +18,15 @@ import (
 
 // ObjectPath builds the canonical object URL path.
 func ObjectPath(site, object int) string {
-	return fmt.Sprintf("/obj/%d/%d", site, object)
+	var buf [48]byte // "/obj/" + two 20-byte ints + "/"
+	return string(appendObjectPath(buf[:0], site, object))
+}
+
+func appendObjectPath(b []byte, site, object int) []byte {
+	b = append(b, "/obj/"...)
+	b = strconv.AppendInt(b, int64(site), 10)
+	b = append(b, '/')
+	return strconv.AppendInt(b, int64(object), 10)
 }
 
 // ParseObjectPath extracts (site, object) from /obj/{site}/{object} and
@@ -52,30 +61,76 @@ func objectSize(sc *scenario.Scenario, site, object int, maxBytes int64) int64 {
 	return sz
 }
 
-// writeObject streams the deterministic payload of the given version
-// with the standard CDN response headers.
-func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, version int, maxBytes int64, source string) {
+// sourceID indexes the four serve sources in obs.Sources order, so the
+// per-source counters, histograms and header values are arrays.
+type sourceID uint8
+
+const (
+	srcReplica sourceID = iota
+	srcCache
+	srcPeer
+	srcOrigin
+	numSources
+)
+
+// sourceHeader[id] is the preformatted X-Cdn-Source value of a source.
+// The slices are shared by every response and never written again.
+var sourceHeader = [numSources][]string{
+	{SourceReplica}, {SourceCache}, {SourcePeer}, {SourceOrigin},
+}
+
+func (id sourceID) String() string { return sourceHeader[id][0] }
+
+// setObjectHeaders assigns the standard CDN headers of a 200. The keys
+// are written in canonical form, which spares Header.Set's
+// canonicalisation pass, and the two per-response values share one
+// backing array, as the values of a header net/textproto reads do.
+func setObjectHeaders(h http.Header, source sourceID, etag string, size int64) {
+	vals := []string{strconv.FormatInt(size, 10), etag}
+	h["X-Cdn-Source"] = sourceHeader[source]
+	h["Content-Length"] = vals[0:1:1]
+	h["Etag"] = vals[1:2:2]
+}
+
+// writeObject serves the deterministic payload of the given version with
+// the standard CDN response headers.
+func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, version int, maxBytes int64, source sourceID) {
 	size := objectSize(sc, site, object, maxBytes)
-	w.Header().Set("X-Cdn-Source", source)
-	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
-	w.Header().Set("Etag", ETagFor(site, object, version))
+	setObjectHeaders(w.Header(), source, ETagFor(site, object, version), size)
 	w.WriteHeader(http.StatusOK)
 	WritePattern(w, site, object, version, size)
 }
 
-// WritePattern emits the deterministic byte pattern of an object version.
-func WritePattern(w io.Writer, site, object, version int, size int64) {
-	var chunk [4096]byte
-	seed := byte(site*31 + object*7 + version*13)
-	for i := range chunk {
-		chunk[i] = seed + byte(i)
+// patternPiece is the most bytes one Write of a payload carries. It is a
+// multiple of the pattern's period, so every piece of a body starts at
+// the same table offset, and it is the default MaxObjectBytes, so a body
+// under the default cap is one Write.
+const patternPiece = 64 << 10
+
+// patternTable[i] is byte(i). Byte i of an object's payload is
+// seed + byte(i), a rotation of period 256, so the first patternPiece
+// bytes of every payload are patternTable[seed : seed+n].
+var patternTable [256 + patternPiece]byte
+
+func init() {
+	for i := range patternTable {
+		patternTable[i] = byte(i)
 	}
+}
+
+// patternSeed is the table offset at which an object version's payload
+// starts.
+func patternSeed(site, object, version int) int {
+	return int(byte(site*31 + object*7 + version*13))
+}
+
+// WritePattern emits the deterministic byte pattern of an object version
+// in pieces of at most patternPiece bytes.
+func WritePattern(w io.Writer, site, object, version int, size int64) {
+	seed := patternSeed(site, object, version)
 	for size > 0 {
-		n := int64(len(chunk))
-		if n > size {
-			n = size
-		}
-		if _, err := w.Write(chunk[:n]); err != nil {
+		n := min(size, patternPiece)
+		if _, err := w.Write(patternTable[seed : seed+int(n)]); err != nil {
 			return
 		}
 		size -= n
@@ -85,18 +140,25 @@ func WritePattern(w io.Writer, site, object, version int, size int64) {
 // VerifyBody checks that body matches the deterministic pattern of the
 // given object version.
 func VerifyBody(body []byte, site, object, version int) bool {
-	seed := byte(site*31 + object*7 + version*13)
-	for i, b := range body {
-		if b != seed+byte(i%4096) {
+	seed := patternSeed(site, object, version)
+	for len(body) > 0 {
+		n := min(len(body), patternPiece)
+		if !bytes.Equal(body[:n], patternTable[seed:seed+n]) {
 			return false
 		}
+		body = body[n:]
 	}
 	return true
 }
 
-// ETagFor is the strong validator origins attach and edges echo back.
+// ETagFor is the strong validator origins attach and edges echo back:
+// the object path and version, double-quoted.
 func ETagFor(site, object, version int) string {
-	return fmt.Sprintf("%q", fmt.Sprintf("/obj/%d/%d@%d", site, object, version))
+	var buf [72]byte // the path, '@', a 20-byte int and two quotes
+	b := appendObjectPath(append(buf[:0], '"'), site, object)
+	b = append(b, '@')
+	b = strconv.AppendInt(b, int64(version), 10)
+	return string(append(b, '"'))
 }
 
 // VersionFromETag parses the version out of an Etag header produced by
@@ -199,7 +261,34 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp.Attr("status", "200")
-	writeObject(w, o.sc, site, object, version, o.maxBytes, SourceOrigin)
+	writeObject(w, o.sc, site, object, version, o.maxBytes, srcOrigin)
+}
+
+// maxClientBody bounds what Get reads of one response. No edge is run
+// with a MaxObjectBytes near it; a length declared beyond it is a broken
+// edge, not a buffer to allocate.
+const maxClientBody = 256 << 20
+
+// readBody reads a response's body into one buffer: of exactly the
+// declared Content-Length when there is one, else (a chunked sender)
+// grown as the bytes arrive, and in neither case of more than max bytes.
+func readBody(resp *http.Response, max int64) ([]byte, error) {
+	n := resp.ContentLength
+	if n > max {
+		return nil, fmt.Errorf("body declares %d bytes, over the %d-byte cap", n, max)
+	}
+	if n >= 0 {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, body); err != nil {
+			return nil, fmt.Errorf("body short of the %d bytes declared: %w", n, err)
+		}
+		return body, nil
+	}
+	body, err := io.ReadAll(io.LimitReader(resp.Body, max+1))
+	if err == nil && int64(len(body)) > max {
+		err = fmt.Errorf("body runs past the %d-byte cap", max)
+	}
+	return body, err
 }
 
 // FetchResult describes one client fetch from an edge.
@@ -237,7 +326,7 @@ func Get(ctx context.Context, client *http.Client, edgeURL string, site, object 
 		return FetchResult{}, fmt.Errorf("%w: %v", ErrEdgeDown, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp, maxClientBody)
 	if err != nil {
 		return FetchResult{}, fmt.Errorf("%w: %v", ErrEdgeDown, err)
 	}
