@@ -26,6 +26,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -124,7 +125,7 @@ func realMain() int {
 	if *tracePth != "" {
 		err = runTraced(ctx, opts, *tracePth)
 	} else {
-		err = run(ctx, *figure, opts)
+		err = run(ctx, os.Stdout, *figure, opts)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cdnsim:", err)
@@ -139,16 +140,16 @@ var renderPlots bool
 // quickRun records -quick so figure-specific sweeps (scale) can shrink.
 var quickRun bool
 
-func run(ctx context.Context, figure string, opts repro.Options) error {
+func run(ctx context.Context, w io.Writer, figure string, opts repro.Options) error {
 	printPanels := func(panels []repro.Panel, err error) error {
 		if err != nil {
 			return err
 		}
 		for _, p := range panels {
 			if renderPlots {
-				fmt.Println(repro.FormatPanelPlot(p))
+				fmt.Fprintln(w, repro.FormatPanelPlot(p))
 			} else {
-				fmt.Println(repro.FormatPanel(p))
+				fmt.Fprintln(w, repro.FormatPanel(p))
 			}
 		}
 		return nil
@@ -165,14 +166,14 @@ func run(ctx context.Context, figure string, opts repro.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatFig6(rows))
+		fmt.Fprintln(w, repro.FormatFig6(rows))
 		return nil
 	case "summary":
 		rows, err := repro.Summary(ctx, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatSummary(rows))
+		fmt.Fprintln(w, repro.FormatSummary(rows))
 		return nil
 	case "clusters":
 		for _, n := range []int{2, 4, 8} {
@@ -180,7 +181,7 @@ func run(ctx context.Context, figure string, opts repro.Options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Println(repro.FormatClusterRows(rows, n))
+			fmt.Fprintln(w, repro.FormatClusterRows(rows, n))
 		}
 		return nil
 	case "consistency":
@@ -188,66 +189,66 @@ func run(ctx context.Context, figure string, opts repro.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatConsistencyRows(rows))
+		fmt.Fprintln(w, repro.FormatConsistencyRows(rows))
 		return nil
 	case "availability":
 		rows, err := repro.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2)
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatAvailabilityRows(rows))
+		fmt.Fprintln(w, repro.FormatAvailabilityRows(rows))
 		return nil
 	case "redirection":
 		rows, err := repro.RedirectionComparison(ctx, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatRedirectRows(rows))
+		fmt.Fprintln(w, repro.FormatRedirectRows(rows))
 		return nil
 	case "kmedian":
 		rows, err := repro.KMedianQuality(ctx, opts, []int{1, 2, 3})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatKMedianRows(rows))
+		fmt.Fprintln(w, repro.FormatKMedianRows(rows))
 		return nil
 	case "model":
 		rows, err := repro.ModelComparison(ctx, opts, []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatModelCompareRows(rows))
+		fmt.Fprintln(w, repro.FormatModelCompareRows(rows))
 		policy, err := repro.ModelPolicyComparison(ctx, opts, []float64{0.02, 0.05, 0.1, 0.2})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatPolicyModelRows(policy))
+		fmt.Fprintln(w, repro.FormatPolicyModelRows(policy))
 		robust, err := repro.ModelRobustness(ctx, opts, []float64{0, 0.2, 0.4, 0.6})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatRobustnessRows(robust))
+		fmt.Fprintln(w, repro.FormatRobustnessRows(robust))
 		return nil
 	case "updates":
 		rows, err := repro.UpdateSweep(ctx, opts, []float64{0, 0.1, 0.25, 0.5, 1.0})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatUpdateRows(rows))
+		fmt.Fprintln(w, repro.FormatUpdateRows(rows))
 		return nil
 	case "seeds":
 		rows, err := repro.SummaryOverSeeds(ctx, opts, []uint64{1, 2, 3, 4, 5})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatGainStats(rows))
+		fmt.Fprintln(w, repro.FormatGainStats(rows))
 		return nil
 	case "heterogeneity":
 		rows, err := repro.HeterogeneityComparison(ctx, opts, []float64{0, 0.4, 0.8, 1.2})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatHeterogeneityRows(rows))
+		fmt.Fprintln(w, repro.FormatHeterogeneityRows(rows))
 		return nil
 	case "drift":
 		cfg := repro.DefaultDriftConfig()
@@ -255,38 +256,38 @@ func run(ctx context.Context, figure string, opts repro.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatDriftRows(rows, cfg))
+		fmt.Fprintln(w, repro.FormatDriftRows(rows, cfg))
 		return nil
 	case "dynamic":
 		rows, err := repro.DynamicComparison(ctx, opts, repro.DefaultDynamicCatalogOptions())
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatDynamicRows(rows))
+		fmt.Fprintln(w, repro.FormatDynamicRows(rows))
 		return nil
 	case "ablations":
 		policy, err := repro.CachePolicyAblation(ctx, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatPolicyRows(policy))
+		fmt.Fprintln(w, repro.FormatPolicyRows(policy))
 		theta, err := repro.ThetaSweep(ctx, opts, []float64{0.6, 0.8, 1.0, 1.2, 1.4})
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatThetaRows(theta))
+		fmt.Fprintln(w, repro.FormatThetaRows(theta))
 		pl, err := repro.PlacementAblation(ctx, opts)
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatPlacementRows(pl))
+		fmt.Fprintln(w, repro.FormatPlacementRows(pl))
 		return nil
 	case "churn":
 		rows, err := repro.ChurnComparison(ctx, opts, repro.DefaultChurn())
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatChurnRows(rows))
+		fmt.Fprintln(w, repro.FormatChurnRows(rows))
 		return nil
 	case "scale":
 		factors := []int{1, 2, 4, 10}
@@ -297,11 +298,11 @@ func run(ctx context.Context, figure string, opts repro.Options) error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(repro.FormatScaleRows(rows))
+		fmt.Fprintln(w, repro.FormatScaleRows(rows))
 		return nil
 	case "all":
 		for _, f := range []string{"3", "4", "5", "6", "summary", "ablations", "clusters", "consistency", "availability", "churn", "drift", "dynamic", "redirection", "kmedian", "model", "updates", "heterogeneity"} {
-			if err := run(ctx, f, opts); err != nil {
+			if err := run(ctx, w, f, opts); err != nil {
 				return err
 			}
 		}
