@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -180,23 +179,6 @@ func BenchmarkClusterComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkConsistencyComparison regenerates the §3.3 grounding
-// experiment (invalidation vs TTL mechanisms, effective λ).
-func BenchmarkConsistencyComparison(b *testing.B) {
-	opts := DefaultOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := ConsistencyComparison(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			name := strings.ReplaceAll(strings.ReplaceAll(r.Name, " ", "-"), "(", "")
-			name = strings.ReplaceAll(name, ")", "")
-			b.ReportMetric(r.EffectiveLambda, name+"-eff-lambda")
-		}
-	}
-}
-
 // BenchmarkAvailabilityComparison regenerates the §1 availability
 // grounding (unavailability under origin failures).
 func BenchmarkAvailabilityComparison(b *testing.B) {
@@ -225,21 +207,6 @@ func BenchmarkDriftComparison(b *testing.B) {
 		}
 		for _, r := range rows {
 			b.ReportMetric(r.MeanRTMs, string(r.Strategy)+"-meanRT-ms")
-		}
-	}
-}
-
-// BenchmarkRedirectionComparison regenerates the §2.2 redirection-policy
-// comparison under constrained server capacity.
-func BenchmarkRedirectionComparison(b *testing.B) {
-	opts := DefaultOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := RedirectionComparison(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, r := range rows {
-			b.ReportMetric(r.ShareCV, string(r.Policy)+"-share-CV")
 		}
 	}
 }

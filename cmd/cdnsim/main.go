@@ -1,11 +1,11 @@
 // Command cdnsim regenerates the paper's evaluation (§5): the
 // response-time CDFs of Figures 3–5, the model-accuracy comparison of
 // Figure 6 and the §5.2 headline latency-gain summary — plus the
-// beyond-the-paper figures of DESIGN.md §5 (ablations, clusters,
-// consistency, availability, churn, drift, redirection, kmedian,
-// model, updates, heterogeneity, seeds) and the scale sweep of
+// beyond-the-paper figures of DESIGN.md §5 and the scale sweep of
 // DESIGN.md §10 (-figure scale re-runs the mechanism comparison at
 // ×1/×2/×4/×10 paper size; it is deliberately not part of "all").
+// `cdnsim -h` lists every -figure value, from the one table in this
+// file.
 //
 // Usage:
 //
@@ -31,6 +31,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"repro"
 	"repro/internal/lrumodel"
@@ -44,7 +45,7 @@ func main() {
 // defers run before os.Exit.
 func realMain() int {
 	var (
-		figure   = flag.String("figure", "all", "which output to regenerate: 3, 4, 5, 6, summary, ablations, clusters, consistency, availability, churn, drift, dynamic, redirection, kmedian, model, updates, heterogeneity, seeds, scale or all (scale sweeps ×1..×10 paper size and is not part of all)")
+		figure   = flag.String("figure", "all", "which output to regenerate: "+figureNames()+" (all leaves out seeds and scale)")
 		quick    = flag.Bool("quick", false, "use the reduced-scale configuration (fast smoke run)")
 		seed     = flag.Uint64("seed", 1, "scenario seed (topology, workload, placement)")
 		trace    = flag.Uint64("traceseed", 99, "request-trace seed")
@@ -140,174 +141,141 @@ var renderPlots bool
 // quickRun records -quick so figure-specific sweeps (scale) can shrink.
 var quickRun bool
 
-func run(ctx context.Context, w io.Writer, figure string, opts repro.Options) error {
-	printPanels := func(panels []repro.Panel, err error) error {
-		if err != nil {
+// figure is one -figure value. The table below is the only list of
+// them: the flag's help, "all", the unknown-figure error and the golden
+// test all range over it.
+type figure struct {
+	name string
+	// inAll marks the figures -figure all renders, in table order.
+	inAll bool
+	run   func(ctx context.Context, w io.Writer, opts repro.Options) error
+}
+
+var figures = []figure{
+	{"3", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, formatPanels)(repro.Figure3(ctx, opts))
+	}},
+	{"4", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, formatPanels)(repro.Figure4(ctx, opts))
+	}},
+	{"5", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, formatPanels)(repro.Figure5(ctx, opts))
+	}},
+	{"6", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatFig6)(repro.Figure6(ctx, opts))
+	}},
+	{"summary", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatSummary)(repro.Summary(ctx, opts))
+	}},
+	{"ablations", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		if err := emit(w, repro.FormatPolicyRows)(repro.CachePolicyAblation(ctx, opts)); err != nil {
 			return err
 		}
-		for _, p := range panels {
-			if renderPlots {
-				fmt.Fprintln(w, repro.FormatPanelPlot(p))
-			} else {
-				fmt.Fprintln(w, repro.FormatPanel(p))
-			}
-		}
-		return nil
-	}
-	switch figure {
-	case "3":
-		return printPanels(repro.Figure3(ctx, opts))
-	case "4":
-		return printPanels(repro.Figure4(ctx, opts))
-	case "5":
-		return printPanels(repro.Figure5(ctx, opts))
-	case "6":
-		rows, err := repro.Figure6(ctx, opts)
-		if err != nil {
+		if err := emit(w, repro.FormatThetaRows)(repro.ThetaSweep(ctx, opts, []float64{0.6, 0.8, 1.0, 1.2, 1.4})); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, repro.FormatFig6(rows))
-		return nil
-	case "summary":
-		rows, err := repro.Summary(ctx, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatSummary(rows))
-		return nil
-	case "clusters":
+		return emit(w, repro.FormatPlacementRows)(repro.PlacementAblation(ctx, opts))
+	}},
+	{"clusters", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
 		for _, n := range []int{2, 4, 8} {
-			rows, err := repro.ClusterComparison(ctx, opts, n)
-			if err != nil {
+			format := func(rows []repro.ClusterRow) string { return repro.FormatClusterRows(rows, n) }
+			if err := emit(w, format)(repro.ClusterComparison(ctx, opts, n)); err != nil {
 				return err
 			}
-			fmt.Fprintln(w, repro.FormatClusterRows(rows, n))
 		}
 		return nil
-	case "consistency":
-		rows, err := repro.ConsistencyComparison(ctx, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatConsistencyRows(rows))
-		return nil
-	case "availability":
-		rows, err := repro.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatAvailabilityRows(rows))
-		return nil
-	case "redirection":
-		rows, err := repro.RedirectionComparison(ctx, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatRedirectRows(rows))
-		return nil
-	case "kmedian":
-		rows, err := repro.KMedianQuality(ctx, opts, []int{1, 2, 3})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatKMedianRows(rows))
-		return nil
-	case "model":
-		rows, err := repro.ModelComparison(ctx, opts, []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatModelCompareRows(rows))
-		policy, err := repro.ModelPolicyComparison(ctx, opts, []float64{0.02, 0.05, 0.1, 0.2})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatPolicyModelRows(policy))
-		robust, err := repro.ModelRobustness(ctx, opts, []float64{0, 0.2, 0.4, 0.6})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatRobustnessRows(robust))
-		return nil
-	case "updates":
-		rows, err := repro.UpdateSweep(ctx, opts, []float64{0, 0.1, 0.25, 0.5, 1.0})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatUpdateRows(rows))
-		return nil
-	case "seeds":
-		rows, err := repro.SummaryOverSeeds(ctx, opts, []uint64{1, 2, 3, 4, 5})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatGainStats(rows))
-		return nil
-	case "heterogeneity":
-		rows, err := repro.HeterogeneityComparison(ctx, opts, []float64{0, 0.4, 0.8, 1.2})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatHeterogeneityRows(rows))
-		return nil
-	case "drift":
+	}},
+	{"availability", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatAvailabilityRows)(repro.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2))
+	}},
+	{"churn", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatChurnRows)(repro.ChurnComparison(ctx, opts, repro.DefaultChurn()))
+	}},
+	{"drift", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
 		cfg := repro.DefaultDriftConfig()
-		rows, err := repro.DriftComparison(ctx, opts, cfg)
-		if err != nil {
+		format := func(rows []repro.DriftRow) string { return repro.FormatDriftRows(rows, cfg) }
+		return emit(w, format)(repro.DriftComparison(ctx, opts, cfg))
+	}},
+	{"dynamic", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatDynamicRows)(repro.DynamicComparison(ctx, opts, repro.DefaultDynamicCatalogOptions()))
+	}},
+	{"kmedian", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatKMedianRows)(repro.KMedianQuality(ctx, opts, []int{1, 2, 3}))
+	}},
+	{"model", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		if err := emit(w, repro.FormatModelCompareRows)(repro.ModelComparison(ctx, opts, []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4})); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, repro.FormatDriftRows(rows, cfg))
-		return nil
-	case "dynamic":
-		rows, err := repro.DynamicComparison(ctx, opts, repro.DefaultDynamicCatalogOptions())
-		if err != nil {
+		if err := emit(w, repro.FormatPolicyModelRows)(repro.ModelPolicyComparison(ctx, opts, []float64{0.02, 0.05, 0.1, 0.2})); err != nil {
 			return err
 		}
-		fmt.Fprintln(w, repro.FormatDynamicRows(rows))
-		return nil
-	case "ablations":
-		policy, err := repro.CachePolicyAblation(ctx, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatPolicyRows(policy))
-		theta, err := repro.ThetaSweep(ctx, opts, []float64{0.6, 0.8, 1.0, 1.2, 1.4})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatThetaRows(theta))
-		pl, err := repro.PlacementAblation(ctx, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatPlacementRows(pl))
-		return nil
-	case "churn":
-		rows, err := repro.ChurnComparison(ctx, opts, repro.DefaultChurn())
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, repro.FormatChurnRows(rows))
-		return nil
-	case "scale":
+		return emit(w, repro.FormatRobustnessRows)(repro.ModelRobustness(ctx, opts, []float64{0, 0.2, 0.4, 0.6}))
+	}},
+	{"updates", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatUpdateRows)(repro.UpdateSweep(ctx, opts, []float64{0, 0.1, 0.25, 0.5, 1.0}))
+	}},
+	{"heterogeneity", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatHeterogeneityRows)(repro.HeterogeneityComparison(ctx, opts, []float64{0, 0.4, 0.8, 1.2}))
+	}},
+	{"seeds", false, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+		return emit(w, repro.FormatGainStats)(repro.SummaryOverSeeds(ctx, opts, []uint64{1, 2, 3, 4, 5}))
+	}},
+	// scale sweeps ×1..×10 paper size and prints wall times.
+	{"scale", false, func(ctx context.Context, w io.Writer, opts repro.Options) error {
 		factors := []int{1, 2, 4, 10}
 		if quickRun {
 			factors = []int{1, 2}
 		}
-		rows, err := repro.ScaleComparison(ctx, opts, factors)
+		return emit(w, repro.FormatScaleRows)(repro.ScaleComparison(ctx, opts, factors))
+	}},
+}
+
+// figureNames lists the table for the help text and the error message.
+func figureNames() string {
+	names := make([]string, len(figures))
+	for i, f := range figures {
+		names[i] = f.name
+	}
+	return strings.Join(names, ", ") + " or all"
+}
+
+// emit prints one experiment's formatted rows, or passes its error on.
+func emit[R any](w io.Writer, format func(R) string) func(R, error) error {
+	return func(rows R, err error) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, repro.FormatScaleRows(rows))
+		fmt.Fprintln(w, format(rows))
 		return nil
-	case "all":
-		for _, f := range []string{"3", "4", "5", "6", "summary", "ablations", "clusters", "consistency", "availability", "churn", "drift", "dynamic", "redirection", "kmedian", "model", "updates", "heterogeneity"} {
-			if err := run(ctx, w, f, opts); err != nil {
+	}
+}
+
+// formatPanels renders a figure's CDF panels as tables, or as ASCII
+// charts under -plot.
+func formatPanels(panels []repro.Panel) string {
+	format := repro.FormatPanel
+	if renderPlots {
+		format = repro.FormatPanelPlot
+	}
+	out := make([]string, len(panels))
+	for i, p := range panels {
+		out[i] = format(p)
+	}
+	return strings.Join(out, "\n")
+}
+
+func run(ctx context.Context, w io.Writer, name string, opts repro.Options) error {
+	known := false
+	for _, f := range figures {
+		if f.name == name || (name == "all" && f.inAll) {
+			known = true
+			if err := f.run(ctx, w, opts); err != nil {
 				return err
 			}
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown -figure %q (want 3, 4, 5, 6, summary, ablations, clusters, consistency, availability, churn, drift, dynamic, redirection, kmedian, model, updates, heterogeneity, seeds, scale or all)", figure)
 	}
+	if !known {
+		return fmt.Errorf("unknown -figure %q (want %s)", name, figureNames())
+	}
+	return nil
 }

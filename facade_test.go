@@ -15,10 +15,8 @@ func TestFormattersTolerateEmptyInput(t *testing.T) {
 		"theta":         FormatThetaRows(nil),
 		"placement":     FormatPlacementRows(nil),
 		"cluster":       FormatClusterRows(nil, 4),
-		"consistency":   FormatConsistencyRows(nil),
 		"availability":  FormatAvailabilityRows(nil),
 		"drift":         FormatDriftRows(nil, DefaultDriftConfig()),
-		"redirect":      FormatRedirectRows(nil),
 		"kmedian":       FormatKMedianRows(nil),
 		"modelcompare":  FormatModelCompareRows(nil),
 		"robustness":    FormatRobustnessRows(nil),

@@ -61,7 +61,9 @@ const (
 	DefaultTransferWeight = 0.05
 	// DefaultWarmMaxRounds: a cold re-solve is forced after this many
 	// consecutive warm repairs, bounding how far the monotone warm
-	// path can lag a shifting optimum.
+	// path can lag a shifting optimum (greedy repair only ever adds
+	// replicas, so a periodic cold round is what removes placements the
+	// demand no longer justifies).
 	DefaultWarmMaxRounds = 32
 )
 
@@ -153,26 +155,6 @@ type Config struct {
 	// predicted cost stays within Epsilon (relative) of the exact
 	// engine's. 0 keeps the exact engine.
 	Epsilon float64
-	// DisableWarmStart turns off warm-start incremental re-placement
-	// and re-solves cold every round (the pre-warm behavior). By
-	// default each reconcile repairs the previous round's solver state
-	// in place, falling back to a cold solve on large demand drift or
-	// topology change.
-	DisableWarmStart bool
-	// WarmDriftThreshold and WarmMaxDirtyFrac tune the warm path (0
-	// selects placement.DefaultWarmDriftThreshold /
-	// DefaultWarmMaxDirtyFrac): a server row whose demand moved more
-	// than the threshold since its model state was built is rebuilt
-	// exactly, and when more than the dirty fraction of rows moved the
-	// whole round re-solves cold.
-	WarmDriftThreshold float64
-	WarmMaxDirtyFrac   float64
-	// WarmMaxRounds bounds how long warm repairs may chain before a
-	// forced cold re-solve (greedy repair only ever adds replicas, so
-	// a periodic cold round is what removes placements the demand no
-	// longer justifies). 0 selects DefaultWarmMaxRounds; negative
-	// disables the bound.
-	WarmMaxRounds int
 	// Metrics, when non-nil, receives the control_* series (reconcile
 	// outcomes, replica churn, last benefit/transfer).
 	Metrics *obs.Registry
@@ -324,9 +306,6 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.TransferWeight == 0 {
 		cfg.TransferWeight = DefaultTransferWeight
-	}
-	if cfg.WarmMaxRounds == 0 {
-		cfg.WarmMaxRounds = DefaultWarmMaxRounds
 	}
 	var est DemandSource
 	concrete := cfg.Estimator
@@ -591,9 +570,11 @@ func (c *Controller) Reconcile() (*Report, error) {
 	return c.finish(rep, rec, start, OutcomeApplied), nil
 }
 
-// propose runs the placement optimizer for one round — warm-start
-// incremental by default, cold Hybrid when disabled — and fills the
-// audit record's engine fields. Caller holds c.mu.
+// propose runs the placement optimizer for one round: it repairs the
+// previous round's solver state in place (placement.Incremental, which
+// falls back to a cold solve on large demand drift or topology change,
+// and starts cold from a nil state) and fills the audit record's engine
+// fields. Caller holds c.mu.
 func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placement.Result, error) {
 	hcfg := placement.HybridConfig{
 		Specs:          c.cfg.Specs,
@@ -610,32 +591,15 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 	rec.Epsilon = c.cfg.Epsilon
 	start := time.Now()
 
-	var (
-		prop  *placement.Result
-		stats placement.IncrementalStats // zero (cold) when warm start is disabled
-		err   error
-	)
-	if c.cfg.DisableWarmStart {
-		if prop, err = placement.Hybrid(view, hcfg); err != nil {
-			return nil, err
-		}
-	} else {
-		prev := c.warm
-		if prev != nil && c.cfg.WarmMaxRounds > 0 && c.warmRounds >= c.cfg.WarmMaxRounds {
-			prev = nil // force a periodic cold re-solve; the shared model table still carries over
-			c.warm = nil
-		}
-		prop, c.warm, stats, err = placement.Incremental(prev, view, placement.IncrementalConfig{
-			HybridConfig:   hcfg,
-			DriftThreshold: c.cfg.WarmDriftThreshold,
-			MaxDirtyFrac:   c.cfg.WarmMaxDirtyFrac,
-		})
-		if err != nil {
-			c.warm = nil // prev was consumed; do not reuse half-repaired state
-			return nil, err
-		}
-		rec.Warm = &stats
+	if c.warmRounds >= DefaultWarmMaxRounds {
+		c.warm = nil // force a periodic cold re-solve
 	}
+	prop, warm, stats, err := placement.Incremental(c.warm, view, placement.IncrementalConfig{HybridConfig: hcfg})
+	c.warm = warm // nil on error: the previous state was consumed, do not reuse it half-repaired
+	if err != nil {
+		return nil, err
+	}
+	rec.Warm = &stats
 	rec.PlacementMs = float64(time.Since(start)) / float64(time.Millisecond)
 	rec.Engine = placement.EngineLabel(c.cfg.Epsilon, stats.Warm)
 	if stats.Warm {

@@ -68,20 +68,22 @@ func TestWarmReconcileConvergence(t *testing.T) {
 	}
 }
 
-// TestWarmDisabledMatchesWarm: DisableWarmStart must converge to the
-// same placement (the warm path is an optimization, not a behavior
-// change), with every round reporting a cold engine.
+// TestWarmDisabledMatchesWarm: re-solving cold every round (the carried
+// solver state dropped before each reconcile) must converge to the same
+// placement — the warm path is an optimization, not a behavior change —
+// with every round reporting a cold engine.
 func TestWarmDisabledMatchesWarm(t *testing.T) {
 	sc := testScenario(t)
 
 	run := func(disable bool) *placement.Result {
 		t.Helper()
 		target := NewModelTarget(placement.None(sc.Sys).Placement)
-		ctrl := newTestController(t, sc, target, func(cfg *Config) {
-			cfg.DisableWarmStart = disable
-		})
+		ctrl := newTestController(t, sc, target, nil)
 		for round := 0; round < 3; round++ {
 			feedExact(ctrl.Estimator(), sc.Sys)
+			if disable {
+				ctrl.warm = nil
+			}
 			rep, err := ctrl.Reconcile()
 			if err != nil {
 				t.Fatal(err)
@@ -106,16 +108,18 @@ func TestWarmDisabledMatchesWarm(t *testing.T) {
 }
 
 // TestWarmMaxRoundsForcesCold: the periodic cold re-solve bound must
-// trigger after the configured number of consecutive warm repairs.
+// trigger after DefaultWarmMaxRounds consecutive warm repairs (the
+// counter is pre-set two short of the bound).
 func TestWarmMaxRoundsForcesCold(t *testing.T) {
 	sc := testScenario(t)
 	target := NewModelTarget(placement.None(sc.Sys).Placement)
-	ctrl := newTestController(t, sc, target, func(cfg *Config) {
-		cfg.WarmMaxRounds = 2
-	})
+	ctrl := newTestController(t, sc, target, nil)
 	engines := []string{}
 	for round := 0; round < 5; round++ {
 		feedExact(ctrl.Estimator(), sc.Sys)
+		if round == 1 {
+			ctrl.warmRounds = DefaultWarmMaxRounds - 2
+		}
 		rep, err := ctrl.Reconcile()
 		if err != nil {
 			t.Fatal(err)

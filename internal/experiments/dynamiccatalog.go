@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/cache"
 	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/placement"
@@ -173,6 +172,13 @@ func runDynamicMech(ctx context.Context, sc *scenario.Scenario, opts Options, me
 	if err != nil {
 		return DynamicRow{}, err
 	}
+	return dynamicRow(mech, m, p, nil, ds), nil
+}
+
+// dynamicRow reads one row off a finished run's metrics, its final
+// placement p (placedGen as in stalePlacementPct) and the stream's end
+// state.
+func dynamicRow(mech Mechanism, m *sim.Metrics, p *core.Placement, placedGen []int, ds *workload.DynamicStream) DynamicRow {
 	n := float64(m.Requests)
 	return DynamicRow{
 		Mechanism:         mech,
@@ -182,17 +188,17 @@ func runDynamicMech(ctx context.Context, sc *scenario.Scenario, opts Options, me
 		LocalFraction:     m.LocalFraction(),
 		PerishedPct:       100 * float64(m.Perished) / n,
 		StaleRedirectPct:  100 * float64(m.StaleReplica) / n,
-		StalePlacementPct: stalePlacementPct(p, nil, ds),
+		StalePlacementPct: stalePlacementPct(p, placedGen, ds),
 		Turnover:          ds.Publishes(),
-	}, nil
+	}
 }
 
 // runControlledDynamic closes the loop: the controller only ever sees
 // the observed request stream (perished requests are 404s, not demand),
 // reconciles every dyn.ReconcileEvery requests, and refreshed replicas
-// pick up the current catalog generation of their site. The serving
-// rules mirror sim exactly (generation-keyed caches, stale replicas
-// unusable), run inline because the placement changes mid-stream.
+// pick up the current catalog generation of their site. Requests are
+// served by sim's stepper — the same rule as every other row — whose
+// placement is swapped when a round applies.
 func runControlledDynamic(ctx context.Context, sc *scenario.Scenario, opts Options, dyn DynamicOptions, dcfg workload.DynamicConfig) (DynamicRow, error) {
 	res, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
 		Specs:          sc.Work.Specs(),
@@ -220,73 +226,28 @@ func runControlledDynamic(ctx context.Context, sc *scenario.Scenario, opts Optio
 		return DynamicRow{}, err
 	}
 
-	p := target.Placement()
-	caches := make([]cache.Cache, sc.Sys.N())
-	for i := range caches {
-		caches[i] = cache.NewLRU(p.Free(i))
-	}
 	placedGen := make([]int, sc.Sys.M())
-
 	simCfg := opts.Sim
+	simCfg.UseCache = true
+	simCfg.PlacedGeneration = placedGen
+	st, err := sim.NewStepper(sc, target.Placement(), simCfg)
+	if err != nil {
+		return DynamicRow{}, err
+	}
+
 	total := simCfg.Warmup + simCfg.Requests
-	row := DynamicRow{Mechanism: MechControlled}
 	var rtSum, hopSum float64
-	var perished, staleRedir, hits, lookups, local int64
+	var reconciles, applied int64
 	for t := 0; t < total; t++ {
 		if t%4096 == 0 && ctx.Err() != nil {
 			return DynamicRow{}, ctx.Err()
 		}
 		req := ds.Next()
-		i, j := req.Server, req.Site
-		measured := t >= simCfg.Warmup
-		var hops float64
-		if req.Perished {
-			hops = sc.Sys.CostOrigin[i][j]
-			if measured {
-				perished++
-			}
-		} else {
-			est.Observe(i, j)
-			stale := req.Generation > placedGen[j]
-			switch {
-			case p.Has(i, j) && !stale:
-				hops = 0
-				if measured {
-					local++
-				}
-			case !req.Cacheable:
-				if stale {
-					hops = sc.Sys.CostOrigin[i][j]
-					if measured {
-						staleRedir++
-					}
-				} else {
-					hops = p.NearestCost(i, j)
-				}
-			default:
-				key := cache.Key{Site: j, Object: req.Object + req.Generation<<32}
-				if caches[i].Get(key) {
-					hops = 0
-					if measured {
-						hits++
-						lookups++
-					}
-				} else {
-					if stale {
-						hops = sc.Sys.CostOrigin[i][j]
-						if measured {
-							staleRedir++
-						}
-					} else {
-						hops = p.NearestCost(i, j)
-					}
-					caches[i].Put(key, sc.Work.Size(j, req.Object))
-					if measured {
-						lookups++
-					}
-				}
-			}
+		if !req.Perished {
+			est.Observe(req.Server, req.Site)
 		}
+		measured := t >= simCfg.Warmup
+		hops, _ := st.Step(req, measured)
 		if measured {
 			rtSum += simCfg.FirstHopMs + simCfg.PerHopMs*hops
 			hopSum += hops
@@ -296,34 +257,28 @@ func runControlledDynamic(ctx context.Context, sc *scenario.Scenario, opts Optio
 			if err != nil {
 				return DynamicRow{}, err
 			}
-			row.Reconciles++
+			reconciles++
 			if rep.Outcome == control.OutcomeApplied {
-				row.Applied++
-				p = target.Placement()
+				applied++
 				// A freshly created replica copies the site's current
 				// content: its column serves the live generation from now
 				// on (per-column approximation of per-replica state).
 				for _, r := range rep.Diff.Created {
 					placedGen[r.Site] = ds.Generation(r.Site)
 				}
-				for i := range caches {
-					caches[i].Resize(p.Free(i))
+				if err := st.SetPlacement(target.Placement(), placedGen); err != nil {
+					return DynamicRow{}, err
 				}
 			}
 		}
 	}
 
-	n := float64(simCfg.Requests)
-	row.MeanRTMs = rtSum / n
-	row.MeanHops = hopSum / n
-	if lookups > 0 {
-		row.HitRatio = float64(hits) / float64(lookups)
-	}
-	row.LocalFraction = float64(local+hits) / n
-	row.PerishedPct = 100 * float64(perished) / n
-	row.StaleRedirectPct = 100 * float64(staleRedir) / n
-	row.StalePlacementPct = stalePlacementPct(p, placedGen, ds)
-	row.Turnover = ds.Publishes()
+	// The stepper counts; the latency means are this driver's sums.
+	m := st.Metrics()
+	m.MeanRTMs = rtSum / float64(m.Requests)
+	m.MeanHops = hopSum / float64(m.Requests)
+	row := dynamicRow(MechControlled, m, target.Placement(), placedGen, ds)
+	row.Reconciles, row.Applied = reconciles, applied
 	return row, nil
 }
 

@@ -31,7 +31,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/lrumodel"
@@ -296,30 +295,15 @@ type (
 	ThetaRow     = experiments.ThetaRow
 	PlacementRow = experiments.PlacementRow
 	ClusterRow   = experiments.ClusterRow
-	// ConsistencyRow and AvailabilityRow ground the paper's §3.3 λ
-	// abstraction and §1 availability argument respectively.
-	ConsistencyRow  = experiments.ConsistencyRow
+	// AvailabilityRow grounds the paper's §1 availability argument.
 	AvailabilityRow = experiments.AvailabilityRow
 )
-
-// ConsistencyComparison runs real cache-consistency mechanisms (strong
-// invalidation, TTLs) under the hybrid placement and reports the
-// effective λ each induces.
-func ConsistencyComparison(ctx context.Context, opts Options) ([]ConsistencyRow, error) {
-	return experiments.ConsistencyComparison(ctx, opts)
-}
 
 // AvailabilityComparison crashes origins (and optionally servers) after
 // cache warm-up and measures how much traffic each mechanism still
 // serves.
 func AvailabilityComparison(ctx context.Context, opts Options, originFailures []int, failedServers int) ([]AvailabilityRow, error) {
 	return experiments.AvailabilityComparison(ctx, opts, originFailures, failedServers)
-}
-
-// FormatConsistencyRows and FormatAvailabilityRows render the grounding
-// experiments.
-func FormatConsistencyRows(rows []ConsistencyRow) string {
-	return experiments.FormatConsistencyRows(rows)
 }
 
 // FormatAvailabilityRows renders the availability comparison.
@@ -410,12 +394,12 @@ func FormatScaleRows(rows []ScaleRow) string { return experiments.FormatScaleRow
 // popularity).
 type (
 	DriftRow      = experiments.DriftRow
-	DriftConfig   = dynamic.Config
-	DriftStrategy = dynamic.Strategy
+	DriftConfig   = experiments.DriftConfig
+	DriftStrategy = experiments.DriftStrategy
 )
 
 // DefaultDriftConfig returns the default drifting-workload setup.
-func DefaultDriftConfig() DriftConfig { return dynamic.DefaultConfig() }
+func DefaultDriftConfig() DriftConfig { return experiments.DefaultDriftConfig() }
 
 // DriftComparison runs all replica-management strategies over an
 // identical drifting workload and reports latency and transfer volume.
@@ -460,18 +444,9 @@ func DynamicComparison(ctx context.Context, opts Options, dyn DynamicCatalogOpti
 // FormatDynamicRows renders the dynamic-catalog comparison.
 func FormatDynamicRows(rows []DynamicRow) string { return experiments.FormatDynamicRows(rows) }
 
-// Redirection-policy and k-median quality experiment rows (§2.2's other
-// design axes, grounded).
-type (
-	RedirectRow = experiments.RedirectRow
-	KMedianRow  = experiments.KMedianRow
-)
-
-// RedirectionComparison compares nearest / load-aware / blind-rotation
-// server selection under constrained server capacity.
-func RedirectionComparison(ctx context.Context, opts Options) ([]RedirectRow, error) {
-	return experiments.RedirectionComparison(ctx, opts)
-}
+// KMedianRow is one k of the k-median quality experiment (§2.2's
+// placement-heuristic axis, grounded).
+type KMedianRow = experiments.KMedianRow
 
 // KMedianQuality measures greedy and swap placement heuristics against
 // the exact per-site k-median optimum.
@@ -479,9 +454,8 @@ func KMedianQuality(ctx context.Context, opts Options, ks []int) ([]KMedianRow, 
 	return experiments.KMedianQuality(ctx, opts, ks)
 }
 
-// FormatRedirectRows and FormatKMedianRows render those experiments.
-func FormatRedirectRows(rows []RedirectRow) string { return experiments.FormatRedirectRows(rows) }
-func FormatKMedianRows(rows []KMedianRow) string   { return experiments.FormatKMedianRows(rows) }
+// FormatKMedianRows renders the k-median quality experiment.
+func FormatKMedianRows(rows []KMedianRow) string { return experiments.FormatKMedianRows(rows) }
 
 // Model-science experiment rows: the Eq.(1)/(2)-vs-Che-vs-closed-form
 // ablation, the RANDOM/FIFO policy validation and the IRM-assumption
