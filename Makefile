@@ -31,14 +31,15 @@ fmt:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
 
-# fuzz-smoke runs the two differential fuzz targets of the simulator's
-# request loop for 10 s each: the arena LRU/FIFO against the slice
-# reference, and the guided inverse-CDF search against
-# sort.SearchFloat64s. Minimizing a new corpus entry is capped, or it
-# eats the whole budget.
+# fuzz-smoke runs the differential fuzz targets for 10 s each: the
+# simulator's request loop (the arena LRU/FIFO against the slice
+# reference, the guided inverse-CDF search against sort.SearchFloat64s)
+# and the hybrid placement heap against its scanning oracle. Minimizing
+# a new corpus entry is capped, or it eats the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzGuideSearch -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesOracle -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

@@ -33,8 +33,9 @@ import (
 // absolute hit ratio for θ ∈ [0, 2] (see TestClosedFormMatchesEq1),
 // an order of magnitude below the paper model's own gap to the
 // simulator. The closed-form K diverges from Equation (2) only when
-// p_B → 1 (both saturate the hit ratio, so the difference does not
-// surface in placement decisions).
+// p_B → 1, where the midpoint rule saturates a few slots early (both
+// saturate the hit ratio); the law reads it through a running maximum
+// over B so that it stays monotone there (see charTime).
 
 // closedformExactL is the catalog size below which the exact Equation
 // (1) loop is used verbatim: quadrature only pays off once L exceeds
@@ -51,7 +52,38 @@ const closedformNodes = 32
 // closedformLaw is the ModelClosedForm strategy.
 type closedformLaw struct{}
 
-func (closedformLaw) charTime(p *Predictor, B int) float64 { return closedformK(B, p.TopMass(B)) }
+// charTime is the running maximum of closedformK over slot counts up to
+// B. The midpoint rule's singularity sits half a slot past Equation
+// (2)'s last term, so once a cache holds nearly all of a server's
+// requested mass (p_B ≥ (B−1)/(B−1/2)) the raw form reads +Inf — and a
+// slot later, when the next object adds less mass than the singularity
+// recedes, a finite K again. A larger cache must never predict a shorter
+// characteristic time (the placement's seeded bounds rest on it), so
+// the law keeps the envelope; wherever the raw form already increases
+// the two are the same bits.
+//
+// The envelope takes few logarithms. Across a slot where the rule's
+// upper integration point U(b) = (b−1/2)·p_b/(b−1) (closedformSpan)
+// does not fall, neither does the raw K: the interval grows by a slot,
+// and where the step s = p_b/(b−1) shrinks, the rescaled integral loses
+// at most (s−s')/2 at its lower end while it is at least s/2. So the
+// maximum is attained at B or at some b < B where U falls next;
+// p.kPeak[b] is the largest raw K over those ends below b, extended on
+// demand.
+func (closedformLaw) charTime(p *Predictor, B int) float64 {
+	for b := len(p.kPeak); b <= B; b++ {
+		peak := 0.0
+		if b > 0 {
+			peak = p.kPeak[b-1]
+		}
+		if b >= 3 && closedformSpan(b, p.TopMass(b)) < closedformSpan(b-1, p.TopMass(b-1)) {
+			peak = math.Max(peak, closedformK(b-1, p.TopMass(b-1)))
+		}
+		p.kPeak = append(p.kPeak, peak)
+	}
+	return math.Max(p.kPeak[B], closedformK(B, p.TopMass(B)))
+}
+
 func (closedformLaw) siteHit(p *Predictor, j int, pSite, K float64) float64 {
 	return closedformHitRatio(pSite, p.zipfs[j], K)
 }
@@ -71,11 +103,18 @@ func closedformK(B int, pB float64) float64 {
 		return float64(B) // every term is exactly 1
 	}
 	s := pB / float64(B-1)
-	denom := 1 - (float64(B)-0.5)*s
+	denom := 1 - closedformSpan(B, pB)
 	if denom <= 1e-12 {
 		return math.Inf(1)
 	}
 	return math.Log((1+0.5*s)/denom) / s
+}
+
+// closedformSpan is U = (B−1/2)·s with s = p_B/(B−1): the midpoint
+// rule's upper integration point in closedformK, whose log argument
+// degenerates as U → 1. B ≥ 2.
+func closedformSpan(B int, pB float64) float64 {
+	return (float64(B) - 0.5) * (pB / float64(B-1))
 }
 
 // glNodes / glWeights are the Gauss–Legendre abscissas and weights on

@@ -3,6 +3,8 @@ package lrumodel
 import (
 	"math"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func TestClosedFormKEdgeCases(t *testing.T) {
@@ -152,5 +154,52 @@ func TestClosedFormHitRatioBounds(t *testing.T) {
 			t.Fatalf("closed-form hit ratio decreased at %d", c)
 		}
 		prev = h
+	}
+}
+
+// TestClosedFormKIsRunningMax pins the law's few-logarithm envelope to
+// its definition — the running maximum of the raw closed form over
+// every slot count up to B — on small skewed catalogs, where the raw
+// form does fall, and checks it agrees with the raw form wherever that
+// has not.
+func TestClosedFormKIsRunningMax(t *testing.T) {
+	r := xrand.New(5)
+	dips := 0
+	for trial := 0; trial < 400; trial++ {
+		m := 1 + r.Intn(6)
+		specs := make([]SiteSpec, m)
+		w := make([]float64, m)
+		total := 0
+		for j := range specs {
+			specs[j] = SiteSpec{Objects: 1 + r.Intn(80), Theta: 0.2 + 1.6*r.Float64()}
+			total += specs[j].Objects
+			if r.Intn(3) > 0 {
+				w[j] = r.Float64()
+			}
+		}
+		w[0] += 0.01
+		mod, err := New(ModelConfig{Kind: ModelClosedForm, Specs: specs, Weights: w,
+			AvgObjectBytes: 1, MaxCacheBytes: int64(total)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := mod.(*Predictor)
+		if trial%2 == 1 {
+			p.KForB(total - 1) // the state extends in one go; order must not matter
+		}
+		want := 0.0
+		for b := 0; b < total; b++ {
+			raw := closedformK(b, p.TopMass(b))
+			if raw < want {
+				dips++
+			}
+			want = math.Max(want, raw)
+			if got := p.KForB(b); got != want {
+				t.Fatalf("trial %d, B=%d: K = %v, want running max %v (raw %v)", trial, b, got, want, raw)
+			}
+		}
+	}
+	if dips == 0 {
+		t.Fatal("no trial made the raw closed form fall; the test does not reach the corner")
 	}
 }

@@ -124,6 +124,28 @@ func TestCondMatchesSimulationWithBypassingTraffic(t *testing.T) {
 	}
 }
 
+// TestHitRatioMonotonePastRequestedCatalog: a server that never requests
+// some sites has fewer requested objects than the catalog. A cache
+// larger than the requested objects must not predict a lower hit ratio
+// than a smaller one — p_B stays at the full mass past the last
+// requested object instead of dropping to 0.
+func TestHitRatioMonotonePastRequestedCatalog(t *testing.T) {
+	specs, w := fourSites()
+	w[2], w[3] = 0, 0 // 400 requested objects of 800
+	p := newEq1(t, specs, w, 1, 800, nil)
+	if got := p.TopMass(500); got != p.TopMass(400) {
+		t.Fatalf("p_B past the requested objects = %v, want the full mass %v", got, p.TopMass(400))
+	}
+	prev := 0.0
+	for c := int64(300); c <= 800; c += 20 {
+		h := p.SiteHitRatioCond(1, 1, c)
+		if h < prev {
+			t.Fatalf("hit ratio fell from %v to %v when the cache grew to %d", prev, h, c)
+		}
+		prev = h
+	}
+}
+
 // TestHitRatioPropertyBounds fuzzes the model surface: any combination of
 // visibility, cache size and weights must produce hit ratios in [0,1],
 // monotone in cache size.

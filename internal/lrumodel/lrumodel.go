@@ -91,6 +91,9 @@ type Predictor struct {
 	pStep float64
 	kmemo map[int]float64  // B -> K
 	hmemo map[hKey]float64 // (quantized p, quantized K) -> unadjusted hit ratio per site
+	// kPeak is the closed-form law's running-maximum state, extended on
+	// demand (closedformLaw.charTime); other laws leave it nil.
+	kPeak []float64
 
 	totalObjects int          // Σ_j Objects, frozen at construction
 	shared       *SharedTable // optional cross-predictor memo (may be nil)
@@ -327,7 +330,8 @@ func (p *Predictor) buildPrefix(maxB int) {
 		}
 	}
 	cum := 0.0
-	for i := 1; i <= n && h.Len() > 0; i++ {
+	i := 1
+	for ; i <= n && h.Len() > 0; i++ {
 		it := heap.Pop(h).(mergeItem)
 		cum += it.pop
 		p.prefix[i] = cum
@@ -338,6 +342,13 @@ func (p *Predictor) buildPrefix(maxB int) {
 				rank: it.rank + 1,
 			})
 		}
+	}
+	// Slots past the last object with positive popularity (sites this
+	// server never requests) add no mass: p_B stays at the full mass
+	// instead of dropping to 0, which would make a larger cache predict
+	// a lower hit ratio.
+	for ; i <= n; i++ {
+		p.prefix[i] = cum
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/xrand"
 )
 
 func TestParseModelKind(t *testing.T) {
@@ -120,5 +122,45 @@ func TestModelsOrderedBySkewSensitivity(t *testing.T) {
 	}
 	if h[ModelRandom] > h[ModelChe]+0.01 {
 		t.Fatalf("random %v above Che LRU %v", h[ModelRandom], h[ModelChe])
+	}
+}
+
+// TestKMonotoneInBEveryModel: under every kind, a larger cache never has
+// a shorter characteristic time, on small skewed catalogs where one
+// object can carry most of a server's traffic — the corner where the
+// closed form's midpoint rule saturates to +Inf a slot or two before the
+// cache holds every requested object, and would come back finite a slot
+// later. The placement's seeded bounds rest on this monotonicity.
+func TestKMonotoneInBEveryModel(t *testing.T) {
+	r := xrand.New(3)
+	for trial := 0; trial < 300; trial++ {
+		m := 1 + r.Intn(6)
+		specs := make([]SiteSpec, m)
+		w := make([]float64, m)
+		total := 0
+		for j := range specs {
+			specs[j] = SiteSpec{Objects: 1 + r.Intn(60), Theta: 0.4 + 1.2*r.Float64()}
+			total += specs[j].Objects
+			if r.Intn(3) > 0 {
+				w[j] = r.Float64()
+			}
+		}
+		w[0] += 0.01
+		for _, kind := range ModelKinds() {
+			mod, err := New(ModelConfig{Kind: kind, Specs: specs, Weights: w,
+				AvgObjectBytes: 1, MaxCacheBytes: int64(total)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev := 0.0
+			for c := int64(0); c <= int64(total); c++ {
+				k := mod.K(c)
+				if k < prev {
+					t.Fatalf("trial %d, %s, %d sites: K fell from %v to %v when the cache grew to %d slots of %d",
+						trial, kind, m, prev, k, c, total)
+				}
+				prev = k
+			}
+		}
 	}
 }

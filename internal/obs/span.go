@@ -135,14 +135,17 @@ func Traceparent(trace, span string) string {
 }
 
 // ParseTraceparent extracts (trace, parent-span) from a traceparent
-// header value; ok is false for missing or malformed values.
+// header value; ok is false for missing or malformed values. As W3C
+// Trace Context requires, the flags must be two lowercase hex digits and
+// an all-zero trace or parent ID is invalid — adopting one would stitch
+// every request that sent it into one shared trace.
 func ParseTraceparent(v string) (trace, span string, ok bool) {
 	// "00-" + 32 + "-" + 16 + "-01" = 55 bytes.
 	if len(v) != 55 || v[0] != '0' || v[1] != '0' || v[2] != '-' || v[35] != '-' || v[52] != '-' {
 		return "", "", false
 	}
 	trace, span = v[3:35], v[36:52]
-	if !isHex(trace) || !isHex(span) {
+	if !isHex(trace) || !isHex(span) || !isHex(v[53:55]) || allZero(trace) || allZero(span) {
 		return "", "", false
 	}
 	return trace, span, true
@@ -152,6 +155,15 @@ func isHex(s string) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+func allZero(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' {
 			return false
 		}
 	}

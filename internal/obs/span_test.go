@@ -60,14 +60,57 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	if !ok || gotTrace != trace || gotSpan != span {
 		t.Fatalf("ParseTraceparent(%q) = %q, %q, %v", hdr, gotTrace, gotSpan, ok)
 	}
+	if _, _, ok := ParseTraceparent("00-" + trace + "-" + span + "-00"); !ok {
+		t.Fatal("ParseTraceparent rejected an unsampled (flags 00) header")
+	}
+	zeroTrace, zeroSpan := strings.Repeat("0", 32), strings.Repeat("0", 16)
 	for _, bad := range []string{
 		"", "00-zz-yy-01", hdr[:54], hdr + "0",
 		"00-" + strings.ToUpper(trace) + "-" + span + "-01",
+		// Flags must be two lowercase hex digits.
+		"00-" + trace + "-" + span + "-zz",
+		"00-" + trace + "-" + span + "-0G",
+		"00-" + trace + "-" + span + "-0A",
+		// All-zero IDs are invalid (W3C Trace Context).
+		"00-" + zeroTrace + "-" + zeroSpan + "-01",
+		"00-" + zeroTrace + "-" + span + "-01",
+		"00-" + trace + "-" + zeroSpan + "-01",
 	} {
 		if _, _, ok := ParseTraceparent(bad); ok {
 			t.Fatalf("ParseTraceparent accepted %q", bad)
 		}
 	}
+}
+
+// FuzzParseTraceparent: every accepted header carries well-formed,
+// non-zero IDs that round-trip through Traceparent (what an httpcdn
+// span's Header renders), and every header rendered from non-zero IDs
+// parses back to them.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(Traceparent(DeterministicTraceID(1), DeterministicSpanID(1)), uint64(1), uint64(2), uint64(3))
+	f.Add("00-"+strings.Repeat("0", 32)+"-"+strings.Repeat("0", 16)+"-01", uint64(0), uint64(0), uint64(0))
+	f.Add("00-"+strings.Repeat("0", 31)+"1-"+strings.Repeat("0", 16)+"-01", uint64(0), uint64(1), uint64(0))
+	f.Fuzz(func(t *testing.T, v string, hi, lo, sp uint64) {
+		if trace, span, ok := ParseTraceparent(v); ok {
+			if len(trace) != 32 || len(span) != 16 || !isHex(trace) || !isHex(span) {
+				t.Fatalf("ParseTraceparent(%q) accepted malformed IDs %q, %q", v, trace, span)
+			}
+			if allZero(trace) || allZero(span) {
+				t.Fatalf("ParseTraceparent(%q) accepted an all-zero ID", v)
+			}
+			if t2, s2, ok := ParseTraceparent(Traceparent(trace, span)); !ok || t2 != trace || s2 != span {
+				t.Fatalf("IDs from %q do not round-trip: %q, %q, %v", v, t2, s2, ok)
+			}
+		}
+		trace, span := hex64(hi)+hex64(lo), hex64(sp)
+		gotTrace, gotSpan, ok := ParseTraceparent(Traceparent(trace, span))
+		if want := (hi != 0 || lo != 0) && sp != 0; ok != want {
+			t.Fatalf("ParseTraceparent(Traceparent(%q, %q)) ok = %v, want %v", trace, span, ok, want)
+		}
+		if ok && (gotTrace != trace || gotSpan != span) {
+			t.Fatalf("round trip: got %q, %q, want %q, %q", gotTrace, gotSpan, trace, span)
+		}
+	})
 }
 
 func TestDeterministicIDs(t *testing.T) {

@@ -1,21 +1,22 @@
 // The hybrid heap run, exact at eps == 0 and ε-approximate above it.
 //
-// The exact run pays two distinct model-evaluation bills. The larger
-// one is the cold start: the initial benefit matrix fill costs n·m²
-// model evaluations (every row's m×m shrink table) and dominates a
+// A heap run pays two distinct model-evaluation bills. The larger one
+// is the cold start: filling the benefit matrix from filled tables costs
+// n·m² model evaluations (every row's m×m shrink table) and dominates a
 // large run's CPU outright — most of it spent on rows and cells that
 // never come close to winning a step. The second is eager maintenance:
-// after every replica creation the run fully re-evaluates the row of
-// every server whose nearest-replica table improved and refills the
-// chosen server's m×m shrink table.
-// hybridHeapRun with eps > 0 defers both.
+// after every replica creation the run re-evaluates the row of every
+// server whose nearest-replica table improved and the chosen server's
+// row. Every cold Hybrid run, at every ε, skips the first bill with
+// the lazy cold start below; ε > 0 additionally defers the second.
 //
 // Lazy cold start (prepareOptimistic): the matrix is seeded with
 // OPTIMISTIC UPPER BOUNDS — the exact cell value with the shrink
 // penalty replaced by a cheap lower bound built from K reference
 // shrink slices per row (see prepareOptimistic for the monotonicity
-// argument), at K·m model evaluations per row instead of m². Rows
-// live their whole life in this seed regime:
+// argument), at K·m model evaluations per row instead of m². A seed is
+// never accepted directly, so the bound costs no accuracy and needs no
+// ε budget. Rows live their whole life in this seed regime:
 //
 //   - When a seed cell surfaces at the top of the heap, the engine
 //     VERIFIES just that cell — filling its m-entry shrink slice — and
@@ -25,14 +26,28 @@
 //
 //   - When a row wins a step (its own cache shrinks, invalidating its
 //     bound and any verified slices), the engine RE-SLICES the row's
-//     reference bounds at the new state — K·m evaluations where the
-//     exact engine refills m² — resets its verified set, and restores
+//     reference bounds at the new state — K·m evaluations where a
+//     filled table refills m² — resets its verified set, and restores
 //     every seed to an exact-now upper bound. The row carries no
 //     drift out of its own accept.
 //
-// In-loop deferral: the per-row re-evaluations triggered by other
-// rows' events are deferred too, and each row instead carries a bound
-// on how far its cached values can sit from the truth:
+//   - When another row's nearest replica of the placed site moves
+//     closer, the row's penalty lower-bound totals are re-weighted
+//     arithmetically; the exact run then re-evaluates the row (verified
+//     cells against their slices, seeds against the re-weighted bound),
+//     still without a model evaluation.
+//
+// The exact run selects by the value a candidate has NOW, as the
+// oracle's literal scan does: a verified cell never saw the arithmetic
+// updates an eagerly maintained cell carries, so stored values can
+// differ from a fresh evaluation — and from each other — by rounding.
+// screenTies re-evaluates every candidate within a small window of the
+// winner, so exact ties (co-located servers, twin sites) break in
+// (server, site) order, and Step.Benefit is the fresh value.
+//
+// In-loop deferral (ε > 0): the per-row re-evaluations triggered by
+// other rows' events are deferred too, and each row instead carries a
+// bound on how far its cached values can sit from the truth:
 //
 //   - SN event (server k's nearest replica of the placed site j* got
 //     closer by ΔC): the only stale term in row k is the shrink
@@ -102,14 +117,19 @@
 // deferral's savings — a blanket catch-up would re-pay every deferred
 // m×m refill at the finish line.
 //
-// eps == 0 allocates none of the drift machinery and takes none of its
-// branches: the run is the scanning oracle's float-op stream — and hence
-// its Result.Steps — byte for byte (test-enforced, oracle_test.go).
+// The seed regime is the cold start at every ε; ε adds only the
+// deferral. eps == 0 allocates none of the drift machinery and takes
+// none of its branches: the run selects the scanning oracle's steps and
+// reports its Result.Steps byte for byte (test-enforced,
+// oracle_test.go, and fuzzed, FuzzHybridMatchesOracle).
 package placement
 
 import (
 	"fmt"
+	"math"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // driftSafety scales the cache-event drift proxy (see the package
@@ -117,19 +137,42 @@ import (
 // than driftSafety× the exactly-known base hit-ratio shift.
 const driftSafety = 2.0
 
+// exactTieWindow scales benefitScale to the exact run's near-tie window
+// (see screenTies in hybridHeapRun). A stored benefit sits within a few
+// ulps of that scale per arithmetic update from the value evaluated
+// now, so even millions of updates stay far inside the window, while
+// distinct greedy candidates almost never fall in it.
+const exactTieWindow = 1e-9
+
+// benefitScale bounds every term a benefit sums, from placement p on:
+// the local, shrink-penalty and remote terms are each some r·C(i, SN)
+// scaled by a factor in [−1, 1], so the no-cache read cost bounds their
+// sums (nearest-replica costs only fall), and each site's update
+// penalty is at most its rate times its farthest origin.
+func benefitScale(p *core.Placement, updateRates []float64) float64 {
+	s := p.Cost(core.ZeroHitRatio)
+	sys := p.System()
+	for j, u := range updateRates {
+		far := 0.0
+		for i := range sys.CostOrigin {
+			far = math.Max(far, sys.CostOrigin[i][j])
+		}
+		s += u * far
+	}
+	return s
+}
+
 // approxBudgetFrac scales Epsilon·C₀ down to the internal slack budget,
 // leaving headroom between the worst-case charged slack and the
 // ε·(exact final cost) bound the quality tests enforce (C₀, the
 // starting objective, exceeds the final cost).
 const approxBudgetFrac = 0.5
 
-// evalBenOpt is the optimistic cell evaluation behind the lazy cold
-// start: evalBenCached with the shrink penalty dropped. The penalty is
-// provably non-negative while the row's own cache state is untouched —
-// every shrink-conditioned hit ratio sits at or below its base value
-// (the model's cache loss dominates the visible-mass relief; verified
-// per entry across the scenario family) — so the result upper-bounds
-// the exact value using arithmetic only, no model evaluations.
+// evalBenOpt is evalBenCached with the shrink penalty dropped: the
+// local and remote terms, arithmetic only, no model evaluations. It is
+// not a bound by itself — the penalty turns negative where the
+// visible-mass relief outweighs the cache loss — so the seeds subtract
+// a lower bound of the penalty instead (evalBenOptTight).
 func (st *hybridState) evalBenOpt(i, j int) float64 {
 	p := st.p
 	if !p.CanReplicate(i, j) {
@@ -154,9 +197,10 @@ func (st *hybridState) evalBenOpt(i, j int) float64 {
 // retires the overwhelming majority of cells without a fill.
 const optRefSlices = 4
 
-// evalBenOptTight is evalBenOpt minus the row's reference-slice
-// penalty lower bound for site j — still an upper bound on the exact
-// value, but close enough to it that cells whose true benefit has
+// evalBenOptTight is the seed: evalBenOpt minus the row's
+// reference-slice penalty lower bound for site j — an upper bound on
+// the exact value (TestOptimisticSeedsBoundExactCells checks it under
+// every model), close enough to it that cells whose true benefit has
 // gone negative actually retire instead of haunting the heap.
 func (st *hybridState) evalBenOptTight(i, j int) float64 {
 	p := st.p
@@ -168,10 +212,10 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 	return st.evalBenOpt(i, j) - pen
 }
 
-// prepareOptimistic is the approximate engine's cold start: it seeds
-// the benefit matrix with tightened optimistic upper bounds and defers
-// the m×m shrink-table fills — the dominant cost of a cold run —
-// entirely; hybridHeapRun verifies individual cells (one m-entry
+// prepareOptimistic is the cold start of every Hybrid run, at every ε:
+// it seeds the benefit matrix with tightened optimistic upper bounds
+// and defers the m×m shrink-table fills — the dominant cost of a cold
+// run — entirely; hybridHeapRun verifies individual cells (one m-entry
 // slice each) as they reach the top of the heap. Cells that never
 // compete never pay their slice, and rows that never compete never
 // even allocate their table.
@@ -186,6 +230,10 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 // model evaluations per row instead of m·m. The weighted totals are
 // maintained arithmetically as nearest-replica costs move, so the
 // bound stays sound (and keeps tightening) for the run's whole life.
+// The monotonicity is the model's: every kind's characteristic time is
+// non-decreasing in the cache size (lrumodel's
+// TestKMonotoneInBEveryModel), and FuzzHybridMatchesOracle reaches the
+// nearly-everything-fits corner where that is easiest to lose.
 func (st *hybridState) prepareOptimistic() {
 	n, m, sys := st.n, st.m, st.sys
 	st.ben = make([][]float64, n)
@@ -230,11 +278,11 @@ func (st *hybridState) prepareOptimistic() {
 
 // optSliceRow (re)computes row i's reference-slice penalty lower bound
 // at the CURRENT placement state, at K·m model evaluations. Called per
-// row by prepareOptimistic, and again by the approximate engine every
-// time the row itself receives a replica — the bound reads the row's
-// hit ratios, visible mass and free space, so a replica on the row
-// invalidates it. Re-slicing is what lets a row stay in the seed
-// regime for the whole run: the exact engine's per-step m×m refill of
+// row by prepareOptimistic, and again by the heap run every time the
+// row itself receives a replica (seedCacheEvent) — the bound reads the
+// row's hit ratios, visible mass and free space, so a replica on the
+// row invalidates it. Re-slicing is what lets a row stay in the seed
+// regime for the whole run: a filled table's per-step m×m refill of
 // the chosen row is replaced by a K·m re-bound.
 func (st *hybridState) optSliceRow(i int) {
 	sys, p, m := st.sys, st.p, st.m
@@ -246,6 +294,14 @@ func (st *hybridState) optSliceRow(i int) {
 		}
 	}
 	newMass := st.visMass[i] - popMax
+	if newMass <= 0 {
+		// The model reads a non-positive visible mass as "no traffic"
+		// (hit ratio 0), a cliff that would break the monotonicity the
+		// bound rests on. Its limit from above — every effective
+		// popularity clamped to 1, the largest hit ratio any shrink can
+		// leave — is the sound reference.
+		newMass = math.SmallestNonzeroFloat64
+	}
 	L := st.optL[i]
 	if L == nil {
 		L = make([]float64, K*m)
@@ -276,6 +332,30 @@ func (st *hybridState) optSliceRow(i int) {
 			t += dh * sys.Demand[i][k] * p.NearestCost(i, k)
 		}
 		tot[q] = t
+	}
+}
+
+// seedCacheEvent is the seed regime's answer to row i receiving a
+// replica: its own cache shrank, so its reference-slice bound and any
+// verified slices reference the old state. Re-slicing at the new state —
+// K·m model evaluations, against the m·m refill of a filled table —
+// and clearing the verified set makes every cell of the row a seed
+// again; the caller re-evaluates the row.
+func (st *hybridState) seedCacheEvent(i int, verified []bool) {
+	st.optSliceRow(i)
+	for j := range verified {
+		verified[j] = false
+	}
+}
+
+// seedSNEvent re-weights seed-regime row k's penalty lower-bound totals
+// after its nearest replica of site j moved closer (from oldCost to the
+// live NearestCost): the placed site's term drops with its cost, so the
+// tightened bound stays sound without a model evaluation.
+func (st *hybridState) seedSNEvent(k, j int, oldCost float64) {
+	w := st.sys.Demand[k][j] * (st.p.NearestCost(k, j) - oldCost) // ≤ 0
+	for q := range st.optPenTot[k] {
+		st.optPenTot[k][q] += st.optL[k][q*st.m+j] * w
 	}
 }
 
@@ -314,14 +394,24 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 
 	// Per-iteration scratch, hoisted out of the loop. reeval marks the
 	// rows fully re-evaluated this iteration: the improved set in exact
-	// mode, empty in approximate mode (deferred into rowDrift).
+	// mode, only a seed-regime chosen row in approximate mode (the rest
+	// is deferred into rowDrift). oldCol is the placed site's
+	// nearest-replica column before the step.
 	hOld := make([]float64, m)
 	visible := make([]bool, m)
 	reeval := make([]bool, n)
+	oldCol := make([]float64, n)
 
+	// exactCell marks, per seed-regime row, the cells whose shrink slice
+	// is filled and whose value is exact (nil unless optInit, i.e. for
+	// every cold Hybrid run at every ε).
+	var exactCell [][]bool
+	if st.optInit {
+		exactCell = make([][]bool, n)
+	}
 	// ε machinery, allocated only when a budget exists; every use is
-	// behind an eps > 0 or driftRows > 0 guard, so the eps == 0 run is
-	// the exact engine's op stream unchanged.
+	// behind an eps > 0 or driftRows > 0 guard, so the eps == 0 run keeps
+	// exact eager maintenance.
 	var (
 		budget, spent      float64
 		rowDrift           []float64 // upper drift bound per row (SN + cache events)
@@ -330,15 +420,10 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		catchNeeded        []bool
 		driftRows          int    // rows with rowDrift > 0
 		needFill           []bool // row's shrink table is stale (deferred cache event)
-		oldCol             []float64
-		exactCell          [][]bool // lazy cold start: per-cell "shrink slice filled, value exact" (nil unless optInit)
 		deferred, caughtUp int
 		driftAccepts       int
 		verifiedN          int
 	)
-	if st.optInit {
-		exactCell = make([][]bool, n)
-	}
 	if eps > 0 {
 		budget = eps * approxBudgetFrac * hybridObjective(p, st.hitFn, cfg.UpdateRates)
 		rowDrift = make([]float64, n)
@@ -346,7 +431,6 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		rowMax = make([]float64, n)
 		catchNeeded = make([]bool, n)
 		needFill = make([]bool, n)
-		oldCol = make([]float64, n)
 		for i := 0; i < n; i++ {
 			mx := 0.0
 			for _, v := range ben[i] {
@@ -366,19 +450,25 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 		rowMax[i] = mx
 	}
-	// refreshSeedRow restores a lazy-cold-start row to its current
-	// bound: verified cells re-run the exact arithmetic against their
-	// filled slice, seeds re-tighten against the row's live penalty
+	// isSeed reports whether cell (i, j) still holds an optimistic seed.
+	isSeed := func(i, j int) bool {
+		return exactCell != nil && (exactCell[i] == nil || !exactCell[i][j])
+	}
+	// refreshSeedCell restores a lazy-cold-start cell to its current
+	// value: a verified cell re-runs the exact arithmetic against its
+	// filled slice, a seed re-tightens against the row's live penalty
 	// totals. No model evaluations either way, so clearing a seed row's
 	// drift is free of the cost the deferral saved.
+	refreshSeedCell := func(i, j int) {
+		if isSeed(i, j) {
+			ben[i][j] = st.evalBenOptTight(i, j)
+		} else {
+			ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
+		}
+	}
 	refreshSeedRow := func(i int) {
-		ec := exactCell[i]
 		for j := 0; j < m; j++ {
-			if ec != nil && ec[j] {
-				ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
-			} else {
-				ben[i][j] = st.evalBenOptTight(i, j)
-			}
+			refreshSeedCell(i, j)
 		}
 	}
 	catchUpRow := func(i int) {
@@ -401,11 +491,110 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		caughtUp++
 	}
 
+	// verify fills seed cell (i, j)'s m-entry shrink slice and stores its
+	// exact value. Cells that never surface never pay their slice, and
+	// rows that never surface never even allocate their table.
+	verify := func(i, j int) float64 {
+		if hShrink[i] == nil {
+			hShrink[i] = make([]float64, m*m)
+		}
+		if exactCell[i] == nil {
+			exactCell[i] = make([]bool, m)
+		}
+		v := st.evalBenCached(i, j, hShrink[i], true)
+		exactCell[i][j] = true
+		verifiedN++
+		ben[i][j] = v
+		return v
+	}
+
 	// Engine work counters since the last emitted step; plain ints on
 	// the existing paths, so a nil Explain costs nothing.
 	var pops, stale, superseded, infeasible int
+
+	// The exact run selects the first maximum, in (server, site) order,
+	// of the candidates' values evaluated now — the oracle's literal
+	// scan. A stored value carries the rounding of its arithmetic updates
+	// and a seed bounds its cell only to a few ulps, so the stored order
+	// can break a near tie the other way, and a cell whose stored value
+	// rounded to ≤ 0 sits outside the heap although its value now may be
+	// positive dust. tieWin covers both.
+	tieWin := exactTieWindow * benefitScale(p, cfg.UpdateRates)
+	// fresh evaluates cell (i, j) now, verifying a seed, and stores it.
+	fresh := func(i, j int) float64 {
+		if isSeed(i, j) {
+			return verify(i, j)
+		}
+		ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
+		return ben[i][j]
+	}
+	// dustSweep re-evaluates every feasible cell outside the heap whose
+	// stored value lies within tieWin below zero, and pushes those now
+	// positive. It reports whether it pushed any. It runs only when the
+	// best candidate is itself within tieWin of zero, or the heap drained.
+	dustSweep := func() bool {
+		pushed := false
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				if heapKey[i][j] != 0 || ben[i][j] > 0 || ben[i][j] <= -tieWin || !p.CanReplicate(i, j) {
+					continue
+				}
+				if v := fresh(i, j); v > 0 {
+					hp.push(benEntry{key: v, i: int32(i), j: int32(j)})
+					heapKey[i][j] = v
+					pushed = true
+				}
+			}
+		}
+		return pushed
+	}
+	// screenTies is the exact run's selection step for a popped, verified
+	// cell (i0, j0): every live entry within tieWin of its value — and,
+	// when that value is itself within tieWin of zero, every dust cell —
+	// is pulled, evaluated now and ranked with it; the losers go back at
+	// their fresh values. On almost every pop the window is empty.
+	var ties []benEntry
+	screenTies := func(i0, j0 int) (int, int, float64) {
+		best := benEntry{key: fresh(i0, j0), i: int32(i0), j: int32(j0)}
+		heapKey[i0][j0] = 0 // popped: older entries for the cell are superseded
+		floor := best.key - tieWin
+		if floor <= 0 {
+			dustSweep()
+		}
+		ties = ties[:0]
+		for hp.len() > 0 && hp.e[0].key >= floor {
+			o := hp.pop()
+			pops++
+			i, j := int(o.i), int(o.j)
+			if o.key != heapKey[i][j] {
+				superseded++
+				continue
+			}
+			heapKey[i][j] = 0
+			if !p.CanReplicate(i, j) {
+				infeasible++
+				continue
+			}
+			c := benEntry{key: fresh(i, j), i: o.i, j: o.j}
+			if benLess(c, best) {
+				c, best = best, c
+			}
+			ties = append(ties, c)
+		}
+		for _, c := range ties {
+			if c.key > 0 {
+				hp.push(c)
+				heapKey[c.i][c.j] = c.key
+			}
+		}
+		return int(best.i), int(best.j), best.key
+	}
+
 	for {
 		if hp.len() == 0 {
+			if eps == 0 && dustSweep() {
+				continue
+			}
 			if driftRows == 0 {
 				break
 			}
@@ -489,38 +678,21 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 			heapKey[bestI][bestJ] = 0
 			continue
 		}
-		if exactCell != nil {
-			ec := exactCell[bestI]
-			if ec == nil || !ec[bestJ] {
-				// An optimistic seed reached the top: verify just this
-				// cell — fill its m-entry shrink slice and re-key at the
-				// exact value. Cells that never surface never pay their
-				// slice, and rows that never surface never even allocate
-				// their table.
-				if hShrink[bestI] == nil {
-					hShrink[bestI] = make([]float64, m*m)
-				}
-				if ec == nil {
-					ec = make([]bool, m)
-					exactCell[bestI] = ec
-				}
-				v := st.evalBenCached(bestI, bestJ, hShrink[bestI], true)
-				ec[bestJ] = true
-				verifiedN++
-				ben[bestI][bestJ] = v
-				if v > 0 {
-					hp.push(benEntry{key: v, i: e.i, j: e.j})
-					heapKey[bestI][bestJ] = v
-				} else {
-					heapKey[bestI][bestJ] = 0
-				}
-				continue
+		if isSeed(bestI, bestJ) {
+			// An optimistic seed reached the top: verify just this cell
+			// and re-key at the exact value.
+			if v := verify(bestI, bestJ); v > 0 {
+				hp.push(benEntry{key: v, i: e.i, j: e.j})
+				heapKey[bestI][bestJ] = v
+			} else {
+				heapKey[bestI][bestJ] = 0
 			}
-			// Verified cell: exact-now value, falls through to the drift
-			// gate like any cached candidate (its slice stays valid —
-			// the row's own cache state is untouched until it receives a
-			// replica, which resets the row's verified set below).
+			continue
 		}
+		// A verified cell holds an exact-now value and falls through to
+		// the drift gate like any cached candidate (its slice stays valid
+		// — the row's own cache state is untouched until it receives a
+		// replica, which resets the row's verified set below).
 		if driftRows > 0 {
 			// Drift gate (see package comment): e is worth at least
 			// e.key − downDrift[bestI]; the best alternative at most
@@ -557,15 +729,18 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 			}
 		}
 		bestB := e.key
+		if eps == 0 {
+			if bestI, bestJ, bestB = screenTies(bestI, bestJ); bestB <= 0 {
+				continue // no candidate is worth a replica any more
+			}
+		}
 
 		// Lines 18–25, identical to the oracle's. h[bestI] is
 		// recomputed exactly in every mode — the deferral never touches
 		// the hit-ratio state, only the benefit matrix.
 		copy(hOld, h[bestI])
-		if eps > 0 {
-			for k := 0; k < n; k++ {
-				oldCol[k] = p.NearestCost(k, bestJ)
-			}
+		for k := 0; k < n; k++ {
+			oldCol[k] = p.NearestCost(k, bestJ)
 		}
 		improved, err := p.ReplicateTracked(bestI, bestJ)
 		if err != nil {
@@ -580,91 +755,78 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		for i := range reeval {
 			reeval[i] = false
 		}
-		if eps == 0 {
-			for _, k := range improved {
-				reeval[k] = true
-			}
-		} else {
-			// Defer every row re-evaluation, accumulating drift bounds.
-			// SN events only ever raise a row's true benefits above its
-			// cache, so they contribute to rowDrift alone.
-			for _, k := range improved {
-				if k == bestI {
-					continue
-				}
-				// Seed-regime row: the penalty lower-bound total
-				// re-weights the placed site's term to the new cost, so
-				// the tightened bound itself stays sound; the gap the
-				// stored values fall behind it (and behind the truth, for
-				// verified cells) is covered by the h·r·ΔC drift below —
-				// dh ≤ h bounds both.
-				if exactCell != nil {
-					w := sys.Demand[k][bestJ] * (p.NearestCost(k, bestJ) - oldCol[k]) // ≤ 0
-					for q := range st.optPenTot[k] {
-						st.optPenTot[k][q] += st.optL[k][q*m+bestJ] * w
-					}
-				}
-				if d := h[k][bestJ] * sys.Demand[k][bestJ] * (oldCol[k] - p.NearestCost(k, bestJ)); d > 0 {
-					if rowDrift[k] == 0 {
-						driftRows++
-					}
-					rowDrift[k] += d
-				}
-				deferred++
+		// SN events: server k's nearest replica of bestJ got closer. In
+		// the seed regime the penalty lower-bound totals re-weight the
+		// placed site's term to the new cost, so the tightened bound
+		// itself stays sound. The exact run then re-evaluates the row;
+		// the approximate run defers it into the row's drift bound — SN
+		// events only ever raise a row's true benefits above its cache,
+		// so they contribute to rowDrift alone, and in the seed regime
+		// the gap the stored values fall behind the re-weighted bound
+		// (and behind the truth, for verified cells) is covered by the
+		// same h·r·ΔC, since dh ≤ h bounds both.
+		for _, k := range improved {
+			if k == bestI {
+				continue
 			}
 			if exactCell != nil {
-				// Cache event, seed regime: the chosen row's own cache
-				// shrank, so its reference-slice bound and any verified
-				// slices reference the old state. Re-slicing at the new
-				// state — K·m model evaluations, against the m·m refill
-				// the exact engine pays — restores every seed to an
-				// exact-now upper bound, so the row carries no drift or
-				// stale table out of its own accept.
-				st.optSliceRow(bestI)
-				if ec := exactCell[bestI]; ec != nil {
-					for j := range ec {
-						ec[j] = false
-					}
+				st.seedSNEvent(k, bestJ, oldCol[k])
+			}
+			if eps == 0 {
+				reeval[k] = true
+				continue
+			}
+			if d := h[k][bestJ] * sys.Demand[k][bestJ] * (oldCol[k] - p.NearestCost(k, bestJ)); d > 0 {
+				if rowDrift[k] == 0 {
+					driftRows++
 				}
-				for j := 0; j < m; j++ {
-					ben[bestI][j] = st.evalBenOptTight(bestI, j)
-				}
+				rowDrift[k] += d
+			}
+			deferred++
+		}
+		// Cache event on bestI.
+		switch {
+		case exactCell != nil:
+			// Seed regime (every ε): re-slice and re-evaluate the row in
+			// full below, so it carries no drift or stale slice out of
+			// its own accept.
+			st.seedCacheEvent(bestI, exactCell[bestI])
+			reeval[bestI] = true
+			if eps > 0 {
 				if rowDrift[bestI] > 0 {
 					driftRows--
 				}
 				rowDrift[bestI], downDrift[bestI] = 0, 0
-				refreshRowMax(bestI)
-				for j := 0; j < m; j++ {
-					pushIfRaised(bestI, j)
-				}
-			} else {
-				// Cache event on bestI: exact |Δh| shift plus the placed
-				// site's removed penalty weight, scaled by the safety
-				// factor (the proxy for how far the stale shrink table
-				// sits from a refill). The shift can move benefits either
-				// way, so it lands on both the upper and the downward
-				// bound.
-				d := hOld[bestJ] * sys.Demand[bestI][bestJ] * oldCol[bestI]
-				for k := 0; k < m; k++ {
-					if p.Has(bestI, k) {
-						continue
-					}
-					dh := hOld[k] - h[bestI][k]
-					if dh < 0 {
-						dh = -dh
-					}
-					if dh != 0 {
-						d += dh * sys.Demand[bestI][k] * p.NearestCost(bestI, k)
-					}
-				}
-				if rowDrift[bestI] == 0 {
-					driftRows++
-				}
-				rowDrift[bestI] += driftSafety * d
-				downDrift[bestI] += driftSafety * d
-				needFill[bestI] = true
-				deferred++
 			}
+		case eps == 0:
+			// Filled tables: the row refills below.
+			reeval[bestI] = true
+		default:
+			// Deferred refill (warm regime): exact |Δh| shift plus the
+			// placed site's removed penalty weight, scaled by the safety
+			// factor (the proxy for how far the stale shrink table sits
+			// from a refill). The shift can move benefits either way, so
+			// it lands on both the upper and the downward bound.
+			d := hOld[bestJ] * sys.Demand[bestI][bestJ] * oldCol[bestI]
+			for k := 0; k < m; k++ {
+				if p.Has(bestI, k) {
+					continue
+				}
+				dh := hOld[k] - h[bestI][k]
+				if dh < 0 {
+					dh = -dh
+				}
+				if dh != 0 {
+					d += dh * sys.Demand[bestI][k] * p.NearestCost(bestI, k)
+				}
+			}
+			if rowDrift[bestI] == 0 {
+				driftRows++
+			}
+			rowDrift[bestI] += driftSafety * d
+			downDrift[bestI] += driftSafety * d
+			needFill[bestI] = true
+			deferred++
 		}
 		for j := 0; j < m; j++ {
 			if j == bestJ || p.Has(bestI, j) {
@@ -688,27 +850,23 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 		// Model re-evaluations fan out across rows: re-evaluated rows in
 		// full, everyone else only the bestJ column cell. Only bestI's
-		// own cache state changed, so only its shrink cache refills; the
-		// other rows re-run their benefit chains against cached model
-		// values. (In approximate mode the column refresh of a
-		// needFill row reads its stale table — the error is covered by
-		// the row's drift bound.)
+		// own cache state changed, so only its shrink cache refills (or,
+		// in the seed regime, was re-sliced above); the other rows re-run
+		// their benefit chains against cached model values. (In
+		// approximate mode the column refresh of a needFill row reads its
+		// stale table — the error is covered by the row's drift bound.)
 		fanOutRows(n, workers, func(i int) {
-			if reeval[i] {
+			if reeval[i] && exactCell != nil {
+				refreshSeedRow(i)
+			} else if reeval[i] {
 				fill := i == bestI
 				for j := 0; j < m; j++ {
 					ben[i][j] = st.evalBenCached(i, j, hShrink[i], fill)
 				}
 			} else if exactCell != nil {
-				// Seed-regime row: refresh the improved column's cell
-				// against the verified slice when it has one, or keep the
-				// optimistic bound current instead of reading a shrink
-				// table that was never built.
-				if ec := exactCell[i]; ec != nil && ec[bestJ] {
-					ben[i][bestJ] = st.evalBenCached(i, bestJ, hShrink[i], false)
-				} else {
-					ben[i][bestJ] = st.evalBenOptTight(i, bestJ)
-				}
+				// Seed-regime row: a seed keeps its bound current instead
+				// of reading a shrink table that was never built.
+				refreshSeedCell(i, bestJ)
 			} else {
 				ben[i][bestJ] = st.evalBenCached(i, bestJ, hShrink[i], false)
 			}
@@ -774,13 +932,11 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 	}
 	// Leave the shrink caches consistent with the final placement when
 	// a WarmState will be captured: rows with a deferred cache event
-	// still hold pre-event tables.
+	// still hold pre-event tables. (Capturing runs start from filled
+	// tables, never from seeds: see hybridColdCaptured.)
 	if st.captureWarm && eps > 0 {
 		fanOutRows(n, workers, func(i int) {
-			if hShrink[i] == nil {
-				hShrink[i] = make([]float64, st.m*st.m)
-			}
-			if needFill[i] || exactCell != nil {
+			if needFill[i] {
 				for j := 0; j < m; j++ {
 					ben[i][j] = st.evalBenCached(i, j, hShrink[i], true)
 				}

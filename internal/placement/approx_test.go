@@ -5,14 +5,15 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/lrumodel"
+	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
 // The heaps carry two contracts: at ε = 0 they are the exact greedy —
-// the scanning oracle's float-op stream, hence byte-identical
-// Result.Steps — and at ε > 0 the final predicted cost sits within ε
-// (relative) of the exact run's. Both are enforced here across seeds ×
-// scales × parallelism.
+// byte-identical to the scanning oracle's Result.Steps — and at ε > 0
+// the final predicted cost sits within ε (relative) of the exact run's.
+// Both are enforced here across seeds × scales × parallelism.
 
 // approxGrid is the seeds × scales grid the ε contracts are checked on.
 var approxGrid = []struct {
@@ -53,6 +54,118 @@ func TestApproxZeroEpsilonByteIdenticalGreedy(t *testing.T) {
 				requireBitIdentical(t, greedyScan(sys, cfg), GreedyGlobalOpts(sys, cfg))
 			})
 		}
+	}
+}
+
+// seedBoundTol is the relative slack TestOptimisticSeedsBoundExactCells
+// allows a seed below its exact cell: 8 ulps of the cell's magnitude
+// before the penalty cancels against it (the larger of the exact value
+// and evalBenOpt), the rounding the two float chains may differ by where
+// the bound is tight (the reference slice is the cell's own; ≈ 2.4 ulps
+// is the largest shortfall seen on this grid).
+const seedBoundTol = 8 * 0x1p-52
+
+// TestOptimisticSeedsBoundExactCells checks the premise of the lazy cold
+// start: a tightened seed upper-bounds the exact cell value, under every
+// model, at every state the greedy passes through. After each prefix of
+// the oracle's step list (the row state — placement, hit ratios, visible
+// mass — advanced one step at a time) every row is re-sliced at that
+// state, and every feasible cell's seed must be ≥ its Figure 2 benefit
+// up to seedBoundTol.
+func TestOptimisticSeedsBoundExactCells(t *testing.T) {
+	for _, kind := range lrumodel.ModelKinds() {
+		for seed := uint64(1); seed <= 3; seed++ {
+			for _, capFrac := range []float64{0.1, 0.2, 0.3} {
+				name := fmt.Sprintf("model=%s/seed=%d/cap=%v", kind, seed, capFrac)
+				t.Run(name, func(t *testing.T) {
+					r := xrand.New(seed)
+					sys, specs := randomSystem(r, 14, 9, capFrac)
+					cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Model: string(kind), Parallelism: 1}
+					scan, err := hybridOracle(sys, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(scan.Steps) == 0 {
+						t.Fatal("oracle took no steps")
+					}
+					st, err := newHybridState(sys, cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cells := requireSeedsBound(t, st, 0)
+					visible := make([]bool, st.m)
+					for k, s := range scan.Steps {
+						i, p := s.Server, st.p
+						mustReplicate(p, i, s.Site)
+						st.visMass[i] -= st.preds[i].SitePopularity(s.Site)
+						for j := range visible {
+							visible[j] = !p.Has(i, j)
+						}
+						copy(st.h[i], st.preds[i].HitRatiosCond(visible, p.Free(i)))
+						cells += requireSeedsBound(t, st, k+1)
+					}
+					if cells == 0 {
+						t.Fatal("no feasible cell checked")
+					}
+				})
+			}
+		}
+	}
+}
+
+// requireSeedsBound re-slices every row of st at its current state and
+// checks each feasible cell's seed against its exact value; it returns
+// the number of cells checked.
+func requireSeedsBound(t *testing.T, st *hybridState, steps int) int {
+	t.Helper()
+	sys, p, m := st.sys, st.p, st.m
+	st.prepareOptimistic() // re-slices every row at this state
+	cells := 0
+	for i := 0; i < st.n; i++ {
+		for j := 0; j < m; j++ {
+			if !p.CanReplicate(i, j) {
+				continue
+			}
+			cells++
+			exact := hybridBenefit(sys, p, st.preds, st.h, st.visMass, i, j) - updatePenalty(sys, st.cfg.UpdateRates, i, j)
+			seed := st.evalBenOptTight(i, j)
+			scale := math.Max(math.Abs(exact), math.Abs(st.evalBenOpt(i, j)))
+			if exact-seed > seedBoundTol*scale {
+				t.Fatalf("after %d steps: seed (%d,%d) = %v below exact %v (rel %.3g)",
+					steps, i, j, seed, exact, (exact-seed)/scale)
+			}
+		}
+	}
+	return cells
+}
+
+// TestExactColdVerifiesFewCells is the deterministic guard on the lazy
+// cold start at ε = 0: on the §5.1 smoke instance (the shape the edge
+// workloads' reference section solves, 200 objects a site) an exact
+// solve verifies some cells — the seeds are live — but no more than a
+// tenth of the n·m matrix. A change that brings back the n·m² fill
+// verifies none; one that lets seeds go loose verifies far more.
+func TestExactColdVerifiesFewCells(t *testing.T) {
+	cfg := scenario.Default()
+	cfg.Workload.ObjectsPerSite = 200
+	sc, err := scenario.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified, steps := 0, 0
+	res, err := Hybrid(sc.Sys, HybridConfig{
+		Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes,
+		Explain: func(e ExplainStep) { verified += e.CellsVerified; steps++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != len(res.Steps) || steps == 0 {
+		t.Fatalf("%d explain records for %d steps", steps, len(res.Steps))
+	}
+	n, m := sc.Sys.N(), sc.Sys.M()
+	if verified == 0 || verified > n*m/10 {
+		t.Fatalf("exact cold solve verified %d cells of %d×%d, want 1..%d", verified, n, m, n*m/10)
 	}
 }
 

@@ -10,8 +10,9 @@ type ExplainStep struct {
 	// Server and Site identify the replica created.
 	Server int `json:"server"`
 	Site   int `json:"site"`
-	// Benefit is the winning candidate's marginal benefit (the heap key
-	// that selected it).
+	// Benefit is the winning candidate's marginal benefit (Step.Benefit:
+	// evaluated at selection for an exact hybrid run, the heap key that
+	// selected it otherwise).
 	Benefit float64 `json:"benefit"`
 	// PredictedCost is the objective D after applying the step, under
 	// the engine's own cost model.
@@ -44,8 +45,9 @@ type ExplainStep struct {
 	// CellsVerified counts optimistic seed cells whose exact value was
 	// computed since the previous step — the cell surfaced at the top
 	// of the heap, so the engine filled its m-entry shrink slice (the
-	// lazy cold start defers the m×m row fills entirely and pays only
-	// these slices; ε > 0 only).
+	// lazy cold start of every Hybrid run defers the m×m row fills
+	// entirely and pays only these slices; 0 for Incremental, whose runs
+	// start from filled tables).
 	CellsVerified int `json:"cells_verified,omitempty"`
 	// DriftAccepts counts selections accepted under drift uncertainty:
 	// the winning entry's gap to the runner-up did not cover the

@@ -328,8 +328,12 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 
 // hybridColdCaptured is a cold hybrid solve that also captures the
 // WarmState for the next round. The warm state is the exact fill's
-// matrices, so it starts from prepareCold at any Epsilon; shared may
-// carry a previous round's hit-ratio table.
+// matrices, so it starts from prepareCold at any Epsilon rather than
+// from Hybrid's lazy seeds: every row's table is needed at the end
+// anyway, and a lazy start plus a final fill measured slower
+// (Incremental(nil) at x1: 197 → 239 ms). The heap run after it is
+// Hybrid's, exact-selection path included (screenTies at ε = 0).
+// shared may carry a previous round's hit-ratio table.
 func hybridColdCaptured(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, *WarmState, error) {
 	st, err := newHybridState(sys, cfg, shared)
 	if err != nil {

@@ -19,15 +19,17 @@
 //
 // Hybrid benefits can also rise (shrinking server i*'s cache lowers its
 // hit ratios, raising the remote term other candidates earn from it),
-// so the heap runs in a lazy-deletion form over the same eagerly
-// maintained matrix as the oracle: any update that raises a
-// cell above its live heap key pushes a fresh entry, decayed entries
-// are re-pushed at their current value when popped, and the top entry
-// whose key matches the live matrix is the exact argmax. The model
-// lookups themselves — the dominant cost — are served from a per-row
-// cache of shrink-term hit ratios that stays valid until the row's own
-// cache state changes (only the chosen server's row per iteration),
-// returning the very float64 the predictor memo produced before.
+// so the heap runs in a lazy-deletion form over an eagerly maintained
+// matrix: any update that raises a cell above its live heap key pushes
+// a fresh entry, decayed entries are re-pushed at their current value
+// when popped, and the top entry whose key matches the live matrix is
+// the argmax of the stored values — which the exact run then re-ranks
+// against near ties by their fresh values (approx.go, screenTies), as
+// the oracle evaluates every candidate afresh. The model lookups
+// themselves — the dominant cost — are served from a per-row cache of
+// shrink-term hit ratios that stays valid until the row's own cache
+// state changes (only the chosen server's row per iteration), returning
+// the very float64 the predictor memo produced before.
 package placement
 
 import (

@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/lrumodel"
 )
@@ -30,56 +28,44 @@ func hybridOracle(sys *core.System, cfg HybridConfig) (*Result, error) {
 	return hybridScan(st), nil
 }
 
-// hybridScan is the hybrid oracle's loop: the eagerly maintained
-// benefit matrix with a full argmax scan per iteration, every model
-// value re-derived from the predictors (hybridBenefit).
+// hybridScan is the hybrid oracle's loop, Figure 2 taken literally:
+// every iteration evaluates every candidate's benefit from the current
+// state (hybridBenefit, every model value re-derived from the
+// predictors) and takes the first maximum in (server, site) order.
+// Evaluating afresh is the point: a maintained matrix's values would
+// carry the rounding of its own update history, which decides exact
+// ties (co-located servers, twin sites) arbitrarily.
 func hybridScan(st *hybridState) *Result {
 	sys, p, preds, h, visMass := st.sys, st.p, st.preds, st.h, st.visMass
 	n, m, cfg := st.n, st.m, st.cfg
 	res := &Result{Placement: p}
 	hitFn := st.hitFn
 
-	// Cached benefit matrix with exact invalidation. Placing (i*, j*)
-	// changes: (a) server i*'s cache size, visible mass and hit ratios
-	// — every candidate in row i*; (b) site j*'s SN table — every
-	// candidate in column j*; (c) the remote-benefit term
-	// (1 − h_j^(i*)) that other candidates earn from server i*, which
-	// shifts by the known Δh of (a) — a pure arithmetic adjustment.
-	// Together these reproduce the paper's full per-iteration
-	// re-evaluation exactly, at a fraction of the model lookups.
-	//
-	// Matrix evaluation fans out at row granularity (see
+	// Evaluation fans out at row granularity (see
 	// HybridConfig.Parallelism): row i only reads preds[i], h, visMass
 	// and the read-only placement, so rows never contend.
-	workers := st.workers
 	ben := make([][]float64, n)
-	evalBen := func(i, j int) float64 {
-		if !p.CanReplicate(i, j) {
-			return 0
-		}
-		return hybridBenefit(sys, p, preds, h, visMass, i, j) - updatePenalty(sys, cfg.UpdateRates, i, j)
-	}
-	fanOutRows(n, workers, func(i int) {
+	for i := range ben {
 		ben[i] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			ben[i][j] = evalBen(i, j)
-		}
-	})
-
-	// Per-iteration scratch, hoisted out of the loop: the paper-scale
-	// run takes hundreds of iterations and these were the loop's only
-	// allocations.
-	hOld := make([]float64, m)
+	}
 	visible := make([]bool, m)
-	staleRow := make([]bool, n)
 
 	// Lines 6–25: main loop.
 	for {
+		fanOutRows(n, st.workers, func(i int) {
+			for j := 0; j < m; j++ {
+				if p.CanReplicate(i, j) {
+					ben[i][j] = hybridBenefit(sys, p, preds, h, visMass, i, j) - updatePenalty(sys, cfg.UpdateRates, i, j)
+				} else {
+					ben[i][j] = 0
+				}
+			}
+		})
 		bestB := 0.0
 		bestI, bestJ := -1, -1
 		for i := 0; i < n; i++ {
 			for j := 0; j < m; j++ {
-				if ben[i][j] > bestB && p.CanReplicate(i, j) { // line 8
+				if ben[i][j] > bestB { // line 8
 					bestB, bestI, bestJ = ben[i][j], i, j
 				}
 			}
@@ -88,64 +74,12 @@ func hybridScan(st *hybridState) *Result {
 			break
 		}
 		// Lines 18–25: create the replica and update bookkeeping.
-		copy(hOld, h[bestI])
-		improved, err := p.ReplicateTracked(bestI, bestJ)
-		if err != nil {
-			panic(fmt.Sprintf("placement: internal error: %v", err))
-		}
+		mustReplicate(p, bestI, bestJ)
 		visMass[bestI] -= preds[bestI].SitePopularity(bestJ)
 		for k := 0; k < m; k++ {
 			visible[k] = !p.Has(bestI, k)
 		}
 		copy(h[bestI], preds[bestI].HitRatiosCond(visible, p.Free(bestI)))
-
-		// Stale entries after this placement:
-		//   - rows of servers whose SN entry for bestJ improved (their
-		//     shrink terms weight site bestJ by the new, lower
-		//     NearestCost) and the row of bestI (cache shrank);
-		//   - column bestJ for everyone (remote terms reference the
-		//     improved SN entries);
-		//   - the remote-term contribution (1−h_j^(bestI))·r of server
-		//     bestI to every other candidate, which shifted by the
-		//     known Δh — pure arithmetic, applied to rows not already
-		//     re-evaluated.
-		for i := range staleRow {
-			staleRow[i] = false
-		}
-		for _, k := range improved {
-			staleRow[k] = true
-		}
-		for j := 0; j < m; j++ {
-			if j == bestJ || p.Has(bestI, j) {
-				continue
-			}
-			dh := hOld[j] - h[bestI][j]
-			if dh == 0 {
-				continue
-			}
-			snCost := p.NearestCost(bestI, j)
-			w := dh * sys.Demand[bestI][j]
-			for i := 0; i < n; i++ {
-				if i == bestI || staleRow[i] {
-					continue
-				}
-				if dc := snCost - sys.CostServer[bestI][i]; dc > 0 {
-					ben[i][j] += dc * w
-				}
-			}
-		}
-		// Model re-evaluations — the expensive part of an iteration —
-		// fan out across rows: stale rows in full, everyone else only
-		// the bestJ column cell.
-		fanOutRows(n, workers, func(i int) {
-			if staleRow[i] {
-				for j := 0; j < m; j++ {
-					ben[i][j] = evalBen(i, j)
-				}
-			} else {
-				ben[i][bestJ] = evalBen(i, bestJ)
-			}
-		})
 		step := Step{
 			Server:        bestI,
 			Site:          bestJ,

@@ -65,7 +65,10 @@ func fanOutRows(n, workers int, f func(i int)) {
 type Step struct {
 	Server, Site int
 	// Benefit is the algorithm's estimated cost reduction for the
-	// step (model-predicted for Hybrid, exact for GreedyGlobal).
+	// step (model-predicted for Hybrid, exact for GreedyGlobal). An
+	// exact (ε = 0) heap run, Hybrid or Incremental, reports the chosen
+	// cell evaluated at selection, as the scanning oracle does; ε > 0
+	// reports the heap key that won.
 	Benefit float64
 	// PredictedCost is the objective D after applying the step, under
 	// the algorithm's own cost model.
@@ -195,7 +198,11 @@ type HybridConfig struct {
 	// cost lands within Epsilon of the exact run's (test-enforced for
 	// ε ∈ {1e-3, 1e-2}). 0 is the exact Figure 2 greedy, byte for byte
 	// the scanning oracle's steps; negative values are treated as 0.
-	// See approx.go for the drift-bound invariant.
+	// The lazy cold start (seeded upper bounds, cells verified when they
+	// reach the heap top) runs at every ε: Epsilon buys only the
+	// deferral. The seeds bound their cells because every Model kind's
+	// hit ratio is monotone in the cache size (lrumodel's
+	// TestKMonotoneInBEveryModel). See approx.go for both.
 	Epsilon float64
 	// Explain, if non-nil, receives one ExplainStep per replica created
 	// (nil-cost when disabled; see ExplainWriter).
@@ -213,21 +220,17 @@ type HybridConfig struct {
 // where Δh is the model-predicted hit-ratio loss from shrinking server
 // i's cache by o_j bytes. It terminates when no candidate has positive
 // benefit or no site fits anywhere.
+//
+// The heap starts from cheap upper bounds on every b_ij and evaluates
+// the shrink term of a cell only when the cell reaches the top (the lazy
+// cold start, approx.go); the steps are the exact greedy's at ε = 0.
 func Hybrid(sys *core.System, cfg HybridConfig) (*Result, error) {
 	st, err := newHybridState(sys, cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	eps := maxf(cfg.Epsilon, 0)
-	if eps > 0 {
-		// A positive budget also unlocks the lazy cold start: the heap is
-		// seeded with cheap optimistic bounds and a row's m×m shrink fill
-		// is paid only if one of its cells ever reaches the top (approx.go).
-		st.prepareOptimistic()
-	} else {
-		st.prepareCold()
-	}
-	return hybridHeapRun(st, eps), nil
+	st.prepareOptimistic()
+	return hybridHeapRun(st, maxf(cfg.Epsilon, 0)), nil
 }
 
 // hybridState is the setup of a heap run: the placement under
@@ -247,8 +250,9 @@ type hybridState struct {
 	// engineLabel is the run's ExplainStep.Engine (see EngineLabel).
 	engineLabel string
 	// ben / hShrink are the benefit matrix and per-row shrink-term
-	// caches the heap runs over; prepareCold fills them from an empty
-	// placement, Incremental from a reused warm base.
+	// caches the heap runs over; prepareOptimistic seeds them for
+	// Hybrid, prepareCold fills them from an empty placement for
+	// Incremental's cold round, and a warm round reuses its base.
 	ben     [][]float64
 	hShrink [][]float64
 	// baseSteps are replicas already present before the heap run (warm
@@ -259,7 +263,8 @@ type hybridState struct {
 	// with the final placement (refilling rows the approximate engine
 	// deferred) so a WarmState can be captured afterwards.
 	captureWarm bool
-	// optInit marks a prepareOptimistic cold start: ben holds tightened
+	// optInit marks a prepareOptimistic cold start (every Hybrid run;
+	// Incremental's runs start from filled tables): ben holds tightened
 	// optimistic upper bounds and hShrink rows are allocated lazily, on
 	// first cell verification (approx.go). optRefO holds the reference
 	// shrink sizes (site-size quantiles), optQ maps each site to its
@@ -343,7 +348,9 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 }
 
 // prepareCold fills the benefit matrix and the per-row shrink caches
-// from the empty placement — the exact heap run's initial state.
+// from the empty placement. Only Incremental's capturing cold round
+// uses it: a WarmState needs every row's full table, and filling them
+// up front measured faster than a lazy start plus a final fill.
 func (st *hybridState) prepareCold() {
 	n, m := st.n, st.m
 	st.ben = make([][]float64, n)
