@@ -33,12 +33,14 @@ race:
 
 # fuzz-smoke runs the differential fuzz targets for 10 s each: the
 # simulator's request loop (the arena LRU/FIFO against the slice
-# reference, the guided inverse-CDF search against sort.SearchFloat64s)
-# and the hybrid placement heap against its scanning oracle. Minimizing
-# a new corpus entry is capped, or it eats the whole budget.
+# reference, the guided inverse-CDF search against sort.SearchFloat64s),
+# the model's Jensen upper bound against its exact hit ratio, and the
+# hybrid placement heap against its scanning oracle. Minimizing a new
+# corpus entry is capped, or it eats the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzGuideSearch -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
+	$(GO) test -run '^$$' -fuzz FuzzSiteHitUpper -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesOracle -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not

@@ -28,7 +28,6 @@
 package lrumodel
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sync"
@@ -81,7 +80,8 @@ type Predictor struct {
 	specs  []SiteSpec
 	pops   []float64 // p_j: normalized site popularity, frozen
 	zipfs  []*stats.Zipf
-	avgObj float64 // ō: average object size in bytes
+	blocks [][]zipfBlock // per site: its Zipf's Jensen blocks (upper.go)
+	avgObj float64       // ō: average object size in bytes
 
 	// prefix[i] = cumulative popularity of the i most popular objects
 	// across all sites (frozen at construction), i in 0..len(prefix)-1.
@@ -119,6 +119,9 @@ type law interface {
 	// site's effective popularity is pSite and the characteristic time
 	// is K (possibly +Inf).
 	siteHit(p *Predictor, j int, pSite, K float64) float64
+	// siteHitUpper returns an upper bound on siteHit at the same point,
+	// proven rather than measured (upper.go), and cheaper where it can.
+	siteHitUpper(p *Predictor, j int, pSite, K float64) float64
 }
 
 // eq1Law is the paper's own model: Equation (2) for K and Equation (1)
@@ -141,7 +144,8 @@ func (eq1Law) siteHit(p *Predictor, j int, pSite, K float64) float64 {
 //
 // The table also interns the Zipf distributions themselves by shape:
 // the N predictors over one M-site catalog read M PMF tables between
-// them instead of building N·M.
+// them instead of building N·M. Each one's Jensen block table
+// (upper.go) is built with it and lives exactly as long.
 //
 // A SharedTable is safe for concurrent use. Each predictor still keeps
 // its private unsynchronized memo in front of it, so the shared lock is
@@ -149,7 +153,7 @@ func (eq1Law) siteHit(p *Predictor, j int, pSite, K float64) float64 {
 type SharedTable struct {
 	mu    sync.RWMutex
 	m     map[sharedKey]float64
-	zipfs map[zipfShape]*stats.Zipf
+	zipfs map[zipfShape]*internedZipf
 	// hits/misses count lookups served from / added to the table,
 	// atomically (lookup holds only the read lock). They feed the warm
 	// reconcile audit: a warm round that reuses the previous round's
@@ -172,22 +176,29 @@ type zipfShape struct {
 	theta          float64
 }
 
+// internedZipf is one interned distribution and its Jensen blocks.
+type internedZipf struct {
+	z      *stats.Zipf
+	blocks []zipfBlock
+}
+
 // NewSharedTable returns an empty shared hit-ratio table.
 func NewSharedTable() *SharedTable {
-	return &SharedTable{m: make(map[sharedKey]float64), zipfs: make(map[zipfShape]*stats.Zipf)}
+	return &SharedTable{m: make(map[sharedKey]float64), zipfs: make(map[zipfShape]*internedZipf)}
 }
 
 // zipf returns the table's distribution of the given shape, building it
-// on first use. Distributions are immutable once built.
-func (t *SharedTable) zipf(shape zipfShape) *stats.Zipf {
+// and its block table on first use. Both are immutable once built.
+func (t *SharedTable) zipf(shape zipfShape) *internedZipf {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	z := t.zipfs[shape]
-	if z == nil {
-		z = stats.NewZipfRange(shape.start, shape.objects, shape.theta)
-		t.zipfs[shape] = z
+	e := t.zipfs[shape]
+	if e == nil {
+		z := stats.NewZipfRange(shape.start, shape.objects, shape.theta)
+		e = &internedZipf{z: z, blocks: zipfBlocks(z.PMFs())}
+		t.zipfs[shape] = e
 	}
-	return z
+	return e
 }
 
 // Len returns the number of memoized grid points.
@@ -277,6 +288,7 @@ func newPredictor(kind ModelKind, specs []SiteSpec, weights []float64, avgObjByt
 		}
 	}
 	p.zipfs = make([]*stats.Zipf, len(specs))
+	p.blocks = make([][]zipfBlock, len(specs))
 	intern := shared
 	if intern == nil {
 		// No table to share with other predictors: this one's sites of
@@ -293,7 +305,8 @@ func newPredictor(kind ModelKind, specs []SiteSpec, weights []float64, avgObjByt
 		if s.RankOffset < 0 {
 			return nil, fmt.Errorf("lrumodel: site %d has rank offset %d", j, s.RankOffset)
 		}
-		p.zipfs[j] = intern.zipf(zipfShape{s.RankOffset + 1, s.Objects, s.Theta})
+		e := intern.zipf(zipfShape{s.RankOffset + 1, s.Objects, s.Theta})
+		p.zipfs[j], p.blocks[j] = e.z, e.blocks
 	}
 	p.buildPrefix(p.B(maxCacheBytes))
 	return p, nil
@@ -318,30 +331,34 @@ func (p *Predictor) buildPrefix(maxB int) {
 	}
 	p.prefix = make([]float64, n+1)
 
-	// k-way merge by popularity using a max-heap over (site, next rank).
-	h := &mergeHeap{}
+	// k-way merge by popularity using a max-heap over (site, next rank):
+	// the top advances to its site's next rank in place, or leaves the
+	// heap once the site is exhausted. Whatever order ties pop in, the
+	// popped values form the same descending sequence, so the sums are
+	// the same bits.
+	h := make(mergeHeap, 0, len(p.specs))
 	for j := range p.specs {
 		if p.pops[j] > 0 {
-			heap.Push(h, mergeItem{
-				pop:  p.pops[j] * p.zipfs[j].PMF(1),
-				site: j,
-				rank: 1,
-			})
+			h = append(h, mergeItem{pop: p.pops[j] * p.zipfs[j].PMF(1), site: j, rank: 1})
 		}
+	}
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		h.down(k)
 	}
 	cum := 0.0
 	i := 1
-	for ; i <= n && h.Len() > 0; i++ {
-		it := heap.Pop(h).(mergeItem)
-		cum += it.pop
+	for ; i <= n && len(h) > 0; i++ {
+		top := &h[0]
+		cum += top.pop
 		p.prefix[i] = cum
-		if it.rank < p.specs[it.site].Objects {
-			heap.Push(h, mergeItem{
-				pop:  p.pops[it.site] * p.zipfs[it.site].PMF(it.rank+1),
-				site: it.site,
-				rank: it.rank + 1,
-			})
+		if top.rank < p.specs[top.site].Objects {
+			top.rank++
+			top.pop = p.pops[top.site] * p.zipfs[top.site].PMF(top.rank)
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	// Slots past the last object with positive popularity (sites this
 	// server never requests) add no mass: p_B stays at the full mass
@@ -451,7 +468,9 @@ func (p *Predictor) SiteHitRatioForK(j int, K float64) float64 {
 	return p.siteHitRatioK(j, 1, K)
 }
 
-func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64 {
+// gridKey quantizes site j's effective popularity over visibleMass and
+// the characteristic time K to the memo grid.
+func (p *Predictor) gridKey(j int, visibleMass float64, K float64) hKey {
 	if j < 0 || j >= len(p.specs) {
 		panic(fmt.Sprintf("lrumodel: site %d out of range", j))
 	}
@@ -463,6 +482,23 @@ func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64
 	if !math.IsInf(K, 1) {
 		key.kq = int64(math.Round(K / p.kStep))
 	}
+	return key
+}
+
+// gridPoint is the (popularity, K) a memo entry is evaluated at — the
+// quantized point, so the memo is self-consistent (the paper's
+// pre-computed table does the same). K is the unquantized value, used
+// as is only when it is +Inf.
+func (p *Predictor) gridPoint(key hKey, K float64) (pSite, kEff float64) {
+	kEff = K
+	if key.kq >= 0 {
+		kEff = float64(key.kq) * p.kStep
+	}
+	return float64(key.pq) * p.pStep, kEff
+}
+
+func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64 {
+	key := p.gridKey(j, visibleMass, K)
 	if h, ok := p.hmemo[key]; ok {
 		return h * (1 - p.specs[j].Lambda)
 	}
@@ -475,13 +511,8 @@ func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64
 			return h * (1 - p.specs[j].Lambda)
 		}
 	}
-	// Evaluate at the quantized grid point so the memo is
-	// self-consistent (the paper's pre-computed table does the same).
-	kEff := K
-	if key.kq >= 0 {
-		kEff = float64(key.kq) * p.kStep
-	}
-	h := p.law.siteHit(p, j, float64(key.pq)*p.pStep, kEff)
+	pSite, kEff := p.gridPoint(key, K)
+	h := p.law.siteHit(p, j, pSite, kEff)
 	p.hmemo[key] = h
 	if p.shared != nil {
 		p.shared.store(sk, h)
@@ -541,6 +572,8 @@ func (p *Predictor) OverallHitRatio(cacheBytes int64) float64 {
 func (p *Predictor) SitePopularity(j int) float64 { return p.pops[j] }
 
 // mergeItem / mergeHeap implement the descending-popularity k-way merge.
+// The heap is typed and sifted in place: container/heap would box an
+// item on every push, once per prefix slot.
 type mergeItem struct {
 	pop  float64
 	site int
@@ -549,14 +582,20 @@ type mergeItem struct {
 
 type mergeHeap []mergeItem
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].pop > h[j].pop }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+// down restores the max-heap order below index i.
+func (h mergeHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].pop > h[c].pop {
+			c = r
+		}
+		if h[c].pop <= h[i].pop {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -58,7 +58,9 @@ func ParseModelKind(s string) (ModelKind, error) {
 // Model is the hit-ratio surface the placement stack consumes. It is
 // the method set the hybrid algorithm and the controller actually use,
 // extracted from *Predictor so that any of the ModelKinds (or a test
-// double) can stand behind it.
+// double) can stand behind it. Every method but SiteHitRatioCondUpper
+// returns the model's value; that one returns a proven upper bound on
+// SiteHitRatioCond, for screening candidates cheaply.
 //
 // Implementations are not safe for concurrent use unless documented
 // otherwise; the placement engines keep one Model per server.
@@ -81,6 +83,11 @@ type Model interface {
 	// SiteHitRatioCond is SiteHitRatio with site j's popularity
 	// renormalized over the visible mass (§4's conditional form).
 	SiteHitRatioCond(j int, visibleMass float64, cacheBytes int64) float64
+	// SiteHitRatioCondUpper is never below SiteHitRatioCond at the same
+	// arguments and costs O(log L) instead of O(L) under eq1, che and
+	// random — a Jensen bound over blocks of Zipf ranks; the closed form
+	// returns its value. It writes no hit-ratio memo.
+	SiteHitRatioCondUpper(j int, visibleMass float64, cacheBytes int64) float64
 	// HitRatios returns the λ-adjusted hit ratio of every site.
 	HitRatios(cacheBytes int64) []float64
 	// HitRatiosCond restricts HitRatios to the visible sites; entries

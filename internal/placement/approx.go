@@ -14,9 +14,11 @@
 // OPTIMISTIC UPPER BOUNDS — the exact cell value with the shrink
 // penalty replaced by a cheap lower bound built from K reference
 // shrink slices per row (see prepareOptimistic for the monotonicity
-// argument), at K·m model evaluations per row instead of m². A seed is
-// never accepted directly, so the bound costs no accuracy and needs no
-// ε budget. Rows live their whole life in this seed regime:
+// argument), at K·m evaluations per row instead of m², each one the
+// model's Jensen upper bound (lrumodel.SiteHitRatioCondUpper, ~30
+// terms) rather than an O(L) Equation (1) sum. A seed is never accepted
+// directly, so the bound costs no accuracy and needs no ε budget. Rows
+// live their whole life in this seed regime:
 //
 //   - When a seed cell surfaces at the top of the heap, the engine
 //     VERIFIES just that cell — filling its m-entry shrink slice — and
@@ -26,7 +28,7 @@
 //
 //   - When a row wins a step (its own cache shrinks, invalidating its
 //     bound and any verified slices), the engine RE-SLICES the row's
-//     reference bounds at the new state — K·m evaluations where a
+//     reference bounds at the new state — K·m bound evaluations where a
 //     filled table refills m² — resets its verified set, and restores
 //     every seed to an exact-now upper bound. The row carries no
 //     drift out of its own accept.
@@ -201,7 +203,13 @@ const optRefSlices = 4
 // reference-slice penalty lower bound for site j — an upper bound on
 // the exact value (TestOptimisticSeedsBoundExactCells checks it under
 // every model), close enough to it that cells whose true benefit has
-// gone negative actually retire instead of haunting the heap.
+// gone negative actually retire instead of haunting the heap. The
+// slices read the model through SiteHitRatioCondUpper, a Jensen step
+// over blocks of Zipf ranks: 1 − (1−x)^K is concave in x for K ≥ 1
+// (below that the LRU laws return their exact value) and xT/(1+xT) for
+// every T, so the reference hit ratio can only come out high, the drop
+// low, and the seed high — by ~1e-3 of the hit ratio, which barely
+// loosens it.
 func (st *hybridState) evalBenOptTight(i, j int) float64 {
 	p := st.p
 	if !p.CanReplicate(i, j) {
@@ -234,6 +242,19 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 // non-decreasing in the cache size (lrumodel's
 // TestKMonotoneInBEveryModel), and FuzzHybridMatchesOracle reaches the
 // nearly-everything-fits corner where that is easiest to lose.
+//
+// The slices need not even evaluate the model. Each reads
+// U = SiteHitRatioCondUpper at the reference point, ~30 terms where
+// Equation (1) has L, and the chain stays sound:
+//
+//   - U ≥ the model's hNew at the reference point (lrumodel's Jensen
+//     bound, TestSiteHitUpperBound);
+//   - so each slice entry h − U ≤ the model's reference drop ≤ the
+//     cell's own drop dh(k, j);
+//   - so the penalty stays a lower bound and the seed an upper bound.
+//
+// The cells that surface are verified with the solve's own model, as
+// before, so the bound's slack costs verifications, never exactness.
 func (st *hybridState) prepareOptimistic() {
 	n, m, sys := st.n, st.m, st.sys
 	st.ben = make([][]float64, n)
@@ -277,7 +298,8 @@ func (st *hybridState) prepareOptimistic() {
 }
 
 // optSliceRow (re)computes row i's reference-slice penalty lower bound
-// at the CURRENT placement state, at K·m model evaluations. Called per
+// at the CURRENT placement state, at K·m bound evaluations of ~30 terms
+// each (no Equation (1) sum, no memo entry). Called per
 // row by prepareOptimistic, and again by the heap run every time the
 // row itself receives a replica (seedCacheEvent) — the bound reads the
 // row's hit ratios, visible mass and free space, so a replica on the
@@ -326,8 +348,9 @@ func (st *hybridState) optSliceRow(i int) {
 			// outweighing the reference shrink) must stay negative, or
 			// the "lower bound" would overshoot a cell whose true
 			// penalty term is negative and the seed would stop being an
-			// upper bound.
-			dh := st.h[i][k] - st.preds[i].SiteHitRatioCond(k, newMass, newCache)
+			// upper bound. The reference hit ratio is the model's cheap
+			// upper bound, which only lowers dh further.
+			dh := st.h[i][k] - st.preds[i].SiteHitRatioCondUpper(k, newMass, newCache)
 			L[q*m+k] = dh
 			t += dh * sys.Demand[i][k] * p.NearestCost(i, k)
 		}
@@ -338,7 +361,7 @@ func (st *hybridState) optSliceRow(i int) {
 // seedCacheEvent is the seed regime's answer to row i receiving a
 // replica: its own cache shrank, so its reference-slice bound and any
 // verified slices reference the old state. Re-slicing at the new state —
-// K·m model evaluations, against the m·m refill of a filled table —
+// K·m bound evaluations, against the m·m refill of a filled table —
 // and clearing the verified set makes every cell of the row a seed
 // again; the caller re-evaluates the row.
 func (st *hybridState) seedCacheEvent(i int, verified []bool) {

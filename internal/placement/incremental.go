@@ -2,9 +2,11 @@
 // Hybrid every reconcile round, but between rounds the EWMA demand
 // matrix usually moves only a little, and a cold run spends almost all
 // of its time on work the previous round already did: building N
-// predictors (~20% of a large run) and evaluating the LRU model behind
-// the benefit matrix and the per-row shrink caches (~70%). Incremental
-// reuses the previous round's WarmState instead:
+// predictors with their initial hit ratios (n·m Equation (1)
+// evaluations, about half of a lazy cold solve at the paper's scale now
+// that its seeds read the model's Jensen bound) and, for the capturing
+// cold round below, the n·m² shrink-table fill. Incremental reuses the
+// previous round's WarmState instead:
 //
 //   - Rows whose demand moved less than DriftThreshold (relative L1)
 //     keep their predictor, hit ratios, visible mass and m×m

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/lrumodel"
+	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
@@ -92,6 +94,66 @@ func TestHybridParallelMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameResult(t, fmt.Sprintf("seed=%d parallelism=%d", seed, par), serial, got)
+		}
+	}
+}
+
+// TestNewHybridStateParallelBuild: the per-row model builds fan out, and
+// the state they leave at the paper's x1 instance — every row's hit
+// ratios and visible mass, and the exact solve from it — is the serial
+// build's, bit for bit, at any Parallelism.
+func TestNewHybridStateParallelBuild(t *testing.T) {
+	sc, err := scenario.Build(scenario.Scale(scenario.Default(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h [][]float64
+	var visMass []float64
+	var serial *Result
+	for _, par := range []int{1, 2, 8} {
+		cfg := HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes, Parallelism: par}
+		st, err := newHybridState(sc.Sys, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial == nil {
+			// The solve moves the state on: keep the serial build's.
+			for _, row := range st.h {
+				h = append(h, append([]float64(nil), row...))
+			}
+			visMass = append(visMass, st.visMass...)
+		} else if !reflect.DeepEqual(h, st.h) || !reflect.DeepEqual(visMass, st.visMass) {
+			t.Fatalf("parallelism=%d: hit ratios or visible masses differ from the serial build", par)
+		}
+		st.prepareOptimistic()
+		res := hybridHeapRun(st, 0)
+		if serial == nil {
+			if len(res.Steps) == 0 {
+				t.Fatal("degenerate run, no steps")
+			}
+			serial = res
+			continue
+		}
+		requireSameResult(t, fmt.Sprintf("parallelism=%d", par), serial, res)
+	}
+}
+
+// TestNewHybridStateReportsFirstRowError: with invalid demand in two
+// rows, every Parallelism reports the earlier row's error, not whichever
+// worker finished first.
+func TestNewHybridStateReportsFirstRowError(t *testing.T) {
+	sys, specs := randomSystem(xrand.New(3), 12, 6, 0.2)
+	n := sys.N()
+	sys.Demand[n/2][0] = -1
+	sys.Demand[n-1][1] = -2
+	_, want := lrumodel.New(lrumodel.ModelConfig{Specs: specs, Weights: sys.Demand[n/2], AvgObjectBytes: 1, MaxCacheBytes: sys.Capacity[n/2]})
+	if want == nil {
+		t.Fatal("row n/2's demand is valid")
+	}
+	for _, par := range []int{1, 2, 8} {
+		_, err := newHybridState(sys, HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: par}, nil)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("parallelism=%d: error %v, want row %d's: %v", par, err, n/2, want)
 		}
 	}
 }

@@ -328,9 +328,13 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 	// each other's entries bit for bit instead of each paying the O(L)
 	// evaluation. The test oracle (oracle_test.go) keeps per-predictor
 	// memos, so the byte-identity suites double as an end-to-end proof
-	// that sharing changes no values.
-	for i := 0; i < n; i++ {
-		st.preds[i], err = lrumodel.New(lrumodel.ModelConfig{
+	// that sharing changes no values. Rows build in parallel: each owns
+	// its predictor, and a grid point's value does not depend on which
+	// row stores it first. An invalid row reports in row order, whichever
+	// worker finishes first.
+	errs := make([]error, n)
+	fanOutRows(n, st.workers, func(i int) {
+		pred, err := lrumodel.New(lrumodel.ModelConfig{
 			Kind:           kind,
 			Specs:          cfg.Specs,
 			Weights:        sys.Demand[i],
@@ -339,10 +343,17 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 			Shared:         st.shared,
 		})
 		if err != nil {
+			errs[i] = err
+			return
+		}
+		st.preds[i] = pred
+		st.h[i] = pred.HitRatios(st.p.Free(i))
+		st.visMass[i] = 1
+	})
+	for _, err := range errs {
+		if err != nil {
 			return nil, err
 		}
-		st.h[i] = st.preds[i].HitRatios(st.p.Free(i))
-		st.visMass[i] = 1
 	}
 	return st, nil
 }
