@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -48,13 +49,20 @@ func AvailabilityComparison(ctx context.Context, opts Options, originFailures []
 		if err != nil {
 			return err
 		}
-		// The same failure draw for every mechanism at a level, so the
-		// comparison is apples to apples.
-		fail := sim.RandomFailures(sc, failedServers, jb.origins, xrand.New(opts.TraceSeed+uint64(jb.origins)))
 		simCfg := opts.Sim
 		simCfg.UseCache = useCache
 		simCfg.KeepResponseTimes = false
-		m, err := sim.RunWithFailures(ctx, sc, p, simCfg, fail, xrand.New(opts.TraceSeed))
+		// The crashes land at the warm-up boundary: validate it first.
+		if err := simCfg.Validate(); err != nil {
+			return err
+		}
+		// The same failure draw for every mechanism at a level, so the
+		// comparison is apples to apples.
+		crash, err := randomCrashes(sc, simCfg.Warmup, failedServers, jb.origins, xrand.New(opts.TraceSeed+uint64(jb.origins)))
+		if err != nil {
+			return err
+		}
+		m, err := sim.RunWithSchedule(ctx, sc, p, simCfg, crash, xrand.New(opts.TraceSeed))
 		if err != nil {
 			return err
 		}
@@ -76,6 +84,29 @@ func AvailabilityComparison(ctx context.Context, opts Options, originFailures []
 		return nil, err
 	}
 	return rows, nil
+}
+
+// randomCrashes draws distinct failed servers, then distinct failed
+// origins, deterministically from r, and crashes them all at time at
+// for good: the warm caches of a steady state lose those components at
+// the measurement boundary. Failing more servers or origins than exist
+// is an error, and so is failing every server.
+func randomCrashes(sc *scenario.Scenario, at, servers, origins int, r *xrand.Source) (*fault.Schedule, error) {
+	n, m := sc.Sys.N(), sc.Sys.M()
+	if servers < 0 || servers >= n {
+		return nil, fmt.Errorf("experiments: %d failed servers of %d (at least one must survive)", servers, n)
+	}
+	if origins < 0 || origins > m {
+		return nil, fmt.Errorf("experiments: %d failed origins of %d", origins, m)
+	}
+	var down, dead []int
+	if servers > 0 {
+		down = r.Perm(n)[:servers]
+	}
+	if origins > 0 {
+		dead = r.Perm(m)[:origins]
+	}
+	return fault.Crashes(at, down, dead), nil
 }
 
 // FormatAvailabilityRows renders the availability comparison.

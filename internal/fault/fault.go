@@ -3,8 +3,8 @@
 //
 //   - Schedule is a deterministic, seedable sequence of crash / recover /
 //     slow events over virtual time (request indices) that the simulator
-//     replays (sim.RunWithSchedule). It replaces the static FailureSet
-//     "dead before the run starts" model with mid-run churn, the regime
+//     replays (sim.RunWithSchedule). It generalizes the static "dead
+//     before the run starts" model (Crashes) to mid-run churn, the regime
 //     the paper's availability argument (§5, Figure 6) is actually
 //     about: caches re-absorb demand when replicas vanish.
 //
@@ -154,9 +154,10 @@ func (s *Schedule) MaxID(comp Component) int {
 	return max
 }
 
-// Crashes builds the degenerate schedule equivalent to the static
-// FailureSet model: every listed component crashes at time at and never
-// recovers. RunWithFailures is RunWithSchedule over Crashes(warmup, ...).
+// Crashes builds the degenerate schedule of a static failure model:
+// every listed component crashes at time at and never recovers.
+// RunWithSchedule over Crashes(warmup, ...) is the availability
+// experiment's "steady state, then k components died" replay.
 func Crashes(at int, servers, origins []int) *Schedule {
 	var events []Event
 	for _, i := range servers {

@@ -97,7 +97,28 @@ type Predictor struct {
 
 	totalObjects int          // Σ_j Objects, frozen at construction
 	shared       *SharedTable // optional cross-predictor memo (may be nil)
+
+	// miss, evalMiss and sites are SiteHitRatiosCond's and its
+	// wrappers' scratch, reused so a batch allocates nothing once they
+	// have grown.
+	miss     []batchMiss
+	evalMiss func(x int)
+	sites    []int
 }
+
+// batchMiss is one grid point a SiteHitRatiosCond batch evaluates, or
+// (ref ≥ 0) a site whose shared key duplicates that of miss ref.
+type batchMiss struct {
+	ref      int
+	key      hKey
+	sk       sharedKey
+	pSite, k float64
+	h        float64
+}
+
+// Fan runs f(x) for every x in [0, n), possibly concurrently, and
+// returns when all have run. A nil Fan runs them in order.
+type Fan func(n int, f func(x int))
 
 type hKey struct {
 	site int
@@ -497,6 +518,13 @@ func (p *Predictor) gridPoint(key hKey, K float64) (pSite, kEff float64) {
 	return float64(key.pq) * p.pStep, kEff
 }
 
+// sharedKey is the shared table's key for the private memo key: the
+// grid point and the site's Zipf shape, not the site.
+func (p *Predictor) sharedKey(key hKey) sharedKey {
+	s := p.specs[key.site]
+	return sharedKey{kind: p.Kind(), rankOffset: s.RankOffset, objects: s.Objects, theta: s.Theta, pq: key.pq, kq: key.kq}
+}
+
 func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64 {
 	key := p.gridKey(j, visibleMass, K)
 	if h, ok := p.hmemo[key]; ok {
@@ -504,8 +532,7 @@ func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64
 	}
 	var sk sharedKey
 	if p.shared != nil {
-		s := p.specs[j]
-		sk = sharedKey{kind: p.Kind(), rankOffset: s.RankOffset, objects: s.Objects, theta: s.Theta, pq: key.pq, kq: key.kq}
+		sk = p.sharedKey(key)
 		if h, ok := p.shared.lookup(sk); ok {
 			p.hmemo[key] = h
 			return h * (1 - p.specs[j].Lambda)
@@ -520,14 +547,98 @@ func (p *Predictor) siteHitRatioK(j int, visibleMass float64, K float64) float64
 	return h * (1 - p.specs[j].Lambda)
 }
 
+// SiteHitRatiosCond stores SiteHitRatioCond(j, visibleMass, cacheBytes)
+// in out[j] for every j of sites, bit for bit, and leaves the other
+// entries of out alone. It looks K up once and both memos serially, then
+// evaluates the distinct missing grid points under fan: a miss is a pure
+// function of its grid point and an immutable Zipf, so misses may run
+// concurrently. The private memo, the shared table and its Stats end up
+// as the calls made one by one would leave them: a site whose shared key
+// an earlier site of the batch already missed is evaluated once and
+// counts as the shared hit it would have been, so Stats().Misses stays
+// an evaluation count. Batches of fewer than two misses, or a nil fan,
+// evaluate inline, and fan is never called while another method of the
+// predictor runs. sites must be distinct.
+func (p *Predictor) SiteHitRatiosCond(sites []int, visibleMass float64, cacheBytes int64, out []float64, fan Fan) {
+	if visibleMass <= 0 {
+		for _, j := range sites {
+			out[j] = 0
+		}
+		return
+	}
+	K := p.K(cacheBytes)
+	miss := p.miss[:0]
+	for _, j := range sites {
+		key := p.gridKey(j, visibleMass, K)
+		if h, ok := p.hmemo[key]; ok {
+			out[j] = h * (1 - p.specs[j].Lambda)
+			continue
+		}
+		b := batchMiss{ref: -1, key: key}
+		if p.shared != nil {
+			b.sk = p.sharedKey(key)
+			if b.ref = batchRef(miss, b.sk); b.ref >= 0 {
+				p.shared.hits.Add(1)
+				miss = append(miss, b)
+				continue
+			}
+			if h, ok := p.shared.lookup(b.sk); ok {
+				p.hmemo[key] = h
+				out[j] = h * (1 - p.specs[j].Lambda)
+				continue
+			}
+		}
+		b.pSite, b.k = p.gridPoint(key, K)
+		miss = append(miss, b)
+	}
+	p.miss = miss
+	if p.evalMiss == nil {
+		p.evalMiss = func(x int) {
+			if b := &p.miss[x]; b.ref < 0 {
+				b.h = p.law.siteHit(p, b.key.site, b.pSite, b.k)
+			}
+		}
+	}
+	if fan == nil || len(miss) < 2 {
+		for x := range miss {
+			p.evalMiss(x)
+		}
+	} else {
+		fan(len(miss), p.evalMiss)
+	}
+	for x := range miss {
+		b := &miss[x]
+		if b.ref >= 0 {
+			b.h = miss[b.ref].h
+		} else if p.shared != nil {
+			p.shared.store(b.sk, b.h)
+		}
+		p.hmemo[b.key] = b.h
+		out[b.key.site] = b.h * (1 - p.specs[b.key.site].Lambda)
+	}
+}
+
+// batchRef returns the index of the first evaluated miss with shared
+// key sk, or -1.
+func batchRef(miss []batchMiss, sk sharedKey) int {
+	for x := range miss {
+		if miss[x].ref < 0 && miss[x].sk == sk {
+			return x
+		}
+	}
+	return -1
+}
+
 // HitRatios returns the λ-adjusted hit ratio of every site at the given
 // cache size, with every site visible to the cache.
 func (p *Predictor) HitRatios(cacheBytes int64) []float64 {
-	out := make([]float64, len(p.specs))
-	K := p.K(cacheBytes)
+	sites := p.sites[:0]
 	for j := range p.specs {
-		out[j] = p.siteHitRatioK(j, 1, K)
+		sites = append(sites, j)
 	}
+	p.sites = sites
+	out := make([]float64, len(p.specs))
+	p.SiteHitRatiosCond(sites, 1, cacheBytes, out, nil)
 	return out
 }
 
@@ -538,21 +649,16 @@ func (p *Predictor) HitRatiosCond(visible []bool, cacheBytes int64) []float64 {
 		panic(fmt.Sprintf("lrumodel: %d visibility flags for %d sites", len(visible), len(p.specs)))
 	}
 	mass := 0.0
+	sites := p.sites[:0]
 	for j, v := range visible {
 		if v {
 			mass += p.pops[j]
+			sites = append(sites, j)
 		}
 	}
+	p.sites = sites
 	out := make([]float64, len(p.specs))
-	if mass <= 0 {
-		return out
-	}
-	K := p.K(cacheBytes)
-	for j := range p.specs {
-		if visible[j] {
-			out[j] = p.siteHitRatioK(j, mass, K)
-		}
-	}
+	p.SiteHitRatiosCond(sites, mass, cacheBytes, out, nil)
 	return out
 }
 

@@ -63,7 +63,8 @@ func ParseModelKind(s string) (ModelKind, error) {
 // SiteHitRatioCond, for screening candidates cheaply.
 //
 // Implementations are not safe for concurrent use unless documented
-// otherwise; the placement engines keep one Model per server.
+// otherwise; the placement engines keep one Model per server, and fan a
+// batch's evaluations out through SiteHitRatiosCond.
 type Model interface {
 	// Kind identifies the underlying model.
 	Kind() ModelKind
@@ -88,10 +89,18 @@ type Model interface {
 	// random — a Jensen bound over blocks of Zipf ranks; the closed form
 	// returns its value. It writes no hit-ratio memo.
 	SiteHitRatioCondUpper(j int, visibleMass float64, cacheBytes int64) float64
+	// SiteHitRatiosCond is SiteHitRatioCond for a batch of distinct
+	// sites sharing one visible mass and cache size, stored in out[j]
+	// for every j of sites, bit for bit the values and memo entries of
+	// the calls made one by one. The batch's Equation (1) misses are
+	// evaluated under fan (nil: inline); this is the only method that
+	// may run work concurrently, and only inside fan.
+	SiteHitRatiosCond(sites []int, visibleMass float64, cacheBytes int64, out []float64, fan Fan)
 	// HitRatios returns the λ-adjusted hit ratio of every site.
 	HitRatios(cacheBytes int64) []float64
 	// HitRatiosCond restricts HitRatios to the visible sites; entries
-	// for invisible (replicated) sites are 0.
+	// for invisible (replicated) sites are 0. It and HitRatios are
+	// serial SiteHitRatiosCond batches.
 	HitRatiosCond(visible []bool, cacheBytes int64) []float64
 	// OverallHitRatio returns the request-weighted Σ p_j·h_j.
 	OverallHitRatio(cacheBytes int64) float64

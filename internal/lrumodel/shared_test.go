@@ -1,6 +1,8 @@
 package lrumodel
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -146,5 +148,93 @@ func BenchmarkZipfIntern(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSiteHitRatiosCondMatchesSingle pins the batch path to the calls it
+// replaces: under every model kind, with and without uncacheable
+// traffic, at positive and non-positive visible masses and at cache
+// sizes from empty to everything-fits, a batch fanned out over
+// goroutines stores the values the one-by-one SiteHitRatioCond returns,
+// bit for bit, and leaves equal private memos and shared tables behind.
+// Sites 0–2 share one shape and weight, so they share a grid point: the
+// batch evaluates it once, and the shared table's Misses stay the count
+// of distinct grid points evaluated. Run it under -race.
+func TestSiteHitRatiosCondMatchesSingle(t *testing.T) {
+	fan := func(n int, f func(x int)) {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for x := 0; x < n; x++ {
+			go func(x int) {
+				defer wg.Done()
+				f(x)
+			}(x)
+		}
+		wg.Wait()
+	}
+	for _, kind := range ModelKinds() {
+		for _, lambda := range []float64{0, 0.3} {
+			specs := []SiteSpec{
+				{Objects: 150, Theta: 0.8, Lambda: lambda},
+				{Objects: 150, Theta: 0.8, Lambda: lambda},
+				{Objects: 150, Theta: 0.8},
+				{Objects: 90, Theta: 1.1, Lambda: lambda},
+				{Objects: 300, Theta: 0.6, RankOffset: 40},
+			}
+			weights := []float64{1, 1, 1, 2, 3}
+			build := func() *Predictor {
+				m, err := New(ModelConfig{Kind: kind, Specs: specs, Weights: weights,
+					AvgObjectBytes: 1, MaxCacheBytes: 1000, Shared: NewSharedTable()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.(*Predictor)
+			}
+			batch, single := build(), build()
+			out := make([]float64, len(specs))
+			for _, cache := range []int64{0, 3, 60, 250, 1000} {
+				for _, q := range []struct {
+					sites []int
+					mass  float64
+				}{
+					{[]int{0, 1, 2, 3, 4}, 1},
+					{[]int{4, 2, 0, 1}, 0.625},
+					{[]int{1, 3}, 0.5},
+					{[]int{0, 2}, 0},
+					{[]int{3}, -1},
+				} {
+					for j := range out {
+						out[j] = -1
+					}
+					batch.SiteHitRatiosCond(q.sites, q.mass, cache, out, fan)
+					in := map[int]bool{}
+					for _, j := range q.sites {
+						in[j] = true
+						if want := single.SiteHitRatioCond(j, q.mass, cache); math.Float64bits(out[j]) != math.Float64bits(want) {
+							t.Fatalf("%s λ=%v cache %d mass %v site %d: batch %v, single %v",
+								kind, lambda, cache, q.mass, j, out[j], want)
+						}
+					}
+					for j, v := range out {
+						if !in[j] && v != -1 {
+							t.Fatalf("%s: batch wrote site %d outside its sites", kind, j)
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(batch.hmemo, single.hmemo) {
+				t.Fatalf("%s λ=%v: private memos differ (%d vs %d entries)", kind, lambda, len(batch.hmemo), len(single.hmemo))
+			}
+			if !reflect.DeepEqual(batch.shared.m, single.shared.m) {
+				t.Fatalf("%s λ=%v: shared tables differ", kind, lambda)
+			}
+			bs, ss := batch.shared.Stats(), single.shared.Stats()
+			if bs != ss {
+				t.Fatalf("%s λ=%v: batch table stats %+v, single %+v", kind, lambda, bs, ss)
+			}
+			if bs.Misses != int64(bs.Entries) || bs.Hits == 0 {
+				t.Fatalf("%s λ=%v: %d misses for %d distinct grid points (%d hits)", kind, lambda, bs.Misses, bs.Entries, bs.Hits)
+			}
+		}
 	}
 }

@@ -18,34 +18,53 @@
 // model's Jensen upper bound (lrumodel.SiteHitRatioCondUpper, ~30
 // terms) rather than an O(L) Equation (1) sum. A seed is never accepted
 // directly, so the bound costs no accuracy and needs no ε budget. Rows
-// live their whole life in this seed regime:
+// live their whole life in this seed regime, and each cell moves
+// through three states (cellSeed → cellBounded → cellVerified):
 //
-//   - When a seed cell surfaces at the top of the heap, the engine
-//     VERIFIES just that cell — filling its m-entry shrink slice — and
-//     re-keys it at the exact value. Cells that never surface never
-//     pay their slice; rows that never surface never even allocate
-//     their m×m table.
+//   - When a seed surfaces at the top of the heap, the engine BOUNDS
+//     just that cell: it fills the cell's m-entry shrink slice from the
+//     Jensen bound at the cell's own point (visible mass − p_j, free
+//     space − o_j, where verification would evaluate the model) and
+//     re-keys the cell at the value that slice gives. The chain stays
+//     sound: every entry U ≥ the model's hNew, so each drop h − U is at
+//     most the exact one, the penalty a lower bound and the value an
+//     upper bound. It is also tight: U sits within ~1e-3 (relative) of
+//     the model at the very point verification reads, where a seed's
+//     reference slice can sit a whole site size and popularity away.
+//
+//   - When a bounded cell surfaces again, the engine VERIFIES it: the
+//     slice is refilled from the model — one batch, its Equation (1)
+//     misses fanned out over the workers — and the cell re-keyed at its
+//     exact value. Most bounded cells never surface again, so a solve
+//     verifies about one cell per step. Cells that never surface never
+//     pay a slice; rows that never surface never even allocate their
+//     m×m table.
 //
 //   - When a row wins a step (its own cache shrinks, invalidating its
-//     bound and any verified slices), the engine RE-SLICES the row's
-//     reference bounds at the new state — K·m bound evaluations where a
-//     filled table refills m² — resets its verified set, and restores
-//     every seed to an exact-now upper bound. The row carries no
-//     drift out of its own accept.
+//     reference bounds and every bounded or verified slice), the engine
+//     RE-SLICES the row's reference bounds at the new state — K·m bound
+//     evaluations where a filled table refills m² — turns every cell
+//     back into a seed, and restores every seed to an exact-now upper
+//     bound. The row carries no drift out of its own accept.
 //
 //   - When another row's nearest replica of the placed site moves
 //     closer, the row's penalty lower-bound totals are re-weighted
-//     arithmetically; the exact run then re-evaluates the row (verified
-//     cells against their slices, seeds against the re-weighted bound),
-//     still without a model evaluation.
+//     arithmetically; the exact run then re-evaluates the row (bounded
+//     and verified cells against their slices, seeds against the
+//     re-weighted bound), still without a model evaluation. A slice
+//     reads only its own row's state, so it stays valid, and a bounded
+//     value sits Σ_k (U_k − hNew_k)·r_k·C(i, SN_k) ≥ 0 above the exact
+//     one at any nearest-replica costs: re-run, it still bounds its
+//     cell.
 //
 // The exact run selects by the value a candidate has NOW, as the
 // oracle's literal scan does: a verified cell never saw the arithmetic
 // updates an eagerly maintained cell carries, so stored values can
 // differ from a fresh evaluation — and from each other — by rounding.
 // screenTies re-evaluates every candidate within a small window of the
-// winner, so exact ties (co-located servers, twin sites) break in
-// (server, site) order, and Step.Benefit is the fresh value.
+// winner, verifying any that is not yet, so exact ties (co-located
+// servers, twin sites) break in (server, site) order by exact values,
+// and Step.Benefit is the fresh value.
 //
 // In-loop deferral (ε > 0): the per-row re-evaluations triggered by
 // other rows' events are deferred too, and each row instead carries a
@@ -58,10 +77,11 @@
 //     rowDrift[k] += h_k[j*]·r_kj*·ΔC. (In the seed regime the
 //     penalty lower-bound totals are re-weighted arithmetically at the
 //     same moment, so the bounds themselves stay sound; the same
-//     h·r·ΔC drift covers how far the STORED values — seeds and
-//     verified cells alike — fall behind, since every slice drop dh
+//     h·r·ΔC drift covers how far the STORED values — seeds, bounded
+//     and verified cells alike — fall behind, since every slice drop dh
 //     is ≤ h. Catching a seed-regime row up is then pure arithmetic:
-//     re-tighten seeds, re-run verified cells against their slices.)
+//     re-tighten seeds, re-run bounded and verified cells against
+//     their slices.)
 //
 //   - Cache event (the chosen server i*'s cache shrank; its hit ratios
 //     h[i*] are ALWAYS recomputed exactly): in the seed regime this is
@@ -83,8 +103,8 @@
 // rowDrift (how far above cache the truth can sit) and a downward
 // bound downDrift (how far below; deferred cache events only — seeds
 // and verified cells are never above the truth, so seed-regime rows
-// keep downDrift = 0 and every pop of an unverified seed verifies
-// before the entry can be accepted).
+// keep downDrift = 0 and every pop of a seed or bounded cell bounds or
+// verifies it before the entry can be accepted).
 //
 // Acceptance rule at the heap pop: the popped entry e, matching its
 // cell, is worth at least e.key − downDrift[row(e)]. Every OTHER
@@ -132,6 +152,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/lrumodel"
 )
 
 // driftSafety scales the cache-event drift proxy (see the package
@@ -193,6 +214,26 @@ func (st *hybridState) evalBenOpt(i, j int) float64 {
 	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
 }
 
+// The cells of the lazy cold start move one way through three states,
+// and back to cellSeed only when their row wins a step.
+const (
+	cellSeed     uint8 = iota // ben holds the seed (evalBenOptTight)
+	cellBounded               // the slice holds Jensen bounds; ben bounds the cell
+	cellVerified              // the slice holds the model's values; ben is exact
+)
+
+// cellState is cell (i, j)'s state; a filled table's cells are
+// verified.
+func (st *hybridState) cellState(i, j int) uint8 {
+	switch {
+	case st.cells == nil:
+		return cellVerified
+	case st.cells[i] == nil:
+		return cellSeed
+	}
+	return st.cells[i][j]
+}
+
 // optRefSlices is the number of reference shrink slices per row in the
 // lazy cold start. More slices tighten the penalty lower bound (fewer
 // cells ever surface) at K·m model evaluations per row; 4 already
@@ -223,10 +264,10 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 // prepareOptimistic is the cold start of every Hybrid run, at every ε:
 // it seeds the benefit matrix with tightened optimistic upper bounds
 // and defers the m×m shrink-table fills — the dominant cost of a cold
-// run — entirely; hybridHeapRun verifies individual cells (one m-entry
-// slice each) as they reach the top of the heap. Cells that never
-// compete never pay their slice, and rows that never compete never
-// even allocate their table.
+// run — entirely; hybridHeapRun bounds, then verifies, individual cells
+// (one m-entry slice each) as they reach the top of the heap. Cells
+// that never compete never pay their slice, and rows that never compete
+// never even allocate their table.
 //
 // The tightening: the shrink penalty's model term for cell (i, j) is
 // dh(k, j) = h[i][k] − hNew(k | mass − pop_j, cache − o_j), which
@@ -253,13 +294,14 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 //     cell's own drop dh(k, j);
 //   - so the penalty stays a lower bound and the seed an upper bound.
 //
-// The cells that surface are verified with the solve's own model, as
-// before, so the bound's slack costs verifications, never exactness.
+// The cells that surface are bounded the same way at their own point,
+// and verified with the solve's own model if they surface again, so the
+// bounds' slack costs verifications, never exactness.
 func (st *hybridState) prepareOptimistic() {
 	n, m, sys := st.n, st.m, st.sys
 	st.ben = make([][]float64, n)
-	st.hShrink = make([][]float64, n) // rows allocated on first cell verification
-	st.optInit = true
+	st.hShrink = make([][]float64, n) // rows allocated when their first cell surfaces
+	st.cells = make([][]uint8, n)
 
 	K := optRefSlices
 	if K > m {
@@ -360,15 +402,13 @@ func (st *hybridState) optSliceRow(i int) {
 
 // seedCacheEvent is the seed regime's answer to row i receiving a
 // replica: its own cache shrank, so its reference-slice bound and any
-// verified slices reference the old state. Re-slicing at the new state —
-// K·m bound evaluations, against the m·m refill of a filled table —
-// and clearing the verified set makes every cell of the row a seed
-// again; the caller re-evaluates the row.
-func (st *hybridState) seedCacheEvent(i int, verified []bool) {
+// bounded or verified slices reference the old state. Re-slicing at the
+// new state — K·m bound evaluations, against the m·m refill of a filled
+// table — and clearing the cell states makes every cell of the row a
+// seed again; the caller re-evaluates the row.
+func (st *hybridState) seedCacheEvent(i int, cells []uint8) {
 	st.optSliceRow(i)
-	for j := range verified {
-		verified[j] = false
-	}
+	clear(cells)
 }
 
 // seedSNEvent re-weights seed-regime row k's penalty lower-bound totals
@@ -391,7 +431,7 @@ func (st *hybridState) seedSNEvent(k, j int, oldCost float64) {
 func hybridHeapRun(st *hybridState, eps float64) *Result {
 	sys, p, preds, h, visMass := st.sys, st.p, st.preds, st.h, st.visMass
 	n, m, cfg, workers := st.n, st.m, st.cfg, st.workers
-	ben, hShrink := st.ben, st.hShrink
+	ben, hShrink, cells := st.ben, st.hShrink, st.cells
 	res := &Result{Placement: p}
 	if len(st.baseSteps) > 0 {
 		res.Steps = append(res.Steps, st.baseSteps...)
@@ -421,16 +461,14 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 	// is deferred into rowDrift). oldCol is the placed site's
 	// nearest-replica column before the step.
 	hOld := make([]float64, m)
-	visible := make([]bool, m)
 	reeval := make([]bool, n)
 	oldCol := make([]float64, n)
 
-	// exactCell marks, per seed-regime row, the cells whose shrink slice
-	// is filled and whose value is exact (nil unless optInit, i.e. for
-	// every cold Hybrid run at every ε).
-	var exactCell [][]bool
-	if st.optInit {
-		exactCell = make([][]bool, n)
+	// fan runs a batch's model misses across the workers; the heap run
+	// calls it only outside its own row fan-outs.
+	var fan lrumodel.Fan
+	if workers > 1 {
+		fan = func(k int, f func(x int)) { fanOutRows(k, workers, f) }
 	}
 	// ε machinery, allocated only when a budget exists; every use is
 	// behind an eps > 0 or driftRows > 0 guard, so the eps == 0 run keeps
@@ -446,6 +484,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		deferred, caughtUp int
 		driftAccepts       int
 		verifiedN          int
+		boundedN           int
 	)
 	if eps > 0 {
 		budget = eps * approxBudgetFrac * hybridObjective(p, st.hitFn, cfg.UpdateRates)
@@ -473,17 +512,13 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 		rowMax[i] = mx
 	}
-	// isSeed reports whether cell (i, j) still holds an optimistic seed.
-	isSeed := func(i, j int) bool {
-		return exactCell != nil && (exactCell[i] == nil || !exactCell[i][j])
-	}
 	// refreshSeedCell restores a lazy-cold-start cell to its current
-	// value: a verified cell re-runs the exact arithmetic against its
-	// filled slice, a seed re-tightens against the row's live penalty
+	// value: a bounded or verified cell re-runs its arithmetic against
+	// its slice, a seed re-tightens against the row's live penalty
 	// totals. No model evaluations either way, so clearing a seed row's
 	// drift is free of the cost the deferral saved.
 	refreshSeedCell := func(i, j int) {
-		if isSeed(i, j) {
+		if st.cellState(i, j) == cellSeed {
 			ben[i][j] = st.evalBenOptTight(i, j)
 		} else {
 			ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
@@ -495,7 +530,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 	}
 	catchUpRow := func(i int) {
-		if exactCell != nil {
+		if cells != nil {
 			refreshSeedRow(i)
 		} else {
 			for j := 0; j < m; j++ {
@@ -514,21 +549,26 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		caughtUp++
 	}
 
-	// verify fills seed cell (i, j)'s m-entry shrink slice and stores its
-	// exact value. Cells that never surface never pay their slice, and
-	// rows that never surface never even allocate their table.
-	verify := func(i, j int) float64 {
+	// settle fills seed or bounded cell (i, j)'s m-entry shrink slice —
+	// from the Jensen bound (to cellBounded) or the model (to
+	// cellVerified) — and stores the value the slice gives. Cells that
+	// never surface never pay a slice, and rows that never surface never
+	// even allocate their table.
+	settle := func(i, j int, to uint8) float64 {
 		if hShrink[i] == nil {
 			hShrink[i] = make([]float64, m*m)
+			cells[i] = make([]uint8, m)
 		}
-		if exactCell[i] == nil {
-			exactCell[i] = make([]bool, m)
+		if p.CanReplicate(i, j) {
+			st.fillSlice(i, j, hShrink[i], to == cellVerified, fan)
 		}
-		v := st.evalBenCached(i, j, hShrink[i], true)
-		exactCell[i][j] = true
-		verifiedN++
-		ben[i][j] = v
-		return v
+		if cells[i][j] = to; to == cellVerified {
+			verifiedN++
+		} else {
+			boundedN++
+		}
+		ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
+		return ben[i][j]
 	}
 
 	// Engine work counters since the last emitted step; plain ints on
@@ -543,10 +583,11 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 	// rounded to ≤ 0 sits outside the heap although its value now may be
 	// positive dust. tieWin covers both.
 	tieWin := exactTieWindow * benefitScale(p, cfg.UpdateRates)
-	// fresh evaluates cell (i, j) now, verifying a seed, and stores it.
+	// fresh evaluates cell (i, j) now, verifying it first unless it is,
+	// and stores it.
 	fresh := func(i, j int) float64 {
-		if isSeed(i, j) {
-			return verify(i, j)
+		if st.cellState(i, j) != cellVerified {
+			return settle(i, j, cellVerified)
 		}
 		ben[i][j] = st.evalBenCached(i, j, hShrink[i], false)
 		return ben[i][j]
@@ -648,7 +689,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 				if !catchNeeded[i] {
 					return
 				}
-				if exactCell != nil {
+				if cells != nil {
 					refreshSeedRow(i)
 				} else {
 					for j := 0; j < m; j++ {
@@ -701,10 +742,11 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 			heapKey[bestI][bestJ] = 0
 			continue
 		}
-		if isSeed(bestI, bestJ) {
-			// An optimistic seed reached the top: verify just this cell
-			// and re-key at the exact value.
-			if v := verify(bestI, bestJ); v > 0 {
+		if s := st.cellState(bestI, bestJ); s != cellVerified {
+			// An optimistic seed reached the top: bound just this cell at
+			// its own point and re-key. A bounded cell: verify it and
+			// re-key at the exact value.
+			if v := settle(bestI, bestJ, s+1); v > 0 {
 				hp.push(benEntry{key: v, i: e.i, j: e.j})
 				heapKey[bestI][bestJ] = v
 			} else {
@@ -715,7 +757,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		// A verified cell holds an exact-now value and falls through to
 		// the drift gate like any cached candidate (its slice stays valid
 		// — the row's own cache state is untouched until it receives a
-		// replica, which resets the row's verified set below).
+		// replica, which resets the row's cell states below).
 		if driftRows > 0 {
 			// Drift gate (see package comment): e is worth at least
 			// e.key − downDrift[bestI]; the best alternative at most
@@ -770,10 +812,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 			panic(fmt.Sprintf("placement: internal error: %v", err))
 		}
 		visMass[bestI] -= preds[bestI].SitePopularity(bestJ)
-		for k := 0; k < m; k++ {
-			visible[k] = !p.Has(bestI, k)
-		}
-		copy(h[bestI], preds[bestI].HitRatiosCond(visible, p.Free(bestI)))
+		st.rowHitRatios(bestI, fan)
 
 		for i := range reeval {
 			reeval[i] = false
@@ -792,7 +831,7 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 			if k == bestI {
 				continue
 			}
-			if exactCell != nil {
+			if cells != nil {
 				st.seedSNEvent(k, bestJ, oldCol[k])
 			}
 			if eps == 0 {
@@ -809,11 +848,11 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		}
 		// Cache event on bestI.
 		switch {
-		case exactCell != nil:
+		case cells != nil:
 			// Seed regime (every ε): re-slice and re-evaluate the row in
 			// full below, so it carries no drift or stale slice out of
 			// its own accept.
-			st.seedCacheEvent(bestI, exactCell[bestI])
+			st.seedCacheEvent(bestI, cells[bestI])
 			reeval[bestI] = true
 			if eps > 0 {
 				if rowDrift[bestI] > 0 {
@@ -879,14 +918,14 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 		// approximate mode the column refresh of a needFill row reads its
 		// stale table — the error is covered by the row's drift bound.)
 		fanOutRows(n, workers, func(i int) {
-			if reeval[i] && exactCell != nil {
+			if reeval[i] && cells != nil {
 				refreshSeedRow(i)
 			} else if reeval[i] {
 				fill := i == bestI
 				for j := 0; j < m; j++ {
 					ben[i][j] = st.evalBenCached(i, j, hShrink[i], fill)
 				}
-			} else if exactCell != nil {
+			} else if cells != nil {
 				// Seed-regime row: a seed keeps its bound current instead
 				// of reading a shrink table that was never built.
 				refreshSeedCell(i, bestJ)
@@ -946,12 +985,12 @@ func hybridHeapRun(st *hybridState, eps float64) *Result {
 				Superseded: superseded, Infeasible: infeasible,
 				Engine: st.engineLabel, Model: string(st.model),
 				RowsDeferred: deferred, RowsCaughtUp: caughtUp,
-				CellsVerified: verifiedN,
-				DriftAccepts:  driftAccepts, DriftBudgetUsed: used,
+				CellsBounded: boundedN, CellsVerified: verifiedN,
+				DriftAccepts: driftAccepts, DriftBudgetUsed: used,
 			})
 		}
 		pops, stale, superseded, infeasible = 0, 0, 0, 0
-		deferred, caughtUp, driftAccepts, verifiedN = 0, 0, 0, 0
+		deferred, caughtUp, driftAccepts, verifiedN, boundedN = 0, 0, 0, 0, 0
 	}
 	// Leave the shrink caches consistent with the final placement when
 	// a WarmState will be captured: rows with a deferred cache event

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/lrumodel"
 	"repro/internal/scenario"
 	"repro/internal/xrand"
@@ -71,9 +72,11 @@ const seedBoundTol = 8 * 0x1p-52
 // the oracle's step list (the row state — placement, hit ratios, visible
 // mass — advanced one step at a time) every row is re-sliced at that
 // state, and every feasible cell's seed must be ≥ its Figure 2 benefit
-// up to seedBoundTol.
+// up to seedBoundTol. A solve then checks the bounded tier the same way
+// after every step (requireBoundedCellsBound).
 func TestOptimisticSeedsBoundExactCells(t *testing.T) {
 	for _, kind := range lrumodel.ModelKinds() {
+		bounded := 0
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, capFrac := range []float64{0.1, 0.2, 0.3} {
 				name := fmt.Sprintf("model=%s/seed=%d/cap=%v", kind, seed, capFrac)
@@ -93,22 +96,22 @@ func TestOptimisticSeedsBoundExactCells(t *testing.T) {
 						t.Fatal(err)
 					}
 					cells := requireSeedsBound(t, st, 0)
-					visible := make([]bool, st.m)
 					for k, s := range scan.Steps {
-						i, p := s.Server, st.p
-						mustReplicate(p, i, s.Site)
+						i := s.Server
+						mustReplicate(st.p, i, s.Site)
 						st.visMass[i] -= st.preds[i].SitePopularity(s.Site)
-						for j := range visible {
-							visible[j] = !p.Has(i, j)
-						}
-						copy(st.h[i], st.preds[i].HitRatiosCond(visible, p.Free(i)))
+						st.rowHitRatios(i, nil)
 						cells += requireSeedsBound(t, st, k+1)
 					}
 					if cells == 0 {
 						t.Fatal("no feasible cell checked")
 					}
+					bounded += requireBoundedCellsBound(t, sys, cfg)
 				})
 			}
+		}
+		if bounded == 0 {
+			t.Fatalf("model %s: no bounded cell checked", kind)
 		}
 	}
 }
@@ -139,18 +142,63 @@ func requireSeedsBound(t *testing.T, st *hybridState, steps int) int {
 	return cells
 }
 
+// requireBoundedCellsBound runs a lazy cold solve and, after every step
+// — so after the step's SN events re-weighted the rows its replica
+// moved closer to — checks that every feasible bounded cell's stored
+// value is at or above its exact value, up to seedBoundTol. The stored
+// value is never re-bounded across an SN event, only re-run
+// arithmetically against its slice, so this is where the tier's
+// soundness could break. The exact values come from predictors of their
+// own, so checking writes no memo entry the run would read. It returns
+// the number of bounded cells checked.
+func requireBoundedCellsBound(t *testing.T, sys *core.System, cfg HybridConfig) int {
+	t.Helper()
+	st, err := newHybridState(sys, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactPreds := make([]lrumodel.Model, st.n)
+	for i := range exactPreds {
+		exactPreds[i] = mustModel(st.model, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], nil)
+	}
+	checked := 0
+	st.cfg.Explain = func(e ExplainStep) {
+		p := st.p
+		for i := 0; i < st.n; i++ {
+			for j := 0; j < st.m; j++ {
+				if st.cellState(i, j) != cellBounded || !p.CanReplicate(i, j) {
+					continue
+				}
+				checked++
+				exact := hybridBenefit(sys, p, exactPreds, st.h, st.visMass, i, j) - updatePenalty(sys, cfg.UpdateRates, i, j)
+				stored := st.ben[i][j]
+				scale := math.Max(math.Abs(exact), math.Abs(st.evalBenOpt(i, j)))
+				if exact-stored > seedBoundTol*scale {
+					t.Fatalf("after step %d: bounded cell (%d,%d) = %v below exact %v (rel %.3g)",
+						e.Iter, i, j, stored, exact, (exact-stored)/scale)
+				}
+			}
+		}
+	}
+	st.prepareOptimistic()
+	hybridHeapRun(st, 0)
+	return checked
+}
+
 // TestExactColdVerifiesFewCells is the deterministic work guard on the
 // lazy cold start at ε = 0, on the §5.1 smoke instance (the shape the
 // edge workloads' reference section solves, 200 objects a site), run
-// serially so that both counts repeat exactly:
+// serially so that every count repeats exactly:
 //
-//   - Verified cells: some (the seeds are live), and at most 56. The
-//     reference slices verify 53 whether they read the model's value or
-//     its Jensen bound, so the bound did not loosen the screen. A return
-//     of the n·m² fill verifies none.
+//   - Bounded cells: some — a surfacing seed is re-keyed at its own
+//     Jensen slice before anything evaluates the model: 53 here.
+//   - Verified cells: at most steps + 3. Only cells still on top at
+//     their own bound pay the exact slice: 13 here, for 13 steps (53
+//     when a surfacing seed was verified at once).
 //   - Equation (1) evaluations (shared-table misses): at most n·m for the
-//     initial hit ratios, plus m per verified cell and 2·m per step — 1979
-//     here. Slices that evaluate the model cost ≈ 4·n·m more: 5884.
+//     initial hit ratios, plus m per verified cell and m per step (the
+//     chosen row's hit ratios) — 1202 here, of a bound of 1520 (1979 when
+//     every surfacing seed was verified).
 func TestExactColdVerifiesFewCells(t *testing.T) {
 	cfg := scenario.Default()
 	cfg.Workload.ObjectsPerSite = 200
@@ -158,25 +206,26 @@ func TestExactColdVerifiesFewCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verified, steps := 0, 0
+	bounded, verified, steps := 0, 0, 0
 	shared := lrumodel.NewSharedTable()
-	st, err := newHybridState(sc.Sys, HybridConfig{
+	res, err := hybridSolve(sc.Sys, HybridConfig{
 		Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes, Parallelism: 1,
-		Explain: func(e ExplainStep) { verified += e.CellsVerified; steps++ },
+		Explain: func(e ExplainStep) { bounded += e.CellsBounded; verified += e.CellsVerified; steps++ },
 	}, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.prepareOptimistic()
-	res := hybridHeapRun(st, 0)
 	if steps != len(res.Steps) || steps == 0 {
 		t.Fatalf("%d explain records for %d steps", steps, len(res.Steps))
 	}
 	n, m := sc.Sys.N(), sc.Sys.M()
-	if verified == 0 || verified > 56 {
-		t.Fatalf("exact cold solve verified %d cells of %d×%d, want 1..56", verified, n, m)
+	if bounded == 0 {
+		t.Fatal("no seed was bounded before it was verified")
 	}
-	if evals, most := shared.Stats().Misses, n*m+m*(verified+2*steps); evals > int64(most) {
+	if verified > steps+3 {
+		t.Fatalf("exact cold solve verified %d cells for %d steps, want ≤ %d", verified, steps, steps+3)
+	}
+	if evals, most := shared.Stats().Misses, n*m+m*(verified+steps); evals > int64(most) {
 		t.Fatalf("exact cold solve evaluated Equation (1) %d times (%d verified cells, %d steps), want ≤ %d",
 			evals, verified, steps, most)
 	}

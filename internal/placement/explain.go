@@ -42,12 +42,18 @@ type ExplainStep struct {
 	// previous step, either to restore headroom when the drift budget
 	// ran out or during the final drain sweep.
 	RowsCaughtUp int `json:"rows_caught_up,omitempty"`
-	// CellsVerified counts optimistic seed cells whose exact value was
-	// computed since the previous step — the cell surfaced at the top
-	// of the heap, so the engine filled its m-entry shrink slice (the
-	// lazy cold start of every Hybrid run defers the m×m row fills
-	// entirely and pays only these slices; 0 for Incremental, whose runs
-	// start from filled tables).
+	// CellsBounded counts seed cells of the lazy cold start re-keyed at
+	// their own Jensen slice since the previous step: the seed surfaced
+	// at the top of the heap, and the engine filled its m-entry shrink
+	// slice from the model's cheap upper bound (0 for Incremental, whose
+	// runs start from filled tables).
+	CellsBounded int `json:"cells_bounded,omitempty"`
+	// CellsVerified counts cells whose exact value was computed since
+	// the previous step — a bounded cell surfaced again, or the exact
+	// selection ranked a near tie, so the engine filled the cell's slice
+	// from the model. The lazy cold start of every Hybrid run defers the
+	// m×m row fills entirely and pays only these slices (0 for
+	// Incremental).
 	CellsVerified int `json:"cells_verified,omitempty"`
 	// DriftAccepts counts selections accepted under drift uncertainty:
 	// the winning entry's gap to the runner-up did not cover the

@@ -291,6 +291,7 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		hShrink:     prev.hShrink,
 		baseSteps:   prev.steps,
 		captureWarm: true,
+		sites:       make([][]int, n),
 	}
 
 	// Repair, in two passes. First the dirty rows rebuild their model
@@ -305,14 +306,12 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		}
 		st.preds[i] = mustModel(kind, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], st.shared)
 		vm := 1.0
-		visible := make([]bool, m) // per-row: rows fan out concurrently
 		for j := 0; j < m; j++ {
-			visible[j] = !p.Has(i, j)
-			if !visible[j] {
+			if p.Has(i, j) {
 				vm -= st.preds[i].SitePopularity(j)
 			}
 		}
-		st.h[i] = st.preds[i].HitRatiosCond(visible, p.Free(i))
+		st.rowHitRatios(i, nil)
 		st.visMass[i] = vm
 	})
 	fanOutRows(n, st.workers, func(i int) {

@@ -36,6 +36,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/lrumodel"
 )
 
 // benEntry is one heap candidate. epoch is the column epoch the entry's
@@ -261,17 +262,22 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 // computation as the oracle's evalBen (hybridBenefit) — identical
 // floating-point chain, hence bitwise-identical values — except that
 // the shrink-term model values preds[i].SiteHitRatioCond(k, ·, ·) are
-// stored in (fill=true) or served from (fill=false) cache, the row's
-// m×m table indexed [candidate j][site k]. The cached inputs (Free(i),
-// visMass[i], the row's visibility and h[i]) change only when server i
-// itself receives a replica, so a row's table stays valid across the
-// many iterations where only its NearestCost column entries move, and
-// the predictor memo guarantees a recomputation would return the very
-// same float64.
+// read from the row's m×m cache, indexed [candidate j][site k], after
+// fill=true has stored them there (fillSlice). The cached inputs
+// (Free(i), visMass[i], the row's visibility and h[i]) change only when
+// server i itself receives a replica, so a row's table stays valid
+// across the many iterations where only its NearestCost column entries
+// move, and the predictor memo guarantees a recomputation would return
+// the very same float64. A slice of Jensen bounds in place of the
+// model's values makes the result an upper bound on the cell instead
+// (the bounded cells of the lazy cold start, approx.go).
 func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float64 {
 	p := st.p
 	if !p.CanReplicate(i, j) {
 		return 0
+	}
+	if fill {
+		st.fillSlice(i, j, cache, true, nil)
 	}
 	sys, h, m := st.sys, st.h, st.m
 
@@ -282,29 +288,13 @@ func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float
 	// Cells skipped here (k == j, replicated at i, or infeasible j —
 	// handled above) are never read back within the same epoch, because
 	// the skip conditions only change when the row is refilled.
-	row := cache[j*m : (j+1)*m]
-	if fill {
-		newCache := p.Free(i) - sys.SiteBytes[j]
-		newMass := st.visMass[i] - st.preds[i].SitePopularity(j)
-		for k := 0; k < m; k++ {
-			if k == j || p.Has(i, k) {
-				continue
-			}
-			hNew := st.preds[i].SiteHitRatioCond(k, newMass, newCache)
-			row[k] = hNew
-			if dh := h[i][k] - hNew; dh != 0 {
-				b -= dh * sys.Demand[i][k] * p.NearestCost(i, k)
-			}
+	row, hi := cache[j*m:(j+1)*m], h[i]
+	for k := 0; k < m; k++ {
+		if k == j || p.Has(i, k) {
+			continue
 		}
-	} else {
-		hi := h[i]
-		for k := 0; k < m; k++ {
-			if k == j || p.Has(i, k) {
-				continue
-			}
-			if dh := hi[k] - row[k]; dh != 0 {
-				b -= dh * sys.Demand[i][k] * p.NearestCost(i, k)
-			}
+		if dh := hi[k] - row[k]; dh != 0 {
+			b -= dh * sys.Demand[i][k] * p.NearestCost(i, k)
 		}
 	}
 
@@ -318,4 +308,53 @@ func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float
 		}
 	}
 	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
+}
+
+// fillSlice stores candidate (i, j)'s shrink slice in cache[j·m:]: for
+// every site k the penalty sums, its hit ratio at server i once site j's
+// replica takes o_j bytes of the cache and p_j of its visible mass.
+// exact evaluates the model, one batch whose Equation (1) misses run
+// under fan; otherwise each entry is the model's Jensen upper bound
+// (SiteHitRatioCondUpper), ~30 terms and no memo entry. The entries the
+// penalty skips are left alone.
+func (st *hybridState) fillSlice(i, j int, cache []float64, exact bool, fan lrumodel.Fan) {
+	p, pred, m := st.p, st.preds[i], st.m
+	newCache := p.Free(i) - st.sys.SiteBytes[j]
+	newMass := st.visMass[i] - pred.SitePopularity(j)
+	row := cache[j*m : (j+1)*m]
+	if !exact {
+		for k := 0; k < m; k++ {
+			if k != j && !p.Has(i, k) {
+				row[k] = pred.SiteHitRatioCondUpper(k, newMass, newCache)
+			}
+		}
+		return
+	}
+	sites := st.sites[i][:0]
+	for k := 0; k < m; k++ {
+		if k != j && !p.Has(i, k) {
+			sites = append(sites, k)
+		}
+	}
+	st.sites[i] = sites
+	pred.SiteHitRatiosCond(sites, newMass, newCache, row, fan)
+}
+
+// rowHitRatios recomputes h[i] at the row's current placement: the
+// model's hit ratio of every site still visible to server i's cache, 0
+// for the sites it replicates — HitRatiosCond's values, as one batch
+// whose misses run under fan, into the row's own slice.
+func (st *hybridState) rowHitRatios(i int, fan lrumodel.Fan) {
+	p, pred, hi := st.p, st.preds[i], st.h[i]
+	mass := 0.0
+	sites := st.sites[i][:0]
+	for k := 0; k < st.m; k++ {
+		hi[k] = 0
+		if !p.Has(i, k) {
+			mass += pred.SitePopularity(k)
+			sites = append(sites, k)
+		}
+	}
+	st.sites[i] = sites
+	pred.SiteHitRatiosCond(sites, mass, p.Free(i), hi, fan)
 }

@@ -152,8 +152,9 @@ func TestLazyMatchesScanPaperScale(t *testing.T) {
 }
 
 // fuzzInstance decodes a hybrid instance with n, m ≤ 6 from data: one
-// byte each for n, m, the model kind (its top bit switches update rates
-// on) and the capacity fraction, then server positions, site sizes and
+// byte each for n, m, the mode (bits 0–1 the model kind, bits 2–3 the
+// Parallelism, 1, 2 or 4, so the batched model misses fan out; the top
+// bit switches update rates on) and the capacity fraction, then server positions, site sizes and
 // origin positions, the demand matrix and the update rates. Bytes past
 // the end of data read as zero. Sites hold 1 to 256 objects, so one
 // object can carry most of a server's traffic and a cache of a few
@@ -208,7 +209,7 @@ func fuzzInstance(data []byte) (*core.System, HybridConfig) {
 	}
 	cfg := HybridConfig{
 		Specs: specsFor(siteObjects, 1.0, 0), AvgObjectBytes: 1,
-		Model: string(kinds[mode%len(kinds)]), Parallelism: 1,
+		Model: string(kinds[mode%len(kinds)]), Parallelism: []int{1, 2, 4}[(mode>>2&3)%3],
 	}
 	if mode&0x80 != 0 {
 		cfg.UpdateRates = make([]float64, m)
@@ -222,11 +223,11 @@ func fuzzInstance(data []byte) (*core.System, HybridConfig) {
 // FuzzHybridMatchesOracle is the differential fuzz of the hybrid heap
 // (seeded cold start, lazy verification, eager maintenance) against the
 // scanning oracle on small decoded instances: every hit-ratio model,
-// with and without update rates, bit for bit.
+// with and without update rates, serial and fanned out, bit for bit.
 func FuzzHybridMatchesOracle(f *testing.F) {
 	r := xrand.New(1)
 	for mode := 0; mode < 8; mode++ {
-		data := []byte{5, 5, byte(mode%4) | byte(mode/4)<<7, 12}
+		data := []byte{5, 5, byte(mode%4) | byte(mode%3)<<2 | byte(mode/4)<<7, 12}
 		for len(data) < 80 {
 			data = append(data, byte(r.Intn(256)))
 		}

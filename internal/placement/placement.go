@@ -225,7 +225,13 @@ type HybridConfig struct {
 // the shrink term of a cell only when the cell reaches the top (the lazy
 // cold start, approx.go); the steps are the exact greedy's at ε = 0.
 func Hybrid(sys *core.System, cfg HybridConfig) (*Result, error) {
-	st, err := newHybridState(sys, cfg, nil)
+	return hybridSolve(sys, cfg, nil)
+}
+
+// hybridSolve is Hybrid over a caller's shared hit-ratio table (nil for
+// the run's own), so tests and benchmarks can read the table's counts.
+func hybridSolve(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, error) {
+	st, err := newHybridState(sys, cfg, shared)
 	if err != nil {
 		return nil, err
 	}
@@ -255,6 +261,10 @@ type hybridState struct {
 	// Incremental's cold round, and a warm round reuses its base.
 	ben     [][]float64
 	hShrink [][]float64
+	// sites is each row's site-list scratch for its model batches
+	// (fillSlice, rowHitRatios); a row is only ever filled by the one
+	// goroutine that owns it.
+	sites [][]int
 	// baseSteps are replicas already present before the heap run (warm
 	// repair only); they are prepended to Result.Steps so the step list
 	// stays a complete creation recipe for the final placement.
@@ -263,16 +273,18 @@ type hybridState struct {
 	// with the final placement (refilling rows the approximate engine
 	// deferred) so a WarmState can be captured afterwards.
 	captureWarm bool
-	// optInit marks a prepareOptimistic cold start (every Hybrid run;
-	// Incremental's runs start from filled tables): ben holds tightened
-	// optimistic upper bounds and hShrink rows are allocated lazily, on
-	// first cell verification (approx.go). optRefO holds the reference
+	// cells is non-nil for a prepareOptimistic cold start (every Hybrid
+	// run; Incremental's runs start from filled tables): ben holds
+	// tightened optimistic upper bounds, and cells[i][j] is the state of
+	// cell (i, j) — seed, bounded or verified (approx.go). A row's cells
+	// and hShrink row are allocated when its first cell surfaces; until
+	// then every cell of the row is a seed. optRefO holds the reference
 	// shrink sizes (site-size quantiles), optQ maps each site to its
 	// reference slice, optL holds the per-row slice hit-ratio drops and
 	// optPenTot the resulting penalty lower-bound totals, maintained
 	// arithmetically as nearest-replica costs move and recomputed
 	// (optSliceRow) when the row itself receives a replica.
-	optInit   bool
+	cells     [][]uint8
 	optRefO   []int64
 	optQ      []int
 	optL      [][]float64
@@ -311,6 +323,7 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 		n:           n,
 		m:           m,
 		engineLabel: EngineLabel(cfg.Epsilon, false),
+		sites:       make([][]int, n),
 	}
 
 	// Lines 1–5: build one model per server and the initial hit

@@ -423,30 +423,47 @@ func BenchmarkGreedyGlobalPaperScale(b *testing.B) {
 //     paper's N=50, M=20, 2000 objects a site — the benchmark's
 //     offline_place workload), at ε ∈ {0, 1e-3, 1e-2}; cost-delta is the
 //     final predicted cost relative to the same instance's ε = 0 run.
+//     x10 runs ε = 0 only (~12 s a solve on 2 vCPUs).
 //   - model=*: each analytical hit-ratio model on 8 servers, 8 sites,
 //     L = 2000; cost-delta is relative to eq1's final predicted cost.
 //   - small: the random instance with 50–200 objects a site the oracle
 //     comparisons use (many steps, cheap model).
+//
+// Every row reports a solve's verified cells (verified/op) and Equation
+// (1) evaluations, the shared hit-ratio table's misses (evals/op): the
+// work the lazy cold start's bounded tier saves.
 func BenchmarkHybridCold(b *testing.B) {
-	solve := func(b *testing.B, sys *core.System, cfg HybridConfig) float64 {
+	// solve is Hybrid, with the run's table and Explain hook in reach.
+	solve := func(b *testing.B, sys *core.System, cfg HybridConfig) (cost float64, verified int, evals int64) {
 		b.Helper()
-		res, err := Hybrid(sys, cfg)
+		cfg.Explain = func(e ExplainStep) { verified += e.CellsVerified }
+		shared := lrumodel.NewSharedTable()
+		res, err := hybridSolve(sys, cfg, shared)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return res.PredictedCost
+		return res.PredictedCost, verified, shared.Stats().Misses
 	}
-	// timed runs the case and stops the timer, so a baseline a filtered
-	// run skipped can still be solved before the delta is reported.
+	// timed runs the case, reports its work and stops the timer, so a
+	// baseline a filtered run skipped can still be solved before the
+	// delta is reported.
 	timed := func(b *testing.B, sys *core.System, cfg HybridConfig) (cost float64) {
+		var verified int
+		var evals int64
 		for i := 0; i < b.N; i++ {
-			cost = solve(b, sys, cfg)
+			cost, verified, evals = solve(b, sys, cfg)
 		}
 		b.StopTimer()
+		b.ReportMetric(float64(verified), "verified/op")
+		b.ReportMetric(float64(evals), "evals/op")
+		return cost
+	}
+	costOf := func(b *testing.B, sys *core.System, cfg HybridConfig) float64 {
+		cost, _, _ := solve(b, sys, cfg)
 		return cost
 	}
 
-	for _, factor := range []int{1, 2, 4} {
+	for _, factor := range []int{1, 2, 4, 10} {
 		b.Run(fmt.Sprintf("x%d", factor), func(b *testing.B) {
 			sc, err := scenario.Build(scenario.Scale(scenario.Default(), factor))
 			if err != nil {
@@ -454,7 +471,11 @@ func BenchmarkHybridCold(b *testing.B) {
 			}
 			exact := HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}
 			var exactCost float64
-			for _, eps := range []float64{0, 1e-3, 1e-2} {
+			epss := []float64{0, 1e-3, 1e-2}
+			if factor == 10 {
+				epss = epss[:1]
+			}
+			for _, eps := range epss {
 				cfg := exact
 				cfg.Epsilon = eps
 				b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
@@ -462,7 +483,7 @@ func BenchmarkHybridCold(b *testing.B) {
 					if eps == 0 {
 						exactCost = cost
 					} else if exactCost == 0 {
-						exactCost = solve(b, sc.Sys, exact)
+						exactCost = costOf(b, sc.Sys, exact)
 					}
 					b.ReportMetric((cost-exactCost)/exactCost, "cost-delta")
 				})
@@ -499,7 +520,7 @@ func BenchmarkHybridCold(b *testing.B) {
 			if kind == lrumodel.ModelEq1 {
 				eq1Cost = cost
 			} else if eq1Cost == 0 {
-				eq1Cost = solve(b, msc.Sys, eq1)
+				eq1Cost = costOf(b, msc.Sys, eq1)
 			}
 			b.ReportMetric((cost-eq1Cost)/eq1Cost, "cost-delta")
 		})
@@ -507,8 +528,6 @@ func BenchmarkHybridCold(b *testing.B) {
 
 	small, smallSpecs := randomSystem(xrand.New(1), 50, 20, 0.1)
 	b.Run("small", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			solve(b, small, HybridConfig{Specs: smallSpecs, AvgObjectBytes: 1})
-		}
+		timed(b, small, HybridConfig{Specs: smallSpecs, AvgObjectBytes: 1})
 	})
 }

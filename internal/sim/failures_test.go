@@ -8,22 +8,30 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
+
+// crashRun replays the workload with the listed servers and origins
+// crashed at the measurement boundary for good — the static failure
+// model, as the degenerate schedule fault.Crashes.
+func crashRun(sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*ScheduleMetrics, error) {
+	return RunWithSchedule(context.Background(), sc, p, cfg, fault.Crashes(cfg.Warmup, servers, origins), r)
+}
 
 func TestNoFailuresMatchesHealthyAccounting(t *testing.T) {
 	sc := smallScenario(31, 0)
 	p := core.NewPlacement(sc.Sys)
 	cfg := fastConfig(true)
 	cfg.KeepResponseTimes = false
-	m, err := RunWithFailures(context.Background(), sc, p, cfg, FailureSet{}, xrand.New(32))
+	m, err := crashRun(sc, p, cfg, nil, nil, xrand.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Unavailable != 0 || m.Rerouted != 0 || m.StaleRisk != 0 {
-		t.Fatalf("healthy run reported failures: %+v", m)
+		t.Fatalf("healthy run reported failures: %+v", m.FailureMetrics)
 	}
 	if m.Requests != cfg.Requests {
 		t.Fatalf("measured %d requests", m.Requests)
@@ -34,7 +42,7 @@ func TestFailedServerReroutes(t *testing.T) {
 	sc := smallScenario(33, 0)
 	p := core.NewPlacement(sc.Sys)
 	cfg := fastConfig(true)
-	m, err := RunWithFailures(context.Background(), sc, p, cfg, FailureSet{Servers: []int{0, 1}}, xrand.New(34))
+	m, err := crashRun(sc, p, cfg, []int{0, 1}, nil, xrand.New(34))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +60,7 @@ func TestFailedOriginUnavailabilityOrdering(t *testing.T) {
 	// serve what happens to be cached. Unavailability(replication+cache
 	// hybrid) <= Unavailability(pure caching).
 	sc := smallScenario(35, 0)
-	fail := RandomFailures(sc, 0, 3, xrand.New(36))
+	dead := xrand.New(36).Perm(sc.Sys.M())[:3]
 
 	hyb, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
 		Specs:          sc.Work.Specs(),
@@ -64,11 +72,11 @@ func TestFailedOriginUnavailabilityOrdering(t *testing.T) {
 	pure := placement.None(sc.Sys)
 
 	cfg := fastConfig(true)
-	mHyb, err := RunWithFailures(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(37))
+	mHyb, err := crashRun(sc, hyb.Placement, cfg, nil, dead, xrand.New(37))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mPure, err := RunWithFailures(context.Background(), sc, pure.Placement, cfg, fail, xrand.New(37))
+	mPure, err := crashRun(sc, pure.Placement, cfg, nil, dead, xrand.New(37))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,49 +93,34 @@ func TestFailedOriginUnavailabilityOrdering(t *testing.T) {
 	}
 }
 
-func TestAllServersFailedRejected(t *testing.T) {
+// TestAllServersFailedAllUnavailable pins the total outage: no server is
+// left to accept a request, so every measured request is rerouted and
+// unavailable, and the run still completes.
+func TestAllServersFailedAllUnavailable(t *testing.T) {
 	sc := smallScenario(39, 0)
 	p := core.NewPlacement(sc.Sys)
 	all := make([]int, sc.Sys.N())
 	for i := range all {
 		all[i] = i
 	}
-	if _, err := RunWithFailures(context.Background(), sc, p, fastConfig(true), FailureSet{Servers: all}, xrand.New(40)); err == nil {
-		t.Fatal("total outage accepted")
+	cfg := fastConfig(true)
+	m, err := crashRun(sc, p, cfg, all, nil, xrand.New(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Requests != cfg.Requests || m.Unavailable != int64(m.Requests) || m.Rerouted != int64(m.Requests) {
+		t.Fatalf("total outage: %+v", m.FailureMetrics)
+	}
+	if m.MeanRTMs != 0 || m.LocalReplica+m.CacheHits+m.CacheMisses != 0 {
+		t.Fatalf("total outage served requests: %+v", m.FailureMetrics)
 	}
 }
 
-func TestFailureSetValidation(t *testing.T) {
-	sc := smallScenario(41, 0)
-	p := core.NewPlacement(sc.Sys)
-	if _, err := RunWithFailures(context.Background(), sc, p, fastConfig(true), FailureSet{Servers: []int{-1}}, xrand.New(1)); err == nil {
-		t.Fatal("negative server index accepted")
-	}
-	if _, err := RunWithFailures(context.Background(), sc, p, fastConfig(true), FailureSet{Origins: []int{999}}, xrand.New(1)); err == nil {
-		t.Fatal("out-of-range origin accepted")
-	}
-}
-
-func TestRandomFailuresDistinct(t *testing.T) {
-	sc := smallScenario(43, 0)
-	f := RandomFailures(sc, 3, 4, xrand.New(44))
-	if len(f.Servers) != 3 || len(f.Origins) != 4 {
-		t.Fatalf("drew %d servers, %d origins", len(f.Servers), len(f.Origins))
-	}
-	seen := map[int]bool{}
-	for _, s := range f.Servers {
-		if seen[s] {
-			t.Fatal("duplicate failed server")
-		}
-		seen[s] = true
-	}
-}
-
-// staticFailuresOracle is the replay loop RunWithFailures had before it
-// became RunWithSchedule over fault.Crashes, kept verbatim as the
-// reference the schedule tests compare against: failures are applied
+// staticFailuresOracle is the replay loop of the static failure model
+// from before fault schedules existed, kept as the reference the
+// schedule tests compare fault.Crashes against: failures are applied
 // once, at the measurement boundary, with no event machinery.
-func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, fail FailureSet, r *xrand.Source) (*FailureMetrics, error) {
+func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,7 +136,7 @@ func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Pl
 	}
 	n, mSites := sc.Sys.N(), sc.Sys.M()
 	downServer := make([]bool, n)
-	for _, s := range fail.Servers {
+	for _, s := range servers {
 		if s < 0 || s >= n {
 			return nil, fmt.Errorf("sim: failed server %d out of range", s)
 		}
@@ -159,7 +152,7 @@ func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Pl
 		return nil, fmt.Errorf("sim: all servers failed")
 	}
 	downOrigin := make([]bool, mSites)
-	for _, o := range fail.Origins {
+	for _, o := range origins {
 		if o < 0 || o >= mSites {
 			return nil, fmt.Errorf("sim: failed origin %d out of range", o)
 		}

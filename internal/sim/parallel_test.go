@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/scenario"
@@ -215,7 +216,7 @@ func TestRunSourceParallelExhausted(t *testing.T) {
 }
 
 // TestParallelismValidation covers the config surface: negative values
-// are rejected, and the failure-injection path refuses explicit
+// are rejected, and the fault-schedule path refuses explicit
 // parallelism (its event stream is time-ordered).
 func TestParallelismValidation(t *testing.T) {
 	cfg := DefaultConfig()
@@ -228,15 +229,15 @@ func TestParallelismValidation(t *testing.T) {
 	p := hybridPlacementFor(sc)
 	fcfg := gridConfig(true)
 	fcfg.Parallelism = 4
-	_, err := RunWithFailures(context.Background(), sc, p, fcfg, FailureSet{}, xrand.New(1))
+	_, err := RunWithSchedule(context.Background(), sc, p, fcfg, fault.Crashes(fcfg.Warmup, nil, nil), xrand.New(1))
 	if err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Errorf("RunWithFailures with Parallelism=4: got %v, want explicit sequential-only error", err)
+		t.Errorf("RunWithSchedule with Parallelism=4: got %v, want explicit sequential-only error", err)
 	}
-	// Parallelism 0 (auto) must keep working: the failure path simply
+	// Parallelism 0 (auto) must keep working: the fault path simply
 	// stays sequential.
 	fcfg.Parallelism = 0
-	if _, err := RunWithFailures(context.Background(), sc, p, fcfg, FailureSet{}, xrand.New(1)); err != nil {
-		t.Errorf("RunWithFailures with Parallelism=0: %v", err)
+	if _, err := RunWithSchedule(context.Background(), sc, p, fcfg, fault.Crashes(fcfg.Warmup, nil, nil), xrand.New(1)); err != nil {
+		t.Errorf("RunWithSchedule with Parallelism=0: %v", err)
 	}
 }
 

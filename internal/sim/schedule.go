@@ -12,11 +12,38 @@ import (
 	"repro/internal/xrand"
 )
 
+// FailureMetrics aggregates an availability run: the run-wide counters
+// of a fault schedule replay. The paper motivates replication over
+// caching with availability ("a generic caching scheme offers no
+// guarantees on content availability", §1); these counters quantify it.
+type FailureMetrics struct {
+	Requests int
+	// Unavailable counts requests that no surviving replica, origin or
+	// cached copy could serve.
+	Unavailable int64
+	// StaleRisk counts requests served from a cache whose origin is
+	// dead: available, but with no way to validate freshness.
+	StaleRisk int64
+	// MeanRTMs is the mean response time over *available* requests.
+	MeanRTMs float64
+	// Rerouted counts requests whose first-hop server was down.
+	Rerouted                             int64
+	LocalReplica, CacheHits, CacheMisses int64
+}
+
+// Unavailability is the fraction of requests that could not be served.
+func (m *FailureMetrics) Unavailability() float64 {
+	if m.Requests == 0 {
+		return 0
+	}
+	return float64(m.Unavailable) / float64(m.Requests)
+}
+
 // PhaseMetrics aggregates the measured requests of one inter-event
 // interval. Every fault event that fires inside the measured window
 // opens a new phase, so the per-phase rows show availability and
 // response time degrading as components crash and re-converging as they
-// recover — the time axis the static FailureSet model collapses.
+// recover — the time axis a static crash set (fault.Crashes) collapses.
 type PhaseMetrics struct {
 	// From/To bound the phase in virtual time (request indices,
 	// inclusive-exclusive). The first phase starts at cfg.Warmup.
@@ -73,9 +100,9 @@ type srcEntry struct {
 // RunWithSchedule replays the workload while the fault schedule fires:
 // components crash, recover and slow down at their event times, and the
 // nearest-live-replica routing is re-resolved after every event. It
-// generalizes "dead at the measurement boundary, forever" to mid-run
-// churn; RunWithFailures is this function over the degenerate schedule
-// fault.Crashes(cfg.Warmup, servers, origins).
+// generalizes "dead at the measurement boundary, forever" — the
+// degenerate schedule fault.Crashes(cfg.Warmup, servers, origins) — to
+// mid-run churn.
 //
 // Semantics per event kind:
 //

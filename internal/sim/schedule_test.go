@@ -60,6 +60,9 @@ func TestScheduleDeterministicForFixedSeed(t *testing.T) {
 	}
 }
 
+// TestScheduleDegenerateReproducesRunWithFailures pins fault.Crashes to
+// the static failure model RunWithFailures used to replay: the
+// degenerate schedule's run-wide counters are staticFailuresOracle's.
 func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 	sc := smallScenario(53, 0)
 	hyb, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
@@ -72,12 +75,13 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 	for _, useCache := range []bool{true, false} {
 		cfg := fastConfig(useCache)
 		cfg.KeepResponseTimes = false
-		fail := RandomFailures(sc, 2, 3, xrand.New(54))
-		want, err := staticFailuresOracle(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(55))
+		r := xrand.New(54)
+		servers, origins := r.Perm(sc.Sys.N())[:2], r.Perm(sc.Sys.M())[:3]
+		want, err := staticFailuresOracle(context.Background(), sc, hyb.Placement, cfg, servers, origins, xrand.New(55))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := fault.Crashes(cfg.Warmup, fail.Servers, fail.Origins)
+		sched := fault.Crashes(cfg.Warmup, servers, origins)
 		got, err := RunWithSchedule(context.Background(), sc, hyb.Placement, cfg, sched, xrand.New(55))
 		if err != nil {
 			t.Fatal(err)
@@ -85,14 +89,6 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 		if !reflect.DeepEqual(got.FailureMetrics, *want) {
 			t.Errorf("useCache=%v: degenerate schedule diverged from the static oracle:\nschedule: %+v\nstatic:   %+v",
 				useCache, got.FailureMetrics, *want)
-		}
-		static, err := RunWithFailures(context.Background(), sc, hyb.Placement, cfg, fail, xrand.New(55))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(*static, *want) {
-			t.Errorf("useCache=%v: RunWithFailures diverged from the static oracle:\ngot:  %+v\nwant: %+v",
-				useCache, *static, *want)
 		}
 	}
 }
@@ -102,7 +98,7 @@ func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
 	p := core.NewPlacement(sc.Sys)
 	cfg := fastConfig(true)
 	cfg.KeepResponseTimes = false
-	want, err := staticFailuresOracle(context.Background(), sc, p, cfg, FailureSet{}, xrand.New(58))
+	want, err := staticFailuresOracle(context.Background(), sc, p, cfg, nil, nil, xrand.New(58))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +193,9 @@ func TestScheduleValidation(t *testing.T) {
 	if _, err := RunWithSchedule(context.Background(), sc, p, cfg, badOrigin, xrand.New(1)); err == nil {
 		t.Fatal("out-of-range origin id accepted")
 	}
+	if _, err := fault.NewSchedule(fault.Event{At: 0, Comp: fault.Server, ID: -1, Kind: fault.Crash}); err == nil {
+		t.Fatal("negative server id accepted")
+	}
 	par := cfg
 	par.Parallelism = 4
 	if _, err := RunWithSchedule(context.Background(), sc, p, par, nil, xrand.New(1)); err == nil {
@@ -211,9 +210,6 @@ func TestScheduleCancellation(t *testing.T) {
 	cancel()
 	if _, err := RunWithSchedule(ctx, sc, p, fastConfig(true), nil, xrand.New(66)); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
-	}
-	if _, err := RunWithFailures(ctx, sc, p, fastConfig(true), FailureSet{}, xrand.New(66)); err != context.Canceled {
-		t.Fatalf("cancelled RunWithFailures returned %v, want context.Canceled", err)
 	}
 	if _, err := Run(ctx, sc, p, fastConfig(true), xrand.New(66)); err != context.Canceled {
 		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)

@@ -57,9 +57,9 @@ type Config struct {
 	// sequential path. Sharding is by destination server — caches and
 	// per-server counters are independent across servers — so parallel
 	// runs are bit-identical to sequential ones, not approximations.
-	// Run and RunSource ignore this field; RunWithFailures rejects
-	// values above 1 (its warm-then-fail schedule is a time-ordered
-	// global event stream).
+	// Run and RunSource ignore this field; RunWithSchedule rejects
+	// values above 1 (a fault schedule is a time-ordered global event
+	// stream).
 	Parallelism int
 	// UnitOf, when non-nil, maps a request (site, 1-based object rank)
 	// to the placement column that owns it — the per-cluster
