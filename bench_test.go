@@ -280,7 +280,7 @@ func BenchmarkHeterogeneityComparison(b *testing.B) {
 // BenchmarkScalePlacement measures the hybrid placement through the
 // facade on instances grown beyond paper scale with ScaleScenario
 // (servers, sites and transit domains ×factor, per-server capacity
-// constant in site-equivalents). The ε and per-model cases are
+// constant in site-equivalents). The x10 and per-model cases are
 // internal/placement's BenchmarkHybridCold.
 func BenchmarkScalePlacement(b *testing.B) {
 	for _, factor := range []int{1, 2, 4} {

@@ -72,7 +72,6 @@ func main() {
 	flag.DurationVar(&opt.control.Interval, "control-interval", 0, "reconcile placement at this interval (0 = only on request and on membership or health changes)")
 	flag.Float64Var(&opt.control.Hysteresis, "control-hysteresis", 0, "minimum net benefit, as a fraction of current predicted cost, before a plan applies (0 = default, negative = off)")
 	flag.IntVar(&opt.control.CooldownRounds, "control-cooldown", 0, "reconcile rounds a just-changed site stays frozen (0 = default, negative = off)")
-	flag.Float64Var(&opt.control.Epsilon, "control-epsilon", 0, "approximate placement drift budget: final predicted cost stays within this fraction of the exact engine's (0 = exact)")
 	flag.StringVar(&opt.load.FaultMode, "fault-mode", "off", "fault to inject into -fault-edge: off, error, latency or blackhole")
 	flag.IntVar(&opt.load.FaultEdge, "fault-edge", 0, "edge id the injector degrades")
 	flag.IntVar(&opt.load.FaultAt, "fault-from", 0, "client request index at which the fault starts")

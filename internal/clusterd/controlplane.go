@@ -52,7 +52,6 @@ type ControlConfig struct {
 	// Controller knobs, passed through to control.Config.
 	Hysteresis     float64
 	CooldownRounds int
-	Epsilon        float64
 	// Model selects the analytical hit-ratio model for the initial
 	// placement and every reconcile ("" = eq1).
 	Model string
@@ -184,7 +183,6 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 		Interval:       cfg.Interval,
 		Hysteresis:     cfg.Hysteresis,
 		CooldownRounds: cfg.CooldownRounds,
-		Epsilon:        cfg.Epsilon,
 		Metrics:        reg,
 		Logf:           cfg.Logf,
 	})

@@ -72,7 +72,7 @@ type ReconcileRecord struct {
 	// auditEngineStepsCap entries.
 	EngineSteps []placement.ExplainStep `json:"engine_steps,omitempty"`
 	// Engine labels the placement engine the round ran: "warm" for an
-	// incremental repair, "lazy"/"approx"/"scan" for a cold solve.
+	// incremental repair, "lazy" for a cold solve.
 	Engine string `json:"engine,omitempty"`
 	// Model is the hit-ratio model the round's proposal and cost
 	// probes were evaluated under ("eq1", "che", "closedform",
@@ -81,9 +81,6 @@ type ReconcileRecord struct {
 	// PlacementMs is the optimizer's wall time within the round — the
 	// number the warm-vs-cold speedup claims are audited against.
 	PlacementMs float64 `json:"placement_ms"`
-	// Epsilon is the approximate engine's configured drift budget
-	// (0 = exact).
-	Epsilon float64 `json:"epsilon,omitempty"`
 	// StalePlacementFrac is the fraction of replicated sites whose
 	// demand had been quiet for a full churn window when the round
 	// started; ChurnRate the demand source's per-window site turnover

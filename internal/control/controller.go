@@ -150,11 +150,6 @@ type Config struct {
 	// Parallelism is passed through to placement.Hybrid's benefit
 	// matrix fan-out (0 = GOMAXPROCS).
 	Parallelism int
-	// Epsilon enables the approximate ε-lazy placement engine: the
-	// optimizer may accept drift-stale candidates as long as the final
-	// predicted cost stays within Epsilon (relative) of the exact
-	// engine's. 0 keeps the exact engine.
-	Epsilon float64
 	// Metrics, when non-nil, receives the control_* series (reconcile
 	// outcomes, replica churn, last benefit/transfer).
 	Metrics *obs.Registry
@@ -581,14 +576,12 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 		AvgObjectBytes: c.cfg.AvgObjectBytes,
 		Model:          c.cfg.Model,
 		Parallelism:    c.cfg.Parallelism,
-		Epsilon:        c.cfg.Epsilon,
 		Explain: func(e placement.ExplainStep) {
 			if len(rec.EngineSteps) < auditEngineStepsCap {
 				rec.EngineSteps = append(rec.EngineSteps, e)
 			}
 		},
 	}
-	rec.Epsilon = c.cfg.Epsilon
 	start := time.Now()
 
 	if c.warmRounds >= DefaultWarmMaxRounds {
@@ -601,7 +594,7 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 	}
 	rec.Warm = &stats
 	rec.PlacementMs = float64(time.Since(start)) / float64(time.Millisecond)
-	rec.Engine = placement.EngineLabel(c.cfg.Epsilon, stats.Warm)
+	rec.Engine = placement.EngineLabel(stats.Warm)
 	if stats.Warm {
 		c.warmRounds++
 		if c.placeWarm != nil {

@@ -127,7 +127,7 @@ func TestControlAuditSchema(t *testing.T) {
 			"window_requests", "old_cost", "new_cost", "net_benefit", "transfer_gb_hops",
 			"hysteresis_bar", "proposed", "created", "engine_steps", "creates_deferred",
 			"placement_ms", "stale_placement_frac", "churn_rate"},
-		[]string{"dropped", "frozen_sites", "excluded_edges", "engine", "model", "epsilon",
+		[]string{"dropped", "frozen_sites", "excluded_edges", "engine", "model",
 			"warm", "churn_forced"})
 
 	var warm map[string]json.RawMessage
@@ -159,7 +159,7 @@ func TestControlAuditSchema(t *testing.T) {
 	checkKeys(t, "audit engine step", steps[0],
 		[]string{"iter", "server", "site", "benefit", "predicted_cost"},
 		[]string{"heap_pops", "stale_reevals", "superseded", "infeasible", "engine", "model",
-			"rows_deferred", "rows_caught_up", "drift_accepts", "drift_budget_used"})
+			"cells_bounded", "cells_verified"})
 }
 
 // ExampleHandler_audit is compile-time documentation that the audit

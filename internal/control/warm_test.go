@@ -23,7 +23,7 @@ func TestWarmReconcileConvergence(t *testing.T) {
 	if rep1.Outcome != OutcomeApplied {
 		t.Fatalf("round 1 outcome %s, want applied", rep1.Outcome)
 	}
-	if rep1.Engine != "lazy" && rep1.Engine != "approx" {
+	if rep1.Engine != "lazy" {
 		t.Fatalf("round 1 engine %q, want a cold solve", rep1.Engine)
 	}
 	applied := target.Placement()
@@ -131,33 +131,6 @@ func TestWarmMaxRoundsForcesCold(t *testing.T) {
 	for k := range want {
 		if engines[k] != want[k] {
 			t.Fatalf("engine sequence %v, want %v", engines, want)
-		}
-	}
-}
-
-// TestWarmEpsilonPlumbed: an ε budget configured on the controller must
-// reach the placement engine and show up in the audit record.
-func TestWarmEpsilonPlumbed(t *testing.T) {
-	sc := testScenario(t)
-	target := NewModelTarget(placement.None(sc.Sys).Placement)
-	ctrl := newTestController(t, sc, target, func(cfg *Config) {
-		cfg.Epsilon = 1e-2
-	})
-	feedExact(ctrl.Estimator(), sc.Sys)
-	rep, err := ctrl.Reconcile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Engine != "approx" {
-		t.Fatalf("round 1 engine %q, want approx", rep.Engine)
-	}
-	audit := ctrl.Audit()
-	if len(audit) != 1 || audit[0].Epsilon != 1e-2 {
-		t.Fatalf("audit epsilon not recorded: %+v", audit)
-	}
-	for _, s := range audit[0].EngineSteps {
-		if s.Engine != "approx" {
-			t.Fatalf("engine step label %q, want approx", s.Engine)
 		}
 	}
 }

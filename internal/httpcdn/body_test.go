@@ -334,9 +334,18 @@ func BenchmarkServeMiss(b *testing.B) {
 }
 
 // TestUpstreamConnectionsAreReused: bursts of eight concurrent misses to
-// one origin ride the eight connections the first burst opened. (On
+// one origin ride the connections the first bursts opened. (On
 // http.DefaultTransport, which keeps two idle connections per host,
-// every burst redialled six.)
+// every burst redialled six: ~600 over the run.)
+//
+// The bound is 2·workers, not workers: a response's connection goes back
+// to the idle pool from the transport's read loop, after the caller has
+// its body, so the next burst can start while some of the previous
+// burst's connections are still on their way back and dial for them. At
+// most workers connections are ever on their way back and the pool keeps
+// every connection it is handed, so a burst dials only while fewer than
+// 2·workers exist: reuse stays at or under 2·workers however the host
+// schedules, and per-burst redialling lands far above it.
 func TestUpstreamConnectionsAreReused(t *testing.T) {
 	const workers, rounds = 8, 100
 	sc := smallScenario(t)
@@ -369,8 +378,8 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 	if st := e.Stats(); st.OriginFetch != workers*rounds {
 		t.Fatalf("%d of %d requests were origin fetches", st.OriginFetch, workers*rounds)
 	}
-	if n := opened.Load(); n > workers {
-		t.Fatalf("%d misses in bursts of %d opened %d upstream connections, want at most %d", workers*rounds, workers, n, workers)
+	if n := opened.Load(); n > 2*workers {
+		t.Fatalf("%d misses in bursts of %d opened %d upstream connections, want at most %d", workers*rounds, workers, n, 2*workers)
 	}
 }
 

@@ -155,7 +155,7 @@ func TestOneMinusExp(t *testing.T) {
 }
 
 // TestSiteHitEq1Monotone: h is non-decreasing in K and in p. The
-// ε-engine's optimistic bounds assume it.
+// placement heap's optimistic seeds assume it.
 func TestSiteHitEq1Monotone(t *testing.T) {
 	for _, theta := range kernelThetas {
 		for _, L := range []int{64, 2000} {

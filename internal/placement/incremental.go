@@ -1,37 +1,39 @@
 // Warm-start incremental re-placement. The control plane re-solves
 // Hybrid every reconcile round, but between rounds the EWMA demand
-// matrix usually moves only a little, and a cold run spends almost all
-// of its time on work the previous round already did: building N
-// predictors with their initial hit ratios (n·m Equation (1)
-// evaluations, about half of a lazy cold solve at the paper's scale now
-// that its seeds read the model's Jensen bound) and, for the capturing
-// cold round below, the n·m² shrink-table fill. Incremental reuses the
-// previous round's WarmState instead:
+// matrix usually moves only a little, and a cold run spends much of its
+// time on work the previous round already did: building N predictors
+// with their initial hit ratios (n·m Equation (1) evaluations, about
+// half of a cold solve at the paper's scale now that its seeds read the
+// model's Jensen bound), the reference slices, and the cells it bounded
+// and verified on the way. Incremental reuses the previous round's
+// WarmState — the heap run's own seed state — instead:
 //
-//   - Rows whose demand moved less than DriftThreshold (relative L1)
-//     keep their predictor, hit ratios, visible mass and m×m
-//     shrink-term cache — all the model state. Their benefit cells are
-//     re-derived arithmetically (fill=false) against the live demand
-//     and nearest-replica tables, so cross-row staleness (another
-//     row's demand or hit ratios changed) never accumulates; the only
-//     approximation is the kept model state itself, off by at most the
-//     sub-threshold demand drift of its own row.
+//   - Rows whose demand moved less than DefaultWarmDriftThreshold
+//     (relative L1) keep their predictor, hit ratios, visible mass,
+//     reference slices and every bounded or verified slice — all the
+//     model state. Their penalty lower-bound totals are re-weighted to
+//     the live demand and their benefit cells re-derived against it and
+//     the live nearest-replica tables, arithmetic only, so cross-row
+//     staleness (another row's demand or hit ratios changed) never
+//     accumulates; the only approximation is the kept model state
+//     itself, off by at most the sub-threshold demand drift of its own
+//     row.
 //
 //   - Dirty rows are rebuilt exactly: new predictor (against the
 //     SHARED hit-ratio table, so grid points memoized in earlier
 //     rounds are reused bit for bit), fresh hit ratios and visible
-//     mass under the carried-over placement, full row rescore with a
-//     shrink-cache refill.
+//     mass under the carried-over placement, fresh reference slices
+//     (K·m Jensen bounds), every cell a seed again.
 //
 //   - The previous placement is carried over and the heap run resumes
-//     from it, so a quiet round does no selection work at all: every
+//     from it, so a quiet round does almost no selection work: every
 //     remaining candidate was already non-positive when the previous
 //     round terminated. Greedy replica creation is monotone — a warm
 //     round can add replicas but never remove one the demand shift no
 //     longer justifies — which is why large drift falls back to a
-//     cold run: when more than MaxDirtyFrac of the rows are dirty (or
-//     the topology changed), the carried-over placement itself is
-//     suspect and Incremental re-solves from scratch.
+//     cold run: when more than DefaultWarmMaxDirtyFrac of the rows are
+//     dirty (or the topology changed), the carried-over placement
+//     itself is suspect and Incremental re-solves from scratch.
 //
 // With unchanged demand the warm round reproduces the cold solution
 // exactly (test-enforced in internal/control): nothing is dirty,
@@ -46,34 +48,27 @@ import (
 	"repro/internal/lrumodel"
 )
 
-// Default thresholds for IncrementalConfig; chosen so that EWMA noise
-// on a stationary workload stays warm while a genuine hot-spot shift
-// (the fault-injection and flash-crowd scenarios) goes cold.
+// Warm-start thresholds; chosen so that EWMA noise on a stationary
+// workload stays warm while a genuine hot-spot shift (the
+// fault-injection and flash-crowd scenarios) goes cold. A row whose
+// demand drifted more than DefaultWarmDriftThreshold (relative L1) since
+// its model state was built is rebuilt; more than DefaultWarmMaxDirtyFrac
+// of the rows dirty abandons the warm path for a cold run.
 const (
 	DefaultWarmDriftThreshold = 0.05
 	DefaultWarmMaxDirtyFrac   = 0.25
 )
 
 // WarmState is the reusable solver state captured from a hybrid run:
-// the solution placement plus every piece of model state the next
-// round can carry over. It is produced and consumed by Incremental
-// (and seeded by a cold run through it); treat it as opaque.
+// the finished heap run's state — the solution placement, every row's
+// model state, reference slices and cell states — plus the step recipe.
+// It is produced and consumed by Incremental; treat it as opaque.
 type WarmState struct {
-	placement *core.Placement
-	model     lrumodel.ModelKind
-	preds     []lrumodel.Model
-	shared    *lrumodel.SharedTable
-	h         [][]float64
-	visMass   []float64
-	ben       [][]float64
-	hShrink   [][]float64
-	steps     []Step
+	st    *hybridState
+	steps []Step
 	// demand is the per-row demand snapshot the kept model state was
 	// built against; row drift is measured against it.
 	demand [][]float64
-	// sys is the system the state was captured on; topology changes
-	// against it force a cold run.
-	sys *core.System
 }
 
 // Steps returns the full replica-creation recipe of the warm solution
@@ -87,43 +82,20 @@ func (w *WarmState) Shared() *lrumodel.SharedTable {
 	if w == nil {
 		return nil
 	}
-	return w.shared
+	return w.st.shared
 }
 
 // SharedStats exposes the cross-round hit-ratio table's traffic.
 func (w *WarmState) SharedStats() lrumodel.SharedTableStats {
-	if w == nil || w.shared == nil {
+	if w == nil {
 		return lrumodel.SharedTableStats{}
 	}
-	return w.shared.Stats()
+	return w.st.shared.Stats()
 }
 
 // IncrementalConfig parameterizes Incremental.
 type IncrementalConfig struct {
 	HybridConfig
-	// DriftThreshold is the relative L1 demand drift above which a
-	// server's row is rebuilt exactly (predictor, hit ratios, shrink
-	// cache). 0 means DefaultWarmDriftThreshold; negative disables the
-	// tolerance (every row with any drift is dirty).
-	DriftThreshold float64
-	// MaxDirtyFrac is the dirty-row fraction above which the warm path
-	// is abandoned for a cold run. 0 means DefaultWarmMaxDirtyFrac;
-	// negative forces cold on any dirty row.
-	MaxDirtyFrac float64
-}
-
-func (cfg IncrementalConfig) driftThreshold() float64 {
-	if cfg.DriftThreshold == 0 {
-		return DefaultWarmDriftThreshold
-	}
-	return math.Max(cfg.DriftThreshold, 0)
-}
-
-func (cfg IncrementalConfig) maxDirtyFrac() float64 {
-	if cfg.MaxDirtyFrac == 0 {
-		return DefaultWarmMaxDirtyFrac
-	}
-	return math.Max(cfg.MaxDirtyFrac, 0)
 }
 
 // IncrementalStats reports what an Incremental call did.
@@ -203,9 +175,9 @@ func sameTopology(a, b *core.System) bool {
 
 // Incremental re-solves the hybrid placement for sys (whose Demand is
 // the new EWMA matrix), warm-starting from prev when the drift allows
-// it. prev == nil runs cold. The returned WarmState feeds the next
-// round; prev must not be used again after the call (its buffers are
-// consumed by the repair).
+// it. prev == nil runs cold: Hybrid's solve, its state captured. The
+// returned WarmState feeds the next round; prev must not be used again
+// after the call (its buffers are consumed by the repair).
 func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Result, *WarmState, IncrementalStats, error) {
 	n := sys.N()
 	stats := IncrementalStats{TotalRows: n}
@@ -220,14 +192,15 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		stats.Reason = reason
 		var shared *lrumodel.SharedTable
 		if prev != nil {
-			shared = prev.shared // grid points survive even a cold fallback
+			shared = prev.st.shared // grid points survive even a cold fallback
 			// (entries are keyed by model kind, so this is safe across
 			// a model change too)
 		}
-		res, warm, err := hybridColdCaptured(sys, cfg.HybridConfig, shared)
+		res, st, err := hybridSolve(sys, cfg.HybridConfig, shared)
 		if err != nil {
 			return nil, nil, stats, err
 		}
+		warm := captureWarmState(st, res, nil, nil)
 		stats.StepsAdded = len(res.Steps)
 		stats.Shared = warm.SharedStats()
 		return res, warm, stats, nil
@@ -236,10 +209,10 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 	if prev == nil {
 		return cold("cold-start")
 	}
-	if !sameTopology(prev.sys, sys) {
+	if !sameTopology(prev.st.sys, sys) {
 		return cold("topology-changed")
 	}
-	if prev.model != kind {
+	if prev.st.model != kind {
 		// The carried-over benefit matrices, hit ratios and the greedy
 		// placement itself were all derived under a different model;
 		// none of it is valid warm-start state.
@@ -248,63 +221,67 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 
 	// Measure per-row drift against the snapshot the kept model state
 	// was built on.
-	thresh := cfg.driftThreshold()
 	dirty := make([]bool, n)
 	for i := 0; i < n; i++ {
 		d := rowDriftL1(prev.demand[i], sys.Demand[i])
 		if d > stats.MaxRowDrift {
 			stats.MaxRowDrift = d
 		}
-		if d > thresh {
+		if d > DefaultWarmDriftThreshold {
 			dirty[i] = true
 			stats.DirtyRows++
 		}
 	}
-	if float64(stats.DirtyRows) > cfg.maxDirtyFrac()*float64(n) {
+	if float64(stats.DirtyRows) > DefaultWarmMaxDirtyFrac*float64(n) {
 		return cold("drift-too-large")
 	}
 	stats.Warm = true
 	stats.PredictorsReused = n - stats.DirtyRows
 
-	// Carry the placement onto the new system (same topology, so every
-	// replica still fits and the nearest-replica tables rebuild to the
-	// same entries).
-	p, err := prev.placement.RebuildOn(sys)
+	st, err := repairState(prev, sys, cfg.HybridConfig, dirty)
 	if err != nil {
-		return nil, nil, stats, fmt.Errorf("placement: warm rebuild: %w", err)
+		return nil, nil, stats, err
 	}
+	res := hybridHeapRun(st)
+	stats.StepsAdded = len(res.Steps) - len(prev.steps)
+	next := captureWarmState(st, res, prev.demand, dirty)
+	stats.Shared = next.SharedStats()
+	return res, next, stats, nil
+}
 
-	st := &hybridState{
-		sys:         sys,
-		cfg:         cfg.HybridConfig,
-		p:           p,
-		model:       kind,
-		preds:       prev.preds,
-		shared:      prev.shared,
-		h:           prev.h,
-		visMass:     prev.visMass,
-		workers:     normWorkers(cfg.Parallelism, n),
-		n:           n,
-		m:           sys.M(),
-		engineLabel: EngineLabel(cfg.Epsilon, true),
-		ben:         prev.ben,
-		hShrink:     prev.hShrink,
-		baseSteps:   prev.steps,
-		captureWarm: true,
-		sites:       make([][]int, n),
+// repairState carries prev's heap-run state onto sys — same topology,
+// new demand — ready for the heap run to resume. prev is consumed.
+//
+// The repair runs in two passes. First every row brings its seed state
+// to the new demand: a dirty row rebuilds its model state exactly,
+// re-slices its reference bounds at it (K·m Jensen bounds) and turns
+// every cell back into a seed; a clean row keeps its model state,
+// slices and cell states, and re-weights its penalty lower-bound totals
+// to the new demand — arithmetic only, and sound under any demand
+// (optReweightRow). Only once every row's hit ratios are final does any
+// row re-derive its benefit cells: a cell's remote term reads h[s][j]
+// of every other row s.
+func repairState(prev *WarmState, sys *core.System, cfg HybridConfig, dirty []bool) (*hybridState, error) {
+	st := prev.st
+	// The placement carries over with every replica (same topology, so
+	// each still fits and the nearest-replica tables rebuild to the same
+	// entries).
+	p, err := st.p.RebuildOn(sys)
+	if err != nil {
+		return nil, fmt.Errorf("placement: warm rebuild: %w", err)
 	}
+	st.sys, st.cfg, st.p = sys, cfg, p
+	st.workers = normWorkers(cfg.Parallelism, st.n)
+	st.engineLabel = EngineLabel(true)
+	st.baseSteps = prev.steps
 
-	// Repair, in two passes. First the dirty rows rebuild their model
-	// state exactly. Only once every row's hit ratios are final does any
-	// row re-derive its benefit cells against the live demand (clean rows
-	// from their kept shrink caches, fill=false — pure arithmetic): a
-	// cell's remote term reads h[s][j] of every other row s.
 	m := st.m
-	fanOutRows(n, st.workers, func(i int) {
+	fanOutRows(st.n, st.workers, func(i int) {
 		if !dirty[i] {
+			st.optReweightRow(i)
 			return
 		}
-		st.preds[i] = mustModel(kind, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], st.shared)
+		st.preds[i] = mustModel(st.model, cfg.Specs, sys.Demand[i], cfg.AvgObjectBytes, sys.Capacity[i], st.shared)
 		vm := 1.0
 		for j := 0; j < m; j++ {
 			if p.Has(i, j) {
@@ -313,37 +290,11 @@ func Incremental(prev *WarmState, sys *core.System, cfg IncrementalConfig) (*Res
 		}
 		st.rowHitRatios(i, nil)
 		st.visMass[i] = vm
+		st.optSliceRow(i)
+		clear(st.cells[i])
 	})
-	fanOutRows(n, st.workers, func(i int) {
-		for j := 0; j < m; j++ {
-			st.ben[i][j] = st.evalBenCached(i, j, st.hShrink[i], dirty[i])
-		}
-	})
-
-	res := hybridHeapRun(st, maxf(cfg.Epsilon, 0))
-	stats.StepsAdded = len(res.Steps) - len(prev.steps)
-	next := captureWarmState(st, res, prev.demand, dirty)
-	stats.Shared = next.SharedStats()
-	return res, next, stats, nil
-}
-
-// hybridColdCaptured is a cold hybrid solve that also captures the
-// WarmState for the next round. The warm state is the exact fill's
-// matrices, so it starts from prepareCold at any Epsilon rather than
-// from Hybrid's lazy seeds: every row's table is needed at the end
-// anyway, and a lazy start plus a final fill measured slower
-// (Incremental(nil) at x1: 197 → 239 ms). The heap run after it is
-// Hybrid's, exact-selection path included (screenTies at ε = 0).
-// shared may carry a previous round's hit-ratio table.
-func hybridColdCaptured(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, *WarmState, error) {
-	st, err := newHybridState(sys, cfg, shared)
-	if err != nil {
-		return nil, nil, err
-	}
-	st.captureWarm = true
-	st.prepareCold()
-	res := hybridHeapRun(st, maxf(cfg.Epsilon, 0))
-	return res, captureWarmState(st, res, nil, nil), nil
+	fanOutRows(st.n, st.workers, st.refreshRow)
+	return st, nil
 }
 
 // mustModel builds a model for one server row, panicking on invalid
@@ -364,10 +315,10 @@ func mustModel(kind lrumodel.ModelKind, specs []lrumodel.SiteSpec, weights []flo
 	return m
 }
 
-// captureWarmState snapshots the finished run's solver state (the run
-// was started with captureWarm, so the shrink caches are consistent
-// with the final placement). A row's drift baseline is the demand its
-// model state was BUILT against, not this round's: clean rows keep
+// captureWarmState snapshots the finished run's state: every row's
+// slices and cell states are consistent with the final placement, since
+// a row's own accept re-slices it. A row's drift baseline is the demand
+// its model state was BUILT against, not this round's: clean rows keep
 // prevDemand[i] so sub-threshold drift accumulates across rounds until
 // the row is rebuilt, instead of resetting to zero every round.
 // rebuilt == nil means every row was built fresh this round.
@@ -380,17 +331,5 @@ func captureWarmState(st *hybridState, res *Result, prevDemand [][]float64, rebu
 		}
 		demand[i] = append([]float64(nil), st.sys.Demand[i]...)
 	}
-	return &WarmState{
-		placement: st.p,
-		model:     st.model,
-		preds:     st.preds,
-		shared:    st.shared,
-		h:         st.h,
-		visMass:   st.visMass,
-		ben:       st.ben,
-		hShrink:   st.hShrink,
-		steps:     res.Steps,
-		demand:    demand,
-		sys:       st.sys,
-	}
+	return &WarmState{st: st, steps: res.Steps, demand: demand}
 }

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -171,11 +172,7 @@ func TestIncrementalTopologyChange(t *testing.T) {
 // report the added steps, with the full recipe recreating the result.
 func TestIncrementalGrowingDemandAddsReplicas(t *testing.T) {
 	sys, specs := randomSystem(xrand.New(17), 20, 10, 0.05)
-	cfg := IncrementalConfig{
-		HybridConfig:   HybridConfig{Specs: specs, AvgObjectBytes: 1},
-		DriftThreshold: 0.5, // keep the hot rows warm so the repair path runs
-		MaxDirtyFrac:   1,
-	}
+	cfg := IncrementalConfig{HybridConfig: HybridConfig{Specs: specs, AvgObjectBytes: 1}}
 	_, warm, _, err := Incremental(nil, sys, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -189,8 +186,8 @@ func TestIncrementalGrowingDemandAddsReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Warm {
-		t.Fatalf("hot spot went cold: %+v", stats)
+	if !stats.Warm || stats.DirtyRows != 3 {
+		t.Fatalf("want a warm repair of the 3 hot rows, got %+v", stats)
 	}
 	// Replay the recipe: every step must be a valid creation and the
 	// final matrix must match.
@@ -208,6 +205,47 @@ func TestIncrementalGrowingDemandAddsReplicas(t *testing.T) {
 	}
 	if err := res.Placement.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIncrementalColdIsHybrid: with no previous state Incremental is
+// Hybrid's solve with its state captured — the same steps, bit for bit,
+// and the same engine work per step, from the same bounded and verified
+// cells.
+func TestIncrementalColdIsHybrid(t *testing.T) {
+	sys, specs := randomSystem(xrand.New(18), 20, 10, 0.1)
+	run := func(incremental bool) ([]Step, []ExplainStep) {
+		var explain []ExplainStep
+		cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1, Parallelism: 1,
+			Explain: func(e ExplainStep) { explain = append(explain, e) }}
+		var res *Result
+		var err error
+		if incremental {
+			res, _, _, err = Incremental(nil, sys, IncrementalConfig{HybridConfig: cfg})
+		} else {
+			res, err = Hybrid(sys, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Steps, explain
+	}
+	wantSteps, want := run(false)
+	gotSteps, got := run(true)
+	if !reflect.DeepEqual(gotSteps, wantSteps) {
+		t.Fatalf("Incremental(nil) steps %+v, Hybrid %+v", gotSteps, wantSteps)
+	}
+	verified := 0
+	for k := range want {
+		g, w := got[k], want[k]
+		if g.HeapPops != w.HeapPops || g.CellsBounded != w.CellsBounded || g.CellsVerified != w.CellsVerified {
+			t.Fatalf("step %d: Incremental(nil) pops/bounded/verified %d/%d/%d, Hybrid %d/%d/%d",
+				k, g.HeapPops, g.CellsBounded, g.CellsVerified, w.HeapPops, w.CellsBounded, w.CellsVerified)
+		}
+		verified += g.CellsVerified
+	}
+	if len(want) == 0 || verified == 0 {
+		t.Fatalf("degenerate run: %d steps, %d verified cells", len(want), verified)
 	}
 }
 

@@ -23,8 +23,8 @@
 // matrix: any update that raises a cell above its live heap key pushes
 // a fresh entry, decayed entries are re-pushed at their current value
 // when popped, and the top entry whose key matches the live matrix is
-// the argmax of the stored values — which the exact run then re-ranks
-// against near ties by their fresh values (approx.go, screenTies), as
+// the argmax of the stored values — which the run then re-ranks against
+// near ties by their fresh values (hybridheap.go, screenTies), as
 // the oracle evaluates every candidate afresh. The model lookups
 // themselves — the dominant cost — are served from a per-row cache of
 // shrink-term hit ratios that stays valid until the row's own cache
@@ -33,8 +33,6 @@
 package placement
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/lrumodel"
 )
@@ -42,12 +40,9 @@ import (
 // benEntry is one heap candidate. epoch is the column epoch the entry's
 // key was computed at (lazy-greedy engine); the hybrid engine leaves it
 // at zero and detects staleness by comparing key against the live
-// matrix. snap records the column's accumulated drift bound at push
-// time (approximate greedy engine only): colDrift[j] − snap bounds how
-// far the entry's key can sit above the cell's current value.
+// matrix.
 type benEntry struct {
 	key   float64
-	snap  float64
 	i, j  int32
 	epoch int32
 }
@@ -115,21 +110,9 @@ func (h *benHeap) pop() benEntry {
 // heap entry keys an upper bound, a popped stale entry (column epoch
 // behind) is re-evaluated against the current — equivalently,
 // last-column-event — state and re-pushed, a popped infeasible entry is
-// discarded for good, and the first fresh top is the scan's argmax.
-//
-// With eps > 0 the engine runs in ε-approximate mode: placing (i*, j*)
-// lowers the benefit of any cell in column j* by at most
-// Σ_{k improved} r_kj*·ΔC_k (each improved server k contributes through
-// either the local term, k = i, or its remote term, at weight
-// r_kj*·ΔC_k), so colDrift[j] accumulates that per-column bound and a
-// popped stale entry whose key can have drifted by at most
-// d = colDrift[j] − snap is accepted without re-evaluation when the
-// worst-case loss max(0, k₂ + d − key) fits the remaining ε budget:
-// every other entry's key upper-bounds its cell, so the true best among
-// them is ≤ k₂, while the popped entry's true value is ≥ key − d.
-// eps == 0 never charges the (empty) budget: the run is the exact
-// greedy, the oracle's float-op stream.
-func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
+// discarded for good, and the first fresh top is the scan's argmax —
+// the oracle's float-op stream.
+func greedyLazy(sys *core.System, cfg GreedyConfig) *Result {
 	updateRates := cfg.UpdateRates
 	p := core.NewPlacement(sys)
 	res := &Result{Placement: p}
@@ -159,19 +142,7 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 			}
 		}
 	}
-	// ε machinery, inert at eps == 0.
-	var (
-		budget, spent float64
-		colDrift      []float64
-		oldCol        []float64
-		driftAccepts  int
-	)
-	if eps > 0 {
-		budget = eps * approxBudgetFrac * objective()
-		colDrift = make([]float64, m)
-		oldCol = make([]float64, n)
-	}
-	engineLabel := EngineLabel(eps, false)
+	engineLabel := EngineLabel(false)
 	// Engine work counters since the last emitted step; plain ints on
 	// the existing paths, so a nil Explain costs nothing.
 	var pops, stale, infeasible int
@@ -185,52 +156,18 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 		}
 		if e.epoch != colEpoch[j] {
 			// Stale: the column changed since the key was computed.
-			accepted := false
-			if eps > 0 {
-				d := colDrift[j] - e.snap
-				k2 := 0.0
-				if hp.len() > 0 {
-					k2 = hp.e[0].key
-				}
-				if slack := maxf(0, k2+d-e.key); spent+slack <= budget {
-					spent += slack
-					driftAccepts++
-					accepted = true
-				}
+			// Re-evaluate — bitwise the value the oracle's eager column
+			// re-evaluation holds right now — and re-push unless the
+			// candidate dropped out (values never increase, so a
+			// non-positive value stays non-positive).
+			stale++
+			if v := greedyBenefit(sys, p, i, j) - updatePenalty(sys, updateRates, i, j); v > 0 {
+				hp.push(benEntry{key: v, i: e.i, j: e.j, epoch: colEpoch[j]})
 			}
-			if !accepted {
-				// Re-evaluate — bitwise the value the oracle's eager
-				// column re-evaluation holds right now — and re-push
-				// unless the candidate dropped out (values never increase,
-				// so a non-positive value stays non-positive).
-				stale++
-				if v := greedyBenefit(sys, p, i, j) - updatePenalty(sys, updateRates, i, j); v > 0 {
-					ent := benEntry{key: v, i: e.i, j: e.j, epoch: colEpoch[j]}
-					if eps > 0 {
-						ent.snap = colDrift[j]
-					}
-					hp.push(ent)
-				}
-				continue
-			}
+			continue
 		}
-		// Fresh top (or a stale entry accepted under the drift budget):
-		// the scan's row-major first maximum, exactly or within the
-		// charged slack.
-		if eps > 0 {
-			for k := 0; k < n; k++ {
-				oldCol[k] = p.NearestCost(k, j)
-			}
-			improved, err := p.ReplicateTracked(i, j)
-			if err != nil {
-				panic(fmt.Sprintf("placement: internal error: %v", err))
-			}
-			for _, k := range improved {
-				colDrift[j] += sys.Demand[k][j] * (oldCol[k] - p.NearestCost(k, j))
-			}
-		} else {
-			mustReplicate(p, i, j)
-		}
+		// Fresh top: the scan's row-major first maximum.
+		mustReplicate(p, i, j)
 		colEpoch[j]++
 		cost := objective()
 		res.Steps = append(res.Steps, Step{
@@ -240,19 +177,14 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 			PredictedCost: cost,
 		})
 		if cfg.Explain != nil {
-			used := 0.0
-			if budget > 0 {
-				used = spent / budget
-			}
 			cfg.Explain(ExplainStep{
 				Iter: len(res.Steps) - 1, Server: i, Site: j,
 				Benefit: e.key, PredictedCost: cost,
 				HeapPops: pops, StaleReevals: stale, Infeasible: infeasible,
-				Engine: engineLabel, DriftAccepts: driftAccepts,
-				DriftBudgetUsed: used,
+				Engine: engineLabel,
 			})
 		}
-		pops, stale, infeasible, driftAccepts = 0, 0, 0, 0
+		pops, stale, infeasible = 0, 0, 0
 	}
 	res.PredictedCost = objective()
 	return res
@@ -262,22 +194,19 @@ func greedyLazy(sys *core.System, cfg GreedyConfig, eps float64) *Result {
 // computation as the oracle's evalBen (hybridBenefit) — identical
 // floating-point chain, hence bitwise-identical values — except that
 // the shrink-term model values preds[i].SiteHitRatioCond(k, ·, ·) are
-// read from the row's m×m cache, indexed [candidate j][site k], after
-// fill=true has stored them there (fillSlice). The cached inputs
-// (Free(i), visMass[i], the row's visibility and h[i]) change only when
-// server i itself receives a replica, so a row's table stays valid
-// across the many iterations where only its NearestCost column entries
-// move, and the predictor memo guarantees a recomputation would return
-// the very same float64. A slice of Jensen bounds in place of the
-// model's values makes the result an upper bound on the cell instead
-// (the bounded cells of the lazy cold start, approx.go).
-func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float64 {
+// read from the row's m×m cache hShrink[i], indexed [candidate j][site
+// k], where fillSlice stored them. The cached inputs (Free(i),
+// visMass[i], the row's visibility and h[i]) change only when server i
+// itself receives a replica, so a slice stays valid across the many
+// iterations where only its NearestCost column entries move, and the
+// predictor memo guarantees a recomputation would return the very same
+// float64. A slice of Jensen bounds in place of the model's values
+// makes the result an upper bound on the cell instead (the bounded
+// cells, hybridheap.go).
+func (st *hybridState) evalBenCached(i, j int) float64 {
 	p := st.p
 	if !p.CanReplicate(i, j) {
 		return 0
-	}
-	if fill {
-		st.fillSlice(i, j, cache, true, nil)
 	}
 	sys, h, m := st.sys, st.h, st.m
 
@@ -288,7 +217,7 @@ func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float
 	// Cells skipped here (k == j, replicated at i, or infeasible j —
 	// handled above) are never read back within the same epoch, because
 	// the skip conditions only change when the row is refilled.
-	row, hi := cache[j*m:(j+1)*m], h[i]
+	row, hi := st.hShrink[i][j*m:(j+1)*m], h[i]
 	for k := 0; k < m; k++ {
 		if k == j || p.Has(i, k) {
 			continue
@@ -310,18 +239,18 @@ func (st *hybridState) evalBenCached(i, j int, cache []float64, fill bool) float
 	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
 }
 
-// fillSlice stores candidate (i, j)'s shrink slice in cache[j·m:]: for
+// fillSlice stores candidate (i, j)'s shrink slice in hShrink[i][j·m:]: for
 // every site k the penalty sums, its hit ratio at server i once site j's
 // replica takes o_j bytes of the cache and p_j of its visible mass.
 // exact evaluates the model, one batch whose Equation (1) misses run
 // under fan; otherwise each entry is the model's Jensen upper bound
 // (SiteHitRatioCondUpper), ~30 terms and no memo entry. The entries the
 // penalty skips are left alone.
-func (st *hybridState) fillSlice(i, j int, cache []float64, exact bool, fan lrumodel.Fan) {
+func (st *hybridState) fillSlice(i, j int, exact bool, fan lrumodel.Fan) {
 	p, pred, m := st.p, st.preds[i], st.m
 	newCache := p.Free(i) - st.sys.SiteBytes[j]
 	newMass := st.visMass[i] - pred.SitePopularity(j)
-	row := cache[j*m : (j+1)*m]
+	row := st.hShrink[i][j*m : (j+1)*m]
 	if !exact {
 		for k := 0; k < m; k++ {
 			if k != j && !p.Has(i, k) {

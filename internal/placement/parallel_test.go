@@ -126,7 +126,7 @@ func TestNewHybridStateParallelBuild(t *testing.T) {
 			t.Fatalf("parallelism=%d: hit ratios or visible masses differ from the serial build", par)
 		}
 		st.prepareOptimistic()
-		res := hybridHeapRun(st, 0)
+		res := hybridHeapRun(st)
 		if serial == nil {
 			if len(res.Steps) == 0 {
 				t.Fatal("degenerate run, no steps")

@@ -65,10 +65,8 @@ func fanOutRows(n, workers int, f func(i int)) {
 type Step struct {
 	Server, Site int
 	// Benefit is the algorithm's estimated cost reduction for the
-	// step (model-predicted for Hybrid, exact for GreedyGlobal). An
-	// exact (ε = 0) heap run, Hybrid or Incremental, reports the chosen
-	// cell evaluated at selection, as the scanning oracle does; ε > 0
-	// reports the heap key that won.
+	// step (model-predicted for Hybrid, exact for GreedyGlobal): the
+	// chosen cell evaluated at selection, as the scanning oracle does.
 	Benefit float64
 	// PredictedCost is the objective D after applying the step, under
 	// the algorithm's own cost model.
@@ -112,28 +110,15 @@ type GreedyConfig struct {
 	// stays sequential, so parallel and serial runs produce identical
 	// step sequences.
 	Parallelism int
-	// Epsilon is the heap's relative drift budget: stale heap entries
-	// may be accepted without re-evaluation as long as the total
-	// worst-case selection loss stays within Epsilon of the initial
-	// objective. 0 is the exact greedy; negative values are treated
-	// as 0.
-	Epsilon float64
 	// Explain, if non-nil, receives one ExplainStep per replica created
 	// (nil-cost when disabled; see ExplainWriter).
 	Explain ExplainWriter
 }
 
 // GreedyGlobalOpts is the greedy-global algorithm with explicit options:
-// the CELF-style heap of lazy.go, exact at Epsilon = 0.
+// the CELF-style heap of lazy.go.
 func GreedyGlobalOpts(sys *core.System, cfg GreedyConfig) *Result {
-	return greedyLazy(sys, cfg, maxf(cfg.Epsilon, 0))
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return greedyLazy(sys, cfg)
 }
 
 // greedyBenefit is the no-cache benefit of replica (i, j): the local
@@ -190,19 +175,7 @@ type HybridConfig struct {
 	// is a pure function of the placement: parallel and serial runs
 	// produce identical step sequences.
 	Parallelism int
-	// Epsilon is the heap's relative drift budget, its only accuracy
-	// input: row re-evaluations after a replica creation may be
-	// deferred, with per-row drift bounds tracked as replicas are
-	// created, as long as the total worst-case selection loss stays
-	// within Epsilon of the starting objective — so the final predicted
-	// cost lands within Epsilon of the exact run's (test-enforced for
-	// ε ∈ {1e-3, 1e-2}). 0 is the exact Figure 2 greedy, byte for byte
-	// the scanning oracle's steps; negative values are treated as 0.
-	// The lazy cold start (seeded upper bounds, cells verified when they
-	// reach the heap top) runs at every ε: Epsilon buys only the
-	// deferral. The seeds bound their cells because every Model kind's
-	// hit ratio is monotone in the cache size (lrumodel's
-	// TestKMonotoneInBEveryModel). See approx.go for both.
+	// Deprecated: ignored. Every run is the exact Figure 2 greedy.
 	Epsilon float64
 	// Explain, if non-nil, receives one ExplainStep per replica created
 	// (nil-cost when disabled; see ExplainWriter).
@@ -222,21 +195,25 @@ type HybridConfig struct {
 // benefit or no site fits anywhere.
 //
 // The heap starts from cheap upper bounds on every b_ij and evaluates
-// the shrink term of a cell only when the cell reaches the top (the lazy
-// cold start, approx.go); the steps are the exact greedy's at ε = 0.
+// the shrink term of a cell only when the cell reaches the top
+// (hybridheap.go); the steps are the exact greedy's. The seeds bound
+// their cells because every Model kind's hit ratio is monotone in the
+// cache size (lrumodel's TestKMonotoneInBEveryModel).
 func Hybrid(sys *core.System, cfg HybridConfig) (*Result, error) {
-	return hybridSolve(sys, cfg, nil)
+	res, _, err := hybridSolve(sys, cfg, nil)
+	return res, err
 }
 
 // hybridSolve is Hybrid over a caller's shared hit-ratio table (nil for
 // the run's own), so tests and benchmarks can read the table's counts.
-func hybridSolve(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, error) {
+// It also returns the finished run's state, which Incremental captures.
+func hybridSolve(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedTable) (*Result, *hybridState, error) {
 	st, err := newHybridState(sys, cfg, shared)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st.prepareOptimistic()
-	return hybridHeapRun(st, maxf(cfg.Epsilon, 0)), nil
+	return hybridHeapRun(st), st, nil
 }
 
 // hybridState is the setup of a heap run: the placement under
@@ -256,9 +233,8 @@ type hybridState struct {
 	// engineLabel is the run's ExplainStep.Engine (see EngineLabel).
 	engineLabel string
 	// ben / hShrink are the benefit matrix and per-row shrink-term
-	// caches the heap runs over; prepareOptimistic seeds them for
-	// Hybrid, prepareCold fills them from an empty placement for
-	// Incremental's cold round, and a warm round reuses its base.
+	// caches the heap runs over; prepareOptimistic seeds them, and a
+	// warm round repairs the previous run's.
 	ben     [][]float64
 	hShrink [][]float64
 	// sites is each row's site-list scratch for its model batches
@@ -269,21 +245,16 @@ type hybridState struct {
 	// repair only); they are prepended to Result.Steps so the step list
 	// stays a complete creation recipe for the final placement.
 	baseSteps []Step
-	// captureWarm makes the heap run leave the shrink caches consistent
-	// with the final placement (refilling rows the approximate engine
-	// deferred) so a WarmState can be captured afterwards.
-	captureWarm bool
-	// cells is non-nil for a prepareOptimistic cold start (every Hybrid
-	// run; Incremental's runs start from filled tables): ben holds
-	// tightened optimistic upper bounds, and cells[i][j] is the state of
-	// cell (i, j) — seed, bounded or verified (approx.go). A row's cells
-	// and hShrink row are allocated when its first cell surfaces; until
-	// then every cell of the row is a seed. optRefO holds the reference
-	// shrink sizes (site-size quantiles), optQ maps each site to its
-	// reference slice, optL holds the per-row slice hit-ratio drops and
-	// optPenTot the resulting penalty lower-bound totals, maintained
-	// arithmetically as nearest-replica costs move and recomputed
-	// (optSliceRow) when the row itself receives a replica.
+	// cells[i][j] is the state of cell (i, j) — seed, bounded or
+	// verified (hybridheap.go). A row's cells and hShrink row are
+	// allocated when its first cell surfaces; until then every cell of
+	// the row is a seed, and ben holds its tightened optimistic upper
+	// bound. optRefO holds the reference shrink sizes (site-size
+	// quantiles), optQ maps each site to its reference slice, optL holds
+	// the per-row slice hit-ratio drops and optPenTot the resulting
+	// penalty lower-bound totals, maintained arithmetically as
+	// nearest-replica costs and demand move and recomputed (optSliceRow)
+	// when the row's own model state changes.
 	cells     [][]uint8
 	optRefO   []int64
 	optQ      []int
@@ -322,7 +293,7 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 		workers:     normWorkers(cfg.Parallelism, n),
 		n:           n,
 		m:           m,
-		engineLabel: EngineLabel(cfg.Epsilon, false),
+		engineLabel: EngineLabel(false),
 		sites:       make([][]int, n),
 	}
 
@@ -369,23 +340,6 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 		}
 	}
 	return st, nil
-}
-
-// prepareCold fills the benefit matrix and the per-row shrink caches
-// from the empty placement. Only Incremental's capturing cold round
-// uses it: a WarmState needs every row's full table, and filling them
-// up front measured faster than a lazy start plus a final fill.
-func (st *hybridState) prepareCold() {
-	n, m := st.n, st.m
-	st.ben = make([][]float64, n)
-	st.hShrink = make([][]float64, n)
-	fanOutRows(n, st.workers, func(i int) {
-		st.ben[i] = make([]float64, m)
-		st.hShrink[i] = make([]float64, m*m)
-		for j := 0; j < m; j++ {
-			st.ben[i][j] = st.evalBenCached(i, j, st.hShrink[i], true)
-		}
-	})
 }
 
 // hitFn is the model hit ratio the objective is evaluated under.

@@ -419,11 +419,9 @@ func BenchmarkGreedyGlobalPaperScale(b *testing.B) {
 // EXPERIMENTS.md "Scale" and "Hit-ratio model ablation" are this
 // function's output (regenerate line there).
 //
-//   - x1, x2, x4: the §5.1 instance grown by scenario.Scale (x1 is the
-//     paper's N=50, M=20, 2000 objects a site — the benchmark's
-//     offline_place workload), at ε ∈ {0, 1e-3, 1e-2}; cost-delta is the
-//     final predicted cost relative to the same instance's ε = 0 run.
-//     x10 runs ε = 0 only (~12 s a solve on 2 vCPUs).
+//   - x1, x2, x4, x10: the §5.1 instance grown by scenario.Scale (x1 is
+//     the paper's N=50, M=20, 2000 objects a site — the benchmark's
+//     offline_place workload; x10 is one ~12–20 s solve on 2 vCPUs).
 //   - model=*: each analytical hit-ratio model on 8 servers, 8 sites,
 //     L = 2000; cost-delta is relative to eq1's final predicted cost.
 //   - small: the random instance with 50–200 objects a site the oracle
@@ -438,7 +436,7 @@ func BenchmarkHybridCold(b *testing.B) {
 		b.Helper()
 		cfg.Explain = func(e ExplainStep) { verified += e.CellsVerified }
 		shared := lrumodel.NewSharedTable()
-		res, err := hybridSolve(sys, cfg, shared)
+		res, _, err := hybridSolve(sys, cfg, shared)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -469,25 +467,7 @@ func BenchmarkHybridCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			exact := HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}
-			var exactCost float64
-			epss := []float64{0, 1e-3, 1e-2}
-			if factor == 10 {
-				epss = epss[:1]
-			}
-			for _, eps := range epss {
-				cfg := exact
-				cfg.Epsilon = eps
-				b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-					cost := timed(b, sc.Sys, cfg)
-					if eps == 0 {
-						exactCost = cost
-					} else if exactCost == 0 {
-						exactCost = costOf(b, sc.Sys, exact)
-					}
-					b.ReportMetric((cost-exactCost)/exactCost, "cost-delta")
-				})
-			}
+			timed(b, sc.Sys, HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes})
 		})
 	}
 
