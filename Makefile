@@ -34,14 +34,18 @@ race:
 # fuzz-smoke runs the differential fuzz targets for 10 s each: the
 # simulator's request loop (the arena LRU/FIFO against the slice
 # reference, the guided inverse-CDF search against sort.SearchFloat64s),
-# the model's Jensen upper bound against its exact hit ratio, and the
-# hybrid placement heap against its scanning oracle. Minimizing a new
-# corpus entry is capped, or it eats the whole budget.
+# the model's Jensen upper bound against its exact hit ratio, the
+# hybrid placement heap against its scanning oracle, and the two
+# network-facing decoders: the control plane's demand reports and an
+# edge's placement pushes. Minimizing a new corpus entry is capped, or
+# it eats the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzGuideSearch -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
 	$(GO) test -run '^$$' -fuzz FuzzSiteHitUpper -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesOracle -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
+	$(GO) test -run '^$$' -fuzz FuzzReportBatch -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
+	$(GO) test -run '^$$' -fuzz FuzzPlacementPush -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

@@ -46,7 +46,7 @@ func main() {
 	flag.DurationVar(&cfg.EjectFor, "eject-for", 2*time.Second, "tracker backoff window after ejection")
 	flag.Float64Var(&cfg.Hysteresis, "hysteresis", 0, "reconcile hysteresis (<0 disables)")
 	flag.IntVar(&cfg.CooldownRounds, "cooldown", 0, "reconcile cooldown rounds (<0 disables)")
-	flag.StringVar(&cfg.Model, "model", "", "analytical hit-ratio model placement optimizes with: eq1 (default), che, closedform or random")
+	flag.StringVar(&cfg.Model, "model", "", "analytical hit-ratio model placement optimizes with: eq1 (default), che or random")
 	quiet := flag.Bool("quiet", false, "suppress log output")
 	flag.Parse()
 

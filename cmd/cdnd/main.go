@@ -65,7 +65,7 @@ func main() {
 	flag.DurationVar(&opt.hopDelay, "hopdelay", time.Millisecond, "artificial delay per topology hop")
 	flag.Float64Var(&opt.params.CapacityFrac, "capacity", 0.15, "per-edge storage as a fraction of total content bytes")
 	flag.IntVar(&opt.params.Edges, "edges", 6, "number of CDN edge servers")
-	flag.StringVar(&opt.control.Model, "model", "", "analytical hit-ratio model placement and the control loop optimize with: eq1 (default), che, closedform or random")
+	flag.StringVar(&opt.control.Model, "model", "", "analytical hit-ratio model placement and the control loop optimize with: eq1 (default), che or random")
 	flag.StringVar(&opt.control.Addr, "metrics", "", "control plane listen address: /metrics, /debug/vars, /debug/pprof/, /debug/control and /debug/health (default: a free loopback port)")
 	flag.StringVar(&opt.tracePath, "trace", "", "write a JSONL span trace to this file (analyze with cdntrace)")
 	flag.DurationVar(&opt.linger, "linger", 0, "keep the cluster up this long after the run")

@@ -53,7 +53,7 @@ func realMain() int {
 		warmup   = flag.Int("warmup", 0, "override the cache warm-up request count")
 		objects  = flag.Int("objects", 0, "override L, the objects per site")
 		theta    = flag.Float64("theta", 0, "override the Zipf parameter θ")
-		model    = flag.String("model", "", "analytical hit-ratio model the hybrid placement optimizes with: eq1 (default), che, closedform or random")
+		model    = flag.String("model", "", "analytical hit-ratio model the hybrid placement optimizes with: eq1 (default), che or random")
 		plot     = flag.Bool("plot", false, "render CDF panels as ASCII charts instead of tables")
 		tracePth = flag.String("trace", "", "write a per-request JSONL trace of one hybrid run to this file and print a metrics snapshot (skips -figure)")
 		par      = flag.Int("parallelism", 0, "simulator worker count (0 = all cores, 1 = sequential); results are identical at any value")

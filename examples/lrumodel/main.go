@@ -29,7 +29,7 @@ func main() {
 
 	// Unit-sized objects: cache bytes == LRU slots (B = c/ō with ō=1).
 	const maxCache = 4000
-	model := func(specs []repro.SiteSpec) repro.HitModel {
+	model := func(specs []repro.SiteSpec) *repro.HitModel {
 		m, err := repro.NewHitModel(repro.HitModelConfig{
 			Specs: specs, Weights: weights, AvgObjectBytes: 1, MaxCacheBytes: maxCache})
 		if err != nil {

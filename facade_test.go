@@ -36,13 +36,13 @@ func TestFormattersTolerateEmptyInput(t *testing.T) {
 // TestLRUPredictorFacade exercises the stand-alone model entry point the
 // README shows.
 func TestLRUPredictorFacade(t *testing.T) {
-	m, err := NewHitModel(HitModelConfig{
+	cfg := HitModelConfig{
 		Specs:   []SiteSpec{{Objects: 2000, Theta: 1.0}},
-		Weights: []float64{1}, AvgObjectBytes: 1, MaxCacheBytes: 2000})
+		Weights: []float64{1}, AvgObjectBytes: 1, MaxCacheBytes: 2000}
+	pred, err := NewHitModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pred := m.(*LRUPredictor)
 	h := pred.SiteHitRatio(0, 500)
 	if h <= 0 || h >= 1 {
 		t.Fatalf("hit ratio %v", h)
@@ -50,8 +50,13 @@ func TestLRUPredictorFacade(t *testing.T) {
 	if k := pred.K(500); k < 500 {
 		t.Fatalf("K %v below B", k)
 	}
-	if che := pred.CheSiteHitRatio(0, 500); che < h-0.01 {
-		t.Fatalf("Che %v below the paper model %v", che, h)
+	cfg.Kind = "che"
+	che, err := NewHitModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hc := che.SiteHitRatio(0, 500); hc < h-0.01 {
+		t.Fatalf("Che %v below the paper model %v", hc, h)
 	}
 }
 

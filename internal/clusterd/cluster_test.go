@@ -1,6 +1,7 @@
 package clusterd
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/obs"
+	"repro/internal/placement"
 )
 
 // testCluster is a Local deployment that a test's cleanup shuts down.
@@ -445,39 +447,71 @@ func TestClusterBlackholeRestorable(t *testing.T) {
 	}
 }
 
-// TestPlacementVersionGate: replayed or stale pushes must not regress
-// an edge's placement.
+// TestPlacementVersionGate: replayed, reordered or stale pushes must
+// not regress an edge's placement — including a push that lands after
+// the edge pulled a newer version — and a report reply that names a
+// newer version costs exactly one pull.
 func TestPlacementVersionGate(t *testing.T) {
 	params := Params{Edges: 1, Seed: 2, CapacityFrac: 0.2}
-	tc := startCluster(t, params, ControlConfig{Interval: time.Hour})
-	e := tc.Edges[0]
+	// No report ticks: the test flushes by hand, so it can count pulls.
+	tc := startCluster(t, params, ControlConfig{Interval: time.Hour, ReportEvery: time.Hour})
+	cp, e := tc.Control, tc.Edges[0]
 	v := e.PlacementVersion()
 	if v < 1 {
 		t.Fatalf("registered edge at placement v%d", v)
 	}
-
-	// Replay the current document under a stale version: accepted (the
-	// push protocol is idempotent) but ignored.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	var cur PlacementPush
-	if err := getJSON(ctx, http.DefaultClient, tc.Control.URL()+"/cluster/placement", &cur); err != nil {
-		t.Fatal(err)
+	push := func(version int64, doc []byte) {
+		t.Helper()
+		if err := postJSON(ctx, http.DefaultClient, e.URL()+"/admin/placement", PlacementPush{Version: version, Doc: doc}, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	stale := PlacementPush{Version: v - 1, Doc: cur.Doc}
-	if err := postJSON(ctx, http.DefaultClient, e.URL()+"/admin/placement", stale, nil); err != nil {
-		t.Fatal(err)
+	on := func(want []byte, version int64, when string) {
+		t.Helper()
+		if got := e.PlacementVersion(); got != version {
+			t.Fatalf("%s: edge at v%d, want v%d", when, got, version)
+		}
+		if got := placementDoc(t, e.engine.Placement()); !bytes.Equal(got, want) {
+			t.Fatalf("%s: edge holds %s, want %s", when, bytes.TrimSpace(got), bytes.TrimSpace(want))
+		}
 	}
-	if e.PlacementVersion() != v {
-		t.Fatalf("stale push moved version to %d", e.PlacementVersion())
+	sys := cp.sc.Sys
+	cur, _ := cp.Placement()
+	docCur := placementDoc(t, cur)
+	a, b := placement.None(sys).Placement, placement.GreedyGlobal(sys).Placement
+	docA, docB := placementDoc(t, a), placementDoc(t, b)
+	if bytes.Equal(docA, docB) {
+		t.Fatal("the two placements are the same; the test cannot tell them apart")
 	}
-	ahead := PlacementPush{Version: v + 5, Doc: cur.Doc}
-	if err := postJSON(ctx, http.DefaultClient, e.URL()+"/admin/placement", ahead, nil); err != nil {
-		t.Fatal(err)
+
+	// Replay under a stale version: accepted (the push protocol is
+	// idempotent) but ignored.
+	push(v-1, docA)
+	on(docCur, v, "stale replay")
+
+	// Delivered out of order: the older push arrives second.
+	push(v+2, docB)
+	push(v+1, docA)
+	on(docB, v+2, "out-of-order pushes")
+
+	// The control plane moves to v+3 without reaching the edge: the next
+	// report reply names it and the edge pulls it, once.
+	cp.target.mu.Lock()
+	cp.target.p, cp.target.version = a, v+3
+	cp.target.mu.Unlock()
+	pulls := e.pulls.Value()
+	e.flushReport(ctx)
+	on(docA, v+3, "report naming a newer version")
+	e.flushReport(ctx)
+	if got := e.pulls.Value() - pulls; got != 1 {
+		t.Fatalf("%d pulls over two reports, one naming a newer version; want 1", got)
 	}
-	if e.PlacementVersion() != v+5 {
-		t.Fatalf("version %d after push v%d", e.PlacementVersion(), v+5)
-	}
+
+	// The v+2 push the pull overtook arrives late: ignored.
+	push(v+2, docB)
+	on(docA, v+3, "stale push after a newer pull")
 }
 
 // TestLoadStaleLinks drives a run where a quarter of the requests aim

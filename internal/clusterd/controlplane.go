@@ -433,8 +433,12 @@ func (cp *ControlPlane) serveReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, c := range batch.Counts {
-		// ObserveN routes each cell to its owning shard; out-of-range
-		// sites are dropped there, as estimator taps always are.
+		if c.Site < 0 || c.Site >= cp.sc.Sys.M() || c.N < 1 || c.N > MaxReportCount {
+			http.Error(w, fmt.Sprintf("bad count %d for site %d", c.N, c.Site), http.StatusBadRequest)
+			return
+		}
+	}
+	for _, c := range batch.Counts {
 		cp.est.ObserveN(batch.Edge, c.Site, c.N)
 	}
 	cp.reports.Inc()

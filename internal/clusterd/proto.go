@@ -124,9 +124,18 @@ type SiteCount struct {
 	N    int64 `json:"n"`
 }
 
+// MaxReportCount is the largest N one SiteCount may carry: 2^40
+// requests, twelve days of a million requests a second. An edge flushes
+// every few hundred milliseconds, so anything larger is a corrupt or
+// hostile report, and one such count would swamp the demand estimate
+// for dozens of reconcile rounds.
+const MaxReportCount = 1 << 40
+
 // ReportBatch is the body of POST /cluster/report: an edge's per-site
 // request counts since its previous report. The control plane routes
-// each (edge, site) cell to the estimator shard that owns it.
+// each (edge, site) cell to the estimator shard that owns it, and
+// rejects the whole batch with a 400 when a site is outside the catalog
+// or a count outside [1, MaxReportCount].
 type ReportBatch struct {
 	Edge   int         `json:"edge"`
 	Counts []SiteCount `json:"counts"`

@@ -75,8 +75,7 @@ type ReconcileRecord struct {
 	// incremental repair, "lazy" for a cold solve.
 	Engine string `json:"engine,omitempty"`
 	// Model is the hit-ratio model the round's proposal and cost
-	// probes were evaluated under ("eq1", "che", "closedform",
-	// "random").
+	// probes were evaluated under ("eq1", "che", "random").
 	Model string `json:"model,omitempty"`
 	// PlacementMs is the optimizer's wall time within the round — the
 	// number the warm-vs-cold speedup claims are audited against.

@@ -101,9 +101,9 @@ type Config struct {
 	Specs          []lrumodel.SiteSpec
 	AvgObjectBytes float64
 	// Model selects the analytical hit-ratio model every proposal and
-	// cost probe is evaluated under ("eq1", "che", "closedform",
-	// "random"; empty = eq1). Validated by New; the normalized name is
-	// surfaced in Status, Report and the reconcile audit ring.
+	// cost probe is evaluated under ("eq1", "che", "random"; empty =
+	// eq1). Validated by New; the normalized name is surfaced in Status,
+	// Report and the reconcile audit ring.
 	Model string
 	// Target is the deployment to re-place.
 	Target Target

@@ -27,6 +27,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -147,13 +148,34 @@ func NewEstimator(cfg EstimatorConfig) (*Estimator, error) {
 // indices are dropped (a tap must never crash the serving path).
 func (e *Estimator) Observe(server, site int) { e.ObserveN(server, site, 1) }
 
-// ObserveN records k requests at once (batch feeds, tests).
+// ObserveN records k requests at once (batch feeds, tests). Counts
+// saturate at math.MaxInt64 instead of wrapping, so no feed can turn a
+// window, the estimate or Observed negative.
 func (e *Estimator) ObserveN(server, site int, k int64) {
 	if server < 0 || server >= e.n || site < 0 || site >= e.m || k <= 0 {
 		return
 	}
-	e.counts[server*e.m+site].Add(k)
-	e.observe.Add(k)
+	addSat(&e.counts[server*e.m+site], k)
+	addSat(&e.observe, k)
+}
+
+// satAdd returns a+b for non-negative a and b, or math.MaxInt64 where
+// the sum overflows.
+func satAdd(a, b int64) int64 {
+	if s := a + b; s >= a {
+		return s
+	}
+	return math.MaxInt64
+}
+
+// addSat atomically adds k ≥ 0 to c, saturating like satAdd.
+func addSat(c *atomic.Int64, k int64) {
+	for {
+		old := c.Load()
+		if c.CompareAndSwap(old, satAdd(old, k)) {
+			return
+		}
+	}
 }
 
 // Observed returns the total requests ever observed.
@@ -174,8 +196,8 @@ func (e *Estimator) Roll() int64 {
 	}
 	for c := range e.counts {
 		v := e.counts[c].Swap(0)
-		total += v
-		e.siteTot[c%e.m] += v
+		total = satAdd(total, v)
+		e.siteTot[c%e.m] = satAdd(e.siteTot[c%e.m], v)
 		if first {
 			e.rates[c] = float64(v)
 		} else {

@@ -114,6 +114,60 @@ func TestEstimatorDropsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestEstimatorSaturates feeds one cell a count at the int64 limit and
+// then one more request. The counters must stop at the limit instead of
+// wrapping negative, and the estimate must keep reporting a signal while
+// ordinary traffic follows.
+func TestEstimatorSaturates(t *testing.T) {
+	for _, sharded := range []bool{false, true} {
+		var est interface {
+			ObserveN(server, site int, k int64)
+			Roll() int64
+			Observed() int64
+			Demand() ([][]float64, bool)
+		}
+		cfg := EstimatorConfig{Servers: 2, Sites: 2}
+		var err error
+		if sharded {
+			est, err = NewShardedEstimator(cfg, 3, 0)
+		} else {
+			est, err = NewEstimator(cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		est.ObserveN(0, 0, math.MaxInt64)
+		est.ObserveN(0, 0, 1)
+		est.ObserveN(1, 1, math.MaxInt64)
+		if got := est.Observed(); got != math.MaxInt64 {
+			t.Fatalf("sharded=%v: Observed() = %d after overflowing feeds, want MaxInt64", sharded, got)
+		}
+		if got := est.Roll(); got != math.MaxInt64 {
+			t.Fatalf("sharded=%v: window total %d, want MaxInt64", sharded, got)
+		}
+		for r := 0; r < 80; r++ {
+			d, ok := est.Demand()
+			if !ok {
+				t.Fatalf("sharded=%v, roll %d: no demand signal", sharded, r)
+			}
+			for i := range d {
+				for j, v := range d[i] {
+					if !(v >= 0 && v <= 1) {
+						t.Fatalf("sharded=%v, roll %d: demand[%d][%d] = %v", sharded, r, i, j, v)
+					}
+				}
+			}
+			est.ObserveN(1, 0, 100)
+			if got := est.Roll(); got != 100 {
+				t.Fatalf("sharded=%v, roll %d: window total %d, want 100", sharded, r, got)
+			}
+		}
+		if got := est.Observed(); got != math.MaxInt64 {
+			t.Fatalf("sharded=%v: Observed() = %d, want MaxInt64", sharded, got)
+		}
+	}
+}
+
 func TestEstimatorConcurrentObserve(t *testing.T) {
 	e, err := NewEstimator(EstimatorConfig{Servers: 4, Sites: 4})
 	if err != nil {

@@ -139,7 +139,7 @@ func (s *ShardedEstimator) ObserveN(edge, site int, k int64) {
 func (s *ShardedEstimator) Roll() int64 {
 	var total int64
 	for _, sh := range s.shards {
-		total += sh.Roll()
+		total = satAdd(total, sh.Roll())
 	}
 	return total
 }
@@ -148,7 +148,7 @@ func (s *ShardedEstimator) Roll() int64 {
 func (s *ShardedEstimator) Observed() int64 {
 	var total int64
 	for _, sh := range s.shards {
-		total += sh.Observed()
+		total = satAdd(total, sh.Observed())
 	}
 	return total
 }
@@ -216,7 +216,7 @@ func (s *ShardedEstimator) WindowTotals() []int64 {
 			out = grown
 		}
 		for k := 0; k < len(w); k++ {
-			out[len(out)-len(w)+k] += w[k]
+			out[len(out)-len(w)+k] = satAdd(out[len(out)-len(w)+k], w[k])
 		}
 	}
 	return out

@@ -70,7 +70,7 @@ type Options struct {
 	// TraceSeed drives request sampling (identical across mechanisms).
 	TraceSeed uint64
 	// Model selects the analytical hit-ratio model the hybrid placement
-	// optimizes with ("eq1", "che", "closedform", "random"); empty means
+	// optimizes with ("eq1", "che", "random"); empty means
 	// eq1, the paper's own model.
 	Model string
 }

@@ -17,11 +17,10 @@ import (
 
 // ModelCompareRow is one cache size of the model-comparison sweep.
 type ModelCompareRow struct {
-	Slots   int
-	PaperH  float64 // Equations (1)+(2)
-	CheH    float64 // Che's characteristic-time approximation
-	ClosedH float64 // Laoutaris closed-form evaluation
-	SimH    float64 // trace-driven LRU ground truth
+	Slots  int
+	PaperH float64 // Equations (1)+(2)
+	CheH   float64 // Che's characteristic-time approximation
+	SimH   float64 // trace-driven LRU ground truth
 }
 
 // modelSweepInputs collapses the configured site mix onto one shared
@@ -42,17 +41,16 @@ func modelSweepInputs(opts Options) ([]lrumodel.SiteSpec, []float64, int, error)
 }
 
 // ModelComparison sweeps a single shared LRU cache over sizes and
-// compares the analytical hit-ratio models — the paper's Equations (1)
-// and (2), Che's characteristic-time approximation and the Laoutaris
-// closed form — against a trace-driven simulation, a model ablation the
-// paper does not run.
+// compares the analytical LRU hit-ratio models — the paper's Equations
+// (1) and (2) and Che's characteristic-time approximation — against a
+// trace-driven simulation, a model ablation the paper does not run.
 func ModelComparison(ctx context.Context, opts Options, slotFracs []float64) ([]ModelCompareRow, error) {
 	specs, weights, totalObjects, err := modelSweepInputs(opts)
 	if err != nil {
 		return nil, err
 	}
-	kinds := []lrumodel.ModelKind{lrumodel.ModelEq1, lrumodel.ModelChe, lrumodel.ModelClosedForm}
-	models := make([]lrumodel.Model, len(kinds))
+	kinds := []lrumodel.ModelKind{lrumodel.ModelEq1, lrumodel.ModelChe}
+	models := make([]*lrumodel.Predictor, len(kinds))
 	for ki, kind := range kinds {
 		models[ki], err = lrumodel.New(lrumodel.ModelConfig{
 			Kind:           kind,
@@ -75,10 +73,9 @@ func ModelComparison(ctx context.Context, opts Options, slotFracs []float64) ([]
 			slots = 1
 		}
 		rows[fi] = ModelCompareRow{
-			Slots:   slots,
-			PaperH:  models[0].OverallHitRatio(int64(slots)),
-			CheH:    models[1].OverallHitRatio(int64(slots)),
-			ClosedH: models[2].OverallHitRatio(int64(slots)),
+			Slots:  slots,
+			PaperH: models[0].OverallHitRatio(int64(slots)),
+			CheH:   models[1].OverallHitRatio(int64(slots)),
 		}
 	}
 	err = parallelFor(len(slotFracs), func(fi int) error {
@@ -137,12 +134,11 @@ func simulateShared(policy cache.Policy, specs []lrumodel.SiteSpec, weights []fl
 // FormatModelCompareRows renders the model-comparison sweep.
 func FormatModelCompareRows(rows []ModelCompareRow) string {
 	var b strings.Builder
-	b.WriteString("Model ablation — Eq.(1)+(2) vs Che vs closed form vs simulated LRU\n")
-	b.WriteString("slots B     paper-h      che-h   closed-h      sim-h   paper-err    che-err  closed-err\n")
+	b.WriteString("Model ablation — Eq.(1)+(2) vs Che vs simulated LRU\n")
+	b.WriteString("slots B     paper-h      che-h      sim-h   paper-err    che-err\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-9d %9.4f %10.4f %10.4f %10.4f %+11.4f %+10.4f %+11.4f\n",
-			r.Slots, r.PaperH, r.CheH, r.ClosedH, r.SimH,
-			r.PaperH-r.SimH, r.CheH-r.SimH, r.ClosedH-r.SimH)
+		fmt.Fprintf(&b, "%-9d %9.4f %10.4f %10.4f %+11.4f %+10.4f\n",
+			r.Slots, r.PaperH, r.CheH, r.SimH, r.PaperH-r.SimH, r.CheH-r.SimH)
 	}
 	return b.String()
 }

@@ -22,22 +22,36 @@ import "math"
 // place of the Equation (2) K.
 
 // cheLaw plugs Che's approximation into the Predictor machinery as a
-// selectable ModelKind: KForB memoizes the bisection per B, and the
-// grid evaluation reuses the Equation (1) structural form with T_C in
-// place of K. The standalone Che* methods below remain unmemoized for
-// the validation tooling.
-type cheLaw struct{}
+// selectable ModelKind: KForB memoizes the bisection per B, and the grid
+// evaluation and its bound are eq1's, with T_C in place of K.
+type cheLaw struct{ eq1Law }
 
 func (cheLaw) charTime(p *Predictor, B int) float64 { return p.CheK(B) }
-func (cheLaw) siteHit(p *Predictor, j int, pSite, K float64) float64 {
-	return hitRatioExact(pSite, p.zipfs[j], K)
-}
 
 // CheK computes the characteristic time T_C for the predictor's merged
-// object population and a cache of B slots, by bisection on the
-// monotone occupancy function. It returns +Inf when B covers every
-// object with positive probability.
+// object population and a cache of B slots. It returns +Inf when B
+// covers every object with positive probability.
 func (p *Predictor) CheK(B int) float64 {
+	return p.occupancyTime(B, func(T float64) float64 {
+		total := 0.0
+		for j := range p.specs {
+			if p.pops[j] == 0 {
+				continue
+			}
+			for _, q := range p.zipfs[j].PMFs() {
+				total += hitProb(p.pops[j]*q, T)
+			}
+		}
+		return total
+	})
+}
+
+// occupancyTime solves occupied(T) = B for the characteristic time T by
+// bisection, where occupied is a law's expected number of distinct
+// cached objects, increasing in T from 0 to the number of objects with
+// positive request probability. It returns 0 for an empty cache and +Inf
+// when B covers every such object.
+func (p *Predictor) occupancyTime(B int, occupied func(T float64) float64) float64 {
 	if B <= 0 {
 		return 0
 	}
@@ -50,19 +64,6 @@ func (p *Predictor) CheK(B int) float64 {
 	if B >= positive {
 		return math.Inf(1)
 	}
-	occupied := func(T float64) float64 {
-		total := 0.0
-		for j := range p.specs {
-			if p.pops[j] == 0 {
-				continue
-			}
-			for _, q := range p.zipfs[j].PMFs() {
-				total += hitProb(p.pops[j]*q, T)
-			}
-		}
-		return total
-	}
-	// Bracket T: occupancy is increasing in T from 0 to `positive`.
 	lo, hi := 0.0, float64(B)
 	for occupied(hi) < float64(B) {
 		hi *= 2
@@ -79,24 +80,4 @@ func (p *Predictor) CheK(B int) float64 {
 		}
 	}
 	return (lo + hi) / 2
-}
-
-// CheSiteHitRatio predicts site j's hit ratio with Che's approximation
-// at the given cache size, λ-adjusted like SiteHitRatio. Results are not
-// memoized: the experiment code calls it once per configuration.
-func (p *Predictor) CheSiteHitRatio(j int, cacheBytes int64) float64 {
-	T := p.CheK(p.B(cacheBytes))
-	h := hitRatioExact(p.pops[j], p.zipfs[j], T)
-	return h * (1 - p.specs[j].Lambda)
-}
-
-// CheOverallHitRatio is the request-weighted Che prediction across all
-// sites.
-func (p *Predictor) CheOverallHitRatio(cacheBytes int64) float64 {
-	T := p.CheK(p.B(cacheBytes))
-	total := 0.0
-	for j := range p.specs {
-		total += p.pops[j] * hitRatioExact(p.pops[j], p.zipfs[j], T) * (1 - p.specs[j].Lambda)
-	}
-	return total
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // This file is the package's one evaluation of (1−x)^K, the factor of
-// Equation (1) that every LRU-shaped law (eq1, che, the closed form's
-// exact head) spends its time in. It is computed as exp(K·log1p(−x)):
-// that is exact in x — math.Pow(1−x, K) first rounds 1−x, an error the
+// Equation (1) that both LRU laws (eq1 and che) spend their time in. It
+// is computed as exp(K·log1p(−x)): that is exact in x — math.Pow(1−x, K) first rounds 1−x, an error the
 // exponent then multiplies by K — and it lets both halves be cheap over
 // a site's PMF, where x = p·q_k falls with the rank k:
 //

@@ -71,8 +71,12 @@ const DefaultPStep = 1e-5
 // characteristic-time and hit-ratio mathematics, while the quantized
 // memo grid, the frozen popularity prefix and the shared table are
 // common machinery. Build one with New; the zero-value kind is eq1.
+// Every hit-ratio method returns the model's value except
+// SiteHitRatioCondUpper, a proven upper bound for cheap screening.
 //
-// A Predictor is not safe for concurrent use.
+// A Predictor is not safe for concurrent use; the placement engines
+// keep one per server and fan a batch's evaluations out through
+// SiteHitRatiosCond.
 type Predictor struct {
 	kind ModelKind
 	law  law
@@ -91,9 +95,6 @@ type Predictor struct {
 	pStep float64
 	kmemo map[int]float64  // B -> K
 	hmemo map[hKey]float64 // (quantized p, quantized K) -> unadjusted hit ratio per site
-	// kPeak is the closed-form law's running-maximum state, extended on
-	// demand (closedformLaw.charTime); other laws leave it nil.
-	kPeak []float64
 
 	totalObjects int          // Σ_j Objects, frozen at construction
 	shared       *SharedTable // optional cross-predictor memo (may be nil)
@@ -415,9 +416,9 @@ func (p *Predictor) TopMass(B int) float64 {
 }
 
 // K evaluates the model's characteristic time for the cache size in
-// bytes — Equation (2) for eq1, Che's T_C, the RANDOM/FIFO T, or the
-// closed-form K. It returns 0 for an empty cache and +Inf when every
-// object fits (the cache never evicts). Results are memoized per B.
+// bytes — Equation (2) for eq1, Che's T_C or the RANDOM/FIFO T. It
+// returns 0 for an empty cache and +Inf when every object fits (the
+// cache never evicts). Results are memoized per B.
 func (p *Predictor) K(cacheBytes int64) float64 {
 	return p.KForB(p.B(cacheBytes))
 }
@@ -481,12 +482,6 @@ func (p *Predictor) SiteHitRatioCond(j int, visibleMass float64, cacheBytes int6
 		return 0
 	}
 	return p.siteHitRatioK(j, visibleMass, p.K(cacheBytes))
-}
-
-// SiteHitRatioForK is SiteHitRatio with an explicit K (used by the
-// validation tooling to probe the model surface directly).
-func (p *Predictor) SiteHitRatioForK(j int, K float64) float64 {
-	return p.siteHitRatioK(j, 1, K)
 }
 
 // gridKey quantizes site j's effective popularity over visibleMass and

@@ -13,16 +13,16 @@ func singleSite(L int, theta, lambda float64) ([]SiteSpec, []float64) {
 	return []SiteSpec{{Objects: L, Theta: theta, Lambda: lambda}}, []float64{1}
 }
 
-// newEq1 is New for the eq1 kind, as the *Predictor the tests look
-// inside; a nil shared table gives the predictor a private one.
+// newEq1 is New for the eq1 kind; a nil shared table gives the
+// predictor a private one.
 func newEq1(tb testing.TB, specs []SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *SharedTable) *Predictor {
 	tb.Helper()
-	m, err := New(ModelConfig{Specs: specs, Weights: weights, AvgObjectBytes: avgObjBytes,
+	p, err := New(ModelConfig{Specs: specs, Weights: weights, AvgObjectBytes: avgObjBytes,
 		MaxCacheBytes: maxCacheBytes, Shared: shared})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return m.(*Predictor)
+	return p
 }
 
 func TestKApproxEdgeCases(t *testing.T) {

@@ -1,7 +1,6 @@
 package lrumodel
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -18,15 +17,18 @@ func TestParseModelKind(t *testing.T) {
 			t.Fatalf("ParseModelKind(%q) = %v, %v", kind, k, err)
 		}
 	}
-	_, err := ParseModelKind("lfu")
-	if err == nil {
-		t.Fatal("ParseModelKind(\"lfu\") succeeded")
-	}
-	// CLIs surface this message verbatim from flag validation: it must
-	// name the offender and list every valid kind.
-	for _, want := range []string{`"lfu"`, "eq1", "che", "closedform", "random"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
+	// The Laoutaris closed form is not a kind.
+	for _, bad := range []string{"lfu", "closedform"} {
+		_, err := ParseModelKind(bad)
+		if err == nil {
+			t.Fatalf("ParseModelKind(%q) succeeded", bad)
+		}
+		// CLIs surface this message verbatim from flag validation: it
+		// must name the offender and list every valid kind.
+		for _, want := range []string{`"` + bad + `"`, "valid: eq1, che, random)"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q missing %q", err, want)
+			}
 		}
 	}
 }
@@ -98,10 +100,9 @@ func TestSharedTableIsolatesKinds(t *testing.T) {
 }
 
 // TestModelsOrderedBySkewSensitivity spot-checks the cross-model
-// ordering at one operating point: all four kinds must produce a
-// plausible hit ratio (0 < h < 1) for a mid-size cache, and eq1 must
-// stay within a few points of closedform while che/random are free to
-// differ (they model different mathematics/policies).
+// ordering at one operating point: every kind must produce a plausible
+// hit ratio (0 < h < 1) for a mid-size cache, and the RANDOM/FIFO law
+// must not beat Che's LRU.
 func TestModelsOrderedBySkewSensitivity(t *testing.T) {
 	specs, w := singleSite(1000, 1.0, 0)
 	h := map[ModelKind]float64{}
@@ -117,9 +118,6 @@ func TestModelsOrderedBySkewSensitivity(t *testing.T) {
 		}
 		h[kind] = v
 	}
-	if d := math.Abs(h[ModelEq1] - h[ModelClosedForm]); d > 0.005 {
-		t.Fatalf("eq1 %v vs closedform %v differ by %v", h[ModelEq1], h[ModelClosedForm], d)
-	}
 	if h[ModelRandom] > h[ModelChe]+0.01 {
 		t.Fatalf("random %v above Che LRU %v", h[ModelRandom], h[ModelChe])
 	}
@@ -127,10 +125,9 @@ func TestModelsOrderedBySkewSensitivity(t *testing.T) {
 
 // TestKMonotoneInBEveryModel: under every kind, a larger cache never has
 // a shorter characteristic time, on small skewed catalogs where one
-// object can carry most of a server's traffic — the corner where the
-// closed form's midpoint rule saturates to +Inf a slot or two before the
-// cache holds every requested object, and would come back finite a slot
-// later. The placement's seeded bounds rest on this monotonicity.
+// object can carry most of a server's traffic and the cache saturates a
+// slot or two before it holds every requested object. The placement's
+// seeded bounds rest on this monotonicity.
 func TestKMonotoneInBEveryModel(t *testing.T) {
 	r := xrand.New(3)
 	for trial := 0; trial < 300; trial++ {

@@ -21,9 +21,9 @@ import (
 //
 // Structurally this mirrors Che's LRU approximation with the
 // exponential 1-(1-q)^T replaced by the RANDOM stationary probability;
-// the same bisection bracket applies because occupancy is monotone
-// increasing in T. This lets the hybrid placement optimize fleets
-// running the FIFO/RANDOM cache variants in internal/cache.
+// the same bisection (occupancyTime) applies because occupancy is
+// monotone increasing in T. This lets the hybrid placement optimize
+// fleets running the FIFO/RANDOM cache variants in internal/cache.
 
 // randomLaw is the ModelRandom strategy.
 type randomLaw struct{}
@@ -33,52 +33,23 @@ func (randomLaw) siteHit(p *Predictor, j int, pSite, K float64) float64 {
 	return randomSiteHit(pSite, p.zipfs[j], K)
 }
 
-// randomT solves the RANDOM/FIFO occupancy equation for T by bisection
-// over the predictor's merged object population. It returns +Inf when
-// B covers every object with positive request probability.
+// randomT solves the RANDOM/FIFO occupancy equation for T over the
+// predictor's merged object population. It returns +Inf when B covers
+// every object with positive request probability.
 func (p *Predictor) randomT(B int) float64 {
-	if B <= 0 {
-		return 0
-	}
-	positive := 0
-	for j := range p.specs {
-		if p.pops[j] > 0 {
-			positive += p.specs[j].Objects
-		}
-	}
-	if B >= positive {
-		return math.Inf(1)
-	}
-	occupied := func(T float64) float64 {
+	return p.occupancyTime(B, func(T float64) float64 {
 		total := 0.0
 		for j := range p.specs {
 			if p.pops[j] == 0 {
 				continue
 			}
-			z := p.zipfs[j]
-			for k := 1; k <= z.L; k++ {
-				q := p.pops[j] * z.PMF(k)
+			for _, pmf := range p.zipfs[j].PMFs() {
+				q := p.pops[j] * pmf
 				total += q * T / (1 + q*T)
 			}
 		}
 		return total
-	}
-	lo, hi := 0.0, float64(B)
-	for occupied(hi) < float64(B) {
-		hi *= 2
-		if hi > 1e15 {
-			return math.Inf(1)
-		}
-	}
-	for iter := 0; iter < 200 && hi-lo > 1e-6*hi; iter++ {
-		mid := (lo + hi) / 2
-		if occupied(mid) < float64(B) {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
+	})
 }
 
 // randomSiteHit is the per-site RANDOM/FIFO hit ratio: the stationary

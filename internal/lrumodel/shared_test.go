@@ -183,12 +183,12 @@ func TestSiteHitRatiosCondMatchesSingle(t *testing.T) {
 			}
 			weights := []float64{1, 1, 1, 2, 3}
 			build := func() *Predictor {
-				m, err := New(ModelConfig{Kind: kind, Specs: specs, Weights: weights,
+				p, err := New(ModelConfig{Kind: kind, Specs: specs, Weights: weights,
 					AvgObjectBytes: 1, MaxCacheBytes: 1000, Shared: NewSharedTable()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return m.(*Predictor)
+				return p
 			}
 			batch, single := build(), build()
 			out := make([]float64, len(specs))

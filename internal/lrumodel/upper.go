@@ -22,7 +22,7 @@ import "math"
 // and summing over blocks bounds h — a theorem, not a measured envelope.
 // 1 − (1−x)^K is concave on [0, 1] for K ≥ 1 (below, the eq1 and che
 // bounds return the exact value), and xT/(1+xT) is concave for every
-// T ≥ 0. The closed form is already O(1) in L; its bound is its value.
+// T ≥ 0.
 //
 // The gap is the within-block curvature: a block whose largest PMF is
 // at most jensenBlockRatio times its smallest keeps its x within a
@@ -93,21 +93,14 @@ func jensenUpper(blocks []zipfBlock, L int, g func(q float64) float64) float64 {
 	return h * (1 + float64(2*(L+8))*0x1p-53)
 }
 
-// lruHitUpper bounds hitRatioExact for site j: the Jensen sum for
-// K ≥ 1, the exact value below (where g is convex) and at the edges.
-func lruHitUpper(p *Predictor, j int, pSite, K float64) float64 {
+// siteHitUpper bounds hitRatioExact for site j (eq1 and che): the
+// Jensen sum for K ≥ 1, the exact value below (where g is convex) and at
+// the edges.
+func (eq1Law) siteHitUpper(p *Predictor, j int, pSite, K float64) float64 {
 	if !(K >= 1 && pSite > 0) {
 		return hitRatioExact(pSite, p.zipfs[j], K)
 	}
 	return jensenUpper(p.blocks[j], p.zipfs[j].L, func(q float64) float64 { return hitProb(pSite*q, K) })
-}
-
-func (eq1Law) siteHitUpper(p *Predictor, j int, pSite, K float64) float64 {
-	return lruHitUpper(p, j, pSite, K)
-}
-
-func (cheLaw) siteHitUpper(p *Predictor, j int, pSite, K float64) float64 {
-	return lruHitUpper(p, j, pSite, K)
 }
 
 func (randomLaw) siteHitUpper(p *Predictor, j int, pSite, T float64) float64 {
@@ -118,10 +111,6 @@ func (randomLaw) siteHitUpper(p *Predictor, j int, pSite, T float64) float64 {
 		x := pSite * q * T
 		return x / (1 + x)
 	})
-}
-
-func (l closedformLaw) siteHitUpper(p *Predictor, j int, pSite, K float64) float64 {
-	return l.siteHit(p, j, pSite, K)
 }
 
 // SiteHitRatioCondUpper is an upper bound on SiteHitRatioCond(j,

@@ -24,14 +24,14 @@ const upperTightFuzz = 3e-3
 func upperPredictor(tb testing.TB, kind ModelKind, L int, theta float64, off int, lambda float64, shared *SharedTable) *Predictor {
 	tb.Helper()
 	spec := SiteSpec{Objects: L, Theta: theta, Lambda: lambda, RankOffset: off}
-	m, err := New(ModelConfig{
+	p, err := New(ModelConfig{
 		Kind: kind, Specs: []SiteSpec{spec, spec}, Weights: []float64{1, 3},
 		AvgObjectBytes: 1, MaxCacheBytes: int64(2 * L), Shared: shared,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return m.(*Predictor)
+	return p
 }
 
 // checkUpper holds site 0's bound at one (p, K) point to its contract —
@@ -55,14 +55,13 @@ func checkUpper(tb testing.TB, pr *Predictor, pSite, K, tol float64) float64 {
 	return (upper - exact) / exact
 }
 
-// tightKind reports whether kind's bound is a Jensen sum held to a
-// tightness tolerance on a site of L objects and exponent θ. The closed form's
-// bound is its value, and small catalogs are not pinned. Nor are steeper
-// exponents: at θ = 2 the head's blocks hold two or three ranks at
-// nearly the full ratio apart, the most spread a block can have, and
-// they carry most of the mass (2.2e-3 seen).
-func tightKind(kind ModelKind, L int, theta float64) bool {
-	return kind != ModelClosedForm && L >= 200 && theta <= 1.2
+// tight reports whether the Jensen bound is held to a tightness
+// tolerance on a site of L objects and exponent θ. Small catalogs are
+// not pinned. Nor are steeper exponents: at θ = 2 the head's blocks hold
+// two or three ranks at nearly the full ratio apart, the most spread a
+// block can have, and they carry most of the mass (2.2e-3 seen).
+func tight(L int, theta float64) bool {
+	return L >= 200 && theta <= 1.2
 }
 
 // TestSiteHitUpperBound is the contract the placement's seeds rest on:
@@ -89,12 +88,12 @@ func TestSiteHitUpperBound(t *testing.T) {
 							for _, p := range ps {
 								for _, K := range Ks {
 									tol := 0.0
-									if tightKind(kind, L, theta) {
+									if tight(L, theta) {
 										tol = upperTight
 									}
 									rel := checkUpper(t, pr, p, K, tol)
 									under[kind] = math.Min(under[kind], rel)
-									if tightKind(kind, L, theta) {
+									if tight(L, theta) {
 										over[kind] = math.Max(over[kind], rel)
 									}
 								}
@@ -157,7 +156,7 @@ func FuzzSiteHitUpper(f *testing.F) {
 		theta := []float64{0, 0.6, 1, 1.2, 1.4, 2}[thetaIdx%6]
 		pr := upperPredictor(t, kind, int(L), theta, int(off%1000), 0, nil)
 		tol := 0.0
-		if tightKind(kind, int(L), theta) {
+		if tight(int(L), theta) {
 			tol = upperTightFuzz
 		}
 		checkUpper(t, pr, p, K, tol)

@@ -136,9 +136,6 @@ func (h *Histogram) Mean() float64 {
 	return h.Sum() / float64(n)
 }
 
-// Bounds returns the bucket upper bounds (without the implicit +Inf).
-func (h *Histogram) Bounds() []float64 { return append([]float64(nil), h.bounds...) }
-
 // BucketCounts returns a snapshot of the per-bucket (non-cumulative)
 // counts; the last entry is the +Inf overflow bucket.
 func (h *Histogram) BucketCounts() []int64 {

@@ -217,12 +217,6 @@ func ReadTrace(r io.Reader) (events []Event, spans []Span, err error) {
 	}
 }
 
-// ReadSpans parses only the spans out of a mixed JSONL stream.
-func ReadSpans(r io.Reader) ([]Span, error) {
-	_, spans, err := ReadTrace(r)
-	return spans, err
-}
-
 // ValidateSpan reports a schema violation in one span record, or nil.
 // cmd/cdntrace -check runs every record through it.
 func ValidateSpan(s Span) error {

@@ -49,16 +49,3 @@ func Diff(old, new *core.Placement) DiffResult {
 	}
 	return d
 }
-
-// HybridWithDemand re-runs the hybrid algorithm against fresh demand on
-// an unchanged deployment: base supplies the costs, capacities and site
-// sizes; demand replaces base.Demand. This is the re-placement entry
-// point of the online control loop, which estimates demand from the
-// live request stream and cannot touch the topology.
-func HybridWithDemand(base *core.System, demand [][]float64, cfg HybridConfig) (*Result, error) {
-	sys, err := base.WithDemand(demand)
-	if err != nil {
-		return nil, err
-	}
-	return Hybrid(sys, cfg)
-}

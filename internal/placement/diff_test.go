@@ -58,43 +58,6 @@ func TestDiffCreatedDroppedPartition(t *testing.T) {
 	}
 }
 
-func TestHybridWithDemandMatchesDirectRun(t *testing.T) {
-	sys, specs := randomSystem(xrand.New(11), 8, 6, 0.3)
-	cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1}
-
-	direct, err := Hybrid(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun, err := HybridWithDemand(sys, sys.Demand, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Diff(direct.Placement, rerun.Placement).Empty() {
-		t.Fatal("HybridWithDemand with identical demand diverged from Hybrid")
-	}
-	if rerun.PredictedCost != direct.PredictedCost {
-		t.Fatalf("cost %v vs %v", rerun.PredictedCost, direct.PredictedCost)
-	}
-
-	// Concentrating all demand on one site must change the placement
-	// through the rerun entry point.
-	skew := make([][]float64, sys.N())
-	for i := range skew {
-		skew[i] = make([]float64, sys.M())
-		skew[i][0] = 1 / float64(sys.N())
-	}
-	skewed, err := HybridWithDemand(sys, skew, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range Diff(direct.Placement, skewed.Placement).Created {
-		if r.Site != 0 {
-			t.Fatalf("skewed rerun created replica of site %d", r.Site)
-		}
-	}
-}
-
 func TestRebuildOnPreservesReplicaSet(t *testing.T) {
 	sys, _ := randomSystem(xrand.New(5), 6, 5, 0.4)
 	p := GreedyGlobal(sys).Placement

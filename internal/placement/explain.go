@@ -30,7 +30,7 @@ type ExplainStep struct {
 	// "warm" (see EngineLabel).
 	Engine string `json:"engine,omitempty"`
 	// Model labels the analytical hit-ratio model the benefit terms
-	// were evaluated under ("eq1", "che", "closedform", "random";
+	// were evaluated under ("eq1", "che", "random";
 	// empty for the model-free greedy engines).
 	Model string `json:"model,omitempty"`
 	// CellsBounded counts seed cells re-keyed at their own Jensen slice

@@ -151,7 +151,7 @@ func requireSeedsBound(t *testing.T, st *hybridState, steps int) int {
 // value its row's live penalty totals give. exactPreds are the run's
 // model state in predictors of their own, so checking writes no memo
 // entry the run would read.
-func requireCellsBound(t *testing.T, st *hybridState, exactPreds []lrumodel.Model, seeds bool, when string) int {
+func requireCellsBound(t *testing.T, st *hybridState, exactPreds []*lrumodel.Predictor, seeds bool, when string) int {
 	t.Helper()
 	sys, p := st.sys, st.p
 	checked := 0
@@ -179,8 +179,8 @@ func requireCellsBound(t *testing.T, st *hybridState, exactPreds []lrumodel.Mode
 }
 
 // modelsFor builds one private predictor per row of demand.
-func modelsFor(st *hybridState, cfg HybridConfig, demand [][]float64) []lrumodel.Model {
-	preds := make([]lrumodel.Model, st.n)
+func modelsFor(st *hybridState, cfg HybridConfig, demand [][]float64) []*lrumodel.Predictor {
+	preds := make([]*lrumodel.Predictor, st.n)
 	for i := range preds {
 		preds[i] = mustModel(st.model, cfg.Specs, demand[i], cfg.AvgObjectBytes, st.sys.Capacity[i], nil)
 	}

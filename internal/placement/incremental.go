@@ -300,7 +300,7 @@ func repairState(prev *WarmState, sys *core.System, cfg HybridConfig, dirty []bo
 // mustModel builds a model for one server row, panicking on invalid
 // input — the warm paths only rebuild rows for configurations a cold
 // run has already validated, so an error here is a programming bug.
-func mustModel(kind lrumodel.ModelKind, specs []lrumodel.SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *lrumodel.SharedTable) lrumodel.Model {
+func mustModel(kind lrumodel.ModelKind, specs []lrumodel.SiteSpec, weights []float64, avgObjBytes float64, maxCacheBytes int64, shared *lrumodel.SharedTable) *lrumodel.Predictor {
 	m, err := lrumodel.New(lrumodel.ModelConfig{
 		Kind:           kind,
 		Specs:          specs,

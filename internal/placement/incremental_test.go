@@ -15,7 +15,7 @@ import (
 func hybridReference(sys *core.System, specs []lrumodel.SiteSpec, avgObj float64) []Step {
 	n, m := sys.N(), sys.M()
 	p := core.NewPlacement(sys)
-	preds := make([]lrumodel.Model, n)
+	preds := make([]*lrumodel.Predictor, n)
 	h := make([][]float64, n)
 	visMass := make([]float64, n)
 	for i := 0; i < n; i++ {

@@ -209,7 +209,7 @@ func fuzzInstance(data []byte) (*core.System, HybridConfig) {
 	}
 	cfg := HybridConfig{
 		Specs: specsFor(siteObjects, 1.0, 0), AvgObjectBytes: 1,
-		Model: string(kinds[mode%len(kinds)]), Parallelism: []int{1, 2, 4}[(mode>>2&3)%3],
+		Model: string(kinds[(mode&3)%len(kinds)]), Parallelism: []int{1, 2, 4}[(mode>>2&3)%3],
 	}
 	if mode&0x80 != 0 {
 		cfg.UpdateRates = make([]float64, m)

@@ -103,7 +103,7 @@ func hybridScan(st *hybridState) *Result {
 }
 
 // hybridBenefit evaluates lines 9–17 of Figure 2 for candidate (i, j).
-func hybridBenefit(sys *core.System, p *core.Placement, preds []lrumodel.Model, h [][]float64, visMass []float64, i, j int) float64 {
+func hybridBenefit(sys *core.System, p *core.Placement, preds []*lrumodel.Predictor, h [][]float64, visMass []float64, i, j int) float64 {
 	// Line 9: local benefit — the cache was already absorbing h of the
 	// redirected requests.
 	b := (1 - h[i][j]) * sys.Demand[i][j] * p.NearestCost(i, j)

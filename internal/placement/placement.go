@@ -155,8 +155,8 @@ type HybridConfig struct {
 	AvgObjectBytes float64
 	// Model selects the analytical hit-ratio model the benefit terms
 	// are evaluated under: "eq1" (the paper's Equations (1)/(2), the
-	// default), "che", "closedform" or "random" (for FIFO/RANDOM
-	// fleets) — see lrumodel.ModelKinds. Empty means eq1.
+	// default), "che" or "random" (for FIFO/RANDOM fleets) — see
+	// lrumodel.ModelKinds. Empty means eq1.
 	Model string
 	// Observer, if non-nil, is invoked after every replica creation;
 	// used by the step-by-step example and by tests.
@@ -224,7 +224,7 @@ type hybridState struct {
 	cfg     HybridConfig
 	p       *core.Placement
 	model   lrumodel.ModelKind
-	preds   []lrumodel.Model
+	preds   []*lrumodel.Predictor
 	shared  *lrumodel.SharedTable
 	h       [][]float64
 	visMass []float64
@@ -303,7 +303,7 @@ func newHybridState(sys *core.System, cfg HybridConfig, shared *lrumodel.SharedT
 	// cache; replicating a site removes its traffic from the cache and
 	// "the popularity of the rest of the objects is increased
 	// accordingly" (§4).
-	st.preds = make([]lrumodel.Model, n)
+	st.preds = make([]*lrumodel.Predictor, n)
 	st.h = make([][]float64, n)
 	st.visMass = make([]float64, n)
 	// All N predictors share one hit-ratio table: the memoized

@@ -296,9 +296,6 @@ func (w *Workload) Specs() []lrumodel.SiteSpec {
 	return specs
 }
 
-// ServerDemand returns the demand row of server i (shared slice).
-func (w *Workload) ServerDemand(i int) []float64 { return w.Demand[i] }
-
 // SiteBytes returns o_j for every site.
 func (w *Workload) SiteBytes() []int64 {
 	out := make([]int64, len(w.Sites))

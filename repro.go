@@ -134,7 +134,7 @@ type PlacementConfig struct {
 	// otherwise).
 	CacheFrac float64
 	// Model selects the analytical hit-ratio model the hybrid optimizes
-	// with ("eq1", "che", "closedform", "random"); empty means eq1, the
+	// with ("eq1", "che", "random"); empty means eq1, the
 	// paper's own model (StrategyHybrid only; ignored by the others).
 	Model string
 	// Observer, when non-nil, is invoked after every replica creation —
@@ -264,11 +264,10 @@ func SimulateTrace(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfi
 // per-site hit ratios at one server for any cache size under the
 // selected model kind.
 type (
-	SiteSpec     = lrumodel.SiteSpec
-	LRUPredictor = lrumodel.Predictor
-	// HitModel is the pluggable hit-ratio surface the placement stack
-	// consumes (eq1, che, closedform or random behind one interface).
-	HitModel = lrumodel.Model
+	SiteSpec = lrumodel.SiteSpec
+	// HitModel is the hit-ratio predictor the placement stack consumes,
+	// under the eq1, che or random law.
+	HitModel = lrumodel.Predictor
 	// HitModelConfig configures NewHitModel.
 	HitModelConfig = lrumodel.ModelConfig
 )
@@ -276,18 +275,7 @@ type (
 // NewHitModel builds an analytical hit-ratio model for one server under
 // the selected kind; invalid configuration (including an unknown model
 // name) is reported as an error listing the valid names.
-func NewHitModel(cfg HitModelConfig) (HitModel, error) { return lrumodel.New(cfg) }
-
-// HitModelNames lists the valid model names for flag validation and
-// help text.
-func HitModelNames() []string {
-	kinds := lrumodel.ModelKinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
-	}
-	return names
-}
+func NewHitModel(cfg HitModelConfig) (*HitModel, error) { return lrumodel.New(cfg) }
 
 // Ablation rows (beyond the paper; see DESIGN.md §5).
 type (
@@ -457,8 +445,7 @@ func KMedianQuality(ctx context.Context, opts Options, ks []int) ([]KMedianRow, 
 // FormatKMedianRows renders the k-median quality experiment.
 func FormatKMedianRows(rows []KMedianRow) string { return experiments.FormatKMedianRows(rows) }
 
-// Model-science experiment rows: the Eq.(1)/(2)-vs-Che-vs-closed-form
-// ablation, the RANDOM/FIFO policy validation and the IRM-assumption
+// Model-science experiment rows: the Eq.(1)/(2)-vs-Che ablation, the RANDOM/FIFO policy validation and the IRM-assumption
 // stress test.
 type (
 	ModelCompareRow = experiments.ModelCompareRow
@@ -466,9 +453,8 @@ type (
 	RobustnessRow   = experiments.RobustnessRow
 )
 
-// ModelComparison sweeps cache sizes and compares the paper's model,
-// Che's approximation and the Laoutaris closed form against a simulated
-// LRU.
+// ModelComparison sweeps cache sizes and compares the paper's model and
+// Che's approximation against a simulated LRU.
 func ModelComparison(ctx context.Context, opts Options, slotFracs []float64) ([]ModelCompareRow, error) {
 	return experiments.ModelComparison(ctx, opts, slotFracs)
 }
