@@ -31,21 +31,27 @@ fmt:
 race:
 	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
 
-# fuzz-smoke runs the differential fuzz targets for 10 s each: the
-# simulator's request loop (the arena LRU/FIFO against the slice
-# reference, the guided inverse-CDF search against sort.SearchFloat64s),
-# the model's Jensen upper bound against its exact hit ratio, the
-# hybrid placement heap against its scanning oracle, and the two
-# network-facing decoders: the control plane's demand reports and an
-# edge's placement pushes. Minimizing a new corpus entry is capped, or
-# it eats the whole budget.
+# fuzz-smoke runs every fuzz target for 10 s: the simulator's request
+# loop (the arena LRU/FIFO against the slice reference, the guided
+# inverse-CDF search against sort.SearchFloat64s), the model's Jensen
+# upper bound and its Equation (1) kernel, the hybrid placement heap
+# against its scanning oracle, fault-schedule validation, and the
+# network-facing parsers and decoders: trace headers, object paths,
+# ETags, the control plane's demand reports and an edge's placement
+# pushes. Minimizing a new corpus entry is capped, or it eats the whole
+# budget.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzLRUOps -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
-	$(GO) test -run '^$$' -fuzz FuzzGuideSearch -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
-	$(GO) test -run '^$$' -fuzz FuzzSiteHitUpper -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
-	$(GO) test -run '^$$' -fuzz FuzzHybridMatchesOracle -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
-	$(GO) test -run '^$$' -fuzz FuzzReportBatch -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
-	$(GO) test -run '^$$' -fuzz FuzzPlacementPush -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
+	$(GO) test -run '^$$' -fuzz '^FuzzLRUOps$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
+	$(GO) test -run '^$$' -fuzz '^FuzzGuideSearch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
+	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitUpper$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
+	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitEq1$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
+	$(GO) test -run '^$$' -fuzz '^FuzzHybridMatchesOracle$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleValidate$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectPath$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/httpcdn/
+	$(GO) test -run '^$$' -fuzz '^FuzzVersionFromETag$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/httpcdn/
+	$(GO) test -run '^$$' -fuzz '^FuzzReportBatch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
+	$(GO) test -run '^$$' -fuzz '^FuzzPlacementPush$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

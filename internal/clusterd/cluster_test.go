@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/placement"
@@ -498,9 +499,9 @@ func TestPlacementVersionGate(t *testing.T) {
 
 	// The control plane moves to v+3 without reaching the edge: the next
 	// report reply names it and the edge pulls it, once.
-	cp.target.mu.Lock()
-	cp.target.p, cp.target.version = a, v+3
-	cp.target.mu.Unlock()
+	if _, err := cp.target.set(a, v+3); err != nil {
+		t.Fatal(err)
+	}
 	pulls := e.pulls.Value()
 	e.flushReport(ctx)
 	on(docA, v+3, "report naming a newer version")
@@ -512,6 +513,63 @@ func TestPlacementVersionGate(t *testing.T) {
 	// The v+2 push the pull overtook arrives late: ignored.
 	push(v+2, docB)
 	on(docA, v+3, "stale push after a newer pull")
+}
+
+// TestHungEdgesCostOnePushTimeout: the control plane pushes a placement
+// to every edge at once, so two edges whose /admin/placement never
+// answers cost a reconcile one push timeout, not one each, and do not
+// hold the live edge back.
+func TestHungEdgesCostOnePushTimeout(t *testing.T) {
+	tc := startCluster(t, Params{Edges: 3, Seed: 1, CapacityFrac: 0.15}, ControlConfig{
+		Interval: time.Hour, Hysteresis: -1, CooldownRounds: -1})
+	cp := tc.Control
+
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/admin/placement" {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		servePing(w, r)
+	}))
+	defer hung.Close()
+	defer close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, id := range []int{1, 2} {
+		if err := postJSON(ctx, http.DefaultClient, cp.URL()+"/cluster/register",
+			RegisterRequest{Kind: "edge", ID: id, URL: hung.URL}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Demand on one site only: the plan moves away from the scenario's.
+	for i := 0; i < 3; i++ {
+		cp.Estimator().ObserveN(i, 0, 1000)
+	}
+	pushErrs := cp.Registry().Counter("cdn_cluster_placement_push_errors_total", "", nil)
+	errsBefore := pushErrs.Value()
+	start := time.Now()
+	rep, err := cp.Controller().Reconcile()
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Outcome != control.OutcomeApplied {
+		t.Fatalf("reconcile outcome %s, want applied", rep.Outcome)
+	}
+	if took >= 3*time.Second {
+		t.Fatalf("reconcile with two hung edges took %v, want one %v push timeout", took, pushTimeout)
+	}
+	if _, version := cp.Placement(); tc.Edges[0].PlacementVersion() != version {
+		t.Fatalf("live edge at v%d, control plane at v%d", tc.Edges[0].PlacementVersion(), version)
+	}
+	if got := pushErrs.Value() - errsBefore; got != 2 {
+		t.Fatalf("push errors rose by %d, want 2", got)
+	}
 }
 
 // TestLoadStaleLinks drives a run where a quarter of the requests aim

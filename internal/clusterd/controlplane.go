@@ -170,7 +170,10 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 	for i := 0; i < sc.Sys.N(); i++ {
 		cp.trackers = append(cp.trackers, httpcdn.NewTracker(reg, "edge", i))
 	}
-	cp.target = &pushTarget{cp: cp, p: res.Placement, version: 1}
+	cp.target = &pushTarget{cp: cp}
+	if _, err := cp.target.set(res.Placement, 1); err != nil {
+		return nil, err
+	}
 
 	cp.ctrl, err = control.New(control.Config{
 		Base:           sc.Sys,
@@ -451,15 +454,11 @@ func (cp *ControlPlane) serveReport(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// servePlacement answers GET /cluster/placement with the live document.
+// servePlacement answers GET /cluster/placement with the live document:
+// the body the last swap pushed.
 func (cp *ControlPlane) servePlacement(w http.ResponseWriter, r *http.Request) {
-	p, version := cp.target.snapshot()
-	var doc bytes.Buffer
-	if err := p.SaveJSON(&doc); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, PlacementPush{Version: version, Doc: doc.Bytes()})
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Write(cp.target.pushBody())
 }
 
 // serveMembers answers GET /cluster/members.
@@ -512,16 +511,38 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
+// pushTimeout bounds one placement push to one edge.
+const pushTimeout = 2 * time.Second
+
 // pushTarget implements control.Target for the multi-process cluster:
-// SwapPlacement stores the new placement under a bumped version and
-// pushes the document to every registered edge. A push that fails is
-// counted and logged, never fatal — the edge's next report reply
-// carries the new version and it pulls the document itself.
+// SwapPlacement stores the new placement under a bumped version,
+// encodes its PlacementPush once, and posts that body to every
+// registered edge at once. A push that fails is counted and logged,
+// never fatal — the edge's next report reply carries the new version
+// and it pulls the same body from GET /cluster/placement.
 type pushTarget struct {
 	cp      *ControlPlane
 	mu      sync.Mutex
 	p       *core.Placement
 	version int64
+	body    []byte // the JSON PlacementPush of (version, p)
+}
+
+// set installs p as the live placement at version and encodes its push
+// body.
+func (t *pushTarget) set(p *core.Placement, version int64) ([]byte, error) {
+	var doc bytes.Buffer
+	if err := p.SaveJSON(&doc); err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(PlacementPush{Version: version, Doc: doc.Bytes()})
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.p, t.version, t.body = p, version, body
+	return body, nil
 }
 
 // snapshot returns the live placement and version.
@@ -531,6 +552,13 @@ func (t *pushTarget) snapshot() (*core.Placement, int64) {
 	return t.p, t.version
 }
 
+// pushBody returns the live placement's encoded PlacementPush.
+func (t *pushTarget) pushBody() []byte {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.body
+}
+
 // Placement implements control.Target.
 func (t *pushTarget) Placement() *core.Placement {
 	t.mu.Lock()
@@ -538,32 +566,43 @@ func (t *pushTarget) Placement() *core.Placement {
 	return t.p
 }
 
-// SwapPlacement implements control.Target.
+// SwapPlacement implements control.Target. The controller serializes
+// its calls, so the version it bumps is read outside the lock. It
+// returns once every edge has answered or timed out: a hung edge costs
+// the round one pushTimeout, however many edges hang.
 func (t *pushTarget) SwapPlacement(p *core.Placement) error {
-	t.mu.Lock()
-	t.p = p
-	t.version++
-	version := t.version
-	t.mu.Unlock()
-
-	var doc bytes.Buffer
-	if err := p.SaveJSON(&doc); err != nil {
+	_, version := t.snapshot()
+	version++
+	body, err := t.set(p, version)
+	if err != nil {
 		return err
 	}
-	push := PlacementPush{Version: version, Doc: doc.Bytes()}
-	edges, _ := t.cp.roster()
-	for _, m := range edges {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		err := postJSON(ctx, t.cp.client, m.URL+"/admin/placement", push, nil)
-		cancel()
-		if err != nil {
+	push := func(m Member) {
+		ctx, cancel := context.WithTimeout(context.Background(), pushTimeout)
+		defer cancel()
+		if err := doJSON(ctx, t.cp.client, http.MethodPost, m.URL+"/admin/placement", bytes.NewReader(body), nil); err != nil {
 			t.cp.pushErrs.Inc()
 			if t.cp.cfg.Logf != nil {
 				t.cp.cfg.Logf("control: push v%d to edge %d: %v", version, m.ID, err)
 			}
-			continue
+			return
 		}
 		t.cp.pushes.Inc()
 	}
+	edges, _ := t.cp.roster()
+	if len(edges) == 0 {
+		return nil
+	}
+	// The calling goroutine pushes to the first edge itself.
+	var wg sync.WaitGroup
+	wg.Add(len(edges) - 1)
+	for _, m := range edges[1:] {
+		go func(m Member) {
+			defer wg.Done()
+			push(m)
+		}(m)
+	}
+	push(edges[0])
+	wg.Wait()
 	return nil
 }

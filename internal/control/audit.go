@@ -35,9 +35,13 @@ type PlanStep struct {
 // priced (costs, transfer, hysteresis bar) and what was decided
 // (verdict). Served at /debug/control/audit, newest last.
 type ReconcileRecord struct {
-	Round      int64   `json:"round"`
-	When       string  `json:"when"` // RFC3339Nano, UTC
+	Round int64  `json:"round"`
+	When  string `json:"when"` // RFC3339Nano, UTC
+	// DurationMs is the round's wall time, the push to the target
+	// included: the record is finished after SwapPlacement returns.
+	// PhaseMs splits it by phase.
 	DurationMs float64 `json:"duration_ms"`
+	PhaseMs    PhaseMs `json:"phase_ms"`
 	Outcome    Outcome `json:"outcome"`
 	// Verdict is the human-readable why behind Outcome, with the
 	// numbers that decided it.
@@ -91,6 +95,22 @@ type ReconcileRecord struct {
 	// Warm details the warm-start decision: dirty-row counts, measured
 	// drift, fallback reason. Nil when warm start is disabled.
 	Warm *placement.IncrementalStats `json:"warm,omitempty"`
+}
+
+// PhaseMs is a reconcile round's wall time by phase, in milliseconds.
+// Estimate closes the counting window and reads the demand estimate;
+// System builds the round's system and its health view; Propose runs
+// the placement engine; Plan applies cool-downs and diffs against the
+// live placement; Price runs the two cost probes; Push swaps the plan
+// into the target, which for the control plane means posting it to
+// every edge. A phase the round never reached reads 0.
+type PhaseMs struct {
+	Estimate float64 `json:"estimate"`
+	System   float64 `json:"system"`
+	Propose  float64 `json:"propose"`
+	Plan     float64 `json:"plan"`
+	Price    float64 `json:"price"`
+	Push     float64 `json:"push"`
 }
 
 // AuditPage is the JSON document served at /debug/control/audit.

@@ -258,12 +258,6 @@ type Controller struct {
 	auditLog  []ReconcileRecord
 	auditNext int
 
-	// costShared memoizes hit-ratio grid evaluations across the
-	// PredictCost probes of every reconcile round (the controller
-	// prices two placements per non-noop round; without it each probe
-	// re-memoized from scratch).
-	costShared *lrumodel.SharedTable
-
 	// metric handles, nil when cfg.Metrics is unset
 	reconciles map[Outcome]*obs.Counter
 	created    *obs.Counter
@@ -326,7 +320,6 @@ func New(cfg Config) (*Controller, error) {
 		kick:          make(chan struct{}, 1),
 		cooldownUntil: make([]int64, cfg.Base.M()),
 		counts:        make(map[Outcome]int64),
-		costShared:    lrumodel.NewSharedTable(),
 	}
 	if reg := cfg.Metrics; reg != nil {
 		c.reconciles = make(map[Outcome]*obs.Counter)
@@ -419,6 +412,13 @@ func (c *Controller) Reconcile() (*Report, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	start := time.Now()
+	// lap charges the time since the previous lap to one phase.
+	mark := start
+	lap := func(phase *float64) {
+		now := time.Now()
+		*phase = float64(now.Sub(mark)) / float64(time.Millisecond)
+		mark = now
+	}
 	c.round++
 	rep := &Report{Round: c.round, WindowRequests: c.est.Roll()}
 	rec := ReconcileRecord{
@@ -427,9 +427,11 @@ func (c *Controller) Reconcile() (*Report, error) {
 		WindowRequests: rep.WindowRequests,
 		Model:          c.cfg.Model,
 	}
+	phase := &rec.PhaseMs
 
 	demand, ok := c.est.Demand()
 	if !ok {
+		lap(&phase.Estimate)
 		return c.finish(rep, rec, start, OutcomeNoSignal), nil
 	}
 	rec.DemandHash = demandHash(demand)
@@ -443,6 +445,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 			rec.StalePlacementFrac = stalePlacementFrac(c.cfg.Target.Placement(), ages, st.Window)
 		}
 	}
+	lap(&phase.Estimate)
 	sys, err := c.cfg.Base.WithDemand(demand)
 	if err != nil {
 		c.round--
@@ -473,6 +476,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 			return nil, err
 		}
 	}
+	lap(&phase.System)
 	prop, err := c.propose(view, &rec)
 	if err != nil {
 		c.round--
@@ -484,6 +488,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 		}
 		rec.Proposed = append(rec.Proposed, PlanStep{Server: s.Server, Site: s.Site, Benefit: s.Benefit})
 	}
+	lap(&phase.Propose)
 
 	cur := c.cfg.Target.Placement()
 	next, deferred, frozen, err := c.plan(sys, cur, prop, down)
@@ -494,6 +499,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 	rep.CreatesDeferred = deferred
 	rec.FrozenSites = frozen
 	diff := placement.Diff(cur, next)
+	lap(&phase.Plan)
 	if diff.Empty() {
 		return c.finish(rep, rec, start, OutcomeNoop), nil
 	}
@@ -504,14 +510,16 @@ func (c *Controller) Reconcile() (*Report, error) {
 		c.round--
 		return nil, err
 	}
-	// Both probes share the controller's persistent memo table (and
-	// each other's grid points): pricing a candidate placement costs
-	// only the grid points no earlier round has evaluated.
+	// Both probes price on sys with the round's own solve: a row whose
+	// predictor the solve built from sys's demand row and capacity (every
+	// row of a cold round with no edge excluded, the rebuilt rows of a
+	// warm one) is reused, and every other row is built against the
+	// solve's hit-ratio table. The costs are a fresh probe's, bit for bit.
 	costOpts := placement.CostOptions{
 		Specs:          c.cfg.Specs,
 		AvgObjectBytes: c.cfg.AvgObjectBytes,
 		Model:          c.cfg.Model,
-		Shared:         c.costShared,
+		Warm:           c.warm,
 	}
 	rep.OldCost, err = placement.PredictCostOpts(curOn, costOpts)
 	if err != nil {
@@ -530,6 +538,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 	if c.cfg.Hysteresis > 0 {
 		rec.HysteresisBar = c.cfg.Hysteresis * rep.OldCost
 	}
+	lap(&phase.Price)
 	if c.cfg.Hysteresis > 0 && rep.NetBenefit < rec.HysteresisBar {
 		// Churn override: when the catalog is turning over fast enough,
 		// the staleness behind this plan is real drift rather than the
@@ -547,6 +556,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 		c.round--
 		return nil, err
 	}
+	lap(&phase.Push)
 	if c.cfg.CooldownRounds > 0 {
 		until := c.round + int64(c.cfg.CooldownRounds)
 		for _, r := range diff.Created {

@@ -123,12 +123,19 @@ func TestControlAuditSchema(t *testing.T) {
 		t.Fatalf("%d audit records, want 1", len(records))
 	}
 	checkKeys(t, "audit record", records[0],
-		[]string{"round", "when", "duration_ms", "outcome", "verdict", "demand_hash",
+		[]string{"round", "when", "duration_ms", "phase_ms", "outcome", "verdict", "demand_hash",
 			"window_requests", "old_cost", "new_cost", "net_benefit", "transfer_gb_hops",
 			"hysteresis_bar", "proposed", "created", "engine_steps", "creates_deferred",
 			"placement_ms", "stale_placement_frac", "churn_rate"},
 		[]string{"dropped", "frozen_sites", "excluded_edges", "engine", "model",
 			"warm", "churn_forced"})
+
+	var phases map[string]json.RawMessage
+	if err := json.Unmarshal(records[0]["phase_ms"], &phases); err != nil {
+		t.Fatal(err)
+	}
+	checkKeys(t, "audit phase timings", phases,
+		[]string{"estimate", "system", "propose", "plan", "price", "push"}, nil)
 
 	var warm map[string]json.RawMessage
 	if err := json.Unmarshal(records[0]["warm"], &warm); err != nil {

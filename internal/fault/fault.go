@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/xrand"
@@ -100,12 +101,17 @@ type Schedule struct {
 	events []Event
 }
 
-// NewSchedule validates and time-orders the events.
+// NewSchedule validates and time-orders the events: each names a known
+// component and kind at a non-negative time and id, and only a Slow
+// event carries a delay, positive and finite.
 func NewSchedule(events ...Event) (*Schedule, error) {
 	es := append([]Event(nil), events...)
 	for _, e := range es {
 		if e.At < 0 {
 			return nil, fmt.Errorf("fault: event at negative time %d", e.At)
+		}
+		if e.Comp != Server && e.Comp != Origin {
+			return nil, fmt.Errorf("fault: unknown %s", e.Comp)
 		}
 		if e.ID < 0 {
 			return nil, fmt.Errorf("fault: %s id %d out of range", e.Comp, e.ID)
@@ -116,7 +122,7 @@ func NewSchedule(events ...Event) (*Schedule, error) {
 				return nil, fmt.Errorf("fault: %s event with ExtraMs %v", e.Kind, e.ExtraMs)
 			}
 		case Slow:
-			if e.ExtraMs <= 0 {
+			if !(e.ExtraMs > 0) || math.IsInf(e.ExtraMs, 1) {
 				return nil, fmt.Errorf("fault: slow event with ExtraMs %v", e.ExtraMs)
 			}
 		default:

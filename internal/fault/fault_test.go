@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -19,6 +20,9 @@ func TestNewScheduleValidatesAndOrders(t *testing.T) {
 		{At: 0, Comp: Server, ID: 0, Kind: Slow},
 		{At: 0, Comp: Server, ID: 0, Kind: Slow, ExtraMs: -1},
 		{At: 0, Comp: Server, ID: 0, Kind: Kind(99)},
+		{At: 0, Comp: Component(7), ID: 0, Kind: Crash},
+		{At: 0, Comp: Server, ID: 0, Kind: Slow, ExtraMs: math.NaN()},
+		{At: 0, Comp: Server, ID: 0, Kind: Slow, ExtraMs: math.Inf(1)},
 	}
 	for _, e := range bad {
 		if _, err := NewSchedule(e); err == nil {

@@ -43,6 +43,7 @@ package placement
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lrumodel"
@@ -75,14 +76,15 @@ type WarmState struct {
 // (all rounds' steps, in order).
 func (w *WarmState) Steps() []Step { return w.steps }
 
-// Shared returns the cross-round hit-ratio table (nil before any heap
-// run). Callers can pass it to PredictCostOpts so repeated cost probes
-// reuse the solver's memoized grid points.
-func (w *WarmState) Shared() *lrumodel.SharedTable {
-	if w == nil {
+// rowModel returns row i's predictor when it was built from exactly
+// sys's demand row and capacity, and nil otherwise. demand[i] is the
+// row the predictor was built from, and its capacity is the solve's:
+// a warm repair only ever runs on the same topology.
+func (w *WarmState) rowModel(sys *core.System, i int) *lrumodel.Predictor {
+	if w.st.sys.Capacity[i] != sys.Capacity[i] || !slices.Equal(w.demand[i], sys.Demand[i]) {
 		return nil
 	}
-	return w.st.shared
+	return w.st.preds[i]
 }
 
 // SharedStats exposes the cross-round hit-ratio table's traffic.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/lrumodel"
 	"repro/internal/xrand"
 )
@@ -92,37 +93,62 @@ func TestPredictCostOptsMatchesPredictCost(t *testing.T) {
 	}
 }
 
-// TestPredictCostOptsSharedTableReuse: repeated probes through one
-// SharedTable return identical costs and actually hit the table the
-// second time around — the controller's per-round double pricing no
-// longer re-memoizes Equation (1) from scratch.
+// TestPredictCostOptsSharedTableReuse: probes through a solve's
+// WarmState return the fresh-table cost bit for bit, both on the solved
+// system, where every row reuses the solve's predictor, and under
+// another demand, where no row may and each builds a fresh predictor
+// against the solve's hit-ratio table, hitting it.
 func TestPredictCostOptsSharedTableReuse(t *testing.T) {
 	sys, specs := randomSystem(xrand.New(17), 8, 6, 0.2)
-	res, err := Hybrid(sys, HybridConfig{Specs: specs, AvgObjectBytes: 1})
+	cfg := HybridConfig{Specs: specs, AvgObjectBytes: 1}
+	res, warm, _, err := Incremental(nil, sys, IncrementalConfig{HybridConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := PredictCostOpts(res.Placement, CostOptions{Specs: specs, AvgObjectBytes: 1})
+	other, _ := randomSystem(xrand.New(18), 8, 6, 0.2)
+	moved, err := sys.WithDemand(other.Demand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := lrumodel.NewSharedTable()
-	opts := CostOptions{Specs: specs, AvgObjectBytes: 1, Shared: table}
-	first, err := PredictCostOpts(res.Placement, opts)
+	for i := 0; i < sys.N(); i++ {
+		if warm.rowModel(sys, i) == nil {
+			t.Fatalf("row %d of the solved system does not reuse its predictor", i)
+		}
+		if warm.rowModel(moved, i) != nil {
+			t.Fatalf("row %d reuses its predictor under another demand", i)
+		}
+	}
+	for _, p := range []*core.Placement{res.Placement, mustRebuild(t, res.Placement, moved)} {
+		fresh, err := PredictCostOpts(p, CostOptions{Specs: specs, AvgObjectBytes: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := CostOptions{Specs: specs, AvgObjectBytes: 1, Warm: warm}
+		hits := warm.SharedStats().Hits
+		first, err := PredictCostOpts(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := PredictCostOpts(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != fresh || second != fresh {
+			t.Fatalf("warm-state costs %v, %v != fresh %v", first, second, fresh)
+		}
+		if p.System() == moved && warm.SharedStats().Hits <= hits {
+			t.Fatal("fresh predictors did not hit the solve's table")
+		}
+	}
+}
+
+func mustRebuild(t *testing.T, p *core.Placement, sys *core.System) *core.Placement {
+	t.Helper()
+	q, err := p.RebuildOn(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hitsAfterFirst := table.Stats().Hits
-	second, err := PredictCostOpts(res.Placement, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != fresh || second != fresh {
-		t.Fatalf("shared-table costs %v, %v != fresh %v", first, second, fresh)
-	}
-	if table.Stats().Hits <= hitsAfterFirst {
-		t.Fatal("second probe did not hit the shared table")
-	}
+	return q
 }
 
 // TestIncrementalModelChangeForcesCold: a warm state built under one

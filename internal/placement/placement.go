@@ -9,6 +9,7 @@ package placement
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -37,7 +38,8 @@ func normWorkers(parallelism, rows int) int {
 // goroutine — the granularity that keeps per-server state (the lrumodel
 // predictors' memo tables) unshared — and every cell is a pure function
 // of the placement, so parallel evaluation is bit-identical to serial.
-// workers <= 1 evaluates inline.
+// The calling goroutine runs worker 0's stride itself, so a fan-out
+// spawns workers−1 goroutines and workers <= 1 evaluates inline.
 func fanOutRows(n, workers int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -48,16 +50,20 @@ func fanOutRows(n, workers int, f func(i int)) {
 		}
 		return
 	}
+	stride := func(w int) {
+		for i := w; i < n; i += workers {
+			f(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < n; i += workers {
-				f(i)
-			}
+			stride(w)
 		}(w)
 	}
+	stride(0)
 	wg.Wait()
 }
 
@@ -461,13 +467,16 @@ type CostOptions struct {
 	// Model selects the hit-ratio model ("" = eq1), as in
 	// HybridConfig.Model.
 	Model string
-	// Shared, if non-nil, memoizes grid evaluations across calls:
-	// repeated cost probes (the controller prices every candidate
-	// placement twice per round) reuse each other's Equation (1) work
-	// instead of re-memoizing from scratch. A WarmState's table (see
-	// WarmState.Shared) or any long-lived table works; nil builds a
-	// fresh private one per call.
-	Shared *lrumodel.SharedTable
+	// Warm, if non-nil, is a solve whose models the probe may reuse: the
+	// controller prices its placements with the round's own WarmState.
+	// Row i takes the solve's predictor when that predictor was built from
+	// exactly p's demand row and capacity under the same Specs,
+	// AvgObjectBytes and Model (every row of a cold solve on p's system,
+	// the rebuilt rows of a warm repair); every other row builds a fresh
+	// one against the solve's hit-ratio table. A predictor is a pure
+	// function of its inputs and the table changes no bits, so the cost is
+	// the one a nil Warm (a fresh private table) gives, bit for bit.
+	Warm *WarmState
 }
 
 // PredictCostOpts evaluates the objective D of any placement under the
@@ -480,23 +489,33 @@ func PredictCostOpts(p *core.Placement, opts CostOptions) (float64, error) {
 	}
 	sys := p.System()
 	total := 0.0
-	shared := opts.Shared
-	if shared == nil {
+	var shared *lrumodel.SharedTable
+	reuse := false
+	if w := opts.Warm; w != nil {
+		shared = w.st.shared
+		reuse = w.st.n == sys.N() && w.st.model == kind && w.st.cfg.AvgObjectBytes == opts.AvgObjectBytes &&
+			slices.Equal(w.st.cfg.Specs, opts.Specs)
+	} else {
 		shared = lrumodel.NewSharedTable()
 	}
+	visible := make([]bool, sys.M())
 	for i := 0; i < sys.N(); i++ {
-		pred, err := lrumodel.New(lrumodel.ModelConfig{
-			Kind:           kind,
-			Specs:          opts.Specs,
-			Weights:        sys.Demand[i],
-			AvgObjectBytes: opts.AvgObjectBytes,
-			MaxCacheBytes:  sys.Capacity[i],
-			Shared:         shared,
-		})
-		if err != nil {
-			return 0, err
+		var pred *lrumodel.Predictor
+		if reuse {
+			pred = opts.Warm.rowModel(sys, i)
 		}
-		visible := make([]bool, sys.M())
+		if pred == nil {
+			if pred, err = lrumodel.New(lrumodel.ModelConfig{
+				Kind:           kind,
+				Specs:          opts.Specs,
+				Weights:        sys.Demand[i],
+				AvgObjectBytes: opts.AvgObjectBytes,
+				MaxCacheBytes:  sys.Capacity[i],
+				Shared:         shared,
+			}); err != nil {
+				return 0, err
+			}
+		}
 		for j := range visible {
 			visible[j] = !p.Has(i, j)
 		}
