@@ -63,6 +63,13 @@ func TestClusterMetricsAndTrace(t *testing.T) {
 			t.Fatalf("request %d: %v", k, err)
 		}
 	}
+	// Drain the cluster before reading what it recorded. A handler
+	// counts its serve before it writes the body, but observes the
+	// latency histogram and emits its trace event after, so the client
+	// can hold every response while the last handler is still running.
+	// Close waits for every in-flight handler; the deferred Close then
+	// finds nothing left to close.
+	cl.Close()
 	if err := cfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package lrumodel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/stats"
@@ -58,14 +59,31 @@ func hitRatioKahan(pSite float64, z *stats.Zipf, K float64) float64 {
 	return sum
 }
 
+// vecUntestable says why the AVX2 tail cannot be held to the Go loop's
+// bits in this build, or is empty when it can (kernel_v3_test.go sets
+// it for GOAMD64=v3 and later).
+var vecUntestable = func() string {
+	if !useAVX2 {
+		return "no AVX2 on this CPU or architecture: only the Go loop runs"
+	}
+	return ""
+}()
+
 // checkKernel holds one evaluation to the numerics contract: within
 // 1e-11 relative of the seed's Pow loop (beyond that loop's own rounding
-// of 1−x) and within 1e-13 absolute of the compensated oracle.
+// of 1−x) and within 1e-13 absolute of the compensated oracle. Where the
+// AVX2 tail runs, it must also return the Go loop's bits.
 func checkKernel(t *testing.T, z *stats.Zipf, p, K float64) {
 	t.Helper()
 	got := hitRatioExact(p, z, K)
 	if math.IsNaN(got) || got < 0 || got > 1+1e-12 {
 		t.Fatalf("L=%d θ=%v start=%d p=%v K=%v: h = %v outside [0, 1]", z.L, z.Theta, z.Start, p, K, got)
+	}
+	if vecUntestable == "" {
+		if port := hitRatioSum(p, z.PMFs(), K, false); math.Float64bits(got) != math.Float64bits(port) {
+			t.Errorf("L=%d θ=%v start=%d p=%v K=%v: AVX2 tail %v (%#x) vs Go loop %v (%#x)",
+				z.L, z.Theta, z.Start, p, K, got, math.Float64bits(got), port, math.Float64bits(port))
+		}
 	}
 	pow, powErr := hitRatioPow(p, z, K)
 	if d := math.Abs(got - pow); d > 1e-11*pow+powErr {
@@ -133,6 +151,89 @@ func TestSiteHitEq1EdgeCases(t *testing.T) {
 	// x ≥ 1 for the first ranks only: those ranks hit with certainty and
 	// the rest go through the kernel.
 	checkKernel(t, stats.NewZipf(3, 2), 1.4, 3)
+}
+
+// TestSeriesTailAVX2 runs checkKernel, and with it the AVX2 tail's
+// bit-for-bit check, over random draws, and asserts that the draws
+// reach what the vector path can get wrong: blocks whose tail leaves
+// 0–3 ranks after the groups of four, L < 4, and groups of four whose
+// lanes fall on both sides of n = 64 (oneMinusExp's two formulas) and
+// of expFloor.
+func TestSeriesTailAVX2(t *testing.T) {
+	if vecUntestable != "" {
+		t.Skip(vecUntestable)
+	}
+	rng := rand.New(rand.NewSource(33))
+	var rems [4]bool
+	var smallL, split64, splitFloor bool
+	thetas := []float64{0.6, 0.8, 1, 1.2}
+	for d := 0; d < 3000; d++ {
+		L := 1 + rng.Intn(3000)
+		if d%2 == 0 {
+			L = 1 + rng.Intn(8)
+		}
+		z := stats.NewZipfRange(1+rng.Intn(500), L, thetas[rng.Intn(len(thetas))])
+		p := math.Pow(10, -6*rng.Float64())
+		K := math.Pow(10, 8*rng.Float64())
+		checkKernel(t, z, p, K)
+		smallL = smallL || L < 4
+		pmf := z.PMFs()
+		for lo := 0; lo < len(pmf); lo += sumBlock {
+			blk := pmf[lo:min(lo+sumBlock, len(pmf))]
+			i := 0
+			for i < len(blk) && p*blk[i] >= log1pShortMax {
+				i++
+			}
+			tail := blk[i:]
+			if len(tail) >= 4 {
+				rems[len(tail)%4] = true
+			}
+			for g := 0; g+4 <= len(tail); g += 4 {
+				var below64, floorIn int
+				for _, q := range tail[g : g+4] {
+					x := p * q
+					y := K * (-x * (1 + x*(1.0/2+x*(1.0/3+x*(1.0/4+x*(1.0/5))))))
+					if int(0.5-y*(1/expStep)) < expTableSize {
+						below64++
+					}
+					if y >= expFloor {
+						floorIn++
+					}
+				}
+				split64 = split64 || below64%4 != 0
+				splitFloor = splitFloor || floorIn%4 != 0
+			}
+		}
+	}
+	// Term by term: one rank in a group of four, q = 0 in the other lanes
+	// (each adds exactly 0), so a lane off by one ulp cannot round away
+	// in a sum. −y = K·x is drawn uniformly over [0, 45], log-uniformly
+	// down to 1e-12, and uniformly over n = 0, where the term is e^r − 1
+	// itself and a fused multiply-add shows most often.
+	negY := [...]func() float64{
+		func() float64 { return 45 * rng.Float64() },
+		func() float64 { return math.Pow(10, -12+13.6*rng.Float64()) },
+		func() float64 { return expStep / 2 * rng.Float64() },
+	}
+	for d := 0; d < 100000; d++ {
+		var group [4]float64
+		x := math.Pow(2, -13-27*rng.Float64())
+		y := negY[d%len(negY)]()
+		p := math.Pow(10, -6*rng.Float64())
+		lane := rng.Intn(4)
+		group[lane] = x / p
+		if got, want := hitRatioSum(p, group[:], y/x, true), hitRatioSum(p, group[:], y/x, false); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("lane %d, p=%v q=%v K=%v: AVX2 term %v vs Go loop %v", lane, p, group[lane], y/x, got, want)
+		}
+	}
+	for r, ok := range rems {
+		if !ok {
+			t.Errorf("no block's tail left %d ranks after the groups of four", r)
+		}
+	}
+	if !smallL || !split64 || !splitFloor {
+		t.Errorf("draws miss a case: L < 4 %v, a group split at n = 64 %v, a group split at expFloor %v", smallL, split64, splitFloor)
+	}
 }
 
 // TestOneMinusExp pins the exp half of the kernel on its own, including
@@ -208,18 +309,27 @@ func FuzzSiteHitEq1(f *testing.F) {
 var benchSink float64
 
 // BenchmarkSiteHitEq1 times one cold Equation (1) evaluation — what a
-// memo miss costs — and reports it per object.
+// memo miss costs — on each path of the short-series tail, and reports
+// it per object.
 func BenchmarkSiteHitEq1(b *testing.B) {
 	for _, L := range []int{200, 2000, 20000} {
-		b.Run(fmt.Sprintf("L=%d", L), func(b *testing.B) {
-			z := stats.NewZipf(L, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// The benefit fill's range: p around 1/M, K around the
-				// cache's slot count.
-				benchSink += hitRatioExact(0.03+0.0001*float64(i%400), z, 1000+5*float64(i%2000))
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(L), "ns/object")
-		})
+		for _, path := range []struct {
+			name string
+			vec  bool
+		}{{"portable", false}, {"avx2", true}} {
+			b.Run(fmt.Sprintf("L=%d/%s", L, path.name), func(b *testing.B) {
+				if path.vec && !useAVX2 {
+					b.Skip("no AVX2 on this CPU or architecture")
+				}
+				pmf := stats.NewZipf(L, 1).PMFs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					// The benefit fill's range: p around 1/M, K around
+					// the cache's slot count.
+					benchSink += hitRatioSum(0.03+0.0001*float64(i%400), pmf, 1000+5*float64(i%2000), path.vec)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(L), "ns/object")
+			})
+		}
 	}
 }
