@@ -105,6 +105,11 @@ type Predictor struct {
 	miss     []batchMiss
 	evalMiss func(x int)
 	sites    []int
+	// upperK, upperAt and upperH are SiteHitRatioCondUpperSizes'
+	// scratch: the grid K, output index and bound of each size it
+	// evaluates.
+	upperK, upperH []float64
+	upperAt        []int
 }
 
 // batchMiss is one grid point a SiteHitRatiosCond batch evaluates, or
@@ -141,9 +146,10 @@ type law interface {
 	// site's effective popularity is pSite and the characteristic time
 	// is K (possibly +Inf).
 	siteHit(p *Predictor, j int, pSite, K float64) float64
-	// siteHitUpper returns an upper bound on siteHit at the same point,
-	// proven rather than measured (upper.go), and cheaper where it can.
-	siteHitUpper(p *Predictor, j int, pSite, K float64) float64
+	// siteHitUpper stores in out[x] an upper bound on siteHit at
+	// (pSite, ks[x]) for every x, proven rather than measured
+	// (upper.go), and cheaper where it can.
+	siteHitUpper(p *Predictor, j int, pSite float64, ks, out []float64)
 }
 
 // eq1Law is the paper's own model: Equation (2) for K and Equation (1)
@@ -346,41 +352,33 @@ func (p *Predictor) Kind() ModelKind {
 // descending by construction: Zipf PMFs decrease in rank) and stores the
 // cumulative mass of the top-i objects, for i up to maxB. This is the
 // sorted list of §4 used to estimate p_B, built once.
+//
+// The k-way merge runs through a loser tree (mergeTree): a pop replays
+// one leaf-to-root path at one comparison per level. Whatever order ties
+// pop in, the popped values form the same descending sequence, so the
+// sums are the same bits.
 func (p *Predictor) buildPrefix(maxB int) {
 	n := maxB
 	if n > p.totalObjects {
 		n = p.totalObjects
 	}
 	p.prefix = make([]float64, n+1)
-
-	// k-way merge by popularity using a max-heap over (site, next rank):
-	// the top advances to its site's next rank in place, or leaves the
-	// heap once the site is exhausted. Whatever order ties pop in, the
-	// popped values form the same descending sequence, so the sums are
-	// the same bits.
-	h := make(mergeHeap, 0, len(p.specs))
+	var t mergeTree
 	for j := range p.specs {
 		if p.pops[j] > 0 {
-			h = append(h, mergeItem{pop: p.pops[j] * p.zipfs[j].PMF(1), site: j, rank: 1})
+			t.src = append(t.src, mergeSrc{pop: p.pops[j], pmf: p.zipfs[j].PMFs()})
 		}
 	}
-	for k := len(h)/2 - 1; k >= 0; k-- {
-		h.down(k)
-	}
+	t.init()
 	cum := 0.0
 	i := 1
-	for ; i <= n && len(h) > 0; i++ {
-		top := &h[0]
-		cum += top.pop
-		p.prefix[i] = cum
-		if top.rank < p.specs[top.site].Objects {
-			top.rank++
-			top.pop = p.pops[top.site] * p.zipfs[top.site].PMF(top.rank)
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+	for ; i <= n; i++ {
+		v, ok := t.pop()
+		if !ok {
+			break
 		}
-		h.down(0)
+		cum += v
+		p.prefix[i] = cum
 	}
 	// Slots past the last object with positive popularity (sites this
 	// server never requests) add no mass: p_B stays at the full mass
@@ -672,31 +670,84 @@ func (p *Predictor) OverallHitRatio(cacheBytes int64) float64 {
 // SitePopularity returns the frozen normalized popularity p_j.
 func (p *Predictor) SitePopularity(j int) float64 { return p.pops[j] }
 
-// mergeItem / mergeHeap implement the descending-popularity k-way merge.
-// The heap is typed and sifted in place: container/heap would box an
-// item on every push, once per prefix slot.
-type mergeItem struct {
+// mergeSrc is one site's descending popularity list in a mergeTree:
+// pop·pmf[k] for k = next, next+1, ….
+type mergeSrc struct {
 	pop  float64
-	site int
-	rank int
+	pmf  []float64
+	next int
 }
 
-type mergeHeap []mergeItem
+// mergeTree merges mergeSrc lists into one descending sequence through a
+// tournament tree of losers. Leaf x (of a power-of-two count, padded with
+// empty leaves) plays with key[x], the bits of its source's next value
+// as an int64 — every value is ≥ 0, so the bits order as the values do —
+// or −1 once the source is exhausted. node[v] for v ≥ 1 holds the leaf
+// that lost the match played at internal node v, node[0] the overall
+// winner; replacing the winner's key replays only its own path, one
+// comparison per level.
+type mergeTree struct {
+	src  []mergeSrc
+	key  []int64
+	node []int32
+}
 
-// down restores the max-heap order below index i.
-func (h mergeHeap) down(i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if r := c + 1; r < len(h) && h[r].pop > h[c].pop {
-			c = r
-		}
-		if h[c].pop <= h[i].pop {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
+// init keys every leaf at its source's first value and plays the
+// tournament bottom-up.
+func (t *mergeTree) init() {
+	leaves := 1
+	for leaves < len(t.src) {
+		leaves *= 2
 	}
+	t.key = make([]int64, leaves)
+	for x := range t.key {
+		t.key[x] = t.keyOf(x)
+	}
+	t.node = make([]int32, leaves)
+	win := make([]int32, 2*leaves) // win[v]: the winner of the subtree at v
+	for x := 0; x < leaves; x++ {
+		win[leaves+x] = int32(x)
+	}
+	for v := leaves - 1; v >= 1; v-- {
+		a, b := win[2*v], win[2*v+1]
+		if t.key[b] > t.key[a] {
+			a, b = b, a
+		}
+		win[v], t.node[v] = a, b
+	}
+	t.node[0] = win[1]
+}
+
+// keyOf is leaf x's key at its source's next value.
+func (t *mergeTree) keyOf(x int) int64 {
+	if x >= len(t.src) || t.src[x].next >= len(t.src[x].pmf) {
+		return -1
+	}
+	s := &t.src[x]
+	return int64(math.Float64bits(s.pop * s.pmf[s.next]))
+}
+
+// pop returns the largest remaining value, or false once every source
+// is exhausted.
+func (t *mergeTree) pop() (float64, bool) {
+	w := t.node[0]
+	k := t.key[w]
+	if k < 0 {
+		return 0, false
+	}
+	t.src[w].next++
+	wk := t.keyOf(int(w))
+	t.key[w] = wk
+	for v := (int(w) + len(t.key)) >> 1; v > 0; v >>= 1 {
+		// Branch-free: which side wins is a coin toss the branch
+		// predictor cannot learn.
+		l := t.node[v]
+		lk, lose := t.key[l], l
+		if lk > wk {
+			lose, w, wk = w, l, lk
+		}
+		t.node[v] = lose
+	}
+	t.node[0] = w
+	return math.Float64frombits(uint64(k)), true
 }

@@ -1,7 +1,9 @@
 package lrumodel
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
@@ -412,14 +414,83 @@ func BenchmarkSiteHitRatioMemoized(b *testing.B) {
 	}
 }
 
+// BenchmarkNew times building one predictor: L=500,M=20 is a small
+// catalog; L=2000 at M = 20 and 40 are the §5.1 site and its catalog at
+// ×1 and ×2, with a cache of 5 % of the objects, where the frozen
+// popularity prefix's k-way merge is most of the build. The weights are
+// demand rows: distinct, so the merge's order is not a few runs of
+// ties, and one of 32 rows per build, so that the merge's branches are
+// not the same ones every iteration.
 func BenchmarkNew(b *testing.B) {
-	specs := make([]SiteSpec, 20)
-	weights := make([]float64, 20)
-	for j := range specs {
-		specs[j] = SiteSpec{Objects: 500, Theta: 1.0}
-		weights[j] = float64(1 + j%5)
+	for _, c := range []struct{ L, M, B int }{{500, 20, 2000}, {2000, 20, 2000}, {2000, 40, 4000}} {
+		b.Run(fmt.Sprintf("L=%d,M=%d", c.L, c.M), func(b *testing.B) {
+			r := xrand.New(1)
+			specs := make([]SiteSpec, c.M)
+			for j := range specs {
+				specs[j] = SiteSpec{Objects: c.L, Theta: 1.0}
+			}
+			rows := make([][]float64, 32)
+			for x := range rows {
+				rows[x] = make([]float64, c.M)
+				for j := range rows[x] {
+					rows[x][j] = 0.5 + r.Float64()
+				}
+			}
+			shared := NewSharedTable() // interns the Zipf tables once, as a placement run does
+			newEq1(b, specs, rows[0], 1, int64(c.B), shared)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				newEq1(b, specs, rows[i%len(rows)], 1, int64(c.B), shared)
+			}
+		})
 	}
-	for i := 0; i < b.N; i++ {
-		newEq1(b, specs, weights, 1, 2000, nil)
+}
+
+// TestPrefixMatchesSortedSum holds the loser-tree prefix to its
+// definition: every (site, rank) popularity p_j·q_k sorted descending,
+// then summed in that order, bit for bit — with zero-weight sites (whose
+// objects never enter the merge), site counts that are not a power of
+// two, unequal catalogs, and a cache larger than the whole catalog
+// (the prefix then holds the full mass past the last positive object).
+func TestPrefixMatchesSortedSum(t *testing.T) {
+	r := xrand.New(7)
+	for _, M := range []int{1, 2, 3, 5, 8, 13, 20, 33} {
+		for _, zeros := range []bool{false, true} {
+			specs := make([]SiteSpec, M)
+			weights := make([]float64, M)
+			total := 0
+			for j := range specs {
+				specs[j] = SiteSpec{Objects: 1 + r.Intn(300), Theta: []float64{0, 0.8, 1, 1.4}[r.Intn(4)], RankOffset: r.Intn(3) * 10}
+				weights[j] = 0.1 + r.Float64()
+				if zeros && j%3 == 1 {
+					weights[j] = 0
+				}
+				total += specs[j].Objects
+			}
+			for _, B := range []int{1, total / 7, total, total + 50} {
+				p := newEq1(t, specs, weights, 1, int64(B), nil)
+				var vals []float64
+				for j := range specs {
+					if p.pops[j] > 0 {
+						for _, q := range p.zipfs[j].PMFs() {
+							vals = append(vals, p.pops[j]*q)
+						}
+					}
+				}
+				sort.Sort(sort.Reverse(sort.Float64Slice(vals)))
+				cum := 0.0
+				for i := 1; i < len(p.prefix); i++ {
+					if i <= len(vals) {
+						cum += vals[i-1]
+					}
+					if math.Float64bits(p.prefix[i]) != math.Float64bits(cum) {
+						t.Fatalf("M=%d zeros=%v B=%d: prefix[%d] = %v, sorted sum %v", M, zeros, B, i, p.prefix[i], cum)
+					}
+				}
+				if want := min(B, total) + 1; len(p.prefix) != want {
+					t.Fatalf("M=%d B=%d: %d prefix entries, want %d", M, B, len(p.prefix), want)
+				}
+			}
+		}
 	}
 }

@@ -77,59 +77,130 @@ func (n *neumaier) add(x float64) {
 
 func (n *neumaier) sum() float64 { return n.s + n.c }
 
-// jensenUpper returns Σ_b W_b·g(M_b) for a g concave on the block means
-// of a site of L objects. Both it and the exact sum round — the
-// RANDOM/FIFO sum term by term, so a flat catalog's value, which the
-// bound meets with equality, can sit hundreds of ulps above the true
-// sum — so the bound is padded by the worst-case error of two sums of
-// at most L non-negative terms and a few ulps per term,
-// 2·(L+8)·2⁻⁵³ relative: it bounds the values the laws compute, not
-// only the true ones.
+// jensenPad is the factor jensenUpper's sums are padded by. Both the
+// bound and the exact sum round — the RANDOM/FIFO sum term by term, so a
+// flat catalog's value, which the bound meets with equality, can sit
+// hundreds of ulps above the true sum — so the bound is padded by the
+// worst-case error of two sums of at most L non-negative terms and a few
+// ulps per term, 2·(L+8)·2⁻⁵³ relative: it bounds the values the laws
+// compute, not only the true ones.
+func jensenPad(L int) float64 { return 1 + float64(2*(L+8))*0x1p-53 }
+
+// jensenUpper returns Σ_b W_b·g(M_b), padded, for a g concave on the
+// block means of a site of L objects.
 func jensenUpper(blocks []zipfBlock, L int, g func(q float64) float64) float64 {
 	h := 0.0
 	for _, b := range blocks {
 		h += b.w * g(b.m)
 	}
-	return h * (1 + float64(2*(L+8))*0x1p-53)
+	return h * jensenPad(L)
 }
 
-// siteHitUpper bounds hitRatioExact for site j (eq1 and che): the
-// Jensen sum for K ≥ 1, the exact value below (where g is convex) and at
-// the edges.
-func (eq1Law) siteHitUpper(p *Predictor, j int, pSite, K float64) float64 {
-	if !(K >= 1 && pSite > 0) {
-		return hitRatioExact(pSite, p.zipfs[j], K)
+// siteHitUpper bounds hitRatioExact for site j (eq1 and che) at every
+// characteristic time of ks: the Jensen sum for K ≥ 1, the exact value
+// below (where g is convex) and at the edges. A block's
+// log1p(−pSite·M_b) does not depend on K, so it is taken once for all
+// of ks; each K's sum then adds W_b·(1 − e^{K·log}) block by block, the
+// arithmetic and order of the one-K sum.
+func (eq1Law) siteHitUpper(p *Predictor, j int, pSite float64, ks, out []float64) {
+	jensen := pSite > 0
+	for x, K := range ks {
+		if jensen && K >= 1 {
+			out[x] = 0
+		} else {
+			out[x] = hitRatioExact(pSite, p.zipfs[j], K)
+		}
 	}
-	return jensenUpper(p.blocks[j], p.zipfs[j].L, func(q float64) float64 { return hitProb(pSite*q, K) })
+	if !jensen {
+		return
+	}
+	for _, b := range p.blocks[j] {
+		q := pSite * b.m
+		if q >= 1 {
+			for x, K := range ks {
+				if K >= 1 {
+					out[x] += b.w
+				}
+			}
+			continue
+		}
+		lg := math.Log1p(-q)
+		for x, K := range ks {
+			if K >= 1 {
+				out[x] += b.w * oneMinusExp(K*lg)
+			}
+		}
+	}
+	pad := jensenPad(p.zipfs[j].L)
+	for x, K := range ks {
+		if K >= 1 {
+			out[x] *= pad
+		}
+	}
 }
 
-func (randomLaw) siteHitUpper(p *Predictor, j int, pSite, T float64) float64 {
-	if !(T > 0 && pSite > 0) || math.IsInf(T, 1) {
-		return randomSiteHit(pSite, p.zipfs[j], T)
+func (randomLaw) siteHitUpper(p *Predictor, j int, pSite float64, ts, out []float64) {
+	for x, T := range ts {
+		if !(T > 0 && pSite > 0) || math.IsInf(T, 1) {
+			out[x] = randomSiteHit(pSite, p.zipfs[j], T)
+			continue
+		}
+		out[x] = jensenUpper(p.blocks[j], p.zipfs[j].L, func(q float64) float64 {
+			v := pSite * q * T
+			return v / (1 + v)
+		})
 	}
-	return jensenUpper(p.blocks[j], p.zipfs[j].L, func(q float64) float64 {
-		x := pSite * q * T
-		return x / (1 + x)
-	})
 }
 
 // SiteHitRatioCondUpper is an upper bound on SiteHitRatioCond(j,
 // visibleMass, cacheBytes) at ~30 terms of Equation (1)'s form instead
-// of L. It reads the same λ factor, popularity clamp and quantized
-// (p, K) grid point, and returns the exact value when this predictor
-// has memoized it. It never stores a hit ratio, and it does not consult
-// the shared table: a bound that depends only on the predictor's own
-// history is the same at every Parallelism, and so are the lookups and
-// the verifications it saves.
+// of L: SiteHitRatioCondUpperSizes at one cache size.
 func (p *Predictor) SiteHitRatioCondUpper(j int, visibleMass float64, cacheBytes int64) float64 {
+	var out [1]float64
+	p.SiteHitRatioCondUpperSizes(j, visibleMass, []int64{cacheBytes}, out[:])
+	return out[0]
+}
+
+// SiteHitRatioCondUpperSizes stores in out[x] an upper bound on
+// SiteHitRatioCond(j, visibleMass, cacheBytes[x]) for every x. Each
+// bound reads the same λ factor, popularity clamp and quantized (p, K)
+// grid point as the model, and is the exact value when this predictor
+// has memoized it. The grid popularity depends only on visibleMass, so
+// under the LRU laws the per-block logarithms are shared by all sizes.
+// It never stores a hit ratio, and it does not consult the shared
+// table: a bound that depends only on the predictor's own history is
+// the same at every Parallelism, and so are the lookups and the
+// verifications it saves.
+func (p *Predictor) SiteHitRatioCondUpperSizes(j int, visibleMass float64, cacheBytes []int64, out []float64) {
+	out = out[:len(cacheBytes)]
 	if visibleMass <= 0 {
-		return 0
+		clear(out)
+		return
 	}
-	K := p.K(cacheBytes)
-	key := p.gridKey(j, visibleMass, K)
-	if h, ok := p.hmemo[key]; ok {
-		return h * (1 - p.specs[j].Lambda)
+	keep := 1 - p.specs[j].Lambda
+	ks, at := p.upperK[:0], p.upperAt[:0]
+	pSite := 0.0
+	for x, c := range cacheBytes {
+		K := p.K(c)
+		key := p.gridKey(j, visibleMass, K)
+		if h, ok := p.hmemo[key]; ok {
+			out[x] = h * keep
+			continue
+		}
+		var kEff float64
+		pSite, kEff = p.gridPoint(key, K)
+		ks, at = append(ks, kEff), append(at, x)
 	}
-	pSite, kEff := p.gridPoint(key, K)
-	return p.law.siteHitUpper(p, j, pSite, kEff) * (1 - p.specs[j].Lambda)
+	p.upperK, p.upperAt = ks, at
+	if len(ks) == 0 {
+		return
+	}
+	if cap(p.upperH) < len(ks) {
+		p.upperH = make([]float64, len(ks))
+	}
+	h := p.upperH[:len(ks)]
+	p.law.siteHitUpper(p, j, pSite, ks, h)
+	for y, x := range at {
+		out[x] = h[y] * keep
+	}
 }

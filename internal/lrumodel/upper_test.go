@@ -41,7 +41,9 @@ func upperPredictor(tb testing.TB, kind ModelKind, L int, theta float64, off int
 func checkUpper(tb testing.TB, pr *Predictor, pSite, K, tol float64) float64 {
 	tb.Helper()
 	exact := pr.law.siteHit(pr, 0, pSite, K)
-	upper := pr.law.siteHitUpper(pr, 0, pSite, K)
+	var out [1]float64
+	pr.law.siteHitUpper(pr, 0, pSite, []float64{K}, out[:])
+	upper := out[0]
 	z := pr.zipfs[0]
 	if !(upper >= exact*(1-1e-14)) {
 		tb.Fatalf("%s L=%d θ=%v start=%d p=%v K=%v: upper %v below exact %v", pr.Kind(), z.L, z.Theta, z.Start, pSite, K, upper, exact)
@@ -145,6 +147,9 @@ func FuzzSiteHitUpper(f *testing.F) {
 	f.Add(uint8(1), uint8(3), uint16(200), uint16(50), 1.0, 1.0)
 	f.Add(uint8(3), uint8(1), uint16(20000), uint16(0), 1e-3, 1e6)
 	f.Add(uint8(2), uint8(0), uint16(7), uint16(500), 0.7, 0.5)
+	f.Add(uint8(0), uint8(5), uint16(1), uint16(0), 1.0, 40.0)           // pSite·M_b ≥ 1
+	f.Add(uint8(1), uint8(2), uint16(2000), uint16(0), 0.3, math.Inf(1)) // everything fits
+	f.Add(uint8(0), uint8(1), uint16(300), uint16(7), 0.02, 0.75)        // K < 1
 	f.Fuzz(func(t *testing.T, kindIdx, thetaIdx uint8, L, off uint16, p, K float64) {
 		if L < 1 || L > 20000 {
 			L = L%20000 + 1
@@ -160,5 +165,107 @@ func FuzzSiteHitUpper(f *testing.F) {
 			tol = upperTightFuzz
 		}
 		checkUpper(t, pr, p, K, tol)
+		// The batch over several sizes at this popularity — K itself,
+		// smaller and larger, below 1 and +Inf — is each size's bound.
+		requireBatchUpper(t, pr, p, []float64{K, K / 3, 3 * K, 0.5, math.Inf(1)})
+		// And through the predictor: a memo hit at one size, the bound
+		// at the others, a non-positive mass.
+		pr.SiteHitRatioCond(0, 0.5, int64(L))
+		sizes := []int64{int64(L), int64(L) / 3, 0, 2 * int64(L)}
+		out := make([]float64, len(sizes))
+		for _, mass := range []float64{0, 0.5, p} {
+			pr.SiteHitRatioCondUpperSizes(0, mass, sizes, out)
+			for x, c := range sizes {
+				if want := condUpperRef(pr, 0, mass, c); math.Float64bits(out[x]) != math.Float64bits(want) {
+					t.Fatalf("%s L=%d mass=%v cache=%d: batch %v, one size %v", kind, L, mass, c, out[x], want)
+				}
+			}
+		}
 	})
+}
+
+// upperOneRef is the one-size Jensen bound as a plain per-size sum —
+// the law's bound at (pSite, K) with every block's logarithm taken
+// afresh — the reference the batch's shared logarithms are held to.
+func upperOneRef(pr *Predictor, j int, pSite, K float64) float64 {
+	z := pr.zipfs[j]
+	if pr.Kind() == ModelRandom {
+		if !(K > 0 && pSite > 0) || math.IsInf(K, 1) {
+			return randomSiteHit(pSite, z, K)
+		}
+		return jensenUpper(pr.blocks[j], z.L, func(q float64) float64 {
+			v := pSite * q * K
+			return v / (1 + v)
+		})
+	}
+	if !(K >= 1 && pSite > 0) {
+		return hitRatioExact(pSite, z, K)
+	}
+	return jensenUpper(pr.blocks[j], z.L, func(q float64) float64 { return hitProb(pSite*q, K) })
+}
+
+// condUpperRef is SiteHitRatioCondUpper one size at a time over
+// upperOneRef: the same λ factor, grid point and memo.
+func condUpperRef(pr *Predictor, j int, mass float64, cacheBytes int64) float64 {
+	if mass <= 0 {
+		return 0
+	}
+	K := pr.K(cacheBytes)
+	key := pr.gridKey(j, mass, K)
+	if h, ok := pr.hmemo[key]; ok {
+		return h * (1 - pr.specs[j].Lambda)
+	}
+	pSite, kEff := pr.gridPoint(key, K)
+	return upperOneRef(pr, j, pSite, kEff) * (1 - pr.specs[j].Lambda)
+}
+
+// requireBatchUpper holds the law's batch bound at pSite over ks to
+// upperOneRef at each K, bit for bit.
+func requireBatchUpper(tb testing.TB, pr *Predictor, pSite float64, ks []float64) {
+	tb.Helper()
+	out := make([]float64, len(ks))
+	pr.law.siteHitUpper(pr, 0, pSite, ks, out)
+	for x, K := range ks {
+		if want := upperOneRef(pr, 0, pSite, K); math.Float64bits(out[x]) != math.Float64bits(want) {
+			tb.Fatalf("%s L=%d p=%v K=%v (of %v): batch bound %v, one-size bound %v", pr.Kind(), pr.zipfs[0].L, pSite, K, ks, out[x], want)
+		}
+	}
+}
+
+// TestSiteHitUpperSizesMatchesOneByOne: the batch bound equals the
+// one-size bound at every size, bit for bit, under every law — through
+// the law (shared logarithms against a fresh sum per K) and through the
+// public method (against the same sum one size at a time, condUpperRef),
+// across a non-positive visible mass, a one-object site whose block has
+// pSite·M_b ≥ 1, characteristic times below 1, +Inf (everything fits)
+// and sizes whose exact value the predictor has memoized.
+func TestSiteHitUpperSizesMatchesOneByOne(t *testing.T) {
+	ks := []float64{0, 0.4, 1, 5, 37, 12345, 1e6, math.Inf(1), 0.9, 2}
+	sizes := []int64{0, 1, 3, 50, 150, 399, 400, 10_000, -5}
+	for _, kind := range ModelKinds() {
+		for _, L := range []int{1, 7, 200, 2000} {
+			for _, theta := range []float64{0, 1, 2} {
+				pr := upperPredictor(t, kind, L, theta, 0, 0.3, nil)
+				for _, p := range []float64{0, 1e-3, 0.25, 1} {
+					requireBatchUpper(t, pr, p, ks)
+				}
+				// Memoize some sizes' exact values first: the batch must
+				// return them as the one-size call does.
+				pr.SiteHitRatioCond(0, 0.5, 3)
+				pr.SiteHitRatioCond(0, 0.5, 150)
+				for _, mass := range []float64{-1, 0, 0.1, 0.5, 1} {
+					out := make([]float64, len(sizes))
+					for x := range out {
+						out[x] = math.NaN() // every entry must be written
+					}
+					pr.SiteHitRatioCondUpperSizes(0, mass, sizes, out)
+					for x, c := range sizes {
+						if want := condUpperRef(pr, 0, mass, c); math.Float64bits(out[x]) != math.Float64bits(want) {
+							t.Fatalf("%s L=%d θ=%v mass=%v cache=%d: batch %v, one size %v", kind, L, theta, mass, c, out[x], want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

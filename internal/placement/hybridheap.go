@@ -112,17 +112,80 @@ func (st *hybridState) evalBenOpt(i, j int) float64 {
 	if !p.CanReplicate(i, j) {
 		return 0
 	}
-	sys, h := st.sys, st.h
-	b := (1 - h[i][j]) * sys.Demand[i][j] * p.NearestCost(i, j)
-	for s := 0; s < st.n; s++ {
-		if s == i || p.Has(s, j) {
+	sys := st.sys
+	b := (1 - st.h[i][j]) * sys.Demand[i][j] * p.NearestCost(i, j)
+	return st.remoteBenefit(b, i, j) - updatePenalty(sys, st.cfg.UpdateRates, i, j)
+}
+
+// remoteBenefit returns b plus cell (i, j)'s remote benefit, lines 14–17
+// of Figure 2: every other server s that does not replicate j and would
+// fetch it more cheaply from i gains (C(s, SN_j^(s)) − C(s, i)) ·
+// (1 − h_j^(s)) · r_j^(s). It reads the column-major copies (syncCols),
+// so a cell's n terms are four sequential runs rather than four
+// row-major tables read down a column; the sum is the row-major loop's,
+// term for term and in the same order. A replicating s reads −Inf, so
+// its cost difference is never positive and it drops out, as the
+// row-major loop's skip drops it.
+func (st *hybridState) remoteBenefit(b float64, i, j int) float64 {
+	n := st.n
+	nc := st.colNC[j*n : (j+1)*n]
+	miss := st.colMiss[j*n : (j+1)*n]
+	dem := st.colDem[j*n : (j+1)*n]
+	cost := st.costTo[i*n : (i+1)*n]
+	for s, c := range nc {
+		if s == i {
 			continue
 		}
-		if dc := p.NearestCost(s, j) - sys.CostServer[s][i]; dc > 0 {
-			b += dc * (1 - h[s][j]) * sys.Demand[s][j]
+		if dc := c - cost[s]; dc > 0 {
+			b += dc * miss[s] * dem[s]
 		}
 	}
-	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
+	return b
+}
+
+// syncCols builds the remote term's column-major copies from the live
+// demand, hit ratios, placement and costs.
+func (st *hybridState) syncCols() {
+	n, m, sys := st.n, st.m, st.sys
+	if len(st.colNC) != n*m {
+		st.colNC = make([]float64, n*m)
+		st.colMiss = make([]float64, n*m)
+		st.colDem = make([]float64, n*m)
+		st.costTo = make([]float64, n*n)
+	}
+	for s := 0; s < n; s++ {
+		for j := 0; j < m; j++ {
+			st.colDem[j*n+s] = sys.Demand[s][j]
+		}
+		for i := 0; i < n; i++ {
+			st.costTo[i*n+s] = sys.CostServer[s][i]
+		}
+		st.syncMissRow(s)
+	}
+	for j := 0; j < m; j++ {
+		st.syncNCCol(j)
+	}
+}
+
+// syncNCCol refreshes column j of the nearest-cost copy after a replica
+// of site j was created.
+func (st *hybridState) syncNCCol(j int) {
+	col := st.colNC[j*st.n : (j+1)*st.n]
+	for s := range col {
+		if st.p.Has(s, j) {
+			col[s] = math.Inf(-1)
+		} else {
+			col[s] = st.p.NearestCost(s, j)
+		}
+	}
+}
+
+// syncMissRow refreshes row i's entries of the miss-ratio copy after its
+// hit ratios changed.
+func (st *hybridState) syncMissRow(i int) {
+	for j, h := range st.h[i] {
+		st.colMiss[j*st.n+i] = 1 - h
+	}
 }
 
 // The cells of a heap run move one way through three states, and back
@@ -207,6 +270,7 @@ func (st *hybridState) evalBenOptTight(i, j int) float64 {
 // bounds' slack costs verifications, never exactness.
 func (st *hybridState) prepareOptimistic() {
 	n, m, sys := st.n, st.m, st.sys
+	st.syncCols()
 	st.ben = make([][]float64, n)
 	st.hShrink = make([][]float64, n) // rows allocated when their first cell surfaces
 	st.cells = make([][]uint8, n)
@@ -249,7 +313,8 @@ func (st *hybridState) prepareOptimistic() {
 
 // optSliceRow (re)computes row i's reference slices at the CURRENT
 // placement state, at K·m bound evaluations of ~30 terms each (no
-// Equation (1) sum, no memo entry), and their penalty totals. Called
+// Equation (1) sum, no memo entry; the K bounds of one site share their
+// logarithms), and their penalty totals. Called
 // per row by prepareOptimistic, by the heap run every time the row
 // itself receives a replica (seedCacheEvent) and by a warm repair that
 // rebuilt the row's model — the bound reads the row's hit ratios,
@@ -281,22 +346,31 @@ func (st *hybridState) optSliceRow(i int) {
 		st.optL[i] = L
 		st.optPenTot[i] = make([]float64, K)
 	}
+	// A site's K reference points share its visible mass, so one batch
+	// bounds them all and the model takes each block's logarithm once.
+	var newCache [optRefSlices]int64
+	var upper [optRefSlices]float64
 	for q := 0; q < K; q++ {
-		newCache := p.Free(i) - st.optRefO[q]
-		for k := 0; k < m; k++ {
-			if p.Has(i, k) {
-				// The exact penalty sum skips replicated sites; counting
-				// them here would overshoot the bound.
+		newCache[q] = p.Free(i) - st.optRefO[q]
+	}
+	for k := 0; k < m; k++ {
+		if p.Has(i, k) {
+			// The exact penalty sum skips replicated sites; counting
+			// them here would overshoot the bound.
+			for q := 0; q < K; q++ {
 				L[q*m+k] = 0
-				continue
 			}
-			// dh NOT clamped at zero: a negative drop (the mass relief
-			// outweighing the reference shrink) must stay negative, or
-			// the "lower bound" would overshoot a cell whose true
-			// penalty term is negative and the seed would stop being an
-			// upper bound. The reference hit ratio is the model's cheap
-			// upper bound, which only lowers dh further.
-			L[q*m+k] = st.h[i][k] - st.preds[i].SiteHitRatioCondUpper(k, newMass, newCache)
+			continue
+		}
+		// dh NOT clamped at zero: a negative drop (the mass relief
+		// outweighing the reference shrink) must stay negative, or the
+		// "lower bound" would overshoot a cell whose true penalty term
+		// is negative and the seed would stop being an upper bound. The
+		// reference hit ratio is the model's cheap upper bound, which
+		// only lowers dh further.
+		st.preds[i].SiteHitRatioCondUpperSizes(k, newMass, newCache[:K], upper[:K])
+		for q := 0; q < K; q++ {
+			L[q*m+k] = st.h[i][k] - upper[q]
 		}
 	}
 	st.optReweightRow(i)
@@ -576,6 +650,8 @@ func hybridHeapRun(st *hybridState) *Result {
 		}
 		visMass[bestI] -= preds[bestI].SitePopularity(bestJ)
 		st.rowHitRatios(bestI, fan)
+		st.syncNCCol(bestJ)
+		st.syncMissRow(bestI)
 
 		// SN events: server k's nearest replica of bestJ got closer. The
 		// penalty lower-bound totals re-weight the placed site's term to

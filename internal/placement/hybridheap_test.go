@@ -355,3 +355,116 @@ func TestApproxExplainEngineLabels(t *testing.T) {
 		}
 	}
 }
+
+// remoteRowMajor is lines 14–17 of Figure 2 as the row-major loop over
+// the live tables: the reference remoteBenefit's column copies are held
+// to.
+func remoteRowMajor(st *hybridState, b float64, i, j int) float64 {
+	p, sys, h := st.p, st.sys, st.h
+	for s := 0; s < st.n; s++ {
+		if s == i || p.Has(s, j) {
+			continue
+		}
+		if dc := p.NearestCost(s, j) - sys.CostServer[s][i]; dc > 0 {
+			b += dc * (1 - h[s][j]) * sys.Demand[s][j]
+		}
+	}
+	return b
+}
+
+// requireRemoteColumns checks remoteBenefit against remoteRowMajor on
+// every cell of st, bit for bit, from a few starting sums.
+func requireRemoteColumns(t *testing.T, st *hybridState, when string) {
+	t.Helper()
+	for i := 0; i < st.n; i++ {
+		for j := 0; j < st.m; j++ {
+			for _, b := range []float64{0, 0.37, -1e-3} {
+				got, want := st.remoteBenefit(b, i, j), remoteRowMajor(st, b, i, j)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: cell (%d,%d) from %v: column-major %v, row-major %v", when, i, j, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRemoteColumnsMatchRowMajor: the column-major remote term equals
+// the row-major loop after a cold start, after every accept of the cold
+// run, after a warm repair's refresh and after every accept of the warm
+// run — on co-located servers (zero costs between distinct servers)
+// and on a scenario instance.
+func TestRemoteColumnsMatchRowMajor(t *testing.T) {
+	type instance struct {
+		sys *core.System
+		cfg HybridConfig
+	}
+	var cases []instance
+	for _, seed := range []uint64{3, 11} {
+		sys, specs := randomSystem(xrand.New(seed), 12, 7, 0.25)
+		cases = append(cases, instance{sys, HybridConfig{Specs: specs, AvgObjectBytes: 1}})
+	}
+	sys, specs := randomSystem(xrand.New(5), 10, 6, 0.25)
+	twin := withDemand(sys, nil)
+	twin.CostServer = make([][]float64, sys.N())
+	for i := range twin.CostServer {
+		twin.CostServer[i] = append([]float64(nil), sys.CostServer[i]...)
+	}
+	twin.CostServer[0][1], twin.CostServer[1][0] = 0, 0 // servers 0 and 1 co-located
+	cases = append(cases, instance{twin, HybridConfig{Specs: specs, AvgObjectBytes: 1}})
+	scfg := scenario.Default()
+	scfg.Workload.ObjectsPerSite = 200
+	sc, err := scenario.Build(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, instance{sc.Sys, HybridConfig{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}})
+
+	warmAccepts := 0
+	for c, in := range cases {
+		accepts := 0
+		st, err := newHybridState(in.sys, in.cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.prepareOptimistic()
+		requireRemoteColumns(t, st, fmt.Sprintf("case %d: cold start", c))
+		st.cfg.Explain = func(e ExplainStep) {
+			accepts++
+			requireRemoteColumns(t, st, fmt.Sprintf("case %d: cold step %d", c, e.Iter))
+		}
+		res := hybridHeapRun(st)
+		if accepts == 0 {
+			t.Fatalf("case %d: the cold run accepted nothing", c)
+		}
+		st.cfg.Explain = nil
+		warm := captureWarmState(st, res, nil, nil)
+
+		dirty := make([]bool, in.sys.N())
+		dirty[0], dirty[in.sys.N()-1] = true, true
+		r := xrand.New(uint64(c) + 40)
+		drifted := withDemand(in.sys, func(d [][]float64) {
+			for i := range d {
+				for j := range d[i] {
+					if dirty[i] {
+						d[i][j] *= 0.2 + 3*r.Float64()
+					} else {
+						d[i][j] *= 1 + 0.02*(2*r.Float64()-1)
+					}
+				}
+			}
+		})
+		wst, err := repairState(warm, drifted, in.cfg, dirty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRemoteColumns(t, wst, fmt.Sprintf("case %d: warm refresh", c))
+		wst.cfg.Explain = func(e ExplainStep) {
+			warmAccepts++
+			requireRemoteColumns(t, wst, fmt.Sprintf("case %d: warm step %d", c, e.Iter))
+		}
+		hybridHeapRun(wst)
+	}
+	if warmAccepts == 0 {
+		t.Fatal("no warm run accepted a replica")
+	}
+}

@@ -295,6 +295,7 @@ func repairState(prev *WarmState, sys *core.System, cfg HybridConfig, dirty []bo
 		st.optSliceRow(i)
 		clear(st.cells[i])
 	})
+	st.syncCols()
 	fanOutRows(st.n, st.workers, st.refreshRow)
 	return st, nil
 }

@@ -228,15 +228,7 @@ func (st *hybridState) evalBenCached(i, j int) float64 {
 	}
 
 	// Lines 14–17: remote benefit.
-	for s := 0; s < st.n; s++ {
-		if s == i || p.Has(s, j) {
-			continue
-		}
-		if dc := p.NearestCost(s, j) - sys.CostServer[s][i]; dc > 0 {
-			b += dc * (1 - h[s][j]) * sys.Demand[s][j]
-		}
-	}
-	return b - updatePenalty(sys, st.cfg.UpdateRates, i, j)
+	return st.remoteBenefit(b, i, j) - updatePenalty(sys, st.cfg.UpdateRates, i, j)
 }
 
 // fillSlice stores candidate (i, j)'s shrink slice in hShrink[i][j·m:]: for

@@ -2,11 +2,13 @@ package placement
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lrumodel"
+	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
@@ -215,6 +217,71 @@ func TestHybridModelCostMonotonicity(t *testing.T) {
 	for kind, c := range costs {
 		if rel := math.Abs(c-costs["eq1"]) / costs["eq1"]; rel > 0.5 {
 			t.Errorf("%s predicted cost %.5f implausibly far from eq1's %.5f", kind, c, costs["eq1"])
+		}
+	}
+}
+
+// predictCostSerial is PredictCostOpts's objective row after row with a
+// fresh private table: the reference its fan-out is held to.
+func predictCostSerial(t *testing.T, p *core.Placement, specs []lrumodel.SiteSpec, avgObj float64) float64 {
+	t.Helper()
+	sys := p.System()
+	total := 0.0
+	for i := 0; i < sys.N(); i++ {
+		pred := mustModel(lrumodel.ModelEq1, specs, sys.Demand[i], avgObj, sys.Capacity[i], nil)
+		visible := make([]bool, sys.M())
+		for j := range visible {
+			visible[j] = !p.Has(i, j)
+		}
+		h := pred.HitRatiosCond(visible, p.Free(i))
+		for j := 0; j < sys.M(); j++ {
+			if c := p.NearestCost(i, j); c != 0 {
+				total += (1 - h[j]) * sys.Demand[i][j] * c
+			}
+		}
+	}
+	return total
+}
+
+// TestPredictCostOptsParallelBitIdentical: rows are priced across
+// GOMAXPROCS workers and summed in row order afterwards, so the cost is
+// the serial row-by-row sum, bit for bit, at GOMAXPROCS 1, 2 and 8, with
+// and without a solve's WarmState — on the solved system, where every
+// row reuses its predictor, and under another demand, where none may.
+func TestPredictCostOptsParallelBitIdentical(t *testing.T) {
+	cfg := scenario.Default()
+	cfg.Workload.ObjectsPerSite = 200
+	sc, err := scenario.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, avgObj := sc.Work.Specs(), sc.Work.AvgObjectBytes
+	res, warm, _, err := Incremental(nil, sc.Sys, IncrementalConfig{HybridConfig: HybridConfig{Specs: specs, AvgObjectBytes: avgObj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := withDemand(sc.Sys, func(d [][]float64) {
+		r := xrand.New(3)
+		for i := range d {
+			for j := range d[i] {
+				d[i][j] *= 0.5 + r.Float64()
+			}
+		}
+	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range []*core.Placement{res.Placement, mustRebuild(t, res.Placement, moved)} {
+		want := predictCostSerial(t, p, specs, avgObj)
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			for _, w := range []*WarmState{nil, warm} {
+				got, err := PredictCostOpts(p, CostOptions{Specs: specs, AvgObjectBytes: avgObj, Warm: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("GOMAXPROCS=%d warm=%v: cost %v, serial %v", procs, w != nil, got, want)
+				}
+			}
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/lrumodel"
@@ -33,13 +34,15 @@ func normWorkers(parallelism, rows int) int {
 	return w
 }
 
-// fanOutRows evaluates f(i) for every i in [0, n), striding rows across
-// at most workers goroutines. Each row is evaluated by exactly one
-// goroutine — the granularity that keeps per-server state (the lrumodel
-// predictors' memo tables) unshared — and every cell is a pure function
-// of the placement, so parallel evaluation is bit-identical to serial.
-// The calling goroutine runs worker 0's stride itself, so a fan-out
-// spawns workers−1 goroutines and workers <= 1 evaluates inline.
+// fanOutRows evaluates f(i) for every i in [0, n) on at most workers
+// goroutines, which claim rows one at a time from a shared cursor, so a
+// worker that drew cheap rows takes more of them. Each row is evaluated
+// by exactly one goroutine — the granularity that keeps per-server state
+// (the lrumodel predictors' memo tables) unshared — and every cell is a
+// pure function of the placement, so parallel evaluation is
+// bit-identical to serial whichever worker claims which row. The calling
+// goroutine claims rows too, so a fan-out spawns workers−1 goroutines
+// and workers <= 1 evaluates inline.
 func fanOutRows(n, workers int, f func(i int)) {
 	if workers > n {
 		workers = n
@@ -50,20 +53,21 @@ func fanOutRows(n, workers int, f func(i int)) {
 		}
 		return
 	}
-	stride := func(w int) {
-		for i := w; i < n; i += workers {
+	var next atomic.Int64
+	claim := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 			f(i)
 		}
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			stride(w)
-		}(w)
+			claim()
+		}()
 	}
-	stride(0)
+	claim()
 	wg.Wait()
 }
 
@@ -266,6 +270,13 @@ type hybridState struct {
 	optQ      []int
 	optL      [][]float64
 	optPenTot [][]float64
+	// colNC, colMiss and colDem are column-major copies of the remote
+	// term's inputs (lines 14–17, remoteBenefit), [j·n+s]: NearestCost(s,
+	// j), or −Inf where s replicates j; 1 − h[s][j]; Demand[s][j].
+	// costTo[i·n+s] is CostServer[s][i]. syncCols builds them when a cold
+	// start or a warm refresh begins, and each accept updates its column
+	// and its row's hit ratios.
+	colNC, colMiss, colDem, costTo []float64
 }
 
 // newHybridState validates cfg and builds the state of a cold run.
@@ -482,45 +493,61 @@ type CostOptions struct {
 // PredictCostOpts evaluates the objective D of any placement under the
 // selected analytical cache model, with each server's free space as
 // its cache. This is the "Predicted" series of Figure 6.
+//
+// Rows build (or reuse) their models and hit ratios concurrently, one
+// goroutine per row at a time across GOMAXPROCS workers, and their
+// terms are summed afterwards in row order: each row's hit ratios are a
+// pure function of its inputs, so the total is the serial sum, bit for
+// bit.
 func PredictCostOpts(p *core.Placement, opts CostOptions) (float64, error) {
 	kind, err := lrumodel.ParseModelKind(opts.Model)
 	if err != nil {
 		return 0, err
 	}
 	sys := p.System()
-	total := 0.0
+	n, m := sys.N(), sys.M()
 	var shared *lrumodel.SharedTable
 	reuse := false
 	if w := opts.Warm; w != nil {
 		shared = w.st.shared
-		reuse = w.st.n == sys.N() && w.st.model == kind && w.st.cfg.AvgObjectBytes == opts.AvgObjectBytes &&
+		reuse = w.st.n == n && w.st.model == kind && w.st.cfg.AvgObjectBytes == opts.AvgObjectBytes &&
 			slices.Equal(w.st.cfg.Specs, opts.Specs)
 	} else {
 		shared = lrumodel.NewSharedTable()
 	}
-	visible := make([]bool, sys.M())
-	for i := 0; i < sys.N(); i++ {
+	hits := make([][]float64, n)
+	errs := make([]error, n)
+	fanOutRows(n, normWorkers(0, n), func(i int) {
 		var pred *lrumodel.Predictor
 		if reuse {
 			pred = opts.Warm.rowModel(sys, i)
 		}
 		if pred == nil {
-			if pred, err = lrumodel.New(lrumodel.ModelConfig{
+			if pred, errs[i] = lrumodel.New(lrumodel.ModelConfig{
 				Kind:           kind,
 				Specs:          opts.Specs,
 				Weights:        sys.Demand[i],
 				AvgObjectBytes: opts.AvgObjectBytes,
 				MaxCacheBytes:  sys.Capacity[i],
 				Shared:         shared,
-			}); err != nil {
-				return 0, err
+			}); errs[i] != nil {
+				return
 			}
 		}
+		visible := make([]bool, m)
 		for j := range visible {
 			visible[j] = !p.Has(i, j)
 		}
-		h := pred.HitRatiosCond(visible, p.Free(i))
-		for j := 0; j < sys.M(); j++ {
+		hits[i] = pred.HitRatiosCond(visible, p.Free(i))
+	})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
+	}
+	total := 0.0
+	for i, h := range hits {
+		for j := 0; j < m; j++ {
 			c := p.NearestCost(i, j)
 			if c == 0 {
 				continue

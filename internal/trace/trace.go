@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/workload"
 )
@@ -57,7 +58,8 @@ type Writer struct {
 // NewWriter writes the header and returns a record writer. Call Flush
 // when done.
 func NewWriter(w io.Writer, h Header) (*Writer, error) {
-	if h.Servers < 1 || h.Servers > 65535 || h.Sites < 1 || h.Sites > 65535 {
+	if h.Servers < 1 || h.Servers > 65535 || h.Sites < 1 || h.Sites > 65535 ||
+		h.ObjectsPerSite < 1 || h.ObjectsPerSite > math.MaxUint32 {
 		return nil, fmt.Errorf("trace: header out of range: %+v", h)
 	}
 	bw := bufio.NewWriter(w)
@@ -79,7 +81,7 @@ func (w *Writer) Write(req workload.Request) error {
 		return w.err
 	}
 	if req.Server < 0 || req.Server >= w.h.Servers ||
-		req.Site < 0 || req.Site >= w.h.Sites || req.Object < 1 {
+		req.Site < 0 || req.Site >= w.h.Sites || req.Object < 1 || req.Object > w.h.ObjectsPerSite {
 		w.err = fmt.Errorf("trace: request %+v outside header bounds %+v", req, w.h)
 		return w.err
 	}
@@ -134,6 +136,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 		Sites:          int(binary.LittleEndian.Uint16(buf[8:10])),
 		ObjectsPerSite: int(binary.LittleEndian.Uint32(buf[12:16])),
 	}
+	if h.ObjectsPerSite < 1 {
+		return nil, fmt.Errorf("trace: header has %d objects per site", h.ObjectsPerSite)
+	}
 	return &Reader{r: br, h: h}, nil
 }
 
@@ -155,7 +160,7 @@ func (r *Reader) Read() (workload.Request, error) {
 		Object:    int(binary.LittleEndian.Uint32(buf[4:8])),
 		Cacheable: buf[8]&flagCacheable != 0,
 	}
-	if req.Server >= r.h.Servers || req.Site >= r.h.Sites {
+	if req.Server >= r.h.Servers || req.Site >= r.h.Sites || req.Object < 1 || req.Object > r.h.ObjectsPerSite {
 		return workload.Request{}, fmt.Errorf("trace: record %d out of header bounds", r.n)
 	}
 	r.n++

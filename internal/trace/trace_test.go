@@ -3,7 +3,9 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -90,6 +92,7 @@ func TestWriterRejectsOutOfBounds(t *testing.T) {
 		{Server: 2, Site: 0, Object: 1},
 		{Server: 0, Site: 5, Object: 1},
 		{Server: 0, Site: 0, Object: 0},
+		{Server: 0, Site: 0, Object: 11},
 		{Server: -1, Site: 0, Object: 1},
 	}
 	for i, req := range bad {
@@ -110,6 +113,82 @@ func TestNewWriterRejectsBadHeader(t *testing.T) {
 	if _, err := NewWriter(&buf, Header{Servers: 1, Sites: 70000}); err == nil {
 		t.Fatal("oversized sites accepted")
 	}
+	if _, err := NewWriter(&buf, Header{Servers: 1, Sites: 1}); err == nil {
+		t.Fatal("zero objects per site accepted")
+	}
+}
+
+// rawTrace is a version-1 trace of the given header fields followed by
+// records of (server, site, object, flags).
+func rawTrace(servers, sites uint16, objects uint32, records ...[4]uint32) []byte {
+	b := []byte(Magic)
+	b = binary.LittleEndian.AppendUint16(b, Version)
+	b = binary.LittleEndian.AppendUint16(b, servers)
+	b = binary.LittleEndian.AppendUint16(b, sites)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, objects)
+	for _, r := range records {
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[0]))
+		b = binary.LittleEndian.AppendUint16(b, uint16(r[1]))
+		b = binary.LittleEndian.AppendUint32(b, r[2])
+		b = append(b, byte(r[3]))
+	}
+	return b
+}
+
+// TestReaderRejectsObjectOutOfRange: a record's object rank must lie in
+// [1, ObjectsPerSite] — replaying rank 0 or a rank past the catalog
+// would index a site's objects out of range — and a header must have at
+// least one object per site.
+func TestReaderRejectsObjectOutOfRange(t *testing.T) {
+	for _, obj := range []uint32{0, 101, math.MaxUint32} {
+		r, err := NewReader(bytes.NewReader(rawTrace(2, 2, 100, [4]uint32{0, 0, obj, 1})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req, err := r.Read(); err == nil {
+			t.Errorf("object %d of 100 accepted: %+v", obj, req)
+		}
+	}
+	for _, obj := range []uint32{1, 100} {
+		r, err := NewReader(bytes.NewReader(rawTrace(2, 2, 100, [4]uint32{1, 1, obj, 0})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req, err := r.Read(); err != nil || req.Object != int(obj) {
+			t.Errorf("object %d of 100: %+v, %v", obj, req, err)
+		}
+	}
+	if _, err := NewReader(bytes.NewReader(rawTrace(2, 2, 0))); err == nil {
+		t.Error("header with zero objects per site accepted")
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes to the reader: it must never
+// panic, and every request it returns must lie within its header.
+func FuzzTraceReader(f *testing.F) {
+	f.Add(rawTrace(2, 2, 100, [4]uint32{0, 0, 1, 1}, [4]uint32{1, 1, 100, 0}))
+	f.Add(rawTrace(2, 2, 100, [4]uint32{0, 0, 0, 1}))
+	f.Add(rawTrace(2, 2, 100, [4]uint32{0, 0, 101, 1}))
+	f.Add(rawTrace(1, 1, 0))
+	f.Add([]byte("CDNT"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		h := r.Header()
+		for {
+			req, err := r.Read()
+			if err != nil {
+				return
+			}
+			if req.Server < 0 || req.Server >= h.Servers || req.Site < 0 || req.Site >= h.Sites ||
+				req.Object < 1 || req.Object > h.ObjectsPerSite {
+				t.Fatalf("request %+v outside header %+v", req, h)
+			}
+		}
+	})
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
