@@ -33,7 +33,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro"
+	"repro/internal/experiments"
 	"repro/internal/lrumodel"
 )
 
@@ -92,13 +92,29 @@ func realMain() int {
 		}()
 	}
 
-	opts := repro.DefaultOptions()
+	opts := experiments.DefaultOptions()
 	if *quick {
-		opts = repro.QuickOptions()
+		opts = experiments.QuickOptions()
 	}
 	opts.Base.Seed = *seed
 	opts.TraceSeed = *trace
 	opts.Sim.Parallelism = *par
+	// 0 keeps the configuration's value; a negative one is a mistake,
+	// not a request for the default.
+	for _, o := range []struct {
+		name string
+		neg  bool
+	}{
+		{"requests", *requests < 0},
+		{"warmup", *warmup < 0},
+		{"objects", *objects < 0},
+		{"theta", !(*theta >= 0)}, // NaN too
+	} {
+		if o.neg {
+			fmt.Fprintf(os.Stderr, "cdnsim: -%s %s: must be ≥ 0 (0 keeps the default)\n", o.name, flag.Lookup(o.name).Value)
+			return 1
+		}
+	}
 	if *requests > 0 {
 		opts.Sim.Requests = *requests
 	}
@@ -148,85 +164,85 @@ type figure struct {
 	name string
 	// inAll marks the figures -figure all renders, in table order.
 	inAll bool
-	run   func(ctx context.Context, w io.Writer, opts repro.Options) error
+	run   func(ctx context.Context, w io.Writer, opts experiments.Options) error
 }
 
 var figures = []figure{
-	{"3", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, formatPanels)(repro.Figure3(ctx, opts))
+	{"3", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, formatPanels)(experiments.Figure3(ctx, opts))
 	}},
-	{"4", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, formatPanels)(repro.Figure4(ctx, opts))
+	{"4", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, formatPanels)(experiments.Figure4(ctx, opts))
 	}},
-	{"5", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, formatPanels)(repro.Figure5(ctx, opts))
+	{"5", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, formatPanels)(experiments.Figure5(ctx, opts))
 	}},
-	{"6", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatFig6)(repro.Figure6(ctx, opts))
+	{"6", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatFig6)(experiments.Figure6(ctx, opts))
 	}},
-	{"summary", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatSummary)(repro.Summary(ctx, opts))
+	{"summary", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatSummary)(experiments.Summary(ctx, opts))
 	}},
-	{"ablations", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		if err := emit(w, repro.FormatPolicyRows)(repro.CachePolicyAblation(ctx, opts)); err != nil {
+	{"ablations", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		if err := emit(w, experiments.FormatPolicyRows)(experiments.CachePolicyAblation(ctx, opts)); err != nil {
 			return err
 		}
-		if err := emit(w, repro.FormatThetaRows)(repro.ThetaSweep(ctx, opts, []float64{0.6, 0.8, 1.0, 1.2, 1.4})); err != nil {
+		if err := emit(w, experiments.FormatThetaRows)(experiments.ThetaSweep(ctx, opts, []float64{0.6, 0.8, 1.0, 1.2, 1.4})); err != nil {
 			return err
 		}
-		return emit(w, repro.FormatPlacementRows)(repro.PlacementAblation(ctx, opts))
+		return emit(w, experiments.FormatPlacementRows)(experiments.PlacementAblation(ctx, opts))
 	}},
-	{"clusters", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+	{"clusters", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
 		for _, n := range []int{2, 4, 8} {
-			format := func(rows []repro.ClusterRow) string { return repro.FormatClusterRows(rows, n) }
-			if err := emit(w, format)(repro.ClusterComparison(ctx, opts, n)); err != nil {
+			format := func(rows []experiments.ClusterRow) string { return experiments.FormatClusterRows(rows, n) }
+			if err := emit(w, format)(experiments.ClusterComparison(ctx, opts, n)); err != nil {
 				return err
 			}
 		}
 		return nil
 	}},
-	{"availability", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatAvailabilityRows)(repro.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2))
+	{"availability", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatAvailabilityRows)(experiments.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2))
 	}},
-	{"churn", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatChurnRows)(repro.ChurnComparison(ctx, opts, repro.DefaultChurn()))
+	{"churn", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatChurnRows)(experiments.ChurnComparison(ctx, opts, experiments.DefaultChurn()))
 	}},
-	{"drift", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		cfg := repro.DefaultDriftConfig()
-		format := func(rows []repro.DriftRow) string { return repro.FormatDriftRows(rows, cfg) }
-		return emit(w, format)(repro.DriftComparison(ctx, opts, cfg))
+	{"drift", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		cfg := experiments.DefaultDriftConfig()
+		format := func(rows []experiments.DriftRow) string { return experiments.FormatDriftRows(rows, cfg) }
+		return emit(w, format)(experiments.DriftComparison(ctx, opts, cfg))
 	}},
-	{"dynamic", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatDynamicRows)(repro.DynamicComparison(ctx, opts, repro.DefaultDynamicCatalogOptions()))
+	{"dynamic", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatDynamicRows)(experiments.DynamicComparison(ctx, opts, experiments.DefaultDynamicOptions()))
 	}},
-	{"kmedian", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatKMedianRows)(repro.KMedianQuality(ctx, opts, []int{1, 2, 3}))
+	{"kmedian", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatKMedianRows)(experiments.KMedianQuality(ctx, opts, []int{1, 2, 3}))
 	}},
-	{"model", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		if err := emit(w, repro.FormatModelCompareRows)(repro.ModelComparison(ctx, opts, []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4})); err != nil {
+	{"model", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		if err := emit(w, experiments.FormatModelCompareRows)(experiments.ModelComparison(ctx, opts, []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4})); err != nil {
 			return err
 		}
-		if err := emit(w, repro.FormatPolicyModelRows)(repro.ModelPolicyComparison(ctx, opts, []float64{0.02, 0.05, 0.1, 0.2})); err != nil {
+		if err := emit(w, experiments.FormatPolicyModelRows)(experiments.ModelPolicyComparison(ctx, opts, []float64{0.02, 0.05, 0.1, 0.2})); err != nil {
 			return err
 		}
-		return emit(w, repro.FormatRobustnessRows)(repro.ModelRobustness(ctx, opts, []float64{0, 0.2, 0.4, 0.6}))
+		return emit(w, experiments.FormatRobustnessRows)(experiments.ModelRobustness(ctx, opts, []float64{0, 0.2, 0.4, 0.6}))
 	}},
-	{"updates", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatUpdateRows)(repro.UpdateSweep(ctx, opts, []float64{0, 0.1, 0.25, 0.5, 1.0}))
+	{"updates", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatUpdateRows)(experiments.UpdateSweep(ctx, opts, []float64{0, 0.1, 0.25, 0.5, 1.0}))
 	}},
-	{"heterogeneity", true, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatHeterogeneityRows)(repro.HeterogeneityComparison(ctx, opts, []float64{0, 0.4, 0.8, 1.2}))
+	{"heterogeneity", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatHeterogeneityRows)(experiments.HeterogeneityComparison(ctx, opts, []float64{0, 0.4, 0.8, 1.2}))
 	}},
-	{"seeds", false, func(ctx context.Context, w io.Writer, opts repro.Options) error {
-		return emit(w, repro.FormatGainStats)(repro.SummaryOverSeeds(ctx, opts, []uint64{1, 2, 3, 4, 5}))
+	{"seeds", false, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
+		return emit(w, experiments.FormatGainStats)(experiments.SummaryOverSeeds(ctx, opts, []uint64{1, 2, 3, 4, 5}))
 	}},
 	// scale sweeps ×1..×10 paper size and prints wall times.
-	{"scale", false, func(ctx context.Context, w io.Writer, opts repro.Options) error {
+	{"scale", false, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
 		factors := []int{1, 2, 4, 10}
 		if quickRun {
 			factors = []int{1, 2}
 		}
-		return emit(w, repro.FormatScaleRows)(repro.ScaleComparison(ctx, opts, factors))
+		return emit(w, experiments.FormatScaleRows)(experiments.ScaleComparison(ctx, opts, factors))
 	}},
 }
 
@@ -252,10 +268,10 @@ func emit[R any](w io.Writer, format func(R) string) func(R, error) error {
 
 // formatPanels renders a figure's CDF panels as tables, or as ASCII
 // charts under -plot.
-func formatPanels(panels []repro.Panel) string {
-	format := repro.FormatPanel
+func formatPanels(panels []experiments.Panel) string {
+	format := experiments.FormatPanel
 	if renderPlots {
-		format = repro.FormatPanelPlot
+		format = experiments.FormatPanelPlot
 	}
 	out := make([]string, len(panels))
 	for i, p := range panels {
@@ -264,7 +280,7 @@ func formatPanels(panels []repro.Panel) string {
 	return strings.Join(out, "\n")
 }
 
-func run(ctx context.Context, w io.Writer, name string, opts repro.Options) error {
+func run(ctx context.Context, w io.Writer, name string, opts experiments.Options) error {
 	known := false
 	for _, f := range figures {
 		if f.name == name || (name == "all" && f.inAll) {

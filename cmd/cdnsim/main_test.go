@@ -7,9 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"repro"
+	"repro/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/quick_<figure>.golden from the current output")
@@ -28,7 +29,7 @@ func TestQuickFiguresGolden(t *testing.T) {
 			continue
 		}
 		t.Run(figure, func(t *testing.T) {
-			opts := repro.QuickOptions()
+			opts := experiments.QuickOptions()
 			opts.Base.Seed = 1
 			opts.TraceSeed = 99
 			var got bytes.Buffer
@@ -69,4 +70,38 @@ func firstDiff(got, want []byte) string {
 		}
 	}
 	return ""
+}
+
+// TestNegativeOverridesExit1: a negative (or NaN) -requests, -warmup,
+// -objects or -theta exits 1 with an error naming the flag, before any
+// figure runs; only 0 means "keep the default".
+func TestNegativeOverridesExit1(t *testing.T) {
+	args, cmdLine, stderr := os.Args, flag.CommandLine, os.Stderr
+	t.Cleanup(func() { os.Args, flag.CommandLine, os.Stderr = args, cmdLine, stderr })
+	for _, tc := range []struct{ flag, val string }{
+		{"requests", "-5"}, {"warmup", "-1"}, {"objects", "-3"}, {"theta", "-2"}, {"theta", "NaN"},
+	} {
+		t.Run(tc.flag+"="+tc.val, func(t *testing.T) {
+			errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer errFile.Close()
+			os.Stderr = errFile
+			flag.CommandLine = flag.NewFlagSet("cdnsim", flag.ContinueOnError)
+			os.Args = []string{"cdnsim", "-figure", "6", "-quick", "-" + tc.flag, tc.val}
+			code := realMain()
+			os.Stderr = stderr
+			msg, err := os.ReadFile(errFile.Name())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 1 {
+				t.Errorf("exit %d, want 1", code)
+			}
+			if !strings.Contains(string(msg), "-"+tc.flag+" ") {
+				t.Errorf("error does not name -%s: %q", tc.flag, msg)
+			}
+		})
+	}
 }

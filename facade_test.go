@@ -1,37 +1,6 @@
 package repro
 
-import (
-	"strings"
-	"testing"
-)
-
-// TestFormattersTolerateEmptyInput pins down that every facade formatter
-// renders a header even with no rows — the CLI prints these directly.
-func TestFormattersTolerateEmptyInput(t *testing.T) {
-	outputs := map[string]string{
-		"fig6":          FormatFig6(nil),
-		"summary":       FormatSummary(nil),
-		"policy":        FormatPolicyRows(nil),
-		"theta":         FormatThetaRows(nil),
-		"placement":     FormatPlacementRows(nil),
-		"cluster":       FormatClusterRows(nil, 4),
-		"availability":  FormatAvailabilityRows(nil),
-		"drift":         FormatDriftRows(nil, DefaultDriftConfig()),
-		"kmedian":       FormatKMedianRows(nil),
-		"modelcompare":  FormatModelCompareRows(nil),
-		"robustness":    FormatRobustnessRows(nil),
-		"updates":       FormatUpdateRows(nil),
-		"heterogeneity": FormatHeterogeneityRows(nil),
-	}
-	for name, out := range outputs {
-		if strings.TrimSpace(out) == "" {
-			t.Errorf("%s: empty output for empty rows", name)
-		}
-		if !strings.Contains(out, "\n") {
-			t.Errorf("%s: missing header line", name)
-		}
-	}
-}
+import "testing"
 
 // TestLRUPredictorFacade exercises the stand-alone model entry point the
 // README shows.

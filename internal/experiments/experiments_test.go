@@ -230,6 +230,43 @@ func TestFormatters(t *testing.T) {
 	}
 }
 
+// TestFormattersTolerateEmptyInput: every formatter renders at least a
+// header line with no rows, since cdnsim prints them directly.
+func TestFormattersTolerateEmptyInput(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		out  string
+	}{
+		{"panel", FormatPanel(Panel{})},
+		{"panelplot", FormatPanelPlot(Panel{})},
+		{"fig6", FormatFig6(nil)},
+		{"summary", FormatSummary(nil)},
+		{"gainstats", FormatGainStats(nil)},
+		{"policy", FormatPolicyRows(nil)},
+		{"theta", FormatThetaRows(nil)},
+		{"placement", FormatPlacementRows(nil)},
+		{"cluster", FormatClusterRows(nil, 4)},
+		{"availability", FormatAvailabilityRows(nil)},
+		{"churn", FormatChurnRows(nil)},
+		{"drift", FormatDriftRows(nil, DefaultDriftConfig())},
+		{"dynamic", FormatDynamicRows(nil)},
+		{"kmedian", FormatKMedianRows(nil)},
+		{"modelcompare", FormatModelCompareRows(nil)},
+		{"policymodel", FormatPolicyModelRows(nil)},
+		{"robustness", FormatRobustnessRows(nil)},
+		{"updates", FormatUpdateRows(nil)},
+		{"heterogeneity", FormatHeterogeneityRows(nil)},
+		{"scale", FormatScaleRows(nil)},
+	} {
+		if strings.TrimSpace(tc.out) == "" {
+			t.Errorf("%s: empty output for empty rows", tc.name)
+		}
+		if !strings.Contains(tc.out, "\n") {
+			t.Errorf("%s: missing header line", tc.name)
+		}
+	}
+}
+
 func TestUnknownMechanism(t *testing.T) {
 	opts := QuickOptions()
 	cfg := opts.Base

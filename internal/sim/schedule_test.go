@@ -130,6 +130,9 @@ func TestScheduleCrashRecoverTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if m.EventsApplied != 4 || m.Requests != cfg.Requests {
+		t.Fatalf("applied %d events over %d requests, want 4 over %d", m.EventsApplied, m.Requests, cfg.Requests)
+	}
 	if len(m.Phases) != 3 {
 		t.Fatalf("got %d phases, want 3: %+v", len(m.Phases), m.Phases)
 	}

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/placement"
@@ -48,25 +47,6 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	if mAdhoc.Requests != simCfg.Requests {
 		t.Errorf("adhoc measured %d requests", mAdhoc.Requests)
-	}
-}
-
-func TestFacadeFigureRunners(t *testing.T) {
-	opts := QuickOptions()
-	opts.Sim.Requests = 30000
-	opts.Sim.Warmup = 15000
-	if _, err := Figure5(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Figure6(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("%d fig6 rows", len(rows))
-	}
-	if out := FormatFig6(rows); out == "" {
-		t.Fatal("empty fig6 output")
 	}
 }
 
@@ -138,58 +118,5 @@ func TestPlaceStrategies(t *testing.T) {
 	}
 	if steps != obs.Placement.Replicas() {
 		t.Errorf("observer saw %d steps for %d replicas", steps, obs.Placement.Replicas())
-	}
-}
-
-// TestFacadeScheduleSimulation smoke-tests the failure-aware facade:
-// build a schedule, run it, read phase metrics.
-func TestFacadeScheduleSimulation(t *testing.T) {
-	sc, err := BuildScenario(QuickOptions().Base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := Place(sc, PlacementConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultSim()
-	cfg.Requests = 40000
-	cfg.Warmup = 20000
-	cfg.KeepResponseTimes = false
-	sched, err := NewFaultSchedule(
-		FaultEvent{At: cfg.Warmup + 10000, Comp: FaultOrigin, ID: 0, Kind: FaultCrash},
-		FaultEvent{At: cfg.Warmup + 30000, Comp: FaultOrigin, ID: 0, Kind: FaultRecover},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := SimulateWithSchedule(context.Background(), sc, hyb.Placement, cfg, sched, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.EventsApplied != 2 || len(m.Phases) != 3 {
-		t.Fatalf("applied %d events over %d phases, want 2 over 3", m.EventsApplied, len(m.Phases))
-	}
-	if m.Requests != cfg.Requests {
-		t.Fatalf("measured %d requests", m.Requests)
-	}
-}
-
-func TestScaleScenarioFacade(t *testing.T) {
-	base := DefaultScenario()
-	s2 := ScaleScenario(base, 2)
-	if s2.Workload.Servers != 2*base.Workload.Servers {
-		t.Fatalf("servers %d, want ×2", s2.Workload.Servers)
-	}
-	if s2.CapacityFrac != base.CapacityFrac/2 {
-		t.Fatalf("capacity frac %v, want halved", s2.CapacityFrac)
-	}
-	if err := s2.Validate(); err != nil {
-		t.Fatalf("scaled config invalid: %v", err)
-	}
-	rows := []ScaleRow{{Factor: 1, Nodes: 544, Servers: 50, Sites: 20,
-		ReplicationRTMs: 118, CachingRTMs: 79, HybridRTMs: 73, GainPct: 7.7}}
-	if out := FormatScaleRows(rows); !strings.Contains(out, "scale sweep") {
-		t.Fatalf("unexpected formatting:\n%s", out)
 	}
 }
