@@ -77,8 +77,8 @@ chaos:
 	$(GO) test -race -count=1 -run TestClusterChaosDrill -v ./internal/clusterd/
 
 # cluster-smoke exercises the multi-process deployment end to end: four
-# separate processes booted by scripts/cluster-smoke.sh, the load
-# generator's drill against them, and BENCH_cluster.json (untracked)
+# `cdnd control|origin|edge` processes booted by scripts/cluster-smoke.sh,
+# `cdnd load`'s drill against them, and BENCH_cluster.json (untracked)
 # written from measured throughput/latency.
 cluster-smoke:
 	sh scripts/cluster-smoke.sh

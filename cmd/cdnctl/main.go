@@ -1,6 +1,6 @@
 // Command cdnctl is the control-plane client: it talks to the
 // /debug/control and /debug/health endpoints of the control plane —
-// cdncontrol's -addr, or the -metrics address of a cdnd launch.
+// the -addr of `cdnd control` or of a one-process cdnd launch.
 //
 // Usage:
 //
@@ -47,7 +47,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cdnctl", flag.ContinueOnError)
 	var (
-		addr    = fs.String("addr", "127.0.0.1:8080", "address serving /debug/control (cdnd -metrics or cdncontrol -addr)")
+		addr    = fs.String("addr", "127.0.0.1:8080", "address serving /debug/control (cdnd's -addr)")
 		raw     = fs.Bool("json", false, "print the raw JSON response")
 		timeout = fs.Duration("timeout", 10*time.Second, "HTTP timeout")
 	)

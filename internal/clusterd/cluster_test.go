@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -618,5 +619,45 @@ func TestLoadStaleLinks(t *testing.T) {
 	// Rejecting a bad fraction is part of the contract.
 	if _, err := RunLoad(ctx, LoadConfig{ControlURL: tc.Control.URL(), Requests: 1, StaleLinkFrac: 1}); err == nil {
 		t.Error("RunLoad accepted StaleLinkFrac = 1")
+	}
+}
+
+// TestLoadRejectsDrillsThatInjectNothing: a misspelt fault mode, a
+// fault index the run never reaches and an edge outside the roster are
+// errors, not drills that pass having faulted nothing; so is a fault
+// the edge refuses or cannot be told about.
+func TestLoadRejectsDrillsThatInjectNothing(t *testing.T) {
+	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, tt := range []struct {
+		name string
+		cfg  LoadConfig
+		want string
+	}{
+		{"misspelt mode", LoadConfig{FaultMode: "erorr", FaultEdge: 1, FaultAt: 50, ClearAt: 300}, `fault mode "erorr"`},
+		{"fault before the first request", LoadConfig{FaultMode: "error", FaultEdge: 1, FaultAt: -1}, "fault at request -1"},
+		{"fault after the last request", LoadConfig{FaultMode: "error", FaultEdge: 1, FaultAt: 400}, "fault at request 400"},
+		{"edge outside the roster", LoadConfig{FaultMode: "error", FaultEdge: 2}, "fault edge 2"},
+		{"no edge", LoadConfig{FaultMode: "latency", FaultEdge: -1}, "fault edge -1"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tt.cfg.ControlURL, tt.cfg.Requests, tt.cfg.Seed = tc.Control.URL(), 400, 7
+			res, err := RunLoad(ctx, tt.cfg)
+			if err == nil || !strings.Contains(err.Error(), tt.want) {
+				t.Fatalf("RunLoad = %+v, %v; want an error naming %q", res, err, tt.want)
+			}
+		})
+	}
+
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "no", http.StatusInternalServerError)
+	}))
+	if err := setFault(ctx, http.DefaultClient, refusing.URL, "error"); err == nil || !strings.Contains(err.Error(), "500") {
+		t.Errorf("setFault against a 500 = %v, want the status", err)
+	}
+	refusing.Close()
+	if err := setFault(ctx, http.DefaultClient, refusing.URL, "error"); err == nil {
+		t.Error("setFault against a closed listener succeeded")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/httpcdn"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -34,11 +35,13 @@ type LoadConfig struct {
 	// Seed derives the per-worker request streams (worker w uses
 	// Seed+1000+w), independent of the scenario seed.
 	Seed uint64
-	// FaultEdge, when >= 0, injects FaultMode into that edge's fault
-	// injector before the request whose 0-based global index is FaultAt,
-	// and clears it before request ClearAt (ClearAt <= FaultAt: never) —
-	// the chaos drill: kill an edge mid-run and require zero lost
-	// requests.
+	// FaultMode, unless "" or "off", is injected into edge FaultEdge's
+	// fault injector before the request whose 0-based global index is
+	// FaultAt, and cleared before request ClearAt (ClearAt <= FaultAt:
+	// never) — the chaos drill: kill an edge mid-run and require zero
+	// lost requests. RunLoad rejects a mode fault.ParseMode does not
+	// know and a FaultAt outside [0, Requests), drills that would
+	// inject nothing.
 	FaultEdge int
 	FaultMode string
 	FaultAt   int
@@ -148,6 +151,13 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.StaleLinkFrac < 0 || cfg.StaleLinkFrac >= 1 {
 		return nil, fmt.Errorf("clusterd: stale-link fraction %v outside [0,1)", cfg.StaleLinkFrac)
 	}
+	mode, ok := fault.ParseMode(cfg.FaultMode)
+	switch {
+	case !ok && cfg.FaultMode != "": // "" parses as ModeOff, not ok
+		return nil, fmt.Errorf("clusterd: fault mode %q (want off, error, latency or blackhole)", cfg.FaultMode)
+	case mode != fault.ModeOff && (cfg.FaultAt < 0 || cfg.FaultAt >= cfg.Requests):
+		return nil, fmt.Errorf("clusterd: fault at request %d outside [0,%d)", cfg.FaultAt, cfg.Requests)
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -194,13 +204,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		})
 	}
 
-	var fault *FaultSummary
-	if cfg.FaultEdge >= 0 && cfg.FaultMode != "" {
-		if cfg.FaultEdge >= len(edgeURL) {
+	var drill *FaultSummary
+	if mode != fault.ModeOff {
+		if cfg.FaultEdge < 0 || cfg.FaultEdge >= len(edgeURL) {
 			return nil, fmt.Errorf("clusterd: fault edge %d out of range", cfg.FaultEdge)
 		}
-		fault = &FaultSummary{Edge: cfg.FaultEdge, Mode: cfg.FaultMode, At: cfg.FaultAt, ClearAt: cfg.ClearAt}
+		drill = &FaultSummary{Edge: cfg.FaultEdge, Mode: cfg.FaultMode, At: cfg.FaultAt, ClearAt: cfg.ClearAt}
 	}
+	// A fault the edge did not take fails the run: a drill that injected
+	// nothing would otherwise pass. One worker sets it, one clears it.
+	faultErrs := make(chan error, 2)
 
 	// 50µs .. ~6.5s in ms, fine enough that p99 interpolation is tight
 	// at loopback latencies.
@@ -229,17 +242,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 					return
 				}
 				index := int(seq.Add(1)) - 1
-				if fault != nil {
-					if index == fault.At {
-						setFault(ctx, client, edgeURL[fault.Edge], fault.Mode)
-						if cfg.Logf != nil {
-							cfg.Logf("load: request %d: injected %s into edge %d", index, fault.Mode, fault.Edge)
-						}
-					} else if index == fault.ClearAt && fault.ClearAt > fault.At {
-						setFault(ctx, client, edgeURL[fault.Edge], "off")
-						if cfg.Logf != nil {
-							cfg.Logf("load: request %d: cleared fault on edge %d", index, fault.Edge)
-						}
+				if drill != nil && (index == drill.At || index == drill.ClearAt && drill.ClearAt > drill.At) {
+					mode := drill.Mode
+					if index != drill.At {
+						mode = "off"
+					}
+					if err := setFault(ctx, client, edgeURL[drill.Edge], mode); err != nil {
+						faultErrs <- err
+					}
+					if cfg.Logf != nil {
+						cfg.Logf("load: request %d: fault on edge %d set to %s", index, drill.Edge, mode)
 					}
 				}
 				req := stream.Next()
@@ -255,12 +267,17 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	select {
+	case err := <-faultErrs:
+		return nil, err
+	default:
+	}
 
 	res := &LoadResult{
 		Params:       members.Params,
 		Workers:      cfg.Workers,
 		Edges:        len(members.Edges),
-		Fault:        fault,
+		Fault:        drill,
 		BySource:     make(map[string]int64),
 		ErrorClasses: make(map[string]int64),
 		GoVersion:    runtime.Version(),
@@ -358,20 +375,26 @@ func (lw *loadWorker) doStale(ctx context.Context, client *http.Client, m int, e
 // the faulted edge.
 const faultLatency = 200 * time.Millisecond
 
-// setFault POSTs a fault-injector mode change; best-effort (the drill's
-// assertions live in the measurements, not here).
-func setFault(ctx context.Context, client *http.Client, edgeURL, mode string) {
+// setFault POSTs a fault-injector mode change and fails unless the
+// edge accepted it.
+func setFault(ctx context.Context, client *http.Client, edgeURL, mode string) error {
 	fctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	req, err := http.NewRequestWithContext(fctx, http.MethodPost,
 		edgeURL+"/admin/fault?mode="+mode+"&latency="+faultLatency.String(), nil)
 	if err != nil {
-		return
+		return err
 	}
-	if resp, err := client.Do(req); err == nil {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+	resp, err := client.Do(req)
+	if err != nil {
+		return fmt.Errorf("clusterd: setting fault %s: %w", mode, err)
 	}
+	defer resp.Body.Close()
+	io.Copy(io.Discard, resp.Body)
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("clusterd: setting fault %s: %s", mode, resp.Status)
+	}
+	return nil
 }
 
 // quantileFromBuckets is obs.Histogram.Quantile over merged bucket

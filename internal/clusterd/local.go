@@ -9,9 +9,9 @@ import (
 
 // Local is a whole deployment — control plane, origin and every edge of
 // params — behind loopback listeners of one process: what cmd/cdnd
-// launches and this package's tests boot. The components are the ones
-// cdncontrol, cdnorigin and cdnedge run, and speak to each other over
-// the same HTTP protocol.
+// launches with no role and this package's tests boot. The components
+// are the ones `cdnd control|origin|edge` run, and speak to each other
+// over the same HTTP protocol.
 type Local struct {
 	Control *ControlPlane
 	Origin  *Origin

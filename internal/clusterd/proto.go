@@ -1,19 +1,19 @@
 // Package clusterd is the deployment: separately deployable components
-// that speak HTTP to each other, run one per process by the cmd/cdn*
-// binaries or all in one process by StartLocal (cmd/cdnd, the tests):
+// that speak HTTP to each other, run one per process by `cdnd ROLE` or
+// all in one process by StartLocal (cmd/cdnd with no role, the tests):
 //
-//   - a control plane (cmd/cdncontrol) that owns the deployment
+//   - a control plane (cdnd control) that owns the deployment
 //     scenario, shards the demand estimator by consistent-hashed
 //     (edge, site) key, runs the reconcile loop against the aggregated
 //     estimate, actively probes member health, and pushes placement
 //     swaps to the edges;
-//   - standalone edges (cmd/cdnedge) that put an httpcdn.Engine — the
+//   - standalone edges (cdnd edge) that put an httpcdn.Engine — the
 //     one replica → cache → peer/origin serving path — behind a real
 //     listener, count per-site demand locally, and flush deltas to the
 //     control plane;
-//   - a standalone origin (cmd/cdnorigin): an httpcdn.Origin for every
+//   - a standalone origin (cdnd origin): an httpcdn.Origin for every
 //     site's primary copy, with a fault-injector hook;
-//   - a load generator (RunLoad / cmd/cdnload) with persistent
+//   - a load generator (RunLoad / cdnd load) with persistent
 //     connections, concurrent workers, Zipf popularity from
 //     internal/workload, per-worker latency histograms and client-side
 //     failover across edges.

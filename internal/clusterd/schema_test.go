@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// The cluster wire documents are consumed by cdnctl (shards), cdnload
+// The cluster wire documents are consumed by cdnctl (shards), cdnd load
 // (members) and every joining component (register); these golden key
 // sets pin the schemas so a field rename is a visible, deliberate break
 // instead of a silent one — the same discipline control's schema test

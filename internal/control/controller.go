@@ -112,7 +112,7 @@ type Config struct {
 	// Estimator() for wiring into a request tap.
 	Estimator *Estimator
 	// Source, when non-nil, replaces Estimator entirely with an
-	// arbitrary DemandSource (the sharded estimator in cdncontrol).
+	// arbitrary DemandSource (the sharded estimator in cdnd control).
 	// Estimator() returns nil in that case.
 	Source DemandSource
 	// Interval is the Run loop's reconcile cadence. Non-positive means

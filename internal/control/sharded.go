@@ -8,7 +8,7 @@ import (
 
 // ShardedEstimator partitions the (edge, site) demand-key space across
 // independent Estimator shards with a consistent-hash ring. It exists
-// for the multi-process control plane (cmd/cdncontrol): edge report
+// for the multi-process control plane (cdnd control): edge report
 // batches land on per-shard locks instead of one global estimator
 // mutex, the per-shard state is small enough to hand to a separate
 // aggregator process later, and — because ownership is a consistent

@@ -275,7 +275,7 @@ func (r *Registry) JSONHandler() http.Handler {
 // DebugMux returns an http.ServeMux serving the full observability
 // surface: /metrics (Prometheus text), /debug/vars (JSON) and
 // /debug/pprof/ (the standard runtime profiles) — the endpoint set
-// `cdnd -metrics` exposes.
+// a cdnd control plane's -addr exposes.
 func (r *Registry) DebugMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", r.Handler())

@@ -18,9 +18,7 @@
 package topology
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 
 	"repro/internal/graph"
 	"repro/internal/xrand"
@@ -186,34 +184,6 @@ func connectRandom(g *graph.Graph, nodes []int, extraProb float64, r *xrand.Sour
 			}
 		}
 	}
-}
-
-// WriteDOT emits the topology in Graphviz DOT format: transit routers as
-// boxes, stub routers as circles colored by stub domain, so the
-// transit–stub hierarchy can be rendered with `dot -Tsvg`.
-func (t *Topology) WriteDOT(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "graph transitstub {")
-	fmt.Fprintln(bw, "  layout=sfdp; overlap=false;")
-	for _, tn := range t.TransitNodes {
-		fmt.Fprintf(bw, "  n%d [shape=box, style=filled, fillcolor=gray80, label=\"T%d\"];\n", tn, tn)
-	}
-	for si, stub := range t.StubDomains {
-		color := si % 11
-		for _, node := range stub {
-			fmt.Fprintf(bw, "  n%d [shape=circle, style=filled, colorscheme=spectral11, fillcolor=%d, label=\"\"];\n",
-				node, color+1)
-		}
-	}
-	for u := 0; u < t.G.N(); u++ {
-		for _, e := range t.G.Neighbors(u) {
-			if u < e.To { // undirected: emit once
-				fmt.Fprintf(bw, "  n%d -- n%d;\n", u, e.To)
-			}
-		}
-	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
 }
 
 // PlaceInStubs picks n node ids located in stub domains, one per randomly

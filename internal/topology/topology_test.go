@@ -1,9 +1,7 @@
 package topology
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -207,30 +205,6 @@ func TestGenerateConnectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	topo := Generate(Config{
-		TransitDomains:        1,
-		TransitNodesPerDomain: 2,
-		StubsPerTransitNode:   2,
-		StubNodesPerStub:      3,
-	}, xrand.New(21))
-	var buf bytes.Buffer
-	if err := topo.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "graph transitstub {") || !strings.HasSuffix(strings.TrimSpace(out), "}") {
-		t.Fatalf("malformed DOT output:\n%s", out)
-	}
-	// One node statement per node, one edge statement per edge.
-	if got := strings.Count(out, "shape="); got != topo.G.N() {
-		t.Fatalf("%d node statements for %d nodes", got, topo.G.N())
-	}
-	if got := strings.Count(out, " -- "); got != topo.G.M() {
-		t.Fatalf("%d edge statements for %d edges", got, topo.G.M())
 	}
 }
 

@@ -4,7 +4,7 @@
 // (§5.1), which is why it generates synthetic workloads. This package
 // makes those synthetic workloads exportable and replayable: a recorded
 // trace can be fed back to the simulator (sim.RunSource), shared between
-// runs, or inspected with cmd/tracegen — and a real CDN log, converted
+// runs, or read back with NewReader — and a real CDN log, converted
 // once to this format, can drive every experiment in the repository in
 // place of the SURGE model.
 //

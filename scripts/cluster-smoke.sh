@@ -1,8 +1,8 @@
 #!/bin/sh
 # cluster-smoke boots the full multi-process deployment — control plane,
-# origin, two edges — on loopback, runs the load generator's chaos drill
-# (fault edge 1 mid-run, require zero lost requests), and prints the
-# control plane's shard and status views. The measured report lands in
+# origin and two edges, one `cdnd ROLE` process each — on loopback, runs
+# the load generator's chaos drill (fault edge 1 mid-run, require zero
+# lost requests), and prints the control plane's shard and status views. The measured report lands in
 # BENCH_cluster.json (override with OUT=...).
 #
 # Any component crashing, the drill losing a request, or the cluster
@@ -21,7 +21,7 @@ WORKERS="${WORKERS:-8}"
 BIN="${BIN:-./bin}"
 
 echo "== building binaries into ${BIN}"
-go build -o "${BIN}/" ./cmd/cdncontrol ./cmd/cdnorigin ./cmd/cdnedge ./cmd/cdnload ./cmd/cdnctl
+go build -o "${BIN}/" ./cmd/cdnd ./cmd/cdnctl
 
 PIDS=""
 cleanup() {
@@ -36,26 +36,26 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== booting control plane + origin + 2 edges"
-"${BIN}/cdncontrol" -addr "127.0.0.1:${CONTROL_PORT}" -edges 2 \
+"${BIN}/cdnd" control -addr "127.0.0.1:${CONTROL_PORT}" -edges 2 \
     -interval 500ms -report-every 100ms -probe-every 100ms \
     -probe-timeout 500ms -fail-threshold 2 -eject-for 500ms \
     -hysteresis=-1 -cooldown=-1 &
 PIDS="$PIDS $!"
-"${BIN}/cdnorigin" -addr "127.0.0.1:${ORIGIN_PORT}" -control "$CONTROL" &
+"${BIN}/cdnd" origin -addr "127.0.0.1:${ORIGIN_PORT}" -control "$CONTROL" &
 PIDS="$PIDS $!"
-"${BIN}/cdnedge" -id 0 -addr "127.0.0.1:${EDGE0_PORT}" -control "$CONTROL" &
+"${BIN}/cdnd" edge -id 0 -addr "127.0.0.1:${EDGE0_PORT}" -control "$CONTROL" &
 PIDS="$PIDS $!"
-"${BIN}/cdnedge" -id 1 -addr "127.0.0.1:${EDGE1_PORT}" -control "$CONTROL" &
+"${BIN}/cdnd" edge -id 1 -addr "127.0.0.1:${EDGE1_PORT}" -control "$CONTROL" &
 PIDS="$PIDS $!"
 
 echo "== chaos drill: ${REQUESTS} requests, fault edge 1 mid-run"
-# cdnload waits for the full roster, drives the load, injects an error
+# cdnd load waits for the full roster, drives the load, injects an error
 # fault into edge 1 for the middle ~40% of the run, and exits non-zero
 # if any request was lost.
-"${BIN}/cdnload" -control "$CONTROL" \
+"${BIN}/cdnd" load -control "$CONTROL" \
     -requests "$REQUESTS" -workers "$WORKERS" \
     -fault-edge 1 -fault-mode error \
-    -fault-at "$((REQUESTS / 4))" -clear-at "$((REQUESTS * 3 / 5))" \
+    -fault-from "$((REQUESTS / 4))" -fault-to "$((REQUESTS * 3 / 5))" \
     -out "$OUT"
 
 echo "== estimator shards"
