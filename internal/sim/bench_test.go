@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
@@ -54,6 +56,34 @@ func BenchmarkRunParallel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run(par)
 			}
+		})
+	}
+}
+
+// BenchmarkRunScale2 times the offline benchmark's simulation instance:
+// the §5.1 setup grown twice (100 servers, 40 sites), a hybrid placement,
+// 200k warm-up and 800k measured requests. Its per-server caches and the
+// sampling tables outgrow the L2 cache, so unlike BenchmarkRunSequential's
+// toy instance it shows how the request loop uses memory.
+func BenchmarkRunScale2(b *testing.B) {
+	sc, err := scenario.Build(scenario.Scale(scenario.Default(), 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := hybridPlacementFor(sc)
+	cfg := DefaultConfig()
+	cfg.Requests, cfg.Warmup, cfg.KeepResponseTimes = 800000, 200000, false
+	for _, bc := range []struct {
+		name string
+		run  func(context.Context, *scenario.Scenario, *core.Placement, Config, *xrand.Source) (*Metrics, error)
+	}{{"Run", Run}, {"RunParallel", RunParallel}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.run(context.Background(), sc, p, cfg, xrand.New(uint64(i+1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*(cfg.Requests+cfg.Warmup))/b.Elapsed().Seconds(), "req/s")
 		})
 	}
 }

@@ -2,12 +2,10 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -60,13 +58,6 @@ type shardItem struct {
 type batch struct {
 	items []shardItem
 	next  *batch
-}
-
-// reqRecord is one measured request's contribution, written by exactly
-// one goroutine at its global measured index and folded in order during
-// the merge phase.
-type reqRecord struct {
-	rt, hops float64
 }
 
 // handoff is the work list between the producer and whoever simulates: a
@@ -193,12 +184,13 @@ func (h *handoff) done(x int, b *batch) {
 }
 
 // parallelRun is what the goroutines of one RunSourceParallel share.
+// Slot k of out is measured request k's, written by the one goroutine
+// that steps it, so the slices are shared without locks.
 type parallelRun struct {
-	cfg     *Config
-	shards  []*shard
-	records []reqRecord
-	events  []obs.Event
-	h       *handoff
+	cfg    *Config
+	shards []*shard
+	out    *outcomes
+	h      *handoff
 }
 
 // work takes batches and simulates them until take has none for limit.
@@ -215,17 +207,9 @@ func (r *parallelRun) work(limit int) {
 			hops, source := sh.step(it.req, measured)
 			if measured {
 				k := it.t - cfg.Warmup
-				rt := cfg.FirstHopMs + cfg.PerHopMs*hops
-				r.records[k] = reqRecord{rt: rt, hops: hops}
-				if r.events != nil {
-					r.events[k] = obs.Event{
-						Edge:      it.req.Server,
-						Site:      it.req.Site,
-						Object:    it.req.Object,
-						Source:    source,
-						Hops:      hops,
-						LatencyMs: rt,
-					}
+				r.out.set(k, hops, source)
+				if r.out.reqs != nil {
+					r.out.reqs[k] = it.req
 				}
 			}
 		}
@@ -262,37 +246,28 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 		return RunSource(ctx, sc, p, cfg, src)
 	}
 
-	// Register the response-time histogram before simulating, exactly as
-	// the sequential path does, so the metric family exists even for a
-	// run with zero observations.
-	var rtHist *obs.Histogram
-	if cfg.Metrics != nil {
-		rtHist = cfg.Metrics.Histogram("sim_response_time_ms",
-			"Modelled response time of measured requests, milliseconds.",
-			nil, obs.DefaultLatencyBuckets())
+	m := &Metrics{
+		PerServerHitRatio: make([]float64, n),
+		PerServerHits:     make([]int64, n),
+		PerServerLookups:  make([]int64, n),
 	}
+	f := newFold(&cfg, m)
 
 	nshards := workers * shardsPerWorker
 	if nshards > n {
 		nshards = n
 	}
-	// records[k] is measured request k's (rt, hops); each index is
-	// written by exactly one goroutine (a request is in one batch), so the
-	// slices are shared without locks.
+	tracing := cfg.Tracer != nil
 	run := &parallelRun{
-		cfg:     &cfg,
-		shards:  make([]*shard, nshards),
-		records: make([]reqRecord, cfg.Requests),
-		h:       newHandoff(nshards),
-	}
-	if cfg.Tracer != nil {
-		run.events = make([]obs.Event, cfg.Requests)
+		cfg:    &cfg,
+		shards: make([]*shard, nshards),
+		out:    newOutcomes(cfg.Requests, tracing, tracing),
+		h:      newHandoff(nshards),
 	}
 	for x := range run.shards {
 		x := x
 		run.shards[x] = newShard(sc, p, &cfg, func(i int) bool { return i%nshards == x })
 	}
-	records, shards := run.records, run.shards
 
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
@@ -319,8 +294,8 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 			break
 		}
 		req, ok := src.Next()
-		if !ok {
-			srcErr = fmt.Errorf("sim: request source exhausted after %d of %d requests", t, total)
+		if !ok || uint(req.Server) >= uint(n) {
+			srcErr = drawErr(ok, req, t, total, n)
 			break
 		}
 		x := req.Server % nshards
@@ -343,15 +318,8 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 	}
 
 	// Merge. Integer counters are order-independent sums over the
-	// disjoint shards; the float accumulators and the trace are replayed
-	// in global request order so they match the sequential run exactly.
-	m := &Metrics{
-		Requests:          cfg.Requests,
-		PerServerHitRatio: make([]float64, n),
-		PerServerHits:     make([]int64, n),
-		PerServerLookups:  make([]int64, n),
-	}
-	for _, sh := range shards {
+	// disjoint shards; the fold replays the rest in global request order.
+	for _, sh := range run.shards {
 		m.LocalReplica += sh.m.LocalReplica
 		m.CacheHits += sh.m.CacheHits
 		m.CacheMisses += sh.m.CacheMisses
@@ -366,28 +334,7 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 			m.PerServerLookups[i] += sh.m.PerServerLookups[i]
 		}
 	}
-	var totalRT, totalHops float64
-	for k := range records {
-		totalRT += records[k].rt
-		totalHops += records[k].hops
-		if rtHist != nil {
-			rtHist.Observe(records[k].rt)
-		}
-		if cfg.Tracer != nil {
-			ev := run.events[k]
-			ev.Req = cfg.Tracer.NextID()
-			cfg.Tracer.Emit(ev)
-			if cfg.TraceSpans {
-				emitSimSpans(&cfg, k, ev)
-			}
-		}
-	}
-	if cfg.KeepResponseTimes {
-		m.ResponseTimesMs = make([]float64, cfg.Requests)
-		for k := range records {
-			m.ResponseTimesMs[k] = records[k].rt
-		}
-	}
-	m.finalize(&cfg, totalRT, totalHops)
+	f.add(run.out, 0, cfg.Requests, 0)
+	f.finish()
 	return m, nil
 }

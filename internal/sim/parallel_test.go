@@ -215,6 +215,46 @@ func TestRunSourceParallelExhausted(t *testing.T) {
 	}
 }
 
+// TestRunSourceRejectsUnknownServer: a request naming a server the
+// scenario does not have — a trace recorded for a larger system — is an
+// error from either runner, raised when it is drawn, not an index panic.
+// A request for an unknown site at a real server is still counted.
+func TestRunSourceRejectsUnknownServer(t *testing.T) {
+	sc := smallScenario(8, 0)
+	p := hybridPlacementFor(sc)
+	n := sc.Sys.N()
+	cfg := gridConfig(true)
+	cfg.Requests, cfg.Warmup = 6000, 1000
+	const at = 5000 // in the second block
+	mk := func(bad workload.Request) Source {
+		reqs := make([]workload.Request, cfg.Warmup+cfg.Requests)
+		stream := sc.Stream(xrand.New(3))
+		for i := range reqs {
+			reqs[i] = stream.Next()
+		}
+		reqs[at] = bad
+		return &sliceSource{reqs: reqs}
+	}
+	for _, par := range []int{1, 2} {
+		cfg.Parallelism = par
+		for _, bad := range []workload.Request{
+			{Server: n, Site: 0, Object: 1, Cacheable: true},
+			{Server: -1, Site: 0, Object: 1, Cacheable: true},
+			{Server: 1 << 40, Site: 0, Object: 1, Cacheable: true},
+			{Server: n, Site: -1, Object: 1, Cacheable: true},
+		} {
+			want := fmt.Sprintf("sim: request %d names server %d of %d", at, bad.Server, n)
+			if _, err := RunSourceParallel(context.Background(), sc, p, cfg, mk(bad)); err == nil || err.Error() != want {
+				t.Errorf("parallelism %d, server %d: error %v, want %q", par, bad.Server, err, want)
+			}
+		}
+		m, err := RunSourceParallel(context.Background(), sc, p, cfg, mk(workload.Request{Server: 1, Site: sc.Sys.M(), Object: 1}))
+		if err != nil || m.UnknownSite != 1 {
+			t.Errorf("parallelism %d, unknown site: error %v, metrics %+v", par, err, m)
+		}
+	}
+}
+
 // TestParallelismValidation covers the config surface: negative values
 // are rejected, and the fault-schedule path refuses explicit
 // parallelism (its event stream is time-ordered).

@@ -436,68 +436,159 @@ func (m *Metrics) finalize(cfg *Config, totalRT, totalHops float64) {
 
 // RunSource is Run driven by an explicit request source (e.g. a recorded
 // trace). It fails if the source is exhausted before warm-up plus
-// measurement completes.
+// measurement completes, or yields a request for a server the scenario
+// does not have.
+//
+// The requests are drawn cancelEvery at a time, and each block is stepped
+// server by server: a server's cache and counters depend only on its own
+// requests, which it still sees in draw order, so every decision is the
+// one a request-by-request Stepper makes, while one server's cache stays
+// warm through its run. The block's measured outcomes are then folded in
+// draw order.
 func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, src Source) (*Metrics, error) {
 	if err := validateRun(sc, p, cfg); err != nil {
 		return nil, err
 	}
 	sh := newShard(sc, p, &cfg, nil)
-	m := sh.m
+	f := newFold(&cfg, sh.m)
+	n := sc.Sys.N()
+	total := cfg.Warmup + cfg.Requests
+	size := min(cancelEvery, total)
+	blk := newOutcomes(size, true, cfg.Tracer != nil)
+	// order lists the block's slots grouped by server, each group in
+	// draw order; next[s] is where server s's group goes on.
+	order := make([]int, size)
+	next := make([]int, n+1)
+	for t0 := 0; t0 < total; t0 += size {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		b := min(size, total-t0)
+		clear(next)
+		for k := 0; k < b; k++ {
+			req, ok := src.Next()
+			if !ok || uint(req.Server) >= uint(n) {
+				return nil, drawErr(ok, req, t0+k, total, n)
+			}
+			blk.reqs[k] = req
+			next[req.Server+1]++
+		}
+		for s := 1; s < n; s++ {
+			next[s] += next[s-1]
+		}
+		for k, req := range blk.reqs[:b] {
+			order[next[req.Server]] = k
+			next[req.Server]++
+		}
+		for _, k := range order[:b] {
+			hops, source := sh.step(blk.reqs[k], t0+k >= cfg.Warmup)
+			blk.set(k, hops, source)
+		}
+		f.add(blk, min(max(cfg.Warmup-t0, 0), b), b, t0-cfg.Warmup)
+	}
+	f.finish()
+	return sh.m, nil
+}
+
+// drawErr is why drawing request t of total failed: the source ran out
+// (!ok), or the request names a server outside the n the scenario has.
+func drawErr(ok bool, req workload.Request, t, total, n int) error {
+	if !ok {
+		return fmt.Errorf("sim: request source exhausted after %d of %d requests", t, total)
+	}
+	return fmt.Errorf("sim: request %d names server %d of %d", t, req.Server, n)
+}
+
+// outcomes holds stepped requests' results by slot until they are folded:
+// the hops always, the request and its serving source only where kept.
+type outcomes struct {
+	hops    []float64
+	reqs    []workload.Request
+	sources []string
+}
+
+func newOutcomes(n int, keepReqs, keepSources bool) *outcomes {
+	o := &outcomes{hops: make([]float64, n)}
+	if keepReqs {
+		o.reqs = make([]workload.Request, n)
+	}
+	if keepSources {
+		o.sources = make([]string, n)
+	}
+	return o
+}
+
+// set records slot i's step result.
+func (o *outcomes) set(i int, hops float64, source string) {
+	o.hops[i] = hops
+	if o.sources != nil {
+		o.sources[i] = source
+	}
+}
+
+// fold adds measured requests to a run in draw order: the sums behind
+// MeanRTMs and MeanHops, ResponseTimesMs, the response-time histogram and
+// the trace. Both runners fold through it, which keeps them bit-identical.
+type fold struct {
+	cfg                *Config
+	m                  *Metrics
+	rtHist             *obs.Histogram
+	totalRT, totalHops float64
+}
+
+// newFold registers the response-time histogram before anything is
+// simulated, so the metric family exists even for a run with zero
+// observations.
+func newFold(cfg *Config, m *Metrics) *fold {
+	f := &fold{cfg: cfg, m: m}
 	if cfg.KeepResponseTimes {
 		m.ResponseTimesMs = make([]float64, 0, cfg.Requests)
 	}
-	var rtHist *obs.Histogram
 	if cfg.Metrics != nil {
-		rtHist = cfg.Metrics.Histogram("sim_response_time_ms",
+		f.rtHist = cfg.Metrics.Histogram("sim_response_time_ms",
 			"Modelled response time of measured requests, milliseconds.",
 			nil, obs.DefaultLatencyBuckets())
 	}
+	return f
+}
 
-	var totalRT, totalHops float64
-	total := cfg.Warmup + cfg.Requests
-	for t := 0; t < total; t++ {
-		if t%cancelEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+// add folds slots lo..hi-1 of o, slot i holding measured request i+off.
+// Tracing reads the slots' requests and sources.
+func (f *fold) add(o *outcomes, lo, hi, off int) {
+	cfg, m := f.cfg, f.m
+	for i := lo; i < hi; i++ {
+		hops := o.hops[i]
+		rt := cfg.FirstHopMs + cfg.PerHopMs*hops
+		f.totalRT += rt
+		f.totalHops += hops
+		if cfg.KeepResponseTimes {
+			m.ResponseTimesMs = append(m.ResponseTimesMs, rt)
 		}
-		req, ok := src.Next()
-		if !ok {
-			return nil, fmt.Errorf("sim: request source exhausted after %d of %d requests", t, total)
+		if f.rtHist != nil {
+			f.rtHist.Observe(rt)
 		}
-		measured := t >= cfg.Warmup
-		hops, source := sh.step(req, measured)
-
-		if measured {
-			rt := cfg.FirstHopMs + cfg.PerHopMs*hops
-			totalRT += rt
-			totalHops += hops
-			m.Requests++
-			if cfg.KeepResponseTimes {
-				m.ResponseTimesMs = append(m.ResponseTimesMs, rt)
+		if cfg.Tracer != nil {
+			req := &o.reqs[i]
+			ev := obs.Event{
+				Req:       cfg.Tracer.NextID(),
+				Edge:      req.Server,
+				Site:      req.Site,
+				Object:    req.Object,
+				Source:    o.sources[i],
+				Hops:      hops,
+				LatencyMs: rt,
 			}
-			if rtHist != nil {
-				rtHist.Observe(rt)
-			}
-			if cfg.Tracer != nil {
-				ev := obs.Event{
-					Req:       cfg.Tracer.NextID(),
-					Edge:      req.Server,
-					Site:      req.Site,
-					Object:    req.Object,
-					Source:    source,
-					Hops:      hops,
-					LatencyMs: rt,
-				}
-				cfg.Tracer.Emit(ev)
-				if cfg.TraceSpans {
-					emitSimSpans(&cfg, t-cfg.Warmup, ev)
-				}
+			cfg.Tracer.Emit(ev)
+			if cfg.TraceSpans {
+				emitSimSpans(cfg, i+off, ev)
 			}
 		}
 	}
-
-	m.finalize(&cfg, totalRT, totalHops)
-	return m, nil
+	m.Requests += hi - lo
 }
+
+// finish computes the derived metrics once every request is folded.
+func (f *fold) finish() { f.m.finalize(f.cfg, f.totalRT, f.totalHops) }
 
 // publish snapshots the run's counters into reg under the sim_*
 // namespace — the same shape the HTTP cluster maintains live, done

@@ -1,30 +1,44 @@
 package sim
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/placement"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
-// stepAll drives src through st the way RunSource's loop does and
-// finishes the stepper's Metrics with the driver-side sums, so the
-// result is comparable field by field with RunSource's.
-func stepAll(t *testing.T, st *Stepper, cfg Config, src Source, between func(k int)) *Metrics {
-	t.Helper()
+// replay drives src through st one request at a time under RunSource's
+// contract — the same errors, then the driver-side sums in draw order —
+// so its result is comparable field by field with RunSource's. between,
+// if set, runs before each draw.
+func replay(st *Stepper, cfg Config, src Source, between func(k int)) (*Metrics, error) {
+	n := len(st.sh.m.PerServerHits)
 	var totalRT, totalHops float64
-	rts := make([]float64, 0, cfg.Requests)
-	for k := 0; k < cfg.Warmup+cfg.Requests; k++ {
+	var rts []float64
+	if cfg.KeepResponseTimes {
+		rts = make([]float64, 0, cfg.Requests)
+	}
+	total := cfg.Warmup + cfg.Requests
+	for k := 0; k < total; k++ {
 		if between != nil {
 			between(k)
 		}
 		req, ok := src.Next()
 		if !ok {
-			t.Fatalf("source exhausted at %d", k)
+			return nil, fmt.Errorf("sim: request source exhausted after %d of %d requests", k, total)
+		}
+		if req.Server < 0 || req.Server >= n {
+			return nil, fmt.Errorf("sim: request %d names server %d of %d", k, req.Server, n)
 		}
 		measured := k >= cfg.Warmup
 		hops, _ := st.Step(req, measured)
@@ -32,41 +46,89 @@ func stepAll(t *testing.T, st *Stepper, cfg Config, src Source, between func(k i
 			rt := cfg.FirstHopMs + cfg.PerHopMs*hops
 			totalRT += rt
 			totalHops += hops
-			rts = append(rts, rt)
+			if cfg.KeepResponseTimes {
+				rts = append(rts, rt)
+			}
 		}
 	}
 	m := st.Metrics()
 	m.ResponseTimesMs = rts
 	m.finalize(&cfg, totalRT, totalHops)
+	return m, nil
+}
+
+// stepAll is replay for sources that last the run.
+func stepAll(t *testing.T, st *Stepper, cfg Config, src Source, between func(k int)) *Metrics {
+	t.Helper()
+	m, err := replay(st, cfg, src, between)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m
 }
 
 // TestStepperMatchesRunSource: with no swap the exported stepper is
-// RunSource — same counters, same sums — on the static stream (λ > 0,
-// so the bypass arm runs) and on a churning catalog.
+// RunSource — same counters, same sums — so the one-request-at-a-time
+// stepper is the oracle for RunSource's server-grouped blocks. The cases
+// put the warm-up and the run's end at and between block edges and run
+// every dispatch arm: the static stream (λ > 0, so the bypass arm runs),
+// a churning catalog, cluster columns, no caches and every policy.
 func TestStepperMatchesRunSource(t *testing.T) {
 	sc := smallScenario(4, 0.05)
 	p := hybridPlacementFor(sc)
-	cfg := fastConfig(true)
-	cfg.Requests, cfg.Warmup = 40000, 20000
-	sources := map[string]func() Source{
-		"static": func() Source { return streamSource{sc.Stream(xrand.New(11))} },
-		"dynamic": func() Source {
-			return EndlessSource{S: workload.MustNewDynamicStream(sc.Work, dynConfig(), xrand.New(11))}
-		},
+	cl, err := cluster.PopularityClusters(sc.Work, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, mk := range sources {
-		t.Run(name, func(t *testing.T) {
-			want, err := RunSource(context.Background(), sc, p, cfg, mk())
+	res, err := placement.Hybrid(cl.DeriveSystem(sc.Sys), placement.HybridConfig{
+		Specs:          cl.Specs(sc.Work, 0),
+		AvgObjectBytes: sc.Work.AvgObjectBytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := func() Source { return streamSource{sc.Stream(xrand.New(11))} }
+	dynamic := func() Source {
+		return EndlessSource{S: workload.MustNewDynamicStream(sc.Work, dynConfig(), xrand.New(11))}
+	}
+	policy := func(pol cache.Policy) func(*Config) { return func(c *Config) { c.Policy = pol } }
+	cases := []struct {
+		name string
+		src  func() Source
+		p    *core.Placement
+		edit func(*Config)
+	}{
+		{"static", static, p, nil},
+		{"dynamic", dynamic, p, nil},
+		{"no warm-up", static, p, func(c *Config) { c.Warmup = 0 }},
+		{"shorter than a block", static, p, func(c *Config) { c.Requests, c.Warmup = 1500, 700 }},
+		{"whole blocks", static, p, func(c *Config) { c.Requests, c.Warmup = 3*cancelEvery, cancelEvery }},
+		{"warm-up ends mid-block", static, p, func(c *Config) { c.Requests, c.Warmup = 2*cancelEvery, cancelEvery+100 }},
+		{"clusters", static, res.Placement, func(c *Config) { c.UnitOf = cl.UnitOf }},
+		{"no cache", static, p, func(c *Config) { c.UseCache = false }},
+		{"response times off", static, p, func(c *Config) { c.KeepResponseTimes = false }},
+		{"fifo", static, p, policy(cache.PolicyFIFO)},
+		{"lfu", static, p, policy(cache.PolicyLFU)},
+		{"delayed-lru", static, p, policy(cache.PolicyDelayedLRU)},
+		{"random", static, p, policy(cache.PolicyRandom)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig(true) // keeps response times
+			cfg.Requests, cfg.Warmup = 40000, 20000
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			want, err := RunSource(context.Background(), sc, tc.p, cfg, tc.src())
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := NewStepper(sc, p, cfg)
+			st, err := NewStepper(sc, tc.p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := stepAll(t, st, cfg, mk(), nil)
-			if want.Bypass == 0 || (name == "dynamic" && (want.Perished == 0 || want.StaleReplica == 0)) {
+			got := stepAll(t, st, cfg, tc.src(), nil)
+			if want.Bypass == 0 || (tc.name == "dynamic" && (want.Perished == 0 || want.StaleReplica == 0)) {
 				t.Fatalf("run exercised too little: %+v", want)
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -74,6 +136,119 @@ func TestStepperMatchesRunSource(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRunSourceMatchesStepper: on any request list — servers and sites
+// out of range, withdrawn and republished content, uncacheable requests,
+// any warm-up split and run length, a source that runs out — RunSource
+// returns what a Stepper replay returns, errors included, and
+// RunSourceParallel what RunSource returns, trace bytes included.
+//
+// The input is a 5-byte header and 4 bytes per request. Header: the run
+// length (2 bytes, little-endian), the warm-up's share of it in 256ths,
+// then flags — bit 0 caches off, bits 1–3 the policy, bit 4 a source of
+// half the run's length, bit 5 tracing, bit 6 generation 1 placed —
+// and a spare. The list repeats to the run's length.
+func FuzzRunSourceMatchesStepper(f *testing.F) {
+	sc := smallScenario(4, 0)
+	p := hybridPlacementFor(sc)
+	n, sites := sc.Sys.N(), sc.Sys.M()
+	policies := []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO, cache.PolicyLFU, cache.PolicyDelayedLRU, cache.PolicyRandom}
+	f.Add([]byte{0x00, 0x30, 64, 0, 0, 1, 2, 3, 0, 4, 5, 6, 1, 7, 1, 99, 4})
+	f.Add([]byte{0x10, 0x10, 128, 1 << 5, 0, 255, 0, 1, 0, 3, 254, 2, 2})
+	f.Add([]byte{0x00, 0x20, 10, 1<<4 | 1<<5 | 1<<6, 0, 2, 3, 4, 6, 5, 2, 9, 5, 254, 1, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		hdr, body := data[:5], data[5:]
+		list := make([]workload.Request, len(body)/4)
+		for i := range list {
+			b := body[4*i : 4*i+4]
+			list[i] = workload.Request{
+				Server:     outOfRange(b[0], n),
+				Site:       outOfRange(b[1], sites),
+				Object:     1 + int(b[2])%100,
+				Cacheable:  b[3]&1 == 0,
+				Perished:   b[3]&2 != 0,
+				Generation: int(b[3]>>2) % 3,
+			}
+		}
+		total := 1 + (int(hdr[0])|int(hdr[1])<<8)%(3*cancelEvery)
+		flags := hdr[3]
+		cfg := fastConfig(flags&1 == 0)
+		cfg.Warmup = total * int(hdr[2]) / 256
+		cfg.Requests = total - cfg.Warmup
+		cfg.Policy = policies[int(flags>>1&7)%len(policies)]
+		if flags&(1<<6) != 0 {
+			cfg.PlacedGeneration = make([]int, sites)
+			for j := range cfg.PlacedGeneration {
+				cfg.PlacedGeneration[j] = 1
+			}
+		}
+		avail := total
+		if flags&(1<<4) != 0 {
+			avail = total / 2
+		}
+		mk := func() Source {
+			reqs := make([]workload.Request, avail)
+			for i := range reqs {
+				reqs[i] = list[i%len(list)]
+			}
+			return &sliceSource{reqs: reqs}
+		}
+		traced := func(cfg Config, buf *bytes.Buffer) Config {
+			if flags&(1<<5) != 0 {
+				cfg.Tracer, cfg.TraceSpans = obs.NewTracer(buf), true
+			}
+			return cfg
+		}
+
+		st, err := NewStepper(sc, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := replay(st, cfg, mk(), nil)
+		var seqBuf, parBuf bytes.Buffer
+		seqCfg := traced(cfg, &seqBuf)
+		got, err := RunSource(context.Background(), sc, p, seqCfg, mk())
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("RunSource error %v, stepper %v", err, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("RunSource differs from the stepper:\n got: %+v\nwant: %+v", got, want)
+		}
+		parCfg := traced(cfg, &parBuf)
+		parCfg.Parallelism = 2
+		par, parErr := RunSourceParallel(context.Background(), sc, p, parCfg, mk())
+		if fmt.Sprint(parErr) != fmt.Sprint(err) {
+			t.Fatalf("RunSourceParallel error %v, RunSource %v", parErr, err)
+		}
+		if !reflect.DeepEqual(par, got) {
+			t.Fatalf("RunSourceParallel differs from RunSource:\n got: %+v\nwant: %+v", par, got)
+		}
+		if seqCfg.Tracer == nil || err != nil {
+			return
+		}
+		if err := errors.Join(seqCfg.Tracer.Flush(), parCfg.Tracer.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(seqBuf.Bytes(), parBuf.Bytes()) {
+			t.Fatal("RunSourceParallel's trace differs from RunSource's")
+		}
+	})
+}
+
+// outOfRange maps a fuzz byte to an index below n, except 255 to -1 and
+// 254 to n: a request naming a server or site that does not exist.
+func outOfRange(b byte, n int) int {
+	switch b {
+	case 255:
+		return -1
+	case 254:
+		return n
+	}
+	return int(b) % n
 }
 
 // TestStepperSwapToInstalledPlacementIsNoop: re-installing the placement

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -98,6 +100,29 @@ func TestSimSpansParallelIdentical(t *testing.T) {
 
 	if !bytes.Equal(seq.Bytes(), par.Bytes()) {
 		t.Fatal("parallel traced run is not byte-identical to sequential")
+	}
+}
+
+// TestSimTraceBytesPinned pins the JSONL a traced RunSource writes —
+// events and spans of three blocks, the warm-up ending inside the first
+// and the last one partial — to a fixed SHA-256. Both runners fold
+// through the same code, so comparing them with each other cannot catch
+// a change to it.
+func TestSimTraceBytesPinned(t *testing.T) {
+	sc := smallScenario(2, 0.05)
+	p := hybridPlacementFor(sc)
+	var buf bytes.Buffer
+	cfg := tracedConfig(&buf)
+	cfg.Requests, cfg.Warmup = 9000, 1000
+	if _, err := Run(context.Background(), sc, p, cfg, xrand.New(11)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5af5a6a919553f02baf898b2cba48a6dcee56122c27033e5d95d1af94e81e77c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("trace digest %s, want %s (%d bytes)", got, want, buf.Len())
 	}
 }
 
