@@ -105,8 +105,7 @@ func parse(args []string) (options, error) {
 	}
 	opt.controlURL, opt.wait, opt.out = "http://127.0.0.1:9300", 30*time.Second, "-"
 	// Flags some roles read into different fields.
-	addr, seed := &opt.control.Addr, &opt.params.Seed
-	failThreshold, ejectFor := &opt.control.FailThreshold, &opt.control.EjectFor
+	addr, seed, failThreshold := &opt.control.Addr, &opt.params.Seed, &opt.control.FailThreshold
 	switch opt.role {
 	case roleAll:
 		opt.params = clusterd.Params{Edges: 6, Seed: 1, CapacityFrac: 0.15}
@@ -115,15 +114,15 @@ func parse(args []string) (options, error) {
 	case roleControl:
 		opt.params = clusterd.DefaultParams()
 		opt.control = clusterd.ControlConfig{
-			Addr: "127.0.0.1:9300", Shards: clusterd.DefaultShards, Interval: 2 * time.Second,
+			Addr: "127.0.0.1:9300", Interval: 2 * time.Second,
 			ReportEvery: clusterd.DefaultReportEvery, ProbeEvery: clusterd.DefaultProbeEvery,
-			ProbeTimeout: clusterd.DefaultProbeTimeout, FailThreshold: 3, EjectFor: 2 * time.Second,
+			ProbeTimeout: clusterd.DefaultProbeTimeout, FailThreshold: 3,
 		}
 	case roleOrigin:
 		addr = &opt.origin.Addr
 		*addr = "127.0.0.1:9301"
 	case roleEdge:
-		addr, failThreshold, ejectFor = &opt.edge.Addr, &opt.edge.FailThreshold, &opt.edge.EjectFor
+		addr, failThreshold = &opt.edge.Addr, &opt.edge.FailThreshold
 		*addr = "127.0.0.1:9310"
 	case roleLoad:
 		seed = &opt.load.Seed
@@ -149,14 +148,12 @@ func parse(args []string) (options, error) {
 		fs.Uint64Var(seed, "seed", *seed, "scenario seed (load: the request-stream seed, independent of the scenario's)")
 	}
 	if takes(roleControl) {
-		fs.IntVar(&opt.control.Shards, "shards", opt.control.Shards, "estimator shard count")
 		fs.DurationVar(&opt.control.ReportEvery, "report-every", opt.control.ReportEvery, "demand-report cadence handed to edges")
 		fs.DurationVar(&opt.control.ProbeEvery, "probe-every", opt.control.ProbeEvery, "active health probe cadence")
 		fs.DurationVar(&opt.control.ProbeTimeout, "probe-timeout", opt.control.ProbeTimeout, "per-probe timeout")
 	}
 	if takes(roleControl, roleEdge) {
 		fs.IntVar(failThreshold, "fail-threshold", *failThreshold, "consecutive failures (control: of probes, edge: of upstream fetches) before ejection (0 = default)")
-		fs.DurationVar(ejectFor, "eject-for", *ejectFor, "backoff window after an ejection (0 = default)")
 	}
 	if takes(roleOrigin, roleEdge, roleLoad) {
 		fs.StringVar(&opt.controlURL, "control", opt.controlURL, "control plane base URL")
@@ -173,6 +170,7 @@ func parse(args []string) (options, error) {
 	}
 	if takes(roleEdge) {
 		fs.IntVar(&opt.edge.ID, "id", 0, "edge id in 0..edges-1")
+		fs.DurationVar(&opt.edge.EjectFor, "eject-for", 0, "backoff window after an upstream ejection (0 = default)")
 	}
 	if takes(roleAll, roleLoad) {
 		fs.IntVar(&opt.load.Requests, "requests", opt.load.Requests, "client requests to issue")

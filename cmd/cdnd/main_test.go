@@ -22,7 +22,8 @@ import (
 )
 
 // TestParse: every role takes its own flags with its own defaults, and
-// rejects another role's flags and an unknown role.
+// rejects another role's flags and an unknown role (main exits 2 on
+// any parse error).
 func TestParse(t *testing.T) {
 	const control = "http://127.0.0.1:9300"
 	for _, tt := range []struct {
@@ -48,17 +49,17 @@ func TestParse(t *testing.T) {
 			}},
 		{name: "control: defaults", args: []string{"control"}, want: func(o *options) {
 			o.role, o.params = roleControl, clusterd.Params{Edges: 2, Seed: 1, CapacityFrac: 0.15}
-			o.control = clusterd.ControlConfig{Addr: "127.0.0.1:9300", Shards: clusterd.DefaultShards, Interval: 2 * time.Second,
+			o.control = clusterd.ControlConfig{Addr: "127.0.0.1:9300", Interval: 2 * time.Second,
 				ReportEvery: clusterd.DefaultReportEvery, ProbeEvery: clusterd.DefaultProbeEvery,
-				ProbeTimeout: clusterd.DefaultProbeTimeout, FailThreshold: 3, EjectFor: 2 * time.Second}
+				ProbeTimeout: clusterd.DefaultProbeTimeout, FailThreshold: 3}
 			o.controlURL, o.wait, o.out = control, 30*time.Second, "-"
 		}},
-		{name: "control: every flag", args: strings.Fields("control -addr :9400 -edges 4 -seed 5 -capacity 0.2 -shards 8 -interval 500ms -report-every 100ms -probe-every 50ms -probe-timeout 250ms -fail-threshold 2 -eject-for 500ms -hysteresis=-1 -cooldown=-1 -model random -quiet"),
+		{name: "control: every flag", args: strings.Fields("control -addr :9400 -edges 4 -seed 5 -capacity 0.2 -interval 500ms -report-every 100ms -probe-every 50ms -probe-timeout 250ms -fail-threshold 2 -hysteresis=-1 -cooldown=-1 -model random -quiet"),
 			want: func(o *options) {
 				o.role, o.params = roleControl, clusterd.Params{Edges: 4, Seed: 5, CapacityFrac: 0.2}
-				o.control = clusterd.ControlConfig{Addr: ":9400", Shards: 8, Interval: 500 * time.Millisecond,
+				o.control = clusterd.ControlConfig{Addr: ":9400", Interval: 500 * time.Millisecond,
 					ReportEvery: 100 * time.Millisecond, ProbeEvery: 50 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond,
-					FailThreshold: 2, EjectFor: 500 * time.Millisecond, Hysteresis: -1, CooldownRounds: -1, Model: "random"}
+					FailThreshold: 2, Hysteresis: -1, CooldownRounds: -1, Model: "random"}
 				o.controlURL, o.wait, o.out, o.quiet = control, 30*time.Second, "-", true
 			}},
 		{name: "origin: defaults", args: []string{"origin"}, want: func(o *options) {
@@ -92,6 +93,8 @@ func TestParse(t *testing.T) {
 		{args: strings.Fields("origin -requests 5"), err: "-requests"},
 		{args: strings.Fields("control -trace t.jsonl"), err: "-trace"},
 		{args: strings.Fields("edge -edges 3"), err: "-edges"},
+		{args: strings.Fields("control -shards 8"), err: "-shards"},
+		{args: strings.Fields("control -eject-for 500ms"), err: "-eject-for"},
 		{args: strings.Fields("load -addr :9300"), err: "-addr"},
 		{args: strings.Fields("-quiet"), err: "-quiet"},
 		{args: strings.Fields("edge -max-object-bytes 1024"), err: "-max-object-bytes"},

@@ -109,6 +109,7 @@ func realMain() int {
 		{"warmup", *warmup < 0},
 		{"objects", *objects < 0},
 		{"theta", !(*theta >= 0)}, // NaN too
+		{"parallelism", *par < 0},
 	} {
 		if o.neg {
 			fmt.Fprintf(os.Stderr, "cdnsim: -%s %s: must be ≥ 0 (0 keeps the default)\n", o.name, flag.Lookup(o.name).Value)

@@ -73,13 +73,14 @@ func firstDiff(got, want []byte) string {
 }
 
 // TestNegativeOverridesExit1: a negative (or NaN) -requests, -warmup,
-// -objects or -theta exits 1 with an error naming the flag, before any
-// figure runs; only 0 means "keep the default".
+// -objects, -theta or -parallelism exits 1 with an error naming the
+// flag, before any figure runs; only 0 means "keep the default".
 func TestNegativeOverridesExit1(t *testing.T) {
 	args, cmdLine, stderr := os.Args, flag.CommandLine, os.Stderr
 	t.Cleanup(func() { os.Args, flag.CommandLine, os.Stderr = args, cmdLine, stderr })
 	for _, tc := range []struct{ flag, val string }{
 		{"requests", "-5"}, {"warmup", "-1"}, {"objects", "-3"}, {"theta", "-2"}, {"theta", "NaN"},
+		{"parallelism", "-1"},
 	} {
 		t.Run(tc.flag+"="+tc.val, func(t *testing.T) {
 			errFile, err := os.Create(filepath.Join(t.TempDir(), "stderr"))

@@ -30,15 +30,14 @@ func main() {
 	fmt.Printf("%4s %7s %5s %6s %12s %14s\n",
 		"step", "server", "site", "class", "benefit", "predicted D")
 
-	step := 0
-	res, err := repro.Place(sc, repro.PlacementConfig{Observer: func(s repro.PlacementStep) {
-		step++
-		site := sc.Work.Sites[s.Site]
-		fmt.Printf("%4d %7d %5d %6s %12.5f %14.5f\n",
-			step, s.Server, s.Site, site.Class, s.Benefit, s.PredictedCost)
-	}})
+	res, err := repro.Place(sc, repro.PlacementConfig{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	for k, s := range res.Steps {
+		site := sc.Work.Sites[s.Site]
+		fmt.Printf("%4d %7d %5d %6s %12.5f %14.5f\n",
+			k+1, s.Server, s.Site, site.Class, s.Benefit, s.PredictedCost)
 	}
 
 	fmt.Println()

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/control"
 	"repro/internal/fault"
+	"repro/internal/httpcdn"
 	"repro/internal/obs"
 	"repro/internal/placement"
 )
@@ -147,7 +148,6 @@ func TestClusterChaosDrill(t *testing.T) {
 		ProbeEvery:     10 * time.Millisecond,
 		ProbeTimeout:   250 * time.Millisecond,
 		FailThreshold:  2,
-		EjectFor:       300 * time.Millisecond,
 		Hysteresis:     -1,
 		CooldownRounds: -1,
 	}
@@ -257,6 +257,13 @@ func TestClusterChaosDrill(t *testing.T) {
 			}
 			return nil
 		})
+		// An ejected edge is probed again every ProbeEvery, and its
+		// retry countdown says so.
+		for _, v := range victims {
+			if ms := tc.edgeHealth(t, v).RetryInMs; ms > ccfg.ProbeEvery.Milliseconds() {
+				t.Fatalf("edge %d: retry_in_ms = %d, want at most %d (ProbeEvery)", v, ms, ccfg.ProbeEvery.Milliseconds())
+			}
+		}
 		// One survivor serves every logical request.
 		if res := load("outage"); res.Steered == 0 {
 			t.Fatal("no request steered away from the two dead edges")
@@ -378,20 +385,9 @@ func (tc *testCluster) waitReadmitted(t *testing.T, id int) {
 
 // edgeHealth fetches one edge's row from the control plane's
 // /debug/health.
-func (tc *testCluster) edgeHealth(t *testing.T, id int) (st struct {
-	State        string `json:"state"`
-	Ejections    int64  `json:"ejections"`
-	Readmissions int64  `json:"readmissions"`
-}) {
+func (tc *testCluster) edgeHealth(t *testing.T, id int) httpcdn.HealthStatus {
 	t.Helper()
-	var rep struct {
-		Edges []struct {
-			ID           int    `json:"id"`
-			State        string `json:"state"`
-			Ejections    int64  `json:"ejections"`
-			Readmissions int64  `json:"readmissions"`
-		} `json:"edges"`
-	}
+	var rep httpcdn.HealthReport
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := getJSON(ctx, http.DefaultClient, tc.Control.URL()+"/debug/health", &rep); err != nil {
@@ -399,12 +395,11 @@ func (tc *testCluster) edgeHealth(t *testing.T, id int) (st struct {
 	}
 	for _, e := range rep.Edges {
 		if e.ID == id {
-			st.State, st.Ejections, st.Readmissions = e.State, e.Ejections, e.Readmissions
-			return st
+			return e
 		}
 	}
 	t.Fatalf("edge %d missing from /debug/health", id)
-	return st
+	return httpcdn.HealthStatus{}
 }
 
 // TestClusterBlackholeRestorable pins the admin-mux split: a blackholed

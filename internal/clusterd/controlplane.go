@@ -21,8 +21,7 @@ import (
 
 // Control-plane defaults.
 const (
-	// DefaultShards is the estimator shard count when ControlConfig
-	// leaves it unset.
+	// DefaultShards is the estimator's shard count.
 	DefaultShards = 4
 	// DefaultProbeEvery / DefaultProbeTimeout drive the active health
 	// prober.
@@ -34,21 +33,18 @@ const (
 type ControlConfig struct {
 	// Addr is the listen address.
 	Addr string
-	// Shards is the estimator shard count (0 = DefaultShards).
-	Shards int
 	// Interval is the reconcile cadence (0 = 2s).
 	Interval time.Duration
 	// ReportEvery is the demand-report cadence handed to registering
 	// edges (0 = DefaultReportEvery).
 	ReportEvery time.Duration
 	// ProbeEvery / ProbeTimeout drive the active /admin/ping prober;
-	// FailThreshold consecutive probe failures eject a member, EjectFor
-	// is informational for the tracker's half-open window (the prober
-	// keeps probing regardless).
+	// FailThreshold consecutive probe failures eject a member. An
+	// ejected member is probed again every ProbeEvery, so that is also
+	// its tracker's retry window.
 	ProbeEvery    time.Duration
 	ProbeTimeout  time.Duration
 	FailThreshold int
-	EjectFor      time.Duration
 	// Controller knobs, passed through to control.Config.
 	Hysteresis     float64
 	CooldownRounds int
@@ -101,9 +97,6 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
@@ -118,9 +111,6 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 	}
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 3
-	}
-	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = 2 * time.Second
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -141,7 +131,7 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 
 	est, err := control.NewShardedEstimator(control.EstimatorConfig{
 		Servers: sc.Sys.N(), Sites: sc.Sys.M(),
-	}, cfg.Shards, 0)
+	}, DefaultShards, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +301,7 @@ func (cp *ControlPlane) probeOne(ctx context.Context, id int, url string) {
 		return
 	}
 	cp.probeFails.Inc()
-	if t.Failure(cp.cfg.FailThreshold, cp.cfg.EjectFor, time.Now()) {
+	if t.Failure(cp.cfg.FailThreshold, cp.cfg.ProbeEvery, time.Now()) {
 		cp.onHealthChange(id, true)
 	}
 }

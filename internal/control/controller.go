@@ -107,13 +107,10 @@ type Config struct {
 	Model string
 	// Target is the deployment to re-place.
 	Target Target
-	// Estimator supplies the demand estimate. Leave nil to have the
-	// controller build one (EstimatorConfig defaults) — reachable via
-	// Estimator() for wiring into a request tap.
-	Estimator *Estimator
-	// Source, when non-nil, replaces Estimator entirely with an
-	// arbitrary DemandSource (the sharded estimator in cdnd control).
-	// Estimator() returns nil in that case.
+	// Source supplies the demand estimate (the sharded estimator in
+	// cdnd control). Leave nil to have the controller build an
+	// *Estimator, reachable via Estimator() for wiring into a request
+	// tap.
 	Source DemandSource
 	// Interval is the Run loop's reconcile cadence. Non-positive means
 	// no periodic rounds: Run still serves Kick-triggered ones.
@@ -134,11 +131,6 @@ type Config struct {
 	// the same replica in and out. 0 selects DefaultCooldownRounds;
 	// negative disables.
 	CooldownRounds int
-	// TransferWeight converts a plan's transfer volume (GB·hops) into
-	// objective units (predicted hops/request) when computing its net
-	// benefit. 0 selects DefaultTransferWeight; negative disables
-	// transfer pricing.
-	TransferWeight float64
 	// ChurnKick, when > 0, lets the catalog-churn signal force a
 	// positive-benefit plan past the hysteresis bar: a round whose
 	// demand source reports a site churn rate at or above this fraction
@@ -235,8 +227,8 @@ type Status struct {
 type Controller struct {
 	cfg Config
 	est DemandSource
-	// estConcrete is est when it is a plain *Estimator (the Estimator()
-	// accessor's return; nil when cfg.Source supplied something else).
+	// estConcrete is est when the controller built it (the Estimator()
+	// accessor's return; nil when cfg.Source was set).
 	estConcrete *Estimator
 	kick        chan struct{}
 
@@ -293,23 +285,11 @@ func New(cfg Config) (*Controller, error) {
 	if cfg.CooldownRounds == 0 {
 		cfg.CooldownRounds = DefaultCooldownRounds
 	}
-	if cfg.TransferWeight == 0 {
-		cfg.TransferWeight = DefaultTransferWeight
-	}
-	var est DemandSource
-	concrete := cfg.Estimator
-	if cfg.Source != nil {
-		if concrete != nil {
-			return nil, fmt.Errorf("control: both Estimator and Source set")
-		}
-		est = cfg.Source
-	} else {
-		if concrete == nil {
-			var err error
-			concrete, err = NewEstimator(EstimatorConfig{Servers: cfg.Base.N(), Sites: cfg.Base.M()})
-			if err != nil {
-				return nil, err
-			}
+	est := cfg.Source
+	var concrete *Estimator
+	if est == nil {
+		if concrete, err = NewEstimator(EstimatorConfig{Servers: cfg.Base.N(), Sites: cfg.Base.M()}); err != nil {
+			return nil, err
 		}
 		est = concrete
 	}
@@ -532,9 +512,7 @@ func (c *Controller) Reconcile() (*Report, error) {
 		return nil, err
 	}
 	rep.NetBenefit = rep.OldCost - rep.NewCost
-	if c.cfg.TransferWeight > 0 {
-		rep.NetBenefit -= c.cfg.TransferWeight * diff.TransferGBHops
-	}
+	rep.NetBenefit -= DefaultTransferWeight * diff.TransferGBHops
 	if c.cfg.Hysteresis > 0 {
 		rec.HysteresisBar = c.cfg.Hysteresis * rep.OldCost
 	}

@@ -36,19 +36,16 @@ import (
 type EstimatorConfig struct {
 	// Servers (N) and Sites (M) fix the demand matrix shape.
 	Servers, Sites int
-	// Alpha is the EWMA weight of the newest window in (0, 1]: after a
-	// roll, rate = Alpha·window + (1−Alpha)·rate. Higher alpha adapts
-	// faster but passes more sampling noise into the placement run.
-	// 0 selects DefaultAlpha.
-	Alpha float64
-	// Windows is the length of the sliding-window ring kept for the
-	// requests-per-window view in Status. 0 selects DefaultWindows.
-	Windows int
 }
 
-// Estimator defaults.
+// Estimator constants.
 const (
-	DefaultAlpha   = 0.5
+	// DefaultAlpha is the EWMA weight of the newest window: after a
+	// roll, rate = α·window + (1−α)·rate. A higher α adapts faster but
+	// passes more sampling noise into the placement run.
+	DefaultAlpha = 0.5
+	// DefaultWindows is the length of the sliding-window ring kept for
+	// the requests-per-window view in Status.
 	DefaultWindows = 8
 	// DefaultChurnWindow is how many recent rolls the churn signal looks
 	// at: a site first seen inside the window is a birth, a site seen
@@ -96,7 +93,6 @@ type ChurnSource interface {
 // reconcile round.
 type Estimator struct {
 	n, m    int
-	alpha   float64
 	counts  []atomic.Int64 // current window, n*m row-major
 	observe atomic.Int64   // requests ever observed
 
@@ -117,27 +113,12 @@ func NewEstimator(cfg EstimatorConfig) (*Estimator, error) {
 	if cfg.Servers < 1 || cfg.Sites < 1 {
 		return nil, fmt.Errorf("control: estimator for %d servers, %d sites", cfg.Servers, cfg.Sites)
 	}
-	if cfg.Alpha < 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("control: estimator alpha = %v", cfg.Alpha)
-	}
-	if cfg.Windows < 0 {
-		return nil, fmt.Errorf("control: estimator windows = %d", cfg.Windows)
-	}
-	alpha := cfg.Alpha
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
-	windows := cfg.Windows
-	if windows == 0 {
-		windows = DefaultWindows
-	}
 	return &Estimator{
 		n:         cfg.Servers,
 		m:         cfg.Sites,
-		alpha:     alpha,
 		counts:    make([]atomic.Int64, cfg.Servers*cfg.Sites),
 		rates:     make([]float64, cfg.Servers*cfg.Sites),
-		window:    make([]int64, 0, windows),
+		window:    make([]int64, 0, DefaultWindows),
 		firstSeen: make([]int64, cfg.Sites),
 		lastSeen:  make([]int64, cfg.Sites),
 		siteTot:   make([]int64, cfg.Sites),
@@ -201,7 +182,7 @@ func (e *Estimator) Roll() int64 {
 		if first {
 			e.rates[c] = float64(v)
 		} else {
-			e.rates[c] = e.alpha*float64(v) + (1-e.alpha)*e.rates[c]
+			e.rates[c] = DefaultAlpha*float64(v) + (1-DefaultAlpha)*e.rates[c]
 		}
 		sum += e.rates[c]
 	}
@@ -215,13 +196,11 @@ func (e *Estimator) Roll() int64 {
 			e.lastSeen[j] = e.rolls
 		}
 	}
-	if cap(e.window) > 0 {
-		if len(e.window) == cap(e.window) {
-			copy(e.window, e.window[1:])
-			e.window = e.window[:len(e.window)-1]
-		}
-		e.window = append(e.window, total)
+	if len(e.window) == cap(e.window) {
+		copy(e.window, e.window[1:])
+		e.window = e.window[:len(e.window)-1]
 	}
+	e.window = append(e.window, total)
 	return total
 }
 

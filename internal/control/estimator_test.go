@@ -39,7 +39,7 @@ func TestEstimatorDemandNormalized(t *testing.T) {
 }
 
 func TestEstimatorEWMAConverges(t *testing.T) {
-	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 2, Alpha: 0.5})
+	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,13 @@ func TestEstimatorEWMAConverges(t *testing.T) {
 }
 
 func TestEstimatorFirstRollSeedsEWMA(t *testing.T) {
-	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 2, Alpha: 0.1})
+	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With cold-start bias (rate starting at 0), alpha 0.1 would put
-	// the first window's estimate at a tenth of its true rate; seeding
-	// makes one window enough.
+	// With cold-start bias (rate starting at 0), the first window's
+	// estimate would be α times its true rate; seeding makes one window
+	// enough.
 	e.ObserveN(0, 0, 80)
 	e.ObserveN(0, 1, 20)
 	e.Roll()
@@ -76,16 +76,20 @@ func TestEstimatorFirstRollSeedsEWMA(t *testing.T) {
 }
 
 func TestEstimatorSlidingWindowRing(t *testing.T) {
-	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 1, Windows: 3})
+	e, err := NewEstimator(EstimatorConfig{Servers: 1, Sites: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r := 1; r <= 5; r++ {
+	const rolls = DefaultWindows + 2
+	for r := 1; r <= rolls; r++ {
 		e.ObserveN(0, 0, int64(r))
 		e.Roll()
 	}
 	got := e.WindowTotals()
-	want := []int64{3, 4, 5}
+	var want []int64
+	for r := rolls - DefaultWindows + 1; r <= rolls; r++ {
+		want = append(want, int64(r))
+	}
 	if len(got) != len(want) {
 		t.Fatalf("ring %v, want %v", got, want)
 	}
@@ -94,7 +98,7 @@ func TestEstimatorSlidingWindowRing(t *testing.T) {
 			t.Fatalf("ring %v, want %v", got, want)
 		}
 	}
-	if e.Rolls() != 5 {
+	if e.Rolls() != rolls {
 		t.Fatalf("rolls %d", e.Rolls())
 	}
 }

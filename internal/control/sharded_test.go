@@ -178,19 +178,4 @@ func TestControllerWithShardedSource(t *testing.T) {
 	if target.Placement().Replicas() == 0 {
 		t.Fatal("no replicas placed from sharded demand")
 	}
-	// Both estimator paths must refuse to coexist.
-	if _, err := New(Config{
-		Base: sc.Sys, Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes,
-		Target: target, Source: sharded, Estimator: ctrl.Estimator(),
-	}); err == nil {
-		// ctrl.Estimator() is nil here so that config is actually legal;
-		// build a real one to exercise the conflict.
-		est, _ := NewEstimator(EstimatorConfig{Servers: sc.Sys.N(), Sites: sc.Sys.M()})
-		if _, err := New(Config{
-			Base: sc.Sys, Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes,
-			Target: target, Source: sharded, Estimator: est,
-		}); err == nil {
-			t.Fatal("Source+Estimator accepted")
-		}
-	}
 }

@@ -56,6 +56,12 @@ const (
 	MechAdHoc80     Mechanism = "cache-80%"   // fixed 80% cache + greedy-global
 )
 
+// The printed CDF grid: gridSteps points up to gridMaxMs.
+const (
+	gridMaxMs = 400
+	gridSteps = 20
+)
+
 // Options scales an experiment run. Zero value is unusable; start from
 // DefaultOptions (paper scale) or QuickOptions (CI scale).
 type Options struct {
@@ -64,9 +70,6 @@ type Options struct {
 	Base scenario.Config
 	// Sim configures the trace-driven simulation of each mechanism.
 	Sim sim.Config
-	// GridMaxMs / GridSteps shape the printed CDF grid.
-	GridMaxMs float64
-	GridSteps int
 	// TraceSeed drives request sampling (identical across mechanisms).
 	TraceSeed uint64
 	// Model selects the analytical hit-ratio model the hybrid placement
@@ -81,8 +84,6 @@ func DefaultOptions() Options {
 	return Options{
 		Base:      scenario.Default(),
 		Sim:       sim.DefaultConfig(),
-		GridMaxMs: 400,
-		GridSteps: 20,
 		TraceSeed: 99,
 	}
 }
@@ -194,7 +195,7 @@ func runPanel(ctx context.Context, opts Options, id, title string, capacityFrac,
 		}
 		panel.Series[mi] = Series{
 			Mechanism:     mech,
-			CDF:           m.CDF().Grid(opts.GridMaxMs, opts.GridSteps),
+			CDF:           m.CDF().Grid(gridMaxMs, gridSteps),
 			MeanRTMs:      m.MeanRTMs,
 			MeanHops:      m.MeanHops,
 			HitRatio:      m.HitRatio(),

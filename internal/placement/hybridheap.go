@@ -731,9 +731,6 @@ func hybridHeapRun(st *hybridState) *Result {
 			PredictedCost: hybridObjective(p, st.hitFn, cfg.UpdateRates),
 		}
 		res.Steps = append(res.Steps, step)
-		if cfg.Observer != nil {
-			cfg.Observer(step)
-		}
 		if cfg.Explain != nil {
 			cfg.Explain(ExplainStep{
 				Iter: len(res.Steps) - 1, Server: bestI, Site: bestJ,

@@ -87,9 +87,6 @@ func hybridScan(st *hybridState) *Result {
 			PredictedCost: hybridObjective(p, hitFn, cfg.UpdateRates),
 		}
 		res.Steps = append(res.Steps, step)
-		if cfg.Observer != nil {
-			cfg.Observer(step)
-		}
 		if cfg.Explain != nil {
 			cfg.Explain(ExplainStep{
 				Iter: len(res.Steps) - 1, Server: bestI, Site: bestJ,

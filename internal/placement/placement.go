@@ -168,9 +168,6 @@ type HybridConfig struct {
 	// default), "che" or "random" (for FIFO/RANDOM fleets) — see
 	// lrumodel.ModelKinds. Empty means eq1.
 	Model string
-	// Observer, if non-nil, is invoked after every replica creation;
-	// used by the step-by-step example and by tests.
-	Observer func(Step)
 	// UpdateRates, if non-nil, adds the read-plus-update FAP objective
 	// ([19, 28]): a candidate replica of site j at server i pays
 	// UpdateRates[j]·C(i, SP_j) in update propagation. Caches are

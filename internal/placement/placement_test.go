@@ -276,22 +276,6 @@ func TestHybridKeepsCacheWhenReplicasWorthless(t *testing.T) {
 	}
 }
 
-func TestHybridObserver(t *testing.T) {
-	sys, specs := randomSystem(xrand.New(17), 6, 4, 0.3)
-	var seen []Step
-	res, err := Hybrid(sys, HybridConfig{
-		Specs:          specs,
-		AvgObjectBytes: 1,
-		Observer:       func(s Step) { seen = append(seen, s) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(res.Steps) {
-		t.Fatalf("observer saw %d steps, result has %d", len(seen), len(res.Steps))
-	}
-}
-
 func TestHybridErrors(t *testing.T) {
 	sys, specs := randomSystem(xrand.New(19), 4, 3, 0.2)
 	if _, err := Hybrid(sys, HybridConfig{Specs: specs[:2], AvgObjectBytes: 1}); err == nil {

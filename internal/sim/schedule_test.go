@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -93,24 +94,54 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 	}
 }
 
+// TestScheduleHealthyMatchesEmptySchedule pins RunWithSchedule's own
+// serve loop, on a run with no fault events, to the healthy static
+// oracle and to Run: a nil schedule must reproduce Run's mean response
+// time and source counters bit for bit.
 func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
-	sc := smallScenario(57, 0)
-	p := core.NewPlacement(sc.Sys)
-	cfg := fastConfig(true)
-	cfg.KeepResponseTimes = false
-	want, err := staticFailuresOracle(context.Background(), sc, p, cfg, nil, nil, xrand.New(58))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := RunWithSchedule(context.Background(), sc, p, cfg, nil, xrand.New(58))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.FailureMetrics, *want) {
-		t.Fatalf("nil schedule diverged from the healthy static oracle:\n%+v\n%+v", got.FailureMetrics, *want)
-	}
-	if len(got.Phases) != 1 || got.EventsApplied != 0 {
-		t.Fatalf("healthy run: %d phases, %d events", len(got.Phases), got.EventsApplied)
+	for _, lambda := range []float64{0, 0.1} {
+		sc := smallScenario(3, lambda)
+		hyb, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
+			Specs:          sc.Work.Specs(),
+			AvgObjectBytes: sc.Work.AvgObjectBytes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := hyb.Placement
+		for _, useCache := range []bool{true, false} {
+			t.Run(fmt.Sprintf("lambda=%v/cache=%v", lambda, useCache), func(t *testing.T) {
+				cfg := fastConfig(useCache)
+				cfg.KeepResponseTimes = false
+				want, err := staticFailuresOracle(context.Background(), sc, p, cfg, nil, nil, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunWithSchedule(context.Background(), sc, p, cfg, nil, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.FailureMetrics, *want) {
+					t.Fatalf("nil schedule diverged from the healthy static oracle:\n%+v\n%+v", got.FailureMetrics, *want)
+				}
+				if len(got.Phases) != 1 || got.EventsApplied != 0 {
+					t.Fatalf("healthy run: %d phases, %d events", len(got.Phases), got.EventsApplied)
+				}
+				run, err := Run(context.Background(), sc, p, cfg, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.MeanRTMs != run.MeanRTMs || got.LocalReplica != run.LocalReplica ||
+					got.CacheHits != run.CacheHits || got.CacheMisses != run.CacheMisses {
+					t.Fatalf("nil schedule diverged from Run: mean %v local %d hits %d misses %d, Run: mean %v local %d hits %d misses %d",
+						got.MeanRTMs, got.LocalReplica, got.CacheHits, got.CacheMisses,
+						run.MeanRTMs, run.LocalReplica, run.CacheHits, run.CacheMisses)
+				}
+				if got.LocalReplica == 0 {
+					t.Fatal("hybrid placement served nothing from a local replica")
+				}
+			})
+		}
 	}
 }
 

@@ -24,11 +24,9 @@
 //     SegmentChainProb at birth): a request that lands on it starts a
 //     per-server session that fetches ChainLength consecutive segments
 //     in rank order, like a viewer playing a stream;
-//   - perished slots keep a small residual weight (PerishedWeight):
+//   - perished slots keep a small residual weight (DefaultPerishedWeight):
 //     stale links and bookmarks keep producing requests the CDN must
-//     answer with a 404 from the origin;
-//   - optional regional diurnal modulation staggers each server's
-//     volume share around the clock (DiurnalAmplitude, DiurnalPeriod).
+//     answer with a 404 from the origin.
 //
 // Keeping the number of slots fixed keeps every N×M matrix in the system
 // (demand, placement, estimator) shape-stable while the content identity
@@ -57,10 +55,6 @@ type DynamicConfig struct {
 	// PerishRate is each live generation's death rate per request:
 	// lifetimes are exponential with mean 1/PerishRate requests.
 	PerishRate float64
-	// PerishedWeight is the fraction of a slot's popularity that keeps
-	// arriving as stale-link traffic after it perishes. 0 means use
-	// DefaultPerishedWeight whenever churn is enabled.
-	PerishedWeight float64
 	// FlashCrowdBoost multiplies a newly published generation's weight
 	// for its first FlashCrowdRequests requests. Values <= 1 disable
 	// flash crowds.
@@ -73,19 +67,14 @@ type DynamicConfig struct {
 	// ChainLength is the session length in segments (default
 	// DefaultChainLength when SegmentChainProb > 0).
 	ChainLength int
-	// DiurnalAmplitude modulates each server's share of the request
-	// volume by 1 + A·sin(2π(t/Period + i/N)) — regions peak at
-	// staggered phases. 0 disables; Period defaults to
-	// DefaultDiurnalPeriod requests.
-	DiurnalAmplitude float64
-	DiurnalPeriod    int
 }
 
-// Defaults applied when churn is enabled and a knob is left zero.
 const (
+	// DefaultPerishedWeight is the fraction of a slot's popularity that
+	// keeps arriving as stale-link traffic after it perishes.
 	DefaultPerishedWeight = 0.02
-	DefaultChainLength    = 12
-	DefaultDiurnalPeriod  = 200000
+	// DefaultChainLength is the session length when ChainLength is 0.
+	DefaultChainLength = 12
 )
 
 // Dynamic reports whether any dynamic feature is enabled. False means
@@ -93,7 +82,7 @@ const (
 func (c DynamicConfig) Dynamic() bool {
 	return c.PublishRate > 0 || c.PerishRate > 0 ||
 		(c.FlashCrowdBoost > 1 && c.FlashCrowdRequests > 0) ||
-		c.SegmentChainProb > 0 || c.DiurnalAmplitude > 0
+		c.SegmentChainProb > 0
 }
 
 // Validate reports a configuration error, or nil.
@@ -101,18 +90,12 @@ func (c DynamicConfig) Validate() error {
 	switch {
 	case c.PublishRate < 0 || c.PerishRate < 0:
 		return fmt.Errorf("workload: negative churn rate (publish=%v perish=%v)", c.PublishRate, c.PerishRate)
-	case c.PerishedWeight < 0 || c.PerishedWeight > 1:
-		return fmt.Errorf("workload: PerishedWeight = %v", c.PerishedWeight)
 	case c.FlashCrowdRequests < 0:
 		return fmt.Errorf("workload: FlashCrowdRequests = %v", c.FlashCrowdRequests)
 	case c.SegmentChainProb < 0 || c.SegmentChainProb > 1:
 		return fmt.Errorf("workload: SegmentChainProb = %v", c.SegmentChainProb)
 	case c.ChainLength < 0:
 		return fmt.Errorf("workload: ChainLength = %v", c.ChainLength)
-	case c.DiurnalAmplitude < 0 || c.DiurnalAmplitude > 1:
-		return fmt.Errorf("workload: DiurnalAmplitude = %v", c.DiurnalAmplitude)
-	case c.DiurnalPeriod < 0:
-		return fmt.Errorf("workload: DiurnalPeriod = %v", c.DiurnalPeriod)
 	}
 	return nil
 }
@@ -137,7 +120,7 @@ type chainSession struct {
 // DynamicStream draws an endless request sequence from a catalog whose
 // content churns. With a zero DynamicConfig it is the static Stream;
 // otherwise each request advances a virtual clock (one tick per
-// request), perish/publish/flash/diurnal events fire on that clock, and
+// request), perish/publish/flash events fire on that clock, and
 // the server×site sampling CDF is rebuilt lazily on each event.
 //
 // Determinism: the request draws consume the same root RNG the static
@@ -166,9 +149,7 @@ type DynamicStream struct {
 	nextPub   int64
 	sessions  []chainSession
 
-	perishedWeight float64
-	chainLen       int
-	diurnalPeriod  int64
+	chainLen int
 
 	publishes, perishes int64
 }
@@ -190,17 +171,9 @@ func NewDynamicStream(w *Workload, cfg DynamicConfig, r *xrand.Source) (*Dynamic
 		return nil, fmt.Errorf("workload: dynamic catalog and LocalityProb are mutually exclusive")
 	}
 	s.churn = r.Split("catalog-churn")
-	s.perishedWeight = cfg.PerishedWeight
-	if s.perishedWeight == 0 {
-		s.perishedWeight = DefaultPerishedWeight
-	}
 	s.chainLen = cfg.ChainLength
 	if s.chainLen == 0 {
 		s.chainLen = DefaultChainLength
-	}
-	s.diurnalPeriod = int64(cfg.DiurnalPeriod)
-	if s.diurnalPeriod == 0 {
-		s.diurnalPeriod = DefaultDiurnalPeriod
 	}
 	s.sessions = make([]chainSession, w.Cfg.Servers)
 	s.slots = make([]slotState, s.cols)
@@ -335,8 +308,8 @@ func (s *DynamicStream) processEvents(t int64) {
 		s.nextPub += 1 + int64(s.churn.ExpFloat64()/s.cfg.PublishRate)
 	}
 	// Every scheduled wake-up changes the effective weights — a perish,
-	// a publish, a flash window closing, or a diurnal step — so any
-	// fired event forces a CDF rebuild.
+	// a publish or a flash window closing — so any fired event forces a
+	// CDF rebuild.
 	s.dirty = true
 	s.scheduleNextEvent()
 }
@@ -371,8 +344,8 @@ func (s *DynamicStream) publish(t int64) {
 }
 
 // scheduleNextEvent finds the next request-clock tick at which anything
-// changes: a perish, a publish, a flash window closing, or a diurnal
-// step. Between events Next is a pure CDF draw.
+// changes: a perish, a publish or a flash window closing. Between
+// events Next is a pure CDF draw.
 func (s *DynamicStream) scheduleNextEvent() {
 	next := s.nextPub
 	for j := range s.slots {
@@ -389,22 +362,11 @@ func (s *DynamicStream) scheduleNextEvent() {
 			}
 		}
 	}
-	if s.cfg.DiurnalAmplitude > 0 {
-		// Stepwise diurnal curve: 32 steps per period keeps the rebuild
-		// cost negligible while the modulation stays smooth.
-		step := s.diurnalPeriod / 32
-		if step < 1 {
-			step = 1
-		}
-		if boundary := (s.t/step + 1) * step; boundary < next {
-			next = boundary
-		}
-	}
 	s.nextEvent = next
 }
 
-// rebuild recomputes the sampling CDF from the current slot weights,
-// flash windows and diurnal phase.
+// rebuild recomputes the sampling CDF from the current slot weights and
+// flash windows.
 func (s *DynamicStream) rebuild(t int64) {
 	effW := make([]float64, s.cols)
 	for j := range s.slots {
@@ -412,7 +374,7 @@ func (s *DynamicStream) rebuild(t int64) {
 		w := sl.weight
 		switch {
 		case !sl.live:
-			w *= s.perishedWeight
+			w *= DefaultPerishedWeight
 		case s.cfg.FlashCrowdBoost > 1 && t < sl.bornAt+int64(s.cfg.FlashCrowdRequests):
 			w *= s.cfg.FlashCrowdBoost
 		}
@@ -422,13 +384,8 @@ func (s *DynamicStream) rebuild(t int64) {
 	cum := 0.0
 	idx := 0
 	for i := 0; i < n; i++ {
-		di := 1.0
-		if s.cfg.DiurnalAmplitude > 0 {
-			phase := float64(t)/float64(s.diurnalPeriod) + float64(i)/float64(n)
-			di = 1 + s.cfg.DiurnalAmplitude*math.Sin(2*math.Pi*phase)
-		}
 		for j := 0; j < s.cols; j++ {
-			cum += s.spread[i][j] * effW[j] * di
+			cum += s.spread[i][j] * effW[j]
 			s.cdf[idx] = cum
 			idx++
 		}

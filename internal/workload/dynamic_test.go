@@ -16,8 +16,6 @@ func churningConfig() DynamicConfig {
 		FlashCrowdRequests: 2000,
 		SegmentChainProb:   0.5,
 		ChainLength:        6,
-		DiurnalAmplitude:   0.3,
-		DiurnalPeriod:      20000,
 	}
 }
 
@@ -25,12 +23,9 @@ func TestDynamicConfigValidate(t *testing.T) {
 	mutations := []func(*DynamicConfig){
 		func(c *DynamicConfig) { c.PublishRate = -1 },
 		func(c *DynamicConfig) { c.PerishRate = -0.1 },
-		func(c *DynamicConfig) { c.PerishedWeight = 1.5 },
 		func(c *DynamicConfig) { c.FlashCrowdRequests = -1 },
 		func(c *DynamicConfig) { c.SegmentChainProb = 2 },
 		func(c *DynamicConfig) { c.ChainLength = -3 },
-		func(c *DynamicConfig) { c.DiurnalAmplitude = 1.2 },
-		func(c *DynamicConfig) { c.DiurnalPeriod = -1 },
 	}
 	w := MustGenerate(smallConfig(), xrand.New(1))
 	for i, m := range mutations {
@@ -127,7 +122,7 @@ func TestDynamicChurnAdvancesGenerations(t *testing.T) {
 			s.Publishes(), s.Perishes())
 	}
 	if perishedReqs == 0 {
-		t.Fatal("no stale-link (perished) requests despite PerishedWeight > 0")
+		t.Fatal("no stale-link (perished) requests despite DefaultPerishedWeight > 0")
 	}
 	if freshGen == 0 {
 		t.Fatal("no requests for republished generations")

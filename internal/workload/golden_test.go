@@ -69,7 +69,7 @@ func TestGoldenStreams(t *testing.T) {
 		{"static/locality", static(locality), 0xd48f4be6f05c4359},
 		{"static/lambda", static(lambda), 0x964710c0e7772943},
 		{"dynamic/churn-5e-5", dynamic(DefaultConfig(), churn), 0xa09b19fd08d56c1e},
-		{"dynamic/flash-chain-diurnal", dynamic(smallConfig(), churningConfig()), 0xe7dd3c0f9aa5986f},
+		{"dynamic/flash-chain", dynamic(smallConfig(), churningConfig()), 0x34cfe02e840cbad1},
 	}
 	for _, c := range cases {
 		if got := streamHash(draws, c.next); got != c.want {

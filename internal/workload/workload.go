@@ -87,10 +87,11 @@ type Config struct {
 	// of drawing fresh. 0 (the paper's implicit IRM assumption)
 	// disables it.
 	LocalityProb float64
-	// LocalityDepth is the per-server recency buffer size the repeats
-	// draw from (default 256 when LocalityProb > 0).
-	LocalityDepth int
 }
+
+// localityDepth is the per-server recency buffer size the
+// LocalityProb repeats draw from.
+const localityDepth = 256
 
 // DefaultConfig returns the paper's §5.1 parameters.
 func DefaultConfig() Config {
@@ -145,8 +146,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: SpreadSigmaFactor = %v", c.SpreadSigmaFactor)
 	case c.LocalityProb < 0 || c.LocalityProb > 1:
 		return fmt.Errorf("workload: LocalityProb = %v", c.LocalityProb)
-	case c.LocalityDepth < 0:
-		return fmt.Errorf("workload: LocalityDepth = %v", c.LocalityDepth)
 	}
 	return nil
 }
@@ -358,14 +357,10 @@ type recentRef struct{ site, object int }
 func NewStream(w *Workload, r *xrand.Source) *Stream {
 	s := &Stream{w: w, r: r, cols: len(w.Sites)}
 	if w.Cfg.LocalityProb > 0 {
-		depth := w.Cfg.LocalityDepth
-		if depth == 0 {
-			depth = 256
-		}
 		s.recent = make([][]recentRef, w.Cfg.Servers)
 		s.nextIdx = make([]int, w.Cfg.Servers)
 		for i := range s.recent {
-			s.recent[i] = make([]recentRef, 0, depth)
+			s.recent[i] = make([]recentRef, 0, localityDepth)
 		}
 	}
 	s.cdf = make([]float64, w.Cfg.Servers*len(w.Sites))

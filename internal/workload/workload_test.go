@@ -297,21 +297,16 @@ func TestValidateLocality(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Fatal("LocalityProb > 1 accepted")
 	}
-	cfg = smallConfig()
-	cfg.LocalityDepth = -1
-	if cfg.Validate() == nil {
-		t.Fatal("negative LocalityDepth accepted")
-	}
 }
 
 func TestLocalityIncreasesRepeats(t *testing.T) {
 	count := func(prob float64, seed uint64) float64 {
 		cfg := smallConfig()
 		cfg.LocalityProb = prob
-		cfg.LocalityDepth = 64
 		w := MustGenerate(cfg, xrand.New(21))
 		s := NewStream(w, xrand.New(seed))
-		// Measure the per-server repeat rate within a short window.
+		// Measure the per-server repeat rate within a window as deep as
+		// the recency buffer the repeats draw from.
 		const n = 100000
 		window := make(map[int][]Request)
 		repeats, total := 0, 0
@@ -326,7 +321,7 @@ func TestLocalityIncreasesRepeats(t *testing.T) {
 			}
 			total++
 			recent = append(recent, req)
-			if len(recent) > 32 {
+			if len(recent) > localityDepth {
 				recent = recent[1:]
 			}
 			window[req.Server] = recent

@@ -85,9 +85,6 @@ func BuildScenario(cfg ScenarioConfig) (*Scenario, error) { return scenario.Buil
 // MustBuildScenario is BuildScenario for known-good configurations.
 func MustBuildScenario(cfg ScenarioConfig) *Scenario { return scenario.MustBuild(cfg) }
 
-// PlacementStep records one replica-creation decision of an algorithm.
-type PlacementStep = placement.Step
-
 // Strategy selects the placement algorithm Place runs — the §5.2
 // mechanisms as one enumeration instead of one constructor each.
 type Strategy string
@@ -118,10 +115,6 @@ type PlacementConfig struct {
 	// with ("eq1", "che", "random"); empty means eq1, the
 	// paper's own model (StrategyHybrid only; ignored by the others).
 	Model string
-	// Observer, when non-nil, is invoked after every replica creation —
-	// the iteration-by-iteration view of the placement loop
-	// (StrategyHybrid only; ignored by the others).
-	Observer func(PlacementStep)
 	// Parallelism fans out the hybrid benefit-matrix computation
 	// (0 = all cores).
 	Parallelism int
@@ -135,7 +128,6 @@ func Place(sc *Scenario, cfg PlacementConfig) (*PlacementResult, error) {
 			Specs:          sc.Work.Specs(),
 			AvgObjectBytes: sc.Work.AvgObjectBytes,
 			Model:          cfg.Model,
-			Observer:       cfg.Observer,
 			Parallelism:    cfg.Parallelism,
 		})
 	case StrategyReplication:

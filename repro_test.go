@@ -110,13 +110,12 @@ func TestPlaceStrategies(t *testing.T) {
 		t.Error("unknown strategy accepted")
 	}
 
-	// The observer sees every hybrid replication step.
-	var steps int
-	obs, err := Place(sc, PlacementConfig{Observer: func(PlacementStep) { steps++ }})
+	// The result records every hybrid replication step.
+	res, err := Place(sc, PlacementConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != obs.Placement.Replicas() {
-		t.Errorf("observer saw %d steps for %d replicas", steps, obs.Placement.Replicas())
+	if len(res.Steps) != res.Placement.Replicas() {
+		t.Errorf("%d steps for %d replicas", len(res.Steps), res.Placement.Replicas())
 	}
 }

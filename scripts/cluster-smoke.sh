@@ -38,7 +38,7 @@ trap cleanup EXIT INT TERM
 echo "== booting control plane + origin + 2 edges"
 "${BIN}/cdnd" control -addr "127.0.0.1:${CONTROL_PORT}" -edges 2 \
     -interval 500ms -report-every 100ms -probe-every 100ms \
-    -probe-timeout 500ms -fail-threshold 2 -eject-for 500ms \
+    -probe-timeout 500ms -fail-threshold 2 \
     -hysteresis=-1 -cooldown=-1 &
 PIDS="$PIDS $!"
 "${BIN}/cdnd" origin -addr "127.0.0.1:${ORIGIN_PORT}" -control "$CONTROL" &
