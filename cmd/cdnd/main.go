@@ -96,6 +96,13 @@ func main() {
 	}
 }
 
+// nonNegative names the flags parse rejects a negative value of.
+var nonNegative = map[string]bool{
+	"hopdelay": true, "eject-for": true, "fail-threshold": true,
+	"report-every": true, "probe-every": true, "probe-timeout": true,
+	"linger": true, "wait": true,
+}
+
 // parse reads the role and its flags. Each flag is registered once, for
 // the roles that take it, with the role's default.
 func parse(args []string) (options, error) {
@@ -199,6 +206,18 @@ func parse(args []string) (options, error) {
 	}
 	if fs.NArg() > 0 {
 		return opt, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	// A negative duration or threshold would quietly become its default
+	// (or no delay at all); -hysteresis and -cooldown keep "negative =
+	// off". Every default is non-negative, so only set flags can be.
+	var neg error
+	fs.Visit(func(f *flag.Flag) {
+		if neg == nil && nonNegative[f.Name] && strings.HasPrefix(f.Value.String(), "-") {
+			neg = fmt.Errorf("-%s must not be negative, got %s", f.Name, f.Value)
+		}
+	})
+	if neg != nil {
+		return opt, neg
 	}
 	if _, err := lrumodel.ParseModelKind(opt.control.Model); err != nil {
 		return opt, fmt.Errorf("-model: %w", err)

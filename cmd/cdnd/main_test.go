@@ -76,7 +76,8 @@ func TestParse(t *testing.T) {
 		}},
 		{name: "edge: every flag", args: strings.Fields("edge -id 1 -addr :9311 -control http://c:9300 -wait 5s -trace e.jsonl -hopdelay 1ms -fail-threshold 4 -eject-for 1s -quiet"), want: func(o *options) {
 			o.role, o.tracePath = roleEdge, "e.jsonl"
-			o.edge = clusterd.EdgeConfig{ID: 1, Addr: ":9311", PerHopDelay: time.Millisecond, FailThreshold: 4, EjectFor: time.Second}
+			o.edge = clusterd.EdgeConfig{ID: 1, Addr: ":9311",
+				Config: httpcdn.Config{PerHopDelay: time.Millisecond, FailThreshold: 4, EjectFor: time.Second}}
 			o.controlURL, o.wait, o.out, o.quiet = "http://c:9300", 5*time.Second, "-", true
 		}},
 		{name: "load: defaults", args: []string{"load"}, want: func(o *options) {
@@ -102,6 +103,15 @@ func TestParse(t *testing.T) {
 		{args: []string{"cache"}, err: `unknown role "cache"`},
 		{args: strings.Fields("edge extra"), err: `unexpected argument "extra"`},
 		{args: strings.Fields("-model lfu"), err: "-model"},
+		{args: strings.Fields("-requests 50 -hopdelay -5ms"), err: "-hopdelay must not be negative"},
+		{args: strings.Fields("-linger -1s"), err: "-linger must not be negative"},
+		{args: strings.Fields("edge -eject-for -1s"), err: "-eject-for must not be negative"},
+		{args: strings.Fields("edge -fail-threshold -2"), err: "-fail-threshold must not be negative"},
+		{args: strings.Fields("edge -wait -1s"), err: "-wait must not be negative"},
+		{args: strings.Fields("control -fail-threshold -1"), err: "-fail-threshold must not be negative"},
+		{args: strings.Fields("control -report-every -1ms"), err: "-report-every must not be negative"},
+		{args: strings.Fields("control -probe-every -1ms"), err: "-probe-every must not be negative"},
+		{args: strings.Fields("control -probe-timeout -1ms"), err: "-probe-timeout must not be negative"},
 	} {
 		if tt.name == "" {
 			tt.name = strings.Join(tt.args, " ")

@@ -24,27 +24,14 @@ import (
 // back to when the control plane does not specify one.
 const DefaultReportEvery = 500 * time.Millisecond
 
-// EdgeConfig parameterizes a standalone edge component.
+// EdgeConfig parameterizes a standalone edge component: the engine's
+// serving knobs (httpcdn.Config) plus where the edge listens and writes.
 type EdgeConfig struct {
+	httpcdn.Config
 	// ID is this edge's id in 0..Params.Edges-1.
 	ID int
 	// Addr is the listen address.
 	Addr string
-	// PerHopDelay injects the paper's per-hop latency model before
-	// remote fetches (0 for tests).
-	PerHopDelay time.Duration
-	// MaxObjectBytes caps synthetic payload sizes (0 = 64 KiB).
-	MaxObjectBytes int64
-	// Retry bounds peer/origin fetches; zero fields take the
-	// httpcdn.RetryPolicy defaults.
-	Retry httpcdn.RetryPolicy
-	// FailThreshold / EjectFor drive the passive upstream health
-	// trackers (defaults 3 / 2s).
-	FailThreshold int
-	EjectFor      time.Duration
-	// Metrics receives the edge's serve counters; nil builds a private
-	// registry.
-	Metrics *obs.Registry
 	// Tracer, when non-nil, records the engine's span tree per request
 	// (serve, health, failover, upstream, retry), stitched across
 	// processes by the Traceparent header — the schema cdntrace analyzes.
@@ -102,10 +89,10 @@ func StartEdge(params Params, cfg EdgeConfig) (*Edge, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.NewRegistry()
 	}
+	reg := cfg.Metrics
 	edgeLabel := obs.Labels{"edge": strconv.Itoa(cfg.ID)}
 	e := &Edge{
 		params:      params,
@@ -135,17 +122,7 @@ func StartEdge(params Params, cfg EdgeConfig) (*Edge, error) {
 		originHealth[j] = origin
 	}
 	e.engine = httpcdn.NewEngine(httpcdn.EngineConfig{
-		Config: httpcdn.Config{
-			PerHopDelay:    cfg.PerHopDelay,
-			MaxObjectBytes: cfg.MaxObjectBytes,
-			Retry:          cfg.Retry,
-			FailThreshold:  cfg.FailThreshold,
-			EjectFor:       cfg.EjectFor,
-			Metrics:        reg,
-			// Local demand tap: flushed to the control plane's sharded
-			// estimator by the report loop.
-			RequestTap: func(_, site int) { e.counts[site].Add(1) },
-		},
+		Config:   cfg.Config,
 		ID:       cfg.ID,
 		Scenario: sc,
 		// Boot with an empty placement: the cache gets this edge's full
@@ -154,6 +131,9 @@ func StartEdge(params Params, cfg EdgeConfig) (*Edge, error) {
 		Spans:        cfg.Tracer,
 		PeerHealth:   peerHealth,
 		OriginHealth: originHealth,
+		// Local demand tap: flushed to the control plane's sharded
+		// estimator by the report loop.
+		RequestTap: func(site int) { e.counts[site].Add(1) },
 	})
 
 	// /admin/placement and /admin/fault stay outside the injector wrap
@@ -189,6 +169,9 @@ func (e *Edge) Injector() *fault.Injector { return e.inj }
 
 // Registry returns the edge's metrics registry.
 func (e *Edge) Registry() *obs.Registry { return e.reg }
+
+// Stats returns a snapshot of the edge's serve counters.
+func (e *Edge) Stats() httpcdn.EdgeStats { return e.engine.Stats() }
 
 // PlacementVersion returns the version of the applied placement.
 func (e *Edge) PlacementVersion() int64 { return e.plVersion.Load() }
@@ -334,10 +317,12 @@ func (e *Edge) flushReport(ctx context.Context) {
 	if resp.PlacementVersion > e.plVersion.Load() {
 		e.pulls.Inc()
 		var push PlacementPush
-		if err := getJSON(rctx, e.client, e.controlURL+"/cluster/placement", &push); err == nil {
-			if err := e.applyPlacement(push); err != nil && e.cfg.Logf != nil {
-				e.cfg.Logf("edge %d: placement pull: %v", e.cfg.ID, err)
-			}
+		err := getJSON(rctx, e.client, e.controlURL+"/cluster/placement", &push)
+		if err == nil {
+			err = e.applyPlacement(push)
+		}
+		if err != nil && e.cfg.Logf != nil {
+			e.cfg.Logf("edge %d: placement pull: %v", e.cfg.ID, err)
 		}
 	}
 }

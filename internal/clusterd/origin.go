@@ -60,7 +60,7 @@ func StartOrigin(params Params, cfg OriginConfig) (*Origin, error) {
 	// a blackholed origin must still accept the call that clears the
 	// fault. Everything a peer or prober touches goes through it.
 	served := http.NewServeMux()
-	served.Handle("/obj/", httpcdn.NewOrigin(sc, -1, cfg.MaxObjectBytes, &o.versions, reg, cfg.Tracer))
+	served.Handle("/obj/", httpcdn.NewOrigin(sc, cfg.MaxObjectBytes, &o.versions, reg, cfg.Tracer))
 	served.HandleFunc("/admin/ping", servePing)
 
 	mux := serverutil.DebugMux(reg)

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,4 +181,51 @@ func FuzzPlacementPush(f *testing.F) {
 			t.Fatalf("placement swapped without a version bump at v%d", v0)
 		}
 	})
+}
+
+// TestFailedPlacementPullIsLogged: a report reply that announces a newer
+// placement makes the edge pull it; when the pull fails the edge says so
+// and keeps the placement it has.
+func TestFailedPlacementPullIsLogged(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/report" {
+			json.NewEncoder(w).Encode(ReportResponse{PlacementVersion: 5})
+			return
+		}
+		http.Error(w, "placement store down", http.StatusInternalServerError)
+	}))
+	defer stub.Close()
+	var mu sync.Mutex
+	var lines []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, fmt.Sprintf(format, args...))
+	}
+	e, err := StartEdge(Params{Edges: 2, Seed: 2, CapacityFrac: 0.2}, EdgeConfig{ID: 0, Addr: "127.0.0.1:0", Logf: logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		e.Shutdown(ctx)
+	}()
+	e.controlURL = stub.URL
+	e.flushReport(context.Background())
+
+	mu.Lock()
+	defer mu.Unlock()
+	pulls := 0
+	for _, l := range lines {
+		if strings.Contains(l, "placement pull") {
+			pulls++
+		}
+	}
+	if pulls != 1 {
+		t.Fatalf("logged %q; want one placement pull line", lines)
+	}
+	if v := e.PlacementVersion(); v != 0 {
+		t.Fatalf("placement version %d after a failed pull, want 0", v)
+	}
 }

@@ -8,8 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +23,8 @@ import (
 )
 
 // wiring is one way of putting httpcdn.Engine and httpcdn.Origin on
-// sockets. The serving suite below runs every case against both: the
-// in-process httpcdn.Cluster and a clusterd control plane + origin +
-// edges.
+// sockets. The serving suite below runs every case against each one in
+// wirings: a clusterd control plane + origin + edges on loopback.
 type wiring interface {
 	url(edge int) string
 	originURL(site int) string
@@ -46,55 +45,17 @@ type wiring interface {
 // suiteParams is the deployment every case runs on: 3 edges, 8 sites.
 var suiteParams = Params{Edges: 3, Seed: 1, CapacityFrac: 0.3}
 
-// bootOpts are the serving knobs a case may set on either wiring.
+// bootOpts are the serving knobs a case may set.
 type bootOpts struct {
 	retry         httpcdn.RetryPolicy
 	failThreshold int
+	revalidate    bool
 	tracer        *obs.Tracer
 }
 
 // fastRetry keeps failure cases out of the default 2 s timeouts.
 var fastRetry = httpcdn.RetryPolicy{Attempts: 1, Timeout: 150 * time.Millisecond,
 	BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Jitter: 0.1}
-
-// inProcess is the wiring over httpcdn.Start.
-type inProcess struct {
-	cl   *httpcdn.Cluster
-	reg  *obs.Registry
-	taps atomic.Int64
-}
-
-func bootInProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o bootOpts) wiring {
-	w := &inProcess{reg: obs.NewRegistry()}
-	cfg := httpcdn.DefaultConfig()
-	cfg.Metrics, cfg.Retry, cfg.FailThreshold = w.reg, o.retry, o.failThreshold
-	cfg.Tracer, cfg.TraceSpans = o.tracer, o.tracer != nil
-	cfg.RequestTap = func(edge, site int) { w.taps.Add(1) }
-	cl, err := httpcdn.Start(sc, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.cl = cl
-	t.Cleanup(w.close)
-	return w
-}
-
-func (w *inProcess) url(i int) string              { return w.cl.EdgeURL(i) }
-func (w *inProcess) swap(p *core.Placement) error  { return w.cl.SwapPlacement(p) }
-func (w *inProcess) modify(site, object int)       { w.cl.ModifyObject(site, object) }
-func (w *inProcess) stats(i int) httpcdn.EdgeStats { return w.cl.EdgeStats(i) }
-func (w *inProcess) registry(int) *obs.Registry    { return w.reg }
-func (w *inProcess) originRegistry() *obs.Registry { return w.reg }
-func (w *inProcess) tapped() int64                 { return w.taps.Load() }
-func (w *inProcess) close()                        { w.cl.Close() }
-func (w *inProcess) originURL(site int) string     { return w.cl.OriginURL(site) }
-func (w *inProcess) fault(kind string, id int, m fault.Mode) {
-	if kind == "edge" {
-		w.cl.EdgeInjector(id).Set(m, 0)
-	} else {
-		w.cl.OriginInjector(id).Set(m, 0)
-	}
-}
 
 // multiProcess is the wiring over StartControl / StartOrigin / StartEdge.
 // The control plane never reconciles (Interval: an hour); the suite's
@@ -108,7 +69,8 @@ type multiProcess struct {
 func bootMultiProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o bootOpts) wiring {
 	tc := startClusterEdges(t, suiteParams,
 		ControlConfig{Interval: time.Hour, ReportEvery: 20 * time.Millisecond},
-		EdgeConfig{Retry: o.retry, FailThreshold: o.failThreshold, Tracer: o.tracer})
+		EdgeConfig{Config: httpcdn.Config{Retry: o.retry, FailThreshold: o.failThreshold, RevalidateOnHit: o.revalidate},
+			Tracer: o.tracer})
 	w := &multiProcess{tc: tc, version: 100}
 	if err := w.swap(p); err != nil {
 		t.Fatal(err)
@@ -134,7 +96,7 @@ func bootMultiProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o 
 func (w *multiProcess) url(i int) string              { return w.tc.Edges[i].URL() }
 func (w *multiProcess) originURL(int) string          { return w.tc.Origin.URL() }
 func (w *multiProcess) modify(site, object int)       { w.tc.Origin.ModifyObject(site, object) }
-func (w *multiProcess) stats(i int) httpcdn.EdgeStats { return w.tc.Edges[i].engine.Stats() }
+func (w *multiProcess) stats(i int) httpcdn.EdgeStats { return w.tc.Edges[i].Stats() }
 func (w *multiProcess) registry(i int) *obs.Registry  { return w.tc.Edges[i].Registry() }
 func (w *multiProcess) originRegistry() *obs.Registry { return w.tc.Origin.Registry() }
 func (w *multiProcess) close()                        { w.tc.shutdown() }
@@ -177,7 +139,6 @@ var wirings = []struct {
 	name string
 	boot func(*testing.T, *scenario.Scenario, *core.Placement, bootOpts) wiring
 }{
-	{"httpcdn", bootInProcess},
 	{"clusterd", bootMultiProcess},
 }
 
@@ -245,13 +206,18 @@ func counter(reg *obs.Registry, name string, edge int) int64 {
 }
 
 // TestServing is the one serving-path suite: every behaviour of the
-// replica → cache → peer → origin discipline, checked on both wirings.
+// replica → cache → peer → origin discipline, checked on every wiring.
 func TestServing(t *testing.T) {
 	sc, err := suiteParams.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 	none := core.NewPlacement(sc.Sys)
+	hybrid, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
+		Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes})
+	if err != nil || hybrid.Placement.Replicas() == 0 {
+		t.Fatalf("hybrid placement: %v", err)
+	}
 	cases := []struct {
 		name string
 		run  func(t *testing.T, boot func(*core.Placement, bootOpts) wiring)
@@ -411,12 +377,135 @@ func TestServing(t *testing.T) {
 				t.Fatalf("replica serve: %+v, want replica at version 1", res)
 			}
 		}},
-		{"placement swaps under load lose nothing", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
-			hybrid, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
-				Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes})
-			if err != nil || hybrid.Placement.Replicas() == 0 {
-				t.Fatalf("hybrid placement: %v", err)
+		{"a replica serves the version its edge has learned", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+			// The edge has never fetched the object, so it has learned
+			// nothing newer than version 0 however far the origin is.
+			_, peer, site, p := peerTriple(t, sc)
+			w := boot(none, bootOpts{})
+			w.modify(site, 1)
+			if err := w.swap(p); err != nil {
+				t.Fatal(err)
 			}
+			if res := fetch(t, w, peer, site, 1); res.Source != httpcdn.SourceReplica || res.Version != 0 {
+				t.Fatalf("replica serve: %+v, want replica at version 0", res)
+			}
+			if o := get(t, w.originURL(site)+httpcdn.ObjectPath(site, 1)); o.etag != httpcdn.ETagFor(site, 1, 1) {
+				t.Fatalf("origin etag %s, want version 1's", o.etag)
+			}
+		}},
+		{"weak and strong consistency", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+			// §3.3 over HTTP: cache an object, modify it at the origin,
+			// fetch it again. Weak consistency serves the stale copy;
+			// strong revalidates every hit with If-None-Match.
+			const edge, site, object = 0, 0, 2
+			for _, strong := range []bool{false, true} {
+				w := boot(none, bootOpts{revalidate: strong})
+				var got []httpcdn.FetchResult
+				for k := 0; k < 3; k++ {
+					if k == 2 {
+						w.modify(site, object)
+					}
+					got = append(got, fetch(t, w, edge, site, object))
+				}
+				want := []string{httpcdn.SourceOrigin, httpcdn.SourceCache, httpcdn.SourceCache}
+				for k, res := range got {
+					if res.Source != want[k] {
+						t.Fatalf("strong=%v: fetch %d from %q, want %q", strong, k, res.Source, want[k])
+					}
+				}
+				st := w.stats(edge)
+				w.close()
+				if !strong && (got[2].Version != 0 || st.Revalidations != 0) {
+					t.Fatalf("weak: third fetch at version %d after %d revalidations, want the stale 0 and none", got[2].Version, st.Revalidations)
+				}
+				if strong && (got[2].Version != 1 || st.Revalidations != 2 || st.NotModified != 1) {
+					t.Fatalf("strong: third fetch at version %d, stats %+v; want version 1 after 2 revalidations, one 304", got[2].Version, st)
+				}
+			}
+		}},
+		{"a failed revalidation is counted once", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+			// A cache hit whose conditional GET fails is a miss: the full
+			// fetch that follows makes it one lookup, not a hit and a
+			// fetch. The one origin process serves every site, so its
+			// injector takes the origin down; the peer's replica serves.
+			from, _, site, p := peerTriple(t, sc)
+			w := boot(p, bootOpts{retry: fastRetry, revalidate: true})
+			for k, want := range []string{httpcdn.SourcePeer, httpcdn.SourceCache, httpcdn.SourcePeer} { // miss; hit, 304; hit, origin down
+				if k == 2 {
+					w.fault("origin", site, fault.ModeError)
+				}
+				if res := fetch(t, w, from, site, 2); res.Source != want {
+					t.Fatalf("fetch %d served from %q, want %q", k, res.Source, want)
+				}
+			}
+			st := w.stats(from)
+			if st.CacheLookups() != 3 || st.CacheHit != 1 || st.Revalidations != 2 || st.NotModified != 1 {
+				t.Fatalf("3 requests past the replica check, 1 served from cache: %+v (lookups %d)", st, st.CacheLookups())
+			}
+			hits := counter(w.registry(from), "cdn_edge_cache_hits_total", from)
+			misses := counter(w.registry(from), "cdn_edge_cache_misses_total", from)
+			if hits != 1 || misses != 2 {
+				t.Fatalf("cdn_edge_cache_hits_total = %d, misses = %d; want 1 and 2", hits, misses)
+			}
+		}},
+		{"request counters agree with stats and serve spans", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+			var buf lockedBuffer
+			tr := obs.NewTracer(&buf)
+			w := boot(hybrid.Placement, bootOpts{tracer: tr})
+			const requests = 300
+			stream := sc.Stream(xrand.New(42))
+			sources := map[string]int{}
+			for k := 0; k < requests; k++ {
+				req := stream.Next()
+				sources[fetch(t, w, req.Server, req.Site, req.Object).Source]++
+			}
+			if sources[httpcdn.SourceCache] == 0 {
+				t.Errorf("no cache hits over %d requests: %v", requests, sources)
+			}
+			// A handler counts its serve before it writes the body, but
+			// observes the latency histogram and ends its serve span
+			// after: drain the deployment before reading either.
+			w.close()
+			var serves int64
+			for _, s := range readSpans(t, tr, &buf) {
+				if s.Kind == obs.SpanServe {
+					serves++
+				}
+			}
+			// Every client serve, plus any internal peer serve, is one
+			// serve span, one request count and one latency sample.
+			var counted, observed int64
+			for i := 0; i < suiteParams.Edges; i++ {
+				reg := w.registry(i)
+				for _, src := range obs.Sources {
+					counted += reg.Counter("cdn_edge_requests_total", "",
+						obs.Labels{"edge": strconv.Itoa(i), "source": src}).Value()
+					observed += reg.Histogram("cdn_request_latency_ms", "",
+						obs.Labels{"source": src}, obs.DefaultLatencyBuckets()).Count()
+				}
+				if hits, st := counter(reg, "cdn_edge_cache_hits_total", i), w.stats(i); hits != st.CacheHit {
+					t.Errorf("edge %d: counter hits %d, stats %d", i, hits, st.CacheHit)
+				}
+			}
+			if serves < requests || counted != serves || observed != serves {
+				t.Fatalf("%d client requests: %d serve spans, cdn_edge_requests_total %d, %d latency samples",
+					requests, serves, counted, observed)
+			}
+			var b strings.Builder
+			if err := w.registry(0).WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				"cdn_edge_requests_total", "cdn_edge_cache_hits_total",
+				"cdn_edge_cache_misses_total", "cdn_edge_cache_resident_bytes",
+				"cdn_request_latency_ms_bucket",
+			} {
+				if !strings.Contains(b.String(), want) {
+					t.Errorf("/metrics missing %s", want)
+				}
+			}
+		}},
+		{"placement swaps under load lose nothing", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
 			w := boot(hybrid.Placement, bootOpts{})
 			const clients, perClient, swaps = 4, 120, 300
 			var wg sync.WaitGroup

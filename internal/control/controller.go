@@ -12,8 +12,9 @@ import (
 	"sync"
 )
 
-// Target is a running deployment the controller can re-place: the live
-// httpcdn.Cluster in the daemon, a ModelTarget in simulations and tests.
+// Target is a running deployment the controller can re-place: the
+// control plane's push to every edge in the daemon (clusterd), a
+// ModelTarget in simulations and tests.
 type Target interface {
 	// Placement returns the placement currently routing requests.
 	Placement() *core.Placement

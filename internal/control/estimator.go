@@ -10,9 +10,9 @@
 // The loop has three parts:
 //
 //   - an Estimator that turns per-request taps (httpcdn's
-//     Config.RequestTap, or any other feed) into a smoothed per-server ×
-//     per-site demand estimate — sliding-window counters folded into an
-//     EWMA at every reconcile round;
+//     EngineConfig.RequestTap, or any other feed) into a smoothed
+//     per-server × per-site demand estimate — sliding-window counters
+//     folded into an EWMA at every reconcile round;
 //   - a Controller that periodically re-runs placement.Hybrid against
 //     the estimated demand, diffs the proposal against the live
 //     placement (placement.Diff), prices the replica transfers, and
@@ -21,8 +21,9 @@
 //   - a debug surface: obs metrics and the /debug/control endpoint
 //     (Handler), which cmd/cdnctl queries.
 //
-// Applying a plan is an atomic swap of the routing tables
-// (httpcdn.Cluster.SwapPlacement) while requests are in flight.
+// Applying a plan swaps every edge's routing table (Target.SwapPlacement;
+// the daemon pushes the new placement to its edges) while requests are
+// in flight.
 package control
 
 import (

@@ -210,9 +210,8 @@ func TestOneWritePerBody(t *testing.T) {
 	for _, maxBytes := range []int64{64 << 10, 1 << 20} {
 		t.Run(fmt.Sprint(maxBytes), func(t *testing.T) {
 			var versions Versions
-			cfg := DefaultConfig()
-			cfg.MaxObjectBytes = maxBytes
-			e, replicated, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, -1, maxBytes, &versions, obs.NewRegistry(), nil)))
+			cfg := Config{MaxObjectBytes: maxBytes}
+			e, replicated, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, maxBytes, &versions, obs.NewRegistry(), nil)))
 			other := (replicated + 1) % sc.Sys.M()
 			// The largest object of each site: over the 64 KiB piece when
 			// the cap allows it.
@@ -269,7 +268,7 @@ func TestServeHitAllocs(t *testing.T) {
 	}
 	sc := smallScenario(t)
 	var versions Versions
-	e, replicated, _ := testEngine(t, sc, DefaultConfig(), 64<<20, listen(t, NewOrigin(sc, -1, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(t, sc, Config{}, 64<<20, listen(t, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
 	other := (replicated + 1) % sc.Sys.M()
 	if w := serve(e, other, 1); w.h.Get("X-Cdn-Source") != SourceOrigin {
 		t.Fatalf("priming fetch: source %q", w.h.Get("X-Cdn-Source"))
@@ -303,7 +302,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkServeHit(b *testing.B) {
 	sc := smallScenario(b)
 	var versions Versions
-	e, replicated, _ := testEngine(b, sc, DefaultConfig(), 64<<20, listen(b, NewOrigin(sc, -1, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(b, sc, Config{}, 64<<20, listen(b, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
 	w := &discardWriter{h: make(http.Header)}
 	r := httptest.NewRequest(http.MethodGet, ObjectPath(replicated, 1), nil)
 	b.ReportAllocs()
@@ -319,7 +318,7 @@ func BenchmarkServeHit(b *testing.B) {
 func BenchmarkServeMiss(b *testing.B) {
 	sc := smallScenario(b)
 	var versions Versions
-	e, replicated, _ := testEngine(b, sc, DefaultConfig(), 0, listen(b, NewOrigin(sc, -1, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(b, sc, Config{}, 0, listen(b, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
 	w := &discardWriter{h: make(http.Header)}
 	r := httptest.NewRequest(http.MethodGet, ObjectPath((replicated+1)%sc.Sys.M(), 1), nil)
 	b.ReportAllocs()
@@ -351,7 +350,7 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 	sc := smallScenario(t)
 	var versions Versions
 	var opened atomic.Int64
-	srv := httptest.NewUnstartedServer(NewOrigin(sc, -1, 0, &versions, obs.NewRegistry(), nil))
+	srv := httptest.NewUnstartedServer(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))
 	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			opened.Add(1)
@@ -360,7 +359,7 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 	// The engine's cache holds nothing, so every request is a miss.
-	e, replicated, _ := testEngine(t, sc, DefaultConfig(), 0, srv.URL)
+	e, replicated, _ := testEngine(t, sc, Config{}, 0, srv.URL)
 	site := (replicated + 1) % sc.Sys.M()
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
@@ -429,10 +428,8 @@ func TestUpstreamBodyIsBounded(t *testing.T) {
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.MaxObjectBytes = maxBytes
+			cfg := Config{MaxObjectBytes: maxBytes, FailThreshold: 1}
 			cfg.Retry.Attempts = 1
-			cfg.FailThreshold = 1
 			e, replicated, origin := testEngine(t, sc, cfg, 64<<20, listen(t, tc.upstream))
 			w := serve(e, (replicated+1)%sc.Sys.M(), 1)
 			if tc.ok {
@@ -466,10 +463,9 @@ func TestBoundedBodyFailsOver(t *testing.T) {
 	const maxBytes = 8 << 10
 	sc := smallScenario(t)
 	var versions Versions
-	cfg := DefaultConfig()
-	cfg.MaxObjectBytes = maxBytes
+	cfg := Config{MaxObjectBytes: maxBytes}
 	cfg.Retry.Attempts = 1
-	e, _, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, -1, maxBytes, &versions, obs.NewRegistry(), nil)))
+	e, _, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, maxBytes, &versions, obs.NewRegistry(), nil)))
 	// Peer 1 holds a site whose origin is moved farther from edge 0 than
 	// the peer is, so that the peer is tried first.
 	const peer = 1

@@ -27,10 +27,7 @@ type Roster struct {
 }
 
 // EngineConfig is one edge's configuration: the serving knobs of Config
-// plus the wiring that differs between the in-process Cluster and a
-// standalone clusterd edge. Of Config, an engine reads Tracer as the
-// sink of its per-request events only and leaves TraceSpans to Start:
-// its span tree goes to Spans.
+// plus the wiring its deployment (clusterd.Edge) sets.
 type EngineConfig struct {
 	Config
 	// ID is the edge's id in the scenario; Placement the replica set it
@@ -38,22 +35,24 @@ type EngineConfig struct {
 	ID        int
 	Scenario  *scenario.Scenario
 	Placement *core.Placement
-	// Spans, when non-nil, receives the span tree of every request.
+	// Spans, when non-nil, receives the span tree of every request: a
+	// root serve span with children for the health consult, each
+	// failover hop, each upstream attempt and each retry backoff,
+	// stitched across servers via the Traceparent header. Nil adds
+	// nothing to the serving path beyond a nil pointer check.
 	Spans *obs.Tracer
 
 	// PeerHealth[i] is the tracker of edge i as an upstream,
-	// OriginHealth[j] that of site j's origin. The in-process cluster
-	// shares one set between all its engines; a
-	// standalone edge owns a private set, with every site pointing at
-	// the one origin process's tracker.
+	// OriginHealth[j] that of site j's origin. An edge owns a private
+	// set, driven by its own fetch outcomes.
 	PeerHealth, OriginHealth []*Tracker
 
-	// LiveVersion, when non-nil, is the version a replica serves: the
-	// in-process cluster reads the origins' own table (§5.2: "site
-	// replicas are always consistent"). Nil serves the newest version
-	// this edge has learned from fetched ETags, so a replica never rolls
-	// an object back behind what the edge itself has seen.
-	LiveVersion func(site, object int) int
+	// RequestTap, when non-nil, is invoked once per client-facing
+	// request the edge accepts (internal edge-to-edge fetches excluded),
+	// before the request is served, with the requested site. The
+	// deployment counts the demand it reports here; the tap must be safe
+	// for concurrent use and fast — it runs on the serving path.
+	RequestTap func(site int)
 }
 
 // Engine is one edge's serving path — local replica, else the LRU cache,
@@ -221,8 +220,7 @@ func (e *Engine) Stats() EdgeStats {
 }
 
 // ServeHTTP handles GET /obj/{site}/{object} and records the outcome:
-// source counters, the per-source latency histogram, the serve span and
-// one trace event per served request.
+// source counters, the per-source latency histogram and the serve span.
 func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	site, object, err := ParseObjectPath(e.cfg.Scenario, r.URL.Path)
@@ -239,7 +237,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// through the mesh.
 	internal := r.Header.Get(InternalHeader) != ""
 	if tap := e.cfg.RequestTap; tap != nil && !internal {
-		tap(e.cfg.ID, site)
+		tap(site)
 	}
 	// Root span for this edge's work. An internal fetch carries the
 	// calling edge's Traceparent, making this serve span a child of its
@@ -258,19 +256,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sp.AttrFloat("hops", hops)
 	sp.Attr("outcome", "ok")
 	sp.End()
-	latencyMs := float64(time.Since(start)) / float64(time.Millisecond)
-	e.latency[source].Observe(latencyMs)
-	if t := e.cfg.Tracer; t != nil {
-		t.Emit(obs.Event{
-			Req:       t.NextID(),
-			Edge:      e.cfg.ID,
-			Site:      site,
-			Object:    object,
-			Source:    source.String(),
-			Hops:      hops,
-			LatencyMs: latencyMs,
-		})
-	}
+	e.latency[source].Observe(float64(time.Since(start)) / float64(time.Millisecond))
 }
 
 // handle serves one parsed request: replica, then cache, then fetch. It
@@ -281,14 +267,13 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 	key := cache.Key{Site: site, Object: object}
 	version := 0
 	if ok = pl.Has(e.cfg.ID, site); ok {
+		// A replica serves the newest version this edge has learned from
+		// fetched ETags, so it never rolls an object back behind what the
+		// edge has seen (version 0 if it has seen none).
 		source = srcReplica
-		if e.cfg.LiveVersion != nil {
-			version = e.cfg.LiveVersion(site, object)
-		} else {
-			e.mu.Lock()
-			version = e.cachedVer[key]
-			e.mu.Unlock()
-		}
+		e.mu.Lock()
+		version = e.cachedVer[key]
+		e.mu.Unlock()
 	} else if version, ok = e.lookup(r, key, sp); ok {
 		source = srcCache
 	}

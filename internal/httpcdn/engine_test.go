@@ -20,7 +20,7 @@ func TestUnknownUpstreamIsNotFailedUpstream(t *testing.T) {
 	sc := smallScenario(t)
 	reg := obs.NewRegistry()
 	var versions Versions
-	origin := httptest.NewServer(NewOrigin(sc, -1, 0, &versions, reg, nil))
+	origin := httptest.NewServer(NewOrigin(sc, 0, &versions, reg, nil))
 	defer origin.Close()
 
 	originTracker := NewTracker(reg, "origin", 0)

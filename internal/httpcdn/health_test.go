@@ -3,10 +3,13 @@ package httpcdn
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 func TestTrackerStateMachine(t *testing.T) {
@@ -84,71 +87,57 @@ func TestTrackerStateMachine(t *testing.T) {
 	}
 }
 
+// TestFetchTypedErrors pins Get's classes for failures of the server it
+// asks, before any edge has classified anything.
 func TestFetchTypedErrors(t *testing.T) {
-	// A cluster whose edge 0 errors: the client sees ErrBadStatus (the
-	// 503 comes from the injector, before the edge handler classifies
-	// anything).
-	_, _, cl := startHybridCluster(t)
-	cl.EdgeInjector(0).Set(fault.ModeError, 0)
-	_, err := cl.Fetch(context.Background(), 0, 0, 1)
+	sc := smallScenario(t)
+	var versions Versions
+	inj := fault.NewInjector()
+	srv := httptest.NewServer(inj.Wrap(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	defer srv.Close()
+
+	// An injected 503 carries no X-Cdn-Error class: ErrBadStatus.
+	inj.Set(fault.ModeError, 0)
+	_, err := Get(context.Background(), http.DefaultClient, srv.URL, 0, 1)
 	if !errors.Is(err, ErrBadStatus) {
 		t.Fatalf("injected 503 returned %v, want ErrBadStatus", err)
 	}
+	inj.Set(fault.ModeOff, 0)
 
 	// A cancelled client context surfaces as ErrEdgeTimeout.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = cl.Fetch(ctx, 1, 0, 1)
+	_, err = Get(ctx, http.DefaultClient, srv.URL, 0, 1)
 	if !errors.Is(err, ErrEdgeTimeout) {
 		t.Fatalf("cancelled fetch returned %v, want ErrEdgeTimeout", err)
 	}
 
-	// A dead edge (closed server) surfaces as ErrEdgeDown.
-	cl.edges[2].Close()
-	_, err = cl.Fetch(context.Background(), 2, 0, 1)
+	// A dead server surfaces as ErrEdgeDown.
+	srv.Close()
+	_, err = Get(context.Background(), http.DefaultClient, srv.URL, 0, 1)
 	if !errors.Is(err, ErrEdgeDown) {
 		t.Fatalf("dead edge returned %v, want ErrEdgeDown", err)
 	}
 }
 
+// TestOriginDownClassPropagates: a miss whose only source, the origin,
+// answers 503 reaches the client as ErrUpstreamStatus, and the origin's
+// tracker takes the blame.
 func TestOriginDownClassPropagates(t *testing.T) {
-	sc, p, _ := startHybridCluster(t)
-
+	sc := smallScenario(t)
+	var versions Versions
+	inj := fault.NewInjector()
+	inj.Set(fault.ModeError, 0)
 	// A fast retry policy so the test doesn't sit in backoff.
-	cfg := DefaultConfig()
-	cfg.Retry = RetryPolicy{Attempts: 2, Timeout: 200 * time.Millisecond,
-		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Jitter: 0.1}
-	cl, err := Start(sc, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(cl.Close)
-
-	// Pick a (edge, site) pair with no replica anywhere, so the only
-	// source is the origin; then kill the origin.
-	edge, site := -1, -1
-	for j := 0; j < sc.Sys.M() && edge < 0; j++ {
-		anyReplica := false
-		for i := 0; i < sc.Sys.N(); i++ {
-			if p.Has(i, j) {
-				anyReplica = true
-				break
-			}
-		}
-		if !anyReplica {
-			edge, site = 0, j
-		}
-	}
-	if edge < 0 {
-		t.Skip("every site replicated in this configuration")
-	}
-	cl.OriginInjector(site).Set(fault.ModeError, 0)
-	_, err = cl.Fetch(context.Background(), edge, site, 1)
+	cfg := Config{Retry: RetryPolicy{Attempts: 2, Timeout: 200 * time.Millisecond,
+		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Jitter: 0.1}}
+	e, replicated, origin := testEngine(t, sc, cfg, 64<<20,
+		listen(t, inj.Wrap(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))))
+	_, err := Get(context.Background(), http.DefaultClient, listen(t, e), (replicated+1)%sc.Sys.M(), 1)
 	if !errors.Is(err, ErrUpstreamStatus) {
 		t.Fatalf("dead origin returned %v, want ErrUpstreamStatus", err)
 	}
-	// The origin's tracker took the blame.
-	if cl.originHealth[site].fails == 0 {
+	if origin.fails == 0 {
 		t.Fatal("origin failure not recorded")
 	}
 }

@@ -206,12 +206,12 @@ func (t *Versions) Bump(site, object int) int {
 	return t.v[k]
 }
 
-// Origin is the http.Handler of a primary server: it answers GET
-// /obj/{site}/{object} with the current version's payload, and a
-// conditional GET whose If-None-Match validator still matches with 304.
+// Origin is the http.Handler of the primary server of every site: it
+// answers GET /obj/{site}/{object} with the current version's payload,
+// and a conditional GET whose If-None-Match validator still matches with
+// 304.
 type Origin struct {
 	sc       *scenario.Scenario
-	site     int // the one site served, or -1 for every site
 	maxBytes int64
 	versions *Versions
 	spans    *obs.Tracer
@@ -219,15 +219,15 @@ type Origin struct {
 	served, notModified, notFound *obs.Counter
 }
 
-// NewOrigin builds the handler of site's primary server (site -1: one
-// server multiplexing every site by path). Origin spans go to spans when
-// it is non-nil and the request carries a Traceparent.
-func NewOrigin(sc *scenario.Scenario, site int, maxBytes int64, versions *Versions, reg *obs.Registry, spans *obs.Tracer) *Origin {
+// NewOrigin builds the handler of one server multiplexing every site by
+// path. Origin spans go to spans when it is non-nil and the request
+// carries a Traceparent.
+func NewOrigin(sc *scenario.Scenario, maxBytes int64, versions *Versions, reg *obs.Registry, spans *obs.Tracer) *Origin {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 10
 	}
 	return &Origin{
-		sc: sc, site: site, maxBytes: maxBytes, versions: versions, spans: spans,
+		sc: sc, maxBytes: maxBytes, versions: versions, spans: spans,
 		served: reg.Counter("cdn_origin_requests_total",
 			"Requests served by the origin.", nil),
 		notModified: reg.Counter("cdn_origin_not_modified_total",
@@ -239,7 +239,7 @@ func NewOrigin(sc *scenario.Scenario, site int, maxBytes int64, versions *Versio
 
 func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	site, object, err := ParseObjectPath(o.sc, r.URL.Path)
-	if err != nil || o.site >= 0 && site != o.site {
+	if err != nil {
 		http.NotFound(w, r)
 		o.notFound.Inc()
 		return
