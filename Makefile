@@ -36,10 +36,10 @@ race:
 # inverse-CDF search against sort.SearchFloat64s, the server-grouped
 # runners against the one-request stepper), the model's Jensen
 # upper bound and its Equation (1) kernel, the hybrid placement heap
-# against its scanning oracle, fault-schedule validation, and the
-# network-facing parsers and decoders: trace headers, object paths,
-# ETags, the control plane's demand reports, an edge's placement pushes
-# and recorded request traces. Minimizing a new corpus entry is capped, or it eats the whole
+# against its scanning oracle, and the network-facing parsers and
+# decoders: trace headers, object paths, ETags, the control plane's
+# demand reports, an edge's placement pushes and recorded request
+# traces. Minimizing a new corpus entry is capped, or it eats the whole
 # budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUOps$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
@@ -48,7 +48,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitUpper$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitEq1$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzHybridMatchesOracle$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/
-	$(GO) test -run '^$$' -fuzz '^FuzzScheduleValidate$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/obs/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseObjectPath$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/httpcdn/
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionFromETag$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/httpcdn/

@@ -205,9 +205,6 @@ var figures = []figure{
 	{"availability", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
 		return emit(w, experiments.FormatAvailabilityRows)(experiments.AvailabilityComparison(ctx, opts, []int{0, 2, 5, 10}, 2))
 	}},
-	{"churn", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
-		return emit(w, experiments.FormatChurnRows)(experiments.ChurnComparison(ctx, opts, experiments.DefaultChurn()))
-	}},
 	{"drift", true, func(ctx context.Context, w io.Writer, opts experiments.Options) error {
 		cfg := experiments.DefaultDriftConfig()
 		format := func(rows []experiments.DriftRow) string { return experiments.FormatDriftRows(rows, cfg) }

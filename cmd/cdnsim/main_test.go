@@ -18,10 +18,23 @@ var update = flag.Bool("update", false, "rewrite testdata/quick_<figure>.golden 
 // TestQuickFiguresGolden pins `cdnsim -figure F -quick` byte for byte,
 // at the flags' default seeds, for every figure of the table but scale
 // (it prints wall times): a refactor of anything under a figure either
-// leaves its file alone or shows up as a diff here.
+// leaves its file alone or shows up as a diff here. Each figure renders
+// a second time at -parallelism 3 against the same file, since the flag
+// promises identical results at any value.
 func TestQuickFiguresGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("renders every quick figure (~5 s)")
+		t.Skip("renders every quick figure (~10 s)")
+	}
+	render := func(t *testing.T, figure string, parallelism int) []byte {
+		opts := experiments.QuickOptions()
+		opts.Base.Seed = 1
+		opts.TraceSeed = 99
+		opts.Sim.Parallelism = parallelism
+		var got bytes.Buffer
+		if err := run(context.Background(), &got, figure, opts); err != nil {
+			t.Fatal(err)
+		}
+		return got.Bytes()
 	}
 	for _, f := range figures {
 		figure := f.name
@@ -29,16 +42,10 @@ func TestQuickFiguresGolden(t *testing.T) {
 			continue
 		}
 		t.Run(figure, func(t *testing.T) {
-			opts := experiments.QuickOptions()
-			opts.Base.Seed = 1
-			opts.TraceSeed = 99
-			var got bytes.Buffer
-			if err := run(context.Background(), &got, figure, opts); err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join("testdata", "quick_"+figure+".golden")
+			got := render(t, figure, 0)
 			if *update {
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -47,9 +54,14 @@ func TestQuickFiguresGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Errorf("-figure %s -quick differs from %s (go test ./cmd/cdnsim -update rewrites it):\n%s", figure, path, firstDiff(got.Bytes(), want))
+			if !bytes.Equal(got, want) {
+				t.Errorf("-figure %s -quick differs from %s (go test ./cmd/cdnsim -update rewrites it):\n%s", figure, path, firstDiff(got, want))
 			}
+			t.Run("parallelism=3", func(t *testing.T) {
+				if got := render(t, figure, 3); !bytes.Equal(got, want) {
+					t.Errorf("-figure %s -quick -parallelism 3 differs from %s:\n%s", figure, path, firstDiff(got, want))
+				}
+			})
 		})
 	}
 }

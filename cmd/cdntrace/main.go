@@ -1,7 +1,7 @@
 // Command cdntrace analyzes the JSONL trace streams that cdnd -trace
-// and cdnsim -trace emit (internal/obs Events and Spans on one stream)
-// and the decision-audit pages the control plane serves at
-// /debug/control/audit.
+// emits (internal/obs Spans only) and that cdnsim -trace emits (obs
+// Events and Spans on one stream), and the decision-audit pages the
+// control plane serves at /debug/control/audit.
 //
 // For span streams it prints per-kind latency quantiles, the
 // retry/failover breakdown of the serving path, and the critical path

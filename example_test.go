@@ -66,6 +66,39 @@ func ExamplePlace() {
 	// hybrid placed replicas: true
 }
 
+// Watching the Figure 2 algorithm work: it starts from
+// all-storage-is-cache and creates one replica per step, the (server,
+// site) pair of greatest net benefit, while that benefit exceeds the
+// cache space the replica consumes. The replicas go overwhelmingly to
+// high-popularity sites.
+func ExamplePlace_steps() {
+	cfg := repro.QuickOptions().Base
+	cfg.CapacityFrac = 0.10
+	sc := repro.MustBuildScenario(cfg)
+	res, err := repro.Place(sc, repro.PlacementConfig{})
+	if err != nil {
+		panic(err)
+	}
+	byClass := map[string]int{}
+	for k, s := range res.Steps {
+		class := sc.Work.Sites[s.Site].Class.String()
+		byClass[class]++
+		if k < 5 {
+			fmt.Printf("step %d: server %d, site %d (%s)\n", k+1, s.Server, s.Site, class)
+		}
+	}
+	fmt.Println("replicas:", res.Placement.Replicas())
+	fmt.Println("by class:", byClass)
+	// Output:
+	// step 1: server 2, site 6 (high)
+	// step 2: server 2, site 11 (high)
+	// step 3: server 9, site 4 (high)
+	// step 4: server 6, site 4 (high)
+	// step 5: server 9, site 6 (high)
+	// replicas: 16
+	// by class: map[high:13 medium:3]
+}
+
 // Recording a trace and replaying it produces bit-identical metrics.
 func ExampleSimulateTrace() {
 	cfg := repro.QuickOptions().Base

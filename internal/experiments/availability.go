@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/fault"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/xrand"
@@ -25,7 +24,9 @@ type AvailabilityRow struct {
 // ("a generic caching scheme offers no guarantees on content
 // availability") by crashing progressively more origins — plus a couple
 // of CDN servers — after the caches are warm, and measuring how much
-// traffic each mechanism can still serve.
+// traffic each mechanism can still serve. The crash runner is
+// sequential, so opts.Sim.Parallelism does not apply: the rows are the
+// same at any value.
 func AvailabilityComparison(ctx context.Context, opts Options, originFailures []int, failedServers int) ([]AvailabilityRow, error) {
 	sc, err := scenario.Build(opts.Base)
 	if err != nil {
@@ -52,17 +53,14 @@ func AvailabilityComparison(ctx context.Context, opts Options, originFailures []
 		simCfg := opts.Sim
 		simCfg.UseCache = useCache
 		simCfg.KeepResponseTimes = false
-		// The crashes land at the warm-up boundary: validate it first.
-		if err := simCfg.Validate(); err != nil {
-			return err
-		}
+		simCfg.Parallelism = 1
 		// The same failure draw for every mechanism at a level, so the
 		// comparison is apples to apples.
-		crash, err := randomCrashes(sc, simCfg.Warmup, failedServers, jb.origins, xrand.New(opts.TraceSeed+uint64(jb.origins)))
+		servers, origins, err := randomCrashes(sc, failedServers, jb.origins, xrand.New(opts.TraceSeed+uint64(jb.origins)))
 		if err != nil {
 			return err
 		}
-		m, err := sim.RunWithSchedule(ctx, sc, p, simCfg, crash, xrand.New(opts.TraceSeed))
+		m, err := sim.RunWithCrashes(ctx, sc, p, simCfg, servers, origins, xrand.New(opts.TraceSeed))
 		if err != nil {
 			return err
 		}
@@ -87,26 +85,23 @@ func AvailabilityComparison(ctx context.Context, opts Options, originFailures []
 }
 
 // randomCrashes draws distinct failed servers, then distinct failed
-// origins, deterministically from r, and crashes them all at time at
-// for good: the warm caches of a steady state lose those components at
-// the measurement boundary. Failing more servers or origins than exist
-// is an error, and so is failing every server.
-func randomCrashes(sc *scenario.Scenario, at, servers, origins int, r *xrand.Source) (*fault.Schedule, error) {
+// origins, deterministically from r. Failing more servers or origins
+// than exist is an error, and so is failing every server.
+func randomCrashes(sc *scenario.Scenario, servers, origins int, r *xrand.Source) (down, dead []int, err error) {
 	n, m := sc.Sys.N(), sc.Sys.M()
 	if servers < 0 || servers >= n {
-		return nil, fmt.Errorf("experiments: %d failed servers of %d (at least one must survive)", servers, n)
+		return nil, nil, fmt.Errorf("experiments: %d failed servers of %d (at least one must survive)", servers, n)
 	}
 	if origins < 0 || origins > m {
-		return nil, fmt.Errorf("experiments: %d failed origins of %d", origins, m)
+		return nil, nil, fmt.Errorf("experiments: %d failed origins of %d", origins, m)
 	}
-	var down, dead []int
 	if servers > 0 {
 		down = r.Perm(n)[:servers]
 	}
 	if origins > 0 {
 		dead = r.Perm(m)[:origins]
 	}
-	return fault.Crashes(at, down, dead), nil
+	return down, dead, nil
 }
 
 // FormatAvailabilityRows renders the availability comparison.

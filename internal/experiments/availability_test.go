@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/xrand"
 )
 
@@ -59,29 +58,33 @@ func TestAvailabilityComparison(t *testing.T) {
 }
 
 // TestRandomCrashesDistinct pins the availability experiment's failure
-// draw: the requested numbers of distinct servers and distinct origins,
-// every one crashing at the measurement boundary for good.
+// draw: the requested numbers of distinct, in-range servers and
+// origins.
 func TestRandomCrashesDistinct(t *testing.T) {
 	sc, err := buildScenarioForTest(QuickOptions().Base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched, err := randomCrashes(sc, 100, 3, 4, xrand.New(44))
+	servers, origins, err := randomCrashes(sc, 3, 4, xrand.New(44))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[fault.Component]map[int]bool{fault.Server: {}, fault.Origin: {}}
-	for _, e := range sched.Events() {
-		if e.At != 100 || e.Kind != fault.Crash {
-			t.Fatalf("event %+v, want a crash at 100", e)
+	for _, c := range []struct {
+		kind  string
+		ids   []int
+		want  int
+		bound int
+	}{{"server", servers, 3, sc.Sys.N()}, {"origin", origins, 4, sc.Sys.M()}} {
+		if len(c.ids) != c.want {
+			t.Fatalf("drew %d %ss, want %d", len(c.ids), c.kind, c.want)
 		}
-		if seen[e.Comp][e.ID] {
-			t.Fatalf("%s %d drawn twice", e.Comp, e.ID)
+		seen := map[int]bool{}
+		for _, id := range c.ids {
+			if id < 0 || id >= c.bound || seen[id] {
+				t.Fatalf("%s %d out of range or drawn twice: %v", c.kind, id, c.ids)
+			}
+			seen[id] = true
 		}
-		seen[e.Comp][e.ID] = true
-	}
-	if len(seen[fault.Server]) != 3 || len(seen[fault.Origin]) != 4 {
-		t.Fatalf("drew %d servers, %d origins", len(seen[fault.Server]), len(seen[fault.Origin]))
 	}
 }
 

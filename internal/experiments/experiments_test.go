@@ -247,7 +247,6 @@ func TestFormattersTolerateEmptyInput(t *testing.T) {
 		{"placement", FormatPlacementRows(nil)},
 		{"cluster", FormatClusterRows(nil, 4)},
 		{"availability", FormatAvailabilityRows(nil)},
-		{"churn", FormatChurnRows(nil)},
 		{"drift", FormatDriftRows(nil, DefaultDriftConfig())},
 		{"dynamic", FormatDynamicRows(nil)},
 		{"kmedian", FormatKMedianRows(nil)},

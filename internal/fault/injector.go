@@ -1,3 +1,7 @@
+// Package fault injects failures into the live HTTP components: an
+// Injector is a middleware with error, latency and blackhole modes,
+// togglable at runtime, so a chaos drill can kill an edge or an origin
+// mid-load and watch health-checked redirection route around it.
 package fault
 
 import (

@@ -8,13 +8,12 @@ import (
 	"sync/atomic"
 )
 
-// Event is one per-request trace record, the schema shared by the HTTP
-// CDN and the trace-driven simulator so measured behaviour can be
-// diffed directly against the model's predictions. Serialized as one
-// JSON object per line (JSONL).
+// Event is one per-request trace record of the simulator (cdnsim
+// -trace), so its behaviour can be diffed against the model's
+// predictions. The HTTP cluster does not emit Events: it traces Spans.
+// Serialized as one JSON object per line (JSONL).
 type Event struct {
-	// Req is the request id: the measured-phase sequence number in the
-	// simulator, the client request number in the HTTP cluster.
+	// Req is the request id: the measured-phase sequence number.
 	Req int64 `json:"req"`
 	// Edge is the first-hop CDN server that handled the request.
 	Edge int `json:"edge"`
@@ -27,8 +26,7 @@ type Event struct {
 	// Hops is the redirection cost in topology hops (0 when served at
 	// the first-hop server) — the paper's objective D unit.
 	Hops float64 `json:"hops"`
-	// LatencyMs is the measured (HTTP) or modelled (simulator)
-	// response time in milliseconds.
+	// LatencyMs is the modelled response time in milliseconds.
 	LatencyMs float64 `json:"latency_ms"`
 }
 

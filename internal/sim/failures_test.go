@@ -4,21 +4,19 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
 
-// crashRun replays the workload with the listed servers and origins
-// crashed at the measurement boundary for good — the static failure
-// model, as the degenerate schedule fault.Crashes.
-func crashRun(sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*ScheduleMetrics, error) {
-	return RunWithSchedule(context.Background(), sc, p, cfg, fault.Crashes(cfg.Warmup, servers, origins), r)
+// crashRun is RunWithCrashes without a deadline.
+func crashRun(sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
+	return RunWithCrashes(context.Background(), sc, p, cfg, servers, origins, r)
 }
 
 func TestNoFailuresMatchesHealthyAccounting(t *testing.T) {
@@ -31,7 +29,7 @@ func TestNoFailuresMatchesHealthyAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Unavailable != 0 || m.Rerouted != 0 || m.StaleRisk != 0 {
-		t.Fatalf("healthy run reported failures: %+v", m.FailureMetrics)
+		t.Fatalf("healthy run reported failures: %+v", *m)
 	}
 	if m.Requests != cfg.Requests {
 		t.Fatalf("measured %d requests", m.Requests)
@@ -109,17 +107,16 @@ func TestAllServersFailedAllUnavailable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.Requests != cfg.Requests || m.Unavailable != int64(m.Requests) || m.Rerouted != int64(m.Requests) {
-		t.Fatalf("total outage: %+v", m.FailureMetrics)
+		t.Fatalf("total outage: %+v", *m)
 	}
 	if m.MeanRTMs != 0 || m.LocalReplica+m.CacheHits+m.CacheMisses != 0 {
-		t.Fatalf("total outage served requests: %+v", m.FailureMetrics)
+		t.Fatalf("total outage served requests: %+v", *m)
 	}
 }
 
-// staticFailuresOracle is the replay loop of the static failure model
-// from before fault schedules existed, kept as the reference the
-// schedule tests compare fault.Crashes against: failures are applied
-// once, at the measurement boundary, with no event machinery.
+// staticFailuresOracle is the static failure model's reference loop,
+// which RunWithCrashes must equal. Unlike RunWithCrashes it rejects the
+// total outage rather than counting every request unavailable.
 func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -266,4 +263,150 @@ func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Pl
 		m.MeanRTMs = totalRT / float64(availCount)
 	}
 	return m, nil
+}
+
+// The tests below pin RunWithCrashes on a crash schedule: the crash
+// set that dies at the measurement boundary.
+
+func TestScheduleDeterministicForFixedSeed(t *testing.T) {
+	sc := smallScenario(51, 0)
+	p := core.NewPlacement(sc.Sys)
+	cfg := fastConfig(true)
+	a, err := crashRun(sc, p, cfg, []int{0}, []int{1}, xrand.New(52))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := crashRun(sc, p, cfg, []int{0}, []int{1}, xrand.New(52))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same seed, different metrics:\n%+v\n%+v", *a, *b)
+	}
+	if a.Rerouted == 0 || a.Unavailable == 0 {
+		t.Fatalf("a dead server and a dead origin with no replicas left no trace: %+v", *a)
+	}
+}
+
+// TestScheduleDegenerateReproducesRunWithFailures pins RunWithCrashes
+// to the static failure model's reference loop, staticFailuresOracle,
+// with the cache on and off.
+func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
+	sc := smallScenario(53, 0)
+	hyb, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
+		Specs:          sc.Work.Specs(),
+		AvgObjectBytes: sc.Work.AvgObjectBytes,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, useCache := range []bool{true, false} {
+		cfg := fastConfig(useCache)
+		cfg.KeepResponseTimes = false
+		r := xrand.New(54)
+		servers, origins := r.Perm(sc.Sys.N())[:2], r.Perm(sc.Sys.M())[:3]
+		want, err := staticFailuresOracle(context.Background(), sc, hyb.Placement, cfg, servers, origins, xrand.New(55))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := crashRun(sc, hyb.Placement, cfg, servers, origins, xrand.New(55))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("useCache=%v: crash runner diverged from the static oracle:\ncrashes: %+v\nstatic:  %+v",
+				useCache, *got, *want)
+		}
+	}
+}
+
+// TestScheduleHealthyMatchesEmptySchedule pins RunWithCrashes' own
+// serve loop, with nothing crashed, to the healthy static oracle and to
+// Run: it must reproduce Run's mean response time and source counters
+// bit for bit.
+func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
+	for _, lambda := range []float64{0, 0.1} {
+		sc := smallScenario(3, lambda)
+		hyb, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
+			Specs:          sc.Work.Specs(),
+			AvgObjectBytes: sc.Work.AvgObjectBytes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := hyb.Placement
+		for _, useCache := range []bool{true, false} {
+			t.Run(fmt.Sprintf("lambda=%v/cache=%v", lambda, useCache), func(t *testing.T) {
+				cfg := fastConfig(useCache)
+				cfg.KeepResponseTimes = false
+				want, err := staticFailuresOracle(context.Background(), sc, p, cfg, nil, nil, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := crashRun(sc, p, cfg, nil, nil, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("no crashes diverged from the healthy static oracle:\n%+v\n%+v", *got, *want)
+				}
+				run, err := Run(context.Background(), sc, p, cfg, xrand.New(9))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.MeanRTMs != run.MeanRTMs || got.LocalReplica != run.LocalReplica ||
+					got.CacheHits != run.CacheHits || got.CacheMisses != run.CacheMisses {
+					t.Fatalf("no crashes diverged from Run: mean %v local %d hits %d misses %d, Run: mean %v local %d hits %d misses %d",
+						got.MeanRTMs, got.LocalReplica, got.CacheHits, got.CacheMisses,
+						run.MeanRTMs, run.LocalReplica, run.CacheHits, run.CacheMisses)
+				}
+				if got.LocalReplica == 0 {
+					t.Fatal("hybrid placement served nothing from a local replica")
+				}
+			})
+		}
+	}
+}
+
+func TestScheduleValidation(t *testing.T) {
+	sc := smallScenario(63, 0)
+	p := core.NewPlacement(sc.Sys)
+	cfg := fastConfig(true)
+
+	for _, c := range []struct {
+		name             string
+		servers, origins []int
+	}{
+		{"server id N", []int{sc.Sys.N()}, nil},
+		{"negative server id", []int{-1}, nil},
+		{"origin id M", nil, []int{sc.Sys.M()}},
+		{"negative origin id", nil, []int{-1}},
+	} {
+		if _, err := crashRun(sc, p, cfg, c.servers, c.origins, xrand.New(1)); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+	par := cfg
+	par.Parallelism = 4
+	if _, err := crashRun(sc, p, par, nil, nil, xrand.New(1)); err == nil {
+		t.Fatal("parallel crash run accepted")
+	}
+}
+
+func TestScheduleCancellation(t *testing.T) {
+	sc := smallScenario(65, 0)
+	p := core.NewPlacement(sc.Sys)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunWithCrashes(ctx, sc, p, fastConfig(true), nil, nil, xrand.New(66)); err != context.Canceled {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	if _, err := Run(ctx, sc, p, fastConfig(true), xrand.New(66)); err != context.Canceled {
+		t.Fatalf("cancelled Run returned %v, want context.Canceled", err)
+	}
+	par := fastConfig(true)
+	par.Parallelism = 4
+	if _, err := RunParallel(ctx, sc, p, par, xrand.New(66)); err != context.Canceled {
+		t.Fatalf("cancelled RunParallel returned %v, want context.Canceled", err)
+	}
 }

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/scenario"
@@ -256,8 +255,8 @@ func TestRunSourceRejectsUnknownServer(t *testing.T) {
 }
 
 // TestParallelismValidation covers the config surface: negative values
-// are rejected, and the fault-schedule path refuses explicit
-// parallelism (its event stream is time-ordered).
+// are rejected, and the crash runner refuses explicit parallelism (a
+// dead server's clients move to another shard's server).
 func TestParallelismValidation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Parallelism = -1
@@ -269,15 +268,15 @@ func TestParallelismValidation(t *testing.T) {
 	p := hybridPlacementFor(sc)
 	fcfg := gridConfig(true)
 	fcfg.Parallelism = 4
-	_, err := RunWithSchedule(context.Background(), sc, p, fcfg, fault.Crashes(fcfg.Warmup, nil, nil), xrand.New(1))
+	_, err := RunWithCrashes(context.Background(), sc, p, fcfg, nil, nil, xrand.New(1))
 	if err == nil || !strings.Contains(err.Error(), "sequential") {
-		t.Errorf("RunWithSchedule with Parallelism=4: got %v, want explicit sequential-only error", err)
+		t.Errorf("RunWithCrashes with Parallelism=4: got %v, want explicit sequential-only error", err)
 	}
-	// Parallelism 0 (auto) must keep working: the fault path simply
+	// Parallelism 0 (auto) must keep working: the crash runner simply
 	// stays sequential.
 	fcfg.Parallelism = 0
-	if _, err := RunWithSchedule(context.Background(), sc, p, fcfg, fault.Crashes(fcfg.Warmup, nil, nil), xrand.New(1)); err != nil {
-		t.Errorf("RunWithSchedule with Parallelism=0: %v", err)
+	if _, err := RunWithCrashes(context.Background(), sc, p, fcfg, nil, nil, xrand.New(1)); err != nil {
+		t.Errorf("RunWithCrashes with Parallelism=0: %v", err)
 	}
 }
 

@@ -57,9 +57,9 @@ type Config struct {
 	// sequential path. Sharding is by destination server — caches and
 	// per-server counters are independent across servers — so parallel
 	// runs are bit-identical to sequential ones, not approximations.
-	// Run and RunSource ignore this field; RunWithSchedule rejects
-	// values above 1 (a fault schedule is a time-ordered global event
-	// stream).
+	// Run and RunSource ignore this field; RunWithCrashes rejects
+	// values above 1 (re-dispatching a dead server's clients crosses
+	// shards).
 	Parallelism int
 	// UnitOf, when non-nil, maps a request (site, 1-based object rank)
 	// to the placement column that owns it — the per-cluster
@@ -69,9 +69,9 @@ type Config struct {
 	// columns are sites (the paper's granularity).
 	UnitOf func(site, object int) int
 	// Tracer, when non-nil, receives one obs.Event per *measured*
-	// request — the same JSONL schema the HTTP cluster emits, so
-	// simulated and real traffic diff directly. Warm-up requests are
-	// not traced.
+	// request as JSONL. Only the simulator writes Events; the HTTP
+	// cluster traces spans (see TraceSpans). Warm-up requests are not
+	// traced.
 	Tracer *obs.Tracer
 	// TraceSpans additionally emits obs.Span records per measured
 	// request in virtual time (request k starts at k ms; durations are
