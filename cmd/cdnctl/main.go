@@ -7,12 +7,11 @@
 //	cdnctl -addr 127.0.0.1:8080 status      # controller state snapshot
 //	cdnctl -addr 127.0.0.1:8080 reconcile   # force one reconcile round
 //	cdnctl -addr 127.0.0.1:8080 health      # edge/origin health states
-//	cdnctl -addr 127.0.0.1:9300 shards      # per-shard estimator state
 //
-// status prints a human summary (add -json for the raw Status);
-// reconcile prints the round's report; health prints the active
-// prober's view of every edge; shards prints the sharded estimator's
-// per-shard key/observation counts.
+// status prints a human summary, including each edge's share of the
+// demand estimate's EWMA rate and the recent per-window request totals
+// (add -json for the raw Status); reconcile prints the round's report;
+// health prints the active prober's view of every edge.
 package main
 
 import (
@@ -52,7 +51,7 @@ func run(args []string, out io.Writer) error {
 		timeout = fs.Duration("timeout", 10*time.Second, "HTTP timeout")
 	)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: cdnctl [flags] status|reconcile|health|shards\n")
+		fmt.Fprintf(fs.Output(), "usage: cdnctl [flags] status|reconcile|health\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -70,10 +69,8 @@ func run(args []string, out io.Writer) error {
 		return reconcile(client, *addr, *raw, out)
 	case "health":
 		return health(client, *addr, *raw, out)
-	case "shards":
-		return shards(client, *addr, *raw, out)
 	default:
-		return fmt.Errorf("unknown command %q (want status, reconcile, health or shards)", cmd)
+		return fmt.Errorf("unknown command %q (want status, reconcile or health)", cmd)
 	}
 }
 
@@ -112,6 +109,20 @@ func status(client *http.Client, addr string, raw bool, out io.Writer) error {
 	fmt.Fprintf(out, "rounds     %d (applied %d, skipped %d, noop %d, no-signal %d)\n",
 		st.Rounds, st.Applied, st.Skipped, st.Noops, st.NoSignal)
 	fmt.Fprintf(out, "observed   %d requests\n", st.Observed)
+	total := 0.0
+	for _, r := range st.EdgeRates {
+		total += r
+	}
+	if total > 0 {
+		fmt.Fprintf(out, "rate       %.1f requests/window (EWMA):", total)
+		for i, r := range st.EdgeRates {
+			fmt.Fprintf(out, " edge %d %.1f%%", i, 100*r/total)
+		}
+		fmt.Fprintln(out)
+	}
+	if len(st.WindowTotals) > 0 {
+		fmt.Fprintf(out, "windows    %v requests, oldest first\n", st.WindowTotals)
+	}
 	if st.Model != "" {
 		fmt.Fprintf(out, "model      %s\n", st.Model)
 	}
@@ -193,32 +204,5 @@ func health(client *http.Client, addr string, raw bool, out io.Writer) error {
 	}
 	print(hr.Edges)
 	print(hr.Origins)
-	return nil
-}
-
-func shards(client *http.Client, addr string, raw bool, out io.Writer) error {
-	var page control.ShardsPage
-	body, err := fetch(client, http.MethodGet, "http://"+addr+"/debug/control/shards", &page)
-	if err != nil {
-		return err
-	}
-	if raw {
-		out.Write(body)
-		return nil
-	}
-	fmt.Fprintf(out, "%d shards x %d vnodes over %d (edge, site) keys\n",
-		len(page.Shards), page.VNodes, page.KeySpace)
-	var observed int64
-	for _, sh := range page.Shards {
-		observed += sh.Observed
-	}
-	for _, sh := range page.Shards {
-		pct := 0.0
-		if observed > 0 {
-			pct = 100 * float64(sh.Observed) / float64(observed)
-		}
-		fmt.Fprintf(out, "shard %2d  keys=%-5d observed=%-10d (%5.1f%%) rolls=%-6d rate/window=%.1f\n",
-			sh.Shard, sh.Keys, sh.Observed, pct, sh.Rolls, sh.RatePerWindow)
-	}
 	return nil
 }

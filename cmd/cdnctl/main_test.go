@@ -18,11 +18,13 @@ import (
 func stubControlServer(t *testing.T) string {
 	t.Helper()
 	st := control.Status{
-		Rounds:    4,
-		Applied:   2,
-		Replicas:  5,
-		Observed:  12345,
-		Placement: [][]int{{0, 2}, {1}},
+		Rounds:       4,
+		Applied:      2,
+		Replicas:     5,
+		Observed:     12345,
+		EdgeRates:    []float64{300, 100},
+		WindowTotals: []int64{380, 420, 400},
+		Placement:    [][]int{{0, 2}, {1}},
 		Last: &control.Report{
 			Round:    4,
 			Outcome:  control.OutcomeApplied,
@@ -62,17 +64,6 @@ func stubControlServer(t *testing.T) string {
 	mux.HandleFunc("/debug/health", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(hr)
 	})
-	sh := control.ShardsPage{
-		VNodes:   64,
-		KeySpace: 16,
-		Shards: []control.ShardStatus{
-			{Shard: 0, Keys: 9, Observed: 900, Rolls: 3, RatePerWindow: 300.5},
-			{Shard: 1, Keys: 7, Observed: 100, Rolls: 3, RatePerWindow: 33.1},
-		},
-	}
-	mux.HandleFunc("/debug/control/shards", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(sh)
-	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return strings.TrimPrefix(srv.URL, "http://")
@@ -88,6 +79,8 @@ func TestStatusCommand(t *testing.T) {
 	for _, want := range []string{
 		"rounds     4 (applied 2,",
 		"observed   12345 requests",
+		"rate       400.0 requests/window (EWMA): edge 0 75.0% edge 1 25.0%",
+		"windows    [380 420 400] requests, oldest first",
 		"replicas   5",
 		"edge 0: [0 2]",
 		"last round 4: applied, +1/-0 replicas",
@@ -137,30 +130,9 @@ func TestHealthCommand(t *testing.T) {
 	}
 }
 
-func TestShardsCommand(t *testing.T) {
-	addr := stubControlServer(t)
-	var out bytes.Buffer
-	if err := run([]string{"-addr", addr, "shards"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	text := out.String()
-	for _, want := range []string{
-		"2 shards x 64 vnodes over 16 (edge, site) keys",
-		"shard  0  keys=9",
-		"observed=900",
-		"( 90.0%)",
-		"rate/window=300.5",
-		"shard  1  keys=7",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("shards output missing %q:\n%s", want, text)
-		}
-	}
-}
-
 func TestJSONPassthrough(t *testing.T) {
 	addr := stubControlServer(t)
-	for _, cmd := range []string{"status", "reconcile", "health", "shards"} {
+	for _, cmd := range []string{"status", "reconcile", "health"} {
 		var out bytes.Buffer
 		if err := run([]string{"-addr", addr, "-json", cmd}, &out); err != nil {
 			t.Fatal(err)

@@ -65,9 +65,9 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() error) {
 
 // TestClusterReportsAndReconciles boots control+origin+2 edges and drives
 // a small load with no chaos (what the edges serve is TestServing's):
-// the load generator must measure it, demand reports must reach the
-// sharded estimator, and a reconcile against the live estimate must
-// apply.
+// the load generator must measure it, every served request must reach
+// the controller's estimator through the demand reports, and a
+// reconcile against the live estimate must apply.
 func TestClusterReportsAndReconciles(t *testing.T) {
 	params := DefaultParams()
 	tc := startCluster(t, params, ControlConfig{
@@ -97,25 +97,22 @@ func TestClusterReportsAndReconciles(t *testing.T) {
 		t.Fatal("no X-Cdn-Source breakdown")
 	}
 
-	// Demand flushed by the edges must land in the sharded estimator.
+	// Every client request an edge served must land, once, in the
+	// estimator the controller reconciles on.
+	est := tc.Control.Controller().Estimator()
 	waitFor(t, 5*time.Second, "demand reports", func() error {
-		if tc.Control.Estimator().Observed() == 0 {
-			return fmt.Errorf("estimator still empty")
+		if got := est.Observed(); got != int64(res.Requests) {
+			return fmt.Errorf("estimator observed %d of %d requests", got, res.Requests)
 		}
 		return nil
 	})
-	page := tc.Control.Estimator().Status()
-	var keys int
-	for _, sh := range page.Shards {
-		keys += sh.Keys
-	}
-	if keys != params.Edges*tc.Control.sc.Sys.M() {
-		t.Fatalf("shard key counts sum to %d, want %d", keys, params.Edges*tc.Control.sc.Sys.M())
+	if got := tc.Control.Controller().Status().Observed; got != est.Observed() {
+		t.Fatalf("controller status observed %d, estimator %d", got, est.Observed())
 	}
 
 	// A manual reconcile over the live estimate must produce a
 	// placement and push it to the edges.
-	tc.Control.Estimator().Roll()
+	est.Roll()
 	tc.Control.Controller().Unfreeze()
 	if _, err := http.Post(tc.Control.URL()+"/debug/control/reconcile", "", nil); err != nil {
 		t.Fatal(err)
@@ -357,7 +354,7 @@ func (tc *testCluster) warm(t *testing.T) {
 		t.Fatalf("healthy traffic lost %d/%d requests: %v", res.Errors, res.Requests, res.ErrorClasses)
 	}
 	waitFor(t, 5*time.Second, "demand reports", func() error {
-		if tc.Control.Estimator().Observed() == 0 {
+		if tc.Control.Controller().Estimator().Observed() == 0 {
 			return fmt.Errorf("estimator still empty")
 		}
 		return nil
@@ -544,7 +541,7 @@ func TestHungEdgesCostOnePushTimeout(t *testing.T) {
 
 	// Demand on one site only: the plan moves away from the scenario's.
 	for i := 0; i < 3; i++ {
-		cp.Estimator().ObserveN(i, 0, 1000)
+		cp.Controller().Estimator().ObserveN(i, 0, 1000)
 	}
 	pushErrs := cp.Registry().Counter("cdn_cluster_placement_push_errors_total", "", nil)
 	errsBefore := pushErrs.Value()

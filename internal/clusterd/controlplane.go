@@ -21,7 +21,9 @@ import (
 
 // Control-plane defaults.
 const (
-	// DefaultShards is the estimator's shard count.
+	// Deprecated: the demand estimate is one control.Estimator. The
+	// benchmark's estimator probe still passes this shard count, which
+	// changes nothing; ROADMAP item 6(c) deletes it.
 	DefaultShards = 4
 	// DefaultProbeEvery / DefaultProbeTimeout drive the active health
 	// prober.
@@ -59,13 +61,12 @@ type ControlConfig struct {
 }
 
 // ControlPlane is the deployment's brain: scenario owner, registry of
-// members, sharded demand estimator, reconcile loop and active prober.
+// members, demand estimator, reconcile loop and active prober.
 type ControlPlane struct {
 	params Params
 	cfg    ControlConfig
 	sc     *scenario.Scenario
 	reg    *obs.Registry
-	est    *control.ShardedEstimator
 	ctrl   *control.Controller
 	target *pushTarget
 	srv    *serverutil.Server
@@ -129,19 +130,11 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 		return nil, err
 	}
 
-	est, err := control.NewShardedEstimator(control.EstimatorConfig{
-		Servers: sc.Sys.N(), Sites: sc.Sys.M(),
-	}, DefaultShards, 0)
-	if err != nil {
-		return nil, err
-	}
-
 	cp := &ControlPlane{
 		params:   params,
 		cfg:      cfg,
 		sc:       sc,
 		reg:      reg,
-		est:      est,
 		client:   &http.Client{Timeout: 10 * time.Second},
 		edgeURLs: make([]string, sc.Sys.N()),
 		registered: reg.Gauge("cdn_cluster_registered_edges",
@@ -171,7 +164,6 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 		AvgObjectBytes: sc.Work.AvgObjectBytes,
 		Model:          cfg.Model,
 		Target:         cp.target,
-		Source:         est,
 		Health:         cp,
 		Interval:       cfg.Interval,
 		Hysteresis:     cfg.Hysteresis,
@@ -193,7 +185,6 @@ func StartControl(params Params, cfg ControlConfig) (*ControlPlane, error) {
 	mux.Handle("/debug/control", h)
 	mux.Handle("/debug/control/audit", h)
 	mux.Handle("/debug/control/reconcile", h)
-	mux.HandleFunc("/debug/control/shards", cp.serveShards)
 	mux.HandleFunc("/debug/health", cp.serveHealth)
 
 	srv, err := serverutil.Start(serverutil.Config{Addr: cfg.Addr, Handler: mux, Logf: cfg.Logf})
@@ -215,9 +206,6 @@ func (cp *ControlPlane) URL() string { return cp.srv.URL() }
 
 // Controller returns the reconcile controller (tests and debugging).
 func (cp *ControlPlane) Controller() *control.Controller { return cp.ctrl }
-
-// Estimator returns the sharded demand estimator.
-func (cp *ControlPlane) Estimator() *control.ShardedEstimator { return cp.est }
 
 // Registry returns the control plane's metrics registry.
 func (cp *ControlPlane) Registry() *obs.Registry { return cp.reg }
@@ -348,8 +336,7 @@ func (cp *ControlPlane) serveRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, bodyLimit(0), &req) {
 		return
 	}
 	if req.URL == "" {
@@ -409,7 +396,7 @@ func (cp *ControlPlane) serveRegister(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// serveReport ingests an edge's demand deltas into the sharded
+// serveReport ingests an edge's demand deltas into the controller's
 // estimator and piggybacks the roster/placement-version refresh.
 func (cp *ControlPlane) serveReport(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -417,8 +404,7 @@ func (cp *ControlPlane) serveReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch ReportBatch
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, bodyLimit(cp.sc.Sys.M()), &batch) {
 		return
 	}
 	if batch.Edge < 0 || batch.Edge >= cp.sc.Sys.N() {
@@ -431,8 +417,9 @@ func (cp *ControlPlane) serveReport(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	est := cp.ctrl.Estimator()
 	for _, c := range batch.Counts {
-		cp.est.ObserveN(batch.Edge, c.Site, c.N)
+		est.ObserveN(batch.Edge, c.Site, c.N)
 	}
 	cp.reports.Inc()
 	edges, originURL := cp.roster()
@@ -460,16 +447,6 @@ func (cp *ControlPlane) serveMembers(w http.ResponseWriter, r *http.Request) {
 		Edges:     edges,
 		Expected:  cp.sc.Sys.N(),
 	})
-}
-
-// serveShards answers GET /debug/control/shards with the sharded
-// estimator's per-shard status (cdnctl's shards subcommand reads it).
-func (cp *ControlPlane) serveShards(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, cp.est.Status())
 }
 
 // serveHealth answers GET /debug/health with the probe-driven member

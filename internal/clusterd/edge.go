@@ -352,8 +352,7 @@ func (e *Edge) servePlacement(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var push PlacementPush
-		if err := json.NewDecoder(r.Body).Decode(&push); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, bodyLimit(e.sc.Sys.N()*e.sc.Sys.M()), &push) {
 			return
 		}
 		if err := e.applyPlacement(push); err != nil {

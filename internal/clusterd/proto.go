@@ -3,10 +3,10 @@
 // all in one process by StartLocal (cmd/cdnd with no role, the tests):
 //
 //   - a control plane (cdnd control) that owns the deployment
-//     scenario, shards the demand estimator by consistent-hashed
-//     (edge, site) key, runs the reconcile loop against the aggregated
-//     estimate, actively probes member health, and pushes placement
-//     swaps to the edges;
+//     scenario, feeds the edges' demand reports into its controller's
+//     estimator, runs the reconcile loop against that estimate,
+//     actively probes member health, and pushes placement swaps to the
+//     edges;
 //   - standalone edges (cdnd edge) that put an httpcdn.Engine — the
 //     one replica → cache → peer/origin serving path — behind a real
 //     listener, count per-site demand locally, and flush deltas to the
@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -132,10 +133,10 @@ type SiteCount struct {
 const MaxReportCount = 1 << 40
 
 // ReportBatch is the body of POST /cluster/report: an edge's per-site
-// request counts since its previous report. The control plane routes
-// each (edge, site) cell to the estimator shard that owns it, and
-// rejects the whole batch with a 400 when a site is outside the catalog
-// or a count outside [1, MaxReportCount].
+// request counts since its previous report. The control plane feeds
+// each count to its demand estimator, and rejects the whole batch with
+// a 400 when a site is outside the catalog or a count outside
+// [1, MaxReportCount].
 type ReportBatch struct {
 	Edge   int         `json:"edge"`
 	Counts []SiteCount `json:"counts"`
@@ -170,6 +171,31 @@ type MembersPage struct {
 	// Expected is the scenario's edge count; a deployment is fully up
 	// when len(Edges) == Expected and OriginURL is set.
 	Expected int `json:"expected"`
+}
+
+// bodyLimit bounds a cluster protocol request body of the given number
+// of entries — a report batch has at most one count per site, a
+// placement push at most one replica per (edge, site) cell, a
+// registration none. One entry, a count at MaxReportCount or a
+// replica, takes under 64 bytes even pretty-printed, so each gets 128;
+// 16 KiB covers the rest of a document, a component's URL included.
+func bodyLimit(entries int) int64 { return 16<<10 + 128*int64(entries) }
+
+// decodeBody decodes r's JSON body into v, reading at most limit bytes.
+// On failure it answers the request itself — 413 past the limit, 400
+// otherwise — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return false
 }
 
 // postJSON POSTs v to url and decodes the JSON reply into out (out may

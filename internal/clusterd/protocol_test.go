@@ -8,13 +8,16 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/placement"
+	"repro/internal/xrand"
 )
 
 // startControl boots a control plane with no members and no reconcile
@@ -49,7 +52,7 @@ func report(cp *ControlPlane, body []byte) int {
 // controller without a signal for dozens of rounds.
 func TestReportRejectsBadCounts(t *testing.T) {
 	cp := startControl(t, DefaultParams())
-	est := cp.Estimator()
+	est := cp.Controller().Estimator()
 	for _, bad := range []string{
 		`{"edge":0,"counts":[{"site":0,"n":9223372036854775807},{"site":0,"n":1}]}`,
 		`{"edge":0,"counts":[{"site":1,"n":3},{"site":0,"n":0}]}`,
@@ -77,6 +80,103 @@ func TestReportRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestReportBodyBound: a report body past the scenario's bound is
+// refused with a 413 and feeds the estimator nothing, even when it is
+// a well-formed batch; the largest legal batch — one count per site, at
+// MaxReportCount, pretty-printed — is still accepted.
+func TestReportBodyBound(t *testing.T) {
+	cp := startControl(t, DefaultParams())
+	est := cp.Controller().Estimator()
+	m := cp.sc.Sys.M()
+	limit := bodyLimit(m)
+
+	padded := `{"edge":0,"counts":[{"site":1,"n":5}]` + strings.Repeat(" ", int(limit)) + `}`
+	if code := report(cp, []byte(padded)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("padded batch: status %d, want 413", code)
+	}
+	many := `{"edge":0,"counts":[` + strings.Repeat(`{"site":1,"n":5},`, int(limit)/16) + `{"site":1,"n":5}]}`
+	if code := report(cp, []byte(many)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("batch of %d counts: status %d, want 413", int(limit)/16+1, code)
+	}
+	if got := est.Observed(); got != 0 {
+		t.Fatalf("refused batches fed the estimator %d requests", got)
+	}
+
+	largest := ReportBatch{Edge: cp.sc.Sys.N() - 1}
+	for j := 0; j < m; j++ {
+		largest.Counts = append(largest.Counts, SiteCount{Site: j, N: MaxReportCount})
+	}
+	body, err := json.MarshalIndent(largest, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := report(cp, body); code != http.StatusOK {
+		t.Fatalf("largest legal batch (%d bytes, bound %d): status %d", len(body), limit, code)
+	}
+	if got, want := est.Observed(), int64(m)*MaxReportCount; got != want {
+		t.Fatalf("largest legal batch fed %d requests, want %d", got, want)
+	}
+}
+
+// TestReportPathExact: a seeded sequence of report batches, with rolls
+// in between, leaves the controller's estimator equal — with == on
+// every entry — to an Estimator fed the same counts through ObserveN:
+// the report path adds, drops and regroups nothing.
+func TestReportPathExact(t *testing.T) {
+	cp := startControl(t, Params{Edges: 3, Seed: 4, CapacityFrac: 0.15})
+	est := cp.Controller().Estimator()
+	n, m := cp.sc.Sys.N(), cp.sc.Sys.M()
+	want, err := control.NewEstimator(control.EstimatorConfig{Servers: n, Sites: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(11)
+	for round := 0; round < 12; round++ {
+		batches := 1 + rng.Intn(2*n)
+		for b := 0; b < batches; b++ {
+			batch := ReportBatch{Edge: rng.Intn(n)}
+			for _, j := range rng.Perm(m)[:rng.Intn(m+1)] {
+				c := 1 + rng.Int63()%5000
+				if rng.Intn(10) == 0 {
+					c = 1 + rng.Int63()%MaxReportCount
+				}
+				batch.Counts = append(batch.Counts, SiteCount{Site: j, N: c})
+			}
+			body, err := json.Marshal(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code := report(cp, body); code != http.StatusOK {
+				t.Fatalf("round %d: report status %d", round, code)
+			}
+			for _, c := range batch.Counts {
+				want.ObserveN(batch.Edge, c.Site, c.N)
+			}
+		}
+		if got, w := est.Roll(), want.Roll(); got != w {
+			t.Fatalf("round %d: window total %d, want %d", round, got, w)
+		}
+	}
+	if got, w := est.Observed(), want.Observed(); got != w {
+		t.Fatalf("Observed() = %d, want %d", got, w)
+	}
+	if got, w := est.WindowTotals(), want.WindowTotals(); !reflect.DeepEqual(got, w) {
+		t.Fatalf("WindowTotals() = %v, want %v", got, w)
+	}
+	got, ok := est.Demand()
+	w, wok := want.Demand()
+	if !ok || !wok {
+		t.Fatalf("demand signal: %v, want %v", ok, wok)
+	}
+	for i := range w {
+		for j := range w[i] {
+			if got[i][j] != w[i][j] {
+				t.Fatalf("demand[%d][%d] = %v, want %v", i, j, got[i][j], w[i][j])
+			}
+		}
+	}
+}
+
 // FuzzReportBatch sends arbitrary bodies to the report handler. It must
 // not panic, the estimator's Observed total never falls, a rejected
 // batch adds nothing, and after every roll each demand entry is finite
@@ -95,7 +195,7 @@ func FuzzReportBatch(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	cp := startControl(f, DefaultParams())
-	est := cp.Estimator()
+	est := cp.Controller().Estimator()
 	f.Fuzz(func(t *testing.T, body []byte) {
 		before := est.Observed()
 		code := report(cp, body)
@@ -181,6 +281,45 @@ func FuzzPlacementPush(f *testing.F) {
 			t.Fatalf("placement swapped without a version bump at v%d", v0)
 		}
 	})
+}
+
+// TestPlacementPushBodyBound: a push past the scenario's bound is
+// refused with a 413 and leaves the edge's placement and version as they
+// were, even when the document inside it is valid; the same push
+// without the padding applies.
+func TestPlacementPushBodyBound(t *testing.T) {
+	params := Params{Edges: 2, Seed: 2, CapacityFrac: 0.2}
+	e, err := StartEdge(params, EdgeConfig{ID: 0, Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		e.Shutdown(ctx)
+	})
+	push := func(body []byte) int {
+		rec := httptest.NewRecorder()
+		e.servePlacement(rec, httptest.NewRequest(http.MethodPost, "/admin/placement", bytes.NewReader(body)))
+		return rec.Code
+	}
+	doc := placementDoc(t, placement.GreedyGlobal(e.sc.Sys).Placement)
+	limit := bodyLimit(e.sc.Sys.N() * e.sc.Sys.M())
+	v0, p0 := e.PlacementVersion(), e.engine.Placement()
+
+	padded := `{"version":7,"doc":` + string(doc) + strings.Repeat(" ", int(limit)) + `}`
+	if code := push([]byte(padded)); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("padded push: status %d, want 413", code)
+	}
+	if v, p := e.PlacementVersion(), e.engine.Placement(); v != v0 || p != p0 {
+		t.Fatalf("refused push moved the edge from v%d to v%d", v0, v)
+	}
+	if code := push(pushBody(t, 7, doc)); code != http.StatusOK {
+		t.Fatalf("push: status %d", code)
+	}
+	if v := e.PlacementVersion(); v != 7 {
+		t.Fatalf("push applied version %d, want 7", v)
+	}
 }
 
 // TestFailedPlacementPullIsLogged: a report reply that announces a newer

@@ -37,7 +37,7 @@ func BenchmarkReconcileRotation(b *testing.B) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < m; j++ {
 				if c := int64(sys.Demand[i][j] * 1e4); c > 0 {
-					cp.Estimator().ObserveN(i, (j+k+1)%m, c)
+					cp.Controller().Estimator().ObserveN(i, (j+k+1)%m, c)
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 	"time"
 )
 
-// The cluster wire documents are consumed by cdnctl (shards), cdnd load
+// The cluster wire documents are consumed by cdnctl (health), cdnd load
 // (members) and every joining component (register); these golden key
 // sets pin the schemas so a field rename is a visible, deliberate break
 // instead of a silent one — the same discipline control's schema test
@@ -63,26 +63,6 @@ func fetchKeys(t *testing.T, method, url string, body []byte) map[string]json.Ra
 		t.Fatal(err)
 	}
 	return obj
-}
-
-func TestShardsPageSchema(t *testing.T) {
-	tc := startCluster(t, DefaultParams(), ControlConfig{Interval: time.Hour})
-
-	page := fetchKeys(t, http.MethodGet, tc.Control.URL()+"/debug/control/shards", nil)
-	checkKeys(t, "/debug/control/shards", page,
-		[]string{"shards", "vnodes", "key_space"}, nil)
-
-	var shards []map[string]json.RawMessage
-	if err := json.Unmarshal(page["shards"], &shards); err != nil {
-		t.Fatal(err)
-	}
-	if len(shards) != DefaultShards {
-		t.Fatalf("%d shards, want %d", len(shards), DefaultShards)
-	}
-	for _, sh := range shards {
-		checkKeys(t, "shards[i]", sh,
-			[]string{"shard", "keys", "observed", "rolls", "rate_per_window"}, nil)
-	}
 }
 
 // TestHealthPageSchema pins /debug/health: cdnctl health and dashboards

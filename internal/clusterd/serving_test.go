@@ -126,7 +126,7 @@ func (w *multiProcess) swap(p *core.Placement) error {
 // estimator and what they still hold; a batch in flight between the two
 // is in neither, so callers poll.
 func (w *multiProcess) tapped() int64 {
-	n := w.tc.Control.Estimator().Observed()
+	n := w.tc.Control.Controller().Estimator().Observed()
 	for _, e := range w.tc.Edges {
 		for j := range e.counts {
 			n += e.counts[j].Load()

@@ -87,49 +87,6 @@ func TestChurnBirthsAndDeaths(t *testing.T) {
 	}
 }
 
-// TestShardedChurnMatchesSingle pins the merge: a sharded estimator fed
-// the same traffic reports the same churn stats and ages as a single
-// one, regardless of which shards own which keys.
-func TestShardedChurnMatchesSingle(t *testing.T) {
-	cfg := EstimatorConfig{Servers: 4, Sites: 8}
-	single, err := NewEstimator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := NewShardedEstimator(cfg, 3, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phase := [][]int{
-		{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4}, {0, 1, 2, 3, 4},
-		{0, 1, 2, 3, 4}, {0, 1, 2, 3, 4},
-		{0, 1, 2, 5}, {0, 1, 2, 5}, {0, 1, 2, 5, 6},
-	}
-	for _, sites := range phase {
-		for _, j := range sites {
-			for i := 0; i < cfg.Servers; i++ {
-				single.Observe(i, j)
-				sharded.Observe(i, j)
-			}
-		}
-		single.Roll()
-		sharded.Roll()
-		a, b := single.SiteChurn(), sharded.SiteChurn()
-		if a != b {
-			t.Fatalf("churn stats diverged: single %+v, sharded %+v", a, b)
-		}
-	}
-	sa, ba := single.SiteAges(), sharded.SiteAges()
-	if len(sa) != len(ba) {
-		t.Fatalf("ages length: %d vs %d", len(sa), len(ba))
-	}
-	for j := range sa {
-		if sa[j] != ba[j] {
-			t.Fatalf("site %d age: single %d, sharded %d", j, sa[j], ba[j])
-		}
-	}
-}
-
 func TestStalePlacementFrac(t *testing.T) {
 	sc := testScenario(t)
 	res, err := placement.Hybrid(sc.Sys, placement.HybridConfig{

@@ -69,10 +69,10 @@ const (
 )
 
 // DemandSource is the estimator-shaped dependency the controller
-// reconciles against. *Estimator is the single-process implementation;
-// *ShardedEstimator (the control-plane binary's consistent-hash-sharded
-// variant) is the other. Roll closes the counting window once per
-// reconcile round; Demand returns the normalized estimate.
+// reconciles against. *Estimator is the implementation every deployment
+// uses; the interface stays so a test can reconcile on exact demand.
+// Roll closes the counting window once per reconcile round; Demand
+// returns the normalized estimate.
 type DemandSource interface {
 	Roll() int64
 	Demand() (demand [][]float64, ok bool)
@@ -108,10 +108,9 @@ type Config struct {
 	Model string
 	// Target is the deployment to re-place.
 	Target Target
-	// Source supplies the demand estimate (the sharded estimator in
-	// cdnd control). Leave nil to have the controller build an
-	// *Estimator, reachable via Estimator() for wiring into a request
-	// tap.
+	// Source replaces the demand estimate (a test seam). Leave nil to
+	// have the controller build an *Estimator, reachable via
+	// Estimator() for wiring into a request tap or report handler.
 	Source DemandSource
 	// Interval is the Run loop's reconcile cadence. Non-positive means
 	// no periodic rounds: Run still serves Kick-triggered ones.

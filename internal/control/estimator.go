@@ -74,9 +74,9 @@ type ChurnStats struct {
 }
 
 // ChurnSource is the optional interface a DemandSource implements when
-// it tracks per-site activity history. Both *Estimator and
-// *ShardedEstimator implement it; the controller type-asserts and
-// degrades gracefully when the source does not.
+// it tracks per-site activity history. *Estimator implements it; the
+// controller type-asserts and degrades gracefully when the source does
+// not.
 type ChurnSource interface {
 	// SiteChurn computes birth/death stats over the default churn
 	// window.
@@ -233,23 +233,6 @@ func (e *Estimator) Demand() (demand [][]float64, ok bool) {
 	return demand, true
 }
 
-// RateMatrix returns a copy of the raw (unnormalized) EWMA rate matrix,
-// requests/window per (server, site) cell. The sharded estimator
-// aggregates shard-local matrices through this accessor: per-shard
-// Demand() values normalize over the shard's own keys only and cannot
-// be summed, while raw rates can.
-func (e *Estimator) RateMatrix() [][]float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([][]float64, e.n)
-	for i := 0; i < e.n; i++ {
-		row := make([]float64, e.m)
-		copy(row, e.rates[i*e.m:(i+1)*e.m])
-		out[i] = row
-	}
-	return out
-}
-
 // ServerRates returns each server's EWMA requests/window — the per-edge
 // rate view Status exposes.
 func (e *Estimator) ServerRates() []float64 {
@@ -290,25 +273,8 @@ func (e *Estimator) WindowTotals() []int64 {
 func (e *Estimator) SiteChurn() ChurnStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return churnStats(e.firstSeen, e.lastSeen, e.rolls)
-}
-
-// SiteAges implements ChurnSource: rolls since each site's last traffic
-// (0 = active in the latest window, -1 = never seen). It returns nil
-// until more than one churn window of roll history exists — a cold
-// estimator cannot distinguish a dead site from one it has not watched
-// long enough.
-func (e *Estimator) SiteAges() []int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return siteAges(e.lastSeen, e.rolls)
-}
-
-// churnStats derives ChurnStats from first/last-seen roll indices; also
-// the aggregation kernel of the sharded estimator.
-func churnStats(first, last []int64, rolls int64) ChurnStats {
 	st := ChurnStats{Window: DefaultChurnWindow}
-	if rolls <= DefaultChurnWindow {
+	if e.rolls <= DefaultChurnWindow {
 		// Cold start: with less history than one window, every site
 		// looks newborn; report zero churn rather than an artifact.
 		return st
@@ -319,28 +285,28 @@ func churnStats(first, last []int64, rolls int64) ChurnStats {
 	// the window slides past the idle prefix — the clock that matters
 	// is rolls since first traffic, not rolls since construction.
 	genesis := int64(0)
-	for _, f := range first {
+	for _, f := range e.firstSeen {
 		if f > 0 && (genesis == 0 || f < genesis) {
 			genesis = f
 		}
 	}
-	if genesis == 0 || rolls-genesis <= DefaultChurnWindow {
+	if genesis == 0 || e.rolls-genesis <= DefaultChurnWindow {
 		return st
 	}
-	horizon := rolls - DefaultChurnWindow
+	horizon := e.rolls - DefaultChurnWindow
 	ever := 0
-	for j := range first {
-		if first[j] == 0 {
+	for j, first := range e.firstSeen {
+		if first == 0 {
 			continue
 		}
 		ever++
-		switch {
-		case last[j] > horizon:
+		switch last := e.lastSeen[j]; {
+		case last > horizon:
 			st.Active++
-			if first[j] > horizon {
+			if first > horizon {
 				st.Births++
 			}
-		case last[j] > horizon-DefaultChurnWindow:
+		case last > horizon-DefaultChurnWindow:
 			// Went quiet within the previous window: a recent death.
 			// Sites dead longer than that stop counting toward the rate
 			// (they are stale placement, not ongoing churn).
@@ -353,19 +319,38 @@ func churnStats(first, last []int64, rolls int64) ChurnStats {
 	return st
 }
 
-// siteAges converts last-seen roll indices into ages relative to rolls;
-// nil during the cold-start window (see Estimator.SiteAges).
-func siteAges(last []int64, rolls int64) []int64 {
-	if rolls <= DefaultChurnWindow {
+// SiteAges implements ChurnSource: rolls since each site's last traffic
+// (0 = active in the latest window, -1 = never seen). It returns nil
+// until more than one churn window of roll history exists — a cold
+// estimator cannot distinguish a dead site from one it has not watched
+// long enough.
+func (e *Estimator) SiteAges() []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.rolls <= DefaultChurnWindow {
 		return nil
 	}
-	out := make([]int64, len(last))
-	for j, l := range last {
+	out := make([]int64, e.m)
+	for j, l := range e.lastSeen {
 		if l == 0 {
 			out[j] = -1
 			continue
 		}
-		out[j] = rolls - l
+		out[j] = e.rolls - l
 	}
 	return out
+}
+
+// Deprecated: use NewEstimator; the demand estimate is one Estimator.
+// This checks shards ≥ 1 and vnodes ≥ 0 and returns NewEstimator(cfg).
+// It stays only for the benchmark's estimator probe, until ROADMAP item
+// 6(c) deletes it.
+func NewShardedEstimator(cfg EstimatorConfig, shards, vnodes int) (*Estimator, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("control: %d estimator shards", shards)
+	}
+	if vnodes < 0 {
+		return nil, fmt.Errorf("control: %d vnodes per shard", vnodes)
+	}
+	return NewEstimator(cfg)
 }

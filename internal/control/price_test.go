@@ -33,7 +33,8 @@ func cloneMatrix(m [][]float64) [][]float64 {
 // a warm round with a rebuilt row, a drifted clean row and unchanged
 // clean rows (only the rebuilt and unchanged rows may reuse), and a
 // round with an excluded edge (whose row's capacity differs from the
-// solve's), at every parallelism.
+// solve's), at every parallelism. A controller on a custom Source
+// exposes no Estimator().
 func TestReconcileCostsMatchProbe(t *testing.T) {
 	sc := testScenario(t)
 	for _, par := range []int{1, 2, 8} {
@@ -48,6 +49,9 @@ func TestReconcileCostsMatchProbe(t *testing.T) {
 				cfg.CooldownRounds = -1
 				cfg.Parallelism = par
 			})
+			if ctrl.Estimator() != nil {
+				t.Fatal("Estimator() must be nil for a custom Source")
+			}
 			fresh := placement.CostOptions{Specs: sc.Work.Specs(), AvgObjectBytes: sc.Work.AvgObjectBytes}
 			price := func(p *core.Placement) float64 {
 				t.Helper()

@@ -2,8 +2,9 @@
 # cluster-smoke boots the full multi-process deployment — control plane,
 # origin and two edges, one `cdnd ROLE` process each — on loopback, runs
 # the load generator's chaos drill (fault edge 1 mid-run, require zero
-# lost requests), and prints the control plane's shard and status views. The measured report lands in
-# BENCH_cluster.json (override with OUT=...).
+# lost requests), and prints the control plane's status and health
+# views. The measured report lands in BENCH_cluster.json (override with
+# OUT=...).
 #
 # Any component crashing, the drill losing a request, or the cluster
 # failing to come up fails the script. CI runs this as `make
@@ -58,8 +59,6 @@ echo "== chaos drill: ${REQUESTS} requests, fault edge 1 mid-run"
     -fault-from "$((REQUESTS / 4))" -fault-to "$((REQUESTS * 3 / 5))" \
     -out "$OUT"
 
-echo "== estimator shards"
-"${BIN}/cdnctl" -addr "127.0.0.1:${CONTROL_PORT}" shards
 echo "== controller status"
 "${BIN}/cdnctl" -addr "127.0.0.1:${CONTROL_PORT}" status
 echo "== member health"
