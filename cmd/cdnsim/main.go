@@ -15,9 +15,10 @@
 //	cdnsim -figure scale -quick # scale sweep, ×1/×2 only
 //
 // With -trace it instead runs one hybrid-placement simulation that
-// writes a JSONL event per measured request (the obs.Event schema) and
-// prints an end-of-run metrics snapshot reconciling measured per-edge
-// hit ratios against the LRU model's predictions:
+// writes each measured request's span tree as JSONL (the obs.Span
+// schema cdnd -trace writes too) and prints an end-of-run metrics
+// snapshot reconciling measured per-edge hit ratios against the LRU
+// model's predictions:
 //
 //	cdnsim -trace out.jsonl -quick
 package main
@@ -55,7 +56,7 @@ func realMain() int {
 		theta    = flag.Float64("theta", 0, "override the Zipf parameter θ")
 		model    = flag.String("model", "", "analytical hit-ratio model the hybrid placement optimizes with: eq1 (default), che or random")
 		plot     = flag.Bool("plot", false, "render CDF panels as ASCII charts instead of tables")
-		tracePth = flag.String("trace", "", "write a per-request JSONL trace of one hybrid run to this file and print a metrics snapshot (skips -figure)")
+		tracePth = flag.String("trace", "", "write the JSONL span trace of one hybrid run to this file and print a metrics snapshot (skips -figure)")
 		par      = flag.Int("parallelism", 0, "simulator worker count (0 = all cores, 1 = sequential); results are identical at any value")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this file at exit")

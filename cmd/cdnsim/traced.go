@@ -13,7 +13,7 @@ import (
 )
 
 // runTraced is the `-trace out.jsonl` mode: one hybrid-placement
-// simulation with the per-request JSONL tracer attached, followed by an
+// simulation with the JSONL span tracer attached, followed by an
 // end-of-run snapshot that reconciles each server's *measured* cache
 // hit ratio against the LRU model's (Eqs. (1)–(2)) prediction — the
 // §5/Figure 6 model-vs-system comparison at per-edge granularity.
@@ -39,7 +39,6 @@ func runTraced(ctx context.Context, opts repro.Options, path string) error {
 
 	cfg := opts.Sim
 	cfg.Tracer = tracer
-	cfg.TraceSpans = true
 	reg := obs.NewRegistry()
 	cfg.Metrics = reg
 	m, err := sim.RunParallel(ctx, sc, res.Placement, cfg, xrand.New(opts.TraceSeed))
@@ -50,7 +49,7 @@ func runTraced(ctx context.Context, opts repro.Options, path string) error {
 		return fmt.Errorf("trace %s: %w", path, err)
 	}
 
-	fmt.Printf("wrote %d trace events (with virtual-time spans) to %s — analyze with cdntrace\n\n",
+	fmt.Printf("wrote the virtual-time span trees of %d requests to %s — analyze with cdntrace\n\n",
 		m.Requests, path)
 	fmt.Printf("hybrid placement: %d replicas, predicted cost %.3f hops/request\n",
 		res.Placement.Replicas(), res.PredictedCost)

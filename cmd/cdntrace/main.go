@@ -1,7 +1,6 @@
-// Command cdntrace analyzes the JSONL trace streams that cdnd -trace
-// emits (internal/obs Spans only) and that cdnsim -trace emits (obs
-// Events and Spans on one stream), and the decision-audit pages the
-// control plane serves at /debug/control/audit.
+// Command cdntrace analyzes the JSONL span streams that cdnd -trace and
+// cdnsim -trace write (one schema, internal/obs Spans), and the
+// decision-audit pages the control plane serves at /debug/control/audit.
 //
 // For span streams it prints per-kind latency quantiles, the
 // retry/failover breakdown of the serving path, and the critical path
@@ -9,8 +8,8 @@
 // stitched across edges by the Traceparent header. With -audit it
 // summarizes the controller's reconcile records: what each round saw,
 // proposed and decided. With -check it validates every span against
-// the schema and exits non-zero on any violation, which is how CI
-// keeps the trace format honest.
+// the schema and exits non-zero on any violation — a record that is not
+// a span included — which is how CI keeps the trace format honest.
 //
 // Usage:
 //
@@ -59,8 +58,7 @@ func run(paths []string, slowest int, auditPath string, check bool) error {
 		}
 	}
 	if len(paths) > 0 {
-		fmt.Printf("loaded %d events, %d spans from %s\n",
-			len(c.Events), len(c.Spans), strings.Join(paths, ", "))
+		fmt.Printf("loaded %d spans from %s\n", len(c.Spans), strings.Join(paths, ", "))
 		if check {
 			if errs := c.Check(); len(errs) > 0 {
 				for _, err := range errs {

@@ -370,11 +370,28 @@ func TestServing(t *testing.T) {
 			if res := fetch(t, w, peer, site, 1); res.Source != httpcdn.SourceOrigin || res.Version != 1 {
 				t.Fatalf("fetch after modify: %+v, want origin at version 1", res)
 			}
+			// The swapped-in placement fills the edge's storage with
+			// replicas, so little is left for its cache.
+			for j := range sc.Work.Sites {
+				if p.CanReplicate(peer, j) {
+					if err := p.Replicate(peer, j); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			if err := w.swap(p); err != nil {
 				t.Fatal(err)
 			}
+			// Churn: one miss on every object of the sites the edge does
+			// not replicate fetches far more than its cache holds, so the
+			// cached copy of (site, 1) is evicted.
+			for j, s := range sc.Work.Sites {
+				for obj := 1; obj <= len(s.Objects) && !p.Has(peer, j); obj++ {
+					fetch(t, w, peer, j, obj)
+				}
+			}
 			if res := fetch(t, w, peer, site, 1); res.Source != httpcdn.SourceReplica || res.Version != 1 {
-				t.Fatalf("replica serve: %+v, want replica at version 1", res)
+				t.Fatalf("replica serve after churn: %+v, want replica at version 1", res)
 			}
 		}},
 		{"a replica serves the version its edge has learned", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
@@ -613,7 +630,7 @@ func readSpans(t *testing.T, tr *obs.Tracer, b *lockedBuffer) []obs.Span {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	_, spans, err := obs.ReadTrace(bytes.NewReader(b.buf.Bytes()))
+	spans, err := obs.ReadTrace(bytes.NewReader(b.buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

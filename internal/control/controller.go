@@ -139,9 +139,6 @@ type Config struct {
 	// drift, not estimate noise — the thing hysteresis exists to damp.
 	// 0 disables (the static-catalog behavior).
 	ChurnKick float64
-	// Parallelism is passed through to placement.Hybrid's benefit
-	// matrix fan-out (0 = GOMAXPROCS).
-	Parallelism int
 	// Metrics, when non-nil, receives the control_* series (reconcile
 	// outcomes, replica churn, last benefit/transfer).
 	Metrics *obs.Registry
@@ -563,7 +560,6 @@ func (c *Controller) propose(view *core.System, rec *ReconcileRecord) (*placemen
 		Specs:          c.cfg.Specs,
 		AvgObjectBytes: c.cfg.AvgObjectBytes,
 		Model:          c.cfg.Model,
-		Parallelism:    c.cfg.Parallelism,
 		Explain: func(e placement.ExplainStep) {
 			if len(rec.EngineSteps) < auditEngineStepsCap {
 				rec.EngineSteps = append(rec.EngineSteps, e)

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -33,12 +34,15 @@ func cloneMatrix(m [][]float64) [][]float64 {
 // a warm round with a rebuilt row, a drifted clean row and unchanged
 // clean rows (only the rebuilt and unchanged rows may reuse), and a
 // round with an excluded edge (whose row's capacity differs from the
-// solve's), at every parallelism. A controller on a custom Source
-// exposes no Estimator().
+// solve's), at every parallelism: the controller's solves fan out over
+// GOMAXPROCS workers. A controller on a custom Source exposes no
+// Estimator().
 func TestReconcileCostsMatchProbe(t *testing.T) {
 	sc := testScenario(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
+			runtime.GOMAXPROCS(par)
 			src := &fixedDemand{demand: cloneMatrix(sc.Sys.Demand)}
 			health := &fakeHealth{}
 			target := NewModelTarget(placement.None(sc.Sys).Placement)
@@ -47,7 +51,6 @@ func TestReconcileCostsMatchProbe(t *testing.T) {
 				cfg.Health = health
 				cfg.Hysteresis = -1
 				cfg.CooldownRounds = -1
-				cfg.Parallelism = par
 			})
 			if ctrl.Estimator() != nil {
 				t.Fatal("Estimator() must be nil for a custom Source")

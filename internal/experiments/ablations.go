@@ -143,9 +143,6 @@ func PlacementAblation(ctx context.Context, opts Options) ([]PlacementRow, error
 		{"greedy-global", func() (*placement.Result, error) {
 			return placement.GreedyGlobal(sc.Sys), nil
 		}},
-		{"greedy+exchange", func() (*placement.Result, error) {
-			return placement.GreedyExchange(sc.Sys), nil
-		}},
 		{"popularity", func() (*placement.Result, error) {
 			return placement.Popularity(sc.Sys), nil
 		}},

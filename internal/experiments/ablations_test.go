@@ -77,7 +77,7 @@ func TestPlacementAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
+	if len(rows) != 5 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	byName := map[string]PlacementRow{}

@@ -74,6 +74,11 @@ type Engine struct {
 	cache cache.Cache
 	// cachedVer remembers the version of each cached body.
 	cachedVer map[cache.Key]int
+	// learned is the newest version of each object this edge has seen in
+	// a fetched ETag. Eviction never erases it — it is bounded by the
+	// catalog — so a replica, which serves it, never rolls an object back
+	// behind what the edge has seen (version 0 if it has seen none).
+	learned map[cache.Key]int
 
 	served                        [numSources]*obs.Counter
 	latency                       [numSources]*obs.Histogram
@@ -118,6 +123,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 			DisableCompression:  true,
 		}},
 		cachedVer: make(map[cache.Key]int),
+		learned:   make(map[cache.Key]int),
 		hits:      reg.Counter("cdn_edge_cache_hits_total", "Cache hits at an edge.", edgeLabel),
 		misses:    reg.Counter("cdn_edge_cache_misses_total", "Cache misses at an edge.", edgeLabel),
 		fails:     reg.Counter("cdn_edge_errors_total", "Requests an edge failed to serve.", edgeLabel),
@@ -267,12 +273,9 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 	key := cache.Key{Site: site, Object: object}
 	version := 0
 	if ok = pl.Has(e.cfg.ID, site); ok {
-		// A replica serves the newest version this edge has learned from
-		// fetched ETags, so it never rolls an object back behind what the
-		// edge has seen (version 0 if it has seen none).
 		source = srcReplica
 		e.mu.Lock()
-		version = e.cachedVer[key]
+		version = e.learned[key]
 		e.mu.Unlock()
 	} else if version, ok = e.lookup(r, key, sp); ok {
 		source = srcCache
@@ -325,10 +328,12 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 		source = srcPeer
 	}
 
+	version = VersionFromETag(etag)
 	e.mu.Lock()
+	e.learn(key, version)
 	e.cache.Put(key, int64(len(body)))
 	if e.cache.Contains(key) {
-		e.cachedVer[key] = VersionFromETag(etag)
+		e.cachedVer[key] = version
 	}
 	if len(e.cachedVer) > 2*e.cache.Len()+64 {
 		for k := range e.cachedVer {
@@ -550,7 +555,15 @@ func (e *Engine) revalidate(r *http.Request, key cache.Key, cachedVersion int, s
 	}
 	version = VersionFromETag(etag)
 	e.mu.Lock()
+	e.learn(key, version)
 	e.cachedVer[key] = version
 	e.mu.Unlock()
 	return version, true
+}
+
+// learn records that the edge has seen version of key; e.mu is held.
+func (e *Engine) learn(key cache.Key, version int) {
+	if version > e.learned[key] {
+		e.learned[key] = version
+	}
 }

@@ -54,7 +54,7 @@ func TestClusterMetricsAndTrace(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, spans, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	spans, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestServeSpansStitchAcrossHops(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, spans, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	spans, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,8 @@ func TestConcurrentIncrements(t *testing.T) {
 				gauge.Add(1)
 				h.Observe(float64(i % 150))
 				if i%1000 == 0 {
-					tr.Emit(Event{Req: tr.NextID(), Edge: g, Source: SourceCache})
+					id := uint64(tr.NextID())
+					tr.EmitSpan(Span{Trace: DeterministicTraceID(id), Span: DeterministicSpanID(id), Kind: SpanServe, Edge: g})
 				}
 			}
 		}(g)

@@ -39,10 +39,10 @@ const (
 // SpanKinds lists the canonical span kinds in display order.
 var SpanKinds = []string{SpanServe, SpanHealth, SpanFailover, SpanUpstream, SpanRetry, SpanOrigin}
 
-// Span is one timed operation in a trace, serialized to the same JSONL
-// stream as Events (the "span" field discriminates the two record
-// types). Trace and span IDs use the W3C trace-context lengths — 32 and
-// 16 lowercase hex digits — so the Traceparent header value is a direct
+// Span is one timed operation in a trace, serialized as one JSONL
+// record; the HTTP cluster and the simulator write the same schema.
+// Trace and span IDs use the W3C trace-context lengths — 32 and 16
+// lowercase hex digits — so the Traceparent header value is a direct
 // concatenation.
 type Span struct {
 	// Trace identifies the request tree this span belongs to; every
@@ -170,50 +170,38 @@ func allZero(s string) bool {
 	return true
 }
 
-// EmitSpan appends one span to the JSONL stream. Like Emit, a sticky
-// write error turns subsequent calls into counted drops.
-func (t *Tracer) EmitSpan(s Span) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.emitLocked(s)
+// spanProbe tells a span record from any other JSON object: a span
+// record carries a "span" field, even an empty one.
+type spanProbe struct {
+	Span *string `json:"span"`
 }
 
-// traceLine is the union shape used to split a mixed JSONL stream back
-// into events and spans: span records carry a "span" field, event
-// records do not.
-type traceLine struct {
-	SpanID *string `json:"span"`
-}
-
-// ReadTrace parses a mixed JSONL stream of Events and Spans — the
-// inverse of Emit/EmitSpan, for cmd/cdntrace and tests.
-func ReadTrace(r io.Reader) (events []Event, spans []Span, err error) {
+// ReadTrace parses a JSONL span stream — the inverse of EmitSpan, for
+// cmd/cdntrace and tests. A record without a "span" field is not part of
+// the schema and is an error.
+func ReadTrace(r io.Reader) ([]Span, error) {
 	dec := json.NewDecoder(r)
-	for {
+	var spans []Span
+	for rec := 1; ; rec++ {
 		var raw json.RawMessage
 		if err := dec.Decode(&raw); err != nil {
 			if err == io.EOF {
-				return events, spans, nil
+				return spans, nil
 			}
-			return events, spans, err
+			return spans, fmt.Errorf("obs: trace record %d: %w", rec, err)
 		}
-		var probe traceLine
+		var probe spanProbe
 		if err := json.Unmarshal(raw, &probe); err != nil {
-			return events, spans, err
+			return spans, fmt.Errorf("obs: trace record %d: %w", rec, err)
 		}
-		if probe.SpanID != nil {
-			var s Span
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return events, spans, err
-			}
-			spans = append(spans, s)
-		} else {
-			var e Event
-			if err := json.Unmarshal(raw, &e); err != nil {
-				return events, spans, err
-			}
-			events = append(events, e)
+		if probe.Span == nil {
+			return spans, fmt.Errorf("obs: trace record %d is not a span (no \"span\" field)", rec)
 		}
+		var s Span
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return spans, fmt.Errorf("obs: trace record %d: %w", rec, err)
+		}
+		spans = append(spans, s)
 	}
 }
 

@@ -21,18 +21,17 @@ func TestSpanRoundTrip(t *testing.T) {
 		StartUs: 1200, DurUs: 800,
 	}
 	tr.EmitSpan(root)
-	tr.Emit(Event{Req: 1, Edge: 2, Site: 1, Object: 7, Source: SourceCache, LatencyMs: 2.5})
 	tr.EmitSpan(child)
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
-	events, spans, err := ReadTrace(&buf)
+	spans, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || len(spans) != 2 {
-		t.Fatalf("got %d events, %d spans; want 1, 2", len(events), len(spans))
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
 	}
 	if spans[0].Kind != SpanServe || spans[1].Parent != root.Span {
 		t.Fatalf("spans did not round-trip: %+v", spans)
@@ -47,6 +46,28 @@ func TestSpanRoundTrip(t *testing.T) {
 		if err := ValidateSpan(s); err != nil {
 			t.Fatalf("valid span rejected: %v", err)
 		}
+	}
+}
+
+// TestReadTraceRejectsNonSpan: the span is the only record of the
+// trace schema, so a line without a "span" field — such as the
+// per-request event line of older simulator traces — is an error, not
+// a record filed elsewhere. A span with an empty ID still parses; the
+// schema check rejects it.
+func TestReadTraceRejectsNonSpan(t *testing.T) {
+	serve := `{"trace":"` + DeterministicTraceID(1) + `","span":"` + DeterministicSpanID(2) +
+		`","kind":"serve","edge":0,"site":0,"object":1,"start_us":0,"dur_us":20000}`
+	event := `{"req":1,"edge":0,"site":0,"object":1,"source":"replica","hops":0,"latency_ms":20}`
+	spans, err := ReadTrace(strings.NewReader(serve + "\n" + event + "\n" + serve + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "record 2 is not a span") {
+		t.Fatalf("ReadTrace on an event line: err %v, want record 2 rejected", err)
+	}
+	if len(spans) != 1 {
+		t.Fatalf("ReadTrace returned %d spans before the bad record, want 1", len(spans))
+	}
+	spans, err = ReadTrace(strings.NewReader(`{"span":"","kind":"serve"}`))
+	if err != nil || len(spans) != 1 || ValidateSpan(spans[0]) == nil {
+		t.Fatalf("empty span ID: %d spans, err %v; want one span that fails ValidateSpan", len(spans), err)
 	}
 }
 
@@ -171,9 +192,9 @@ func TestTracerCountsDrops(t *testing.T) {
 		"Trace records dropped after a write error.", nil)
 	tr.CountDrops(ctr)
 
-	big := Event{Req: 1, Source: strings.Repeat("x", 4096)}
+	big := Span{Kind: SpanServe, Attrs: map[string]string{"pad": strings.Repeat("x", 4096)}}
 	for i := 0; i < 64; i++ {
-		tr.Emit(big)
+		tr.EmitSpan(big)
 	}
 	tr.EmitSpan(Span{Trace: NewTraceID(), Span: NewSpanID(), Kind: SpanServe})
 	if tr.Err() == nil {
@@ -190,7 +211,7 @@ func TestTracerCountsDrops(t *testing.T) {
 func TestTracerCountDropsAttachLate(t *testing.T) {
 	tr := NewTracer(&failAfter{n: 0})
 	for i := 0; i < 32; i++ {
-		tr.Emit(Event{Req: int64(i), Source: strings.Repeat("y", 4096)})
+		tr.EmitSpan(Span{Kind: SpanServe, Attrs: map[string]string{"pad": strings.Repeat("y", 4096)}})
 	}
 	if tr.Dropped() == 0 {
 		t.Fatal("no drops before attach")

@@ -8,30 +8,8 @@ import (
 	"sync/atomic"
 )
 
-// Event is one per-request trace record of the simulator (cdnsim
-// -trace), so its behaviour can be diffed against the model's
-// predictions. The HTTP cluster does not emit Events: it traces Spans.
-// Serialized as one JSON object per line (JSONL).
-type Event struct {
-	// Req is the request id: the measured-phase sequence number.
-	Req int64 `json:"req"`
-	// Edge is the first-hop CDN server that handled the request.
-	Edge int `json:"edge"`
-	// Site and Object identify the requested web object.
-	Site   int `json:"site"`
-	Object int `json:"object"`
-	// Source is where the request was served from: one of
-	// SourceReplica, SourceCache, SourcePeer, SourceOrigin.
-	Source string `json:"source"`
-	// Hops is the redirection cost in topology hops (0 when served at
-	// the first-hop server) — the paper's objective D unit.
-	Hops float64 `json:"hops"`
-	// LatencyMs is the modelled response time in milliseconds.
-	LatencyMs float64 `json:"latency_ms"`
-}
-
-// Tracer writes Events (and Spans) as JSONL. Safe for concurrent use;
-// the first write error is sticky and subsequent emits are dropped —
+// Tracer writes Spans as JSONL. Safe for concurrent use; the first
+// write error is sticky and subsequent spans are dropped —
 // visibly: Dropped counts them, and CountDrops mirrors the count into a
 // registry counter so a dying disk shows up in /metrics instead of
 // silently truncating the trace. Always Flush (or Close) a tracer
@@ -71,18 +49,13 @@ func (t *Tracer) CountDrops(c *Counter) {
 // error (including the record whose write failed).
 func (t *Tracer) Dropped() int64 { return t.dropped.Load() }
 
-// Emit appends one event.
-func (t *Tracer) Emit(e Event) {
+// EmitSpan appends one span to the JSONL stream, or counts it as
+// dropped when the stream is already broken or this write breaks it.
+func (t *Tracer) EmitSpan(s Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.emitLocked(e)
-}
-
-// emitLocked encodes one record under the held mutex, counting it as
-// dropped when the stream is already broken or this write breaks it.
-func (t *Tracer) emitLocked(v any) {
 	if t.err == nil {
-		t.err = t.enc.Encode(v)
+		t.err = t.enc.Encode(s)
 		if t.err == nil {
 			return
 		}
@@ -93,7 +66,7 @@ func (t *Tracer) emitLocked(v any) {
 	}
 }
 
-// Flush pushes buffered events to the underlying writer and returns
+// Flush pushes buffered spans to the underlying writer and returns
 // the sticky error, if any.
 func (t *Tracer) Flush() error {
 	t.mu.Lock()
@@ -109,21 +82,4 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
-}
-
-// ReadEvents parses a JSONL trace back into events — the inverse of
-// Emit, for tests and offline analysis.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-		out = append(out, e)
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -11,12 +12,15 @@ import (
 func TestTracerRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(&buf)
-	events := []Event{
-		{Req: tr.NextID(), Edge: 0, Site: 3, Object: 7, Source: SourceReplica, Hops: 0, LatencyMs: 20},
-		{Req: tr.NextID(), Edge: 2, Site: 1, Object: 1, Source: SourceOrigin, Hops: 4.5, LatencyMs: 110},
+	spans := []Span{
+		{Trace: DeterministicTraceID(1), Span: DeterministicSpanID(2), Kind: SpanServe,
+			Edge: 0, Site: 3, Object: 7, StartUs: 0, DurUs: 20000,
+			Attrs: map[string]string{"source": SourceReplica, "outcome": "ok"}},
+		{Trace: DeterministicTraceID(2), Span: DeterministicSpanID(4), Kind: SpanServe,
+			Edge: 2, Site: 1, Object: 1, StartUs: 1000, DurUs: 110000},
 	}
-	for _, e := range events {
-		tr.Emit(e)
+	for _, s := range spans {
+		tr.EmitSpan(s)
 	}
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
@@ -24,32 +28,27 @@ func TestTracerRoundTrip(t *testing.T) {
 
 	// Each line must be one standalone JSON object (valid JSONL).
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != len(events) {
-		t.Fatalf("%d lines, want %d", len(lines), len(events))
+	if len(lines) != len(spans) {
+		t.Fatalf("%d lines, want %d", len(lines), len(spans))
 	}
 	for _, line := range lines {
 		var m map[string]any
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			t.Fatalf("line %q: %v", line, err)
 		}
-		for _, field := range []string{"req", "edge", "site", "object", "source", "hops", "latency_ms"} {
+		for _, field := range []string{"trace", "span", "kind", "edge", "site", "object", "start_us", "dur_us"} {
 			if _, ok := m[field]; !ok {
 				t.Errorf("line %q missing field %q", line, field)
 			}
 		}
 	}
 
-	got, err := ReadEvents(&buf)
+	got, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(events) {
-		t.Fatalf("ReadEvents returned %d events, want %d", len(got), len(events))
-	}
-	for i := range events {
-		if got[i] != events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], events[i])
-		}
+	if !reflect.DeepEqual(got, spans) {
+		t.Fatalf("ReadTrace = %+v, want %+v", got, spans)
 	}
 }
 
@@ -69,11 +68,11 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk ful
 
 func TestTracerStickyError(t *testing.T) {
 	tr := NewTracer(failingWriter{})
-	tr.Emit(Event{Req: 1})
+	tr.EmitSpan(Span{Kind: SpanServe})
 	if err := tr.Flush(); err == nil {
 		t.Fatal("Flush() = nil, want error")
 	}
-	tr.Emit(Event{Req: 2}) // must not panic; dropped
+	tr.EmitSpan(Span{Kind: SpanServe}) // must not panic; dropped
 	if tr.Err() == nil {
 		t.Fatal("Err() = nil after failed flush")
 	}

@@ -3,7 +3,11 @@ package sim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -45,13 +49,17 @@ func TestPerServerHitRatioZeroLookupsIsZero(t *testing.T) {
 	}
 }
 
-// TestTracerEmitsSchemaAndReconciles drives a hybrid run with the
-// JSONL tracer attached and checks that (a) exactly one event per
-// measured request is written, (b) every event carries a canonical
-// source, and (c) the per-edge hit counts recovered from the trace
-// equal the run's counters — the model-vs-measured diffing contract.
+// TestTracerEmitsSchemaAndReconciles drives a seeded parallel hybrid
+// run with the JSONL tracer attached and rebuilds the run's Metrics
+// from the serve and upstream spans alone: the per-source counts, each
+// edge's cache lookups and hits, and MeanRTMs, MeanHops and
+// ResponseTimesMs, summed in StartUs order. Every request is cacheable
+// (λ = 0), so each edge's lookups are its requests not served by a
+// replica. Equality, bit for bit, shows the spans carry everything a
+// measured request's outcome holds — the model-vs-measured diffing
+// contract.
 func TestTracerEmitsSchemaAndReconciles(t *testing.T) {
-	sc := smallScenario(13, 0.1)
+	sc := smallScenario(13, 0)
 	res, err := placement.Hybrid(sc.Sys, placement.HybridConfig{
 		Specs:          sc.Work.Specs(),
 		AvgObjectBytes: sc.Work.AvgObjectBytes,
@@ -63,54 +71,112 @@ func TestTracerEmitsSchemaAndReconciles(t *testing.T) {
 	cfg := fastConfig(true)
 	cfg.Requests = 20000
 	cfg.Warmup = 10000
+	cfg.Parallelism = 4
 	cfg.Tracer = obs.NewTracer(&buf)
-	m := MustRun(context.Background(), sc, res.Placement, cfg, xrand.New(14))
-	if err := cfg.Tracer.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	events, err := obs.ReadEvents(&buf)
+	m, err := RunParallel(context.Background(), sc, res.Placement, cfg, xrand.New(14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != m.Requests {
-		t.Fatalf("%d events for %d measured requests", len(events), m.Requests)
+	if err := cfg.Tracer.Flush(); err != nil {
+		t.Fatal(err)
 	}
+	spans, err := obs.ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Bypass != 0 || m.RemoteServer == 0 || m.OriginFetch == 0 || m.CacheHits == 0 || m.LocalReplica == 0 {
+		t.Fatalf("run does not exercise every source without bypasses: %+v", m)
+	}
+	got, err := metricsFromSpans(spans, &cfg, sc.Sys.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, m) {
+		t.Fatalf("metrics rebuilt from spans differ from the run's:\n got: %+v\nwant: %+v", got, m)
+	}
+}
 
-	valid := map[string]bool{
-		obs.SourceReplica: true, obs.SourceCache: true,
-		obs.SourcePeer: true, obs.SourceOrigin: true,
-	}
-	perEdgeHits := make([]int64, sc.Sys.N())
-	bySource := map[string]int64{}
-	for _, e := range events {
-		if !valid[e.Source] {
-			t.Fatalf("event %d: invalid source %q", e.Req, e.Source)
+// metricsFromSpans rebuilds a static, all-cacheable run's Metrics from
+// its span trace: one serve span per measured request, whose "source"
+// attribute says where it was served, and an upstream child, whose
+// "hops" attribute is the redirect cost, for each request that
+// travelled.
+func metricsFromSpans(spans []obs.Span, cfg *Config, n int) (*Metrics, error) {
+	var serves []obs.Span
+	hopsOf := map[string]float64{} // serve span ID → hops
+	for _, s := range spans {
+		if err := obs.ValidateSpan(s); err != nil {
+			return nil, err
 		}
-		bySource[e.Source]++
-		if e.Source == obs.SourceCache {
-			perEdgeHits[e.Edge]++
-			if e.Hops != 0 {
-				t.Fatalf("cache hit with %v hops", e.Hops)
+		switch s.Kind {
+		case obs.SpanServe:
+			if s.Parent != "" {
+				return nil, fmt.Errorf("serve span %s has a parent", s.Span)
 			}
-		}
-		if e.LatencyMs != cfg.FirstHopMs+cfg.PerHopMs*e.Hops {
-			t.Fatalf("event %d: latency %v != %v + %v*%v",
-				e.Req, e.LatencyMs, cfg.FirstHopMs, cfg.PerHopMs, e.Hops)
-		}
-	}
-	if bySource[obs.SourceReplica] != m.LocalReplica ||
-		bySource[obs.SourceCache] != m.CacheHits ||
-		bySource[obs.SourcePeer] != m.RemoteServer ||
-		bySource[obs.SourceOrigin] != m.OriginFetch {
-		t.Fatalf("trace source counts %v disagree with metrics %+v", bySource, m)
-	}
-	for i := range perEdgeHits {
-		if perEdgeHits[i] != m.PerServerHits[i] {
-			t.Errorf("edge %d: %d traced hits, counters say %d",
-				i, perEdgeHits[i], m.PerServerHits[i])
+			serves = append(serves, s)
+		case obs.SpanUpstream:
+			h, err := strconv.ParseFloat(s.Attrs["hops"], 64)
+			if err != nil || s.Parent == "" || h <= 0 {
+				return nil, fmt.Errorf("upstream span %s: parent %q, hops %q", s.Span, s.Parent, s.Attrs["hops"])
+			}
+			hopsOf[s.Parent] = h
+		default:
+			return nil, fmt.Errorf("unexpected sim span kind %q", s.Kind)
 		}
 	}
+	sort.SliceStable(serves, func(a, b int) bool { return serves[a].StartUs < serves[b].StartUs })
+	m := &Metrics{
+		Requests:          len(serves),
+		PerServerHitRatio: make([]float64, n),
+		PerServerHits:     make([]int64, n),
+		PerServerLookups:  make([]int64, n),
+	}
+	if cfg.KeepResponseTimes {
+		m.ResponseTimesMs = make([]float64, 0, len(serves))
+	}
+	var totalRT, totalHops float64
+	for k, s := range serves {
+		if want := int64(k) * 1000; s.StartUs != want {
+			return nil, fmt.Errorf("serve span %d starts at %d µs, want %d", k, s.StartUs, want)
+		}
+		hops := hopsOf[s.Span]
+		delete(hopsOf, s.Span)
+		rt := cfg.FirstHopMs + cfg.PerHopMs*hops
+		if s.DurUs != int64(rt*1000) {
+			return nil, fmt.Errorf("serve span %d lasts %d µs, want %v ms", k, s.DurUs, rt)
+		}
+		totalRT += rt
+		totalHops += hops
+		if cfg.KeepResponseTimes {
+			m.ResponseTimesMs = append(m.ResponseTimesMs, rt)
+		}
+		source := s.Attrs["source"]
+		if (hops > 0) != (source == obs.SourcePeer || source == obs.SourceOrigin) {
+			return nil, fmt.Errorf("serve span %d: source %q with %v hops", k, source, hops)
+		}
+		switch source {
+		case obs.SourceReplica:
+			m.LocalReplica++
+			continue
+		case obs.SourceCache:
+			m.CacheHits++
+			m.PerServerHits[s.Edge]++
+		case obs.SourcePeer:
+			m.CacheMisses++
+			m.RemoteServer++
+		case obs.SourceOrigin:
+			m.CacheMisses++
+			m.OriginFetch++
+		default:
+			return nil, fmt.Errorf("serve span %d: invalid source %q", k, source)
+		}
+		m.PerServerLookups[s.Edge]++
+	}
+	if len(hopsOf) != 0 {
+		return nil, fmt.Errorf("%d upstream spans without a serve parent", len(hopsOf))
+	}
+	m.finalize(cfg, totalRT, totalHops)
+	return m, nil
 }
 
 // TestMetricsPublished checks the end-of-run registry snapshot.

@@ -126,7 +126,7 @@ func TestRunParallelMatchesRunLambda(t *testing.T) {
 }
 
 // TestRunParallelTraceAndRegistry asserts the observability outputs are
-// byte-identical too: the JSONL trace (event order and request ids) and
+// byte-identical too: the JSONL span trace (span order and IDs) and
 // the metrics registry snapshot.
 func TestRunParallelTraceAndRegistry(t *testing.T) {
 	sc := smallScenario(6, 0)

@@ -68,18 +68,13 @@ type Config struct {
 	// must then belong to the derived cluster system. Nil means
 	// columns are sites (the paper's granularity).
 	UnitOf func(site, object int) int
-	// Tracer, when non-nil, receives one obs.Event per *measured*
-	// request as JSONL. Only the simulator writes Events; the HTTP
-	// cluster traces spans (see TraceSpans). Warm-up requests are not
-	// traced.
+	// Tracer, when non-nil, receives the span tree of every *measured*
+	// request as JSONL, in virtual time (request k starts at k ms;
+	// durations are the latency model's): the schema the HTTP cluster
+	// writes, so one cdntrace invocation analyses either. IDs derive
+	// from the request id, so sequential and parallel runs write
+	// identical bytes. Warm-up requests are not traced.
 	Tracer *obs.Tracer
-	// TraceSpans additionally emits obs.Span records per measured
-	// request in virtual time (request k starts at k ms; durations are
-	// the latency model's), the same schema the HTTP cluster emits, so
-	// one cdntrace invocation analyses either. IDs are derived from the
-	// request id: sequential and parallel runs emit identical bytes.
-	// Ignored when Tracer is nil.
-	TraceSpans bool
 	// Metrics, when non-nil, receives an end-of-run snapshot of the
 	// per-server hit/miss counters and the modelled response-time
 	// histogram (publishing after the run keeps the hot loop free of
@@ -568,20 +563,7 @@ func (f *fold) add(o *outcomes, lo, hi, off int) {
 			f.rtHist.Observe(rt)
 		}
 		if cfg.Tracer != nil {
-			req := &o.reqs[i]
-			ev := obs.Event{
-				Req:       cfg.Tracer.NextID(),
-				Edge:      req.Server,
-				Site:      req.Site,
-				Object:    req.Object,
-				Source:    o.sources[i],
-				Hops:      hops,
-				LatencyMs: rt,
-			}
-			cfg.Tracer.Emit(ev)
-			if cfg.TraceSpans {
-				emitSimSpans(cfg, i+off, ev)
-			}
+			emitSimSpans(cfg, i+off, &o.reqs[i], o.sources[i], hops, rt)
 		}
 	}
 	m.Requests += hi - lo

@@ -199,7 +199,7 @@ func FuzzRunSourceMatchesStepper(f *testing.F) {
 		}
 		traced := func(cfg Config, buf *bytes.Buffer) Config {
 			if flags&(1<<5) != 0 {
-				cfg.Tracer, cfg.TraceSpans = obs.NewTracer(buf), true
+				cfg.Tracer = obs.NewTracer(buf)
 			}
 			return cfg
 		}

@@ -4,43 +4,46 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
-// emitSimSpans renders measured request k as a virtual-time span tree in
-// the same schema the HTTP cluster emits, so cmd/cdntrace reads both: a
-// serve root covering the modelled response time, plus an upstream child
+// emitSimSpans renders measured request k — served from source after
+// hops redirect hops, in rtMs — as a virtual-time span tree in the
+// schema the HTTP cluster writes, so cmd/cdntrace reads both: a serve
+// root covering the modelled response time, plus an upstream child
 // covering the redirect hops when the request travelled. Virtual time
 // places request k at k ms (StartUs = k*1000); durations are the latency
-// model's, in microseconds. All IDs derive from the request id, so the
-// sequential and parallel runners — which assign ids in the same global
-// order — emit byte-identical spans.
+// model's, in microseconds. Each call draws the next request id from the
+// tracer and derives every ID from it, so the sequential and parallel
+// runners — which fold requests in the same global order — write
+// byte-identical spans.
 //
-// Callers gate on cfg.Tracer != nil && cfg.TraceSpans, keeping the hot
-// loop allocation-free when tracing is off.
-func emitSimSpans(cfg *Config, k int, ev obs.Event) {
-	seed := uint64(ev.Req)
+// Callers gate on cfg.Tracer != nil, keeping the hot loop
+// allocation-free when tracing is off.
+func emitSimSpans(cfg *Config, k int, req *workload.Request, source string, hops, rtMs float64) {
+	seed := uint64(cfg.Tracer.NextID())
 	trace := obs.DeterministicTraceID(seed)
 	root := obs.DeterministicSpanID(2 * seed)
 	startUs := int64(k) * 1000
 	cfg.Tracer.EmitSpan(obs.Span{
 		Trace: trace, Span: root, Kind: obs.SpanServe,
-		Edge: ev.Edge, Site: ev.Site, Object: ev.Object,
+		Edge: req.Server, Site: req.Site, Object: req.Object,
 		StartUs: startUs,
-		DurUs:   int64(ev.LatencyMs * 1000),
-		Attrs:   map[string]string{"source": ev.Source, "outcome": "ok"},
+		DurUs:   int64(rtMs * 1000),
+		Attrs:   map[string]string{"source": source, "outcome": "ok"},
 	})
-	if ev.Hops > 0 {
+	if hops > 0 {
 		// The redirected fraction: the upstream fetch begins after the
 		// first hop and lasts the per-hop delay times the path length.
 		cfg.Tracer.EmitSpan(obs.Span{
 			Trace: trace, Span: obs.DeterministicSpanID(2*seed + 1), Parent: root,
 			Kind: obs.SpanUpstream,
-			Edge: ev.Edge, Site: ev.Site, Object: ev.Object,
+			Edge: req.Server, Site: req.Site, Object: req.Object,
 			StartUs: startUs + int64(cfg.FirstHopMs*1000),
-			DurUs:   int64(cfg.PerHopMs * ev.Hops * 1000),
+			DurUs:   int64(cfg.PerHopMs * hops * 1000),
 			Attrs: map[string]string{
-				"target":  ev.Source,
-				"hops":    strconv.FormatFloat(ev.Hops, 'g', -1, 64),
+				"target":  source,
+				"hops":    strconv.FormatFloat(hops, 'g', -1, 64),
 				"outcome": "ok",
 			},
 		})

@@ -18,7 +18,6 @@ func tracedConfig(buf *bytes.Buffer) Config {
 	cfg.Requests = 3000
 	cfg.Warmup = 1000
 	cfg.Tracer = obs.NewTracer(buf)
-	cfg.TraceSpans = true
 	return cfg
 }
 
@@ -34,12 +33,9 @@ func TestSimSpansVirtualTimeSchema(t *testing.T) {
 	if err := cfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	events, spans, err := obs.ReadTrace(&buf)
+	spans, err := obs.ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(events) != m.Requests {
-		t.Fatalf("%d events for %d measured requests", len(events), m.Requests)
 	}
 	serves, upstreams := 0, 0
 	for _, s := range spans {
@@ -104,10 +100,10 @@ func TestSimSpansParallelIdentical(t *testing.T) {
 }
 
 // TestSimTraceBytesPinned pins the JSONL a traced RunSource writes —
-// events and spans of three blocks, the warm-up ending inside the first
-// and the last one partial — to a fixed SHA-256. Both runners fold
-// through the same code, so comparing them with each other cannot catch
-// a change to it.
+// the spans of three blocks, the warm-up ending inside the first and the
+// last one partial — to a fixed SHA-256. Both runners fold through the
+// same code, so comparing them with each other cannot catch a change to
+// it.
 func TestSimTraceBytesPinned(t *testing.T) {
 	sc := smallScenario(2, 0.05)
 	p := hybridPlacementFor(sc)
@@ -120,7 +116,7 @@ func TestSimTraceBytesPinned(t *testing.T) {
 	if err := cfg.Tracer.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	const want = "5af5a6a919553f02baf898b2cba48a6dcee56122c27033e5d95d1af94e81e77c"
+	const want = "1c829f5b694b8aa878c1562a419f58ed17fc34f0e39808c588fbb4cbc5c1adda"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
 		t.Errorf("trace digest %s, want %s (%d bytes)", got, want, buf.Len())
 	}
@@ -147,8 +143,8 @@ func TestStepDisabledTracingZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		for _, req := range reqs {
 			hops, source := sh.step(req, true)
-			if cfg.Tracer != nil && cfg.TraceSpans {
-				emitSimSpans(&cfg, 0, obs.Event{Source: source, Hops: hops})
+			if cfg.Tracer != nil {
+				emitSimSpans(&cfg, 0, &req, source, hops, 0)
 			}
 		}
 	})
@@ -178,8 +174,8 @@ func BenchmarkStepDisabledTracing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := reqs[i%len(reqs)]
 		hops, source := sh.step(req, true)
-		if cfg.Tracer != nil && cfg.TraceSpans {
-			emitSimSpans(&cfg, 0, obs.Event{Source: source, Hops: hops})
+		if cfg.Tracer != nil {
+			emitSimSpans(&cfg, 0, &req, source, hops, 0)
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package traceanalysis turns a JSONL span/event stream (internal/obs
+// Package traceanalysis turns a JSONL span stream (internal/obs
 // schema) into the aggregates cmd/cdntrace prints: per-kind latency
 // quantiles, reconstructed trace trees, critical paths of the slowest
 // requests, and retry/failover breakdowns. It also hosts the schema
@@ -13,19 +13,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Corpus is one loaded trace stream: the events and spans of a run,
-// in file order.
+// Corpus is one loaded trace stream: the spans of a run, in file order.
 type Corpus struct {
-	Events []obs.Event
-	Spans  []obs.Span
+	Spans []obs.Span
 }
 
-// Load parses one mixed JSONL stream and appends it to the corpus, so
+// Load parses one JSONL span stream and appends it to the corpus, so
 // multiple files (e.g. a cdnd trace plus a cdnsim trace) can be
-// analyzed together.
+// analyzed together. A record that is not a span is an error.
 func (c *Corpus) Load(r io.Reader) error {
-	events, spans, err := obs.ReadTrace(r)
-	c.Events = append(c.Events, events...)
+	spans, err := obs.ReadTrace(r)
 	c.Spans = append(c.Spans, spans...)
 	return err
 }

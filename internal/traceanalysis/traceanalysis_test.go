@@ -14,8 +14,6 @@ func corpusFor(t *testing.T) *Corpus {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := obs.NewTracer(&buf)
-	tr.Emit(obs.Event{Req: 1, Edge: 0, Site: 0, Object: 1, Source: "replica", LatencyMs: 1})
-
 	fast := obs.DeterministicTraceID(1)
 	tr.EmitSpan(obs.Span{
 		Trace: fast, Span: obs.DeterministicSpanID(10), Kind: obs.SpanServe,
