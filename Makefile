@@ -37,10 +37,10 @@ race:
 # runners against the one-request stepper), the model's Jensen
 # upper bound and its Equation (1) kernel, the hybrid placement heap
 # against its scanning oracle, and the network-facing parsers and
-# decoders: trace headers, object paths, ETags, the control plane's
-# demand reports, an edge's placement pushes and recorded request
-# traces. Minimizing a new corpus entry is capped, or it eats the whole
-# budget.
+# decoders: Traceparent headers, object paths, ETags, the control
+# plane's demand reports, an edge's placement pushes and span traces
+# replayed through the simulator. Minimizing a new corpus entry is
+# capped, or it eats the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUOps$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzGuideSearch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
@@ -53,7 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVersionFromETag$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/httpcdn/
 	$(GO) test -run '^$$' -fuzz '^FuzzReportBatch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlacementPush$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
-	$(GO) test -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpanReplay$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/sim/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

@@ -222,6 +222,13 @@ func parse(args []string) (options, error) {
 	if _, err := lrumodel.ParseModelKind(opt.control.Model); err != nil {
 		return opt, fmt.Errorf("-model: %w", err)
 	}
+	// The roles that own the scenario build it once here, so an -edges
+	// the topology has no room for is a usage error, not a failed run.
+	if takes(roleAll, roleControl) {
+		if _, err := opt.params.Build(); err != nil {
+			return opt, err
+		}
+	}
 	return opt, nil
 }
 

@@ -103,6 +103,9 @@ func TestParse(t *testing.T) {
 		{args: []string{"cache"}, err: `unknown role "cache"`},
 		{args: strings.Fields("edge extra"), err: `unexpected argument "extra"`},
 		{args: strings.Fields("-model lfu"), err: "-model"},
+		{args: strings.Fields("-edges 17"), err: "topology: cannot place 25 nodes in 24 stub slots"},
+		{args: strings.Fields("control -edges 17"), err: "topology: cannot place 25 nodes in 24 stub slots"},
+		{args: strings.Fields("-edges 0"), err: "clusterd: 0 edges"},
 		{args: strings.Fields("-requests 50 -hopdelay -5ms"), err: "-hopdelay must not be negative"},
 		{args: strings.Fields("-linger -1s"), err: "-linger must not be negative"},
 		{args: strings.Fields("edge -eject-for -1s"), err: "-eject-for must not be negative"},

@@ -34,6 +34,10 @@ const (
 	SpanRetry = "retry"
 	// SpanOrigin is the origin server handling one fetch.
 	SpanOrigin = "origin"
+	// SpanClient is a load generator's root span: one client request
+	// from send to last body byte. The program never writes it (it is
+	// not in SpanKinds), but a serve span beneath it answers a client.
+	SpanClient = "client"
 )
 
 // SpanKinds lists the canonical span kinds in display order.

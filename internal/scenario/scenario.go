@@ -106,7 +106,10 @@ func Build(cfg Config) (*Scenario, error) {
 
 	n := cfg.Workload.Servers
 	m := cfg.Workload.Sites()
-	nodes := topo.PlaceInStubs(n+m, root.Split("placement"))
+	nodes, err := topo.PlaceInStubs(n+m, root.Split("placement"))
+	if err != nil {
+		return nil, err
+	}
 	serverNodes := nodes[:n]
 	originNodes := nodes[n:]
 

@@ -234,7 +234,7 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 	if err := validateRun(sc, p, cfg); err != nil {
 		return nil, err
 	}
-	n := sc.Sys.N()
+	n, sites := sc.Sys.N(), sc.Work.Sites
 	workers := cfg.Parallelism
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -294,8 +294,8 @@ func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Place
 			break
 		}
 		req, ok := src.Next()
-		if !ok || uint(req.Server) >= uint(n) {
-			srcErr = drawErr(ok, req, t, total, n)
+		if !ok || uint(req.Server) >= uint(n) || !inCatalog(sites, &req) {
+			srcErr = drawErr(ok, req, t, total, sites, n)
 			break
 		}
 		x := req.Server % nshards

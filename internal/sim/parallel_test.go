@@ -170,22 +170,6 @@ func TestRunParallelTraceAndRegistry(t *testing.T) {
 	}
 }
 
-// sliceSource replays a fixed request slice; used to hit the
-// exhausted-source error path.
-type sliceSource struct {
-	reqs []workload.Request
-	i    int
-}
-
-func (s *sliceSource) Next() (workload.Request, bool) {
-	if s.i >= len(s.reqs) {
-		return workload.Request{}, false
-	}
-	r := s.reqs[s.i]
-	s.i++
-	return r, true
-}
-
 // TestRunSourceParallelExhausted asserts the parallel runner reports the
 // same exhaustion error as the sequential one.
 func TestRunSourceParallelExhausted(t *testing.T) {

@@ -73,7 +73,8 @@ type Config struct {
 	// durations are the latency model's): the schema the HTTP cluster
 	// writes, so one cdntrace invocation analyses either. IDs derive
 	// from the request id, so sequential and parallel runs write
-	// identical bytes. Warm-up requests are not traced.
+	// identical bytes. Warm-up requests are not traced. SpanSource
+	// replays the trace as requests.
 	Tracer *obs.Tracer
 	// Metrics, when non-nil, receives an end-of-run snapshot of the
 	// per-server hit/miss counters and the modelled response-time
@@ -191,8 +192,8 @@ func (m *Metrics) CDF() stats.CDF { return stats.NewCDF(m.ResponseTimesMs) }
 func (m *Metrics) Summary() stats.Summary { return stats.Summarize(m.ResponseTimesMs) }
 
 // Source yields the request sequence a simulation consumes. The
-// workload's IRM stream is the usual source; a recorded trace
-// (trace.Reader) is the other. ok = false means the source is exhausted.
+// workload's IRM stream is the usual source; a span trace replayed by
+// SpanSource is the other. ok = false means the source is exhausted.
 type Source interface {
 	Next() (req workload.Request, ok bool)
 }
@@ -429,10 +430,11 @@ func (m *Metrics) finalize(cfg *Config, totalRT, totalHops float64) {
 	}
 }
 
-// RunSource is Run driven by an explicit request source (e.g. a recorded
-// trace). It fails if the source is exhausted before warm-up plus
+// RunSource is Run driven by an explicit request source (e.g. a replayed
+// span trace). It fails if the source is exhausted before warm-up plus
 // measurement completes, or yields a request for a server the scenario
-// does not have.
+// does not have or for an object outside a known site's catalog. (A site
+// the scenario does not know is counted in Metrics.UnknownSite.)
 //
 // The requests are drawn cancelEvery at a time, and each block is stepped
 // server by server: a server's cache and counters depend only on its own
@@ -446,7 +448,7 @@ func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cf
 	}
 	sh := newShard(sc, p, &cfg, nil)
 	f := newFold(&cfg, sh.m)
-	n := sc.Sys.N()
+	n, sites := sc.Sys.N(), sc.Work.Sites
 	total := cfg.Warmup + cfg.Requests
 	size := min(cancelEvery, total)
 	blk := newOutcomes(size, true, cfg.Tracer != nil)
@@ -462,8 +464,8 @@ func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cf
 		clear(next)
 		for k := 0; k < b; k++ {
 			req, ok := src.Next()
-			if !ok || uint(req.Server) >= uint(n) {
-				return nil, drawErr(ok, req, t0+k, total, n)
+			if !ok || uint(req.Server) >= uint(n) || !inCatalog(sites, &req) {
+				return nil, drawErr(ok, req, t0+k, total, sites, n)
 			}
 			blk.reqs[k] = req
 			next[req.Server+1]++
@@ -485,13 +487,25 @@ func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cf
 	return sh.m, nil
 }
 
+// inCatalog reports whether req's object is a rank of its site. A site
+// the scenario does not know passes: step answers it 404 without reading
+// the catalog.
+func inCatalog(sites []*workload.Site, req *workload.Request) bool {
+	return uint(req.Site) >= uint(len(sites)) || uint(req.Object-1) < uint(len(sites[req.Site].Objects))
+}
+
 // drawErr is why drawing request t of total failed: the source ran out
-// (!ok), or the request names a server outside the n the scenario has.
-func drawErr(ok bool, req workload.Request, t, total, n int) error {
-	if !ok {
+// (!ok), or the request names a server outside the n the scenario has or
+// an object outside its site's catalog.
+func drawErr(ok bool, req workload.Request, t, total int, sites []*workload.Site, n int) error {
+	switch {
+	case !ok:
 		return fmt.Errorf("sim: request source exhausted after %d of %d requests", t, total)
+	case uint(req.Server) >= uint(n):
+		return fmt.Errorf("sim: request %d names server %d of %d", t, req.Server, n)
 	}
-	return fmt.Errorf("sim: request %d names server %d of %d", t, req.Server, n)
+	return fmt.Errorf("sim: request %d names object %d of site %d (%d objects)",
+		t, req.Object, req.Site, len(sites[req.Site].Objects))
 }
 
 // outcomes holds stepped requests' results by slot until they are folded:

@@ -18,7 +18,9 @@ import (
 // runners — which fold requests in the same global order — write
 // byte-identical spans.
 //
-// Callers gate on cfg.Tracer != nil, keeping the hot loop
+// The serve span is also the replay record SpanSource reads back, so it
+// carries what a request holds beyond its edge, site and object — see
+// serveAttrs. Callers gate on cfg.Tracer != nil, keeping the hot loop
 // allocation-free when tracing is off.
 func emitSimSpans(cfg *Config, k int, req *workload.Request, source string, hops, rtMs float64) {
 	seed := uint64(cfg.Tracer.NextID())
@@ -30,7 +32,7 @@ func emitSimSpans(cfg *Config, k int, req *workload.Request, source string, hops
 		Edge: req.Server, Site: req.Site, Object: req.Object,
 		StartUs: startUs,
 		DurUs:   int64(rtMs * 1000),
-		Attrs:   map[string]string{"source": source, "outcome": "ok"},
+		Attrs:   serveAttrs(req, source),
 	})
 	if hops > 0 {
 		// The redirected fraction: the upstream fetch begins after the
@@ -48,4 +50,28 @@ func emitSimSpans(cfg *Config, k int, req *workload.Request, source string, hops
 			},
 		})
 	}
+}
+
+// The serve-span attrs that make a span a replayable request. Each is
+// written only where the request differs from a static catalog's
+// cacheable request, so a λ = 0 static run's trace has none of them.
+const (
+	attrCacheable  = "cacheable"  // "0": the λ fraction, bypassing caches
+	attrGeneration = "generation" // the catalog generation asked for, when not 0
+	attrPerished   = "perished"   // "1": withdrawn content, a 404 at the origin
+)
+
+// serveAttrs is the serve span's attrs for req served from source.
+func serveAttrs(req *workload.Request, source string) map[string]string {
+	attrs := map[string]string{"source": source, "outcome": "ok"}
+	if !req.Cacheable {
+		attrs[attrCacheable] = "0"
+	}
+	if req.Generation != 0 {
+		attrs[attrGeneration] = strconv.Itoa(req.Generation)
+	}
+	if req.Perished {
+		attrs[attrPerished] = "1"
+	}
+	return attrs
 }

@@ -191,14 +191,14 @@ func connectRandom(g *graph.Graph, nodes []int, extraProb float64, r *xrand.Sour
 // "each server and primary site inside a randomly selected stub domain").
 // When n exceeds the number of stub domains, placement wraps around and
 // domains are reused, still avoiding duplicate node ids until a domain is
-// exhausted. It panics if n exceeds the total number of stub nodes.
-func (t *Topology) PlaceInStubs(n int, r *xrand.Source) []int {
+// exhausted. It fails if n exceeds the total number of stub nodes.
+func (t *Topology) PlaceInStubs(n int, r *xrand.Source) ([]int, error) {
 	totalStubNodes := 0
 	for _, s := range t.StubDomains {
 		totalStubNodes += len(s)
 	}
 	if n > totalStubNodes {
-		panic(fmt.Sprintf("topology: cannot place %d nodes in %d stub slots", n, totalStubNodes))
+		return nil, fmt.Errorf("topology: cannot place %d nodes in %d stub slots", n, totalStubNodes)
 	}
 	used := make(map[int]bool, n)
 	out := make([]int, 0, n)
@@ -226,5 +226,5 @@ func (t *Topology) PlaceInStubs(n int, r *xrand.Source) []int {
 			panic("topology: placement made no progress") // unreachable given the capacity check
 		}
 	}
-	return out
+	return out, nil
 }

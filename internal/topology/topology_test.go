@@ -131,7 +131,10 @@ func TestPlaceInStubsDistinctDomains(t *testing.T) {
 	topo := Generate(DefaultConfig(), xrand.New(7))
 	r := xrand.New(8)
 	n := len(topo.StubDomains) // exactly one per domain
-	nodes := topo.PlaceInStubs(n, r)
+	nodes, err := topo.PlaceInStubs(n, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(nodes) != n {
 		t.Fatalf("placed %d, want %d", len(nodes), n)
 	}
@@ -163,7 +166,10 @@ func TestPlaceInStubsWrapsAround(t *testing.T) {
 	topo := Generate(cfg, xrand.New(9))
 	// 4 stub domains x 3 nodes = 12 stub nodes; request more than the
 	// number of domains so wrap-around kicks in.
-	nodes := topo.PlaceInStubs(10, xrand.New(10))
+	nodes, err := topo.PlaceInStubs(10, xrand.New(10))
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
 	for _, n := range nodes {
 		if seen[n] {
@@ -173,7 +179,9 @@ func TestPlaceInStubsWrapsAround(t *testing.T) {
 	}
 }
 
-func TestPlaceInStubsPanicsWhenOverfull(t *testing.T) {
+// TestPlaceInStubsRejectsOverfull: more nodes than stub slots is an
+// error, not a panic — cdnd reaches it from a flag (-edges).
+func TestPlaceInStubsRejectsOverfull(t *testing.T) {
 	cfg := Config{
 		TransitDomains:        1,
 		TransitNodesPerDomain: 1,
@@ -181,12 +189,13 @@ func TestPlaceInStubsPanicsWhenOverfull(t *testing.T) {
 		StubNodesPerStub:      2,
 	}
 	topo := Generate(cfg, xrand.New(11))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic when placing more nodes than stub slots")
-		}
-	}()
-	topo.PlaceInStubs(3, xrand.New(12))
+	if nodes, err := topo.PlaceInStubs(2, xrand.New(12)); err != nil || len(nodes) != 2 {
+		t.Fatalf("2 nodes in 2 slots: %v, %v", nodes, err)
+	}
+	nodes, err := topo.PlaceInStubs(3, xrand.New(12))
+	if want := "topology: cannot place 3 nodes in 2 stub slots"; err == nil || err.Error() != want {
+		t.Fatalf("3 nodes in 2 slots: %v, %v; want error %q", nodes, err, want)
+	}
 }
 
 func TestGenerateConnectedProperty(t *testing.T) {

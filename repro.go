@@ -9,7 +9,8 @@
 //     replica placement algorithms (§4)
 //   - internal/scenario — transit–stub topology + SURGE workload assembly
 //     (§5.1)
-//   - internal/sim — the trace-driven CDN simulator (§5)
+//   - internal/sim — the trace-driven CDN simulator (§5); a run's span
+//     trace (SimConfig.Tracer) replays through it (SimulateTrace)
 //
 // The Figure 3–6 and §5.2 summary runners live in internal/experiments;
 // cmd/cdnsim runs them.
@@ -30,11 +31,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/lrumodel"
+	"repro/internal/obs"
 	"repro/internal/placement"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/trace"
-	"repro/internal/workload"
 	"repro/internal/xrand"
 )
 
@@ -161,27 +161,24 @@ func MustSimulate(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfig
 	return m
 }
 
-// Trace recording and replay: a recorded request trace replays through
-// the simulator bit-identically (internal/trace).
-type (
-	TraceHeader = trace.Header
-	TraceWriter = trace.Writer
-	TraceReader = trace.Reader
-	// Request is one synthetic HTTP request of the workload.
-	Request = workload.Request
-)
+// Tracer records a run's span trace as JSONL (SimConfig.Tracer): a serve
+// span per measured request, in the schema the live cluster writes. Flush
+// it before reading the output.
+type Tracer = obs.Tracer
 
-// NewTraceWriter starts writing a binary request trace.
-func NewTraceWriter(w io.Writer, h TraceHeader) (*TraceWriter, error) {
-	return trace.NewWriter(w, h)
-}
+// NewTracer returns a Tracer writing to w.
+func NewTracer(w io.Writer) *Tracer { return obs.NewTracer(w) }
 
-// NewTraceReader opens a binary request trace.
-func NewTraceReader(r io.Reader) (*TraceReader, error) { return trace.NewReader(r) }
-
-// SimulateTrace replays a recorded trace through the simulator.
-func SimulateTrace(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfig, tr *TraceReader) (*Metrics, error) {
-	return sim.RunSource(ctx, sc, p, cfg, tr)
+// SimulateTrace replays a JSONL span trace — what SimConfig.Tracer and
+// the live cluster's edges write — through the simulator: each serve
+// span that answers a client is one request (sim.SpanSource). A traced
+// run at Warmup 0 replays bit-identically.
+func SimulateTrace(ctx context.Context, sc *Scenario, p *Placement, cfg SimConfig, r io.Reader) (*Metrics, error) {
+	src, err := sim.SpanSource(r)
+	if err != nil {
+		return nil, err
+	}
+	return sim.RunSourceParallel(ctx, sc, p, cfg, src)
 }
 
 // The analytical hit-ratio models (§3.2 and beyond), usable stand-alone:
