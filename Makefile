@@ -28,8 +28,13 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# race also repeats, ten times over, the tests of the engine's upstream
+# transport (internal/httpcdn/transport.go): its idle pool and the body
+# that hands a connection back are shared between the serving goroutines,
+# and the context's AfterFunc interrupts I/O from another goroutine.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
+	$(GO) test -race -count=10 -run '^(TestTransport.*|TestUpstreamConnectionsAreReused|TestStaleUpstreamConnectionCostsNothing|TestClientHangUpBlamesNoUpstream)$$' ./internal/httpcdn/
 
 # fuzz-smoke runs every fuzz target for 10 s: the simulator's request
 # loop (the arena LRU/FIFO against the slice reference, the guided

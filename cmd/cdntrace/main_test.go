@@ -34,3 +34,21 @@ func TestCheckRejectsNonSpanRecord(t *testing.T) {
 		t.Fatalf("-check on a file with an event line: %v, want a not-a-span error", err)
 	}
 }
+
+// TestCheckAcceptsClientSpans: -check passes a trace whose requests hang
+// under a load generator's client span, as the benchmark's traces do.
+func TestCheckAcceptsClientSpans(t *testing.T) {
+	trace := obs.DeterministicTraceID(1)
+	client := `{"trace":"` + trace + `","span":"` + obs.DeterministicSpanID(1) +
+		`","kind":"client","edge":0,"site":0,"object":1,"start_us":0,"dur_us":30}`
+	serve := `{"trace":"` + trace + `","span":"` + obs.DeterministicSpanID(2) + `","parent":"` + obs.DeterministicSpanID(1) +
+		`","kind":"serve","edge":0,"site":0,"object":1,"start_us":5,"dur_us":20,` +
+		`"attrs":{"outcome":"ok","source":"replica"}}`
+	path := filepath.Join(t.TempDir(), "client.jsonl")
+	if err := os.WriteFile(path, []byte(client+"\n"+serve+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{path}, 1, "", true); err != nil {
+		t.Fatalf("-check on a trace with client spans: %v", err)
+	}
+}

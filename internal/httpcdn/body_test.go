@@ -292,6 +292,32 @@ func TestServeHitAllocs(t *testing.T) {
 	}
 }
 
+// TestServeMissAllocs pins the allocations of a miss relayed from an
+// origin over loopback: the engine's fetch and relay, the upstream round
+// trip on the caller's goroutine, and the origin's handler, which runs in
+// the same process. (On net/http's Transport, with its per-connection
+// read and write loops, it was 85.)
+func TestServeMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sc := smallScenario(t)
+	var versions Versions
+	e, replicated, _ := testEngine(t, sc, Config{}, 0, listen(t, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	w := &discardWriter{h: make(http.Header)}
+	r := httptest.NewRequest(http.MethodGet, ObjectPath((replicated+1)%sc.Sys.M(), 1), nil)
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(w.h)
+		e.ServeHTTP(w, r)
+	})
+	if got := w.h.Get("X-Cdn-Source"); got != SourceOrigin {
+		t.Fatalf("served from %q, want origin", got)
+	}
+	if allocs > 70 {
+		t.Errorf("miss: %.0f allocs per request, want at most 70", allocs)
+	}
+}
+
 // discardWriter is an http.ResponseWriter that drops the body.
 type discardWriter struct{ h http.Header }
 

@@ -89,7 +89,7 @@ type Engine struct {
 // upstreamIdleConns is how many idle connections an engine keeps to each
 // upstream: enough that an edge's concurrent misses to one peer or origin
 // reuse connections between bursts instead of redialling (net/http's
-// default keeps two).
+// default Transport keeps two).
 const upstreamIdleConns = 64
 
 // NewEngine builds the engine of edge cfg.ID; its roster starts with
@@ -113,15 +113,12 @@ func NewEngine(cfg EngineConfig) *Engine {
 	edgeLabel := obs.Labels{"edge": id}
 	e := &Engine{
 		cfg: cfg,
-		// The engine's own transport, with no timer of its own: every
-		// attempt runs under fetchOnce's context deadline (Retry.Timeout is
-		// never zero), and an idle connection lives until its server or
-		// CloseIdleConnections closes it. Bodies are synthetic, so no
-		// gzip negotiation either, and a 200 keeps its Content-Length.
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: upstreamIdleConns,
-			DisableCompression:  true,
-		}},
+		// The engine's own transport (transport.go), with no timer of its
+		// own: every attempt runs under fetchOnce's context deadline
+		// (Retry.Timeout is never zero), and an idle connection lives
+		// until its server or CloseIdleConnections closes it. It asks
+		// for no gzip, so a 200 keeps its Content-Length.
+		client:    &http.Client{Transport: newTransport()},
 		cachedVer: make(map[cache.Key]int),
 		learned:   make(map[cache.Key]int),
 		hits:      reg.Counter("cdn_edge_cache_hits_total", "Cache hits at an edge.", edgeLabel),
@@ -253,9 +250,15 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sp := NewSpan(e.cfg.Spans, obs.SpanServe, trace, parent, e.cfg.ID, site, object)
 	source, hops, ok := e.handle(w, r, site, object, internal, sp)
 	if !ok {
-		sp.Attr("outcome", "error")
+		if r.Context().Err() != nil {
+			// The client hung up (or its request ran out of time) before
+			// the edge had an answer: not an edge failure.
+			sp.Attr("outcome", "canceled")
+		} else {
+			sp.Attr("outcome", "error")
+			e.fails.Inc()
+		}
 		sp.End()
-		e.fails.Inc()
 		return
 	}
 	sp.Attr("source", source.String())
@@ -312,6 +315,9 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 		if ferr == nil {
 			used = u
 			break
+		}
+		if r.Context().Err() != nil {
+			break // nobody is waiting for the next candidate
 		}
 	}
 	if ferr != nil {
@@ -432,7 +438,9 @@ func (e *Engine) upstreams(pl *core.Placement, site int, internal bool) (ups []u
 // timeouts, bounded attempts, exponential backoff with jitter between
 // them. The overall outcome — success, or failure after the last
 // attempt — is fed to u's health tracker; an ejected upstream is only
-// contacted under its half-open probe token.
+// contacted under its half-open probe token. A fetch cut short because
+// ctx (the serving request's context) ended says nothing about u: it
+// feeds no outcome and hands back a probe token it held.
 func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp *Span) (body []byte, etag string, err error) {
 	down := error(ErrOriginDown)
 	if u.kind == "edge" {
@@ -445,7 +453,8 @@ func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp
 		return nil, "", fmt.Errorf("%w: no address for %s %d yet", down, u.kind, u.id)
 	}
 	t := e.trackerFor(u)
-	if !t.AcquireProbe(time.Now()) {
+	ok, probe := t.acquire(time.Now())
+	if !ok {
 		sp.Attr("gated", "ejected")
 		return nil, "", fmt.Errorf("%w: %s %d is ejected", down, u.kind, u.id)
 	}
@@ -471,9 +480,14 @@ func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp
 	if err != nil && !errors.Is(err, ErrEdgeTimeout) && !errors.Is(err, ErrUpstreamStatus) {
 		err = fmt.Errorf("%w: %v", down, err)
 	}
-	if err == nil {
+	switch {
+	case err == nil:
 		t.Success()
-	} else {
+	case ctx.Err() != nil:
+		if probe {
+			t.abandonProbe()
+		}
+	default:
 		t.Failure(e.cfg.FailThreshold, e.cfg.EjectFor, time.Now())
 	}
 	return body, etag, err

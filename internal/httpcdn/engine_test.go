@@ -1,6 +1,7 @@
 package httpcdn
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
@@ -64,5 +65,123 @@ func TestUnknownUpstreamIsNotFailedUpstream(t *testing.T) {
 	}
 	if st := e.Stats(); st.OriginFetch != 1 || st.CacheLookups() != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// tracedEngine is testEngine with a span tracer on buf.
+func tracedEngine(t *testing.T, cfg Config, originURL string) (e *Engine, missSite int, origin *Tracker, tr *obs.Tracer, buf *bytes.Buffer) {
+	t.Helper()
+	sc := smallScenario(t)
+	e, replicated, origin := testEngine(t, sc, cfg, 64<<20, originURL)
+	buf = new(bytes.Buffer)
+	tr = obs.NewTracer(buf)
+	e.cfg.Spans = tr
+	return e, (replicated + 1) % sc.Sys.M(), origin, tr, buf
+}
+
+// flushSpans reads back what tr has written to buf.
+func flushSpans(t *testing.T, tr *obs.Tracer, buf *bytes.Buffer) []obs.Span {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := obs.ReadTrace(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spans
+}
+
+// TestClientHangUpBlamesNoUpstream: clients that leave while their miss
+// waits on a slow but healthy origin are not the origin's failures. The
+// origin's tracker sees no outcome, the edge counts no error and the
+// serve spans say canceled; a hang-up during a half-open probe hands the
+// probe back, so the next request readmits the origin. (Before the fix
+// three such hang-ups ejected the origin for EjectFor.)
+func TestClientHangUpBlamesNoUpstream(t *testing.T) {
+	const slow = 100 * time.Millisecond
+	var versions Versions
+	sc := smallScenario(t)
+	originHandler := NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)
+	url := listen(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-time.After(slow):
+			originHandler.ServeHTTP(w, r)
+		case <-r.Context().Done():
+		}
+	}))
+	e, site, origin, tr, buf := tracedEngine(t, Config{}, url)
+	hangUp := func(object int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		time.AfterFunc(10*time.Millisecond, cancel)
+		e.ServeHTTP(&countingWriter{h: make(http.Header)},
+			httptest.NewRequest(http.MethodGet, ObjectPath(site, object), nil).WithContext(ctx))
+	}
+	for object := 1; object <= 3; object++ {
+		hangUp(object)
+	}
+	if st := origin.Snapshot("origin", 0, time.Now()); st.State != "healthy" || st.ConsecutiveFailures != 0 {
+		t.Fatalf("origin after three hang-ups: %+v, want healthy with no failures", st)
+	}
+	if n := e.fails.Value(); n != 0 {
+		t.Fatalf("cdn_edge_errors_total = %d after hang-ups, want 0", n)
+	}
+	canceled := 0
+	for _, s := range flushSpans(t, tr, buf) {
+		if s.Kind == obs.SpanServe {
+			if s.Attrs["outcome"] != "canceled" {
+				t.Fatalf("serve span of a hang-up: outcome %q, want canceled", s.Attrs["outcome"])
+			}
+			canceled++
+		}
+	}
+	if canceled != 3 {
+		t.Fatalf("%d canceled serve spans, want 3", canceled)
+	}
+
+	// Eject the origin with a window that has already passed: the next
+	// fetch is its half-open probe, and its client hangs up.
+	origin.Failure(1, time.Millisecond, time.Now().Add(-time.Second))
+	hangUp(4)
+	if w := serve(e, site, 5); w.status != http.StatusOK {
+		t.Fatalf("after an abandoned probe: status %d class %q, want the origin probed and served", w.status, w.h.Get(ErrorHeader))
+	}
+	if origin.IsEjected() {
+		t.Fatal("the successful probe did not readmit the origin")
+	}
+}
+
+// TestStaleUpstreamConnectionCostsNothing: an idle upstream connection
+// that its server closed is replaced on the spot — the miss is served on
+// its first attempt, and neither the origin's health nor the edge's
+// error count hears of it.
+func TestStaleUpstreamConnectionCostsNothing(t *testing.T) {
+	var versions Versions
+	sc := smallScenario(t)
+	srv := httptest.NewServer(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))
+	defer srv.Close()
+	e, site, origin, tr, buf := tracedEngine(t, Config{}, srv.URL)
+	if w := serve(e, site, 1); w.status != http.StatusOK {
+		t.Fatalf("first miss: status %d", w.status)
+	}
+	srv.CloseClientConnections()
+	if w := serve(e, site, 2); w.status != http.StatusOK || w.h.Get("X-Cdn-Source") != SourceOrigin {
+		t.Fatalf("miss on a stale connection: status %d source %q", w.status, w.h.Get("X-Cdn-Source"))
+	}
+	var attempts []string
+	for _, s := range flushSpans(t, tr, buf) {
+		if s.Kind == obs.SpanUpstream && s.Object == 2 {
+			attempts = append(attempts, s.Attrs["attempt"]+":"+s.Attrs["outcome"])
+		}
+	}
+	if len(attempts) != 1 || attempts[0] != "1:ok" {
+		t.Fatalf("upstream attempts of the second miss: %v, want [1:ok]", attempts)
+	}
+	if st := origin.Snapshot("origin", 0, time.Now()); st.ConsecutiveFailures != 0 {
+		t.Fatalf("origin blamed for a stale connection: %+v", st)
+	}
+	if n := e.fails.Value(); n != 0 {
+		t.Fatalf("cdn_edge_errors_total = %d, want 0", n)
 	}
 }

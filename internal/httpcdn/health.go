@@ -117,16 +117,33 @@ func (t *Tracker) Candidate(now time.Time) bool {
 // an ejected one passes exactly once per half-open window (the probe),
 // and concurrent fetches see false until that probe's outcome lands.
 func (t *Tracker) AcquireProbe(now time.Time) bool {
+	ok, _ := t.acquire(now)
+	return ok
+}
+
+// acquire is AcquireProbe that also reports whether the pass is the
+// half-open probe token, which its holder must settle: Success, Failure
+// or abandonProbe.
+func (t *Tracker) acquire(now time.Time) (ok, probe bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.ejected {
-		return true
+		return true, false
 	}
 	if t.probing || now.Before(t.until) {
-		return false
+		return false, false
 	}
 	t.probing = true
-	return true
+	return true, true
+}
+
+// abandonProbe hands back a probe token without a verdict (the fetch was
+// cut short by its own client): the component stays ejected and the
+// next fetch may probe it.
+func (t *Tracker) abandonProbe() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.probing = false
 }
 
 // Success records a successful fetch, readmitting an ejected component.

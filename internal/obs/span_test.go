@@ -169,6 +169,21 @@ func TestValidateSpanRejects(t *testing.T) {
 	}
 }
 
+// TestValidateSpanAcceptsClient: a load generator's client span, the
+// root of the serve span beneath it, passes the check — though it is not
+// one of SpanKinds, which the per-kind tables iterate.
+func TestValidateSpanAcceptsClient(t *testing.T) {
+	client := Span{Trace: NewTraceID(), Span: NewSpanID(), Kind: SpanClient}
+	if err := ValidateSpan(client); err != nil {
+		t.Fatalf("client span rejected: %v", err)
+	}
+	for _, k := range SpanKinds {
+		if k == SpanClient {
+			t.Fatal("SpanClient is listed in SpanKinds")
+		}
+	}
+}
+
 // failAfter fails every write after the first n bytes.
 type failAfter struct {
 	n       int
