@@ -31,10 +31,14 @@ fmt:
 # race also repeats, ten times over, the tests of the engine's upstream
 # transport (internal/httpcdn/transport.go): its idle pool and the body
 # that hands a connection back are shared between the serving goroutines,
-# and the context's AfterFunc interrupts I/O from another goroutine.
+# and the context's AfterFunc interrupts I/O from another goroutine. The
+# same goes for the server's connection loop (internal/serverutil): its
+# hang-up watcher reads the socket beside the serving goroutine, and
+# Shutdown closes connections from another.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
+	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/serverutil/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
 	$(GO) test -race -count=10 -run '^(TestTransport.*|TestUpstreamConnectionsAreReused|TestStaleUpstreamConnectionCostsNothing|TestClientHangUpBlamesNoUpstream)$$' ./internal/httpcdn/
+	$(GO) test -race -count=10 -run '^(TestConnProtocol|TestHangUpCancelsContext|TestHitStartsNoGoroutine|TestWatcher.*|TestShutdown.*)$$' ./internal/serverutil/
 
 # fuzz-smoke runs every fuzz target for 10 s: the simulator's request
 # loop (the arena LRU/FIFO against the slice reference, the guided
@@ -43,8 +47,9 @@ race:
 # upper bound and its Equation (1) kernel, the hybrid placement heap
 # against its scanning oracle, and the network-facing parsers and
 # decoders: Traceparent headers, object paths, ETags, the control
-# plane's demand reports, an edge's placement pushes and span traces
-# replayed through the simulator. Minimizing a new corpus entry is
+# plane's demand reports, an edge's placement pushes, span traces
+# replayed through the simulator and arbitrary bytes on a server
+# connection. Minimizing a new corpus entry is
 # capped, or it eats the whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUOps$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
@@ -59,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReportBatch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
 	$(GO) test -run '^$$' -fuzz '^FuzzPlacementPush$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/clusterd/
 	$(GO) test -run '^$$' -fuzz '^FuzzSpanReplay$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeConn$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/serverutil/
 
 # bench-module compiles, vets and tests bench/, which `./...` does not
 # reach (it is a module of its own): a change to an exported signature

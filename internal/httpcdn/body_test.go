@@ -241,6 +241,17 @@ func TestOneWritePerBody(t *testing.T) {
 				if int64(w.body.Len()) != size || !VerifyBody(w.body.Bytes(), tc.site, object, 0) {
 					t.Fatalf("%s: wrong body (%d bytes, want %d)", tc.source, w.body.Len(), size)
 				}
+				// Every object response declares its length, tag and type,
+				// so no server has to buffer or sniff it.
+				for key, want := range map[string]string{
+					"Content-Length": fmt.Sprint(size),
+					"Etag":           oracleETagFor(tc.site, object, 0),
+					"Content-Type":   "application/octet-stream",
+				} {
+					if got := w.h.Values(key); len(got) != 1 || got[0] != want {
+						t.Errorf("%s: %s %q, want %q", tc.source, key, got, want)
+					}
+				}
 				// A relayed body is the one buffer its fetch filled.
 				want := 1
 				if tc.source != SourceOrigin {

@@ -81,6 +81,10 @@ var sourceHeader = [numSources][]string{
 
 func (id sourceID) String() string { return sourceHeader[id][0] }
 
+// objectType is the Content-Type value of every object body, shared like
+// sourceHeader: a response that declares its type is not sniffed.
+var objectType = []string{"application/octet-stream"}
+
 // setObjectHeaders assigns the standard CDN headers of a 200. The keys
 // are written in canonical form, which spares Header.Set's
 // canonicalisation pass, and the two per-response values share one
@@ -88,6 +92,7 @@ func (id sourceID) String() string { return sourceHeader[id][0] }
 func setObjectHeaders(h http.Header, source sourceID, etag string, size int64) {
 	vals := []string{strconv.FormatInt(size, 10), etag}
 	h["X-Cdn-Source"] = sourceHeader[source]
+	h["Content-Type"] = objectType
 	h["Content-Length"] = vals[0:1:1]
 	h["Etag"] = vals[1:2:2]
 }

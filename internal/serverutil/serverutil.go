@@ -5,19 +5,25 @@
 // /debug/pprof/) from an obs.Registry, and drain in-flight requests on
 // shutdown instead of snapping connections.
 //
-// Every clusterd component serves through it. The drain discipline is
-// what the graceful-shutdown tests pin:
-// after Shutdown begins, requests already accepted complete with their
-// real status (zero 5xx from the shutdown itself) while new connections
-// are refused.
+// Every clusterd component serves through it. The server is its own
+// HTTP/1.1 connection loop (conn.go), not net/http's Server: one
+// goroutine per connection parses each request with http.ReadRequest
+// and runs the handler on that goroutine, and a response with a
+// declared length goes out as one writev of its header block and first
+// body piece. The drain discipline is what the graceful-shutdown tests
+// pin: after Shutdown begins, requests already accepted complete with
+// their real status (zero 5xx from the shutdown itself) while new
+// connections are refused.
 package serverutil
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -37,7 +43,7 @@ type Config struct {
 	// 0 selects DefaultDrainTimeout.
 	DrainTimeout time.Duration
 	// Logf, when non-nil, receives serve-loop errors (a closed listener
-	// during shutdown is not reported).
+	// during shutdown is not reported) and handler panics.
 	Logf func(format string, args ...any)
 }
 
@@ -45,11 +51,14 @@ type Config struct {
 type Server struct {
 	cfg Config
 	ln  net.Listener
-	srv *http.Server
 
-	mu     sync.Mutex
-	closed bool
-	done   chan struct{}
+	// shutting is set once Shutdown begins: idle connections close, and
+	// a response in flight is the last on its connection.
+	shutting atomic.Bool
+	mu       sync.Mutex
+	conns    map[*conn]struct{}
+	active   sync.WaitGroup // connection goroutines
+	done     chan struct{}  // closed when the accept loop exits
 }
 
 // Start binds cfg.Addr and serves cfg.Handler in the background. Always
@@ -66,20 +75,60 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serverutil: listen %s: %w", cfg.Addr, err)
 	}
 	s := &Server{
-		cfg:  cfg,
-		ln:   ln,
-		srv:  &http.Server{Handler: cfg.Handler},
-		done: make(chan struct{}),
+		cfg:   cfg,
+		ln:    ln,
+		conns: make(map[*conn]struct{}),
+		done:  make(chan struct{}),
 	}
-	go func() {
-		defer close(s.done)
-		if err := s.srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			if cfg.Logf != nil {
-				cfg.Logf("serverutil: serve %s: %v", ln.Addr(), err)
-			}
-		}
-	}()
+	go s.acceptLoop()
 	return s, nil
+}
+
+// acceptLoop hands every accepted connection to a goroutine of its own
+// until the listener closes. A failed Accept is retried with backoff, as
+// net/http does for a transient error such as running out of file
+// descriptors.
+func (s *Server) acceptLoop() {
+	defer close(s.done)
+	var backoff time.Duration
+	for {
+		rwc, err := s.ln.Accept()
+		if err != nil {
+			if s.shutting.Load() || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.logf("serverutil: accept on %s: %v; retrying in %v", s.ln.Addr(), err, backoff)
+			time.Sleep(backoff)
+			continue
+		}
+		backoff = 0
+		c := newConn(s, rwc)
+		s.mu.Lock()
+		if s.shutting.Load() {
+			s.mu.Unlock()
+			rwc.Close()
+			return
+		}
+		s.conns[c] = struct{}{}
+		s.active.Add(1)
+		s.mu.Unlock()
+		go c.serve()
+	}
+}
+
+// forget drops a finished connection.
+func (s *Server) forget(c *conn) {
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+	s.active.Done()
+}
+
+func (s *Server) logf(format string, args ...any) {
+	if s.cfg.Logf != nil {
+		s.cfg.Logf(format, args...)
+	}
 }
 
 // Addr returns the bound address (the real port when Addr was ":0").
@@ -88,22 +137,43 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // URL returns the http:// base URL of the server.
 func (s *Server) URL() string { return "http://" + s.Addr() }
 
-// Shutdown stops accepting connections and waits — up to the drain
-// timeout, or until ctx is done, whichever is sooner — for in-flight
-// requests to complete. It is idempotent.
+// Shutdown stops accepting connections, closes the idle ones and waits
+// — up to the drain timeout, or until ctx is done, whichever is sooner —
+// for in-flight requests to complete; then it closes the connections
+// that are left and returns the context's error. It is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.shutting.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
+	s.ln.Close()
+	<-s.done
+	s.mu.Lock()
+	for c := range s.conns {
+		c.closeIfIdle()
+	}
 	s.mu.Unlock()
+
+	// The waiter exits with the last connection goroutine: on a timeout,
+	// closing the connections below ends every handler that heeds its
+	// context.
+	drained := make(chan struct{})
+	go func() {
+		s.active.Wait()
+		close(drained)
+	}()
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
 	defer cancel()
-	err := s.srv.Shutdown(dctx)
-	<-s.done
-	return err
+	select {
+	case <-drained:
+		return nil
+	case <-dctx.Done():
+		s.mu.Lock()
+		for c := range s.conns {
+			c.rwc.Close()
+		}
+		s.mu.Unlock()
+		return dctx.Err()
+	}
 }
 
 // Close shuts down with a background-context drain — the deferred-close
