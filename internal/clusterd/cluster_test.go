@@ -3,10 +3,13 @@ package clusterd
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -611,6 +614,72 @@ func TestLoadStaleLinks(t *testing.T) {
 	// Rejecting a bad fraction is part of the contract.
 	if _, err := RunLoad(ctx, LoadConfig{ControlURL: tc.Control.URL(), Requests: 1, StaleLinkFrac: 1}); err == nil {
 		t.Error("RunLoad accepted StaleLinkFrac = 1")
+	}
+}
+
+// TestLoadEjectsAFailingEdge: the load generator's health trackers take
+// a failing edge out of rotation. Under an error fault that lasts the
+// rest of the run, the edge is sent at most DefaultFailThreshold failing
+// attempts before its ejection, one half-open probe per DefaultEjectFor
+// and one attempt per worker already under way — not every request
+// mapped to it — and no request is lost.
+func TestLoadEjectsAFailingEdge(t *testing.T) {
+	tc := startCluster(t, Params{Edges: 2, Seed: 1, CapacityFrac: 0.15},
+		ControlConfig{Interval: time.Hour, ReportEvery: time.Hour})
+	const faulted, workers = 1, 4
+	// The client reaches the faulted edge through a proxy that counts the
+	// fault's answers, listed in a members page of its own; the edges
+	// still reach each other directly.
+	target, err := url.Parse(tc.Edges[faulted].URL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var failed atomic.Int64
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Header.Get("X-Cdn-Fault") != "" {
+			failed.Add(1)
+		}
+		return nil
+	}
+	front := httptest.NewServer(proxy)
+	defer front.Close()
+	members := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		m, err := WaitMembers(r.Context(), nil, tc.Control.URL())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
+		for i := range m.Edges {
+			if m.Edges[i].ID == faulted {
+				m.Edges[i].URL = front.URL
+			}
+		}
+		json.NewEncoder(w).Encode(m)
+	}))
+	defer members.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := RunLoad(ctx, LoadConfig{ControlURL: members.URL, Requests: 2000, Workers: workers,
+		Seed: 11, FaultEdge: faulted, FaultMode: "error", FaultAt: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if res.Errors != 0 {
+		t.Fatalf("lost %d/%d requests: %v", res.Errors, res.Requests, res.ErrorClasses)
+	}
+	probes := int64(elapsed/httpcdn.DefaultEjectFor) + 1
+	bound := httpcdn.DefaultFailThreshold + probes + workers
+	t.Logf("edge %d failed %d attempts in %v (bound %d); %d requests steered", faulted, failed.Load(), elapsed, bound, res.Steered)
+	if failed.Load() == 0 {
+		t.Fatal("the fault never bit")
+	}
+	if failed.Load() > bound {
+		t.Fatalf("edge %d was sent %d attempts under its fault, want at most %d: %d to eject it, %d probes, %d in flight",
+			faulted, failed.Load(), bound, httpcdn.DefaultFailThreshold, probes, workers)
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/httpcdn"
 	"repro/internal/obs"
@@ -82,8 +82,8 @@ type LoadResult struct {
 	// failure of each lost request (origin-down, peer-down, timeout,
 	// corrupt-payload, ...).
 	ErrorClasses map[string]int64 `json:"error_classes,omitempty"`
-	// Steered counts requests that failed on their nearest edge and
-	// succeeded on a failover edge.
+	// Steered counts requests served by an edge other than their
+	// nearest: it failed them, or its health tracker had ejected it.
 	Steered int64 `json:"steered"`
 	// NotFound counts deliberate stale-link requests (StaleLinkFrac)
 	// that the edge answered 404, as it should.
@@ -142,8 +142,9 @@ type loadWorker struct {
 // connections, optionally running the chaos drill, and returns the
 // merged measurements. Each request goes to the edge the workload model
 // says the client is nearest to; on failure the client steers to the
-// remaining edges cheapest-first, so a single faulted edge costs
-// latency, not availability.
+// remaining edges nearest-first, and an edge that keeps failing is
+// ejected for a while, so a single faulted edge costs some latency,
+// not availability.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("clusterd: %d requests", cfg.Requests)
@@ -189,20 +190,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 			edgeURL[m.ID] = m.URL
 		}
 	}
-	// fallback[i] is every other edge ordered by cost from edge i, the
-	// same cheapest-first discipline the simulator's failover uses.
-	fallback := make([][]int, sc.Sys.N())
-	for i := range fallback {
-		for k := 0; k < sc.Sys.N(); k++ {
-			if k != i {
-				fallback[i] = append(fallback[i], k)
-			}
-		}
-		fi := fallback[i]
-		sort.Slice(fi, func(a, b int) bool {
-			return sc.Sys.CostServer[i][fi[a]] < sc.Sys.CostServer[i][fi[b]]
-		})
-	}
+	// One passive health tracker per edge, shared by the workers and fed
+	// by every attempt (do).
+	health := make([]httpcdn.Tracker, sc.Sys.N())
 
 	var drill *FaultSummary
 	if mode != fault.ModeOff {
@@ -261,7 +251,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 					lw.doStale(ctx, client, sc.Sys.M(), edgeURL, req)
 					continue
 				}
-				lw.do(ctx, client, edgeURL, fallback, req)
+				lw.do(ctx, client, sc.Sys, edgeURL, health, req)
 			}
 		}(lw, stream, n)
 	}
@@ -315,30 +305,35 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	return res, nil
 }
 
-// do issues one request, steering across edges cheapest-first until one
-// answers. The full attempt chain is timed as one client-visible
-// latency observation.
-func (lw *loadWorker) do(ctx context.Context, client *http.Client, edgeURL []string, fallback [][]int, req workload.Request) {
-	primary := req.Server // the stream draws from the deployment's own scenario
+// do issues one request, steering across the edges nearest-first from
+// the client's own (core's rule) until one answers. An edge its tracker
+// ejected is passed over bar its half-open probe, so a blackholed edge
+// costs the client's timeout a few times, not once per request. The
+// full attempt chain is timed as one client-visible latency observation.
+func (lw *loadWorker) do(ctx context.Context, client *http.Client, sys *core.System, edgeURL []string, health []httpcdn.Tracker, req workload.Request) {
 	t0 := time.Now()
-	res, err := httpcdn.Get(ctx, client, edgeURL[primary], req.Site, req.Object)
-	if err != nil {
-		for _, k := range fallback[primary] {
-			if edgeURL[k] == "" {
-				continue
-			}
-			if res, err = httpcdn.Get(ctx, client, edgeURL[k], req.Site, req.Object); err == nil {
-				break
-			}
+	tried := make([]bool, len(edgeURL))
+	offered := func(k int) bool { return !tried[k] && edgeURL[k] != "" && health[k].Candidate(time.Now()) }
+	err := httpcdn.ErrEdgeDown // what a request loses with every edge ejected
+	for k, _ := sys.NearestServer(req.Server, offered); k >= 0; k, _ = sys.NearestServer(req.Server, offered) {
+		tried[k] = true
+		if !health[k].AcquireProbe(time.Now()) {
+			continue // another worker holds its probe
 		}
-		if err != nil {
-			lw.fail(err)
-			return
+		var res httpcdn.FetchResult
+		if res, err = httpcdn.Get(ctx, client, edgeURL[k], req.Site, req.Object); err != nil {
+			health[k].Failure(httpcdn.DefaultFailThreshold, httpcdn.DefaultEjectFor, time.Now())
+			continue
 		}
-		lw.steered++
+		health[k].Success()
+		if k != req.Server { // the stream draws from the deployment's own scenario
+			lw.steered++
+		}
+		lw.observe(t0)
+		lw.by[res.Source]++
+		return
 	}
-	lw.observe(t0)
-	lw.by[res.Source]++
+	lw.fail(err)
 }
 
 // fail counts one lost request under its error class.

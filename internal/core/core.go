@@ -15,7 +15,10 @@
 // algorithms in internal/placement drive this type.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // System is an immutable description of one CDN deployment: topology
 // costs, site sizes and per-server demand. Placements reference a System
@@ -204,10 +207,52 @@ func (p *Placement) Free(i int) int64 { return p.free[i] }
 // Replicas returns the total number of replicas created.
 func (p *Placement) Replicas() int { return p.replicas }
 
-// Nearest returns SN_j^(i) (a server index, or Origin) and its cost.
-// If X_ij = 1 it returns (i, 0).
+// Nearest returns SN_j^(i) (a server index, or Origin) and its cost,
+// NearestSource's answer with every source up. If X_ij = 1 it is (i, 0).
 func (p *Placement) Nearest(i, j int) (server int, cost float64) {
 	return p.nearest[i][j], p.nearestCost[i][j]
+}
+
+// NearestSource answers "who serves site j from server i" — SN_j^(i) of
+// §3.1 among the live sources — under the one nearest-source rule:
+// server i's own replica first, then the lowest cost; the origin wins a
+// tie with a server, and the lower index a tie between servers. up(k)
+// says whether server k may serve (nil: every server may); it is asked
+// about every server holding site j unless i's own replica answers.
+// originUp says whether site j's origin may. With no live source the
+// answer is (Origin, +Inf).
+func (p *Placement) NearestSource(i, j int, up func(k int) bool, originUp bool) (server int, cost float64) {
+	if p.x[i][j] && (up == nil || up(i)) {
+		return i, 0
+	}
+	server, cost = Origin, math.Inf(1)
+	if originUp {
+		cost = p.sys.CostOrigin[i][j]
+	}
+	row := p.sys.CostServer[i]
+	for k, xk := range p.x {
+		if xk[j] && (up == nil || up(k)) && row[k] < cost {
+			server, cost = k, row[k]
+		}
+	}
+	return server, cost
+}
+
+// NearestServer is the rule among servers alone: the cheapest server to
+// server i that up admits — i itself first, then the lowest cost, the
+// lower index on a tie — or (-1, +Inf) when up admits none. up is asked
+// about every server unless it admits i.
+func (s *System) NearestServer(i int, up func(k int) bool) (server int, cost float64) {
+	if up(i) {
+		return i, 0
+	}
+	server, cost = -1, math.Inf(1)
+	for k, c := range s.CostServer[i] {
+		if up(k) && c < cost {
+			server, cost = k, c
+		}
+	}
+	return server, cost
 }
 
 // NearestCost returns C(i, SN_j^(i)).
@@ -228,7 +273,7 @@ func (p *Placement) Replicate(i, j int) error {
 }
 
 // ReplicateTracked is Replicate that also reports the servers whose
-// SN entry for site j strictly improved (the placement algorithms use
+// SN cost for site j strictly improved (the placement algorithms use
 // this for exact incremental benefit maintenance). The slice is freshly
 // allocated and always includes i when the call succeeds.
 func (p *Placement) ReplicateTracked(i, j int) ([]int, error) {
@@ -242,28 +287,20 @@ func (p *Placement) ReplicateTracked(i, j int) ([]int, error) {
 	p.x[i][j] = true
 	p.free[i] -= p.sys.SiteBytes[j]
 	p.replicas++
-	// The new replica can only improve SN entries for site j.
+	// The new replica can only improve SN entries for site j; under
+	// NearestSource's rule it also takes a tied entry from a higher-index
+	// server (not from the origin, nor from a server's own replica).
 	var improved []int
 	for k := 0; k < p.sys.N(); k++ {
-		if c := p.sys.CostServer[k][i]; c < p.nearestCost[k][j] {
-			p.nearest[k][j] = i
-			p.nearestCost[k][j] = c
+		c, snCost := p.sys.CostServer[k][i], p.nearestCost[k][j]
+		if c < snCost || k == i {
+			// i itself is always affected (its free space changed) even
+			// if its SN cost was already optimal.
 			improved = append(improved, k)
+		} else if c > snCost || i > p.nearest[k][j] || p.x[k][j] {
+			continue
 		}
-	}
-	// i itself is always affected (its free space changed) even if its
-	// SN entry was already optimal.
-	if len(improved) == 0 || improved[0] != i {
-		found := false
-		for _, k := range improved {
-			if k == i {
-				found = true
-				break
-			}
-		}
-		if !found {
-			improved = append(improved, i)
-		}
+		p.nearest[k][j], p.nearestCost[k][j] = i, c
 	}
 	return improved, nil
 }
@@ -370,18 +407,11 @@ func (p *Placement) CheckInvariants() error {
 			if p.x[i][j] {
 				used += p.sys.SiteBytes[j]
 			}
-			// Recompute SN_j^(i) from scratch.
-			bestSrv, bestCost := Origin, p.sys.CostOrigin[i][j]
-			for k := 0; k < p.sys.N(); k++ {
-				if p.x[k][j] && p.sys.CostServer[i][k] < bestCost {
-					bestSrv, bestCost = k, p.sys.CostServer[i][k]
-				}
+			// SN_j^(i), server and cost, recomputed from scratch.
+			if k, c := p.NearestSource(i, j, nil, true); p.nearest[i][j] != k || p.nearestCost[i][j] != c {
+				return fmt.Errorf("core: SN (%d,%d) = (%d, %v), recomputed (%d, %v)",
+					i, j, p.nearest[i][j], p.nearestCost[i][j], k, c)
 			}
-			if p.nearestCost[i][j] != bestCost {
-				return fmt.Errorf("core: SN cost (%d,%d) = %v, recomputed %v",
-					i, j, p.nearestCost[i][j], bestCost)
-			}
-			_ = bestSrv // cost equality is the binding invariant; ties may differ
 		}
 		if used+p.free[i] != p.sys.Capacity[i] {
 			return fmt.Errorf("core: server %d used %d + free %d != capacity %d",

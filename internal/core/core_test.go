@@ -343,3 +343,129 @@ func TestWithServersDown(t *testing.T) {
 		t.Fatal("wrong-length down vector accepted")
 	}
 }
+
+// TestNearestIndependentOfReplicaOrder: on topologies full of cost ties
+// (integer hops, co-located servers, origins as near as a replica), SN
+// — server and cost — is NearestSource's from-scratch answer whatever
+// order the same replica set was built in.
+func TestNearestIndependentOfReplicaOrder(t *testing.T) {
+	for seed := uint64(0); seed < 40; seed++ {
+		r := xrand.New(seed)
+		n, m := 3+r.Intn(8), 1+r.Intn(5)
+		sys := tiedSystem(r, n, m)
+		if err := sys.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		var set [][2]int
+		for i := 0; i < n; i++ {
+			for j := 0; j < m; j++ {
+				if r.Intn(3) == 0 {
+					set = append(set, [2]int{i, j})
+				}
+			}
+		}
+		var first *Placement
+		for order := 0; order < 6; order++ {
+			r.Shuffle(len(set), func(a, b int) { set[a], set[b] = set[b], set[a] })
+			p := NewPlacement(sys)
+			for _, x := range set {
+				if err := p.Replicate(x[0], x[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d, order %d: %v", seed, order, err)
+			}
+			if first == nil {
+				first = p
+			}
+			for i := 0; i < n; i++ {
+				for j := 0; j < m; j++ {
+					srv, cost := p.Nearest(i, j)
+					if k, c := p.NearestSource(i, j, nil, true); srv != k || cost != c {
+						t.Fatalf("seed %d, order %d: SN(%d,%d) = (%d, %v), NearestSource (%d, %v)", seed, order, i, j, srv, cost, k, c)
+					}
+					if k, c := first.Nearest(i, j); srv != k || cost != c {
+						t.Fatalf("seed %d: SN(%d,%d) = (%d, %v) in one order, (%d, %v) in another", seed, i, j, k, c, srv, cost)
+					}
+				}
+			}
+		}
+	}
+}
+
+// tiedSystem is a random valid system on a short integer line: servers
+// share positions (cost 0 apart) and equal distances, and each origin
+// sits a whole number of hops away, so every rule of NearestSource's
+// tie order is exercised. Every server can hold every site.
+func tiedSystem(r *xrand.Source, n, m int) *System {
+	pos := make([]int, n)
+	for i := range pos {
+		pos[i] = r.Intn(4)
+	}
+	sys := &System{
+		CostServer: make([][]float64, n),
+		CostOrigin: make([][]float64, n),
+		Demand:     make([][]float64, n),
+		SiteBytes:  make([]int64, m),
+		Capacity:   make([]int64, n),
+	}
+	originPos := make([]int, m)
+	for j := range originPos {
+		originPos[j] = r.Intn(6) - 1
+		sys.SiteBytes[j] = 1
+	}
+	for i := 0; i < n; i++ {
+		sys.CostServer[i] = make([]float64, n)
+		sys.CostOrigin[i] = make([]float64, m)
+		sys.Demand[i] = make([]float64, m)
+		sys.Capacity[i] = int64(m)
+		for k := 0; k < n; k++ {
+			sys.CostServer[i][k] = math.Abs(float64(pos[i] - pos[k]))
+		}
+		for j := 0; j < m; j++ {
+			sys.CostOrigin[i][j] = math.Abs(float64(pos[i] - originPos[j]))
+		}
+	}
+	return sys
+}
+
+func TestNearestSourceLiveness(t *testing.T) {
+	// Servers 0-1-2 on a line, site 0 replicated at 0 and 2, its origin
+	// 1 hop from server 1 (a tie with both replicas) and 4 from server 0.
+	sys := testSystem()
+	sys.CostOrigin[1][0] = 1
+	p := NewPlacement(sys)
+	for _, i := range []int{0, 2} {
+		if err := p.Replicate(i, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all := func(int) bool { return true }
+	but := func(dead int) func(int) bool { return func(k int) bool { return k != dead } }
+	for _, tc := range []struct {
+		name     string
+		i        int
+		up       func(int) bool
+		originUp bool
+		server   int
+		cost     float64
+	}{
+		{"own replica first", 0, all, true, 0, 0},
+		{"own replica down", 0, but(0), true, 2, 2},
+		{"origin wins a tie with servers", 1, all, true, Origin, 1},
+		{"lower index wins between servers", 1, all, false, 0, 1},
+		{"a dead server is passed over", 1, but(0), false, 2, 1},
+		{"no live source", 1, func(int) bool { return false }, false, Origin, math.Inf(1)},
+	} {
+		if k, c := p.NearestSource(tc.i, 0, tc.up, tc.originUp); k != tc.server || c != tc.cost {
+			t.Errorf("%s: NearestSource(%d, 0) = (%d, %v), want (%d, %v)", tc.name, tc.i, k, c, tc.server, tc.cost)
+		}
+	}
+	if k, c := sys.NearestServer(1, but(1)); k != 0 || c != 1 {
+		t.Errorf("NearestServer(1) with 1 down = (%d, %v), want the lower index (0, 1)", k, c)
+	}
+	if k, c := sys.NearestServer(1, func(int) bool { return false }); k != -1 || !math.IsInf(c, 1) {
+		t.Errorf("NearestServer with every server down = (%d, %v), want (-1, +Inf)", k, c)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -100,10 +99,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
+		cfg.FailThreshold = DefaultFailThreshold
 	}
 	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = 2 * time.Second
+		cfg.EjectFor = DefaultEjectFor
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -395,43 +394,40 @@ func (e *Engine) trackerFor(u upstream) *Tracker {
 
 // upstreams orders the candidate sources for a miss fetch. Internal
 // fetches go straight to the origin (recursion prevention). Client-facing
-// fetches consider the cheapest replica-holding peer that the roster
-// knows and the health tracker offers, and the origin, nearest-first —
-// the same SN choice as Placement.Nearest, minus dead components. The
-// origin is kept as last resort even while ejected: gating the only
-// remaining source turns a slow failure into a guaranteed one, and the
-// attempt doubles as its health probe. skipped counts the
-// replica-holding peers the health tracker excluded (the health span's
-// evidence).
+// fetches try the origin and the replica-holding peers that the roster
+// knows and the health trackers offer, nearest first by core's rule
+// (Placement.NearestSource: the origin wins a tie with a peer, the lower
+// index a tie between peers); after the nearest, only the other of the
+// origin and the nearest such peer. The origin is kept as last resort
+// even while ejected: gating the only remaining source turns a slow
+// failure into a guaranteed one, and the attempt doubles as its health
+// probe. skipped counts the replica-holding peers the health tracker
+// excluded (the health span's evidence).
 func (e *Engine) upstreams(pl *core.Placement, site int, internal bool) (ups []upstream, skipped int) {
-	ros, from := e.roster.Load(), e.cfg.ID
-	orig := upstream{kind: "origin", id: site, url: ros.Origins[site],
-		hops: e.cfg.Scenario.Sys.CostOrigin[from][site]}
+	ros, from, now := e.roster.Load(), e.cfg.ID, time.Now()
+	orig := upstream{kind: "origin", id: site, url: ros.Origins[site]}
+	_, orig.hops = pl.NearestSource(from, site, func(int) bool { return false }, true)
 	if internal {
 		return []upstream{orig}, 0
 	}
-	now := time.Now()
-	best, bestCost := -1, math.Inf(1)
-	for k, url := range ros.Peers {
-		if k == from || url == "" || !pl.Has(k, site) {
-			continue
+	peerUp := func(k int) bool {
+		ok := k != from && ros.Peers[k] != ""
+		if ok && !e.cfg.PeerHealth[k].Candidate(now) {
+			ok, skipped = false, skipped+1
 		}
-		if !e.cfg.PeerHealth[k].Candidate(now) {
-			skipped++
-			continue
-		}
-		if cost := e.cfg.Scenario.Sys.CostServer[from][k]; cost < bestCost {
-			best, bestCost = k, cost
-		}
+		return ok
 	}
-	if best < 0 {
-		return []upstream{orig}, skipped
+	k, hops := pl.NearestSource(from, site, peerUp, e.cfg.OriginHealth[site].Candidate(now))
+	if k != core.Origin {
+		return []upstream{{kind: "edge", id: k, url: ros.Peers[k], hops: hops}, orig}, skipped
 	}
-	peer := upstream{kind: "edge", id: best, url: ros.Peers[best], hops: bestCost}
-	if orig.hops < peer.hops && e.cfg.OriginHealth[site].Candidate(now) {
-		return []upstream{orig, peer}, skipped
+	// The origin is nearest, or the last resort; the nearest live peer,
+	// if any, backs it up. Asking again re-counts the skipped peers.
+	ups, n := []upstream{orig}, skipped
+	if k, hops = pl.NearestSource(from, site, peerUp, false); k != core.Origin {
+		ups = append(ups, upstream{kind: "edge", id: k, url: ros.Peers[k], hops: hops})
 	}
-	return []upstream{peer, orig}, skipped
+	return ups, n
 }
 
 // fetchWithRetry GETs path from u under the retry policy: per-attempt

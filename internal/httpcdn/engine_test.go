@@ -3,6 +3,7 @@ package httpcdn
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scenario"
 )
 
 // TestUnknownUpstreamIsNotFailedUpstream pins the boot-order fix: an
@@ -66,6 +68,62 @@ func TestUnknownUpstreamIsNotFailedUpstream(t *testing.T) {
 	if st := e.Stats(); st.OriginFetch != 1 || st.CacheLookups() != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
+}
+
+// TestUpstreamsFollowNearestSource: a miss tries core's nearest source
+// among the origin and the peers on offer — on a tie the origin before a
+// peer, and of two tied peers the lower index — then the other of the
+// origin and the nearest such peer. An ejected peer is skipped and
+// counted; an ejected origin goes last, never away.
+func TestUpstreamsFollowNearestSource(t *testing.T) {
+	// Edge 0 misses site 0, which peers 2 and 3 hold, both 2 hops away;
+	// so is the origin.
+	sys := &core.System{
+		CostServer: [][]float64{{0, 1, 2, 2}, {1, 0, 1, 1}, {2, 1, 0, 2}, {2, 1, 2, 0}},
+		CostOrigin: [][]float64{{2}, {1}, {3}, {3}},
+		SiteBytes:  []int64{1},
+		Capacity:   []int64{1, 1, 1, 1},
+		Demand:     [][]float64{{1}, {1}, {1}, {1}},
+	}
+	pl := core.NewPlacement(sys)
+	for _, k := range []int{3, 2} {
+		if err := pl.Replicate(k, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	cfg := EngineConfig{ID: 0, Scenario: &scenario.Scenario{Sys: sys}, Placement: pl}
+	cfg.Metrics = reg
+	for i := 0; i < sys.N(); i++ {
+		cfg.PeerHealth = append(cfg.PeerHealth, NewTracker(reg, "edge", i))
+	}
+	cfg.OriginHealth = []*Tracker{NewTracker(reg, "origin", 0)}
+	e := NewEngine(cfg)
+	e.SetRoster(Roster{Peers: []string{"e0", "e1", "e2", "e3"}, Origins: []string{"o"}})
+	eject := func(tr *Tracker) {
+		for i := 0; i < DefaultFailThreshold; i++ {
+			tr.Failure(DefaultFailThreshold, time.Hour, time.Now())
+		}
+	}
+	check := func(what string, internal bool, want string, wantSkipped int) {
+		t.Helper()
+		ups, skipped := e.upstreams(pl, 0, internal)
+		var got []string
+		for _, u := range ups {
+			got = append(got, fmt.Sprintf("%s:%d@%v", u.kind, u.id, u.hops))
+		}
+		if fmt.Sprint(got) != want || skipped != wantSkipped {
+			t.Errorf("%s: upstreams %v, %d skipped; want %s, %d skipped", what, got, skipped, want, wantSkipped)
+		}
+	}
+	check("all up", false, "[origin:0@2 edge:2@2]", 0)
+	check("internal fetch", true, "[origin:0@2]", 0)
+	eject(cfg.PeerHealth[2])
+	check("peer 2 ejected", false, "[origin:0@2 edge:3@2]", 1)
+	eject(cfg.OriginHealth[0])
+	check("origin ejected too", false, "[edge:3@2 origin:0@2]", 1)
+	eject(cfg.PeerHealth[3])
+	check("every peer ejected", false, "[origin:0@2]", 2)
 }
 
 // tracedEngine is testEngine with a span tracer on buf.

@@ -62,6 +62,10 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return time.Duration(float64(d) * j)
 }
 
+// DefaultFailThreshold and DefaultEjectFor are Config.FailThreshold's
+// and Config.EjectFor's defaults, which the load generator's trackers use.
+const DefaultFailThreshold, DefaultEjectFor = 3, 2 * time.Second
+
 // Tracker is the passive health state of one upstream component. It is
 // driven entirely by fetch outcomes — no active pinger — through the
 // classic consecutive-failure ejection / half-open probe state machine:

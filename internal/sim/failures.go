@@ -50,7 +50,6 @@ func (m *FailureMetrics) Unavailability() float64 {
 //   - A dead origin's site is reachable only through surviving replicas
 //     or, at StaleRisk, cached copies.
 //
-// Routing (handler, detour, nearest surviving source) is resolved once.
 // The run is a pure function of (scenario, placement, cfg, crash set,
 // seed).
 func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
@@ -82,42 +81,10 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 		downOrigin[j] = true
 	}
 
-	// handler[i] is the surviving server that takes over server i's
-	// clients (itself when alive, -1 when none survives) and detour[i]
-	// the hops to it.
-	handler := make([]int, n)
-	detour := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if !downServer[i] {
-			handler[i] = i
-			continue
-		}
-		best, bestCost := -1, math.Inf(1)
-		for k := 0; k < n; k++ {
-			if !downServer[k] && sc.Sys.CostServer[i][k] < bestCost {
-				best, bestCost = k, sc.Sys.CostServer[i][k]
-			}
-		}
-		handler[i], detour[i] = best, bestCost
-	}
-	// nearest[i][j] is the hop cost of the cheapest surviving source of
-	// site j from server i: +Inf when none survives.
-	nearest := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		nearest[i] = make([]float64, mSites)
-		for j := 0; j < mSites; j++ {
-			cost := math.Inf(1)
-			if !downOrigin[j] {
-				cost = sc.Sys.CostOrigin[i][j]
-			}
-			for k := 0; k < n; k++ {
-				if !downServer[k] && p.Has(k, j) && sc.Sys.CostServer[i][k] < cost {
-					cost = sc.Sys.CostServer[i][k]
-				}
-			}
-			nearest[i][j] = cost
-		}
-	}
+	// Routing is core's nearest-source rule over the survivors: own
+	// replica first, then the lowest cost; the origin wins a tie with a
+	// server, the lower index a tie between servers.
+	up := func(k int) bool { return !downServer[k] }
 
 	var caches []cache.Cache
 	if cfg.UseCache {
@@ -149,7 +116,9 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 		}
 
 		m.Requests++
-		i := handler[origin]
+		// The server that takes the client (itself when alive, -1 when
+		// none survives) and the hops to it.
+		i, detour := sc.Sys.NearestServer(origin, up)
 		if i != origin {
 			m.Rerouted++
 		}
@@ -158,7 +127,7 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 			m.Unavailable++
 			continue
 		}
-		firstHop := cfg.FirstHopMs + cfg.PerHopMs*detour[origin]
+		firstHop := cfg.FirstHopMs + cfg.PerHopMs*detour
 		switch {
 		case p.Has(i, j):
 			totalRT += firstHop
@@ -169,10 +138,13 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 			if downOrigin[j] {
 				m.StaleRisk++
 			}
-		case math.IsInf(nearest[i][j], 1):
-			m.Unavailable++
 		default:
-			totalRT += firstHop + cfg.PerHopMs*nearest[i][j]
+			_, hops := p.NearestSource(i, j, up, !downOrigin[j])
+			if math.IsInf(hops, 1) { // no surviving source
+				m.Unavailable++
+				break
+			}
+			totalRT += firstHop + cfg.PerHopMs*hops
 			if caches != nil && req.Cacheable {
 				caches[i].Put(cache.Key{Site: j, Object: req.Object}, sc.Work.Size(j, req.Object))
 				m.CacheMisses++
