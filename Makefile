@@ -43,7 +43,8 @@ race:
 # fuzz-smoke runs every fuzz target for 10 s: the simulator's request
 # loop (the arena LRU/FIFO against the slice reference, the guided
 # inverse-CDF search against sort.SearchFloat64s, the server-grouped
-# runners against the one-request stepper), the model's Jensen
+# runners against the one-request stepper, the crash runner against its
+# reference loop), the model's Jensen
 # upper bound and its Equation (1) kernel, the hybrid placement heap
 # against its scanning oracle, and the network-facing parsers and
 # decoders: Traceparent headers, object paths, ETags, the control
@@ -55,6 +56,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzLRUOps$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/cache/
 	$(GO) test -run '^$$' -fuzz '^FuzzGuideSearch$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/stats/
 	$(GO) test -run '^$$' -fuzz '^FuzzRunSourceMatchesStepper$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzCrashRunMatchesOracle$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitUpper$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzSiteHitEq1$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/lrumodel/
 	$(GO) test -run '^$$' -fuzz '^FuzzHybridMatchesOracle$$' -fuzztime 10s -fuzzminimizetime 20x ./internal/placement/

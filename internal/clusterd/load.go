@@ -30,7 +30,8 @@ type LoadConfig struct {
 	// Requests is the total request count across all workers.
 	Requests int
 	// Workers is the number of concurrent client workers, each with its
-	// own deterministic request stream and latency histogram (0 = 4).
+	// own deterministic request stream (0 = 4); they share one latency
+	// histogram.
 	Workers int
 	// Seed derives the per-worker request streams (worker w uses
 	// Seed+1000+w), independent of the scenario seed.
@@ -127,7 +128,8 @@ func WaitMembers(ctx context.Context, client *http.Client, controlURL string) (M
 	}
 }
 
-// loadWorker is one client's slice of the run.
+// loadWorker is one client's slice of the run. The workers observe
+// their latencies into one shared histogram.
 type loadWorker struct {
 	hist     *obs.Histogram
 	max      float64
@@ -207,13 +209,13 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 
 	// 50µs .. ~6.5s in ms, fine enough that p99 interpolation is tight
 	// at loopback latencies.
-	bounds := obs.ExponentialBuckets(0.05, 1.35, 40)
+	hist := obs.NewHistogram(obs.ExponentialBuckets(0.05, 1.35, 40))
 	workers := make([]*loadWorker, cfg.Workers)
 	var seq atomic.Int64 // requests drawn so far; drives the fault schedule
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := 0; w < cfg.Workers; w++ {
-		lw := &loadWorker{hist: obs.NewHistogram(bounds), by: make(map[string]int64), errClass: make(map[string]int64)}
+		lw := &loadWorker{hist: hist, by: make(map[string]int64), errClass: make(map[string]int64)}
 		workers[w] = lw
 		n := cfg.Requests / cfg.Workers
 		if w < cfg.Requests%cfg.Workers {
@@ -275,8 +277,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		GOARCH:       runtime.GOARCH,
 		NumCPU:       runtime.NumCPU(),
 	}
-	merged := make([]int64, len(bounds)+1)
-	var count int64
 	for _, lw := range workers {
 		for class, n := range lw.errClass {
 			res.Errors += n
@@ -287,10 +287,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 		for src, n := range lw.by {
 			res.BySource[src] += n
 		}
-		for i, c := range lw.hist.BucketCounts() {
-			merged[i] += c
-		}
-		count += lw.hist.Count()
 		if lw.max > res.Latency.Max {
 			res.Latency.Max = lw.max
 		}
@@ -299,9 +295,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadResult, error) {
 	res.ErrorRate = float64(res.Errors) / float64(res.Requests)
 	res.DurationMs = float64(elapsed.Nanoseconds()) / 1e6
 	res.ReqPerSec = float64(res.Requests) / elapsed.Seconds()
-	res.Latency.P50 = quantileFromBuckets(bounds, merged, count, 0.50)
-	res.Latency.P95 = quantileFromBuckets(bounds, merged, count, 0.95)
-	res.Latency.P99 = quantileFromBuckets(bounds, merged, count, 0.99)
+	res.Latency.P50 = hist.Quantile(0.50)
+	res.Latency.P95 = hist.Quantile(0.95)
+	res.Latency.P99 = hist.Quantile(0.99)
 	return res, nil
 }
 
@@ -390,29 +386,6 @@ func setFault(ctx context.Context, client *http.Client, edgeURL, mode string) er
 		return fmt.Errorf("clusterd: setting fault %s: %s", mode, resp.Status)
 	}
 	return nil
-}
-
-// quantileFromBuckets is obs.Histogram.Quantile over merged bucket
-// counts: linear interpolation within the bucket containing the target
-// rank, overflow clamped to the highest finite bound.
-func quantileFromBuckets(bounds []float64, counts []int64, total int64, q float64) float64 {
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range bounds {
-		n := float64(counts[i])
-		if cum+n >= rank && n > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = bounds[i-1]
-			}
-			return lo + (bounds[i]-lo)*(rank-cum)/n
-		}
-		cum += n
-	}
-	return bounds[len(bounds)-1]
 }
 
 // WriteReport writes the result as indented JSON to path ("-" for

@@ -1,37 +1,24 @@
-// Package graph implements the undirected weighted graphs and the
+// Package graph implements the undirected hop-count graphs and the
 // shortest-path machinery the CDN model is built on. The paper's
 // communication cost C(i, j) between two nodes is "the cumulative cost of
 // the shortest path between the two nodes (e.g., the total number of
-// hops)" (§3); we compute it once with Dijkstra from every node of
-// interest, exactly as the authors do for their GT-ITM topology.
+// hops)" (§3); every link counts one hop, so one breadth-first search
+// from every node of interest gives the hop counts the authors compute
+// for their GT-ITM topology.
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 )
 
-// Graph is an undirected weighted graph over nodes 0..N-1 stored as
-// adjacency lists. Parallel edges are collapsed to the cheapest one;
-// self-loops are rejected.
+// Graph is an undirected graph over nodes 0..N-1 stored as adjacency
+// lists. Parallel edges are collapsed to one; self-loops are rejected.
 type Graph struct {
 	n   int
-	adj [][]Edge
-	// nonUnit counts directed edge halves whose weight differs from 1.
-	// When it is zero the graph is a pure hop-count graph and every
-	// shortest-path query takes the BFS fast path, which produces
-	// bit-identical distances to Dijkstra (both accumulate exact
-	// integer-valued float64 sums) in O(V+E) without a priority queue.
-	nonUnit int
-}
-
-// Edge is one directed half of an undirected edge.
-type Edge struct {
-	To     int
-	Weight float64
+	adj [][]int
 }
 
 // New creates a graph with n isolated nodes.
@@ -39,7 +26,7 @@ func New(n int) *Graph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: New(%d)", n))
 	}
-	return &Graph{n: n, adj: make([][]Edge, n)}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // N returns the number of nodes.
@@ -54,60 +41,30 @@ func (g *Graph) M() int {
 	return total / 2
 }
 
-// AddEdge inserts an undirected edge {u, v} with the given positive
-// weight. If the edge already exists, the smaller weight wins. It panics
-// on self-loops, out-of-range endpoints or non-positive weights — all of
-// which indicate topology-generator bugs.
-func (g *Graph) AddEdge(u, v int, w float64) {
+// AddEdge inserts the undirected edge {u, v}, one hop long; adding it
+// again changes nothing. It panics on self-loops and out-of-range
+// endpoints, both of which indicate topology-generator bugs.
+func (g *Graph) AddEdge(u, v int) {
 	if u == v {
 		panic(fmt.Sprintf("graph: self-loop at %d", u))
 	}
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge {%d,%d} out of range [0,%d)", u, v, g.n))
 	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		panic(fmt.Sprintf("graph: edge {%d,%d} has invalid weight %v", u, v, w))
-	}
-	if g.updateIfExists(u, v, w) {
-		g.updateIfExists(v, u, w)
+	if g.HasEdge(u, v) {
 		return
 	}
-	if w != 1 {
-		g.nonUnit += 2
-	}
-	g.adj[u] = append(g.adj[u], Edge{To: v, Weight: w})
-	g.adj[v] = append(g.adj[v], Edge{To: u, Weight: w})
+	g.adj[u] = append(g.adj[u], v)
+	g.adj[v] = append(g.adj[v], u)
 }
-
-func (g *Graph) updateIfExists(u, v int, w float64) bool {
-	for i := range g.adj[u] {
-		if g.adj[u][i].To == v {
-			if w < g.adj[u][i].Weight {
-				if g.adj[u][i].Weight != 1 {
-					g.nonUnit--
-				}
-				if w != 1 {
-					g.nonUnit++
-				}
-				g.adj[u][i].Weight = w
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// UnitWeight reports whether every edge has weight exactly 1, i.e. the
-// graph measures pure hop counts.
-func (g *Graph) UnitWeight() bool { return g.nonUnit == 0 }
 
 // HasEdge reports whether {u, v} is an edge.
 func (g *Graph) HasEdge(u, v int) bool {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return false
 	}
-	for _, e := range g.adj[u] {
-		if e.To == v {
+	for _, w := range g.adj[u] {
+		if w == v {
 			return true
 		}
 	}
@@ -116,7 +73,7 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Neighbors returns the adjacency list of u. The slice is shared; callers
 // must not modify it.
-func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
+func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
 
 // Degree returns the number of neighbors of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
@@ -134,87 +91,46 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
+		for _, v := range g.adj[u] {
+			if !seen[v] {
+				seen[v] = true
 				count++
-				stack = append(stack, e.To)
+				stack = append(stack, v)
 			}
 		}
 	}
 	return count == g.n
 }
 
-// Dijkstra computes single-source shortest-path distances from src.
-// Unreachable nodes get +Inf. Edge weights are the graph's weights; for
-// hop counts build the graph with unit weights. Pure hop-count graphs
-// take a BFS fast path with bit-identical results (both algorithms
-// accumulate the same exact integer-valued float64 distances).
-func (g *Graph) Dijkstra(src int) []float64 {
-	var s spScratch
-	return g.shortestFrom(src, &s)
-}
-
-// spScratch holds the reusable per-worker state of a shortest-path
-// sweep: the BFS queue or the Dijkstra priority queue. The distance row
-// itself is always freshly allocated because callers keep it.
-type spScratch struct {
-	queue []int32
-	pq    nodeHeap
-}
-
-func (g *Graph) shortestFrom(src int, s *spScratch) []float64 {
+// shortestFrom is the breadth-first search from src: each node's hop
+// count, +Inf where unreachable. queue is the caller's reusable BFS
+// queue; the distance row is always freshly allocated because callers
+// keep it.
+func (g *Graph) shortestFrom(src int, queue *[]int32) []float64 {
 	dist := make([]float64, g.n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	if g.nonUnit == 0 {
-		q := append(s.queue[:0], int32(src))
-		for head := 0; head < len(q); head++ {
-			u := int(q[head])
-			nd := dist[u] + 1
-			for _, e := range g.adj[u] {
-				if math.IsInf(dist[e.To], 1) {
-					dist[e.To] = nd
-					q = append(q, int32(e.To))
-				}
-			}
-		}
-		s.queue = q
-		return dist
-	}
-	pq := append(s.pq[:0], nodeItem{node: src, dist: 0})
-	for pq.Len() > 0 {
-		it := heap.Pop(&pq).(nodeItem)
-		if it.dist > dist[it.node] {
-			continue // stale entry
-		}
-		for _, e := range g.adj[it.node] {
-			if nd := it.dist + e.Weight; nd < dist[e.To] {
-				dist[e.To] = nd
-				heap.Push(&pq, nodeItem{node: e.To, dist: nd})
+	q := append((*queue)[:0], int32(src))
+	for head := 0; head < len(q); head++ {
+		u := int(q[head])
+		nd := dist[u] + 1
+		for _, v := range g.adj[u] {
+			if math.IsInf(dist[v], 1) {
+				dist[v] = nd
+				q = append(q, int32(v))
 			}
 		}
 	}
-	s.pq = pq
+	*queue = q
 	return dist
 }
 
-// ShortestPaths computes the full all-pairs distance matrix by running
-// Dijkstra from every node, fanned out across CPU cores (each source's
-// search is independent and the graph is read-only during the sweep).
-func (g *Graph) ShortestPaths() [][]float64 {
-	sources := make([]int, g.n)
-	for i := range sources {
-		sources[i] = i
-	}
-	return g.ShortestPathsFrom(sources)
-}
-
 // ShortestPathsFrom computes the distance rows only for the given source
-// nodes, returned in the same order, in parallel. The CDN model only
-// needs rows for servers and origins, not for every router.
+// nodes, returned in the same order, in parallel (each source's search
+// is independent and the graph is read-only during the sweep). The CDN
+// model only needs rows for servers and origins, not for every router.
 func (g *Graph) ShortestPathsFrom(sources []int) [][]float64 {
 	d := make([][]float64, len(sources))
 	workers := runtime.GOMAXPROCS(0)
@@ -222,9 +138,9 @@ func (g *Graph) ShortestPathsFrom(sources []int) [][]float64 {
 		workers = len(sources)
 	}
 	if workers <= 1 {
-		var s spScratch
+		var queue []int32
 		for i, src := range sources {
-			d[i] = g.shortestFrom(src, &s)
+			d[i] = g.shortestFrom(src, &queue)
 		}
 		return d
 	}
@@ -234,9 +150,9 @@ func (g *Graph) ShortestPathsFrom(sources []int) [][]float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var s spScratch
+			var queue []int32
 			for i := range next {
-				d[i] = g.shortestFrom(sources[i], &s)
+				d[i] = g.shortestFrom(sources[i], &queue)
 			}
 		}()
 	}
@@ -255,9 +171,9 @@ func (g *Graph) Diameter() float64 {
 		return 0
 	}
 	max := 0.0
-	var s spScratch
+	var queue []int32
 	for i := 0; i < g.n; i++ {
-		for _, d := range g.shortestFrom(i, &s) {
+		for _, d := range g.shortestFrom(i, &queue) {
 			if math.IsInf(d, 1) {
 				return math.Inf(1)
 			}
@@ -267,24 +183,4 @@ func (g *Graph) Diameter() float64 {
 		}
 	}
 	return max
-}
-
-// nodeItem / nodeHeap implement the priority queue for Dijkstra.
-type nodeItem struct {
-	node int
-	dist float64
-}
-
-type nodeHeap []nodeItem
-
-func (h nodeHeap) Len() int            { return len(h) }
-func (h nodeHeap) Less(i, j int) bool  { return h[i].dist < h[j].dist }
-func (h nodeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x interface{}) { *h = append(*h, x.(nodeItem)) }
-func (h *nodeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -10,8 +10,9 @@ import (
 
 func TestBasicEdges(t *testing.T) {
 	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 2)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
+	g.AddEdge(2, 1) // a parallel edge collapses into the first
 	if g.N() != 4 || g.M() != 2 {
 		t.Fatalf("N=%d M=%d, want 4/2", g.N(), g.M())
 	}
@@ -26,27 +27,11 @@ func TestBasicEdges(t *testing.T) {
 	}
 }
 
-func TestParallelEdgeKeepsCheapest(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 5)
-	g.AddEdge(0, 1, 2)
-	g.AddEdge(0, 1, 9)
-	if g.M() != 1 {
-		t.Fatalf("M=%d, want 1 after collapsing parallels", g.M())
-	}
-	if d := g.Dijkstra(0)[1]; d != 2 {
-		t.Fatalf("dist=%v, want 2 (cheapest parallel edge)", d)
-	}
-}
-
 func TestAddEdgePanics(t *testing.T) {
 	cases := []func(){
-		func() { New(3).AddEdge(1, 1, 1) },
-		func() { New(3).AddEdge(0, 3, 1) },
-		func() { New(3).AddEdge(-1, 0, 1) },
-		func() { New(3).AddEdge(0, 1, 0) },
-		func() { New(3).AddEdge(0, 1, -2) },
-		func() { New(3).AddEdge(0, 1, math.NaN()) },
+		func() { New(3).AddEdge(1, 1) },
+		func() { New(3).AddEdge(0, 3) },
+		func() { New(3).AddEdge(-1, 0) },
 		func() { New(-1) },
 	}
 	for i, f := range cases {
@@ -61,13 +46,25 @@ func TestAddEdgePanics(t *testing.T) {
 	}
 }
 
+// from is the distance row of src.
+func from(g *Graph, src int) []float64 { return g.ShortestPathsFrom([]int{src})[0] }
+
+// allPairs is the full distance matrix.
+func allPairs(g *Graph) [][]float64 {
+	sources := make([]int, g.N())
+	for i := range sources {
+		sources[i] = i
+	}
+	return g.ShortestPathsFrom(sources)
+}
+
 func TestDijkstraLine(t *testing.T) {
-	// 0-1-2-3 line with unit weights: dist(0,k) = k.
+	// 0-1-2-3 line: dist(0,k) = k.
 	g := New(4)
 	for i := 0; i < 3; i++ {
-		g.AddEdge(i, i+1, 1)
+		g.AddEdge(i, i+1)
 	}
-	d := g.Dijkstra(0)
+	d := from(g, 0)
 	for k := 0; k < 4; k++ {
 		if d[k] != float64(k) {
 			t.Fatalf("dist(0,%d)=%v, want %d", k, d[k], k)
@@ -75,21 +72,10 @@ func TestDijkstraLine(t *testing.T) {
 	}
 }
 
-func TestDijkstraPrefersLightPath(t *testing.T) {
-	// Direct heavy edge vs two-hop light path.
-	g := New(3)
-	g.AddEdge(0, 2, 10)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	if d := g.Dijkstra(0)[2]; d != 2 {
-		t.Fatalf("dist=%v, want 2", d)
-	}
-}
-
 func TestDijkstraUnreachable(t *testing.T) {
 	g := New(3)
-	g.AddEdge(0, 1, 1)
-	d := g.Dijkstra(0)
+	g.AddEdge(0, 1)
+	d := from(g, 0)
 	if !math.IsInf(d[2], 1) {
 		t.Fatalf("dist to isolated node = %v, want +Inf", d[2])
 	}
@@ -100,8 +86,8 @@ func TestConnected(t *testing.T) {
 	if g.Connected() {
 		t.Fatal("edgeless 3-node graph reported connected")
 	}
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 1)
+	g.AddEdge(1, 2)
 	if !g.Connected() {
 		t.Fatal("path graph reported disconnected")
 	}
@@ -115,7 +101,7 @@ func TestShortestPathsSymmetric(t *testing.T) {
 	// connected graph.
 	r := xrand.New(4)
 	g := randomConnected(r, 40, 80)
-	d := g.ShortestPaths()
+	d := allPairs(g)
 	for i := 0; i < g.N(); i++ {
 		if d[i][i] != 0 {
 			t.Fatalf("d[%d][%d]=%v, want 0", i, i, d[i][i])
@@ -133,7 +119,7 @@ func TestTriangleInequalityProperty(t *testing.T) {
 		r := xrand.New(seed)
 		n := 5 + r.Intn(30)
 		g := randomConnected(r, n, 2*n)
-		d := g.ShortestPaths()
+		d := allPairs(g)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				for k := 0; k < n; k++ {
@@ -156,7 +142,7 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 		n := 4 + r.Intn(25)
 		g := randomConnected(r, n, 3*n)
 		want := bellmanFord(g, 0)
-		got := g.Dijkstra(0)
+		got := from(g, 0)
 		for i := range want {
 			if math.Abs(want[i]-got[i]) > 1e-9 {
 				return false
@@ -172,7 +158,7 @@ func TestDijkstraMatchesBellmanFordProperty(t *testing.T) {
 func TestShortestPathsFrom(t *testing.T) {
 	g := New(5)
 	for i := 0; i < 4; i++ {
-		g.AddEdge(i, i+1, 1)
+		g.AddEdge(i, i+1)
 	}
 	rows := g.ShortestPathsFrom([]int{2, 4})
 	if rows[0][0] != 2 || rows[1][0] != 4 {
@@ -183,13 +169,13 @@ func TestShortestPathsFrom(t *testing.T) {
 func TestDiameter(t *testing.T) {
 	g := New(4)
 	for i := 0; i < 3; i++ {
-		g.AddEdge(i, i+1, 1)
+		g.AddEdge(i, i+1)
 	}
 	if d := g.Diameter(); d != 3 {
 		t.Fatalf("diameter %v, want 3", d)
 	}
 	disc := New(3)
-	disc.AddEdge(0, 1, 1)
+	disc.AddEdge(0, 1)
 	if d := disc.Diameter(); !math.IsInf(d, 1) {
 		t.Fatalf("disconnected diameter %v, want +Inf", d)
 	}
@@ -199,24 +185,24 @@ func TestDiameter(t *testing.T) {
 }
 
 // randomConnected builds a random connected graph: a random spanning tree
-// plus extra random edges, with weights in {1..4}.
+// plus extra random edges.
 func randomConnected(r *xrand.Source, n, extra int) *Graph {
 	g := New(n)
 	perm := r.Perm(n)
 	for i := 1; i < n; i++ {
-		w := float64(1 + r.Intn(4))
-		g.AddEdge(perm[i], perm[r.Intn(i)], w)
+		g.AddEdge(perm[i], perm[r.Intn(i)])
 	}
 	for e := 0; e < extra; e++ {
 		u, v := r.Intn(n), r.Intn(n)
 		if u != v {
-			g.AddEdge(u, v, float64(1+r.Intn(4)))
+			g.AddEdge(u, v)
 		}
 	}
 	return g
 }
 
-// bellmanFord is an O(VE) reference implementation for cross-checking.
+// bellmanFord is an O(VE) reference implementation for cross-checking
+// the breadth-first search.
 func bellmanFord(g *Graph, src int) []float64 {
 	dist := make([]float64, g.N())
 	for i := range dist {
@@ -226,9 +212,9 @@ func bellmanFord(g *Graph, src int) []float64 {
 	for iter := 0; iter < g.N(); iter++ {
 		changed := false
 		for u := 0; u < g.N(); u++ {
-			for _, e := range g.Neighbors(u) {
-				if nd := dist[u] + e.Weight; nd < dist[e.To] {
-					dist[e.To] = nd
+			for _, v := range g.Neighbors(u) {
+				if nd := dist[u] + 1; nd < dist[v] {
+					dist[v] = nd
 					changed = true
 				}
 			}
@@ -240,78 +226,12 @@ func bellmanFord(g *Graph, src int) []float64 {
 	return dist
 }
 
-func BenchmarkDijkstra560(b *testing.B) {
+func BenchmarkShortestFrom560(b *testing.B) {
 	r := xrand.New(1)
 	g := randomConnected(r, 560, 1200)
+	var queue []int32
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(i % g.N())
-	}
-}
-
-// TestBFSMatchesDijkstra pins the unit-weight fast path: on a hop-count
-// graph the BFS branch of shortestFrom must produce bitwise the same
-// distances as the Dijkstra branch. The test builds random unit-weight
-// graphs and runs both branches on the same graph by toggling the
-// nonUnit counter, which is exactly the dispatch condition.
-func TestBFSMatchesDijkstra(t *testing.T) {
-	rng := xrand.New(7)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + rng.Intn(40)
-		g := New(n)
-		// Random spanning tree plus extra edges, all weight 1.
-		for v := 1; v < n; v++ {
-			g.AddEdge(v, rng.Intn(v), 1)
-		}
-		for e := 0; e < n; e++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u != v {
-				g.AddEdge(u, v, 1)
-			}
-		}
-		if !g.UnitWeight() {
-			t.Fatal("unit-weight graph reports UnitWeight() == false")
-		}
-		for src := 0; src < n; src++ {
-			bfs := g.Dijkstra(src)
-			g.nonUnit = 1 // force the heap branch on the same adjacency
-			dij := g.Dijkstra(src)
-			g.nonUnit = 0
-			for v := range bfs {
-				if bfs[v] != dij[v] {
-					t.Fatalf("trial %d src %d node %d: BFS %v != Dijkstra %v", trial, src, v, bfs[v], dij[v])
-				}
-			}
-		}
-	}
-}
-
-// TestUnitWeightTracking exercises the nonUnit bookkeeping through
-// inserts and parallel-edge weight updates.
-func TestUnitWeightTracking(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	if !g.UnitWeight() {
-		t.Fatal("all-unit graph not recognized")
-	}
-	g.AddEdge(2, 3, 2.5)
-	if g.UnitWeight() {
-		t.Fatal("weight-2.5 edge not counted")
-	}
-	// Parallel re-add with a smaller non-unit weight keeps it non-unit.
-	g.AddEdge(2, 3, 2)
-	if g.UnitWeight() {
-		t.Fatal("weight-2 edge not counted")
-	}
-	// Lowering the edge to weight 1 restores the hop-count invariant.
-	g.AddEdge(3, 2, 1)
-	if !g.UnitWeight() {
-		t.Fatal("edge lowered to 1 still counted as non-unit")
-	}
-	// Re-adding with a *larger* weight must not disturb the count.
-	g.AddEdge(0, 1, 5)
-	if !g.UnitWeight() {
-		t.Fatal("losing parallel insert disturbed the unit-weight count")
+		g.shortestFrom(i%g.N(), &queue)
 	}
 }

@@ -113,10 +113,10 @@ func Build(cfg Config) (*Scenario, error) {
 	serverNodes := nodes[:n]
 	originNodes := nodes[n:]
 
-	// One Dijkstra per server gives both cost matrices (§5.1: "Using
-	// Dijkstra's algorithm, we calculated the shortest path (in terms
-	// of number of hops) from each server towards every other server
-	// and primary site").
+	// One hop-count search per server gives both cost matrices
+	// (§5.1: "Using Dijkstra's algorithm, we calculated the shortest
+	// path (in terms of number of hops) from each server towards every
+	// other server and primary site").
 	rows := topo.G.ShortestPathsFrom(serverNodes)
 	sys := &core.System{
 		CostServer: make([][]float64, n),

@@ -74,16 +74,16 @@ func TestCapacityFraction(t *testing.T) {
 
 func TestCostsAreGraphDistances(t *testing.T) {
 	sc := MustBuild(SmallConfig())
-	// Spot-check: recompute a couple of rows with Dijkstra directly.
-	d0 := sc.Topo.G.Dijkstra(sc.ServerNodes[0])
+	// Spot-check: recompute server 0's row with one search of its own.
+	d0 := sc.Topo.G.ShortestPathsFrom([]int{sc.ServerNodes[0]})[0]
 	for k, node := range sc.ServerNodes {
 		if sc.Sys.CostServer[0][k] != d0[node] {
-			t.Fatalf("CostServer[0][%d] = %v, Dijkstra %v", k, sc.Sys.CostServer[0][k], d0[node])
+			t.Fatalf("CostServer[0][%d] = %v, BFS %v", k, sc.Sys.CostServer[0][k], d0[node])
 		}
 	}
 	for j, node := range sc.OriginNodes {
 		if sc.Sys.CostOrigin[0][j] != d0[node] {
-			t.Fatalf("CostOrigin[0][%d] = %v, Dijkstra %v", j, sc.Sys.CostOrigin[0][j], d0[node])
+			t.Fatalf("CostOrigin[0][%d] = %v, BFS %v", j, sc.Sys.CostOrigin[0][j], d0[node])
 		}
 	}
 }

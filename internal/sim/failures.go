@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/xrand"
 )
@@ -38,10 +38,12 @@ func (m *FailureMetrics) Unavailability() float64 {
 	return float64(m.Unavailable) / float64(m.Requests)
 }
 
-// RunWithCrashes replays the workload through the static failure model:
-// warm-up runs on healthy dispatch, so the caches reach their steady
-// state, then at cfg.Warmup the listed servers and origins die for good
-// and only the measured requests see them gone.
+// RunWithCrashes replays the workload through a crash set: warm-up runs
+// on healthy dispatch, so the caches reach their steady state, then at
+// cfg.Warmup the listed servers and origins die for good and only the
+// measured requests see them gone. The crash is a placement swap: a
+// Stepper serves every request, and at the boundary it takes the
+// survivors' view of p (see survivors).
 //
 //   - A dead server's replicas and cache are unreachable; its clients
 //     are re-dispatched to the nearest surviving server, paying the
@@ -53,9 +55,6 @@ func (m *FailureMetrics) Unavailability() float64 {
 // The run is a pure function of (scenario, placement, cfg, crash set,
 // seed).
 func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Parallelism > 1 {
 		// Unlike Run, this path is not shardable by server: the client
 		// re-dispatch to surviving servers crosses shards. Reject rather
@@ -80,46 +79,35 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 		}
 		downOrigin[j] = true
 	}
-
-	// Routing is core's nearest-source rule over the survivors: own
-	// replica first, then the lowest cost; the origin wins a tie with a
-	// server, the lower index a tie between servers.
-	up := func(k int) bool { return !downServer[k] }
-
-	var caches []cache.Cache
-	if cfg.UseCache {
-		caches = make([]cache.Cache, n)
-		for i := 0; i < n; i++ {
-			caches[i] = cache.New(cfg.Policy, p.Free(i))
-		}
+	st, err := NewStepper(sc, p, cfg)
+	if err != nil {
+		return nil, err
 	}
+	up := func(k int) bool { return !downServer[k] }
 
 	m := &FailureMetrics{}
 	stream := sc.Stream(r)
 	var totalRT float64
-	total := cfg.Warmup + cfg.Requests
-	for t := 0; t < total; t++ {
+	for t := 0; t < cfg.Warmup+cfg.Requests; t++ {
 		if t%cancelEvery == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		req := stream.Next()
-		origin, j := req.Server, req.Site
 		if t < cfg.Warmup {
-			// Warm-up: healthy dispatch shapes the caches, no accounting.
-			if !p.Has(origin, j) && caches != nil && req.Cacheable {
-				key := cache.Key{Site: j, Object: req.Object}
-				if !caches[origin].Get(key) {
-					caches[origin].Put(key, sc.Work.Size(j, req.Object))
-				}
-			}
+			st.Step(req, false)
 			continue
+		}
+		if t == cfg.Warmup {
+			if err := st.SetPlacement(survivors(p, downServer, downOrigin), nil); err != nil {
+				return nil, err
+			}
 		}
 
 		m.Requests++
 		// The server that takes the client (itself when alive, -1 when
 		// none survives) and the hops to it.
-		i, detour := sc.Sys.NearestServer(origin, up)
-		if i != origin {
+		i, detour := sc.Sys.NearestServer(req.Server, up)
+		if i != req.Server {
 			m.Rerouted++
 		}
 		if i < 0 {
@@ -127,32 +115,54 @@ func RunWithCrashes(ctx context.Context, sc *scenario.Scenario, p *core.Placemen
 			m.Unavailable++
 			continue
 		}
-		firstHop := cfg.FirstHopMs + cfg.PerHopMs*detour
+		req.Server = i
+		hops, source := st.Step(req, true)
+		if math.IsInf(hops, 1) { // no surviving source
+			m.Unavailable++
+			continue
+		}
+		totalRT += cfg.FirstHopMs + cfg.PerHopMs*detour + cfg.PerHopMs*hops
 		switch {
-		case p.Has(i, j):
-			totalRT += firstHop
+		case source == obs.SourceReplica:
 			m.LocalReplica++
-		case caches != nil && req.Cacheable && caches[i].Get(cache.Key{Site: j, Object: req.Object}):
-			totalRT += firstHop
+		case source == obs.SourceCache:
 			m.CacheHits++
-			if downOrigin[j] {
+			if downOrigin[req.Site] {
 				m.StaleRisk++
 			}
-		default:
-			_, hops := p.NearestSource(i, j, up, !downOrigin[j])
-			if math.IsInf(hops, 1) { // no surviving source
-				m.Unavailable++
-				break
-			}
-			totalRT += firstHop + cfg.PerHopMs*hops
-			if caches != nil && req.Cacheable {
-				caches[i].Put(cache.Key{Site: j, Object: req.Object}, sc.Work.Size(j, req.Object))
-				m.CacheMisses++
-			}
+		case cfg.UseCache && req.Cacheable:
+			m.CacheMisses++
 		}
 	}
 	if served := int64(m.Requests) - m.Unavailable; served > 0 {
 		m.MeanRTMs = totalRT / float64(served)
 	}
 	return m, nil
+}
+
+// survivors is p as the crash set leaves it: the dead servers hold no
+// replicas and a dead origin's cost is +Inf, so its site's SN is the
+// nearest surviving replica, or nothing at +Inf. The live servers keep
+// p's replicas and so p's free space.
+func survivors(p *core.Placement, downServer, downOrigin []bool) *core.Placement {
+	sys := *p.System()
+	sys.CostOrigin = make([][]float64, sys.N())
+	for i, row := range p.System().CostOrigin {
+		sys.CostOrigin[i] = append([]float64(nil), row...)
+		for j, down := range downOrigin {
+			if down {
+				sys.CostOrigin[i][j] = math.Inf(1)
+			}
+		}
+	}
+	q := core.NewPlacement(&sys)
+	for i := range downServer {
+		for j := range downOrigin {
+			if p.Has(i, j) && !downServer[i] {
+				// Cannot fail: p holds these replicas in the same capacity.
+				_ = q.Replicate(i, j)
+			}
+		}
+	}
+	return q
 }

@@ -114,8 +114,8 @@ func TestAllServersFailedAllUnavailable(t *testing.T) {
 	}
 }
 
-// staticFailuresOracle is the static failure model's reference loop,
-// which RunWithCrashes must equal. Unlike RunWithCrashes it rejects the
+// staticFailuresOracle is the crash-set reference loop, with caches and
+// routing tables of its own, which RunWithCrashes must equal. Unlike RunWithCrashes it rejects the
 // total outage rather than counting every request unavailable.
 func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, servers, origins []int, r *xrand.Source) (*FailureMetrics, error) {
 	if err := cfg.Validate(); err != nil {
@@ -123,10 +123,10 @@ func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Pl
 	}
 	if cfg.Parallelism > 1 {
 		// Unlike Run, this path is not shardable by server: the
-		// warm-then-fail schedule and the client re-dispatch to
+		// warm-then-crash order and the client re-dispatch to
 		// surviving servers make it a time-ordered global event
 		// stream. Reject rather than silently interleave wrongly.
-		return nil, fmt.Errorf("sim: the static failure model is inherently sequential (Parallelism = %d)", cfg.Parallelism)
+		return nil, fmt.Errorf("sim: the crash oracle is inherently sequential (Parallelism = %d)", cfg.Parallelism)
 	}
 	if p.System() != sc.Sys {
 		return nil, fmt.Errorf("sim: placement belongs to a different system")
@@ -265,8 +265,8 @@ func staticFailuresOracle(ctx context.Context, sc *scenario.Scenario, p *core.Pl
 	return m, nil
 }
 
-// The tests below pin RunWithCrashes on a crash schedule: the crash
-// set that dies at the measurement boundary.
+// The tests below pin RunWithCrashes on a crash set that dies at the
+// measurement boundary.
 
 func TestScheduleDeterministicForFixedSeed(t *testing.T) {
 	sc := smallScenario(51, 0)
@@ -289,7 +289,7 @@ func TestScheduleDeterministicForFixedSeed(t *testing.T) {
 }
 
 // TestScheduleDegenerateReproducesRunWithFailures pins RunWithCrashes
-// to the static failure model's reference loop, staticFailuresOracle,
+// to the crash-set reference loop, staticFailuresOracle,
 // with the cache on and off.
 func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 	sc := smallScenario(53, 0)
@@ -320,10 +320,9 @@ func TestScheduleDegenerateReproducesRunWithFailures(t *testing.T) {
 	}
 }
 
-// TestScheduleHealthyMatchesEmptySchedule pins RunWithCrashes' own
-// serve loop, with nothing crashed, to the healthy static oracle and to
-// Run: it must reproduce Run's mean response time and source counters
-// bit for bit.
+// TestScheduleHealthyMatchesEmptySchedule pins RunWithCrashes, with
+// nothing crashed, to staticFailuresOracle and to Run: it must reproduce
+// Run's mean response time and source counters bit for bit.
 func TestScheduleHealthyMatchesEmptySchedule(t *testing.T) {
 	for _, lambda := range []float64{0, 0.1} {
 		sc := smallScenario(3, lambda)
@@ -409,4 +408,54 @@ func TestScheduleCancellation(t *testing.T) {
 	if _, err := RunParallel(ctx, sc, p, par, xrand.New(66)); err != context.Canceled {
 		t.Fatalf("cancelled RunParallel returned %v, want context.Canceled", err)
 	}
+}
+
+// FuzzCrashRunMatchesOracle: for any scenario seed, λ ∈ {0, 0.1},
+// replacement policy, cache on or off and crash set — up to every server
+// and every origin — RunWithCrashes returns what staticFailuresOracle
+// returns. The oracle rejects the total outage, where every measured
+// request is rerouted and unavailable.
+//
+// flags: bit 0 λ = 0.1, bit 1 caches off, bits 2–4 the policy. servers
+// and origins are bit sets over the 8 servers and 8 sites.
+func FuzzCrashRunMatchesOracle(f *testing.F) {
+	policies := []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO, cache.PolicyLFU, cache.PolicyDelayedLRU, cache.PolicyRandom}
+	f.Add(uint8(1), uint8(0), uint8(0b11), uint8(0b101))
+	f.Add(uint8(2), uint8(1|2<<2), uint8(0b1000_0000), uint8(0xff))
+	f.Add(uint8(3), uint8(2|1<<2), uint8(0b0110), uint8(0))
+	f.Add(uint8(4), uint8(1|4<<2), uint8(0xff), uint8(0b1))
+	f.Fuzz(func(t *testing.T, seed, flags, servers, origins uint8) {
+		lambda := 0.0
+		if flags&1 != 0 {
+			lambda = 0.1
+		}
+		sc := smallScenario(1+uint64(seed)%12, lambda)
+		p := hybridPlacementFor(sc)
+		cfg := fastConfig(flags&2 == 0)
+		cfg.Warmup, cfg.Requests = 4000, 8000
+		cfg.KeepResponseTimes = false
+		cfg.Policy = policies[int(flags>>2&7)%len(policies)]
+		var dead, gone []int
+		for k := 0; k < 8; k++ {
+			if servers>>k&1 != 0 {
+				dead = append(dead, k)
+			}
+			if origins>>k&1 != 0 {
+				gone = append(gone, k)
+			}
+		}
+		got, err := crashRun(sc, p, cfg, dead, gone, xrand.New(uint64(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &FailureMetrics{Requests: cfg.Requests, Unavailable: int64(cfg.Requests), Rerouted: int64(cfg.Requests)}
+		if len(dead) < sc.Sys.N() {
+			if want, err = staticFailuresOracle(context.Background(), sc, p, cfg, dead, gone, xrand.New(uint64(seed))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("crash run diverged from the static oracle:\ncrashes: %+v\nstatic:  %+v", *got, *want)
+		}
+	})
 }

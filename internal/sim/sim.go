@@ -18,6 +18,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/cache"
@@ -328,84 +329,54 @@ func (s *shard) step(req workload.Request, measured bool) (hops float64, source 
 		}
 		stale = req.Generation > gen
 	}
-	switch {
-	case p.Has(i, col) && !stale:
-		// Served by the local replica. Replicas are always
-		// consistent (§5.2), so even stale/uncacheable
-		// requests stay local.
-		hops = 0
+	if p.Has(i, col) && !stale {
+		// Served by the local replica. Replicas are always consistent
+		// (§5.2), so even stale/uncacheable requests stay local.
 		if measured {
 			m.LocalReplica++
 			source = obs.SourceReplica
 		}
-	case s.caches != nil && !req.Cacheable:
-		// λ fraction: travels to SN, bypasses the cache.
-		if stale {
-			hops = s.sc.Sys.CostOrigin[i][j]
-			if measured {
-				m.Bypass++
-				m.StaleReplica++
-				m.OriginFetch++
-				source = obs.SourceOrigin
-			}
-			break
-		}
-		hops = p.NearestCost(i, col)
+		return 0, source
+	}
+	// Only a cacheable request looks in the cache: the λ fraction
+	// bypasses it, as does everything under pure replication.
+	lookup := s.caches != nil && req.Cacheable
+	// The generation is folded into the cache key's high bits so a
+	// republished site's fresh objects never alias its predecessor's
+	// cached bytes (64-bit int assumed, as elsewhere).
+	key := cache.Key{Site: j, Object: req.Object + req.Generation<<32}
+	if lookup && s.caches[i].Get(key) {
 		if measured {
+			m.CacheHits++
+			m.PerServerHits[i]++
+			m.PerServerLookups[i]++
+			source = obs.SourceCache
+		}
+		return 0, source
+	}
+	// The request travels: to SN, or to the origin when its column's
+	// replicas are stale. A miss admits what it fetched; at +Inf no
+	// source was reachable, so nothing was.
+	if stale {
+		hops = s.sc.Sys.CostOrigin[i][j]
+	} else {
+		hops = p.NearestCost(i, col)
+	}
+	if lookup && !math.IsInf(hops, 1) {
+		s.caches[i].Put(key, s.sc.Work.Size(j, req.Object))
+	}
+	if measured {
+		if lookup {
+			m.CacheMisses++
+			m.PerServerLookups[i]++
+		} else if !req.Cacheable {
 			m.Bypass++
-			source = m.countRemote(p, i, col)
 		}
-	case s.caches != nil:
-		// The generation is folded into the cache key's high bits so a
-		// republished site's fresh objects never alias its
-		// predecessor's cached bytes (64-bit int assumed, as elsewhere).
-		key := cache.Key{Site: j, Object: req.Object + req.Generation<<32}
-		if s.caches[i].Get(key) {
-			hops = 0
-			if measured {
-				m.CacheHits++
-				m.PerServerHits[i]++
-				m.PerServerLookups[i]++
-				source = obs.SourceCache
-			}
-		} else {
-			if stale {
-				hops = s.sc.Sys.CostOrigin[i][j]
-			} else {
-				hops = p.NearestCost(i, col)
-			}
-			s.caches[i].Put(key, s.sc.Work.Size(j, req.Object))
-			if measured {
-				m.CacheMisses++
-				m.PerServerLookups[i]++
-				if stale {
-					m.StaleReplica++
-					m.OriginFetch++
-					source = obs.SourceOrigin
-				} else {
-					source = m.countRemote(p, i, col)
-				}
-			}
-		}
-	default:
-		// Pure replication: no cache, straight to SN.
 		if stale {
-			hops = s.sc.Sys.CostOrigin[i][j]
-			if measured {
-				if !req.Cacheable {
-					m.Bypass++
-				}
-				m.StaleReplica++
-				m.OriginFetch++
-				source = obs.SourceOrigin
-			}
-			break
-		}
-		hops = p.NearestCost(i, col)
-		if measured {
-			if !req.Cacheable {
-				m.Bypass++
-			}
+			m.StaleReplica++
+			m.OriginFetch++
+			source = obs.SourceOrigin
+		} else {
 			source = m.countRemote(p, i, col)
 		}
 	}

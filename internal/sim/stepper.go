@@ -8,13 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// Stepper is the §5 serve rule one request at a time: the whole-system
-// shard RunSource loops over, for runs that must change the placement
-// between two requests (an online controller, an epoch boundary). The
-// driver owns the request source, the warm-up boundary and the latency
-// sums; of cfg the stepper reads UseCache, Policy, UnitOf and
-// PlacedGeneration. Unlike Run, p may belong to any system of the
-// scenario's shape (a drifted or estimated demand over the same costs).
+// Stepper is the §5 serve rule one request at a time, for runs that
+// change the placement between two requests: an online controller, an
+// epoch boundary, a crash set. The driver owns the request source, the
+// warm-up boundary and the latency sums; of cfg the stepper reads
+// UseCache, Policy, UnitOf and PlacedGeneration. Unlike Run, p may
+// belong to any system of the scenario's shape.
 type Stepper struct {
 	sh  *shard
 	cfg Config

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -415,5 +416,31 @@ func TestStepperRejectsMisshapenInput(t *testing.T) {
 	}
 	if err := st.SetPlacement(core.NewPlacement(drifted), nil); err != nil {
 		t.Errorf("SetPlacement refused a same-shape system: %v", err)
+	}
+}
+
+// TestUnreachableMissAdmitsNothing: a miss with no reachable source
+// fetched nothing, so it leaves nothing in the cache. Two misses for one
+// object of a site whose origin is at +Inf both come back unavailable.
+func TestUnreachableMissAdmitsNothing(t *testing.T) {
+	sc := smallScenario(4, 0)
+	sys := *sc.Sys
+	sys.CostOrigin = make([][]float64, sys.N())
+	for i, row := range sc.Sys.CostOrigin {
+		sys.CostOrigin[i] = append([]float64(nil), row...)
+		sys.CostOrigin[i][0] = math.Inf(1)
+	}
+	st, err := NewStepper(sc, core.NewPlacement(&sys), fastConfig(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := workload.Request{Server: 2, Site: 0, Object: 1, Cacheable: true}
+	for k := 0; k < 2; k++ {
+		if hops, src := st.Step(req, true); !math.IsInf(hops, 1) || src == obs.SourceCache {
+			t.Fatalf("request %d: source %q, %v hops; want a miss at +Inf", k, src, hops)
+		}
+	}
+	if m := st.Metrics(); m.CacheHits != 0 || m.CacheMisses != 2 {
+		t.Fatalf("hits %d, misses %d; want 0 and 2", m.CacheHits, m.CacheMisses)
 	}
 }

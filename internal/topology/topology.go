@@ -130,7 +130,7 @@ func Generate(cfg Config, r *xrand.Source) *Topology {
 		e := r.Intn(d)
 		u := domains[d][r.Intn(len(domains[d]))]
 		v := domains[e][r.Intn(len(domains[e]))]
-		g.AddEdge(u, v, 1)
+		g.AddEdge(u, v)
 	}
 	// Extra inter-domain edges for path diversity.
 	if cfg.TransitDomains > 1 {
@@ -142,9 +142,7 @@ func Generate(cfg Config, r *xrand.Source) *Topology {
 			}
 			u := domains[d][r.Intn(len(domains[d]))]
 			v := domains[e][r.Intn(len(domains[e]))]
-			if u != v && !g.HasEdge(u, v) {
-				g.AddEdge(u, v, 1)
-			}
+			g.AddEdge(u, v)
 		}
 	}
 
@@ -160,7 +158,7 @@ func Generate(cfg Config, r *xrand.Source) *Topology {
 			connectRandom(g, stub, cfg.ExtraEdgeProb, r)
 			// Access link: a random stub router uplinks to the
 			// transit node.
-			g.AddEdge(stub[r.Intn(len(stub))], tn, 1)
+			g.AddEdge(stub[r.Intn(len(stub))], tn)
 			t.StubDomains = append(t.StubDomains, stub)
 		}
 	}
@@ -175,12 +173,12 @@ func connectRandom(g *graph.Graph, nodes []int, extraProb float64, r *xrand.Sour
 	}
 	perm := r.Perm(len(nodes))
 	for i := 1; i < len(perm); i++ {
-		g.AddEdge(nodes[perm[i]], nodes[perm[r.Intn(i)]], 1)
+		g.AddEdge(nodes[perm[i]], nodes[perm[r.Intn(i)]])
 	}
 	for i := 0; i < len(nodes); i++ {
 		for j := i + 1; j < len(nodes); j++ {
 			if !g.HasEdge(nodes[i], nodes[j]) && r.Float64() < extraProb {
-				g.AddEdge(nodes[i], nodes[j], 1)
+				g.AddEdge(nodes[i], nodes[j])
 			}
 		}
 	}

@@ -89,9 +89,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("edge counts differ: %d vs %d", a.G.M(), b.G.M())
 	}
 	for u := 0; u < a.G.N(); u++ {
-		for _, e := range a.G.Neighbors(u) {
-			if !b.G.HasEdge(u, e.To) {
-				t.Fatalf("edge {%d,%d} present only in first run", u, e.To)
+		for _, v := range a.G.Neighbors(u) {
+			if !b.G.HasEdge(u, v) {
+				t.Fatalf("edge {%d,%d} present only in first run", u, v)
 			}
 		}
 	}
