@@ -23,7 +23,7 @@ import (
 const (
 	// Deprecated: the demand estimate is one control.Estimator. The
 	// benchmark's estimator probe still passes this shard count, which
-	// changes nothing; ROADMAP item 6(c) deletes it.
+	// changes nothing; ROADMAP item 11(c) deletes it.
 	DefaultShards = 4
 	// DefaultProbeEvery / DefaultProbeTimeout drive the active health
 	// prober.

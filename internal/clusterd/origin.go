@@ -18,9 +18,6 @@ import (
 type OriginConfig struct {
 	// Addr is the listen address ("127.0.0.1:0" picks a free port).
 	Addr string
-	// MaxObjectBytes caps synthetic payload sizes (0 = 64 KiB, the
-	// httpcdn default).
-	MaxObjectBytes int64
 	// Metrics receives the origin's serve counters; nil builds a
 	// private registry (still served at /metrics).
 	Metrics *obs.Registry
@@ -60,7 +57,7 @@ func StartOrigin(params Params, cfg OriginConfig) (*Origin, error) {
 	// a blackholed origin must still accept the call that clears the
 	// fault. Everything a peer or prober touches goes through it.
 	served := http.NewServeMux()
-	served.Handle("/obj/", httpcdn.NewOrigin(sc, cfg.MaxObjectBytes, &o.versions, reg, cfg.Tracer))
+	served.Handle("/obj/", httpcdn.NewOrigin(sc, &o.versions, reg, cfg.Tracer))
 	served.HandleFunc("/admin/ping", servePing)
 
 	mux := serverutil.DebugMux(reg)

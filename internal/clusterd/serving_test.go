@@ -49,7 +49,6 @@ var suiteParams = Params{Edges: 3, Seed: 1, CapacityFrac: 0.3}
 type bootOpts struct {
 	retry         httpcdn.RetryPolicy
 	failThreshold int
-	revalidate    bool
 	tracer        *obs.Tracer
 }
 
@@ -69,7 +68,7 @@ type multiProcess struct {
 func bootMultiProcess(t *testing.T, sc *scenario.Scenario, p *core.Placement, o bootOpts) wiring {
 	tc := startClusterEdges(t, suiteParams,
 		ControlConfig{Interval: time.Hour, ReportEvery: 20 * time.Millisecond},
-		EdgeConfig{Config: httpcdn.Config{Retry: o.retry, FailThreshold: o.failThreshold, RevalidateOnHit: o.revalidate},
+		EdgeConfig{Config: httpcdn.Config{Retry: o.retry, FailThreshold: o.failThreshold},
 			Tracer: o.tracer})
 	w := &multiProcess{tc: tc, version: 100}
 	if err := w.swap(p); err != nil {
@@ -410,59 +409,57 @@ func TestServing(t *testing.T) {
 				t.Fatalf("origin etag %s, want version 1's", o.etag)
 			}
 		}},
-		{"weak and strong consistency", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+		{"weak consistency serves the stale copy", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
 			// §3.3 over HTTP: cache an object, modify it at the origin,
-			// fetch it again. Weak consistency serves the stale copy;
-			// strong revalidates every hit with If-None-Match.
+			// fetch it again. The edge serves its cached copy at the stale
+			// version 0.
 			const edge, site, object = 0, 0, 2
-			for _, strong := range []bool{false, true} {
-				w := boot(none, bootOpts{revalidate: strong})
-				var got []httpcdn.FetchResult
-				for k := 0; k < 3; k++ {
-					if k == 2 {
-						w.modify(site, object)
-					}
-					got = append(got, fetch(t, w, edge, site, object))
+			w := boot(none, bootOpts{})
+			var got []httpcdn.FetchResult
+			for k := 0; k < 3; k++ {
+				if k == 2 {
+					w.modify(site, object)
 				}
-				want := []string{httpcdn.SourceOrigin, httpcdn.SourceCache, httpcdn.SourceCache}
-				for k, res := range got {
-					if res.Source != want[k] {
-						t.Fatalf("strong=%v: fetch %d from %q, want %q", strong, k, res.Source, want[k])
-					}
+				got = append(got, fetch(t, w, edge, site, object))
+			}
+			want := []string{httpcdn.SourceOrigin, httpcdn.SourceCache, httpcdn.SourceCache}
+			for k, res := range got {
+				if res.Source != want[k] {
+					t.Fatalf("fetch %d from %q, want %q", k, res.Source, want[k])
 				}
-				st := w.stats(edge)
-				w.close()
-				if !strong && (got[2].Version != 0 || st.Revalidations != 0) {
-					t.Fatalf("weak: third fetch at version %d after %d revalidations, want the stale 0 and none", got[2].Version, st.Revalidations)
-				}
-				if strong && (got[2].Version != 1 || st.Revalidations != 2 || st.NotModified != 1) {
-					t.Fatalf("strong: third fetch at version %d, stats %+v; want version 1 after 2 revalidations, one 304", got[2].Version, st)
-				}
+			}
+			if got[2].Version != 0 {
+				t.Fatalf("third fetch at version %d, want the stale 0", got[2].Version)
 			}
 		}},
-		{"a failed revalidation is counted once", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
-			// A cache hit whose conditional GET fails is a miss: the full
-			// fetch that follows makes it one lookup, not a hit and a
-			// fetch. The one origin process serves every site, so its
-			// injector takes the origin down; the peer's replica serves.
-			from, _, site, p := peerTriple(t, sc)
-			w := boot(p, bootOpts{retry: fastRetry, revalidate: true})
-			for k, want := range []string{httpcdn.SourcePeer, httpcdn.SourceCache, httpcdn.SourcePeer} { // miss; hit, 304; hit, origin down
-				if k == 2 {
-					w.fault("origin", site, fault.ModeError)
+		{"a conditional GET gets the full body", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
+			// Neither the origin nor an edge answers 304: a GET whose
+			// If-None-Match names the current version gets the 200 and
+			// the whole payload.
+			const site, object = 0, 3
+			w := boot(none, bootOpts{})
+			w.modify(site, object)
+			etag := httpcdn.ETagFor(site, object, 1)
+			for _, base := range []string{w.originURL(site), w.url(1)} {
+				req, err := http.NewRequest(http.MethodGet, base+httpcdn.ObjectPath(site, object), nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if res := fetch(t, w, from, site, 2); res.Source != want {
-					t.Fatalf("fetch %d served from %q, want %q", k, res.Source, want)
+				req.Header.Set("If-None-Match", etag)
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			st := w.stats(from)
-			if st.CacheLookups() != 3 || st.CacheHit != 1 || st.Revalidations != 2 || st.NotModified != 1 {
-				t.Fatalf("3 requests past the replica check, 1 served from cache: %+v (lookups %d)", st, st.CacheLookups())
-			}
-			hits := counter(w.registry(from), "cdn_edge_cache_hits_total", from)
-			misses := counter(w.registry(from), "cdn_edge_cache_misses_total", from)
-			if hits != 1 || misses != 2 {
-				t.Fatalf("cdn_edge_cache_hits_total = %d, misses = %d; want 1 and 2", hits, misses)
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK || resp.Header.Get("Etag") != etag ||
+					len(body) == 0 || int64(len(body)) != resp.ContentLength || !httpcdn.VerifyBody(body, site, object, 1) {
+					t.Fatalf("%s: status %d etag %s, %d of %d bytes; want a 200 with version 1's whole body",
+						base, resp.StatusCode, resp.Header.Get("Etag"), len(body), resp.ContentLength)
+				}
 			}
 		}},
 		{"request counters agree with stats and serve spans", func(t *testing.T, boot func(*core.Placement, bootOpts) wiring) {
@@ -500,8 +497,14 @@ func TestServing(t *testing.T) {
 					observed += reg.Histogram("cdn_request_latency_ms", "",
 						obs.Labels{"source": src}, obs.DefaultLatencyBuckets()).Count()
 				}
-				if hits, st := counter(reg, "cdn_edge_cache_hits_total", i), w.stats(i); hits != st.CacheHit {
+				// Every lookup is one hit or one miss, and on this
+				// fault-free run every miss is one peer or origin fetch.
+				st := w.stats(i)
+				if hits := counter(reg, "cdn_edge_cache_hits_total", i); hits != st.CacheHit {
 					t.Errorf("edge %d: counter hits %d, stats %d", i, hits, st.CacheHit)
+				}
+				if misses := counter(reg, "cdn_edge_cache_misses_total", i); misses != st.PeerFetch+st.OriginFetch {
+					t.Errorf("edge %d: counter misses %d, stats %d peer + %d origin fetches", i, misses, st.PeerFetch, st.OriginFetch)
 				}
 			}
 			if serves < requests || counted != serves || observed != serves {

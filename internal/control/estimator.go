@@ -344,7 +344,7 @@ func (e *Estimator) SiteAges() []int64 {
 // Deprecated: use NewEstimator; the demand estimate is one Estimator.
 // This checks shards ≥ 1 and vnodes ≥ 0 and returns NewEstimator(cfg).
 // It stays only for the benchmark's estimator probe, until ROADMAP item
-// 6(c) deletes it.
+// 11(c) deletes it.
 func NewShardedEstimator(cfg EstimatorConfig, shards, vnodes int) (*Estimator, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("control: %d estimator shards", shards)

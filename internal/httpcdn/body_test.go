@@ -201,72 +201,59 @@ func serve(e *Engine, site, object int) *countingWriter {
 	return w
 }
 
-// TestOneWritePerBody is the serving rule itself: a body under the
-// default cap leaves the edge in one Write whether it is a replica's, a
-// cached one or one relayed from the origin, and with the cap raised a
-// generated body leaves in ⌈n / 64 KiB⌉.
+// TestOneWritePerBody is the serving rule itself: a body leaves the edge
+// in one Write whether it is a replica's, a cached one or one relayed
+// from the origin.
 func TestOneWritePerBody(t *testing.T) {
 	sc := smallScenario(t)
-	for _, maxBytes := range []int64{64 << 10, 1 << 20} {
-		t.Run(fmt.Sprint(maxBytes), func(t *testing.T) {
-			var versions Versions
-			cfg := Config{MaxObjectBytes: maxBytes}
-			e, replicated, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, maxBytes, &versions, obs.NewRegistry(), nil)))
-			other := (replicated + 1) % sc.Sys.M()
-			// The largest object of each site: over the 64 KiB piece when
-			// the cap allows it.
-			largest := func(site int) (object int) {
-				for o := 1; o <= len(sc.Work.Sites[site].Objects); o++ {
-					if object == 0 || sc.Work.Size(site, o) > sc.Work.Size(site, object) {
-						object = o
-					}
+	// The subtest is named by the object cap it serves under.
+	t.Run(fmt.Sprint(MaxObjectBytes), func(t *testing.T) {
+		var versions Versions
+		e, replicated, _ := testEngine(t, sc, Config{}, 64<<20, listen(t, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
+		other := (replicated + 1) % sc.Sys.M()
+		// The largest object of each site: capped at MaxObjectBytes when the
+		// catalog's size is over it.
+		largest := func(site int) (object int) {
+			for o := 1; o <= len(sc.Work.Sites[site].Objects); o++ {
+				if object == 0 || sc.Work.Size(site, o) > sc.Work.Size(site, object) {
+					object = o
 				}
-				return object
 			}
-			multi := false
-			for _, tc := range []struct {
-				site   int
-				source string
-			}{
-				{replicated, SourceReplica},
-				{other, SourceOrigin},
-				{other, SourceCache},
+			return object
+		}
+		for _, tc := range []struct {
+			site   int
+			source string
+		}{
+			{replicated, SourceReplica},
+			{other, SourceOrigin},
+			{other, SourceCache},
+		} {
+			object := largest(tc.site)
+			size := objectSize(sc, tc.site, object)
+			w := serve(e, tc.site, object)
+			if w.status != http.StatusOK || w.h.Get("X-Cdn-Source") != tc.source {
+				t.Fatalf("%s: status %d source %q", tc.source, w.status, w.h.Get("X-Cdn-Source"))
+			}
+			if int64(w.body.Len()) != size || !VerifyBody(w.body.Bytes(), tc.site, object, 0) {
+				t.Fatalf("%s: wrong body (%d bytes, want %d)", tc.source, w.body.Len(), size)
+			}
+			// Every object response declares its length, tag and type, so no
+			// server has to buffer or sniff it.
+			for key, want := range map[string]string{
+				"Content-Length": fmt.Sprint(size),
+				"Etag":           oracleETagFor(tc.site, object, 0),
+				"Content-Type":   "application/octet-stream",
 			} {
-				object := largest(tc.site)
-				size := objectSize(sc, tc.site, object, maxBytes)
-				w := serve(e, tc.site, object)
-				if w.status != http.StatusOK || w.h.Get("X-Cdn-Source") != tc.source {
-					t.Fatalf("%s: status %d source %q", tc.source, w.status, w.h.Get("X-Cdn-Source"))
+				if got := w.h.Values(key); len(got) != 1 || got[0] != want {
+					t.Errorf("%s: %s %q, want %q", tc.source, key, got, want)
 				}
-				if int64(w.body.Len()) != size || !VerifyBody(w.body.Bytes(), tc.site, object, 0) {
-					t.Fatalf("%s: wrong body (%d bytes, want %d)", tc.source, w.body.Len(), size)
-				}
-				// Every object response declares its length, tag and type,
-				// so no server has to buffer or sniff it.
-				for key, want := range map[string]string{
-					"Content-Length": fmt.Sprint(size),
-					"Etag":           oracleETagFor(tc.site, object, 0),
-					"Content-Type":   "application/octet-stream",
-				} {
-					if got := w.h.Values(key); len(got) != 1 || got[0] != want {
-						t.Errorf("%s: %s %q, want %q", tc.source, key, got, want)
-					}
-				}
-				// A relayed body is the one buffer its fetch filled.
-				want := 1
-				if tc.source != SourceOrigin {
-					want = int((size + patternPiece - 1) / patternPiece)
-				}
-				if len(w.writes) != want {
-					t.Errorf("%s: %d-byte body left in %d Writes %v, want %d", tc.source, size, len(w.writes), w.writes, want)
-				}
-				multi = multi || size > patternPiece
 			}
-			if maxBytes > patternPiece && !multi {
-				t.Fatal("no object over 64 KiB in the scenario: the multi-piece case went untested")
+			if len(w.writes) != 1 {
+				t.Errorf("%s: %d-byte body left in %d Writes %v, want 1", tc.source, size, len(w.writes), w.writes)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestServeHitAllocs pins the hit path's own allocations: the response's
@@ -279,7 +266,7 @@ func TestServeHitAllocs(t *testing.T) {
 	}
 	sc := smallScenario(t)
 	var versions Versions
-	e, replicated, _ := testEngine(t, sc, Config{}, 64<<20, listen(t, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(t, sc, Config{}, 64<<20, listen(t, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	other := (replicated + 1) % sc.Sys.M()
 	if w := serve(e, other, 1); w.h.Get("X-Cdn-Source") != SourceOrigin {
 		t.Fatalf("priming fetch: source %q", w.h.Get("X-Cdn-Source"))
@@ -314,7 +301,7 @@ func TestServeMissAllocs(t *testing.T) {
 	}
 	sc := smallScenario(t)
 	var versions Versions
-	e, replicated, _ := testEngine(t, sc, Config{}, 0, listen(t, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(t, sc, Config{}, 0, listen(t, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	w := &discardWriter{h: make(http.Header)}
 	r := httptest.NewRequest(http.MethodGet, ObjectPath((replicated+1)%sc.Sys.M(), 1), nil)
 	allocs := testing.AllocsPerRun(200, func() {
@@ -339,7 +326,7 @@ func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 func BenchmarkServeHit(b *testing.B) {
 	sc := smallScenario(b)
 	var versions Versions
-	e, replicated, _ := testEngine(b, sc, Config{}, 64<<20, listen(b, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(b, sc, Config{}, 64<<20, listen(b, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	w := &discardWriter{h: make(http.Header)}
 	r := httptest.NewRequest(http.MethodGet, ObjectPath(replicated, 1), nil)
 	b.ReportAllocs()
@@ -355,7 +342,7 @@ func BenchmarkServeHit(b *testing.B) {
 func BenchmarkServeMiss(b *testing.B) {
 	sc := smallScenario(b)
 	var versions Versions
-	e, replicated, _ := testEngine(b, sc, Config{}, 0, listen(b, NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	e, replicated, _ := testEngine(b, sc, Config{}, 0, listen(b, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	w := &discardWriter{h: make(http.Header)}
 	r := httptest.NewRequest(http.MethodGet, ObjectPath((replicated+1)%sc.Sys.M(), 1), nil)
 	b.ReportAllocs()
@@ -387,7 +374,7 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 	sc := smallScenario(t)
 	var versions Versions
 	var opened atomic.Int64
-	srv := httptest.NewUnstartedServer(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))
+	srv := httptest.NewUnstartedServer(NewOrigin(sc, &versions, obs.NewRegistry(), nil))
 	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
 		if s == http.StateNew {
 			opened.Add(1)
@@ -419,13 +406,12 @@ func TestUpstreamConnectionsAreReused(t *testing.T) {
 	}
 }
 
-// TestUpstreamBodyIsBounded: an upstream body over the edge's
-// MaxObjectBytes — declared so, or run past it without a declared length
+// TestUpstreamBodyIsBounded: an upstream body over MaxObjectBytes —
+// declared so, or run past it without a declared length
 // — or short of its Content-Length is an upstream-status failure that
 // counts against the upstream's health and is neither cached nor
 // relayed; a chunked body inside the cap is served.
 func TestUpstreamBodyIsBounded(t *testing.T) {
-	const maxBytes = 8 << 10
 	sc := smallScenario(t)
 	pattern := func(n int) []byte {
 		var buf bytes.Buffer
@@ -444,11 +430,11 @@ func TestUpstreamBodyIsBounded(t *testing.T) {
 		ok       bool
 	}{
 		{"declared over the cap", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Length", fmt.Sprint(maxBytes+1))
-			w.Write(pattern(maxBytes + 1))
+			w.Header().Set("Content-Length", fmt.Sprint(MaxObjectBytes+1))
+			w.Write(pattern(MaxObjectBytes + 1))
 		}, false},
 		{"chunked past the cap", func(w http.ResponseWriter, r *http.Request) {
-			chunked(w, maxBytes+1)
+			chunked(w, MaxObjectBytes+1)
 		}, false},
 		{"short of its Content-Length", func(w http.ResponseWriter, r *http.Request) {
 			conn, buf, err := w.(http.Hijacker).Hijack()
@@ -461,17 +447,17 @@ func TestUpstreamBodyIsBounded(t *testing.T) {
 		}, false},
 		{"chunked inside the cap", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Etag", ETagFor(0, 0, 0))
-			chunked(w, maxBytes)
+			chunked(w, MaxObjectBytes)
 		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{MaxObjectBytes: maxBytes, FailThreshold: 1}
+			cfg := Config{FailThreshold: 1}
 			cfg.Retry.Attempts = 1
 			e, replicated, origin := testEngine(t, sc, cfg, 64<<20, listen(t, tc.upstream))
 			w := serve(e, (replicated+1)%sc.Sys.M(), 1)
 			if tc.ok {
-				if w.status != http.StatusOK || w.body.Len() != maxBytes || len(w.writes) != 1 {
-					t.Fatalf("status %d, %d bytes in %d writes; want the %d-byte body relayed", w.status, w.body.Len(), len(w.writes), maxBytes)
+				if w.status != http.StatusOK || w.body.Len() != MaxObjectBytes || len(w.writes) != 1 {
+					t.Fatalf("status %d, %d bytes in %d writes; want the %d-byte body relayed", w.status, w.body.Len(), len(w.writes), MaxObjectBytes)
 				}
 				if e.cache.Len() != 1 {
 					t.Fatal("relayed body was not cached")
@@ -497,12 +483,11 @@ func TestUpstreamBodyIsBounded(t *testing.T) {
 // TestBoundedBodyFailsOver: a peer whose body breaks the cap is passed
 // over for the next candidate, the origin, like any other failed fetch.
 func TestBoundedBodyFailsOver(t *testing.T) {
-	const maxBytes = 8 << 10
 	sc := smallScenario(t)
 	var versions Versions
-	cfg := Config{MaxObjectBytes: maxBytes}
+	var cfg Config
 	cfg.Retry.Attempts = 1
-	e, _, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, maxBytes, &versions, obs.NewRegistry(), nil)))
+	e, _, _ := testEngine(t, sc, cfg, 64<<20, listen(t, NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	// Peer 1 holds a site whose origin is moved farther from edge 0 than
 	// the peer is, so that the peer is tried first.
 	const peer = 1
@@ -524,7 +509,7 @@ func TestBoundedBodyFailsOver(t *testing.T) {
 	roster := *e.roster.Load()
 	roster.Peers = make([]string, sc.Sys.N())
 	roster.Peers[peer] = listen(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write(make([]byte, maxBytes+1))
+		w.Write(make([]byte, MaxObjectBytes+1))
 	}))
 	e.SetRoster(roster)
 

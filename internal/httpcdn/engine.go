@@ -56,9 +56,9 @@ type EngineConfig struct {
 
 // Engine is one edge's serving path — local replica, else the LRU cache,
 // else the cheapest healthy replica-holding peer or the origin, with
-// retry, failover, revalidation, spans and counters. It is the
-// http.Handler of the edge's object URLs; the listener around it, and
-// whoever swaps its placement and roster, are the wiring's.
+// retry, failover, spans and counters. It is the http.Handler of the
+// edge's object URLs; the listener around it, and whoever swaps its
+// placement and roster, are the wiring's.
 type Engine struct {
 	cfg    EngineConfig
 	client *http.Client
@@ -82,7 +82,6 @@ type Engine struct {
 	served                        [numSources]*obs.Counter
 	latency                       [numSources]*obs.Histogram
 	hits, misses, fails, notFound *obs.Counter
-	revalidations, notModified    obs.Counter
 }
 
 // upstreamIdleConns is how many idle connections an engine keeps to each
@@ -94,9 +93,6 @@ const upstreamIdleConns = 64
 // NewEngine builds the engine of edge cfg.ID; its roster starts with
 // every address unknown.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.MaxObjectBytes <= 0 {
-		cfg.MaxObjectBytes = 64 << 10
-	}
 	cfg.Retry = cfg.Retry.WithDefaults()
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = DefaultFailThreshold
@@ -175,9 +171,6 @@ func (e *Engine) SetPlacement(p *core.Placement) {
 // EdgeStats counts one edge's serves by source.
 type EdgeStats struct {
 	Replica, CacheHit, PeerFetch, OriginFetch int64
-	// Revalidations counts conditional GETs sent on cache hits
-	// (RevalidateOnHit); NotModified counts the 304 replies among them.
-	Revalidations, NotModified int64
 	// NotFound counts requests for paths outside the catalog (stale
 	// links to perished sites); they are 404s, not edge failures.
 	NotFound int64
@@ -211,13 +204,11 @@ func (s EdgeStats) LocalFraction() float64 {
 // written, so a client that has read a response sees it counted.
 func (e *Engine) Stats() EdgeStats {
 	return EdgeStats{
-		Replica:       e.served[srcReplica].Value(),
-		CacheHit:      e.served[srcCache].Value(),
-		PeerFetch:     e.served[srcPeer].Value(),
-		OriginFetch:   e.served[srcOrigin].Value(),
-		Revalidations: e.revalidations.Value(),
-		NotModified:   e.notModified.Value(),
-		NotFound:      e.notFound.Value(),
+		Replica:     e.served[srcReplica].Value(),
+		CacheHit:    e.served[srcCache].Value(),
+		PeerFetch:   e.served[srcPeer].Value(),
+		OriginFetch: e.served[srcOrigin].Value(),
+		NotFound:    e.notFound.Value(),
 	}
 }
 
@@ -279,12 +270,12 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 		e.mu.Lock()
 		version = e.learned[key]
 		e.mu.Unlock()
-	} else if version, ok = e.lookup(r, key, sp); ok {
+	} else if version, ok = e.lookup(key); ok {
 		source = srcCache
 	}
 	if ok {
 		e.served[source].Inc()
-		writeObject(w, e.cfg.Scenario, site, object, version, e.cfg.MaxObjectBytes, source)
+		writeObject(w, e.cfg.Scenario, site, object, version, source)
 		return source, 0, true
 	}
 
@@ -356,18 +347,14 @@ func (e *Engine) handle(w http.ResponseWriter, r *http.Request, site, object int
 	return source, used.hops, true
 }
 
-// lookup consults the cache and, under RevalidateOnHit, the origin. It
-// returns the version to serve from cache, or ok = false for a miss. A
-// hit that cannot be revalidated is a miss — a full fetch follows — so
-// every request is counted as exactly one of hit and miss.
-func (e *Engine) lookup(r *http.Request, key cache.Key, sp *Span) (version int, ok bool) {
+// lookup consults the cache. It returns the version to serve from cache,
+// or ok = false for a miss, and counts the request as exactly one of hit
+// and miss.
+func (e *Engine) lookup(key cache.Key) (version int, ok bool) {
 	e.mu.Lock()
 	ok = e.cache.Get(key)
 	version = e.cachedVer[key]
 	e.mu.Unlock()
-	if ok && e.cfg.RevalidateOnHit {
-		version, ok = e.revalidate(r, key, version, sp)
-	}
 	if !ok {
 		e.misses.Inc()
 		return 0, false
@@ -459,7 +446,7 @@ func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp
 		usp := sp.Child(obs.SpanUpstream)
 		usp.AttrInt("attempt", attempt)
 		usp.AttrTarget(u.kind, u.id)
-		body, etag, _, err = e.fetchOnce(ctx, u.url+path, "", usp)
+		body, etag, err = e.fetchOnce(ctx, u.url+path, usp)
 		usp.AttrOutcome(err)
 		usp.End()
 		if err == nil || attempt >= p.Attempts || ctx.Err() != nil {
@@ -490,21 +477,17 @@ func (e *Engine) fetchWithRetry(ctx context.Context, u upstream, path string, sp
 }
 
 // fetchOnce performs one upstream attempt under the per-attempt timeout:
-// a GET of url, conditional when ifNoneMatch is set, answered 200 with a
-// body or (notModified) 304. sp (the attempt's upstream span) is
-// propagated via the Traceparent header so the remote server's spans
-// nest under this attempt.
-func (e *Engine) fetchOnce(ctx context.Context, url, ifNoneMatch string, sp *Span) (body []byte, etag string, notModified bool, err error) {
+// a GET of url, answered 200 with a body. sp (the attempt's upstream
+// span) is propagated via the Traceparent header so the remote server's
+// spans nest under this attempt.
+func (e *Engine) fetchOnce(ctx context.Context, url string, sp *Span) (body []byte, etag string, err error) {
 	actx, cancel := context.WithTimeout(ctx, e.cfg.Retry.Timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, url, nil)
 	if err != nil {
-		return nil, "", false, err
+		return nil, "", err
 	}
 	req.Header.Set(InternalHeader, "1")
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
 	if hdr := sp.Header(); hdr != "" {
 		req.Header.Set(obs.TraceparentHeader, hdr)
 	}
@@ -513,62 +496,24 @@ func (e *Engine) fetchOnce(ctx context.Context, url, ifNoneMatch string, sp *Spa
 		if actx.Err() != nil {
 			err = fmt.Errorf("%w: %v", ErrEdgeTimeout, err)
 		}
-		return nil, "", false, err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotModified && ifNoneMatch != "":
-		return nil, "", true, nil
-	case resp.StatusCode != http.StatusOK:
+	if resp.StatusCode != http.StatusOK {
 		// What an error answer says is not used, but reading it lets the
 		// connection be reused.
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return nil, "", false, fmt.Errorf("%w: %d", ErrUpstreamStatus, resp.StatusCode)
+		return nil, "", fmt.Errorf("%w: %d", ErrUpstreamStatus, resp.StatusCode)
 	}
-	body, err = readBody(resp, e.cfg.MaxObjectBytes)
+	body, err = readBody(resp, MaxObjectBytes)
 	if err != nil {
 		class := ErrUpstreamStatus
 		if actx.Err() != nil {
 			class = ErrEdgeTimeout
 		}
-		return nil, "", false, fmt.Errorf("%w: %v", class, err)
+		return nil, "", fmt.Errorf("%w: %v", class, err)
 	}
-	return body, resp.Header.Get("Etag"), false, nil
-}
-
-// revalidate asks the origin, with one conditional GET under the same
-// per-attempt timeout as a fetch, whether a cached object is current. It
-// returns the version the cached body may be served as: the cached one
-// on 304, the origin's on 200 (the payload is a function of the version,
-// so learning it replaces the cached copy). ok = false means the origin
-// could not be asked.
-func (e *Engine) revalidate(r *http.Request, key cache.Key, cachedVersion int, sp *Span) (version int, ok bool) {
-	e.revalidations.Inc()
-	usp := sp.Child(obs.SpanUpstream)
-	usp.Attr("revalidate", "1")
-	usp.AttrTarget("origin", key.Site)
-	defer usp.End()
-	err := error(ErrOriginDown)
-	var etag string
-	var fresh bool
-	if url := e.roster.Load().Origins[key.Site]; url != "" {
-		_, etag, fresh, err = e.fetchOnce(r.Context(), url+ObjectPath(key.Site, key.Object),
-			ETagFor(key.Site, key.Object, cachedVersion), usp)
-	}
-	usp.AttrOutcome(err)
-	if err != nil {
-		return 0, false
-	}
-	if fresh {
-		e.notModified.Inc()
-		return cachedVersion, true
-	}
-	version = VersionFromETag(etag)
-	e.mu.Lock()
-	e.learn(key, version)
-	e.cachedVer[key] = version
-	e.mu.Unlock()
-	return version, true
+	return body, resp.Header.Get("Etag"), nil
 }
 
 // learn records that the edge has seen version of key; e.mu is held.

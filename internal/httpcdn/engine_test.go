@@ -23,7 +23,7 @@ func TestUnknownUpstreamIsNotFailedUpstream(t *testing.T) {
 	sc := smallScenario(t)
 	reg := obs.NewRegistry()
 	var versions Versions
-	origin := httptest.NewServer(NewOrigin(sc, 0, &versions, reg, nil))
+	origin := httptest.NewServer(NewOrigin(sc, &versions, reg, nil))
 	defer origin.Close()
 
 	originTracker := NewTracker(reg, "origin", 0)
@@ -160,7 +160,7 @@ func TestClientHangUpBlamesNoUpstream(t *testing.T) {
 	const slow = 100 * time.Millisecond
 	var versions Versions
 	sc := smallScenario(t)
-	originHandler := NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)
+	originHandler := NewOrigin(sc, &versions, obs.NewRegistry(), nil)
 	url := listen(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-time.After(slow):
@@ -217,7 +217,7 @@ func TestClientHangUpBlamesNoUpstream(t *testing.T) {
 func TestStaleUpstreamConnectionCostsNothing(t *testing.T) {
 	var versions Versions
 	sc := smallScenario(t)
-	srv := httptest.NewServer(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))
+	srv := httptest.NewServer(NewOrigin(sc, &versions, obs.NewRegistry(), nil))
 	defer srv.Close()
 	e, site, origin, tr, buf := tracedEngine(t, Config{}, srv.URL)
 	if w := serve(e, site, 1); w.status != http.StatusOK {

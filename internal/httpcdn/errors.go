@@ -21,7 +21,7 @@ var (
 	ErrOriginDown = errors.New("httpcdn: origin unreachable")
 	// ErrUpstreamStatus reports an unusable answer from an upstream that
 	// was reachable: a non-200 status (e.g. an injected 503), or a body
-	// over the edge's MaxObjectBytes or short of its Content-Length.
+	// over MaxObjectBytes or short of its Content-Length.
 	ErrUpstreamStatus = errors.New("httpcdn: unexpected upstream status")
 	// ErrBadStatus reports a non-200 answer from the edge to a client
 	// fetch that does not carry a more specific X-Cdn-Error class.

@@ -93,7 +93,7 @@ func TestFetchTypedErrors(t *testing.T) {
 	sc := smallScenario(t)
 	var versions Versions
 	inj := fault.NewInjector()
-	srv := httptest.NewServer(inj.Wrap(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil)))
+	srv := httptest.NewServer(inj.Wrap(NewOrigin(sc, &versions, obs.NewRegistry(), nil)))
 	defer srv.Close()
 
 	// An injected 503 carries no X-Cdn-Error class: ErrBadStatus.
@@ -132,7 +132,7 @@ func TestOriginDownClassPropagates(t *testing.T) {
 	cfg := Config{Retry: RetryPolicy{Attempts: 2, Timeout: 200 * time.Millisecond,
 		BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, Jitter: 0.1}}
 	e, replicated, origin := testEngine(t, sc, cfg, 64<<20,
-		listen(t, inj.Wrap(NewOrigin(sc, 0, &versions, obs.NewRegistry(), nil))))
+		listen(t, inj.Wrap(NewOrigin(sc, &versions, obs.NewRegistry(), nil))))
 	_, err := Get(context.Background(), http.DefaultClient, listen(t, e), (replicated+1)%sc.Sys.M(), 1)
 	if !errors.Is(err, ErrUpstreamStatus) {
 		t.Fatalf("dead origin returned %v, want ErrUpstreamStatus", err)

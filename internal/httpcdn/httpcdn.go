@@ -10,6 +10,9 @@
 //     SN entry — another edge, or the site's origin) over real HTTP,
 //     stores the body, and serves it.
 //
+// A cached copy is served as it is, stale or not (weak consistency), and
+// every body is capped at MaxObjectBytes.
+//
 // Peer fetches carry an internal header so a peer that no longer holds
 // the object falls through to the origin instead of recursing through
 // the mesh. Object bodies are deterministic byte patterns checked
@@ -42,22 +45,17 @@ const (
 // InternalHeader marks edge-to-edge fetches to prevent recursion.
 const InternalHeader = "X-Cdn-Internal"
 
+// MaxObjectBytes caps every synthetic payload, at the origin and at the
+// edge alike, so heavy-tailed catalogs do not ship tens of megabytes over
+// loopback; an edge refuses an upstream body past it.
+const MaxObjectBytes = 64 << 10
+
 // Config holds the serving knobs of an Engine.
 type Config struct {
 	// PerHopDelay is the artificial network delay per topology hop,
 	// applied by the fetching edge before contacting a remote source
 	// (0 for tests; ~1ms/hop makes cdnd's latencies meaningful).
 	PerHopDelay time.Duration
-	// MaxObjectBytes caps synthetic payload sizes so heavy-tailed
-	// catalogs do not ship tens of megabytes over loopback (0 = 64 KiB).
-	MaxObjectBytes int64
-	// RevalidateOnHit enforces strong consistency the way §3.3's
-	// server-based invalidation does, but with HTTP's native
-	// machinery: every cache hit sends a conditional GET
-	// (If-None-Match) to the origin and serves the cached body only
-	// on 304 Not Modified. Off = weak consistency (serve cached
-	// bodies unconditionally, possibly stale).
-	RevalidateOnHit bool
 	// Metrics, when non-nil, receives per-edge serve/hit/miss/eviction
 	// counters, resident-byte gauges and per-source latency histograms
 	// (see DESIGN.md "Observability" for the metric names); nil builds a

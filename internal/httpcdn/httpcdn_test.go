@@ -54,7 +54,7 @@ type mesh struct {
 func startMesh(t *testing.T, sc *scenario.Scenario, p *core.Placement, spans *obs.Tracer) *mesh {
 	t.Helper()
 	m := &mesh{sc: sc}
-	m.origin = httptest.NewServer(NewOrigin(sc, 0, &Versions{}, obs.NewRegistry(), spans))
+	m.origin = httptest.NewServer(NewOrigin(sc, &Versions{}, obs.NewRegistry(), spans))
 	roster := Roster{Peers: make([]string, sc.Sys.N()), Origins: make([]string, sc.Sys.M())}
 	for j := range roster.Origins {
 		roster.Origins[j] = m.origin.URL

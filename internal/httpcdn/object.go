@@ -50,15 +50,8 @@ func ParseObjectPath(sc *scenario.Scenario, path string) (site, object int, err 
 
 // objectSize is the served payload size for (site, object): the catalog
 // size capped so heavy-tailed catalogs do not ship tens of megabytes.
-func objectSize(sc *scenario.Scenario, site, object int, maxBytes int64) int64 {
-	sz := sc.Work.Size(site, object)
-	if sz > maxBytes {
-		sz = maxBytes
-	}
-	if sz < 1 {
-		sz = 1
-	}
-	return sz
+func objectSize(sc *scenario.Scenario, site, object int) int64 {
+	return min(max(sc.Work.Size(site, object), 1), MaxObjectBytes)
 }
 
 // sourceID indexes the four serve sources in obs.Sources order, so the
@@ -99,8 +92,8 @@ func setObjectHeaders(h http.Header, source sourceID, etag string, size int64) {
 
 // writeObject serves the deterministic payload of the given version with
 // the standard CDN response headers.
-func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, version int, maxBytes int64, source sourceID) {
-	size := objectSize(sc, site, object, maxBytes)
+func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, version int, source sourceID) {
+	size := objectSize(sc, site, object)
 	setObjectHeaders(w.Header(), source, ETagFor(site, object, version), size)
 	w.WriteHeader(http.StatusOK)
 	WritePattern(w, site, object, version, size)
@@ -108,9 +101,9 @@ func writeObject(w http.ResponseWriter, sc *scenario.Scenario, site, object, ver
 
 // patternPiece is the most bytes one Write of a payload carries. It is a
 // multiple of the pattern's period, so every piece of a body starts at
-// the same table offset, and it is the default MaxObjectBytes, so a body
-// under the default cap is one Write.
-const patternPiece = 64 << 10
+// the same table offset, and it is MaxObjectBytes, so every object body
+// is one Write.
+const patternPiece = MaxObjectBytes
 
 // patternTable[i] is byte(i). Byte i of an object's payload is
 // seed + byte(i), a rotation of period 256, so the first patternPiece
@@ -212,31 +205,25 @@ func (t *Versions) Bump(site, object int) int {
 }
 
 // Origin is the http.Handler of the primary server of every site: it
-// answers GET /obj/{site}/{object} with the current version's payload,
-// and a conditional GET whose If-None-Match validator still matches with
-// 304.
+// answers GET /obj/{site}/{object} with the current version's payload.
+// It ignores conditional headers, as a server may: every GET of an object
+// in the catalog is a 200 with the body.
 type Origin struct {
 	sc       *scenario.Scenario
-	maxBytes int64
 	versions *Versions
 	spans    *obs.Tracer
 
-	served, notModified, notFound *obs.Counter
+	served, notFound *obs.Counter
 }
 
 // NewOrigin builds the handler of one server multiplexing every site by
 // path. Origin spans go to spans when it is non-nil and the request
 // carries a Traceparent.
-func NewOrigin(sc *scenario.Scenario, maxBytes int64, versions *Versions, reg *obs.Registry, spans *obs.Tracer) *Origin {
-	if maxBytes <= 0 {
-		maxBytes = 64 << 10
-	}
+func NewOrigin(sc *scenario.Scenario, versions *Versions, reg *obs.Registry, spans *obs.Tracer) *Origin {
 	return &Origin{
-		sc: sc, maxBytes: maxBytes, versions: versions, spans: spans,
+		sc: sc, versions: versions, spans: spans,
 		served: reg.Counter("cdn_origin_requests_total",
 			"Requests served by the origin.", nil),
-		notModified: reg.Counter("cdn_origin_not_modified_total",
-			"Conditional GETs answered 304.", nil),
 		notFound: reg.Counter("cdn_origin_notfound_total",
 			"Requests for sites or objects outside the catalog (404s).", nil),
 	}
@@ -257,21 +244,13 @@ func (o *Origin) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		sp = NewSpan(o.spans, obs.SpanOrigin, trace, parent, site, site, object)
 	}
 	defer sp.End()
-	version := o.versions.Get(site, object)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && inm == ETagFor(site, object, version) {
-		o.notModified.Inc()
-		sp.Attr("status", "304")
-		w.Header().Set("Etag", inm)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
 	sp.Attr("status", "200")
-	writeObject(w, o.sc, site, object, version, o.maxBytes, srcOrigin)
+	writeObject(w, o.sc, site, object, o.versions.Get(site, object), srcOrigin)
 }
 
-// maxClientBody bounds what Get reads of one response. No edge is run
-// with a MaxObjectBytes near it; a length declared beyond it is a broken
-// edge, not a buffer to allocate.
+// maxClientBody bounds what Get reads of one response. It is far past
+// MaxObjectBytes: a length declared beyond it is a broken edge, not a
+// buffer to allocate.
 const maxClientBody = 256 << 20
 
 // readBody reads a response's body into one buffer: of exactly the

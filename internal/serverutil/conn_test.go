@@ -63,7 +63,7 @@ func protocolHandler() http.Handler {
 
 func startProtocol(t testing.TB, h http.Handler) *Server {
 	t.Helper()
-	s, err := Start(Config{Addr: "127.0.0.1:0", Handler: h, DrainTimeout: 5 * time.Second})
+	s, err := Start(Config{Addr: "127.0.0.1:0", Handler: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func FuzzServeConn(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s, err := Start(Config{Addr: "127.0.0.1:0", Handler: protocolHandler(), DrainTimeout: 5 * time.Second})
+	s, err := Start(Config{Addr: "127.0.0.1:0", Handler: protocolHandler()})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func FuzzServeConn(f *testing.F) {
 			if err != nil {
 				f.Errorf("shutdown: %v", err)
 			}
-		case <-time.After(10 * time.Second):
+		case <-time.After(drainTimeout + 5*time.Second):
 			f.Error("Shutdown did not return")
 		}
 	})

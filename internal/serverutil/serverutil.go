@@ -29,9 +29,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultDrainTimeout bounds how long Shutdown waits for in-flight
-// requests before giving up and closing connections hard.
-const DefaultDrainTimeout = 10 * time.Second
+// drainTimeout bounds how long Shutdown waits for in-flight requests
+// before giving up and closing connections hard.
+const drainTimeout = 10 * time.Second
 
 // Config describes one component HTTP server.
 type Config struct {
@@ -39,9 +39,6 @@ type Config struct {
 	Addr string
 	// Handler serves every request. Required.
 	Handler http.Handler
-	// DrainTimeout bounds Shutdown's wait for in-flight requests;
-	// 0 selects DefaultDrainTimeout.
-	DrainTimeout time.Duration
 	// Logf, when non-nil, receives serve-loop errors (a closed listener
 	// during shutdown is not reported) and handler panics.
 	Logf func(format string, args ...any)
@@ -66,9 +63,6 @@ type Server struct {
 func Start(cfg Config) (*Server, error) {
 	if cfg.Handler == nil {
 		return nil, fmt.Errorf("serverutil: nil handler")
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = DefaultDrainTimeout
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -161,7 +155,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.active.Wait()
 		close(drained)
 	}()
-	dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
+	dctx, cancel := context.WithTimeout(ctx, drainTimeout)
 	defer cancel()
 	select {
 	case <-drained:
@@ -179,17 +173,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Close shuts down with a background-context drain — the deferred-close
 // idiom for mains and tests.
 func (s *Server) Close() error { return s.Shutdown(context.Background()) }
-
-// ServeUntil blocks until ctx is cancelled, then drains and returns the
-// shutdown error. It is the whole lifecycle of a daemon listener:
-//
-//	srv, err := serverutil.Start(cfg)
-//	...
-//	return srv.ServeUntil(ctx) // SIGINT/SIGTERM cancels ctx
-func (s *Server) ServeUntil(ctx context.Context) error {
-	<-ctx.Done()
-	return s.Shutdown(context.Background())
-}
 
 // DebugMux returns the standard observability mux for a component:
 // /metrics, /debug/vars and /debug/pprof/ from reg (nil reg yields an

@@ -54,7 +54,6 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 			served.Add(1)
 			io.WriteString(w, "slow-ok")
 		}),
-		DrainTimeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,25 +114,6 @@ func TestShutdownIdempotent(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestServeUntil(t *testing.T) {
-	s, err := Start(Config{Addr: "127.0.0.1:0", Handler: http.NewServeMux()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- s.ServeUntil(ctx) }()
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeUntil did not return after cancel")
 	}
 }
 
