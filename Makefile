@@ -34,11 +34,15 @@ fmt:
 # and the context's AfterFunc interrupts I/O from another goroutine. The
 # same goes for the server's connection loop (internal/serverutil): its
 # hang-up watcher reads the socket beside the serving goroutine, and
-# Shutdown closes connections from another.
+# Shutdown closes connections from another; and for the simulator's block
+# loop (internal/sim/loop.go): its goroutines share the per-server caches
+# block after block, and a run that stops mid-block must still wait for
+# them.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/httpcdn/... ./internal/clusterd/... ./internal/serverutil/... ./internal/sim/... ./internal/lrumodel/... ./internal/placement/... ./internal/control/... ./internal/cache/... ./internal/stats/... ./internal/workload/...
 	$(GO) test -race -count=10 -run '^(TestTransport.*|TestUpstreamConnectionsAreReused|TestStaleUpstreamConnectionCostsNothing|TestClientHangUpBlamesNoUpstream)$$' ./internal/httpcdn/
 	$(GO) test -race -count=10 -run '^(TestConnProtocol|TestHangUpCancelsContext|TestHitStartsNoGoroutine|TestWatcher.*|TestShutdown.*)$$' ./internal/serverutil/
+	$(GO) test -race -count=10 -run '^(TestRunParallelMatchesRun.*|TestDynamicSeqVsParallelIdentical|TestRunParallelStopsMidRun)$$' ./internal/sim/
 
 # fuzz-smoke runs every fuzz target for 10 s: the simulator's request
 # loop (the arena LRU/FIFO against the slice reference, the guided

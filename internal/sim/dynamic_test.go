@@ -164,9 +164,9 @@ func TestStaleReplicaRedirects(t *testing.T) {
 }
 
 // TestDynamicSeqVsParallelIdentical extends the bit-identity guarantee
-// to dynamic-catalog runs: the churning stream is drained by a single
-// producer, so sharded execution must reproduce the sequential run
-// exactly, new counters included.
+// to dynamic-catalog runs: the churning stream is drawn by the calling
+// goroutine alone, so stepping its blocks on several goroutines must
+// reproduce the sequential run exactly, new counters included.
 func TestDynamicSeqVsParallelIdentical(t *testing.T) {
 	sc := smallScenario(4, 0.05)
 	p := hybridPlacementFor(sc)

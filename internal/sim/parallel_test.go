@@ -3,12 +3,13 @@ package sim
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -265,9 +266,8 @@ func TestParallelismValidation(t *testing.T) {
 }
 
 // TestRunParallelAllocatesAtSetUpOnly bounds the allocations of a
-// 200 000-request parallel run: shards, the hand-off, the records slice
-// and the batches in flight at once, but nothing per batch handed over —
-// a run forty times shorter allocates as much.
+// 200 000-request parallel run: shards, blocks and helpers, but nothing
+// per block handed over — a run forty times shorter allocates as much.
 func TestRunParallelAllocatesAtSetUpOnly(t *testing.T) {
 	sc := smallScenario(1, 0)
 	p := hybridPlacementFor(sc)
@@ -282,94 +282,73 @@ func TestRunParallelAllocatesAtSetUpOnly(t *testing.T) {
 	}
 	long, short := allocs(200000), allocs(5000)
 	t.Logf("allocations: %.0f for 200000 requests, %.0f for 5000", long, short)
-	// 200 000 requests are some 390 batches. The slack covers what
-	// scheduling decides: how many batches are in flight at once.
-	if long > short+16 {
-		t.Errorf("a 200000-request run allocates %.0f times, a 5000-request run %.0f: the hand-off allocates per batch", long, short)
+	// With the warm-up, the long run is 17 shared blocks and the short
+	// one 5, so one allocation per block would add 12: a slack of 4
+	// allows for the runtime's own noise and still catches that.
+	if long > short+4 {
+		t.Errorf("a 200000-request run allocates %.0f times, a 5000-request run %.0f: the loop allocates per block", long, short)
 	}
 }
 
-// TestHandoffKeepsShardOrder drives the hand-off the way the runner does
-// — one producer that helps above its backlog limit, workers that take
-// until the end — and checks what the bit-identity of RunParallel rests
-// on: every batch is simulated once, a shard's batches in the order they
-// were put and by one goroutine at a time, and the producer never runs
-// more than one batch past its limit. One hot shard forces the producer
-// to wait for a shard somebody else holds.
-func TestHandoffKeepsShardOrder(t *testing.T) {
-	for _, tc := range []struct {
-		name                            string
-		shards, workers, limit, batches int
-		hot                             bool
-	}{
-		{"two goroutines", 4, 1, 4, 4000, false},
-		{"eight goroutines", 16, 7, 16, 4000, false},
-		{"one shard", 1, 3, 2, 2000, false},
-		{"hot shard", 4, 2, 1, 2000, true},
-		{"no backlog", 3, 2, 0, 2000, false},
-		{"nothing to do", 4, 3, 4, 0, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := newHandoff(tc.shards)
-			seen := make([][]int, tc.shards)
-			holders := make([]int32, tc.shards)
-			work := func(limit int) {
-				for {
-					x, b := h.take(limit)
-					if b == nil {
-						return
-					}
-					if atomic.AddInt32(&holders[x], 1) != 1 {
-						t.Errorf("shard %d is held twice", x)
-					}
-					seen[x] = append(seen[x], b.items[0].t)
-					atomic.AddInt32(&holders[x], -1)
-					h.done(x, b)
-				}
+// cancelSource cancels its run's context at its at-th draw.
+type cancelSource struct {
+	src    Source
+	n, at  int
+	cancel context.CancelFunc
+}
+
+func (c *cancelSource) Next() (workload.Request, bool) {
+	if c.n++; c.n == c.at {
+		c.cancel()
+	}
+	return c.src.Next()
+}
+
+// TestRunParallelStopsMidRun: a run cancelled, or whose source runs dry,
+// in the first or the second block — while helpers step the block before
+// — returns context.Canceled or the draw error, and leaves no helper
+// goroutine behind.
+func TestRunParallelStopsMidRun(t *testing.T) {
+	sc := smallScenario(8, 0)
+	p := hybridPlacementFor(sc)
+	cfg := fastConfig(true)
+	cfg.Warmup, cfg.Requests = sharedBlockLen, 2*sharedBlockLen
+	total := cfg.Warmup + cfg.Requests
+	stream := func() Source { return streamSource{sc.Stream(xrand.New(5))} }
+	base := runtime.NumGoroutine()
+	// The runner returns once its helpers are done; they exit a moment later.
+	settled := func() int {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	for _, par := range []int{2, 8} {
+		cfg.Parallelism = par
+		for _, at := range []int{100, sharedBlockLen + 100} {
+			ctx, cancel := context.WithCancel(context.Background())
+			_, err := RunSourceParallel(ctx, sc, p, cfg, &cancelSource{src: stream(), at: at, cancel: cancel})
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("parallelism %d, cancelled at draw %d: error %v, want context.Canceled", par, at, err)
 			}
-			var wg sync.WaitGroup
-			wg.Add(tc.workers)
-			for w := 0; w < tc.workers; w++ {
-				go func() {
-					defer wg.Done()
-					work(-1)
-				}()
+			if n := settled(); n > base {
+				t.Errorf("parallelism %d, cancelled at draw %d: %d goroutines, %d before", par, at, n, base)
 			}
-			r := xrand.New(7)
-			b := h.put(0, nil)
-			for i := 0; i < tc.batches; i++ {
-				x := r.Intn(tc.shards)
-				if tc.hot && i%16 != 0 {
-					x = 0
-				}
-				if len(b.items) != 0 {
-					t.Fatalf("put returned a batch holding %d items", len(b.items))
-				}
-				b.items = append(b.items, shardItem{t: i})
-				b = h.put(x, b)
-				work(tc.limit)
-				h.mu.Lock()
-				backlog := h.backlog
-				h.mu.Unlock()
-				if backlog > tc.limit {
-					t.Fatalf("after batch %d the backlog is %d, limit %d", i, backlog, tc.limit)
-				}
+
+			reqs := make([]workload.Request, at)
+			src := stream()
+			for i := range reqs {
+				reqs[i], _ = src.Next()
 			}
-			h.close()
-			work(-1)
-			wg.Wait()
-			total := 0
-			for x, ts := range seen {
-				total += len(ts)
-				for k := 1; k < len(ts); k++ {
-					if ts[k] <= ts[k-1] {
-						t.Fatalf("shard %d saw batch %d after batch %d", x, ts[k], ts[k-1])
-					}
-				}
+			_, err = RunSourceParallel(context.Background(), sc, p, cfg, &sliceSource{reqs: reqs})
+			want := fmt.Sprintf("sim: request source exhausted after %d of %d requests", at, total)
+			if err == nil || err.Error() != want {
+				t.Errorf("parallelism %d, source of %d: error %v, want %q", par, at, err, want)
 			}
-			if total != tc.batches {
-				t.Errorf("%d of %d batches simulated", total, tc.batches)
+			if n := settled(); n > base {
+				t.Errorf("parallelism %d, source of %d: %d goroutines, %d before", par, at, n, base)
 			}
-		})
+		}
 	}
 }

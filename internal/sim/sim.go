@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strconv"
 
 	"repro/internal/cache"
@@ -53,14 +54,14 @@ type Config struct {
 	// KeepResponseTimes retains every measured response time for CDF
 	// construction; disable for pure-throughput benchmarks.
 	KeepResponseTimes bool
-	// Parallelism is the worker count RunParallel shards the request
-	// stream across: 0 means runtime.GOMAXPROCS(0), 1 forces the
-	// sequential path. Sharding is by destination server — caches and
-	// per-server counters are independent across servers — so parallel
-	// runs are bit-identical to sequential ones, not approximations.
-	// Run and RunSource ignore this field; RunWithCrashes rejects
-	// values above 1 (re-dispatching a dead server's clients crosses
-	// shards).
+	// Parallelism is the number of goroutines RunParallel and
+	// RunSourceParallel step each block of requests on: 0 means
+	// runtime.GOMAXPROCS(0), 1 one goroutine. They split a block by
+	// destination server — caches and per-server counters are
+	// independent across servers — so their runs are bit-identical to
+	// Run's, not approximations. Run and RunSource ignore this field;
+	// RunWithCrashes rejects values above 1 (it re-dispatches a dead
+	// server's clients, so it cannot group requests by server up front).
 	Parallelism int
 	// UnitOf, when non-nil, maps a request (site, 1-based object rank)
 	// to the placement column that owns it — the per-cluster
@@ -228,8 +229,39 @@ func Run(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Conf
 	return RunSource(ctx, sc, p, cfg, streamSource{sc.Stream(r)})
 }
 
-// validateRun checks the configuration and the placement/scenario pairing
-// shared by the sequential and parallel runners.
+// RunSource is Run driven by an explicit request source (e.g. a replayed
+// span trace), on the calling goroutine. It fails if the source is
+// exhausted before warm-up plus measurement completes, or yields a
+// request for a server the scenario does not have or for an object
+// outside a known site's catalog. (A site the scenario does not know is
+// counted in Metrics.UnknownSite.)
+func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, src Source) (*Metrics, error) {
+	return run(ctx, sc, p, cfg, src, 1)
+}
+
+// RunParallel is Run on cfg.Parallelism goroutines (0 =
+// runtime.GOMAXPROCS). The result is bit-identical to Run with the same
+// seed.
+func RunParallel(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, r *xrand.Source) (*Metrics, error) {
+	return RunSourceParallel(ctx, sc, p, cfg, streamSource{sc.Stream(r)})
+}
+
+// RunSourceParallel is RunSource on cfg.Parallelism goroutines (0 =
+// runtime.GOMAXPROCS). The calling goroutine still draws every request,
+// so any Source works unchanged; the others only step. Cancelling ctx
+// aborts the run between blocks (4 096 requests on one goroutine,
+// 16 384 on more) with ctx.Err(), once the helpers have stepped the
+// block in hand and returned.
+func RunSourceParallel(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, src Source) (*Metrics, error) {
+	workers := cfg.Parallelism
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return run(ctx, sc, p, cfg, src, workers)
+}
+
+// validateRun checks a run's configuration and placement/scenario
+// pairing.
 func validateRun(sc *scenario.Scenario, p *core.Placement, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -245,44 +277,57 @@ func validateRun(sc *scenario.Scenario, p *core.Placement, cfg Config) error {
 	return nil
 }
 
-// shard owns the simulation state of a subset of servers: their caches
-// and a private Metrics accumulating their counters. Shards over
-// disjoint server sets share no mutable state — the property that makes
-// the parallel runner exact rather than approximate.
+// shard is the simulation state one goroutine steps requests with: the
+// per-server caches, which the goroutines of one run share (a block gives
+// each server to one of them), and a private Metrics accumulating its
+// counters.
 type shard struct {
 	sc  *scenario.Scenario
 	p   *core.Placement
 	cfg *Config
-	// caches is indexed by server; entries are nil for servers the
-	// shard does not own or when caching is off.
+	// caches is indexed by server; nil when caching is off.
 	caches []cache.Cache
 	m      *Metrics
 }
 
-// newShard builds the state for the servers selected by owns (nil =
-// all). The Metrics always carries full-length per-server arrays; only
-// owned indices are ever touched.
-func newShard(sc *scenario.Scenario, p *core.Placement, cfg *Config, owns func(i int) bool) *shard {
+// newShard builds the caches over the free space p leaves.
+func newShard(sc *scenario.Scenario, p *core.Placement, cfg *Config) *shard {
 	n := sc.Sys.N()
-	s := &shard{
-		sc:  sc,
-		p:   p,
-		cfg: cfg,
-		m: &Metrics{
-			PerServerHitRatio: make([]float64, n),
-			PerServerHits:     make([]int64, n),
-			PerServerLookups:  make([]int64, n),
-		},
-	}
+	s := &shard{sc: sc, p: p, cfg: cfg, m: newMetrics(n)}
 	if cfg.UseCache {
 		s.caches = make([]cache.Cache, n)
-		for i := 0; i < n; i++ {
-			if owns == nil || owns(i) {
-				s.caches[i] = cache.New(cfg.Policy, p.Free(i))
-			}
+		for i := range s.caches {
+			s.caches[i] = cache.New(cfg.Policy, p.Free(i))
 		}
 	}
 	return s
+}
+
+// newMetrics returns zeroed Metrics for n servers.
+func newMetrics(n int) *Metrics {
+	return &Metrics{
+		PerServerHitRatio: make([]float64, n),
+		PerServerHits:     make([]int64, n),
+		PerServerLookups:  make([]int64, n),
+	}
+}
+
+// addCounts adds o's integer counters to m's: they are sums over
+// requests, so the order the goroutines counted in does not matter.
+func (m *Metrics) addCounts(o *Metrics) {
+	m.LocalReplica += o.LocalReplica
+	m.CacheHits += o.CacheHits
+	m.CacheMisses += o.CacheMisses
+	m.Bypass += o.Bypass
+	m.RemoteServer += o.RemoteServer
+	m.OriginFetch += o.OriginFetch
+	m.Perished += o.Perished
+	m.StaleReplica += o.StaleReplica
+	m.UnknownSite += o.UnknownSite
+	for i := range m.PerServerHits {
+		m.PerServerHits[i] += o.PerServerHits[i]
+		m.PerServerLookups[i] += o.PerServerLookups[i]
+	}
 }
 
 // step dispatches one request exactly as §5 describes, accumulating the
@@ -401,63 +446,6 @@ func (m *Metrics) finalize(cfg *Config, totalRT, totalHops float64) {
 	}
 }
 
-// RunSource is Run driven by an explicit request source (e.g. a replayed
-// span trace). It fails if the source is exhausted before warm-up plus
-// measurement completes, or yields a request for a server the scenario
-// does not have or for an object outside a known site's catalog. (A site
-// the scenario does not know is counted in Metrics.UnknownSite.)
-//
-// The requests are drawn cancelEvery at a time, and each block is stepped
-// server by server: a server's cache and counters depend only on its own
-// requests, which it still sees in draw order, so every decision is the
-// one a request-by-request Stepper makes, while one server's cache stays
-// warm through its run. The block's measured outcomes are then folded in
-// draw order.
-func RunSource(ctx context.Context, sc *scenario.Scenario, p *core.Placement, cfg Config, src Source) (*Metrics, error) {
-	if err := validateRun(sc, p, cfg); err != nil {
-		return nil, err
-	}
-	sh := newShard(sc, p, &cfg, nil)
-	f := newFold(&cfg, sh.m)
-	n, sites := sc.Sys.N(), sc.Work.Sites
-	total := cfg.Warmup + cfg.Requests
-	size := min(cancelEvery, total)
-	blk := newOutcomes(size, true, cfg.Tracer != nil)
-	// order lists the block's slots grouped by server, each group in
-	// draw order; next[s] is where server s's group goes on.
-	order := make([]int, size)
-	next := make([]int, n+1)
-	for t0 := 0; t0 < total; t0 += size {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		b := min(size, total-t0)
-		clear(next)
-		for k := 0; k < b; k++ {
-			req, ok := src.Next()
-			if !ok || uint(req.Server) >= uint(n) || !inCatalog(sites, &req) {
-				return nil, drawErr(ok, req, t0+k, total, sites, n)
-			}
-			blk.reqs[k] = req
-			next[req.Server+1]++
-		}
-		for s := 1; s < n; s++ {
-			next[s] += next[s-1]
-		}
-		for k, req := range blk.reqs[:b] {
-			order[next[req.Server]] = k
-			next[req.Server]++
-		}
-		for _, k := range order[:b] {
-			hops, source := sh.step(blk.reqs[k], t0+k >= cfg.Warmup)
-			blk.set(k, hops, source)
-		}
-		f.add(blk, min(max(cfg.Warmup-t0, 0), b), b, t0-cfg.Warmup)
-	}
-	f.finish()
-	return sh.m, nil
-}
-
 // inCatalog reports whether req's object is a rank of its site. A site
 // the scenario does not know passes: step answers it 404 without reading
 // the catalog.
@@ -479,36 +467,9 @@ func drawErr(ok bool, req workload.Request, t, total int, sites []*workload.Site
 		t, req.Object, req.Site, len(sites[req.Site].Objects))
 }
 
-// outcomes holds stepped requests' results by slot until they are folded:
-// the hops always, the request and its serving source only where kept.
-type outcomes struct {
-	hops    []float64
-	reqs    []workload.Request
-	sources []string
-}
-
-func newOutcomes(n int, keepReqs, keepSources bool) *outcomes {
-	o := &outcomes{hops: make([]float64, n)}
-	if keepReqs {
-		o.reqs = make([]workload.Request, n)
-	}
-	if keepSources {
-		o.sources = make([]string, n)
-	}
-	return o
-}
-
-// set records slot i's step result.
-func (o *outcomes) set(i int, hops float64, source string) {
-	o.hops[i] = hops
-	if o.sources != nil {
-		o.sources[i] = source
-	}
-}
-
 // fold adds measured requests to a run in draw order: the sums behind
 // MeanRTMs and MeanHops, ResponseTimesMs, the response-time histogram and
-// the trace. Both runners fold through it, which keeps them bit-identical.
+// the trace.
 type fold struct {
 	cfg                *Config
 	m                  *Metrics
@@ -532,12 +493,15 @@ func newFold(cfg *Config, m *Metrics) *fold {
 	return f
 }
 
-// add folds slots lo..hi-1 of o, slot i holding measured request i+off.
-// Tracing reads the slots' requests and sources.
-func (f *fold) add(o *outcomes, lo, hi, off int) {
+// add folds b's requests in draw order if they are measured. Tracing
+// reads their requests and sources.
+func (f *fold) add(b *block) {
 	cfg, m := f.cfg, f.m
-	for i := lo; i < hi; i++ {
-		hops := o.hops[i]
+	if b.t0 < cfg.Warmup {
+		return
+	}
+	for k, i := range b.pos[:b.len] {
+		hops := b.hops[i]
 		rt := cfg.FirstHopMs + cfg.PerHopMs*hops
 		f.totalRT += rt
 		f.totalHops += hops
@@ -548,10 +512,10 @@ func (f *fold) add(o *outcomes, lo, hi, off int) {
 			f.rtHist.Observe(rt)
 		}
 		if cfg.Tracer != nil {
-			emitSimSpans(cfg, i+off, &o.reqs[i], o.sources[i], hops, rt)
+			emitSimSpans(cfg, b.t0-cfg.Warmup+k, &b.reqs[i], b.sources[i], hops, rt)
 		}
 	}
-	m.Requests += hi - lo
+	m.Requests += b.len
 }
 
 // finish computes the derived metrics once every request is folded.

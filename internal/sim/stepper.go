@@ -28,7 +28,7 @@ func NewStepper(sc *scenario.Scenario, p *core.Placement, cfg Config) (*Stepper,
 		return nil, err
 	}
 	s := &Stepper{cfg: cfg}
-	s.sh = newShard(sc, p, &s.cfg, nil)
+	s.sh = newShard(sc, p, &s.cfg)
 	return s, nil
 }
 

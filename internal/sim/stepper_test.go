@@ -104,6 +104,8 @@ func TestStepperMatchesRunSource(t *testing.T) {
 		{"no warm-up", static, p, func(c *Config) { c.Warmup = 0 }},
 		{"shorter than a block", static, p, func(c *Config) { c.Requests, c.Warmup = 1500, 700 }},
 		{"whole blocks", static, p, func(c *Config) { c.Requests, c.Warmup = 3*cancelEvery, cancelEvery }},
+		// The first block is the short one, so the warm-up still ends
+		// at a block edge: this case covers a short first block.
 		{"warm-up ends mid-block", static, p, func(c *Config) { c.Requests, c.Warmup = 2*cancelEvery, cancelEvery+100 }},
 		{"clusters", static, res.Placement, func(c *Config) { c.UnitOf = cl.UnitOf }},
 		{"no cache", static, p, func(c *Config) { c.UseCache = false }},
@@ -143,21 +145,25 @@ func TestStepperMatchesRunSource(t *testing.T) {
 // out of range, withdrawn and republished content, uncacheable requests,
 // any warm-up split and run length, a source that runs out — RunSource
 // returns what a Stepper replay returns, errors included, and
-// RunSourceParallel what RunSource returns, trace bytes included.
+// RunSourceParallel on one to four goroutines what RunSource returns,
+// trace bytes included.
 //
 // The input is a 5-byte header and 4 bytes per request. Header: the run
-// length (2 bytes, little-endian), the warm-up's share of it in 256ths,
-// then flags — bit 0 caches off, bits 1–3 the policy, bit 4 a source of
-// half the run's length, bit 5 tracing, bit 6 generation 1 placed —
-// and a spare. The list repeats to the run's length.
+// length (2 bytes, little-endian; up to three shared blocks), the
+// warm-up's share of it in 256ths, then flags — bit 0 caches off, bits
+// 1–3 the policy, bit 4 a source of half the run's length, bit 5
+// tracing, bit 6 generation 1 placed — and the goroutine count less one
+// (mod 4). The list repeats to the run's length.
 func FuzzRunSourceMatchesStepper(f *testing.F) {
 	sc := smallScenario(4, 0)
 	p := hybridPlacementFor(sc)
 	n, sites := sc.Sys.N(), sc.Sys.M()
 	policies := []cache.Policy{cache.PolicyLRU, cache.PolicyFIFO, cache.PolicyLFU, cache.PolicyDelayedLRU, cache.PolicyRandom}
-	f.Add([]byte{0x00, 0x30, 64, 0, 0, 1, 2, 3, 0, 4, 5, 6, 1, 7, 1, 99, 4})
-	f.Add([]byte{0x10, 0x10, 128, 1 << 5, 0, 255, 0, 1, 0, 3, 254, 2, 2})
-	f.Add([]byte{0x00, 0x20, 10, 1<<4 | 1<<5 | 1<<6, 0, 2, 3, 4, 6, 5, 2, 9, 5, 254, 1, 1, 0})
+	f.Add([]byte{0x00, 0x30, 64, 0, 1, 1, 2, 3, 0, 4, 5, 6, 1, 7, 1, 99, 4})
+	f.Add([]byte{0x10, 0x10, 128, 1 << 5, 1, 255, 0, 1, 0, 3, 254, 2, 2})
+	f.Add([]byte{0x00, 0x20, 10, 1<<4 | 1<<5 | 1<<6, 1, 2, 3, 4, 6, 5, 2, 9, 5, 254, 1, 1, 0})
+	f.Add([]byte{0x00, 0x50, 128, 1 << 5, 3, 0, 0, 1, 0, 1, 1, 2, 0, 2, 2, 3, 1, 3, 3, 4, 0, 4, 4, 5, 0, 5, 5, 6, 1, 6, 6, 7, 0, 7, 7, 8, 0})
+	f.Add([]byte{0xff, 0xbf, 200, 1 << 4, 1, 3, 1, 50, 0, 6, 3, 7, 1, 1, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 9 {
 			return
@@ -175,7 +181,7 @@ func FuzzRunSourceMatchesStepper(f *testing.F) {
 				Generation: int(b[3]>>2) % 3,
 			}
 		}
-		total := 1 + (int(hdr[0])|int(hdr[1])<<8)%(3*cancelEvery)
+		total := 1 + (int(hdr[0])|int(hdr[1])<<8)%(3*sharedBlockLen)
 		flags := hdr[3]
 		cfg := fastConfig(flags&1 == 0)
 		cfg.Warmup = total * int(hdr[2]) / 256
@@ -220,7 +226,7 @@ func FuzzRunSourceMatchesStepper(f *testing.F) {
 			t.Fatalf("RunSource differs from the stepper:\n got: %+v\nwant: %+v", got, want)
 		}
 		parCfg := traced(cfg, &parBuf)
-		parCfg.Parallelism = 2
+		parCfg.Parallelism = 1 + int(hdr[4])%4
 		par, parErr := RunSourceParallel(context.Background(), sc, p, parCfg, mk())
 		if fmt.Sprint(parErr) != fmt.Sprint(err) {
 			t.Fatalf("RunSourceParallel error %v, RunSource %v", parErr, err)

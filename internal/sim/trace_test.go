@@ -130,7 +130,7 @@ func TestStepDisabledTracingZeroAllocs(t *testing.T) {
 	sc := smallScenario(3, 0)
 	p := hybridPlacementFor(sc)
 	cfg := fastConfig(true)
-	sh := newShard(sc, p, &cfg, nil)
+	sh := newShard(sc, p, &cfg)
 	stream := sc.Stream(xrand.New(5))
 	// Warm the caches so steady-state stepping dominates.
 	for i := 0; i < 20000; i++ {
@@ -160,7 +160,7 @@ func BenchmarkStepDisabledTracing(b *testing.B) {
 	sc := smallScenario(3, 0)
 	p := hybridPlacementFor(sc)
 	cfg := fastConfig(true)
-	sh := newShard(sc, p, &cfg, nil)
+	sh := newShard(sc, p, &cfg)
 	stream := sc.Stream(xrand.New(5))
 	for i := 0; i < 20000; i++ {
 		sh.step(stream.Next(), false)
